@@ -2,7 +2,6 @@
 
 from .integrate import Engine, IntegralResult, IntegrationError, integrate, moments
 from .spaces import (
-    BasisFunction,
     FunctionSpace,
     TchebyshevReport,
     FamilyError,

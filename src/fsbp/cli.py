@@ -202,7 +202,7 @@ def cmd_rule(args) -> int:
     write_json(runner.path("basis.json"), {
         "parent_family": result.target.family_spec,
         "interval": list(ortho.interval),
-        "coefficients": [list(map(float, f.coeffs)) for f in ortho.basis],
+        "coefficients": ortho.coeff_matrix.tolist(),
     })
     runner.finish({
         "dims": result.dims,
@@ -524,6 +524,9 @@ def main(argv=None) -> int:
     except (ScreenFailure, VerificationFailure) as exc:
         print(f"fsbp {args.command}: verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except np.linalg.LinAlgError as exc:   # a ValueError subclass: test it first
+        print(f"fsbp {args.command}: solver error: LinAlgError: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except ValueError as exc:
         print(f"fsbp {args.command}: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -16,7 +16,7 @@ All solves are pure and reentrant; a single solve is sequential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Callable
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "QuadratureRule",
     "ExactnessCertificate",
     "HermiteLagrangeBasis",
-    "ContinuationState",
     "BlendedMeasure",
     "SolveOptions",
     "SolverError",
@@ -186,20 +185,6 @@ class BlendedMeasure:
     weight: Callable | None = None  # None means the unit weight
 
 
-@dataclass
-class ContinuationState:
-    """Progress of one measure-continuation stage."""
-
-    t: float
-    anchors: np.ndarray
-    current_nodes: np.ndarray
-    step: float
-    history: list = field(default_factory=list)  # (t, nodes) pairs
-
-    def record(self):
-        self.history.append((self.t, self.current_nodes.copy()))
-
-
 @dataclass(frozen=True)
 class SolveOptions:
     """Tolerances and schedule knobs for the quadrature solvers."""
@@ -238,6 +223,18 @@ def measure_moments(space: FunctionSpace, measure=None, engine: Engine = DEFAULT
 # ---------------------------------------------------------------------------
 # Hermite-Vandermonde machinery
 
+def _hermite_rows(space: FunctionSpace, nodes, closed: bool) -> np.ndarray:
+    """Basis values at every node stacked over basis derivatives at the
+    nodes (interior nodes only when closed)."""
+    vals = space.collocation(nodes)
+    if closed:
+        n = space.dim // 2
+        ders = space.collocation_deriv(nodes[1:-1]) if n > 1 else np.zeros((0, space.dim))
+    else:
+        ders = space.collocation_deriv(nodes)
+    return np.vstack([vals, ders])
+
+
 def hermite_vandermonde(space: FunctionSpace, nodes, closed: bool):
     """The square collocation matrix driving the cardinal-basis solve.
 
@@ -257,14 +254,8 @@ def hermite_vandermonde(space: FunctionSpace, nodes, closed: bool):
     if nodes.size > 1 and np.any(np.diff(nodes) <= 0):
         raise ValueError("nodes must be strictly increasing and distinct")
 
-    vals = space.collocation(nodes)
-    if closed:
-        ders = space.collocation_deriv(nodes[1:-1]) if n > 1 else np.zeros((0, m))
-    else:
-        ders = space.collocation_deriv(nodes)
-    v = np.vstack([vals, ders])
-    cond = float(np.linalg.cond(v))
-    return v, cond
+    v = _hermite_rows(space, nodes, closed)
+    return v, float(np.linalg.cond(v))
 
 
 def hermite_lagrange(
@@ -313,15 +304,10 @@ def _condition_integrals(space, nodes, closed, moments_vec):
     """Fast path: sigma/eta integrals via one transposed solve.
 
     Returns (sigma_integrals, eta_integrals).  Raises SolverError on a
-    numerically singular system.
+    numerically singular system.  Unlike :func:`hermite_vandermonde` it
+    skips the condition estimate.
     """
-    vals = space.collocation(nodes)
-    n = space.dim // 2
-    if closed:
-        ders = space.collocation_deriv(nodes[1:-1]) if n > 1 else np.zeros((0, space.dim))
-    else:
-        ders = space.collocation_deriv(nodes)
-    v = np.vstack([vals, ders])
+    v = _hermite_rows(space, nodes, closed)
     try:
         z = np.linalg.solve(v.T, moments_vec)
     except np.linalg.LinAlgError as exc:
@@ -329,6 +315,7 @@ def _condition_integrals(space, nodes, closed, moments_vec):
     resid = np.linalg.norm(v.T @ z - moments_vec) / max(1.0, np.linalg.norm(moments_vec))
     if not np.isfinite(resid) or resid > 1e-6:
         raise SolverError(f"Hermite-Vandermonde system numerically singular (residual {resid:.2e})")
+    n = space.dim // 2
     n_eta = n + 1 if closed else n
     return z[n_eta:], z[:n_eta]
 
@@ -508,37 +495,34 @@ def _homotopy(space, m_target, anchors, closed, opts, stage_trace):
     """Advance the blend parameter t from 0 to 1, solving at each step."""
     anchors = np.asarray(anchors, dtype=float)
     anchor_moments = space.collocation(anchors).sum(axis=0)
-    state = ContinuationState(t=0.0, anchors=anchors, current_nodes=anchors.copy(), step=opts.t_step)
-    state.record()
+    t, nodes, step = 0.0, anchors.copy(), opts.t_step
     streak = 0
-    while state.t < 1.0:
-        t_next = min(1.0, state.t + state.step)
+    while t < 1.0:
+        t_next = min(1.0, t + step)
         m_blend = t_next * m_target + (1.0 - t_next) * anchor_moments
         try:
             rule = newton_solve(
                 space,
-                x0=state.current_nodes,
+                x0=nodes,
                 closed=closed,
                 opts=opts,
                 moments_vec=m_blend,
             )
         except SolverError:
-            state.step *= 0.5
+            step *= 0.5
             streak = 0
-            if state.step < opts.t_step_min:
+            if step < opts.t_step_min:
                 raise SolverError(
-                    f"measure continuation stalled at t={state.t:.6f} "
+                    f"measure continuation stalled at t={t:.6f} "
                     f"(step below {opts.t_step_min})"
                 )
             continue
-        state.t = t_next
-        state.current_nodes = rule.nodes
-        state.record()
+        t, nodes = t_next, rule.nodes
         stage_trace.append({"t": t_next, "iterations": rule.trace["iterations"]})
         streak += 1
         if streak >= 2:
-            state.step *= opts.t_growth
-    return state.current_nodes, rule
+            step *= opts.t_growth
+    return nodes, rule
 
 
 def continuation_solve(

@@ -235,22 +235,20 @@ def evaluation_noise_floors(space, weight=None) -> np.ndarray:
 
     Basis functions represented as coefficient vectors over an
     ill-conditioned parent basis cannot be evaluated more accurately
-    than epsilon times their amplification factor (stored on the
-    function as ``noise_scale``); the corresponding integral over the
-    interval inherits that floor.  Plain closures get a floor of zero.
+    than epsilon times their amplification factor (the space's
+    ``noise_scale``); the corresponding integral over the interval
+    inherits that floor.  Spaces without a ``noise_scale`` evaluate to
+    relative machine accuracy and get a floor of zero.
     """
+    if space.noise_scale is None:
+        return np.zeros(space.dim)
     a, b = space.interval
     wmax = 1.0
     if weight is not None:
         xs = np.linspace(a, b, 65)
         wmax = float(np.max(np.abs(weight(xs))))
     eps = np.finfo(float).eps
-    floors = np.zeros(len(space.basis))
-    for i, f in enumerate(space.basis):
-        amp = getattr(f, "noise_scale", None)
-        if amp is not None:
-            floors[i] = 32.0 * eps * amp * (b - a) * wmax
-    return floors
+    return 32.0 * eps * space.noise_scale * (b - a) * wmax
 
 
 def moments(space, weight=None, engine: Engine = DEFAULT_ENGINE) -> np.ndarray:

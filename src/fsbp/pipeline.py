@@ -122,7 +122,6 @@ def build_study_operator(
         raise ValueError("open-rule mode 'ggq' cannot back an operator; use 'gglq'")
 
     space = make_family(family_spec)
-    enforce = True
     if node_mode == "classical-gll":
         if family_spec.get("family") != "monomial":
             raise ValueError("classical-gll nodes apply to monomial families only")
@@ -156,6 +155,6 @@ def build_study_operator(
                 )
                 verdict = verify_sbp(op, space, rng_seed=rng_seed)
                 return op, rule, verdict
-    op = build_operator(space, rule, enforce_exactness=enforce)
+    op = build_operator(space, rule)
     verdict = verify_sbp(op, space, rng_seed=rng_seed)
     return op, rule, verdict

@@ -1,11 +1,27 @@
 """Finite-dimensional function spaces on an interval.
 
-Built-in families (monomial, trigonometric, exponential-plus-polynomial,
-Bessel, explicit callables) carry analytic first and second derivatives.
-Derived spaces -- pairwise product-derivative spans, orthonormal bases,
-monomial augmentations -- represent their members as exact linear
-combinations of a parent basis, so differentiation never falls back to
-numerical differencing.
+A space evaluates all of its basis functions at once: the private
+``_eval(xs, k)`` returns the (len(xs), dim) matrix of k-th derivatives,
+k = 0, 1, 2, and ``collocation`` / ``collocation_deriv`` are its k = 0
+and k = 1 cases.  Built-in families (monomial, trigonometric,
+exponential-plus-polynomial, Bessel) evaluate in closed form; explicit
+families column-stack the user's callables.  Derived spaces are maps on
+their parent's matrices:
+
+- product-derivative span: kept index pairs (i, j), with
+  (f_i f_j)' = f_i' f_j + f_i f_j' and its derivative
+  f_i'' f_j + 2 f_i' f_j' + f_i f_j'';
+- orthonormal spaces: the parent matrix times ``coeff_matrix.T``;
+- prefixes: a slice of the coefficient rows, or of the columns;
+- monomial augmentation: one appended column;
+- pull-back: an affine map of the abscissae, scaled by powers of its
+  Jacobian.
+
+Differentiation therefore never falls back to numerical differencing.
+Spaces expanded over an ill-conditioned parent carry ``noise_scale``,
+one bound per basis function on the amplification of rounding noise in
+its evaluation (None when every function evaluates to relative machine
+accuracy); the integrator floors its tolerances with it.
 
 All spaces are immutable after construction and safe to share across
 threads; every operation here is a pure function of its inputs.
@@ -24,7 +40,6 @@ import scipy.optimize
 from .integrate import DEFAULT_ENGINE, Engine
 
 __all__ = [
-    "BasisFunction",
     "FunctionSpace",
     "TchebyshevReport",
     "FamilyError",
@@ -50,76 +65,69 @@ class RankError(RuntimeError):
     """A derived space collapsed below the requested rank."""
 
 
-@dataclass(frozen=True)
-class BasisFunction:
-    """A single C^1 function with analytic derivatives.
-
-    ``value_at`` and ``deriv_at`` map arrays of abscissae to arrays of
-    values.  ``deriv2_at`` is optional and only needed when the function
-    participates in a product-derivative construction.  ``coeffs``, when
-    present, expands the function over a parent basis.  ``noise_scale``
-    bounds the amplification of rounding noise when the function is
-    evaluated through such a coefficient vector (None for plain
-    closures, which evaluate to relative machine accuracy).
-    """
-
-    label: str
-    value_at: Callable[[np.ndarray], np.ndarray]
-    deriv_at: Callable[[np.ndarray], np.ndarray]
-    deriv2_at: Callable[[np.ndarray], np.ndarray] | None = None
-    coeffs: np.ndarray | None = None
-    noise_scale: float | None = None
+# (abscissae, derivative order k) -> (len(abscissae), dim) matrix
+Evaluator = Callable[[np.ndarray, int], np.ndarray]
 
 
 class FunctionSpace:
     """An ordered basis of C^1 functions on a common interval.
 
-    Spaces whose members are linear combinations of a common parent
-    basis additionally carry ``parent`` and ``coeff_matrix`` (rows =
-    members), letting collocation go through one parent evaluation and
-    a matrix product instead of per-function closure chains.
+    ``labels`` names the basis functions; ``noise_scale`` is described
+    in the module docstring.  Spaces whose members are linear
+    combinations of a common parent basis carry ``parent`` and
+    ``coeff_matrix`` (rows = members) and evaluate as one parent
+    evaluation times ``coeff_matrix.T``; every other space evaluates
+    through its ``evaluate`` callable.
     """
 
     def __init__(
         self,
         interval,
-        basis: Sequence[BasisFunction],
+        labels: Sequence[str],
         family_spec: dict,
+        evaluate: Evaluator | None = None,
         parent: "FunctionSpace | None" = None,
         coeff_matrix: np.ndarray | None = None,
+        noise_scale: np.ndarray | None = None,
     ):
         a, b = float(interval[0]), float(interval[1])
         if not (a < b):
             raise FamilyError(f"degenerate interval [{a}, {b}]")
-        if len(basis) < 1:
+        if len(labels) < 1:
             raise FamilyError("a function space needs at least one basis function")
         self.interval = (a, b)
-        self.basis = tuple(basis)
+        self.labels = tuple(labels)
         self.family_spec = family_spec
         self.parent = parent
         if coeff_matrix is not None:
             coeff_matrix = np.asarray(coeff_matrix, dtype=float)
-            if parent is None or coeff_matrix.shape != (len(basis), parent.dim):
+            if parent is None or coeff_matrix.shape != (len(labels), parent.dim):
                 raise ValueError("coeff_matrix must be (dim, parent.dim) with a parent set")
+        elif evaluate is None:
+            raise ValueError("a space needs an evaluator or a coeff_matrix")
         self.coeff_matrix = coeff_matrix
+        self._evaluate = evaluate
+        self.noise_scale = None if noise_scale is None else np.asarray(noise_scale, dtype=float)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.labels)
+
+    def _eval(self, xs: np.ndarray, k: int) -> np.ndarray:
+        """k-th derivatives (k = 0, 1, 2) of the basis at 1-d abscissae."""
+        if self.coeff_matrix is not None:
+            return self.parent._eval(xs, k) @ self.coeff_matrix.T
+        # C order whatever the evaluator's indexing produced: downstream
+        # BLAS reductions sum in an order that depends on memory layout
+        return np.ascontiguousarray(self._evaluate(xs, k))
 
     def collocation(self, xs) -> np.ndarray:
         """Matrix of basis values, shape (len(xs), dim)."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if self.coeff_matrix is not None:
-            return self.parent.collocation(xs) @ self.coeff_matrix.T
-        return np.column_stack([np.broadcast_to(f.value_at(xs), xs.shape) for f in self.basis])
+        return self._eval(np.atleast_1d(np.asarray(xs, dtype=float)), 0)
 
     def collocation_deriv(self, xs) -> np.ndarray:
         """Matrix of basis first derivatives, shape (len(xs), dim)."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        if self.coeff_matrix is not None:
-            return self.parent.collocation_deriv(xs) @ self.coeff_matrix.T
-        return np.column_stack([np.broadcast_to(f.deriv_at(xs), xs.shape) for f in self.basis])
+        return self._eval(np.atleast_1d(np.asarray(xs, dtype=float)), 1)
 
     def prefix(self, k: int) -> "FunctionSpace":
         """Subspace spanned by the first k basis functions."""
@@ -127,10 +135,12 @@ class FunctionSpace:
             raise ValueError(f"prefix size {k} out of range 1..{self.dim}")
         spec = {"derived": "prefix", "parent": self.family_spec, "dim": k,
                 "interval": list(self.interval)}
-        coeff = None if self.coeff_matrix is None else self.coeff_matrix[:k]
-        return FunctionSpace(self.interval, self.basis[:k], spec,
-                             parent=self.parent if coeff is not None else None,
-                             coeff_matrix=coeff)
+        noise = None if self.noise_scale is None else self.noise_scale[:k]
+        if self.coeff_matrix is not None:
+            return FunctionSpace(self.interval, self.labels[:k], spec, parent=self.parent,
+                                 coeff_matrix=self.coeff_matrix[:k], noise_scale=noise)
+        return FunctionSpace(self.interval, self.labels[:k], spec,
+                             lambda xs, d: self._eval(xs, d)[:, :k], noise_scale=noise)
 
     def __repr__(self):
         fam = self.family_spec.get("family", self.family_spec.get("derived", "?"))
@@ -156,104 +166,104 @@ def sampled_gram(space: FunctionSpace, n_points: int | None = None) -> np.ndarra
 # ---------------------------------------------------------------------------
 # built-in families
 
-def _monomial(j: int) -> BasisFunction:
-    def value(x, j=j):
-        return np.asarray(x, dtype=float) ** j if j else np.ones_like(np.asarray(x, dtype=float))
-
-    def deriv(x, j=j):
-        x = np.asarray(x, dtype=float)
-        return j * x ** (j - 1) if j >= 1 else np.zeros_like(x)
-
-    def deriv2(x, j=j):
-        x = np.asarray(x, dtype=float)
-        return j * (j - 1) * x ** (j - 2) if j >= 2 else np.zeros_like(x)
-
-    return BasisFunction(f"x^{j}", value, deriv, deriv2)
+def _powers(s: np.ndarray, degrees, k: int) -> np.ndarray:
+    """k-th derivatives of s**j, one column per degree j."""
+    out = np.empty((s.size, len(degrees)))
+    for col, j in enumerate(degrees):
+        if j < k:
+            out[:, col] = 0.0
+        elif k == 0:
+            out[:, col] = s ** j if j else 1.0
+        else:
+            out[:, col] = math.perm(j, k) * s ** (j - k)
+    return out
 
 
-def _constant() -> BasisFunction:
-    return _monomial(0)
+def _trig(a: float, b: float, max_harmonic: int, freq_scale: float) -> Evaluator:
+    # 1, then sin/cos of the j-th half-harmonic in the local coordinate
+    # (x-a)/(b-a); freq_scale < 1 restricts a wider-period family here
+    om = np.array([j * math.pi * freq_scale / (b - a) for j in range(1, max_harmonic + 1)])
+
+    def evaluate(x, k):
+        t = (x - a)[:, None] * om
+        sin, cos = np.sin(t), np.cos(t)
+        if k == 0:
+            pair = sin, cos
+        elif k == 1:
+            pair = om * cos, -om * sin
+        else:
+            pair = -om * om * sin, -om * om * cos
+        out = np.empty((x.size, 2 * om.size + 1))
+        out[:, 0] = 1.0 if k == 0 else 0.0
+        out[:, 1::2], out[:, 2::2] = pair
+        return out
+
+    return evaluate
 
 
-def _trig_pair(j: int, a: float, b: float, freq_scale: float = 1.0):
-    # sin/cos of the j-th half-harmonic in the local coordinate (x-a)/(b-a);
-    # freq_scale < 1 restricts a wider-period family to this interval
-    om = j * math.pi * freq_scale / (b - a)
-
-    def s_val(x):
-        return np.sin(om * (np.asarray(x, dtype=float) - a))
-
-    def s_der(x):
-        return om * np.cos(om * (np.asarray(x, dtype=float) - a))
-
-    def s_der2(x):
-        return -om * om * np.sin(om * (np.asarray(x, dtype=float) - a))
-
-    def c_val(x):
-        return np.cos(om * (np.asarray(x, dtype=float) - a))
-
-    def c_der(x):
-        return -om * np.sin(om * (np.asarray(x, dtype=float) - a))
-
-    def c_der2(x):
-        return -om * om * np.cos(om * (np.asarray(x, dtype=float) - a))
-
-    return (
-        BasisFunction(f"sin({j}pi*s)", s_val, s_der, s_der2),
-        BasisFunction(f"cos({j}pi*s)", c_val, c_der, c_der2),
-    )
-
-
-def _local_monomial(j: int, a: float, b: float) -> BasisFunction:
-    # (x-a)/(b-a) raised to j; on [0, 1] this is literally x^j
+def _exponential(a: float, b: float, poly_degree: int, rates: list) -> Evaluator:
+    # local monomials s^j, then exp(rate * s), in s = (x-a)/(b-a)
     L = b - a
+    r = np.array([rate / L for rate in rates])
+    degrees = range(poly_degree + 1)
 
-    def value(x, j=j):
-        s = (np.asarray(x, dtype=float) - a) / L
-        return s ** j if j else np.ones_like(s)
+    def evaluate(x, k):
+        poly = _powers((x - a) / L, degrees, k) / L**k
+        exp = np.exp((x - a)[:, None] * r) * (1.0, r, r * r)[k]
+        return np.hstack([poly, exp])
 
-    def deriv(x, j=j):
-        s = (np.asarray(x, dtype=float) - a) / L
-        return j * s ** (j - 1) / L if j >= 1 else np.zeros_like(s)
-
-    def deriv2(x, j=j):
-        s = (np.asarray(x, dtype=float) - a) / L
-        return j * (j - 1) * s ** (j - 2) / L**2 if j >= 2 else np.zeros_like(s)
-
-    label = "1" if j == 0 else ("s" if j == 1 else f"s^{j}")
-    return BasisFunction(label, value, deriv, deriv2)
+    return evaluate
 
 
-def _exponential(rate: float, a: float, b: float) -> BasisFunction:
-    # exp(rate * s) in the local coordinate s = (x-a)/(b-a)
-    L = b - a
-    r = rate / L
+def _bessel(orders: list) -> Evaluator:
+    # one jv call over orders min-2 .. max+2; the derivatives follow from
+    # J' = (J_{v-1} - J_{v+1}) / 2 and J'' = (J_{v-2} - 2 J_v + J_{v+2}) / 4
+    from scipy.special import jv
 
-    def value(x):
-        return np.exp(r * (np.asarray(x, dtype=float) - a))
+    lo = min(orders)
+    span = np.arange(lo - 2, max(orders) + 3)
+    c = np.asarray(orders) - (lo - 2)            # column of J_v
 
-    def deriv(x):
-        return r * np.exp(r * (np.asarray(x, dtype=float) - a))
+    def evaluate(x, k):
+        j = jv(span, x[:, None])
+        if k == 0:
+            return j[:, c]
+        if k == 1:
+            return (j[:, c - 1] - j[:, c + 1]) / 2.0
+        return (j[:, c - 2] - 2.0 * j[:, c] + j[:, c + 2]) / 4.0
 
-    def deriv2(x):
-        return r * r * np.exp(r * (np.asarray(x, dtype=float) - a))
-
-    return BasisFunction(f"exp({rate}s)", value, deriv, deriv2)
+    return evaluate
 
 
-def _bessel(order: int) -> BasisFunction:
-    from scipy.special import jvp
+def _explicit(funcs: list) -> Evaluator:
+    # (value, deriv[, deriv2]) tuples of vectorised callables
+    def evaluate(x, k):
+        lacking = [i for i, f in enumerate(funcs) if len(f) <= k]
+        if lacking:
+            raise FamilyError(f"second derivative required but not given for 'f{lacking[0]}'")
+        return np.column_stack([np.broadcast_to(f[k](x), x.shape) for f in funcs])
 
-    def value(x, v=order):
-        return jvp(v, np.asarray(x, dtype=float), 0)
+    return evaluate
 
-    def deriv(x, v=order):
-        return jvp(v, np.asarray(x, dtype=float), 1)
 
-    def deriv2(x, v=order):
-        return jvp(v, np.asarray(x, dtype=float), 2)
+def _entry(spec: dict, key: str, convert, default=None):
+    """``convert(spec[key])``, or ``default`` when given and the key is
+    absent; FamilyError for a missing required or an ill-typed entry."""
+    if key not in spec:
+        if default is None:
+            raise FamilyError(f"{spec.get('family', 'family')} descriptor lacks a {key!r} entry")
+        return default
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError) as exc:
+        raise FamilyError(f"invalid {key!r} entry {spec[key]!r}") from exc
 
-    return BasisFunction(f"J{order}", value, deriv, deriv2)
+
+def _function_tuples(items) -> list:
+    funcs = [tuple(item) for item in items]
+    if any(not 2 <= len(f) <= 3 or not all(map(callable, f)) for f in funcs):
+        raise ValueError("each function must be a (value, deriv[, deriv2]) tuple of callables")
+    return funcs
 
 
 def make_family(spec: dict) -> FunctionSpace:
@@ -270,45 +280,48 @@ def make_family(spec: dict) -> FunctionSpace:
       physical coordinate (needs the optional Bessel feature, i.e. a
       usable scipy.special)
     - ``{"family": "explicit", "functions": [(value, deriv[, deriv2]), ...]}``
+
+    Missing or ill-typed entries raise :class:`FamilyError`.
     """
     if "family" not in spec:
         raise FamilyError("descriptor lacks a 'family' entry")
     if "interval" not in spec:
         raise FamilyError("descriptor lacks an 'interval' entry")
     family = spec["family"]
-    a, b = spec["interval"]
-    a, b = float(a), float(b)
+    interval = _entry(spec, "interval", lambda v: [float(e) for e in v])
+    if len(interval) != 2:
+        raise FamilyError(f"interval needs two entries, got {spec['interval']!r}")
+    a, b = interval
     if not (a < b):
         raise FamilyError(f"degenerate interval [{a}, {b}]")
 
     if family == "monomial":
-        d = int(spec["degree"])
+        d = _entry(spec, "degree", int)
         if d < 0:
             raise FamilyError("monomial degree must be >= 0")
-        basis = [_monomial(j) for j in range(d + 1)]
+        labels = [f"x^{j}" for j in range(d + 1)]
+        evaluate = lambda x, k: _powers(x, range(d + 1), k)  # noqa: E731
     elif family == "trig":
-        k = int(spec["max_harmonic"])
+        k = _entry(spec, "max_harmonic", int)
         if k < 1:
             raise FamilyError("trig family needs max_harmonic >= 1")
-        freq_scale = float(spec.get("freq_scale", 1.0))
+        freq_scale = _entry(spec, "freq_scale", float, 1.0)
         if freq_scale <= 0:
             raise FamilyError("freq_scale must be positive")
-        basis = [_constant()]
+        labels = ["x^0"]
         for j in range(1, k + 1):
-            s, c = _trig_pair(j, a, b, freq_scale)
-            basis.extend([s, c])
+            labels += [f"sin({j}pi*s)", f"cos({j}pi*s)"]
+        evaluate = _trig(a, b, k, freq_scale)
     elif family == "exponential":
-        rates = [float(r) for r in spec.get("rates", [])]
-        p = int(spec.get("poly_degree", 0))
-        if p < 0 or (p == -1 and not rates):
-            raise FamilyError("exponential family needs poly_degree >= 0 or rates")
-        basis = [_local_monomial(j, a, b) for j in range(p + 1)]
-        for r in rates:
-            if r == 0.0:
-                raise FamilyError("exponential rate 0 duplicates the constant")
-            basis.append(_exponential(r, a, b))
-        if not basis:
-            raise FamilyError("empty exponential family")
+        rates = _entry(spec, "rates", lambda v: [float(r) for r in v], [])
+        p = _entry(spec, "poly_degree", int, 0)
+        if p < 0:
+            raise FamilyError("exponential family needs poly_degree >= 0")
+        if 0.0 in rates:
+            raise FamilyError("exponential rate 0 duplicates the constant")
+        labels = [("1", "s")[j] if j < 2 else f"s^{j}" for j in range(p + 1)]
+        labels += [f"exp({r}s)" for r in rates]
+        evaluate = _exponential(a, b, p, rates)
     elif family == "bessel":
         if not spec.get("enabled", True):
             raise FamilyError("Bessel family requested but the feature is disabled")
@@ -316,53 +329,54 @@ def make_family(spec: dict) -> FunctionSpace:
             import scipy.special  # noqa: F401
         except ImportError as exc:  # pragma: no cover - scipy is a hard dep
             raise FamilyError("Bessel family requires scipy.special") from exc
-        orders = [int(v) for v in spec["orders"]]
+        orders = _entry(spec, "orders", lambda v: [int(o) for o in v])
         if not orders:
             raise FamilyError("bessel family needs at least one order")
-        basis = [_bessel(v) for v in orders]
+        labels = [f"J{v}" for v in orders]
+        evaluate = _bessel(orders)
     elif family == "explicit":
-        funcs = spec["functions"]
+        funcs = _entry(spec, "functions", _function_tuples)
         if not funcs:
             raise FamilyError("explicit family needs at least one function")
-        basis = []
-        for i, item in enumerate(funcs):
-            if isinstance(item, BasisFunction):
-                basis.append(item)
-                continue
-            value, deriv, *rest = item
-            basis.append(BasisFunction(f"f{i}", value, deriv, rest[0] if rest else None))
+        labels = [f"f{i}" for i in range(len(funcs))]
+        evaluate = _explicit(funcs)
     else:
         raise FamilyError(f"unsupported family {family!r}")
 
     stored = {k: v for k, v in spec.items() if k != "functions"}
     stored["interval"] = [a, b]
     if family == "explicit":
-        stored["labels"] = [f.label for f in basis]
-    return FunctionSpace((a, b), basis, stored)
+        stored["labels"] = labels
+    return FunctionSpace((a, b), labels, stored, evaluate)
 
 
 # ---------------------------------------------------------------------------
 # derived spaces
 
-def _product_derivative(fi: BasisFunction, fj: BasisFunction) -> BasisFunction:
-    """(f_i * f_j)' with its own derivative via second derivatives."""
-    if fi.deriv2_at is None or fj.deriv2_at is None:
-        raise FamilyError(
-            f"second derivative required for product-derivative of "
-            f"{fi.label!r} and {fj.label!r}"
-        )
+def _pair_derivatives(space: FunctionSpace, xs, k: int, pi, pj) -> np.ndarray:
+    """k-th derivatives of (f_i f_j)' for the index pairs (pi, pj).
 
-    def value(x):
-        return fi.deriv_at(x) * fj.value_at(x) + fi.value_at(x) * fj.deriv_at(x)
+    Terms are built and summed in place, left to right, so the large
+    reference grid of the rank selection needs few temporaries.
+    """
+    if k > 1:
+        raise FamilyError("second derivative required but a product-derivative span has none")
+    v = [space._eval(xs, d) for d in range(k + 2)]      # f, f' (and f'')
 
-    def deriv(x):
-        return (
-            fi.deriv2_at(x) * fj.value_at(x)
-            + 2.0 * fi.deriv_at(x) * fj.deriv_at(x)
-            + fi.value_at(x) * fj.deriv2_at(x)
-        )
+    def term(a, b, c=1.0):                               # c f_i^(a) f_j^(b)
+        t = np.take(v[a], pi, axis=1)
+        t *= c
+        t *= np.take(v[b], pj, axis=1)
+        return t
 
-    return BasisFunction(f"({fi.label}*{fj.label})'", value, deriv)
+    if k == 0:
+        out = term(1, 0)
+        out += term(0, 1)
+    else:
+        out = term(2, 0)
+        out += term(1, 1, 2.0)
+        out += term(0, 2)
+    return out
 
 
 def product_derivative_space(space: FunctionSpace) -> FunctionSpace:
@@ -371,16 +385,13 @@ def product_derivative_space(space: FunctionSpace) -> FunctionSpace:
     The raw spanning set {(f_i f_j)' : i <= j} is reduced to a
     numerically full-rank subset, selected by column-pivoted QR of the
     quadrature-weighted collocation matrix on a 4m-point grid with the
-    usual relative singular-value cutoff.
+    usual relative singular-value cutoff.  The parent needs second
+    derivatives; FamilyError otherwise.
     """
-    candidates = []
-    for i in range(space.dim):
-        for j in range(i, space.dim):
-            candidates.append(_product_derivative(space.basis[i], space.basis[j]))
-    raw = FunctionSpace(space.interval, candidates, {"derived": "products"})
-
-    xs, w = _reference_grid(raw, 4 * raw.dim)
-    a_mat = raw.collocation(xs) * np.sqrt(w)[:, None]
+    pi, pj = np.triu_indices(space.dim)
+    xs, w = _reference_grid(space, 4 * pi.size)
+    space._eval(xs[:1], 2)   # reject a parent without second derivatives now
+    a_mat = _pair_derivatives(space, xs, 0, pi, pj) * np.sqrt(w)[:, None]
     mags = np.max(np.abs(a_mat), axis=0)
     live = mags > 0.0
     if not np.any(live):
@@ -393,48 +404,16 @@ def product_derivative_space(space: FunctionSpace) -> FunctionSpace:
 
     _, _, piv = scipy.linalg.qr(a_mat, mode="economic", pivoting=True)
     keep = sorted(piv[:rank])
-    basis = [candidates[k] for k in keep]
+    ki, kj = pi[keep], pj[keep]
+    labels = [f"({space.labels[i]}*{space.labels[j]})'" for i, j in zip(ki, kj)]
     spec = {
         "derived": "product_derivative",
         "parent": space.family_spec,
         "dim": rank,
         "interval": list(space.interval),
     }
-    return FunctionSpace(space.interval, basis, spec)
-
-
-def _combination(
-    space: FunctionSpace,
-    coeffs: np.ndarray,
-    label: str,
-    parent_mags: np.ndarray | None = None,
-) -> BasisFunction:
-    """Linear combination of a space's basis with exact derivatives."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    parents = space.basis
-
-    def value(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        return space.collocation(xs) @ coeffs
-
-    def deriv(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        return space.collocation_deriv(xs) @ coeffs
-
-    deriv2 = None
-    if all(f.deriv2_at is not None for f in parents):
-        def deriv2(x):
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
-            cols = np.column_stack([f.deriv2_at(xs) for f in parents])
-            return cols @ coeffs
-
-    noise = None
-    if parent_mags is not None:
-        parent_amp = np.array(
-            [max(f.noise_scale or 0.0, m) for f, m in zip(parents, parent_mags)]
-        )
-        noise = 2.0 * float(np.abs(coeffs) @ parent_amp)
-    return BasisFunction(label, value, deriv, deriv2, coeffs=coeffs, noise_scale=noise)
+    return FunctionSpace(space.interval, labels, spec,
+                         lambda x, k: _pair_derivatives(space, x, k, ki, kj))
 
 
 def orthonormalize(
@@ -452,8 +431,9 @@ def orthonormalize(
     function lies in the span, the first output function is the
     normalised constant (positive sign).
 
-    Output functions carry coefficient vectors over the input basis, so
-    their derivatives are exact linear combinations.
+    The output carries a coefficient matrix over the input basis, so its
+    derivatives are exact linear combinations, and a ``noise_scale``
+    bounding the rounding noise those combinations amplify.
     """
     from .integrate import IntegrationError, integrate_vector
 
@@ -474,9 +454,8 @@ def orthonormalize(
 
     eps = np.finfo(float).eps
     h_mags = np.max(np.abs(colloc @ coeff.T), axis=0)
-    parent_amp = np.array(
-        [max(f.noise_scale or 0.0, m) for f, m in zip(space.basis, parent_mags)]
-    )
+    parent_amp = (parent_mags if space.noise_scale is None
+                  else np.maximum(space.noise_scale, parent_mags))
     amps = np.abs(coeff) @ parent_amp
     pair_i, pair_j = np.triu_indices(rank)
     floors = 32.0 * eps * (b - a) * (
@@ -525,17 +504,15 @@ def orthonormalize(
         if s < 0:
             coeff[i] = -coeff[i]
 
-    basis = [
-        _combination(space, coeff[i], f"q{i}", parent_mags=parent_mags)
-        for i in range(rank)
-    ]
+    noise = np.array([2.0 * float(np.abs(row) @ parent_amp) for row in coeff])
     spec = {
         "derived": "orthonormal",
         "parent": space.family_spec,
         "dim": rank,
         "interval": [a, b],
     }
-    return FunctionSpace(space.interval, basis, spec, parent=space, coeff_matrix=coeff)
+    return FunctionSpace(space.interval, [f"q{i}" for i in range(rank)], spec,
+                         parent=space, coeff_matrix=coeff, noise_scale=noise)
 
 
 def augment_to_even(
@@ -557,21 +534,24 @@ def augment_to_even(
     a_mat = space.collocation(xs) * sw
     q, _ = np.linalg.qr(a_mat)
     for deg in range(cap + 1):
-        cand = _monomial(deg)
-        v = cand.value_at(xs) * sw[:, 0]
+        v = _powers(xs, [deg], 0)[:, 0] * sw[:, 0]
         norm = np.linalg.norm(v)
         if norm == 0.0:
             continue
         resid = np.linalg.norm(v - q @ (q.T @ v)) / norm
         if resid > 1e-8:
-            basis = list(space.basis) + [cand]
             spec = {
                 "derived": "augmented",
                 "parent": space.family_spec,
                 "augment": f"x^{deg}",
                 "interval": list(space.interval),
             }
-            return FunctionSpace(space.interval, basis, spec)
+            noise = None if space.noise_scale is None else np.append(space.noise_scale, 0.0)
+            return FunctionSpace(
+                space.interval, space.labels + (f"x^{deg}",), spec,
+                lambda x, k: np.hstack([space._eval(x, k), _powers(x, [deg], k)]),
+                noise_scale=noise,
+            )
     raise RankError(f"no independent monomial up to degree {cap}; space looks pathological")
 
 
@@ -698,35 +678,22 @@ def pull_back(space: FunctionSpace, target=(-1.0, 1.0), renormalize: bool = Fals
     ta, tb = float(target[0]), float(target[1])
     jac = (b - a) / (tb - ta)            # dx/ds
     scale = math.sqrt(jac) if renormalize else 1.0
-
-    def wrap(f: BasisFunction) -> BasisFunction:
-        def value(s, f=f):
-            x = a + (np.asarray(s, dtype=float) - ta) * jac
-            return scale * f.value_at(x)
-
-        def deriv(s, f=f):
-            x = a + (np.asarray(s, dtype=float) - ta) * jac
-            return scale * jac * f.deriv_at(x)
-
-        deriv2 = None
-        if f.deriv2_at is not None:
-            def deriv2(s, f=f):
-                x = a + (np.asarray(s, dtype=float) - ta) * jac
-                return scale * jac * jac * f.deriv2_at(x)
-
-        noise = None if f.noise_scale is None else scale * f.noise_scale
-        return BasisFunction(f.label, value, deriv, deriv2, noise_scale=noise)
-
     spec = {
         "derived": "pull_back",
         "parent": space.family_spec,
         "interval": [ta, tb],
         "renormalized": renormalize,
     }
-    parent = None
-    coeff = None
+    noise = None if space.noise_scale is None else scale * space.noise_scale
     if space.coeff_matrix is not None:
-        parent = pull_back(space.parent, target, renormalize=False)
-        coeff = scale * space.coeff_matrix
-    return FunctionSpace((ta, tb), [wrap(f) for f in space.basis], spec,
-                         parent=parent, coeff_matrix=coeff)
+        return FunctionSpace((ta, tb), space.labels, spec,
+                             parent=pull_back(space.parent, target, renormalize=False),
+                             coeff_matrix=scale * space.coeff_matrix, noise_scale=noise)
+
+    def evaluate(s, k):
+        factor = scale
+        for _ in range(k):
+            factor *= jac                # d^k/ds^k picks up jac**k
+        return factor * space._eval(a + (s - ta) * jac, k)
+
+    return FunctionSpace((ta, tb), space.labels, spec, evaluate, noise_scale=noise)

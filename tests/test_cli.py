@@ -72,6 +72,36 @@ def test_validation_exit_codes(tmp_path):
     assert main(["rule", "--config", empty, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("space", [
+    {"family": "monomial", "interval": [0, 1]},
+    {"family": "monomial", "degree": "three", "interval": [0, 1]},
+    {"family": "monomial", "degree": 2, "interval": 5},
+    {"family": "trig", "interval": [0, 1]},
+    {"family": "trig", "max_harmonic": None, "interval": [0, 1]},
+    {"family": "bessel", "interval": [0, 25]},
+    {"family": "bessel", "orders": 3, "interval": [0, 25]},
+    {"family": "explicit", "interval": [0, 1]},
+    {"family": "explicit", "functions": [[1, 2]], "interval": [0, 1]},
+    {"family": "exponential", "rates": ["fast"], "interval": [0, 1]},
+    {"family": "exponential", "rates": [1.0], "poly_degree": -1, "interval": [0, 1]},
+])
+def test_malformed_descriptor_exits_2(tmp_path, capsys, space):
+    cfg = write_config(tmp_path / "bad.json", {"space": space})
+    assert main(["rule", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert "Traceback" not in err
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys):
+    # exp(1000 s) overflows; the failing SVD is a solver error, not a validation one
+    cfg = write_config(tmp_path / "overflow.json", {"space": {
+        "family": "exponential", "rates": [1e3], "poly_degree": 2, "interval": [0, 1]}})
+    with np.errstate(all="ignore"):
+        assert main(["rule", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "solver error: LinAlgError" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = write_config(tmp_path / "rule.json", {"space": refcases.EXP3_SPEC})
     out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -153,10 +153,10 @@ def test_single_element_rhs_matches_analytic_derivative(trig_space, trig_operato
     sats = AdvectionSats.stable(1.0)
     # u = a basis function of the element space; boundary datum matches, so
     # the rhs is exactly -a u_x at the nodes
-    f = trig_space.basis[1]
-    u = f.value_at(grid.nodes[0])[None, :]
-    du = advection_rhs(u, grid, params, sats, g_left=float(f.value_at(np.array([0.0]))[0]))
-    assert np.max(np.abs(du[0] + f.deriv_at(grid.nodes[0]))) < 1e-9
+    u = trig_space.collocation(grid.nodes[0])[:, 1][None, :]
+    g_left = float(trig_space.collocation(np.array([0.0]))[0, 1])
+    du = advection_rhs(u, grid, params, sats, g_left=g_left)
+    assert np.max(np.abs(du[0] + trig_space.collocation_deriv(grid.nodes[0])[:, 1])) < 1e-9
 
 
 def test_energy_rate_identity(trig_grid):
