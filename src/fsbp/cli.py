@@ -40,18 +40,8 @@ from .operators import (
     operator_to_dict,
     verify_sbp,
 )
-from .ibvp import (
-    AdvectionDiffusionProblem,
-    AdvectionProblem,
-    BlowUpError,
-    MmsCase,
-    MultiElementGrid,
-    PdeParams,
-    cfl_timestep,
-    solution_error,
-    time_integrate,
-)
-from .pipeline import build_study_operator, solve_rule_pipeline
+from .ibvp import BlowUpError, MmsCase, PdeParams, run_case
+from .pipeline import build_study_operator, convergence_study, solve_rule_pipeline
 from . import refcases
 
 EXIT_OK = 0
@@ -140,13 +130,60 @@ def load_config(args) -> dict:
     if not p.exists():
         raise FamilyError(f"config file not found: {p}")
     try:
-        return json.loads(p.read_text())
+        config = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise FamilyError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise FamilyError("config must be a JSON object")
+    return config
+
+
+def load_input(runner: Runner, args, config: dict, key: str, loader):
+    """``loader`` applied to the JSON file named by ``config[key]``.
+
+    A relative path is taken from the config's directory; the file is
+    fingerprinted in the manifest, and a missing or malformed one is a
+    validation error.
+    """
+    if not isinstance(config[key], str):
+        raise FamilyError(f"'{key}' must be a file path, got {config[key]!r}")
+    path = Path(config[key])
+    if not path.is_absolute() and args.config:
+        path = Path(args.config).parent / path
+    if not path.exists():
+        raise FamilyError(f"{key} file not found: {path}")
+    runner.inputs[str(path)] = _sha256(path)
+    try:
+        return loader(json.loads(path.read_text()))
+    except (AttributeError, KeyError, TypeError, IndexError) as exc:
+        raise FamilyError(f"malformed {key} file {path}: {exc!r}") from exc
+
+
+def _table(config: dict, key: str, default=None) -> dict:
+    """The JSON object under ``key``; anything else is a validation error."""
+    value = config.get(key, {} if default is None else default)
+    if not isinstance(value, dict):
+        raise FamilyError(f"'{key}' must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(kind, value, what: str):
+    """``kind(value)`` with a wrongly typed value reported as a validation error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise FamilyError(f"'{what}' must be a number, got {value!r}") from exc
+
+
+def _n_nodes(config: dict) -> int | None:
+    n = config.get("n_nodes")
+    if n is not None and (type(n) is not int or n < 2):
+        raise FamilyError(f"'n_nodes' must be an integer of at least 2, got {n!r}")
+    return n
 
 
 def solve_options(config: dict) -> SolveOptions:
-    tol = dict(config.get("tolerances", {}))
+    tol = _table(config, "tolerances")
     known = SolveOptions().__dict__.keys()
     unknown = set(tol) - set(known)
     if unknown:
@@ -155,7 +192,7 @@ def solve_options(config: dict) -> SolveOptions:
 
 
 def engine_from(config: dict) -> Engine:
-    eng = dict(config.get("engine", {}))
+    eng = _table(config, "engine")
     unknown = set(eng) - {"abs_tol", "rel_tol", "max_subdivisions"}
     if unknown:
         raise FamilyError(f"unknown engine keys: {sorted(unknown)}")
@@ -226,13 +263,7 @@ def cmd_operator(args) -> int:
     space = make_family(config["space"])
 
     if "rule" in config:
-        rule_path = Path(config["rule"])
-        if not rule_path.is_absolute() and args.config:
-            rule_path = Path(args.config).parent / rule_path
-        if not rule_path.exists():
-            raise FamilyError(f"rule file not found: {rule_path}")
-        runner.inputs[str(rule_path)] = _sha256(rule_path)
-        rule = QuadratureRule.from_dict(json.loads(rule_path.read_text()))
+        rule = load_input(runner, args, config, "rule", QuadratureRule.from_dict)
         target = orthonormalize(product_derivative_space(space), engine)
         rule.certificate = verify_exactness(rule, target, None, engine,
                                             tol=opts.certificate_tol)
@@ -243,7 +274,7 @@ def cmd_operator(args) -> int:
         op, rule, verdict = build_study_operator(
             config["space"], node_mode, opts, engine,
             force=args.force_tchebyshev, rng_seed=args.seed,
-            n_nodes=config.get("n_nodes"),
+            n_nodes=_n_nodes(config),
         )
     operator_files(runner, "operator", op)
     rule_files(runner, "rule", rule)
@@ -258,13 +289,7 @@ def cmd_verify(args) -> int:
         if key not in config:
             raise FamilyError(f"verify config needs an '{key}' entry")
     runner = Runner("verify", args, {**config, "seed": args.seed})
-    op_path = Path(config["operator"])
-    if not op_path.is_absolute() and args.config:
-        op_path = Path(args.config).parent / op_path
-    if not op_path.exists():
-        raise FamilyError(f"operator file not found: {op_path}")
-    runner.inputs[str(op_path)] = _sha256(op_path)
-    op = operator_from_dict(json.loads(op_path.read_text()))
+    op = load_input(runner, args, config, "operator", operator_from_dict)
     space = make_family(config["space"])
     verdict = verify_sbp(op, space, rng_seed=args.seed)
     write_json(runner.path("verdict.json"), verdict.to_dict())
@@ -294,12 +319,11 @@ def _mms_case(name: str, params: PdeParams) -> MmsCase | None:
     raise FamilyError(f"unknown mms case {name!r}")
 
 
-def _pde_params(config: dict) -> PdeParams:
-    p = config.get("params", {})
+def _pde_params(p: dict) -> PdeParams:
     return PdeParams(
-        a=float(p.get("a", 1.0)),
-        eps=float(p.get("eps", 0.0)),
-        final_time=float(p.get("final_time", 1.0)),
+        a=_number(float, p.get("a", 1.0), "a"),
+        eps=_number(float, p.get("eps", 0.0), "eps"),
+        final_time=_number(float, p.get("final_time", 1.0), "final_time"),
     )
 
 
@@ -311,34 +335,25 @@ def cmd_solve(args) -> int:
     pde = config["pde"]
     if pde not in ("advection", "advection_diffusion"):
         raise FamilyError(f"unknown pde {pde!r}")
-    params = _pde_params(config)
+    op_cfg = _table(config, "operator")
+    if "space" not in op_cfg:
+        raise FamilyError("solve 'operator' entry needs a 'space' family descriptor")
+    params = _pde_params(_table(config, "params"))
     case = _mms_case(config.get("mms", "zero_data"), params)
     opts = solve_options(config)
     engine = engine_from(config)
-    n_elements = int(config.get("elements", 4))
-    cfl = float(config.get("cfl", 0.1))
+    n_elements = _number(int, config.get("elements", 4), "elements")
+    cfl = _number(float, config.get("cfl", 0.1), "cfl")
     runner = Runner("solve", args, {**config, "seed": args.seed,
                                     "elements": n_elements, "cfl": cfl})
 
-    op_cfg = config["operator"]
     op, _, verdict = build_study_operator(
         op_cfg["space"], op_cfg.get("node_mode", "gglq"), opts, engine,
         force=args.force_tchebyshev, rng_seed=args.seed,
-        n_nodes=op_cfg.get("n_nodes"),
+        n_nodes=_n_nodes(op_cfg),
     )
-    grid = MultiElementGrid.uniform(op, n_elements)
-    if pde == "advection":
-        problem = AdvectionProblem(grid, params, case)
-        aux_fn = None
-    else:
-        problem = AdvectionDiffusionProblem(grid, params, case)
-        aux_fn = problem.aux_dissipation
-    sat_coefficients = dict(problem.sats.__dict__)
-    dt = cfl_timestep(grid, params, cfl)
-    y, trace, _ = time_integrate(
-        problem.rhs, problem.initial(), (0.0, params.final_time), dt,
-        energy_fn=problem.energy, aux_fn=aux_fn,
-    )
+    result = run_case(pde, op, n_elements, params, case, cfl)
+    grid, y, trace = result.grid, result.y, result.trace
     if trace.aux is not None:
         write_csv(runner.path("energy.csv"), ["time", "energy", "aux_dissipation"],
                   zip(trace.times.tolist(), trace.energy.tolist(), trace.aux.tolist()))
@@ -350,14 +365,13 @@ def cmd_solve(args) -> int:
         ((e, x, u) for e in range(grid.n_elements)
          for x, u in zip(grid.nodes[e].tolist(), y[e].tolist())),
     )
-    err_sq, err = solution_error(y, grid, case.exact, params.final_time)
     runner.finish({
         "verdict": verdict.to_dict(),
-        "sat_coefficients": sat_coefficients,
-        "final_error_norm": err,
-        "final_error_squared": err_sq,
+        "sat_coefficients": dict(result.problem.sats.__dict__),
+        "final_error_norm": result.error,
+        "final_error_squared": result.error_sq,
         "steps": len(trace.times) - 1,
-        "dt": dt,
+        "dt": result.dt,
         "max_energy_increase": float(np.max(np.diff(trace.energy)))
         if len(trace.energy) > 1 else 0.0,
     })
@@ -365,50 +379,27 @@ def cmd_solve(args) -> int:
 
 
 def _study_rows(study_name: str, config: dict, opts, engine, seed, force) -> list[dict]:
-    from .ibvp import run_case
-
-    if study_name == "advection":
-        frozen = refcases.ADVECTION_STUDY
-        cfgs = refcases.advection_study_configs(config.get("totals"))
-    else:
-        frozen = refcases.ADVECTION_DIFFUSION_STUDY
-        p = config.get("params", frozen["params"])
-        cfgs = refcases.advection_diffusion_study_configs(
-            config.get("totals"), a=float(p.get("a", 1.0)), eps=float(p.get("eps", 0.1)))
-    params = _pde_params({"params": config.get("params", frozen["params"])})
+    frozen = (refcases.ADVECTION_STUDY if study_name == "advection"
+              else refcases.ADVECTION_DIFFUSION_STUDY)
+    p = _table(config, "params", frozen["params"])
+    params = _pde_params(p)
     case = _mms_case(config.get("mms", frozen["mms"]), params)
-    cfl = float(config.get("cfl", frozen["cfl"]))
-
-    rows = []
-    for cfg in cfgs:
-        prev = None
-        for n_el in cfg["elements"]:
-            row = {
-                "operator": cfg["label"],
-                "elements": int(n_el),
-                "nodes_per_element": cfg["nodes_per_element"],
-                "total_nodes": int(n_el * cfg["nodes_per_element"]),
-            }
-            try:
-                spec = cfg["spec"](n_el)
-                op, _, verdict = build_study_operator(
-                    spec, cfg["node_mode"], opts, engine, force=force,
-                    rng_seed=seed, n_nodes=cfg.get("n_nodes"),
-                )
-                err, _, _ = run_case(frozen["pde"], op, n_el, params, case, cfl)
-                row["error_norm"] = err
-                row["operator_exact"] = bool(verdict.passed)
-                if prev is not None and err > 0 and prev.get("error_norm", 0) > 0:
-                    row["observed_order"] = float(
-                        np.log(prev["error_norm"] / err) / np.log(n_el / prev["elements"])
-                    )
-                prev = row
-            except (SolverError, IntegrationError, AssemblyError, BlowUpError,
-                    RankError, ValueError) as exc:
-                row["error"] = f"{type(exc).__name__}: {exc}"
-                prev = None
-            rows.append(row)
-    return rows
+    cfl = _number(float, config.get("cfl", frozen["cfl"]), "cfl")
+    totals = config.get("totals")
+    if totals is not None and not (
+            isinstance(totals, list) and all(type(n) is int for n in totals)):
+        raise FamilyError(f"'totals' must be a list of integers, got {totals!r}")
+    if study_name == "advection":
+        cfgs = refcases.advection_study_configs(totals)
+    else:
+        eps = _number(float, p.get("eps", 0.1), "eps")
+        if eps <= 0:
+            raise FamilyError("the advection_diffusion study needs eps > 0")
+        cfgs = refcases.advection_diffusion_study_configs(totals, a=params.a, eps=eps)
+    if any(n_el < 1 for cfg in cfgs for n_el in cfg["elements"]):
+        raise FamilyError(f"totals {totals} leave a configuration without elements")
+    return convergence_study(frozen["pde"], cfgs, params, case, cfl,
+                             opts, engine, force, seed)
 
 
 def cmd_converge(args) -> int:

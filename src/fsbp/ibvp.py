@@ -6,9 +6,10 @@ variable.  Penalty coefficients follow the discrete energy analysis, so
 zero-data runs have non-increasing discrete energy; accuracy is measured
 against manufactured solutions.
 
-A single solve marches sequentially in time; the per-stage right sides
-are evaluated element-vectorised.  Convergence studies run independent
-solves and may be parallelised by the caller.
+``run_case`` is the one solve: it tiles the unit domain with copies of a
+reference operator, sets up the problem, picks the step from the CFL
+number and marches to the final time with the classical four-stage
+scheme, whose per-stage right sides are evaluated element-vectorised.
 """
 
 from __future__ import annotations
@@ -37,8 +38,13 @@ __all__ = [
     "time_integrate",
     "cfl_timestep",
     "solution_error",
-    "convergence_study",
+    "CaseResult",
+    "run_case",
 ]
+
+# a run whose discrete energy exceeds this multiple of its initial value
+# has blown up
+BLOWUP_FACTOR = 10.0
 
 
 class BlowUpError(RuntimeError):
@@ -180,9 +186,9 @@ class MultiElementGrid:
         self.h_min = float(np.min(gaps))
 
     @classmethod
-    def uniform(cls, op: FsbpOperator, n_elements: int, domain=(0.0, 1.0)) -> "MultiElementGrid":
-        a, b = domain
-        edges = np.linspace(a, b, n_elements + 1)
+    def uniform(cls, op: FsbpOperator, n_elements: int) -> "MultiElementGrid":
+        """``n_elements`` equal elements tiling the unit interval."""
+        edges = np.linspace(0.0, 1.0, n_elements + 1)
         return cls([
             ((edges[e], edges[e + 1]), scale_to_element(op, edges[e], edges[e + 1]))
             for e in range(n_elements)
@@ -405,9 +411,6 @@ class AdvectionProblem:
     def energy(self, u: np.ndarray) -> float:
         return self.grid.norm_squared(u)
 
-    def error(self, u: np.ndarray, t: float):
-        return solution_error(u, self.grid, self.case.exact, t)
-
 
 class AdvectionDiffusionProblem:
     """Advection-diffusion in first-order form with Robin/Neumann data."""
@@ -450,9 +453,6 @@ class AdvectionDiffusionProblem:
             return 0.0
         return 2.0 * self.params.eps * self.grid.norm_squared(self.last_phi)
 
-    def error(self, u: np.ndarray, t: float):
-        return solution_error(u, self.grid, self.case.exact, t)
-
 
 # ---------------------------------------------------------------------------
 # time integration
@@ -470,17 +470,15 @@ def time_integrate(
     dt: float,
     energy_fn: Callable[[np.ndarray], float] | None = None,
     aux_fn: Callable[[], float] | None = None,
-    error_fn: Callable[[np.ndarray, float], float] | None = None,
-    blowup_factor: float = 10.0,
 ):
     """Classical four-stage explicit time marching with energy recording.
 
     The step count is fixed up front (dt rounded down so the final time
     is hit exactly), making runs deterministic.  Raises
     :class:`BlowUpError` when the recorded energy exceeds
-    ``blowup_factor`` times its initial value.
+    ``BLOWUP_FACTOR`` times its initial value.
 
-    Returns (final state, :class:`EnergyTrace`, error history list).
+    Returns (final state, :class:`EnergyTrace`).
     """
     t0, t1 = t_span
     if not (t1 > t0) or dt <= 0:
@@ -495,15 +493,12 @@ def time_integrate(
     times = np.empty(n_steps + 1)
     energy = np.empty(n_steps + 1)
     aux = np.empty(n_steps + 1) if aux_fn is not None else None
-    errors = []
 
     t = t0
     times[0] = t
     energy[0] = energy_fn(y)
     if aux_fn is not None:
         aux[0] = aux_fn()
-    if error_fn is not None:
-        errors.append(error_fn(y, t))
     e0 = max(energy[0], 1e-300)
 
     for step in range(1, n_steps + 1):
@@ -517,14 +512,12 @@ def time_integrate(
         energy[step] = energy_fn(y)
         if aux_fn is not None:
             aux[step] = aux_fn()
-        if error_fn is not None:
-            errors.append(error_fn(y, t))
-        if not np.isfinite(energy[step]) or energy[step] > blowup_factor * e0:
+        if not np.isfinite(energy[step]) or energy[step] > BLOWUP_FACTOR * e0:
             raise BlowUpError(
-                f"energy {energy[step]:.3e} exceeded {blowup_factor} x initial at t={t:.4f}"
+                f"energy {energy[step]:.3e} exceeded {BLOWUP_FACTOR} x initial at t={t:.4f}"
             )
 
-    return y, EnergyTrace(times=times, energy=energy, aux=aux), errors
+    return y, EnergyTrace(times=times, energy=energy, aux=aux)
 
 
 def solution_error(u: np.ndarray, grid: MultiElementGrid, exact, t: float):
@@ -539,7 +532,21 @@ def solution_error(u: np.ndarray, grid: MultiElementGrid, exact, t: float):
 
 
 # ---------------------------------------------------------------------------
-# convergence studies
+# one solve
+
+@dataclass(frozen=True)
+class CaseResult:
+    """A finished solve: its grid and problem, the CFL step, the final
+    state, the energy trace and the P-weighted final error."""
+
+    grid: MultiElementGrid
+    problem: AdvectionProblem | AdvectionDiffusionProblem
+    dt: float
+    y: np.ndarray
+    trace: EnergyTrace
+    error_sq: float
+    error: float
+
 
 def run_case(
     problem_kind: str,
@@ -548,60 +555,27 @@ def run_case(
     params: PdeParams,
     case: MmsCase,
     cfl: float = 0.1,
-    domain=(0.0, 1.0),
-):
-    """One solve; returns (error norm, trace, grid)."""
-    grid = MultiElementGrid.uniform(op, n_elements, domain)
+) -> CaseResult:
+    """Solve on ``n_elements`` equal elements of [0, 1] up to the final
+    time.
+
+    Advection-diffusion runs also record the gradient-variable
+    dissipation in the trace's ``aux``.
+    """
+    grid = MultiElementGrid.uniform(op, n_elements)
     if problem_kind == "advection":
         problem = AdvectionProblem(grid, params, case)
+        aux_fn = None
     elif problem_kind == "advection_diffusion":
         problem = AdvectionDiffusionProblem(grid, params, case)
+        aux_fn = problem.aux_dissipation
     else:
         raise ValueError(f"unknown problem kind {problem_kind!r}")
     dt = cfl_timestep(grid, params, cfl)
-    y0 = problem.initial()
-    y, trace, _ = time_integrate(
-        problem.rhs, y0, (0.0, params.final_time), dt, energy_fn=problem.energy,
+    y, trace = time_integrate(
+        problem.rhs, problem.initial(), (0.0, params.final_time), dt,
+        energy_fn=problem.energy, aux_fn=aux_fn,
     )
-    _, err = solution_error(y, grid, case.exact, params.final_time)
-    return err, trace, grid
-
-
-def convergence_study(
-    problem_kind: str,
-    configs: Sequence[tuple[str, FsbpOperator, Sequence[int]]],
-    params: PdeParams,
-    case: MmsCase,
-    cfl: float = 0.1,
-    domain=(0.0, 1.0),
-) -> list[dict]:
-    """Error-versus-resolution table for several operator configurations.
-
-    ``configs`` holds (label, reference operator, element counts).  Rows
-    report the total node count, the error norm and the observed order
-    between consecutive resolutions; failed runs are recorded with an
-    ``error`` field instead of aborting the study.
-    """
-    rows = []
-    for label, op, element_counts in configs:
-        prev = None
-        for n_el in element_counts:
-            row = {
-                "operator": label,
-                "elements": int(n_el),
-                "nodes_per_element": int(op.size),
-                "total_nodes": int(n_el * op.size),
-            }
-            try:
-                err, _, _ = run_case(problem_kind, op, n_el, params, case, cfl, domain)
-                row["error_norm"] = err
-                if prev is not None and err > 0 and prev["error_norm"] > 0:
-                    row["observed_order"] = math.log(prev["error_norm"] / err) / math.log(
-                        n_el / prev["elements"]
-                    )
-                prev = row
-            except (BlowUpError, ValueError, RuntimeError) as exc:
-                row["error"] = str(exc)
-                prev = None
-            rows.append(row)
-    return rows
+    error_sq, error = solution_error(y, grid, case.exact, params.final_time)
+    return CaseResult(grid=grid, problem=problem, dt=dt, y=y, trace=trace,
+                      error_sq=error_sq, error=error)

@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+# pass tolerances: derivative exactness (relative to the derivative
+# magnitude), Q + Q^T = B, and the discrete integration-by-parts identity
+TOL_EXACT = 1e-8
+TOL_SKEW = 1e-12
+TOL_IBP = 1e-10
+
+
 class AssemblyError(RuntimeError):
     """Operator construction failed (rank deficiency or inconsistency)."""
 
@@ -110,28 +117,31 @@ def _skew_from_vector(s: np.ndarray, n: int) -> np.ndarray:
     return mat - mat.T
 
 
-def build_operator(
-    space: FunctionSpace,
-    rule: QuadratureRule,
-    tol_exact: float = 1e-8,
-    enforce_exactness: bool = True,
-) -> FsbpOperator:
+def _skew_action(f: np.ndarray) -> np.ndarray:
+    """Matrix of the linear map s -> (S F).ravel() for the skew S whose
+    strictly lower triangle, in ``np.tril_indices`` order, is s:
+    (S F)[i] = sum_{j<i} s_ij F[j] - sum_{j>i} s_ji F[j]."""
+    n, m = f.shape
+    rows, cols = np.tril_indices(n, k=-1)
+    k = np.arange(rows.size)
+    a = np.zeros((n, m, rows.size))
+    a[rows, :, k] += f[cols]
+    a[cols, :, k] -= f[rows]
+    return a.reshape(n * m, rows.size)
+
+
+def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     """Assemble the operator from a closed positive rule.
 
     The skew part S of Q = B/2 + S is parameterised by its strictly
     lower triangle and found as the minimum-norm least-squares solution
     of the exactness conditions S F = P F_x - B F / 2; a residual above
-    ``tol_exact`` (relative to the right side's magnitude) signals an
+    ``TOL_EXACT`` (relative to the right side's magnitude) signals an
     inconsistent rule/space pairing and raises.
-
-    With ``enforce_exactness=False`` the residual is tolerated: the
-    result keeps the exact P/Q structure (hence the energy estimate)
-    but differentiates the basis only approximately, which is the best
-    an insufficient node set can do.
     """
     if not rule.closed:
         raise AssemblyError("operator assembly needs a closed rule (both endpoints)")
-    if enforce_exactness and rule.certificate is not None and not rule.certificate.valid:
+    if rule.certificate is not None and not rule.certificate.valid:
         raise AssemblyError(
             f"rule certificate invalid (max error {rule.certificate.max_abs_error:.3e} "
             f"> tol {rule.certificate.tol:.3e})"
@@ -151,28 +161,12 @@ def build_operator(
     b_diag = _boundary_diagonal(n)
     r = p[:, None] * f_ders - 0.5 * b_diag[:, None] * f_vals
 
-    # (S F)[i, c] = sum_{j<i} s_ij F[j, c] - sum_{j>i} s_ji F[j, c]
-    n_unknowns = n * (n - 1) // 2
-    pair_index = {}
-    idx = 0
-    for i in range(1, n):
-        for j in range(i):
-            pair_index[(i, j)] = idx
-            idx += 1
-    a_mat = np.zeros((n * m, n_unknowns))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            sgn = 1.0 if i > j else -1.0
-            col = pair_index[(i, j)] if i > j else pair_index[(j, i)]
-            a_mat[i * m:(i + 1) * m, col] += sgn * f_vals[j]
-
+    a_mat = _skew_action(f_vals)
     rhs = r.reshape(-1)
     s_vec, _, rank, _ = np.linalg.lstsq(a_mat, rhs, rcond=None)
     residual = float(np.max(np.abs(a_mat @ s_vec - rhs)))
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    if enforce_exactness and residual > tol_exact * scale:
+    if residual > TOL_EXACT * scale:
         raise AssemblyError(
             f"exactness system inconsistent (residual {residual:.3e}); "
             "the rule is not exact for the product-derivative space"
@@ -190,72 +184,48 @@ def build_operator(
         D=d,
         interval=rule.interval,
         space_fingerprint=space_fingerprint(space),
-        null_space_dim=int(n_unknowns - rank),
+        null_space_dim=int(a_mat.shape[1] - rank),
     )
     exact_err = float(np.max(np.abs(d @ f_vals - f_ders)))
     der_scale = max(1.0, float(np.max(np.abs(f_ders))))
-    if enforce_exactness and exact_err > tol_exact * der_scale:
-        raise AssemblyError(f"derivative exactness defect {exact_err:.3e} above {tol_exact:.1e} (scaled)")
+    if exact_err > TOL_EXACT * der_scale:
+        raise AssemblyError(f"derivative exactness defect {exact_err:.3e} above {TOL_EXACT:.1e} (scaled)")
     return op
 
 
-def build_approximate_operator(
-    space: FunctionSpace,
-    nodes: np.ndarray,
-    interval: tuple | None = None,
-    weight_floor: float | None = None,
-) -> FsbpOperator:
+def build_approximate_operator(space: FunctionSpace, nodes: np.ndarray) -> FsbpOperator:
     """Best-effort operator on a prescribed node set.
 
     When the nodes cannot support an exact construction (e.g. too few
     equispaced points), the weights and the skew part are chosen jointly
     to minimise the derivative defect || Q F - P F_x || subject to
-    positive weights.  The P/Q structure is exact, so the energy
-    estimate still holds; only the differentiation accuracy suffers.
+    weights of at least 1e-3 (b - a) / n.  The P/Q structure is exact,
+    so the energy estimate still holds; only the differentiation
+    accuracy suffers.
     """
     import scipy.optimize
 
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size
     m = space.dim
-    if interval is None:
-        interval = (float(nodes[0]), float(nodes[-1]))
-    a, b = interval
-    if weight_floor is None:
-        weight_floor = 1e-3 * (b - a) / n
+    a, b = float(nodes[0]), float(nodes[-1])
 
     f_vals = space.collocation(nodes)            # (n, m)
     f_ders = space.collocation_deriv(nodes)
     scale = max(1.0, float(np.max(np.abs(f_vals))))
 
-    # residual rows: for node i and basis c,
-    #   sum_j S[i,j] f_c(x_j) - w_i f'_c(x_i) = (B F / 2 - 0)[i, c] ... moved right
-    n_s = n * (n - 1) // 2
-    pair_index = {}
-    idx = 0
-    for i in range(1, n):
-        for j in range(i):
-            pair_index[(i, j)] = idx
-            idx += 1
-    a_mat = np.zeros((n * m, n_s + n))
-    rhs = np.zeros(n * m)
+    # unknowns [s, w]; row (i, c): (S F)[i, c] - w_i f'_c(x_i) = -(B F / 2)[i, c]
     b_diag = _boundary_diagonal(n)
-    for i in range(n):
-        for c in range(m):
-            row = i * m + c
-            for j in range(n):
-                if i == j:
-                    continue
-                col = pair_index[(i, j)] if i > j else pair_index[(j, i)]
-                sgn = 1.0 if i > j else -1.0
-                a_mat[row, col] += sgn * f_vals[j, c]
-            a_mat[row, n_s + i] = -f_ders[i, c]
-            rhs[row] = -0.5 * b_diag[i] * f_vals[i, c]
+    w_cols = np.zeros((n, m, n))
+    w_cols[np.arange(n), :, np.arange(n)] = -f_ders
+    a_mat = np.hstack([_skew_action(f_vals), w_cols.reshape(n * m, n)])
+    rhs = (-0.5 * b_diag[:, None] * f_vals).reshape(-1)
     # normalise rows so huge basis magnitudes do not dominate
     a_mat /= scale
     rhs /= scale
 
-    lb = np.concatenate([np.full(n_s, -np.inf), np.full(n, weight_floor)])
+    n_s = n * (n - 1) // 2
+    lb = np.concatenate([np.full(n_s, -np.inf), np.full(n, 1e-3 * (b - a) / n)])
     ub = np.full(n_s + n, np.inf)
     res = scipy.optimize.lsq_linear(a_mat, rhs, bounds=(lb, ub))
     s_vec, w = res.x[:n_s], res.x[n_s:]
@@ -269,7 +239,7 @@ def build_approximate_operator(
         Q=q,
         B=b_diag,
         D=d,
-        interval=(float(a), float(b)),
+        interval=(a, b),
         space_fingerprint=space_fingerprint(space),
         null_space_dim=0,
     )
@@ -280,9 +250,6 @@ def verify_sbp(
     space: FunctionSpace,
     n_pairs: int = 100,
     rng_seed: int = 0,
-    tol_exact: float = 1e-8,
-    tol_skew: float = 1e-12,
-    tol_ibp: float = 1e-10,
 ) -> SbpVerdict:
     """Measure the operator's defects against a space.
 
@@ -313,10 +280,10 @@ def verify_sbp(
 
     der_scale = max(1.0, float(np.max(np.abs(f_ders))))
     passed = (
-        exact_err <= tol_exact * der_scale
-        and skew <= tol_skew
+        exact_err <= TOL_EXACT * der_scale
+        and skew <= TOL_SKEW
         and min_w > 0
-        and ibp <= tol_ibp
+        and ibp <= TOL_IBP
     )
     return SbpVerdict(
         max_exactness_error=exact_err,

@@ -1,10 +1,11 @@
-"""End-to-end construction pipelines shared by the CLI and the studies.
+"""End-to-end construction pipelines and the convergence-study runner.
 
 A rule pipeline takes a family descriptor to a certified quadrature rule:
 product-derivative span, parity augmentation, orthonormalisation, the
 Tchebyshev screen, then node optimisation (or an equispaced fallback).
 An operator pipeline feeds the resulting closed rule into the SBP
-assembly and verification.
+assembly and verification.  A convergence study builds an operator per
+configuration and level and solves the model problem with it.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import DEFAULT_ENGINE, Engine
+from .integrate import DEFAULT_ENGINE, Engine, IntegrationError
 from .spaces import (
     FunctionSpace,
+    RankError,
     augment_to_even,
     make_family,
     orthonormalize,
@@ -32,14 +34,21 @@ from .gauss import (
     verify_exactness,
 )
 from .operators import (
+    AssemblyError,
     FsbpOperator,
     SbpVerdict,
     build_approximate_operator,
     build_operator,
     verify_sbp,
 )
+from .ibvp import BlowUpError, MmsCase, PdeParams, run_case
 
-__all__ = ["RulePipelineResult", "solve_rule_pipeline", "build_study_operator"]
+__all__ = [
+    "RulePipelineResult",
+    "solve_rule_pipeline",
+    "build_study_operator",
+    "convergence_study",
+]
 
 NODE_MODES = ("gglq", "ggq", "equispaced", "classical-gll")
 
@@ -158,3 +167,60 @@ def build_study_operator(
     op = build_operator(space, rule)
     verdict = verify_sbp(op, space, rng_seed=rng_seed)
     return op, rule, verdict
+
+
+# failures recorded in a study row; anything else (a failed Tchebyshev
+# screen included) aborts the study
+STUDY_ERRORS = (SolverError, IntegrationError, AssemblyError, BlowUpError,
+                RankError, ValueError)
+
+
+def convergence_study(
+    pde: str,
+    configs: list[dict],
+    params: PdeParams,
+    case: MmsCase,
+    cfl: float = 0.1,
+    opts: SolveOptions = DEFAULT_OPTIONS,
+    engine: Engine = DEFAULT_ENGINE,
+    force: bool = False,
+    rng_seed: int = 0,
+) -> list[dict]:
+    """Error-versus-resolution rows for several operator configurations.
+
+    Each config (see ``refcases.*_study_configs``) gives a label, a
+    family spec factory of the element count, a node mode, an optional
+    node budget, the nodes per element and the element counts.  Every
+    level gets its own operator and solve; rows report the error norm,
+    whether the operator passed verification and the observed order
+    against the previous level.  A failed level records its error and
+    leaves the next level without an order.
+    """
+    rows = []
+    for cfg in configs:
+        prev = None
+        for n_el in cfg["elements"]:
+            row = {
+                "operator": cfg["label"],
+                "elements": int(n_el),
+                "nodes_per_element": cfg["nodes_per_element"],
+                "total_nodes": int(n_el * cfg["nodes_per_element"]),
+            }
+            try:
+                op, _, verdict = build_study_operator(
+                    cfg["spec"](n_el), cfg["node_mode"], opts, engine, force=force,
+                    rng_seed=rng_seed, n_nodes=cfg.get("n_nodes"),
+                )
+                err = run_case(pde, op, n_el, params, case, cfl).error
+                row["error_norm"] = err
+                row["operator_exact"] = bool(verdict.passed)
+                if prev is not None and err > 0 and prev["error_norm"] > 0:
+                    row["observed_order"] = float(
+                        np.log(prev["error_norm"] / err) / np.log(n_el / prev["elements"])
+                    )
+                prev = row
+            except STUDY_ERRORS as exc:
+                row["error"] = f"{type(exc).__name__}: {exc}"
+                prev = None
+            rows.append(row)
+    return rows

@@ -81,3 +81,20 @@ def panel_integrate(f, a: float, b: float, panels: int = 2000) -> float:
     xs = (mid[:, None] + half * _G5_X[None, :]).reshape(-1)
     vals = np.asarray(f(xs), dtype=float).reshape(panels, _G5_X.size)
     return float(half * np.sum(vals @ _G5_W))
+
+
+def skew_action_loop(f):
+    """Matrix of s -> (S F).ravel() for the skew S with strictly lower
+    triangle s, assembled entry by entry with an explicit pair index."""
+    n, m = f.shape
+    pair_index = {}
+    for i in range(1, n):
+        for j in range(i):
+            pair_index[(i, j)] = len(pair_index)
+    a_mat = np.zeros((n * m, len(pair_index)))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                sgn = 1.0 if i > j else -1.0
+                a_mat[i * m:(i + 1) * m, pair_index[(max(i, j), min(i, j))]] += sgn * f[j]
+    return a_mat

@@ -174,7 +174,7 @@ def test_criterion_6_energy_stability():
     params_a = PdeParams(a=1.0, final_time=6.0)
     problem_a = AdvectionProblem(grid_a, params_a, zero_case)
     dt = cfl_timestep(grid_a, params_a)
-    _, trace_a, _ = time_integrate(problem_a.rhs, problem_a.initial(), (0.0, 6.0), dt,
+    _, trace_a = time_integrate(problem_a.rhs, problem_a.initial(), (0.0, 6.0), dt,
                                    energy_fn=problem_a.energy)
     results["advection"] = (len(trace_a.times) - 1,
                             float(np.max(np.diff(trace_a.energy)) / trace_a.energy[0]))
@@ -186,7 +186,7 @@ def test_criterion_6_energy_stability():
     params_d = PdeParams(a=1.0, eps=0.1, final_time=1.0)
     problem_d = AdvectionDiffusionProblem(grid_d, params_d, zero_case)
     dt = cfl_timestep(grid_d, params_d)
-    _, trace_d, _ = time_integrate(problem_d.rhs, problem_d.initial(), (0.0, 1.0), dt,
+    _, trace_d = time_integrate(problem_d.rhs, problem_d.initial(), (0.0, 1.0), dt,
                                    energy_fn=problem_d.energy)
     results["advection_diffusion"] = (len(trace_d.times) - 1,
                                       float(np.max(np.diff(trace_d.energy)) / trace_d.energy[0]))
@@ -211,8 +211,8 @@ def test_criterion_7_advection_ordering():
             op, _, _ = build_study_operator(cfg["spec"](n_el), cfg["node_mode"],
                                             n_nodes=cfg.get("n_nodes"))
             assert op.size == cfg["nodes_per_element"]
-            err, _, _ = run_case("advection", op, n_el, params, case,
-                                 refcases.ADVECTION_STUDY["cfl"])
+            err = run_case("advection", op, n_el, params, case,
+                           refcases.ADVECTION_STUDY["cfl"]).error
             errs.append(err)
         errors[cfg["label"]] = errs
     elapsed = time.perf_counter() - t0
@@ -245,8 +245,8 @@ def test_criterion_8_boundary_layer_ordering():
         for n_el in cfg["elements"]:
             op, _, _ = build_study_operator(cfg["spec"](n_el), cfg["node_mode"],
                                             n_nodes=cfg.get("n_nodes"))
-            err, _, _ = run_case("advection_diffusion", op, n_el, params, case,
-                                 refcases.ADVECTION_DIFFUSION_STUDY["cfl"])
+            err = run_case("advection_diffusion", op, n_el, params, case,
+                           refcases.ADVECTION_DIFFUSION_STUDY["cfl"]).error
             errs.append(err)
         errors[cfg["label"]] = errs
     elapsed = time.perf_counter() - t0

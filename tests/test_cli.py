@@ -93,6 +93,36 @@ def test_malformed_descriptor_exits_2(tmp_path, capsys, space):
     assert "Traceback" not in err
 
 
+TRIG_OPERATOR = {"space": {"family": "trig", "max_harmonic": 2, "interval": [0, 1]}}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve", {"pde": "advection", "params": [1], "operator": TRIG_OPERATOR}),
+    ("solve", {"pde": "advection", "operator": "x"}),
+    ("solve", {"pde": "advection", "operator": {}}),
+    ("converge", {"study": "advection", "totals": "abc"}),
+    ("converge", {"study": "advection", "totals": 40}),
+    ("converge", {"study": "advection", "totals": [3]}),
+    ("converge", {"study": "advection_diffusion", "params": [1]}),
+    ("converge", {"study": "advection_diffusion", "mms": "zero_data", "params": {"eps": 0}}),
+    ("solve", {"pde": "advection", "elements": None, "operator": TRIG_OPERATOR}),
+    ("operator", {"space": refcases.EXP3_SPEC, "node_mode": "equispaced", "n_nodes": "x"}),
+    ("verify", {"operator": "no_p.json", "space": refcases.EXP3_SPEC}),
+    ("rule", {"space": refcases.EXP3_SPEC, "tolerances": [1]}),
+    ("converge", ["advection"]),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, command, config):
+    # an operator file without its weights, for the verify case
+    write_config(tmp_path / "no_p.json", {
+        "nodes": [0.0, 1.0], "q": [[-0.5, 0.5], [-0.5, 0.5]], "b": [-1.0, 1.0],
+        "interval": [0.0, 1.0]})
+    cfg = write_config(tmp_path / "bad.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert "Traceback" not in err
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # exp(1000 s) overflows; the failing SVD is a solver error, not a validation one
     cfg = write_config(tmp_path / "overflow.json", {"space": {
@@ -102,6 +132,29 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "solver error: LinAlgError" in capsys.readouterr().err
 
 
+SOLVE_CONFIGS = {
+    "advdiff": {
+        "pde": "advection_diffusion",
+        "params": {"a": 1.0, "eps": 0.1, "final_time": 0.2},
+        "mms": "zero_data",
+        "operator": {"space": {"family": "exponential", "rates": [2.5],
+                               "poly_degree": 1, "interval": [0, 1]},
+                     "node_mode": "gglq"},
+        "elements": 4,
+    },
+    # the advection example of the README
+    "advection": {
+        "pde": "advection",
+        "params": {"a": 1.0, "final_time": 1.0},
+        "mms": "oscillatory_wave",
+        "operator": {"space": {"family": "trig", "max_harmonic": 2,
+                               "freq_scale": 0.5, "interval": [0, 1]},
+                     "node_mode": "gglq"},
+        "elements": 4, "cfl": 0.1,
+    },
+}
+
+
 def test_determinism_byte_identical(tmp_path):
     cfg = write_config(tmp_path / "rule.json", {"space": refcases.EXP3_SPEC})
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -109,6 +162,14 @@ def test_determinism_byte_identical(tmp_path):
     assert main(["rule", "--config", cfg, "--out", str(out2), "--seed", "3"]) == 0
     for name in ("rule.json", "rule.csv", "basis.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    for label, payload in SOLVE_CONFIGS.items():
+        cfg = write_config(tmp_path / f"{label}.json", payload)
+        out1, out2 = tmp_path / f"{label}1", tmp_path / f"{label}2"
+        assert main(["solve", "--config", cfg, "--out", str(out1), "--seed", "3"]) == 0
+        assert main(["solve", "--config", cfg, "--out", str(out2), "--seed", "3"]) == 0
+        for name in ("energy.csv", "solution.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (label, name)
 
 
 def test_operator_command_from_rule_file(tmp_path, exp3_rule_run):

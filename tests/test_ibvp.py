@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fsbp.gauss import continuation_solve
-from fsbp.operators import build_operator
+from fsbp.gauss import ScreenFailure, continuation_solve
+from fsbp.operators import AssemblyError, build_operator
 from fsbp.ibvp import (
     AdvectionDiffusionProblem,
     AdvectionDiffusionSats,
@@ -17,12 +17,11 @@ from fsbp.ibvp import (
     advdiff_rhs,
     advection_rhs,
     cfl_timestep,
-    convergence_study,
     run_case,
     solution_error,
     time_integrate,
 )
-from fsbp.pipeline import build_study_operator
+from fsbp.pipeline import build_study_operator, convergence_study
 
 
 @pytest.fixture(scope="module")
@@ -210,10 +209,10 @@ def test_advdiff_mms_refinement(exp_bl_operator):
     case = MmsCase.boundary_layer(1.0, eps)
     errs = []
     for n_el in (2, 4):
-        err, _, _ = run_case(
+        err = run_case(
             "advection_diffusion", exp_bl_operator, n_el,
             PdeParams(a=1.0, eps=eps, final_time=0.5), case,
-        )
+        ).error
         errs.append(err)
     assert errs[1] < 0.5 * errs[0]
 
@@ -222,7 +221,7 @@ def test_advdiff_mms_refinement(exp_bl_operator):
 
 def test_time_integrate_zero_rhs():
     y0 = np.array([[1.0, 2.0, 3.0]])
-    y, trace, _ = time_integrate(lambda t, y: np.zeros_like(y), y0, (0.0, 1.0), 0.1)
+    y, trace = time_integrate(lambda t, y: np.zeros_like(y), y0, (0.0, 1.0), 0.1)
     assert np.array_equal(y, y0)
     assert np.max(np.abs(np.diff(trace.energy))) == 0.0
 
@@ -230,21 +229,10 @@ def test_time_integrate_zero_rhs():
 def test_time_integrate_scalar_decay_fourth_order():
     errs = []
     for dt in (0.1, 0.05):
-        y, _, _ = time_integrate(lambda t, y: -y, np.array([1.0]), (0.0, 1.0), dt)
+        y, _ = time_integrate(lambda t, y: -y, np.array([1.0]), (0.0, 1.0), dt)
         errs.append(abs(y[0] - math.exp(-1.0)))
     order = math.log(errs[0] / errs[1]) / math.log(2.0)
     assert order > 3.8
-
-
-def test_time_integrate_error_history():
-    exact = lambda t: math.exp(-t)
-    _, trace, errors = time_integrate(
-        lambda t, y: -y, np.array([1.0]), (0.0, 1.0), 0.25,
-        error_fn=lambda y, t: abs(float(y[0]) - exact(t)),
-    )
-    assert len(errors) == len(trace.times)
-    assert errors[0] == 0.0
-    assert max(errors) < 1e-3
 
 
 def test_time_integrate_blowup_detection():
@@ -261,7 +249,7 @@ def test_zero_data_advection_energy_decays(trig_grid):
     )
     problem = AdvectionProblem(trig_grid, params, case)
     dt = cfl_timestep(trig_grid, params)
-    _, trace, _ = time_integrate(problem.rhs, problem.initial(), (0.0, 1.0), dt,
+    _, trace = time_integrate(problem.rhs, problem.initial(), (0.0, 1.0), dt,
                                  energy_fn=problem.energy)
     increases = np.diff(trace.energy)
     assert np.max(increases) <= 1e-10 * trace.energy[0]
@@ -279,7 +267,7 @@ def test_zero_data_advdiff_energy_decays(exp_bl_operator):
     grid = MultiElementGrid.uniform(exp_bl_operator, 4)
     problem = AdvectionDiffusionProblem(grid, params, case)
     dt = cfl_timestep(grid, params)
-    _, trace, _ = time_integrate(problem.rhs, problem.initial(), (0.0, 1.0), dt,
+    _, trace = time_integrate(problem.rhs, problem.initial(), (0.0, 1.0), dt,
                                  energy_fn=problem.energy, aux_fn=problem.aux_dissipation)
     assert np.max(np.diff(trace.energy)) <= 1e-10 * trace.energy[0]
     assert trace.aux is not None and np.all(trace.aux >= 0.0)
@@ -340,7 +328,7 @@ def test_free_stream_preservation(trig_grid):
     )
     problem = AdvectionProblem(trig_grid, params, case)
     dt = cfl_timestep(trig_grid, params)
-    y, _, _ = time_integrate(problem.rhs, problem.initial(), (0.0, 0.5), dt,
+    y, _ = time_integrate(problem.rhs, problem.initial(), (0.0, 0.5), dt,
                              energy_fn=problem.energy)
     assert np.max(np.abs(y - c)) < 1e-10
 
@@ -354,17 +342,18 @@ def test_temporal_error_below_spatial():
         {"family": "monomial", "degree": 3, "interval": [0, 1]}, "classical-gll")
     params = PdeParams(a=1.0, final_time=1.0)
     case = MmsCase.advecting_wave(1.0)
-    err_full, _, _ = run_case("advection", op, 10, params, case, cfl=0.1)
-    err_half, _, _ = run_case("advection", op, 10, params, case, cfl=0.05)
+    err_full = run_case("advection", op, 10, params, case, cfl=0.1).error
+    err_half = run_case("advection", op, 10, params, case, cfl=0.05).error
     assert abs(err_full - err_half) <= 1e-2 * err_full
 
 
 def test_poly_gll_advection_order():
-    op, _, _ = build_study_operator(
-        {"family": "monomial", "degree": 3, "interval": [0, 1]}, "classical-gll")
+    config = {"label": "poly-gll", "node_mode": "classical-gll", "nodes_per_element": 4,
+              "spec": lambda n_el: {"family": "monomial", "degree": 3, "interval": [0, 1]},
+              "elements": [10, 20, 40]}
     params = PdeParams(a=1.0, final_time=1.0)
     case = MmsCase.advecting_wave(1.0)
-    rows = convergence_study("advection", [("poly-gll", op, [10, 20, 40])], params, case)
+    rows = convergence_study("advection", [config], params, case)
     orders = [r["observed_order"] for r in rows if "observed_order" in r]
     assert len(orders) == 2
     # design order 4 within +-0.5 at the finest pair
@@ -373,13 +362,55 @@ def test_poly_gll_advection_order():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_convergence_study_records_failures(trig_operator):
+def test_convergence_study_records_failures():
+    config = {"label": "x", "node_mode": "gglq", "nodes_per_element": 5,
+              "spec": lambda n_el: {"family": "trig", "max_harmonic": 2, "interval": [0, 1]},
+              "elements": [2]}
     bad = MmsCase(
         exact=lambda x, t: np.zeros_like(np.asarray(x, float)),
         initial=lambda x: np.full_like(np.asarray(x, float), 1e200),
         boundary_left=lambda t: 0.0,
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = convergence_study("advection", [("x", trig_operator, [2])],
+        rows = convergence_study("advection", [config],
                                  PdeParams(a=1.0, final_time=0.2), bad)
     assert "error" in rows[0]
+
+
+POLY_GLL_CONFIG = {"label": "poly-gll", "node_mode": "classical-gll", "nodes_per_element": 4,
+                   "spec": lambda n_el: {"family": "monomial", "degree": 3, "interval": [0, 1]},
+                   "elements": [2, 4, 8]}
+
+
+def test_convergence_study_failed_level_breaks_order(monkeypatch):
+    import fsbp.pipeline
+
+    built = build_study_operator(POLY_GLL_CONFIG["spec"](2), "classical-gll")
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise AssemblyError("rank deficient")
+        return built
+
+    monkeypatch.setattr(fsbp.pipeline, "build_study_operator", flaky)
+    rows = convergence_study("advection", [POLY_GLL_CONFIG], PdeParams(a=1.0, final_time=0.2),
+                             MmsCase.advecting_wave(1.0))
+    assert [r["elements"] for r in rows] == [2, 4, 8]
+    assert rows[1]["error"] == "AssemblyError: rank deficient"
+    assert "error_norm" not in rows[1]
+    assert "observed_order" not in rows[2]
+    assert rows[2]["operator_exact"] is True and rows[2]["error_norm"] > 0
+
+
+def test_convergence_study_screen_failure_propagates(monkeypatch):
+    import fsbp.pipeline
+
+    def screened(*args, **kwargs):
+        raise ScreenFailure("degenerate grid")
+
+    monkeypatch.setattr(fsbp.pipeline, "build_study_operator", screened)
+    with pytest.raises(ScreenFailure):
+        convergence_study("advection", [POLY_GLL_CONFIG], PdeParams(a=1.0, final_time=0.2),
+                          MmsCase.advecting_wave(1.0))

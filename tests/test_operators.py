@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from fsbp.gauss import QuadratureRule, continuation_solve
+from fsbp.gauss import classical_lobatto_rule
 from fsbp.operators import (
     AssemblyError,
+    _skew_action,
     build_approximate_operator,
     build_operator,
     operator_from_dict,
@@ -13,6 +15,8 @@ from fsbp.operators import (
 )
 from fsbp.spaces import augment_to_even, make_family, product_derivative_space
 from fsbp import refcases
+
+from oracles import skew_action_loop
 
 
 def trapezoid_rule():
@@ -195,6 +199,23 @@ def test_discrete_integration_by_parts_random_pairs(exp3_space, exp3_operator):
             + (exp3_operator.D @ u) @ (exp3_operator.P * v)
         rhs = u[-1] * v[-1] - u[0] * v[0]
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs), np.max(np.abs(u)) * np.max(np.abs(v)))
+
+
+@pytest.mark.parametrize("spec, n", [
+    (refcases.EXP3_SPEC, 2),
+    (refcases.EXP3_SPEC, 5),
+    ({"family": "trig", "max_harmonic": 2, "interval": [0, 1]}, 7),
+    ({"family": "monomial", "degree": 24, "interval": [-1, 1]}, 25),
+])
+def test_skew_action_matches_loop(spec, n):
+    # same values and sign bits (no -0.0 where the loop has 0.0)
+    space = make_family(spec)
+    nodes = classical_lobatto_rule(n, space.interval).nodes
+    f = space.collocation(nodes)
+    got, ref = _skew_action(f), skew_action_loop(f)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 # -------------------------------------------------------- approximate build
