@@ -1,6 +1,6 @@
 """Generalised Gauss / Gauss-Lobatto quadrature and function-space SBP operators."""
 
-from .integrate import Engine, IntegralResult, IntegrationError, integrate, moments
+from .integrate import IntegrationError, moments
 from .spaces import (
     FunctionSpace,
     TchebyshevReport,
@@ -15,7 +15,6 @@ from .spaces import (
 from .gauss import (
     QuadratureRule,
     ExactnessCertificate,
-    SolveOptions,
     SolverError,
     ScreenFailure,
     newton_solve,

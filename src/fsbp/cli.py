@@ -24,15 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .integrate import Engine, IntegrationError
+from .integrate import IntegrationError
 from .spaces import FamilyError, RankError, make_family, orthonormalize, product_derivative_space
-from .gauss import (
-    QuadratureRule,
-    ScreenFailure,
-    SolveOptions,
-    SolverError,
-    verify_exactness,
-)
+from .gauss import QuadratureRule, ScreenFailure, SolverError, verify_exactness
 from .operators import (
     AssemblyError,
     build_operator,
@@ -135,6 +129,9 @@ def load_config(args) -> dict:
         raise FamilyError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise FamilyError("config must be a JSON object")
+    for key in ("tolerances", "engine"):
+        if key in config:
+            raise FamilyError(f"'{key}' is not a config setting: the solver's tolerances are fixed")
     return config
 
 
@@ -182,23 +179,6 @@ def _n_nodes(config: dict) -> int | None:
     return n
 
 
-def solve_options(config: dict) -> SolveOptions:
-    tol = _table(config, "tolerances")
-    known = SolveOptions().__dict__.keys()
-    unknown = set(tol) - set(known)
-    if unknown:
-        raise FamilyError(f"unknown tolerance keys: {sorted(unknown)}")
-    return SolveOptions(**tol)
-
-
-def engine_from(config: dict) -> Engine:
-    eng = _table(config, "engine")
-    unknown = set(eng) - {"abs_tol", "rel_tol", "max_subdivisions"}
-    if unknown:
-        raise FamilyError(f"unknown engine keys: {sorted(unknown)}")
-    return Engine(**eng)
-
-
 def rule_files(runner: Runner, tag: str, rule: QuadratureRule) -> None:
     write_json(runner.path(f"{tag}.json"), rule.to_dict())
     write_csv(
@@ -226,13 +206,10 @@ def cmd_rule(args) -> int:
     if "space" not in config:
         raise FamilyError("rule config needs a 'space' family descriptor")
     mode = args.mode or config.get("mode", "closed")
-    opts = solve_options(config)
-    engine = engine_from(config)
     runner = Runner("rule", args, {**config, "mode": mode, "seed": args.seed})
 
     result = solve_rule_pipeline(
-        config["space"], mode, opts, engine,
-        force=args.force_tchebyshev, rng_seed=args.seed,
+        config["space"], mode, force=args.force_tchebyshev, rng_seed=args.seed,
     )
     rule_files(runner, "rule", result.rule)
     ortho = result.orthonormal
@@ -257,23 +234,19 @@ def cmd_operator(args) -> int:
     config = load_config(args)
     if "space" not in config:
         raise FamilyError("operator config needs a 'space' family descriptor")
-    opts = solve_options(config)
-    engine = engine_from(config)
     runner = Runner("operator", args, {**config, "seed": args.seed})
     space = make_family(config["space"])
 
     if "rule" in config:
         rule = load_input(runner, args, config, "rule", QuadratureRule.from_dict)
-        target = orthonormalize(product_derivative_space(space), engine)
-        rule.certificate = verify_exactness(rule, target, None, engine,
-                                            tol=opts.certificate_tol)
+        target = orthonormalize(product_derivative_space(space))
+        rule.certificate = verify_exactness(rule, target)
         op = build_operator(space, rule)
         verdict = verify_sbp(op, space, rng_seed=args.seed)
     else:
         node_mode = args.mode or config.get("node_mode", "gglq")
         op, rule, verdict = build_study_operator(
-            config["space"], node_mode, opts, engine,
-            force=args.force_tchebyshev, rng_seed=args.seed,
+            config["space"], node_mode, force=args.force_tchebyshev, rng_seed=args.seed,
             n_nodes=_n_nodes(config),
         )
     operator_files(runner, "operator", op)
@@ -340,15 +313,13 @@ def cmd_solve(args) -> int:
         raise FamilyError("solve 'operator' entry needs a 'space' family descriptor")
     params = _pde_params(_table(config, "params"))
     case = _mms_case(config.get("mms", "zero_data"), params)
-    opts = solve_options(config)
-    engine = engine_from(config)
     n_elements = _number(int, config.get("elements", 4), "elements")
     cfl = _number(float, config.get("cfl", 0.1), "cfl")
     runner = Runner("solve", args, {**config, "seed": args.seed,
                                     "elements": n_elements, "cfl": cfl})
 
     op, _, verdict = build_study_operator(
-        op_cfg["space"], op_cfg.get("node_mode", "gglq"), opts, engine,
+        op_cfg["space"], op_cfg.get("node_mode", "gglq"),
         force=args.force_tchebyshev, rng_seed=args.seed,
         n_nodes=_n_nodes(op_cfg),
     )
@@ -378,11 +349,10 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _study_rows(study_name: str, config: dict, opts, engine, seed, force) -> list[dict]:
+def _study_rows(study_name: str, config: dict, seed, force) -> list[dict]:
     frozen = (refcases.ADVECTION_STUDY if study_name == "advection"
               else refcases.ADVECTION_DIFFUSION_STUDY)
-    p = _table(config, "params", frozen["params"])
-    params = _pde_params(p)
+    params = _pde_params({**frozen["params"], **_table(config, "params")})
     case = _mms_case(config.get("mms", frozen["mms"]), params)
     cfl = _number(float, config.get("cfl", frozen["cfl"]), "cfl")
     totals = config.get("totals")
@@ -392,14 +362,12 @@ def _study_rows(study_name: str, config: dict, opts, engine, seed, force) -> lis
     if study_name == "advection":
         cfgs = refcases.advection_study_configs(totals)
     else:
-        eps = _number(float, p.get("eps", 0.1), "eps")
-        if eps <= 0:
+        if params.eps <= 0:
             raise FamilyError("the advection_diffusion study needs eps > 0")
-        cfgs = refcases.advection_diffusion_study_configs(totals, a=params.a, eps=eps)
+        cfgs = refcases.advection_diffusion_study_configs(totals, a=params.a, eps=params.eps)
     if any(n_el < 1 for cfg in cfgs for n_el in cfg["elements"]):
         raise FamilyError(f"totals {totals} leave a configuration without elements")
-    return convergence_study(frozen["pde"], cfgs, params, case, cfl,
-                             opts, engine, force, seed)
+    return convergence_study(frozen["pde"], cfgs, params, case, cfl, force, seed)
 
 
 def cmd_converge(args) -> int:
@@ -407,10 +375,8 @@ def cmd_converge(args) -> int:
     study = config.get("study")
     if study not in ("advection", "advection_diffusion"):
         raise FamilyError("converge config needs 'study': 'advection' or 'advection_diffusion'")
-    opts = solve_options(config)
-    engine = engine_from(config)
     runner = Runner("converge", args, {**config, "seed": args.seed})
-    rows = _study_rows(study, config, opts, engine, args.seed, args.force_tchebyshev)
+    rows = _study_rows(study, config, args.seed, args.force_tchebyshev)
     header = ["operator", "elements", "nodes_per_element", "total_nodes",
               "error_norm", "observed_order"]
     write_csv(
@@ -431,13 +397,10 @@ def cmd_converge(args) -> int:
 
 def cmd_fixtures(args) -> int:
     config = load_config(args)
-    opts = solve_options(config)
-    engine = engine_from(config)
     runner = Runner("fixtures", args, {**config, "seed": args.seed})
     report = {}
 
-    result = solve_rule_pipeline(refcases.EXP3_SPEC, "closed", opts, engine,
-                                 rng_seed=args.seed)
+    result = solve_rule_pipeline(refcases.EXP3_SPEC, "closed", rng_seed=args.seed)
     rule_files(runner, "exp3_closed_rule", result.rule)
     report["exp3_closed_nodes_delta"] = float(
         np.max(np.abs(result.rule.nodes - refcases.EXP3_CLOSED_NODES)))
@@ -449,8 +412,7 @@ def cmd_fixtures(args) -> int:
     operator_files(runner, "exp3_closed_operator", op)
     report["exp3_closed_d_delta"] = float(np.max(np.abs(op.D - refcases.EXP3_CLOSED_D)))
 
-    op5, rule5, _ = build_study_operator(refcases.EXP3_SPEC, "equispaced",
-                                         opts, engine, rng_seed=args.seed)
+    op5, rule5, _ = build_study_operator(refcases.EXP3_SPEC, "equispaced", rng_seed=args.seed)
     rule_files(runner, "exp3_equi5_rule", rule5)
     operator_files(runner, "exp3_equi5_operator", op5)
     report["exp3_equi5_weights_delta"] = float(

@@ -7,39 +7,33 @@ behaves as a Tchebyshev system.
 
 Nodes are found by a damped quasi-Newton iteration on a (quasi-)cardinal
 basis built from the Hermite-Vandermonde matrix, with initial guesses
-supplied by continuation in the integration measure: the target weight
+supplied by continuation in the integration measure: the unit weight
 is blended with a sum of point masses whose locations come from the
 previously converged rule of one size smaller.
 
-All solves are pure and reentrant; a single solve is sequential.
+The solver's tolerances and schedule are the module constants below;
+every rule is computed against the unit weight on its interval.  All
+solves are pure and reentrant; a single solve is sequential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Callable
 
 import numpy as np
 import scipy.optimize
 
-from .integrate import DEFAULT_ENGINE, Engine
+from .integrate import moments
 from .spaces import FunctionSpace, pull_back, sampled_gram, orthonormalize, tchebyshev_screen
 
 __all__ = [
     "QuadratureRule",
     "ExactnessCertificate",
-    "HermiteLagrangeBasis",
-    "BlendedMeasure",
-    "SolveOptions",
     "SolverError",
     "ScreenFailure",
-    "hermite_vandermonde",
-    "hermite_lagrange",
-    "residuals_and_weights",
     "newton_solve",
     "continuation_solve",
     "verify_exactness",
-    "measure_moments",
     "equispaced_rule",
     "classical_gauss_rule",
     "classical_lobatto_rule",
@@ -108,9 +102,6 @@ class QuadratureRule:
     def size(self) -> int:
         return self.nodes.size
 
-    def apply(self, f) -> float:
-        return float(self.weights @ np.asarray(f(self.nodes), dtype=float))
-
     def to_dict(self) -> dict:
         d = {
             "nodes": [float(x) for x in self.nodes],
@@ -145,79 +136,21 @@ class QuadratureRule:
         )
 
 
-@dataclass(frozen=True)
-class HermiteLagrangeBasis:
-    """Cardinal basis {sigma_i, eta_i} of a space at a node set.
-
-    Open case (n nodes, dim 2n): sigma_i vanish at every node with unit
-    derivative at node i only; eta_i are one at node i with vanishing
-    derivative everywhere.  Closed case (n+1 nodes): derivative
-    conditions are dropped at the two endpoints, leaving n-1 sigma and
-    n+1 eta functions.  Rows of the coefficient matrices expand each
-    function over the space's basis.
-    """
-
-    sigma_coeffs: np.ndarray
-    eta_coeffs: np.ndarray
-    node_set: np.ndarray
-    closed: bool
-    space: FunctionSpace
-
-    def sigma_values(self, xs) -> np.ndarray:
-        return self.space.collocation(xs) @ self.sigma_coeffs.T
-
-    def eta_values(self, xs) -> np.ndarray:
-        return self.space.collocation(xs) @ self.eta_coeffs.T
-
-    def sigma_derivs(self, xs) -> np.ndarray:
-        return self.space.collocation_deriv(xs) @ self.sigma_coeffs.T
-
-    def eta_derivs(self, xs) -> np.ndarray:
-        return self.space.collocation_deriv(xs) @ self.eta_coeffs.T
-
-
-@dataclass(frozen=True)
-class BlendedMeasure:
-    """t * (continuous weight) + (1 - t) * sum of unit point masses."""
-
-    t: float
-    anchors: np.ndarray
-    weight: Callable | None = None  # None means the unit weight
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Tolerances and schedule knobs for the quadrature solvers."""
-
-    residual_tol: float = 1e-11
-    residual_accept: float = 1e-8       # stagnation acceptance band (noise floor)
-    step_tol: float = 1e-13
-    max_iterations: int = 100
-    certificate_tol: float = 1e-8
-    max_condition: float = 1e13
-    damping_levels: int = 10            # lambda down to 2**-10
-    ordering_margin: float = 1e-3       # fraction of the local gap preserved
-    t_step: float = 0.1
-    t_step_min: float = 1e-6
-    t_growth: float = 1.5
-    screen_trials: int = 100
-
-
-DEFAULT_OPTIONS = SolveOptions()
-
-
-def measure_moments(space: FunctionSpace, measure=None, engine: Engine = DEFAULT_ENGINE) -> np.ndarray:
-    """Moments of every basis function against a weight or blended measure.
-
-    Point-mass components are evaluated analytically, never numerically.
-    """
-    from .integrate import moments as _moments
-
-    if isinstance(measure, BlendedMeasure):
-        cont = _moments(space, measure.weight, engine) if measure.t > 0 else np.zeros(space.dim)
-        delta = space.collocation(measure.anchors).sum(axis=0)
-        return measure.t * cont + (1.0 - measure.t) * delta
-    return _moments(space, measure, engine)
+# Newton iteration: stop below RESIDUAL_TOL (the largest sigma integral);
+# a stalled iteration is accepted inside the noise band RESIDUAL_ACCEPT
+RESIDUAL_TOL = 1e-11
+RESIDUAL_ACCEPT = 1e-8
+STEP_TOL = 1e-13
+MAX_ITERATIONS = 100
+DAMPING_LEVELS = 10          # damping factor down to 2**-10
+ORDERING_MARGIN = 1e-3       # fraction of each node gap a step must keep
+# exactness certificates, relative to the largest moment (floored at one)
+CERTIFICATE_TOL = 1e-8
+# measure continuation: initial, smallest and growth of the blend step
+T_STEP = 0.1
+T_STEP_MIN = 1e-6
+T_GROWTH = 1.5
+SCREEN_TRIALS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -235,77 +168,17 @@ def _hermite_rows(space: FunctionSpace, nodes, closed: bool) -> np.ndarray:
     return np.vstack([vals, ders])
 
 
-def hermite_vandermonde(space: FunctionSpace, nodes, closed: bool):
-    """The square collocation matrix driving the cardinal-basis solve.
-
-    Open: for n nodes and dim 2n, rows are the basis values at every
-    node followed by the basis derivatives at every node.  Closed: for
-    n+1 nodes, rows are the values at all nodes followed by derivatives
-    at the interior nodes only.  Returns (matrix, condition estimate).
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    m = space.dim
-    if m % 2 != 0:
-        raise ValueError(f"space dimension must be even, got {m}")
-    n = m // 2
-    expected = n + 1 if closed else n
-    if nodes.size != expected:
-        raise ValueError(f"expected {expected} nodes for dim {m} ({'closed' if closed else 'open'}), got {nodes.size}")
-    if nodes.size > 1 and np.any(np.diff(nodes) <= 0):
-        raise ValueError("nodes must be strictly increasing and distinct")
-
-    v = _hermite_rows(space, nodes, closed)
-    return v, float(np.linalg.cond(v))
-
-
-def hermite_lagrange(
-    space: FunctionSpace,
-    nodes,
-    closed: bool,
-    max_condition: float = DEFAULT_OPTIONS.max_condition,
-) -> HermiteLagrangeBasis:
-    """Solve for the cardinal basis at a node set.
-
-    Raises :class:`SolverError` when the Hermite-Vandermonde matrix is
-    singular or its condition estimate exceeds ``max_condition``.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    v, cond = hermite_vandermonde(space, nodes, closed)
-    if not np.isfinite(cond) or cond > max_condition:
-        raise SolverError(f"Hermite-Vandermonde condition {cond:.3e} above cap")
-    n = space.dim // 2
-    try:
-        x = np.linalg.solve(v, np.eye(space.dim))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("singular Hermite-Vandermonde matrix") from exc
-    n_eta = n + 1 if closed else n
-    eta_coeffs = x[:, :n_eta].T
-    sigma_coeffs = x[:, n_eta:].T
-    return HermiteLagrangeBasis(sigma_coeffs, eta_coeffs, nodes, closed, space)
-
-
-def residuals_and_weights(
-    basis: HermiteLagrangeBasis,
-    measure=None,
-    engine: Engine = DEFAULT_ENGINE,
-    moments_vec: np.ndarray | None = None,
-):
-    """Integrals of the sigma and eta functions against a measure.
-
-    The sigma integrals are the node residuals (all zero exactly at a
-    generalised Gauss rule); the eta integrals are the weights.
-    """
-    if moments_vec is None:
-        moments_vec = measure_moments(basis.space, measure, engine)
-    return basis.sigma_coeffs @ moments_vec, basis.eta_coeffs @ moments_vec
-
-
 def _condition_integrals(space, nodes, closed, moments_vec):
-    """Fast path: sigma/eta integrals via one transposed solve.
+    """Integrals of the cardinal basis at a node set, by one solve.
 
-    Returns (sigma_integrals, eta_integrals).  Raises SolverError on a
-    numerically singular system.  Unlike :func:`hermite_vandermonde` it
-    skips the condition estimate.
+    The cardinal functions sigma_i vanish at every node with unit
+    derivative at node i only; eta_i are one at node i only with
+    vanishing derivative at every node (derivative conditions at the
+    interior nodes only when closed).  Solving the transposed
+    Hermite-Vandermonde matrix against the moments gives their
+    integrals: the node residuals and the weights.  Returns
+    (sigma_integrals, eta_integrals); raises SolverError on a
+    numerically singular system.
     """
     v = _hermite_rows(space, nodes, closed)
     try:
@@ -329,11 +202,8 @@ def _ordered_with_margin(old_full, new_full, margin):
 
 def newton_solve(
     space: FunctionSpace,
-    measure=None,
-    x0=None,
+    x0,
     closed: bool = False,
-    opts: SolveOptions = DEFAULT_OPTIONS,
-    engine: Engine = DEFAULT_ENGINE,
     moments_vec: np.ndarray | None = None,
 ) -> QuadratureRule:
     """Damped quasi-Newton iteration for the rule nodes.
@@ -342,8 +212,9 @@ def newton_solve(
     its eta function); a backtracking line search keeps the nodes
     strictly ordered with a safety margin and never lets the residual
     grow.  For closed rules, the endpoints stay fixed and only interior
-    nodes move.  Returns a rule with positive weights and an exactness
-    certificate computed from the same moment vector.
+    nodes move.  ``moments_vec`` defaults to the space's moments.
+    Returns a rule with positive weights and an exactness certificate
+    computed from the same moment vector.
     """
     a, b = space.interval
     m = space.dim
@@ -366,7 +237,7 @@ def newton_solve(
         raise ValueError("initial nodes must be strictly increasing")
 
     if moments_vec is None:
-        moments_vec = measure_moments(space, measure, engine)
+        moments_vec = moments(space)
 
     def extended(vec):
         return vec if closed else np.concatenate([[a], vec, [b]])
@@ -374,9 +245,9 @@ def newton_solve(
     sigma, eta = _condition_integrals(space, nodes, closed, moments_vec)
     iterations = 0
     status = "converged"
-    for _ in range(opts.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         res = float(np.max(np.abs(sigma))) if sigma.size else 0.0
-        if res < opts.residual_tol:
+        if res < RESIDUAL_TOL:
             break
         eta_upd = eta[upd]
         if np.any(np.abs(eta_upd) < 1e-300):
@@ -386,12 +257,12 @@ def newton_solve(
 
         accepted = False
         lam = 1.0
-        for _ in range(opts.damping_levels + 1):
+        for _ in range(DAMPING_LEVELS + 1):
             cand = nodes + lam * delta
             full_old = extended(nodes)
             full_new = extended(cand)
             if np.all(np.diff(full_new) > 0) and _ordered_with_margin(
-                full_old, full_new, opts.ordering_margin
+                full_old, full_new, ORDERING_MARGIN
             ):
                 try:
                     sig_c, eta_c = _condition_integrals(space, cand, closed, moments_vec)
@@ -408,7 +279,7 @@ def newton_solve(
             # evaluation noise of the basis can put a floor under the
             # residual; accept within the noise band, the independent
             # exactness certificate remains the quality gate
-            if res <= opts.residual_accept:
+            if res <= RESIDUAL_ACCEPT:
                 status = "noise-floor"
                 break
             raise SolverError(
@@ -416,17 +287,17 @@ def newton_solve(
             )
         iterations += 1
         step = float(np.max(np.abs(lam * delta)))
-        if step < opts.step_tol:
+        if step < STEP_TOL:
             res_now = float(np.max(np.abs(sigma))) if sigma.size else 0.0
-            if res_now < opts.residual_tol:
+            if res_now < RESIDUAL_TOL:
                 break
-            if res_now <= opts.residual_accept:
+            if res_now <= RESIDUAL_ACCEPT:
                 status = "noise-floor"
                 break
             raise SolverError(f"stagnated with residual {res_now:.3e}")
     else:
         raise SolverError(
-            f"no convergence in {opts.max_iterations} iterations "
+            f"no convergence in {MAX_ITERATIONS} iterations "
             f"(residual {np.max(np.abs(sigma)):.3e})"
         )
 
@@ -442,7 +313,7 @@ def newton_solve(
         target_dim=m,
         max_abs_error=float(np.max(errors)),
         per_function_errors=errors,
-        tol=opts.certificate_tol * max(1.0, float(np.max(np.abs(moments_vec)))),
+        tol=CERTIFICATE_TOL * max(1.0, float(np.max(np.abs(moments_vec)))),
     )
     return QuadratureRule(
         nodes=nodes,
@@ -491,46 +362,37 @@ def _anchor_candidates(prev_nodes, count, a, b):
     return unique
 
 
-def _homotopy(space, m_target, anchors, closed, opts, stage_trace):
+def _homotopy(space, m_target, anchors, closed, stage_trace):
     """Advance the blend parameter t from 0 to 1, solving at each step."""
     anchors = np.asarray(anchors, dtype=float)
     anchor_moments = space.collocation(anchors).sum(axis=0)
-    t, nodes, step = 0.0, anchors.copy(), opts.t_step
+    t, nodes, step = 0.0, anchors.copy(), T_STEP
     streak = 0
     while t < 1.0:
         t_next = min(1.0, t + step)
         m_blend = t_next * m_target + (1.0 - t_next) * anchor_moments
         try:
-            rule = newton_solve(
-                space,
-                x0=nodes,
-                closed=closed,
-                opts=opts,
-                moments_vec=m_blend,
-            )
+            rule = newton_solve(space, x0=nodes, closed=closed, moments_vec=m_blend)
         except SolverError:
             step *= 0.5
             streak = 0
-            if step < opts.t_step_min:
+            if step < T_STEP_MIN:
                 raise SolverError(
                     f"measure continuation stalled at t={t:.6f} "
-                    f"(step below {opts.t_step_min})"
+                    f"(step below {T_STEP_MIN})"
                 )
             continue
         t, nodes = t_next, rule.nodes
         stage_trace.append({"t": t_next, "iterations": rule.trace["iterations"]})
         streak += 1
         if streak >= 2:
-            step *= opts.t_growth
+            step *= T_GROWTH
     return nodes, rule
 
 
 def continuation_solve(
     space: FunctionSpace,
-    weight=None,
     closed: bool = False,
-    opts: SolveOptions = DEFAULT_OPTIONS,
-    engine: Engine = DEFAULT_ENGINE,
     force: bool = False,
     rng_seed: int = 0,
 ) -> QuadratureRule:
@@ -558,27 +420,21 @@ def continuation_solve(
 
     gram = sampled_gram(space)
     if np.max(np.abs(gram - np.eye(space.dim))) > 1e-6:
-        work = orthonormalize(space, engine)
+        work = orthonormalize(space)
         if work.dim != space.dim:
             raise ValueError("space is rank deficient; orthonormalise and augment first")
     else:
         work = space
     ref = pull_back(work, (-1.0, 1.0), renormalize=True)
 
-    report = tchebyshev_screen(ref, trials=opts.screen_trials, rng_seed=rng_seed)
+    report = tchebyshev_screen(ref, trials=SCREEN_TRIALS, rng_seed=rng_seed)
     if report.verdict == "fail" and not force:
         raise ScreenFailure(
             f"Tchebyshev screen failed (min scaled determinant {report.min_abs_det:.3e}); "
             "pass force=True to attempt the solve anyway"
         )
 
-    if weight is None:
-        ref_weight = None
-    else:
-        def ref_weight(s):
-            return weight(a + 0.5 * (b - a) * (np.asarray(s, dtype=float) + 1.0))
-
-    m_full = measure_moments(ref, ref_weight, engine)
+    m_full = moments(ref)
 
     trace = {
         "mode": "closed" if closed else "open",
@@ -599,7 +455,7 @@ def continuation_solve(
             stage_steps.clear()
             try:
                 prev_nodes, open_rule = _homotopy(
-                    sub, m_full[: 2 * k], anchors, False, opts, stage_steps
+                    sub, m_full[: 2 * k], anchors, False, stage_steps
                 )
                 solved = True
                 break
@@ -640,7 +496,7 @@ def continuation_solve(
             if np.any(np.diff(x0) <= 0):
                 continue
             try:
-                rule_ref = newton_solve(ref, x0=x0, closed=True, opts=opts, moments_vec=m_full)
+                rule_ref = newton_solve(ref, x0=x0, closed=True, moments_vec=m_full)
                 trace["stages"].append({
                     "size": n, "closed": True,
                     "steps": [{"t": 1.0, "iterations": rule_ref.trace["iterations"]}],
@@ -651,7 +507,7 @@ def continuation_solve(
             trace["closed_fallback"] = True
             stage_steps = []
             try:
-                _, rule_ref = _homotopy(ref, m_full, x0, True, opts, stage_steps)
+                _, rule_ref = _homotopy(ref, m_full, x0, True, stage_steps)
                 trace["stages"].append({"size": n, "closed": True, "steps": stage_steps})
                 break
             except SolverError as exc:
@@ -666,16 +522,14 @@ def continuation_solve(
         nodes[0], nodes[-1] = a, b
     weights = half * rule_ref.weights
     rule = QuadratureRule(nodes=nodes, weights=weights, closed=closed, interval=(a, b), trace=trace)
-    rule.certificate = verify_exactness(rule, space, weight, engine, tol=opts.certificate_tol)
+    rule.certificate = verify_exactness(rule, space)
     return rule
 
 
 def verify_exactness(
     rule: QuadratureRule,
     space: FunctionSpace,
-    weight=None,
-    engine: Engine = DEFAULT_ENGINE,
-    tol: float = 1e-8,
+    tol: float = CERTIFICATE_TOL,
 ) -> ExactnessCertificate:
     """Independent exactness check of a rule against a space.
 
@@ -685,7 +539,7 @@ def verify_exactness(
     a, b = space.interval
     if np.any(rule.nodes < a - 1e-12 * (b - a)) or np.any(rule.nodes > b + 1e-12 * (b - a)):
         raise ValueError("rule nodes fall outside the space's interval")
-    m = measure_moments(space, weight, engine)
+    m = moments(space)
     approx = rule.weights @ space.collocation(rule.nodes)
     errors = np.abs(approx - m)
     return ExactnessCertificate(
@@ -701,9 +555,7 @@ def verify_exactness(
 
 def equispaced_rule(
     space: FunctionSpace,
-    engine: Engine = DEFAULT_ENGINE,
     n_nodes: int | None = None,
-    tol: float = 1e-8,
     max_extra: int = 8,
 ) -> QuadratureRule:
     """Closed equispaced-node rule exact for the space.
@@ -714,7 +566,7 @@ def equispaced_rule(
     non-negative least-squares fit) until both hold.
     """
     a, b = space.interval
-    m_vec = measure_moments(space, None, engine)
+    m_vec = moments(space)
     scale = max(1.0, float(np.max(np.abs(m_vec))))
     start = space.dim if n_nodes is None else n_nodes
     if start < space.dim:
@@ -732,15 +584,15 @@ def equispaced_rule(
         else:
             w = np.linalg.lstsq(c.T, m_vec, rcond=None)[0]
         resid = float(np.max(np.abs(c.T @ w - m_vec)))
-        if resid > tol * scale or np.min(w) <= 0:
+        if resid > CERTIFICATE_TOL * scale or np.min(w) <= 0:
             w, _ = scipy.optimize.nnls(c.T, m_vec)
             resid = float(np.max(np.abs(c.T @ w - m_vec)))
-            if resid > tol * scale or np.min(w) <= 0:
+            if resid > CERTIFICATE_TOL * scale or np.min(w) <= 0:
                 last_issue = f"{count} nodes: residual {resid:.2e}, min weight {np.min(w):.2e}"
                 continue
         rule = QuadratureRule(nodes=nodes, weights=w, closed=True, interval=(a, b),
                               trace={"construction": "equispaced", "n_nodes": count})
-        rule.certificate = verify_exactness(rule, space, None, engine, tol=tol)
+        rule.certificate = verify_exactness(rule, space)
         return rule
     raise SolverError(
         f"no positive exact equispaced rule with up to {start + max_extra} nodes ({last_issue})"

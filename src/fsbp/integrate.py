@@ -5,6 +5,14 @@ base rule together with an embedded lower-order estimate.  Globally
 adaptive bisection always splits the interval with the largest error
 estimate first, so results are deterministic for identical inputs.
 
+``integrate_vector`` is the one integration path: every component of a
+vector integrand shares one subdivision, and a scalar integrand is its
+one-component case.  ``moments`` integrates a space's basis against
+the unit weight, the only measure the package uses.  Its tolerances are
+the fixed ``DEFAULT_ENGINE`` (1e-12 absolute and relative, at most
+10 000 subdivisions), floored per function at the evaluation noise of
+the basis; nothing in the package passes other tolerances.
+
 Integrands must be vectorised (accept an ndarray of abscissae) and
 finite everywhere on the closed interval.  Everything here is pure and
 reentrant; concurrent use only requires that the integrand itself be
@@ -20,12 +28,10 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "IntegralResult",
-    "VectorIntegralResult",
+    "IntegrationResult",
     "IntegrationError",
     "Engine",
     "DEFAULT_ENGINE",
-    "integrate",
     "integrate_vector",
     "moments",
 ]
@@ -87,17 +93,7 @@ _WG = np.array([
 
 
 @dataclass(frozen=True)
-class IntegralResult:
-    """Outcome of a scalar adaptive integration."""
-
-    value: float
-    error_estimate: float
-    subdivisions: int
-    converged: bool
-
-
-@dataclass(frozen=True)
-class VectorIntegralResult:
+class IntegrationResult:
     """Outcome of a component-wise controlled vector integration."""
 
     values: np.ndarray
@@ -136,7 +132,7 @@ def integrate_vector(
     rel_tol: float = 1e-12,
     max_subdivisions: int = 10_000,
     noise_floors: np.ndarray | None = None,
-) -> VectorIntegralResult:
+) -> IntegrationResult:
     """Integrate a vector-valued function on [a, b].
 
     ``f`` maps an array of abscissae of shape (m,) to values of shape
@@ -169,14 +165,14 @@ def integrate_vector(
         if noise_floors is not None:
             bound = np.maximum(bound, noise_floors)
         if np.all(total_err <= bound):
-            return VectorIntegralResult(total, total_err, subdivisions, True)
+            return IntegrationResult(total, total_err, subdivisions, True)
         if subdivisions >= max_subdivisions:
-            return VectorIntegralResult(total, total_err, subdivisions, False)
+            return IntegrationResult(total, total_err, subdivisions, False)
 
         _, _, pa, pb, pv, pe = heapq.heappop(heap)
         if pb - pa < width_floor:
             # cannot refine further in double precision
-            return VectorIntegralResult(total, total_err, subdivisions, False)
+            return IntegrationResult(total, total_err, subdivisions, False)
         pm = 0.5 * (pa + pb)
         lv, le = _panel(f, pa, pm)
         rv, re = _panel(f, pm, pb)
@@ -189,48 +185,20 @@ def integrate_vector(
         subdivisions += 1
 
 
-def integrate(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
-    max_subdivisions: int = 10_000,
-) -> IntegralResult:
-    """Integrate a scalar function on [a, b] with an honest error estimate.
-
-    The returned ``converged`` flag is true only when the accumulated
-    error estimate satisfies ``error <= max(abs_tol, rel_tol * |value|)``;
-    hitting the subdivision cap never silently returns a bad value.
-    """
-    res = integrate_vector(f, a, b, abs_tol, rel_tol, max_subdivisions)
-    return IntegralResult(
-        float(res.values[0]),
-        float(res.error_estimates[0]),
-        res.subdivisions,
-        res.converged,
-    )
-
-
 @dataclass(frozen=True)
 class Engine:
-    """Integration engine: tolerance bundle passed through the pipeline."""
+    """The integrator's tolerance bundle; the package always uses
+    ``DEFAULT_ENGINE``."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     max_subdivisions: int = 10_000
 
-    def integrate(self, f, a, b) -> IntegralResult:
-        return integrate(f, a, b, self.abs_tol, self.rel_tol, self.max_subdivisions)
-
-    def integrate_vector(self, f, a, b) -> VectorIntegralResult:
-        return integrate_vector(f, a, b, self.abs_tol, self.rel_tol, self.max_subdivisions)
-
 
 DEFAULT_ENGINE = Engine()
 
 
-def evaluation_noise_floors(space, weight=None) -> np.ndarray:
+def evaluation_noise_floors(space) -> np.ndarray:
     """Attainable integral accuracy per basis function of a space.
 
     Basis functions represented as coefficient vectors over an
@@ -243,32 +211,22 @@ def evaluation_noise_floors(space, weight=None) -> np.ndarray:
     if space.noise_scale is None:
         return np.zeros(space.dim)
     a, b = space.interval
-    wmax = 1.0
-    if weight is not None:
-        xs = np.linspace(a, b, 65)
-        wmax = float(np.max(np.abs(weight(xs))))
     eps = np.finfo(float).eps
-    return 32.0 * eps * space.noise_scale * (b - a) * wmax
+    return 32.0 * eps * space.noise_scale * (b - a)
 
 
-def moments(space, weight=None, engine: Engine = DEFAULT_ENGINE) -> np.ndarray:
-    """Integrals of every basis function of ``space`` against a weight.
+def moments(space, engine: Engine = DEFAULT_ENGINE) -> np.ndarray:
+    """Integrals of every basis function of ``space`` over its interval.
 
-    ``weight`` is a positive vectorised function of x, or None for the
-    unit weight.  Tolerances are floored at the attainable evaluation
-    accuracy of each basis function; raises :class:`IntegrationError`
-    if any component still fails to converge.
+    Tolerances are floored at the attainable evaluation accuracy of
+    each basis function; raises :class:`IntegrationError` if any
+    component still fails to converge.
     """
     a, b = space.interval
-
-    if weight is None:
-        f = lambda xs: space.collocation(xs).T
-    else:
-        f = lambda xs: space.collocation(xs).T * np.asarray(weight(xs), dtype=float)
-
     res = integrate_vector(
-        f, a, b, engine.abs_tol, engine.rel_tol, engine.max_subdivisions,
-        noise_floors=evaluation_noise_floors(space, weight),
+        lambda xs: space.collocation(xs).T, a, b,
+        engine.abs_tol, engine.rel_tol, engine.max_subdivisions,
+        noise_floors=evaluation_noise_floors(space),
     )
     if not res.converged:
         worst = int(np.argmax(res.error_estimates))

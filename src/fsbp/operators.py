@@ -74,11 +74,6 @@ class FsbpOperator:
     def size(self) -> int:
         return self.nodes.size
 
-    def norm_squared(self, u: np.ndarray) -> float:
-        """Discrete L2 norm u^T P u."""
-        u = np.asarray(u, dtype=float)
-        return float(u @ (self.P * u))
-
     def skew_defect(self) -> float:
         return float(np.max(np.abs(self.Q + self.Q.T - np.diag(self.B))))
 

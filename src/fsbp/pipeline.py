@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import DEFAULT_ENGINE, Engine, IntegrationError
+from .integrate import IntegrationError
 from .spaces import (
     FunctionSpace,
     RankError,
@@ -24,9 +24,7 @@ from .spaces import (
     product_derivative_space,
 )
 from .gauss import (
-    DEFAULT_OPTIONS,
     QuadratureRule,
-    SolveOptions,
     SolverError,
     classical_lobatto_rule,
     continuation_solve,
@@ -66,8 +64,6 @@ class RulePipelineResult:
 def solve_rule_pipeline(
     family_spec: dict,
     mode: str = "closed",
-    opts: SolveOptions = DEFAULT_OPTIONS,
-    engine: Engine = DEFAULT_ENGINE,
     force: bool = False,
     rng_seed: int = 0,
 ) -> RulePipelineResult:
@@ -80,14 +76,11 @@ def solve_rule_pipeline(
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
     space = make_family(family_spec)
     product = product_derivative_space(space)
-    target = augment_to_even(product, engine)
-    ortho = orthonormalize(target, engine)
-    rule = continuation_solve(
-        ortho, closed=(mode == "closed"), opts=opts, engine=engine,
-        force=force, rng_seed=rng_seed,
-    )
+    target = augment_to_even(product)
+    ortho = orthonormalize(target)
+    rule = continuation_solve(ortho, closed=(mode == "closed"), force=force, rng_seed=rng_seed)
     # certify against the augmented span in its natural (raw) basis
-    rule.certificate = verify_exactness(rule, target, None, engine, tol=opts.certificate_tol)
+    rule.certificate = verify_exactness(rule, target)
     dims = {
         "family_dim": space.dim,
         "product_dim": product.dim,
@@ -104,8 +97,6 @@ def solve_rule_pipeline(
 def build_study_operator(
     family_spec: dict,
     node_mode: str,
-    opts: SolveOptions = DEFAULT_OPTIONS,
-    engine: Engine = DEFAULT_ENGINE,
     force: bool = False,
     rng_seed: int = 0,
     n_nodes: int | None = None,
@@ -136,23 +127,21 @@ def build_study_operator(
             raise ValueError("classical-gll nodes apply to monomial families only")
         degree = int(family_spec["degree"])
         rule = classical_lobatto_rule(degree + 1, space.interval)
-        target = augment_to_even(product_derivative_space(space), engine)
-        rule.certificate = verify_exactness(rule, target, None, engine, tol=opts.certificate_tol)
+        target = augment_to_even(product_derivative_space(space))
+        rule.certificate = verify_exactness(rule, target)
     elif node_mode == "gglq":
-        result = solve_rule_pipeline(family_spec, "closed", opts, engine, force, rng_seed)
+        result = solve_rule_pipeline(family_spec, "closed", force, rng_seed)
         rule = result.rule
     else:  # equispaced
         product = product_derivative_space(space)
-        ortho = orthonormalize(product, engine)
+        ortho = orthonormalize(product)
         if n_nodes is None:
-            rule = equispaced_rule(ortho, engine, tol=opts.certificate_tol)
-            rule.certificate = verify_exactness(rule, product, None, engine, tol=opts.certificate_tol)
+            rule = equispaced_rule(ortho)
+            rule.certificate = verify_exactness(rule, product)
         else:
             try:
-                rule = equispaced_rule(ortho, engine, n_nodes=n_nodes, max_extra=0,
-                                       tol=opts.certificate_tol)
-                rule.certificate = verify_exactness(rule, product, None, engine,
-                                                    tol=opts.certificate_tol)
+                rule = equispaced_rule(ortho, n_nodes=n_nodes, max_extra=0)
+                rule.certificate = verify_exactness(rule, product)
             except (SolverError, ValueError):
                 # node budget too small for exactness: defect-minimising
                 # construction with the structural identities kept exact
@@ -181,8 +170,6 @@ def convergence_study(
     params: PdeParams,
     case: MmsCase,
     cfl: float = 0.1,
-    opts: SolveOptions = DEFAULT_OPTIONS,
-    engine: Engine = DEFAULT_ENGINE,
     force: bool = False,
     rng_seed: int = 0,
 ) -> list[dict]:
@@ -208,7 +195,7 @@ def convergence_study(
             }
             try:
                 op, _, verdict = build_study_operator(
-                    cfg["spec"](n_el), cfg["node_mode"], opts, engine, force=force,
+                    cfg["spec"](n_el), cfg["node_mode"], force=force,
                     rng_seed=rng_seed, n_nodes=cfg.get("n_nodes"),
                 )
                 err = run_case(pde, op, n_el, params, case, cfl).error

@@ -37,8 +37,6 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from .integrate import DEFAULT_ENGINE, Engine
-
 __all__ = [
     "FunctionSpace",
     "TchebyshevReport",
@@ -147,18 +145,16 @@ class FunctionSpace:
         return f"FunctionSpace({fam!r}, dim={self.dim}, interval={self.interval})"
 
 
-def _reference_grid(space: FunctionSpace, n_points: int):
-    """Gauss-Legendre grid and weights on the space's interval."""
+def _reference_grid(space: FunctionSpace, m: int):
+    """4m-point Gauss-Legendre grid and weights on the space's interval."""
     a, b = space.interval
-    s, w = np.polynomial.legendre.leggauss(n_points)
+    s, w = np.polynomial.legendre.leggauss(4 * m)
     return a + 0.5 * (b - a) * (s + 1.0), 0.5 * (b - a) * w
 
 
-def sampled_gram(space: FunctionSpace, n_points: int | None = None) -> np.ndarray:
+def sampled_gram(space: FunctionSpace) -> np.ndarray:
     """Gram matrix of the basis under a 4m-point Gauss-Legendre rule."""
-    if n_points is None:
-        n_points = 4 * space.dim
-    xs, w = _reference_grid(space, n_points)
+    xs, w = _reference_grid(space, space.dim)
     c = space.collocation(xs) * np.sqrt(w)[:, None]
     return c.T @ c
 
@@ -389,7 +385,7 @@ def product_derivative_space(space: FunctionSpace) -> FunctionSpace:
     derivatives; FamilyError otherwise.
     """
     pi, pj = np.triu_indices(space.dim)
-    xs, w = _reference_grid(space, 4 * pi.size)
+    xs, w = _reference_grid(space, pi.size)
     space._eval(xs[:1], 2)   # reject a parent without second derivatives now
     a_mat = _pair_derivatives(space, xs, 0, pi, pj) * np.sqrt(w)[:, None]
     mags = np.max(np.abs(a_mat), axis=0)
@@ -416,17 +412,13 @@ def product_derivative_space(space: FunctionSpace) -> FunctionSpace:
                          lambda x, k: _pair_derivatives(space, x, k, ki, kj))
 
 
-def orthonormalize(
-    space: FunctionSpace,
-    engine: Engine = DEFAULT_ENGINE,
-    rel_cutoff: float = RANK_CUTOFF,
-) -> FunctionSpace:
+def orthonormalize(space: FunctionSpace) -> FunctionSpace:
     """L2-orthonormal basis of the same span, rank-reduced.
 
     The rank decision and the initial orthonormal directions come from an
     SVD of the quadrature-weighted collocation matrix on a 4m-point
     Gauss-Legendre grid; the result is then polished against the Gram
-    matrix computed with the adaptive engine so that orthonormality holds
+    matrix computed with the adaptive integrator so that orthonormality holds
     with respect to the true L2 inner product.  When the constant
     function lies in the span, the first output function is the
     normalised constant (positive sign).
@@ -439,7 +431,7 @@ def orthonormalize(
 
     a, b = space.interval
     m = space.dim
-    xs, w = _reference_grid(space, 4 * m)
+    xs, w = _reference_grid(space, m)
     colloc = space.collocation(xs)
     parent_mags = np.max(np.abs(colloc), axis=0)
     if np.any(parent_mags == 0.0):
@@ -448,7 +440,7 @@ def orthonormalize(
     _, svals, vt = np.linalg.svd(a_mat, full_matrices=False)
     if svals[0] <= 0 or not np.isfinite(svals[0]):
         raise RankError("basis is numerically zero")
-    rank = int(np.sum(svals >= rel_cutoff * svals[0]))
+    rank = int(np.sum(svals >= RANK_CUTOFF * svals[0]))
     # rows expand the candidates over the (unnormalised) input basis
     coeff = (vt[:rank] / svals[:rank, None]) / parent_mags
 
@@ -462,16 +454,13 @@ def orthonormalize(
         amps[pair_i] * h_mags[pair_j] + amps[pair_j] * h_mags[pair_i]
     )
 
-    # polish: make the candidates orthonormal w.r.t. the adaptive-engine Gram
+    # polish: make the candidates orthonormal w.r.t. the adaptive Gram
     def stacked(xsamp):
         vals = space.collocation(xsamp) @ coeff.T   # (npts, rank)
         prods = vals[:, :, None] * vals[:, None, :]
         return prods[:, pair_i, pair_j].T
 
-    res = integrate_vector(
-        stacked, a, b, engine.abs_tol, engine.rel_tol, engine.max_subdivisions,
-        noise_floors=floors,
-    )
+    res = integrate_vector(stacked, a, b, noise_floors=floors)
     if not res.converged:
         raise IntegrationError("Gram matrix integration did not converge")
     gram = np.zeros((rank, rank))
@@ -515,11 +504,7 @@ def orthonormalize(
                          parent=space, coeff_matrix=coeff, noise_scale=noise)
 
 
-def augment_to_even(
-    space: FunctionSpace,
-    engine: Engine = DEFAULT_ENGINE,
-    max_extra_degree: int | None = None,
-) -> FunctionSpace:
+def augment_to_even(space: FunctionSpace) -> FunctionSpace:
     """Append the lowest-degree monomial outside the span if dim is odd.
 
     Even-dimensional spaces are returned unchanged.  The scan checks the
@@ -528,8 +513,8 @@ def augment_to_even(
     """
     if space.dim % 2 == 0:
         return space
-    cap = space.dim + 4 if max_extra_degree is None else max_extra_degree
-    xs, w = _reference_grid(space, 4 * (space.dim + 1))
+    cap = space.dim + 4
+    xs, w = _reference_grid(space, space.dim + 1)
     sw = np.sqrt(w)[:, None]
     a_mat = space.collocation(xs) * sw
     q, _ = np.linalg.qr(a_mat)

@@ -1,13 +1,21 @@
 """Independent reference computations for the tests.
 
-Everything here is deliberately written without the package's solver or
-integration paths: Legendre recurrences plus Newton root finding for the
-classical rules, and plain composite panel quadrature for integrals.
+Everything here except the cardinal-basis section is deliberately
+written without the package's solver or integration paths: Legendre
+recurrences plus Newton root finding for the classical rules, and plain
+composite panel quadrature for integrals.  The cardinal-basis section
+solves for the Hermite-Lagrange basis the Newton iteration only uses
+through its integrals, from the solver's own Hermite-Vandermonde rows.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from fsbp.gauss import SolverError, _hermite_rows
+from fsbp.integrate import moments
+from fsbp.spaces import FunctionSpace
 
 
 def legendre_with_deriv(n: int, x):
@@ -98,3 +106,96 @@ def skew_action_loop(f):
                 sgn = 1.0 if i > j else -1.0
                 a_mat[i * m:(i + 1) * m, pair_index[(max(i, j), min(i, j))]] += sgn * f[j]
     return a_mat
+
+
+# ---------------------------------------------------------------------------
+# cardinal basis
+
+MAX_CONDITION = 1e13
+
+
+def hermite_vandermonde(space: FunctionSpace, nodes, closed: bool):
+    """The square collocation matrix driving the cardinal-basis solve.
+
+    Open: for n nodes and dim 2n, rows are the basis values at every
+    node followed by the basis derivatives at every node.  Closed: for
+    n+1 nodes, rows are the values at all nodes followed by derivatives
+    at the interior nodes only.  Returns (matrix, condition estimate).
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    m = space.dim
+    if m % 2 != 0:
+        raise ValueError(f"space dimension must be even, got {m}")
+    n = m // 2
+    expected = n + 1 if closed else n
+    if nodes.size != expected:
+        raise ValueError(f"expected {expected} nodes for dim {m} ({'closed' if closed else 'open'}), got {nodes.size}")
+    if nodes.size > 1 and np.any(np.diff(nodes) <= 0):
+        raise ValueError("nodes must be strictly increasing and distinct")
+
+    v = _hermite_rows(space, nodes, closed)
+    return v, float(np.linalg.cond(v))
+
+
+@dataclass(frozen=True)
+class HermiteLagrangeBasis:
+    """Cardinal basis {sigma_i, eta_i} of a space at a node set.
+
+    Open case (n nodes, dim 2n): sigma_i vanish at every node with unit
+    derivative at node i only; eta_i are one at node i with vanishing
+    derivative everywhere.  Closed case (n+1 nodes): derivative
+    conditions are dropped at the two endpoints, leaving n-1 sigma and
+    n+1 eta functions.  Rows of the coefficient matrices expand each
+    function over the space's basis.
+    """
+
+    sigma_coeffs: np.ndarray
+    eta_coeffs: np.ndarray
+    node_set: np.ndarray
+    closed: bool
+    space: FunctionSpace
+
+    def sigma_values(self, xs) -> np.ndarray:
+        return self.space.collocation(xs) @ self.sigma_coeffs.T
+
+    def eta_values(self, xs) -> np.ndarray:
+        return self.space.collocation(xs) @ self.eta_coeffs.T
+
+    def sigma_derivs(self, xs) -> np.ndarray:
+        return self.space.collocation_deriv(xs) @ self.sigma_coeffs.T
+
+    def eta_derivs(self, xs) -> np.ndarray:
+        return self.space.collocation_deriv(xs) @ self.eta_coeffs.T
+
+
+def hermite_lagrange(space: FunctionSpace, nodes, closed: bool) -> HermiteLagrangeBasis:
+    """Solve for the cardinal basis at a node set.
+
+    Raises :class:`SolverError` when the Hermite-Vandermonde matrix is
+    singular or its condition estimate exceeds ``MAX_CONDITION``.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    v, cond = hermite_vandermonde(space, nodes, closed)
+    if not np.isfinite(cond) or cond > MAX_CONDITION:
+        raise SolverError(f"Hermite-Vandermonde condition {cond:.3e} above cap")
+    n = space.dim // 2
+    try:
+        x = np.linalg.solve(v, np.eye(space.dim))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("singular Hermite-Vandermonde matrix") from exc
+    n_eta = n + 1 if closed else n
+    eta_coeffs = x[:, :n_eta].T
+    sigma_coeffs = x[:, n_eta:].T
+    return HermiteLagrangeBasis(sigma_coeffs, eta_coeffs, nodes, closed, space)
+
+
+def residuals_and_weights(basis: HermiteLagrangeBasis, moments_vec: np.ndarray | None = None):
+    """Integrals of the sigma and eta functions (against the unit weight
+    unless a moment vector is given).
+
+    The sigma integrals are the node residuals (all zero exactly at a
+    generalised Gauss rule); the eta integrals are the weights.
+    """
+    if moments_vec is None:
+        moments_vec = moments(basis.space)
+    return basis.sigma_coeffs @ moments_vec, basis.eta_coeffs @ moments_vec

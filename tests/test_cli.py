@@ -110,6 +110,13 @@ TRIG_OPERATOR = {"space": {"family": "trig", "max_harmonic": 2, "interval": [0, 
     ("verify", {"operator": "no_p.json", "space": refcases.EXP3_SPEC}),
     ("rule", {"space": refcases.EXP3_SPEC, "tolerances": [1]}),
     ("converge", ["advection"]),
+    # the solver's tolerances are fixed; a config that sets them is refused
+    ("rule", {"space": refcases.EXP3_SPEC, "tolerances": {}}),
+    ("operator", {"space": refcases.EXP3_SPEC, "engine": {}}),
+    ("solve", {"pde": "advection", "operator": TRIG_OPERATOR, "tolerances": {}}),
+    ("converge", {"study": "advection", "engine": {}}),
+    ("fixtures", {"tolerances": {}}),
+    ("fixtures", {"engine": {}}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     # an operator file without its weights, for the verify case
@@ -287,6 +294,19 @@ def test_converge_command_emits_table(tmp_path):
         assert errs[0] > errs[-1], label
     header = (out / "convergence.csv").read_text().splitlines()[0]
     assert header.startswith("operator,elements")
+
+
+def test_converge_fills_missing_params_from_the_frozen_study(tmp_path):
+    rows = []
+    for label, params in (("partial", {"params": {"a": 1.0, "final_time": 1.0}}),
+                          ("frozen", {})):
+        cfg = write_config(tmp_path / f"{label}.json",
+                           {"study": "advection_diffusion", "totals": [24], **params})
+        out = tmp_path / label
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+        rows.append(json.loads((out / "convergence.json").read_text())["rows"])
+    assert rows[0] == rows[1]
+    assert all("error_norm" in r for r in rows[0])
 
 
 def test_fixtures_command(tmp_path):

@@ -9,16 +9,19 @@ from fsbp.gauss import (
     classical_lobatto_rule,
     continuation_solve,
     equispaced_rule,
-    hermite_lagrange,
-    hermite_vandermonde,
     newton_solve,
-    residuals_and_weights,
     verify_exactness,
 )
 from fsbp.spaces import make_family, orthonormalize, product_derivative_space
 from fsbp import refcases
 
-from oracles import gauss_nodes_weights, lobatto_nodes_weights
+from oracles import (
+    gauss_nodes_weights,
+    hermite_lagrange,
+    hermite_vandermonde,
+    lobatto_nodes_weights,
+    residuals_and_weights,
+)
 
 
 def monomials(degree, interval=(-1, 1)):
@@ -232,45 +235,12 @@ def test_trace_records_solver_path(exp3_closed_rule):
     assert sizes == [1, 2, 3, 3]      # open ladder then the closed solve
 
 
-def test_newton_with_nonunit_weight():
-    # one-point rule for {1, x} against the weight x on [0, 1]:
-    # w = 1/2 and the node sits at the weighted centroid 2/3
-    space = monomials(1, (0, 1))
-    rule = newton_solve(space, measure=lambda x: np.asarray(x, float),
-                        x0=np.array([0.4]))
-    assert rule.nodes[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert rule.weights[0] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_continuation_with_nonunit_weight():
-    # cubic target span with weight x on [0, 1]; verify exactness directly
-    target = product_derivative_space(monomials(2, (0, 1)))
-    weight = lambda x: np.asarray(x, float)
-    rule = continuation_solve(target, weight=weight, closed=True)
-    cert = verify_exactness(rule, target, weight=weight)
-    assert cert.valid
-    assert np.min(rule.weights) > 0
-
-
-def test_blended_measure_moments():
-    from fsbp.gauss import BlendedMeasure, measure_moments
-
-    space = monomials(1, (0, 1))
-    anchors = np.array([0.25, 0.75])
-    blend = BlendedMeasure(t=0.3, anchors=anchors)
-    m = measure_moments(space, blend)
-    cont = np.array([1.0, 0.5])
-    delta = np.array([2.0, 1.0])        # sum of values at the anchors
-    assert np.allclose(m, 0.3 * cont + 0.7 * delta, atol=1e-13)
-
-
 def test_residuals_and_weights_blended():
-    from fsbp.gauss import BlendedMeasure
-
     space = monomials(1, (0, 1))
     basis = hermite_lagrange(space, np.array([0.5]), closed=False)
-    blend = BlendedMeasure(t=0.0, anchors=np.array([0.5]))
-    sig, eta = residuals_and_weights(basis, blend)
+    # the blend at t = 0: a unit point mass at the anchor 0.5
+    point_mass = space.collocation(np.array([0.5])).sum(axis=0)
+    sig, eta = residuals_and_weights(basis, point_mass)
     # pure point mass at the node: sigma vanishes there, eta is one
     assert abs(sig[0]) < 1e-14
     assert eta[0] == pytest.approx(1.0, abs=1e-14)

@@ -66,7 +66,11 @@ def test_advection_sats_stability_window():
 def test_advdiff_sats_relations():
     a, eps = 1.0, 0.1
     sats = AdvectionDiffusionSats.stable(a, eps)
-    sats.check(a, eps)
+    assert sats.sigma1_r == -a + sats.sigma1_l
+    assert sats.sigma2_r == eps + sats.sigma2_l
+    assert sats.sigma2_l == -eps - sats.sigma3_l
+    assert sats.sigma3_r == eps + sats.sigma3_l
+    assert sats.sigma4_r == sats.sigma4_l
     assert sats.sigma1_l == 0.0
     assert sats.sigma4_l == -eps / 2.0
     assert sats.sigma2_l == -eps / 2.0           # symmetric default
@@ -271,6 +275,26 @@ def test_zero_data_advdiff_energy_decays(exp_bl_operator):
                                  energy_fn=problem.energy, aux_fn=problem.aux_dissipation)
     assert np.max(np.diff(trace.energy)) <= 1e-10 * trace.energy[0]
     assert trace.aux is not None and np.all(trace.aux >= 0.0)
+
+
+def test_aux_dissipation_is_recorded_at_the_recorded_states(exp_bl_operator):
+    # aux[n] is 2 eps ||phi(y_n)||_P^2, with phi recomputed here on the
+    # initial and the final state
+    params = PdeParams(a=1.0, eps=0.1, final_time=0.2)
+    case = MmsCase(
+        exact=lambda x, t: np.zeros_like(np.asarray(x, float)),
+        initial=lambda x: np.sin(np.pi * np.asarray(x, float)) ** 2,
+        boundary_left=lambda t: 0.0,
+        boundary_right=lambda t: 0.0,
+    )
+    result = run_case("advection_diffusion", exp_bl_operator, 4, params, case)
+    grid, sats = result.grid, result.problem.sats
+    for y, recorded in ((result.problem.initial(), result.trace.aux[0]),
+                        (result.y, result.trace.aux[-1])):
+        _, phi = advdiff_rhs(y, grid, params, sats, 0.0, 0.0)
+        expected = 2.0 * params.eps * float(np.sum(grid.P * phi * phi))
+        assert expected > 0.0
+        assert recorded == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 # ------------------------------------------------------------ error measure

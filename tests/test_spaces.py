@@ -159,16 +159,16 @@ def test_product_space_fundamental_theorem(exp3_space):
     # integral of (f_i f_j)' equals the boundary difference of f_i f_j
     space = exp3_space
     a, b = space.interval
-    from fsbp.integrate import integrate
+    from fsbp.integrate import integrate_vector
 
     for i in range(space.dim):
         for j in range(i, space.dim):
             v, d = space.collocation, space.collocation_deriv
             g = lambda x: d(x)[:, i] * v(x)[:, j] + v(x)[:, i] * d(x)[:, j]
-            res = integrate(g, a, b)
+            res = integrate_vector(g, a, b)
             expected = (v(np.array([b]))[:, i] * v(np.array([b]))[:, j]
                         - v(np.array([a]))[:, i] * v(np.array([a]))[:, j])[0]
-            assert res.value == pytest.approx(float(expected), abs=1e-10)
+            assert res.values[0] == pytest.approx(float(expected), abs=1e-10)
 
 
 # ----------------------------------------------------------- orthonormalize
