@@ -275,21 +275,25 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _mms_case(name: str, params: PdeParams) -> MmsCase | None:
+def _mms_case(name: str, pde: str, params: PdeParams) -> MmsCase:
+    solves = {"oscillatory_wave": "advection", "boundary_layer": "advection_diffusion",
+              "zero_data": pde}
+    if name not in solves:
+        raise FamilyError(f"unknown mms case {name!r}")
+    if solves[name] != pde:
+        raise FamilyError(f"mms case {name!r} does not solve the {pde} equation")
     if name == "oscillatory_wave":
         return MmsCase.advecting_wave(params.a)
     if name == "boundary_layer":
         if params.eps <= 0:
             raise FamilyError("boundary_layer case needs eps > 0")
         return MmsCase.boundary_layer(params.a, params.eps)
-    if name == "zero_data":
-        return MmsCase(
-            exact=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-            initial=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)) ** 2,
-            boundary_left=lambda t: 0.0,
-            boundary_right=lambda t: 0.0,
-        )
-    raise FamilyError(f"unknown mms case {name!r}")
+    return MmsCase(
+        exact=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+        initial=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)) ** 2,
+        boundary_left=lambda t: 0.0,
+        boundary_right=lambda t: 0.0,
+    )
 
 
 def _pde_params(p: dict) -> PdeParams:
@@ -312,7 +316,7 @@ def cmd_solve(args) -> int:
     if "space" not in op_cfg:
         raise FamilyError("solve 'operator' entry needs a 'space' family descriptor")
     params = _pde_params(_table(config, "params"))
-    case = _mms_case(config.get("mms", "zero_data"), params)
+    case = _mms_case(config.get("mms", "zero_data"), pde, params)
     n_elements = _number(int, config.get("elements", 4), "elements")
     cfl = _number(float, config.get("cfl", 0.1), "cfl")
     runner = Runner("solve", args, {**config, "seed": args.seed,
@@ -353,7 +357,7 @@ def _study_rows(study_name: str, config: dict, seed, force) -> list[dict]:
     frozen = (refcases.ADVECTION_STUDY if study_name == "advection"
               else refcases.ADVECTION_DIFFUSION_STUDY)
     params = _pde_params({**frozen["params"], **_table(config, "params")})
-    case = _mms_case(config.get("mms", frozen["mms"]), params)
+    case = _mms_case(config.get("mms", frozen["mms"]), frozen["pde"], params)
     cfl = _number(float, config.get("cfl", frozen["cfl"]), "cfl")
     totals = config.get("totals")
     if totals is not None and not (

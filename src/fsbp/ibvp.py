@@ -6,10 +6,21 @@ variable.  Penalty coefficients follow the discrete energy analysis, so
 zero-data runs have non-increasing discrete energy; accuracy is measured
 against manufactured solutions.
 
+Both semi-discretisations are affine.  ``assemble`` writes each scheme
+once in ``scipy.sparse`` algebra (the block-diagonal element derivative
+D, the interface jump matrix J, P^-1-scaled face lifts and the boundary
+traces) as an :class:`AffineProblem`
+
+    du/dt = A u + C g(t) + f(t),
+
+with g the boundary data and f the forcing.  Advection-diffusion also
+keeps the gradient map phi = Phi u; its system, eps I plus one 2x2
+block per interface, is inverted in closed form.
+
 ``run_case`` is the one solve: it tiles the unit domain with copies of a
-reference operator, sets up the problem, picks the step from the CFL
+reference operator, assembles the problem, picks the step from the CFL
 number and marches to the final time with the classical four-stage
-scheme, whose per-stage right sides are evaluated element-vectorised.
+scheme.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
 
 from .operators import FsbpOperator, scale_to_element
 
@@ -31,10 +42,8 @@ __all__ = [
     "EnergyTrace",
     "MmsCase",
     "BlowUpError",
-    "advection_rhs",
-    "advdiff_rhs",
-    "AdvectionProblem",
-    "AdvectionDiffusionProblem",
+    "AffineProblem",
+    "assemble",
     "time_integrate",
     "cfl_timestep",
     "solution_error",
@@ -135,7 +144,7 @@ class MultiElementGrid:
     """A tiling of a domain by elements, each carrying a closed operator.
 
     All elements must have the same node count; per-element matrices are
-    stacked so rightsides evaluate as batched matrix products.
+    stacked (E, p, p) and (E, p) for the assembly.
     """
 
     def __init__(self, elements: Sequence[tuple[tuple, FsbpOperator]]):
@@ -208,8 +217,9 @@ class EnergyTrace:
 class MmsCase:
     """A manufactured solution with consistent data.
 
-    ``forcing`` must equal the PDE residual of ``exact``; ``exact_dx``
-    is needed for flux boundary data of the advection-diffusion scheme.
+    ``forcing`` must equal the PDE residual of ``exact``, and the
+    boundary data its inflow (and, for advection-diffusion, outflow)
+    fluxes.
     """
 
     exact: Callable[[np.ndarray, float], np.ndarray]
@@ -217,7 +227,6 @@ class MmsCase:
     boundary_left: Callable[[float], float]
     boundary_right: Callable[[float], float] | None = None
     forcing: Callable[[np.ndarray, float], np.ndarray] | None = None
-    exact_dx: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     @classmethod
     def advecting_wave(cls, a: float) -> "MmsCase":
@@ -238,28 +247,28 @@ class MmsCase:
 
         Satisfies the advection-diffusion equation up to the forcing
         exact/10; the left datum is the inflow flux a*u - eps*u_x and
-        the right datum the diffusive flux eps*u_x.
+        the right datum the diffusive flux eps*u_x.  With r = a/eps the
+        profile is evaluated as (exp(r (x - 1)) - exp(-r)) / (1 - exp(-r)),
+        which does not overflow however steep the layer.
         """
-        denom = math.expm1(a / eps)
+        r = a / eps
+        scale = -math.expm1(-r)
+        floor = math.exp(-r)
 
         def exact(x, t):
             x = np.asarray(x, dtype=float)
-            return np.expm1(a * x / eps) / denom * math.exp(0.1 * t)
-
-        def exact_dx(x, t):
-            x = np.asarray(x, dtype=float)
-            return (a / eps) * np.exp(a * x / eps) / denom * math.exp(0.1 * t)
+            return (np.exp(r * (x - 1.0)) - floor) / scale * math.exp(0.1 * t)
 
         def forcing(x, t):
             return 0.1 * exact(x, t)
 
         def g_left(t):
-            u0 = float(exact(np.array([0.0]), t)[0])
-            ux0 = float(exact_dx(np.array([0.0]), t)[0])
-            return a * u0 - eps * ux0
+            # a*u - eps*u_x at x = 0, where u vanishes
+            return -a * floor / scale * math.exp(0.1 * t)
 
         def g_right(t):
-            return eps * float(exact_dx(np.array([1.0]), t)[0])
+            # eps*u_x at x = 1
+            return a / scale * math.exp(0.1 * t)
 
         return cls(
             exact=exact,
@@ -267,169 +276,109 @@ class MmsCase:
             boundary_left=g_left,
             boundary_right=g_right,
             forcing=forcing,
-            exact_dx=exact_dx,
         )
 
 
 # ---------------------------------------------------------------------------
-# right sides
+# assembly
 
-def advection_rhs(
-    u: np.ndarray,
-    grid: MultiElementGrid,
-    params: PdeParams,
-    sats: AdvectionSats,
-    g_left: float,
-    forcing: np.ndarray | None = None,
-) -> np.ndarray:
-    """du/dt for the advection scheme on a stacked state (E, p).
+@dataclass(frozen=True, eq=False)
+class AffineProblem:
+    """A semi-discretisation du/dt = A u + C g(t) + f(t) on a grid.
 
-    Every interior interface gets the left-element/right-element penalty
-    pair; the inflow condition is imposed weakly at the global left
-    boundary only.
+    States are stacked (E, p) like the grid's nodes; ``A`` (CSR) acts on
+    them flattened element by element.  ``boundary`` holds the data
+    functions g(t) in the order of the (dense) columns of ``C``, and the
+    case's forcing (if any) is f.  ``gradient_map`` (advection-diffusion
+    only) maps a state to its gradient variable phi.
     """
-    if u.shape != grid.nodes.shape:
-        raise ValueError(f"state shape {u.shape} does not match grid {grid.nodes.shape}")
-    a = params.a
-    du = -a * np.einsum("eij,ej->ei", grid.D, u)
-    jumps = u[:-1, -1] - u[1:, 0]                      # trailing minus leading values
-    du[:-1, -1] += sats.sigma_l * grid.Pinv[:-1, -1] * jumps
-    du[1:, 0] += sats.sigma_r * grid.Pinv[1:, 0] * (-jumps)
-    du[0, 0] += sats.tau_l * grid.Pinv[0, 0] * (u[0, 0] - g_left)
-    if forcing is not None:
-        du += forcing
-    return du
+
+    grid: MultiElementGrid
+    params: PdeParams
+    case: MmsCase
+    sats: AdvectionSats | AdvectionDiffusionSats
+    A: sp.csr_array
+    C: np.ndarray
+    boundary: tuple
+    gradient_map: sp.csr_array | None = None
+
+    def initial(self) -> np.ndarray:
+        return self.case.initial(self.grid.nodes)
+
+    def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
+        du = self.A @ u.reshape(-1) + self.C @ np.array([g(t) for g in self.boundary])
+        if self.case.forcing is not None:
+            du += self.case.forcing(self.grid.nodes, t).reshape(-1)
+        return du.reshape(u.shape)
+
+    def energy(self, u: np.ndarray) -> float:
+        return self.grid.norm_squared(u)
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        return (self.gradient_map @ u.reshape(-1)).reshape(u.shape)
+
+    def dissipation(self, u: np.ndarray) -> float:
+        """2 eps ||phi||^2 of the gradient variable of state ``u``."""
+        return 2.0 * self.params.eps * self.grid.norm_squared(self.gradient(u))
 
 
-def _assemble_gradient_system(
-    grid: MultiElementGrid, params: PdeParams, sats: AdvectionDiffusionSats
-):
-    """LU factorisation of the linear system defining the gradient variable."""
+def _rows(index, n: int) -> sp.csr_array:
+    """The rows of the n x n identity listed in ``index``."""
+    index = np.asarray(index)
+    return sp.csr_array((np.ones(index.size), (np.arange(index.size), index)),
+                        shape=(index.size, n))
+
+
+def assemble(
+    problem_kind: str, grid: MultiElementGrid, params: PdeParams, case: MmsCase
+) -> AffineProblem:
+    """Write the ``problem_kind`` scheme on ``grid`` as an affine problem.
+
+    Interface k joins the trailing face of element k to the leading face
+    of element k + 1, and J takes the jump (trailing minus leading value)
+    across every interface.  A penalty pair (s_l, s_r) on a jump adds
+    s_l P^-1 times it at the trailing face and -s_r P^-1 times it at the
+    leading face; the inflow condition is imposed weakly at the global
+    left boundary, the diffusive flux at the right one.
+    """
     e_count, p = grid.n_elements, grid.nodes_per_element
     n = e_count * p
-    eps = params.eps
-    a_mat = eps * np.eye(n)
-    for e in range(e_count - 1):
-        gi_last = e * p + (p - 1)
-        gi_first = (e + 1) * p
-        pi_l = grid.Pinv[e, -1]
-        pi_r = grid.Pinv[e + 1, 0]
-        a_mat[gi_last, gi_last] -= sats.sigma4_l * pi_l
-        a_mat[gi_last, gi_first] += sats.sigma4_l * pi_l
-        a_mat[gi_first, gi_first] -= sats.sigma4_r * pi_r
-        a_mat[gi_first, gi_last] += sats.sigma4_r * pi_r
-    try:
-        return scipy.linalg.lu_factor(a_mat)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - eps > 0 keeps this regular
-        raise RuntimeError("singular gradient-variable system") from exc
-
-
-def advdiff_rhs(
-    u: np.ndarray,
-    grid: MultiElementGrid,
-    params: PdeParams,
-    sats: AdvectionDiffusionSats,
-    g_left: float,
-    g_right: float,
-    forcing: np.ndarray | None = None,
-    gradient_lu=None,
-):
-    """du/dt for the first-order-form advection-diffusion scheme.
-
-    The gradient variable phi is solved algebraically from its coupled
-    linear system (including its interface penalties) and returned
-    alongside the time derivative.
-    """
-    if u.shape != grid.nodes.shape:
-        raise ValueError(f"state shape {u.shape} does not match grid {grid.nodes.shape}")
-    if gradient_lu is None:
-        gradient_lu = _assemble_gradient_system(grid, params, sats)
     a, eps = params.a, params.eps
-    e_count, p = grid.n_elements, grid.nodes_per_element
+    D = sp.bsr_array((grid.D, np.arange(e_count), np.arange(e_count + 1)),
+                     shape=(n, n)).tocsr()
+    pinv = sp.diags_array(grid.Pinv.reshape(-1))
+    trailing = np.arange(e_count - 1) * p + p - 1
+    t_face, l_face = _rows(trailing, n), _rows(trailing + 1, n)
+    left, right = _rows([0], n), _rows([n - 1], n)
+    J = t_face - l_face
 
-    du_x = np.einsum("eij,ej->ei", grid.D, u)
-    rhs = eps * du_x
-    jumps = u[:-1, -1] - u[1:, 0]
-    rhs[:-1, -1] += sats.sigma3_l * grid.Pinv[:-1, -1] * jumps
-    rhs[1:, 0] += sats.sigma3_r * grid.Pinv[1:, 0] * (-jumps)
-    phi = scipy.linalg.lu_solve(gradient_lu, rhs.reshape(-1)).reshape(e_count, p)
+    def lift(s_l, s_r):    # (n, E - 1): penalty pair on each jump, onto both faces
+        return pinv @ (s_l * t_face - s_r * l_face).T
 
-    du = -a * du_x + eps * np.einsum("eij,ej->ei", grid.D, phi)
-    phi_jumps = phi[:-1, -1] - phi[1:, 0]
-    du[:-1, -1] += grid.Pinv[:-1, -1] * (sats.sigma1_l * jumps + sats.sigma2_l * phi_jumps)
-    du[1:, 0] += grid.Pinv[1:, 0] * (sats.sigma1_r * (-jumps) + sats.sigma2_r * (-phi_jumps))
-    du[0, 0] += sats.tau_l * grid.Pinv[0, 0] * (a * u[0, 0] - eps * phi[0, 0] - g_left)
-    du[-1, -1] += sats.tau_r * grid.Pinv[-1, -1] * (eps * phi[-1, -1] - g_right)
-    if forcing is not None:
-        du += forcing
-    return du, phi
-
-
-# ---------------------------------------------------------------------------
-# problems
-
-class AdvectionProblem:
-    """Advection with weak inflow data on a multi-element grid."""
-
-    def __init__(self, grid, params, case: MmsCase | None):
-        self.grid = grid
-        self.params = params
-        self.case = case
-        self.sats = AdvectionSats.stable(params.a)
-
-    def initial(self) -> np.ndarray:
-        if self.case is None:
-            return np.zeros_like(self.grid.nodes)
-        return self.case.initial(self.grid.nodes)
-
-    def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
-        g = self.case.boundary_left(t) if self.case is not None else 0.0
-        forcing = None
-        if self.case is not None and self.case.forcing is not None:
-            forcing = self.case.forcing(self.grid.nodes, t)
-        return advection_rhs(u, self.grid, self.params, self.sats, g, forcing)
-
-    def energy(self, u: np.ndarray) -> float:
-        return self.grid.norm_squared(u)
-
-
-class AdvectionDiffusionProblem:
-    """Advection-diffusion in first-order form with Robin/Neumann data."""
-
-    def __init__(self, grid, params, case: MmsCase | None):
-        if params.eps <= 0:
-            raise ValueError("advection-diffusion needs eps > 0")
-        self.grid = grid
-        self.params = params
-        self.case = case
-        self.sats = AdvectionDiffusionSats.stable(params.a, params.eps)
-        self._lu = _assemble_gradient_system(grid, params, self.sats)
-        self.last_phi = None
-
-    def initial(self) -> np.ndarray:
-        if self.case is None:
-            return np.zeros_like(self.grid.nodes)
-        return self.case.initial(self.grid.nodes)
-
-    def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
-        if self.case is None:
-            g_l = g_r = 0.0
-            forcing = None
-        else:
-            g_l = self.case.boundary_left(t)
-            g_r = self.case.boundary_right(t) if self.case.boundary_right else 0.0
-            forcing = self.case.forcing(self.grid.nodes, t) if self.case.forcing else None
-        du, phi = advdiff_rhs(u, self.grid, self.params, self.sats, g_l, g_r,
-                              forcing, gradient_lu=self._lu)
-        self.last_phi = phi
-        return du
-
-    def energy(self, u: np.ndarray) -> float:
-        return self.grid.norm_squared(u)
-
-    def aux_dissipation(self) -> float:
-        """2 eps ||phi||^2 of the gradient variable of the last rhs call."""
-        return 2.0 * self.params.eps * self.grid.norm_squared(self.last_phi)
+    if problem_kind == "advection":
+        s = AdvectionSats.stable(a)
+        A = -a * D + lift(s.sigma_l, s.sigma_r) @ J + s.tau_l * pinv @ left.T @ left
+        C = -s.tau_l * pinv @ left.T
+        return AffineProblem(grid, params, case, s, sp.csr_array(A), C.toarray(),
+                             (case.boundary_left,))
+    if problem_kind != "advection_diffusion":
+        raise ValueError(f"unknown problem kind {problem_kind!r}")
+    if eps <= 0:
+        raise ValueError("advection-diffusion needs eps > 0")
+    s = AdvectionDiffusionSats.stable(a, eps)
+    # the gradient system eps I - L4 J couples only the two faces of each
+    # interface, so J L4 is diagonal and the Woodbury identity inverts it
+    l4 = lift(s.sigma4_l, s.sigma4_r)
+    m_inv = (sp.eye_array(n) + l4 @ sp.diags_array(1.0 / (eps - (J @ l4).diagonal())) @ J) / eps
+    phi = sp.csr_array(m_inv @ (eps * D + lift(s.sigma3_l, s.sigma3_r) @ J))
+    A = (-a * D + lift(s.sigma1_l, s.sigma1_r) @ J
+         + (eps * D + lift(s.sigma2_l, s.sigma2_r) @ J) @ phi
+         + s.tau_l * pinv @ left.T @ (a * left - eps * left @ phi)
+         + s.tau_r * eps * pinv @ right.T @ right @ phi)
+    C = -pinv @ sp.hstack([s.tau_l * left.T, s.tau_r * right.T])
+    g_right = case.boundary_right or (lambda t: 0.0)
+    return AffineProblem(grid, params, case, s, sp.csr_array(A), C.toarray(),
+                         (case.boundary_left, g_right), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +396,15 @@ def time_integrate(
     t_span: tuple,
     dt: float,
     energy_fn: Callable[[np.ndarray], float] | None = None,
-    aux_fn: Callable[[], float] | None = None,
+    aux_fn: Callable[[np.ndarray], float] | None = None,
 ):
     """Classical four-stage explicit time marching with energy recording.
 
     The step count is fixed up front (dt rounded down so the final time
-    is hit exactly), making runs deterministic.  ``aux_fn`` reads what
-    the last ``rhs`` call left behind; it is recorded after the first
-    stage of each step, whose input is the recorded state, and after
-    one more ``rhs`` call on the final state.  Raises
-    :class:`BlowUpError` when the recorded energy exceeds
-    ``BLOWUP_FACTOR`` times its initial value.
+    is hit exactly), making runs deterministic.  ``aux_fn``, like
+    ``energy_fn``, is a function of the state and is recorded at every
+    recorded state.  Raises :class:`BlowUpError` when the recorded
+    energy exceeds ``BLOWUP_FACTOR`` times its initial value.
 
     Returns (final state, :class:`EnergyTrace`).
     """
@@ -478,12 +425,12 @@ def time_integrate(
     t = t0
     times[0] = t
     energy[0] = energy_fn(y)
+    if aux_fn is not None:
+        aux[0] = aux_fn(y)
     e0 = max(energy[0], 1e-300)
 
     for step in range(1, n_steps + 1):
         k1 = rhs(t, y)
-        if aux_fn is not None:
-            aux[step - 1] = aux_fn()
         k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
         k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
         k4 = rhs(t + dt, y + dt * k3)
@@ -495,9 +442,8 @@ def time_integrate(
             raise BlowUpError(
                 f"energy {energy[step]:.3e} exceeded {BLOWUP_FACTOR} x initial at t={t:.4f}"
             )
-    if aux_fn is not None:
-        rhs(t, y)
-        aux[n_steps] = aux_fn()
+        if aux_fn is not None:
+            aux[step] = aux_fn(y)
 
     return y, EnergyTrace(times=times, energy=energy, aux=aux)
 
@@ -522,7 +468,7 @@ class CaseResult:
     state, the energy trace and the P-weighted final error."""
 
     grid: MultiElementGrid
-    problem: AdvectionProblem | AdvectionDiffusionProblem
+    problem: AffineProblem
     dt: float
     y: np.ndarray
     trace: EnergyTrace
@@ -545,18 +491,12 @@ def run_case(
     dissipation in the trace's ``aux``.
     """
     grid = MultiElementGrid.uniform(op, n_elements)
-    if problem_kind == "advection":
-        problem = AdvectionProblem(grid, params, case)
-        aux_fn = None
-    elif problem_kind == "advection_diffusion":
-        problem = AdvectionDiffusionProblem(grid, params, case)
-        aux_fn = problem.aux_dissipation
-    else:
-        raise ValueError(f"unknown problem kind {problem_kind!r}")
+    problem = assemble(problem_kind, grid, params, case)
     dt = cfl_timestep(grid, params, cfl)
     y, trace = time_integrate(
         problem.rhs, problem.initial(), (0.0, params.final_time), dt,
-        energy_fn=problem.energy, aux_fn=aux_fn,
+        energy_fn=problem.energy,
+        aux_fn=problem.dissipation if problem.gradient_map is not None else None,
     )
     error_sq, error = solution_error(y, grid, case.exact, params.final_time)
     return CaseResult(grid=grid, problem=problem, dt=dt, y=y, trace=trace,

@@ -124,13 +124,26 @@ def _panel(f, a: float, b: float):
     return kron, np.abs(kron - gauss)
 
 
+@dataclass(frozen=True)
+class Engine:
+    """The integrator's tolerance bundle; the package always uses
+    ``DEFAULT_ENGINE``."""
+
+    abs_tol: float = 1e-12
+    rel_tol: float = 1e-12
+    max_subdivisions: int = 10_000
+
+
+DEFAULT_ENGINE = Engine()
+
+
 def integrate_vector(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-12,
-    max_subdivisions: int = 10_000,
+    abs_tol: float = DEFAULT_ENGINE.abs_tol,
+    rel_tol: float = DEFAULT_ENGINE.rel_tol,
+    max_subdivisions: int = DEFAULT_ENGINE.max_subdivisions,
     noise_floors: np.ndarray | None = None,
 ) -> IntegrationResult:
     """Integrate a vector-valued function on [a, b].
@@ -183,19 +196,6 @@ def integrate_vector(
         counter += 1
         heapq.heappush(heap, (-float(re.max()), counter, pm, pb, rv, re))
         subdivisions += 1
-
-
-@dataclass(frozen=True)
-class Engine:
-    """The integrator's tolerance bundle; the package always uses
-    ``DEFAULT_ENGINE``."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_subdivisions: int = 10_000
-
-
-DEFAULT_ENGINE = Engine()
 
 
 def evaluation_noise_floors(space) -> np.ndarray:

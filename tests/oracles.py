@@ -3,15 +3,19 @@
 Everything here except the cardinal-basis section is deliberately
 written without the package's solver or integration paths: Legendre
 recurrences plus Newton root finding for the classical rules, and plain
-composite panel quadrature for integrals.  The cardinal-basis section
-solves for the Hermite-Lagrange basis the Newton iteration only uses
-through its integrals, from the solver's own Hermite-Vandermonde rows.
+composite panel quadrature for integrals.  The right-side section
+writes both IBVP schemes face by face on a stacked state, with a dense
+LU solve for the gradient variable, as the reference for the assembled
+sparse operators.  The cardinal-basis section solves for the
+Hermite-Lagrange basis the Newton iteration only uses through its
+integrals, from the solver's own Hermite-Vandermonde rows.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from fsbp.gauss import SolverError, _hermite_rows
 from fsbp.integrate import moments
@@ -106,6 +110,73 @@ def skew_action_loop(f):
                 sgn = 1.0 if i > j else -1.0
                 a_mat[i * m:(i + 1) * m, pair_index[(max(i, j), min(i, j))]] += sgn * f[j]
     return a_mat
+
+
+# ---------------------------------------------------------------------------
+# IBVP right sides
+
+def advection_rhs(u, grid, params, sats, g_left: float, forcing=None):
+    """du/dt for the advection scheme on a stacked state (E, p).
+
+    Every interior interface gets the left-element/right-element penalty
+    pair; the inflow condition is imposed weakly at the global left
+    boundary only.
+    """
+    a = params.a
+    du = -a * np.einsum("eij,ej->ei", grid.D, u)
+    jumps = u[:-1, -1] - u[1:, 0]                      # trailing minus leading values
+    du[:-1, -1] += sats.sigma_l * grid.Pinv[:-1, -1] * jumps
+    du[1:, 0] += sats.sigma_r * grid.Pinv[1:, 0] * (-jumps)
+    du[0, 0] += sats.tau_l * grid.Pinv[0, 0] * (u[0, 0] - g_left)
+    if forcing is not None:
+        du += forcing
+    return du
+
+
+def gradient_system_lu(grid, params, sats):
+    """LU factorisation of the dense linear system defining the gradient
+    variable of the advection-diffusion scheme."""
+    e_count, p = grid.n_elements, grid.nodes_per_element
+    n = e_count * p
+    a_mat = params.eps * np.eye(n)
+    for e in range(e_count - 1):
+        gi_last = e * p + (p - 1)
+        gi_first = (e + 1) * p
+        pi_l = grid.Pinv[e, -1]
+        pi_r = grid.Pinv[e + 1, 0]
+        a_mat[gi_last, gi_last] -= sats.sigma4_l * pi_l
+        a_mat[gi_last, gi_first] += sats.sigma4_l * pi_l
+        a_mat[gi_first, gi_first] -= sats.sigma4_r * pi_r
+        a_mat[gi_first, gi_last] += sats.sigma4_r * pi_r
+    return scipy.linalg.lu_factor(a_mat)
+
+
+def advdiff_rhs(u, grid, params, sats, g_left: float, g_right: float, forcing=None):
+    """(du/dt, phi) for the first-order-form advection-diffusion scheme.
+
+    The gradient variable phi is solved from its coupled linear system
+    (including its interface penalties).
+    """
+    a, eps = params.a, params.eps
+    e_count, p = grid.n_elements, grid.nodes_per_element
+
+    du_x = np.einsum("eij,ej->ei", grid.D, u)
+    rhs = eps * du_x
+    jumps = u[:-1, -1] - u[1:, 0]
+    rhs[:-1, -1] += sats.sigma3_l * grid.Pinv[:-1, -1] * jumps
+    rhs[1:, 0] += sats.sigma3_r * grid.Pinv[1:, 0] * (-jumps)
+    lu = gradient_system_lu(grid, params, sats)
+    phi = scipy.linalg.lu_solve(lu, rhs.reshape(-1)).reshape(e_count, p)
+
+    du = -a * du_x + eps * np.einsum("eij,ej->ei", grid.D, phi)
+    phi_jumps = phi[:-1, -1] - phi[1:, 0]
+    du[:-1, -1] += grid.Pinv[:-1, -1] * (sats.sigma1_l * jumps + sats.sigma2_l * phi_jumps)
+    du[1:, 0] += grid.Pinv[1:, 0] * (sats.sigma1_r * (-jumps) + sats.sigma2_r * (-phi_jumps))
+    du[0, 0] += sats.tau_l * grid.Pinv[0, 0] * (a * u[0, 0] - eps * phi[0, 0] - g_left)
+    du[-1, -1] += sats.tau_r * grid.Pinv[-1, -1] * (eps * phi[-1, -1] - g_right)
+    if forcing is not None:
+        du += forcing
+    return du, phi
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,7 @@ import pytest
 
 from fsbp.cli import main
 from fsbp.gauss import QuadratureRule, continuation_solve, verify_exactness
-from fsbp.ibvp import (
-    AdvectionDiffusionProblem,
-    AdvectionProblem,
-    MmsCase,
-    MultiElementGrid,
-    PdeParams,
-    cfl_timestep,
-    run_case,
-    time_integrate,
-)
+from fsbp.ibvp import MmsCase, PdeParams, run_case
 from fsbp.operators import build_operator, verify_sbp
 from fsbp.pipeline import build_study_operator
 from fsbp.spaces import augment_to_even, make_family, product_derivative_space
@@ -170,24 +161,16 @@ def test_criterion_6_energy_stability():
 
     op_a, _, _ = build_study_operator(
         {"family": "trig", "max_harmonic": 2, "interval": [0, 1]}, "gglq")
-    grid_a = MultiElementGrid.uniform(op_a, 4)
-    params_a = PdeParams(a=1.0, final_time=6.0)
-    problem_a = AdvectionProblem(grid_a, params_a, zero_case)
-    dt = cfl_timestep(grid_a, params_a)
-    _, trace_a = time_integrate(problem_a.rhs, problem_a.initial(), (0.0, 6.0), dt,
-                                   energy_fn=problem_a.energy)
+    trace_a = run_case("advection", op_a, 4, PdeParams(a=1.0, final_time=6.0),
+                       zero_case).trace
     results["advection"] = (len(trace_a.times) - 1,
                             float(np.max(np.diff(trace_a.energy)) / trace_a.energy[0]))
 
     op_d, _, _ = build_study_operator(
         {"family": "exponential", "rates": [10.0], "poly_degree": 1, "interval": [0, 1]},
         "gglq")
-    grid_d = MultiElementGrid.uniform(op_d, 4)
-    params_d = PdeParams(a=1.0, eps=0.1, final_time=1.0)
-    problem_d = AdvectionDiffusionProblem(grid_d, params_d, zero_case)
-    dt = cfl_timestep(grid_d, params_d)
-    _, trace_d = time_integrate(problem_d.rhs, problem_d.initial(), (0.0, 1.0), dt,
-                                   energy_fn=problem_d.energy)
+    trace_d = run_case("advection_diffusion", op_d, 4,
+                       PdeParams(a=1.0, eps=0.1, final_time=1.0), zero_case).trace
     results["advection_diffusion"] = (len(trace_d.times) - 1,
                                       float(np.max(np.diff(trace_d.energy)) / trace_d.energy[0]))
     elapsed = time.perf_counter() - t0

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -117,6 +118,12 @@ TRIG_OPERATOR = {"space": {"family": "trig", "max_harmonic": 2, "interval": [0, 
     ("converge", {"study": "advection", "engine": {}}),
     ("fixtures", {"tolerances": {}}),
     ("fixtures", {"engine": {}}),
+    # a manufactured solution must solve the chosen PDE
+    ("solve", {"pde": "advection", "mms": "boundary_layer", "params": {"eps": 0.1},
+               "operator": TRIG_OPERATOR}),
+    ("solve", {"pde": "advection_diffusion", "mms": "oscillatory_wave",
+               "params": {"eps": 0.1}, "operator": TRIG_OPERATOR}),
+    ("converge", {"study": "advection", "mms": "boundary_layer", "params": {"eps": 0.1}}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     # an operator file without its weights, for the verify case
@@ -270,6 +277,23 @@ def test_solve_advection_diffusion_records_aux_and_sats(tmp_path):
     assert sats["sigma1_r"] == -1.0 + sats["sigma1_l"]
     assert sats["sigma4_l"] == -0.05
     assert manifest["final_error_norm"] < 1.0
+
+
+def test_solve_steep_boundary_layer(tmp_path):
+    # a/eps = 1000, where exp(a/eps) overflows
+    cfg = write_config(tmp_path / "solve.json", {
+        "pde": "advection_diffusion",
+        "params": {"a": 1.0, "eps": 0.001, "final_time": 0.01},
+        "mms": "boundary_layer",
+        "operator": {"space": {"family": "exponential", "rates": [2.5],
+                               "poly_degree": 1, "interval": [0, 1]},
+                     "node_mode": "gglq"},
+        "elements": 4,
+    })
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert math.isfinite(manifest["final_error_norm"])
 
 
 def test_operator_rejects_open_node_mode(tmp_path):

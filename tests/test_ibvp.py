@@ -1,27 +1,27 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from fsbp.gauss import ScreenFailure, continuation_solve
-from fsbp.operators import AssemblyError, build_operator
+from fsbp.operators import AssemblyError, build_operator, scale_to_element
 from fsbp.ibvp import (
-    AdvectionDiffusionProblem,
     AdvectionDiffusionSats,
-    AdvectionProblem,
     AdvectionSats,
     BlowUpError,
     MmsCase,
     MultiElementGrid,
     PdeParams,
-    advdiff_rhs,
-    advection_rhs,
+    assemble,
     cfl_timestep,
     run_case,
     solution_error,
     time_integrate,
 )
 from fsbp.pipeline import build_study_operator, convergence_study
+
+from oracles import advdiff_rhs, advection_rhs
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,14 @@ def exp_bl_operator():
         "gglq",
     )
     return op
+
+
+def data_case(g_left=0.0, g_right=0.0, forcing=None):
+    """Constant boundary data (and an optional fixed forcing) without an
+    exact solution."""
+    return MmsCase(exact=None, initial=None, boundary_left=lambda t: g_left,
+                   boundary_right=lambda t: g_right,
+                   forcing=None if forcing is None else lambda x, t: forcing)
 
 
 # ----------------------------------------------------------------- types
@@ -128,21 +136,21 @@ def test_mms_advecting_wave_is_exact_solution():
 
 def test_constant_state_is_steady(trig_grid):
     params = PdeParams(a=1.0)
-    sats = AdvectionSats.stable(1.0)
     u = np.full_like(trig_grid.nodes, 2.5)
-    du = advection_rhs(u, trig_grid, params, sats, g_left=2.5)
+    du = assemble("advection", trig_grid, params, data_case(g_left=2.5)).rhs(0.0, u)
     assert np.max(np.abs(du)) < 1e-9
 
 
 def test_interface_penalty_direction(trig_grid):
     # a jump at an interface feeds the right element with sigma_r = -a
     params = PdeParams(a=1.0)
-    sats = AdvectionSats.stable(1.0)
+    problem = assemble("advection", trig_grid, params, data_case(g_left=1.0))
+    sats = problem.sats
     assert sats.sigma_l == 0.0 and sats.sigma_r == -1.0
     u = np.zeros_like(trig_grid.nodes)
     u[0, :] = 1.0                      # element 0 above its neighbour
-    du_hom = advection_rhs(np.zeros_like(u), trig_grid, params, sats, g_left=0.0)
-    du = advection_rhs(u, trig_grid, params, sats, g_left=1.0) - du_hom
+    du_hom = assemble("advection", trig_grid, params, data_case()).rhs(0.0, np.zeros_like(u))
+    du = problem.rhs(0.0, u) - du_hom
     # derivative term vanishes for the constant, SAT acts at the neighbour face
     jump = u[0, -1] - u[1, 0]
     expected = sats.sigma_r * trig_grid.Pinv[1, 0] * (u[1, 0] - u[0, -1])
@@ -153,12 +161,11 @@ def test_interface_penalty_direction(trig_grid):
 def test_single_element_rhs_matches_analytic_derivative(trig_space, trig_operator):
     grid = MultiElementGrid.uniform(trig_operator, 1)
     params = PdeParams(a=1.0)
-    sats = AdvectionSats.stable(1.0)
     # u = a basis function of the element space; boundary datum matches, so
     # the rhs is exactly -a u_x at the nodes
     u = trig_space.collocation(grid.nodes[0])[:, 1][None, :]
     g_left = float(trig_space.collocation(np.array([0.0]))[0, 1])
-    du = advection_rhs(u, grid, params, sats, g_left=g_left)
+    du = assemble("advection", grid, params, data_case(g_left=g_left)).rhs(0.0, u)
     assert np.max(np.abs(du[0] + trig_space.collocation_deriv(grid.nodes[0])[:, 1])) < 1e-9
 
 
@@ -167,11 +174,10 @@ def test_energy_rate_identity(trig_grid):
     # and interface terms of the energy analysis
     a = 1.3
     params = PdeParams(a=a)
-    sats = AdvectionSats.stable(a)
     rng = np.random.default_rng(7)
     u = rng.standard_normal(trig_grid.nodes.shape)
     g = 0.8
-    du = advection_rhs(u, trig_grid, params, sats, g_left=g)
+    du = assemble("advection", trig_grid, params, data_case(g_left=g)).rhs(0.0, u)
     rate = 2.0 * float(np.sum(trig_grid.P * u * du))
     jumps = u[:-1, -1] - u[1:, 0]
     expected = (a * g * g - a * u[-1, -1] ** 2 - a * (u[0, 0] - g) ** 2
@@ -184,11 +190,12 @@ def test_energy_rate_identity(trig_grid):
 def test_advdiff_constant_state(exp_bl_operator):
     eps = 0.1
     params = PdeParams(a=1.0, eps=eps)
-    sats = AdvectionDiffusionSats.stable(1.0, eps)
     grid = MultiElementGrid.uniform(exp_bl_operator, 4)
     c = 2.0
     u = np.full_like(grid.nodes, c)
-    du, phi = advdiff_rhs(u, grid, params, sats, g_left=1.0 * c, g_right=0.0)
+    problem = assemble("advection_diffusion", grid, params,
+                       data_case(g_left=1.0 * c, g_right=0.0))
+    du, phi = problem.rhs(0.0, u), problem.gradient(u)
     assert np.max(np.abs(phi)) < 1e-8
     assert np.max(np.abs(du)) < 1e-8
 
@@ -198,11 +205,10 @@ def test_advdiff_gradient_variable_consistency(exp_bl_operator):
     # neighbours, phi equals the exact derivative
     eps = 0.1
     params = PdeParams(a=1.0, eps=eps)
-    sats = AdvectionDiffusionSats.stable(1.0, eps)
     grid = MultiElementGrid.uniform(exp_bl_operator, 4)
     # global linear function x: in the span of every element space
     u = grid.nodes.copy()
-    _, phi = advdiff_rhs(u, grid, params, sats, g_left=0.0, g_right=0.0)
+    phi = assemble("advection_diffusion", grid, params, data_case()).gradient(u)
     assert np.max(np.abs(phi - 1.0)) < 1e-7
 
 
@@ -219,6 +225,113 @@ def test_advdiff_mms_refinement(exp_bl_operator):
         ).error
         errs.append(err)
     assert errs[1] < 0.5 * errs[0]
+
+
+# ---------------------------------------------------------------- assembly
+
+EXP10_SPEC = {"family": "exponential", "rates": [10.0], "poly_degree": 1, "interval": [0, 1]}
+REFERENCE_OPERATORS = {
+    "trig-gglq": ({"family": "trig", "max_harmonic": 2, "interval": [0, 1]}, "gglq", None),
+    "exp10-gglq": (EXP10_SPEC, "gglq", None),
+    "exp10-equispaced-4": (EXP10_SPEC, "equispaced", 4),    # approximate operator
+    "gll3": ({"family": "monomial", "degree": 3, "interval": [0, 1]}, "classical-gll", None),
+    "gll24": ({"family": "monomial", "degree": 24, "interval": [-1, 1]}, "classical-gll", None),
+}
+
+
+@functools.cache
+def reference_operator(name):
+    spec, node_mode, n_nodes = REFERENCE_OPERATORS[name]
+    return build_study_operator(spec, node_mode, n_nodes=n_nodes)[0]
+
+
+def element_grid(op, n_elements, uniform):
+    """Equal elements, or widths growing from left to right."""
+    edges = np.linspace(0.0, 1.0, n_elements + 1)
+    if not uniform:
+        edges = edges**1.2
+    return MultiElementGrid([
+        ((edges[e], edges[e + 1]), scale_to_element(op, edges[e], edges[e + 1]))
+        for e in range(n_elements)
+    ])
+
+
+def relative_error(got, ref):
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("n_elements", [1, 2, 5])
+@pytest.mark.parametrize("name", ["trig-gglq", "exp10-gglq", "gll24"])
+def test_assembly_matches_the_face_by_face_right_sides(name, n_elements, uniform):
+    # A u + C g + f and Phi u against the per-stage right sides they
+    # replace; on gll24 with five elements most of the gap (up to 9e-14)
+    # is the reference's dense LU solve, the assembly stays within 5e-16
+    # of an extended-precision evaluation
+    grid = element_grid(reference_operator(name), n_elements, uniform)
+    params = PdeParams(a=1.3, eps=0.07)
+    rng = np.random.default_rng(n_elements)
+    u, f = rng.standard_normal((2,) + grid.nodes.shape)
+    g_left, g_right = rng.standard_normal(2)
+    case = data_case(g_left, g_right, forcing=f)
+
+    problem = assemble("advection", grid, params, case)
+    ref = advection_rhs(u, grid, params, problem.sats, g_left, f)
+    assert relative_error(problem.rhs(0.0, u), ref) <= 1e-13
+
+    problem = assemble("advection_diffusion", grid, params, case)
+    ref, phi = advdiff_rhs(u, grid, params, problem.sats, g_left, g_right, f)
+    assert relative_error(problem.rhs(0.0, u), ref) <= 1e-13
+    assert relative_error(problem.gradient(u), phi) <= 1e-13
+
+
+@pytest.mark.parametrize("uniform", [True, False])
+@pytest.mark.parametrize("n_elements", [1, 2, 5])
+@pytest.mark.parametrize("name", sorted(REFERENCE_OPERATORS))
+def test_assembled_operators_create_no_energy(name, n_elements, uniform):
+    # the energy estimate in algebraic form: sym(P A) has no positive
+    # eigenvalue beyond rounding
+    grid = element_grid(reference_operator(name), n_elements, uniform)
+    params = PdeParams(a=1.0, eps=0.1)
+    for kind in ("advection", "advection_diffusion"):
+        pa = grid.P.reshape(-1, 1) * assemble(kind, grid, params, data_case()).A.toarray()
+        lam_max = np.linalg.eigvalsh(0.5 * (pa + pa.T))[-1]
+        assert lam_max <= 1e-12 * np.linalg.norm(pa, 2), kind
+
+
+def test_assemble_rejects_unknown_kind_and_zero_diffusion(trig_grid):
+    with pytest.raises(ValueError):
+        assemble("diffusion", trig_grid, PdeParams(a=1.0, eps=0.1), data_case())
+    with pytest.raises(ValueError):
+        assemble("advection_diffusion", trig_grid, PdeParams(a=1.0), data_case())
+
+
+def test_boundary_layer_matches_the_unscaled_profile():
+    # (exp(a x/eps) - 1) / (exp(a/eps) - 1) exp(t/10), evaluated directly
+    a, eps, t = 1.0, 0.1, 0.7
+    case = MmsCase.boundary_layer(a, eps)
+    x = np.linspace(0.0, 1.0, 21)
+    denom = math.expm1(a / eps)
+    u = np.expm1(a * x / eps) / denom * math.exp(0.1 * t)
+    u_x = (a / eps) * np.exp(a * x / eps) / denom * math.exp(0.1 * t)
+    np.testing.assert_allclose(case.exact(x, t), u, rtol=3e-14, atol=0.0)
+    np.testing.assert_allclose(case.forcing(x, t), 0.1 * u, rtol=3e-14, atol=0.0)
+    assert case.boundary_left(t) == pytest.approx(a * u[0] - eps * u_x[0], rel=3e-14)
+    assert case.boundary_right(t) == pytest.approx(eps * u_x[-1], rel=3e-14)
+
+
+def test_steep_boundary_layer_is_finite():
+    # a/eps = 1000 overflows exp(a/eps)
+    a, eps, t = 1.0, 1e-3, 0.5
+    case = MmsCase.boundary_layer(a, eps)
+    x = np.linspace(0.0, 1.0, 101)
+    grow = math.exp(0.1 * t)
+    for values in (case.exact(x, t), case.forcing(x, t)):
+        assert np.all(np.isfinite(values))
+    assert case.exact(np.array([0.0, 1.0]), t) == pytest.approx([0.0, grow], rel=1e-15, abs=0.0)
+    # the inflow flux a u - eps u_x underflows to 0; eps u_x(1) = a exp(t/10) to rounding
+    assert case.boundary_left(t) == 0.0
+    assert case.boundary_right(t) == pytest.approx(a * grow, rel=1e-15)
 
 
 # --------------------------------------------------------- time integration
@@ -251,7 +364,7 @@ def test_zero_data_advection_energy_decays(trig_grid):
         initial=lambda x: np.sin(2 * np.pi * np.asarray(x, float)) ** 2,
         boundary_left=lambda t: 0.0,
     )
-    problem = AdvectionProblem(trig_grid, params, case)
+    problem = assemble("advection", trig_grid, params, case)
     dt = cfl_timestep(trig_grid, params)
     _, trace = time_integrate(problem.rhs, problem.initial(), (0.0, 1.0), dt,
                                  energy_fn=problem.energy)
@@ -269,10 +382,10 @@ def test_zero_data_advdiff_energy_decays(exp_bl_operator):
         boundary_right=lambda t: 0.0,
     )
     grid = MultiElementGrid.uniform(exp_bl_operator, 4)
-    problem = AdvectionDiffusionProblem(grid, params, case)
+    problem = assemble("advection_diffusion", grid, params, case)
     dt = cfl_timestep(grid, params)
     _, trace = time_integrate(problem.rhs, problem.initial(), (0.0, 1.0), dt,
-                                 energy_fn=problem.energy, aux_fn=problem.aux_dissipation)
+                                 energy_fn=problem.energy, aux_fn=problem.dissipation)
     assert np.max(np.diff(trace.energy)) <= 1e-10 * trace.energy[0]
     assert trace.aux is not None and np.all(trace.aux >= 0.0)
 
@@ -330,11 +443,10 @@ def test_nonuniform_grid_energy_identity(trig_operator):
     ])
     a = 1.0
     params = PdeParams(a=a)
-    sats = AdvectionSats.stable(a)
     rng = np.random.default_rng(9)
     u = rng.standard_normal(grid.nodes.shape)
     g = 0.4
-    du = advection_rhs(u, grid, params, sats, g_left=g)
+    du = assemble("advection", grid, params, data_case(g_left=g)).rhs(0.0, u)
     rate = 2.0 * float(np.sum(grid.P * u * du))
     jumps = u[:-1, -1] - u[1:, 0]
     expected = (a * g * g - a * u[-1, -1] ** 2 - a * (u[0, 0] - g) ** 2
@@ -350,7 +462,7 @@ def test_free_stream_preservation(trig_grid):
         initial=lambda x: np.full_like(np.asarray(x, float), c),
         boundary_left=lambda t: c,
     )
-    problem = AdvectionProblem(trig_grid, params, case)
+    problem = assemble("advection", trig_grid, params, case)
     dt = cfl_timestep(trig_grid, params)
     y, _ = time_integrate(problem.rhs, problem.initial(), (0.0, 0.5), dt,
                              energy_fn=problem.energy)
