@@ -5,11 +5,13 @@ product-derivative span, parity augmentation, orthonormalisation, the
 Tchebyshev screen, then node optimisation (or an equispaced fallback).
 An operator pipeline feeds the resulting closed rule into the SBP
 assembly and verification.  A convergence study builds an operator per
-configuration and level and solves the model problem with it.
+configuration and distinct family spec and solves the model problem with
+it at every level.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,11 +180,14 @@ def convergence_study(
     Each config (see ``refcases.*_study_configs``) gives a label, a
     family spec factory of the element count, a node mode, an optional
     node budget, the nodes per element and the element counts.  Every
-    level gets its own operator and solve; rows report the error norm,
+    level gets its own solve; operators are built once per distinct
+    (spec, node mode, node budget), so a spec that does not depend on the
+    element count is built once per study.  Rows report the error norm,
     whether the operator passed verification and the observed order
     against the previous level.  A failed level records its error and
     leaves the next level without an order.
     """
+    built = {}      # (spec, node mode, node budget) -> (operator, verdict)
     rows = []
     for cfg in configs:
         prev = None
@@ -194,10 +199,15 @@ def convergence_study(
                 "total_nodes": int(n_el * cfg["nodes_per_element"]),
             }
             try:
-                op, _, verdict = build_study_operator(
-                    cfg["spec"](n_el), cfg["node_mode"], force=force,
-                    rng_seed=rng_seed, n_nodes=cfg.get("n_nodes"),
-                )
+                spec = cfg["spec"](n_el)
+                key = (json.dumps(spec, sort_keys=True), cfg["node_mode"], cfg.get("n_nodes"))
+                if key not in built:
+                    op, _, verdict = build_study_operator(
+                        spec, cfg["node_mode"], force=force,
+                        rng_seed=rng_seed, n_nodes=cfg.get("n_nodes"),
+                    )
+                    built[key] = op, verdict
+                op, verdict = built[key]
                 err = run_case(pde, op, n_el, params, case, cfl).error
                 row["error_norm"] = err
                 row["operator_exact"] = bool(verdict.passed)

@@ -133,9 +133,9 @@ def advection_rhs(u, grid, params, sats, g_left: float, forcing=None):
     return du
 
 
-def gradient_system_lu(grid, params, sats):
-    """LU factorisation of the dense linear system defining the gradient
-    variable of the advection-diffusion scheme."""
+def gradient_system(grid, params, sats):
+    """Dense matrix of the linear system defining the gradient variable
+    of the advection-diffusion scheme."""
     e_count, p = grid.n_elements, grid.nodes_per_element
     n = e_count * p
     a_mat = params.eps * np.eye(n)
@@ -148,14 +148,15 @@ def gradient_system_lu(grid, params, sats):
         a_mat[gi_last, gi_first] += sats.sigma4_l * pi_l
         a_mat[gi_first, gi_first] -= sats.sigma4_r * pi_r
         a_mat[gi_first, gi_last] += sats.sigma4_r * pi_r
-    return scipy.linalg.lu_factor(a_mat)
+    return a_mat
 
 
 def advdiff_rhs(u, grid, params, sats, g_left: float, g_right: float, forcing=None):
     """(du/dt, phi) for the first-order-form advection-diffusion scheme.
 
     The gradient variable phi is solved from its coupled linear system
-    (including its interface penalties).
+    (including its interface penalties) by a dense LU solve and one step
+    of iterative refinement.
     """
     a, eps = params.a, params.eps
     e_count, p = grid.n_elements, grid.nodes_per_element
@@ -165,8 +166,15 @@ def advdiff_rhs(u, grid, params, sats, g_left: float, g_right: float, forcing=No
     jumps = u[:-1, -1] - u[1:, 0]
     rhs[:-1, -1] += sats.sigma3_l * grid.Pinv[:-1, -1] * jumps
     rhs[1:, 0] += sats.sigma3_r * grid.Pinv[1:, 0] * (-jumps)
-    lu = gradient_system_lu(grid, params, sats)
-    phi = scipy.linalg.lu_solve(lu, rhs.reshape(-1)).reshape(e_count, p)
+    a_mat = gradient_system(grid, params, sats)
+    lu = scipy.linalg.lu_factor(a_mat)
+    b = rhs.reshape(-1)
+    phi = scipy.linalg.lu_solve(lu, b)
+    # one step of iterative refinement with the residual in extended
+    # precision: a float64 residual cancels too much to correct anything
+    ld = np.longdouble
+    resid = b.astype(ld) - a_mat.astype(ld) @ phi.astype(ld)
+    phi = (phi + scipy.linalg.lu_solve(lu, resid.astype(float))).reshape(e_count, p)
 
     du = -a * du_x + eps * np.einsum("eij,ej->ei", grid.D, phi)
     phi_jumps = phi[:-1, -1] - phi[1:, 0]

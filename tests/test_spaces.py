@@ -1,9 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+from fsbp.gauss import SCREEN_TRIALS
 from fsbp.spaces import (
+    FAIL_THRESHOLD,
+    PASS_THRESHOLD,
     FamilyError,
     RankError,
+    _scaled_log_dets,
     augment_to_even,
     make_family,
     orthonormalize,
@@ -13,7 +19,7 @@ from fsbp.spaces import (
     tchebyshev_screen,
 )
 
-from fsbp import refcases
+from fsbp import pipeline, refcases
 from oracles import panel_integrate
 
 
@@ -291,6 +297,72 @@ def test_screen_fails_even_pair():
 def test_screen_passes_exp3(exp3_orthonormal):
     report = tchebyshev_screen(exp3_orthonormal, trials=200, rng_seed=1)
     assert report.verdict == "pass"
+
+
+def _random_ordered_sets(rng, space, count):
+    a, b = space.interval
+    return np.sort(rng.uniform(a, b, size=(count, space.dim)), axis=1)
+
+
+def test_screen_reports_no_sentinel_determinant():
+    # a numerically singular refinement step is rejected, never scored as
+    # exp(-700); the exponential space passes, the full-period trig fails
+    sentinel = math.exp(-700.0)
+    exp2445 = pipeline.solve_rule_pipeline(
+        {"family": "exponential", "rates": [2.445], "poly_degree": 2, "interval": [0, 1]},
+        "open", rng_seed=31337,
+    ).screen
+    assert exp2445["verdict"] == "pass"
+    assert exp2445["min_abs_det"] > PASS_THRESHOLD
+
+    # the space the rule solver screens: the orthonormal target on [-1, 1]
+    target = augment_to_even(product_derivative_space(make_family(
+        {"family": "trig", "max_harmonic": 1, "freq_scale": 2.0, "interval": [0, 1]})))
+    screened = pull_back(orthonormalize(target), (-1.0, 1.0), renormalize=True)
+    trig = tchebyshev_screen(screened, trials=SCREEN_TRIALS, rng_seed=0)
+    assert trig.verdict == "fail"
+    assert 0.0 < trig.min_abs_det <= FAIL_THRESHOLD
+    assert sentinel not in (exp2445["min_abs_det"], trig.min_abs_det)
+
+
+# central-difference steps sized to each objective's rounding noise: the
+# raw exp3 target is conditioned up to 1e9, so its objective carries about
+# 1e-9 of noise and needs the widest step; gaps above 0.05 keep the
+# perturbed sets ordered
+@pytest.mark.parametrize("spec, h", [
+    (refcases.EXP3_SPEC, 1e-2),
+    ({"family": "trig", "max_harmonic": 2, "interval": [0, 1]}, 3e-5),
+    ({"family": "monomial", "degree": 3, "interval": [0, 1]}, 1e-4),
+])
+def test_screen_gradient_matches_central_differences(spec, h):
+    target = augment_to_even(product_derivative_space(make_family(spec)))
+    space = pull_back(target, (-1.0, 1.0))
+    sets = _random_ordered_sets(np.random.default_rng(7), space, 200)
+    sets = sets[np.min(np.diff(sets, axis=1), axis=1) > 0.05][:5]
+    _, grads = _scaled_log_dets(space, sets, grad=True)
+    for nodes, grad in zip(sets, grads):
+        step = h * np.eye(nodes.size)
+        fd = (_scaled_log_dets(space, nodes + step) - _scaled_log_dets(space, nodes - step)) / (2.0 * h)
+        assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_screen_batch_matches_per_set_loop(exp3_orthonormal, trig_target):
+    rng = np.random.default_rng(3)
+    for space in (pull_back(exp3_orthonormal, (-1.0, 1.0), renormalize=True),
+                  pull_back(trig_target, (-1.0, 1.0))):
+        sets = _random_ordered_sets(rng, space, 40)
+        sets[::4, 1] = sets[::4, 0] + 2e-4                # pairs at the gap floor
+        sets = np.sort(sets, axis=1)
+        half = np.sort(rng.uniform(0.0, 1.0, size=(8, space.dim // 2)), axis=1)
+        sets = np.vstack([sets, np.hstack([-half[:, ::-1], half])])   # mirrored
+        looped = []
+        for nodes in sets:
+            c = space.collocation(nodes)
+            c = c / np.abs(c).max(axis=1)[:, None]
+            _, logdet = np.linalg.slogdet(c)
+            i, j = np.triu_indices(nodes.size, k=1)
+            looped.append(logdet - np.sum(np.log(nodes[j] - nodes[i])))
+        assert np.max(np.abs(_scaled_log_dets(space, sets) - looped)) <= 1e-12
 
 
 # ---------------------------------------------------------------- pull-back
