@@ -6,6 +6,10 @@ quadrature weights, and Q + Q^T equals the boundary matrix
 B = diag(-1, 0, ..., 0, 1), so the discrete bilinear form mimics
 integration by parts.
 
+S in Q = B/2 + S is the closed-form minimum-norm skew solution of
+S F = P F_x - B F / 2 (``_skew_solve``); the fallback for node sets
+without an exact rule eliminates S the same way and fits the weights.
+
 Operators are immutable after construction; builds are pure functions
 of (space, rule) and safe for concurrent use.
 """
@@ -106,33 +110,38 @@ def _boundary_diagonal(n: int) -> np.ndarray:
     return b
 
 
-def _skew_from_vector(s: np.ndarray, n: int) -> np.ndarray:
-    mat = np.zeros((n, n))
-    mat[np.tril_indices(n, k=-1)] = s
-    return mat - mat.T
+def _skew_solve(f: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimum-norm skew S minimising ||S F - X||_F, and the rank of F.
 
-
-def _skew_action(f: np.ndarray) -> np.ndarray:
-    """Matrix of the linear map s -> (S F).ravel() for the skew S whose
-    strictly lower triangle, in ``np.tril_indices`` order, is s:
-    (S F)[i] = sum_{j<i} s_ij F[j] - sum_{j>i} s_ji F[j]."""
+    With F = U Sigma V^T (numerical rank r, ``np.linalg.matrix_rank``'s
+    cutoff) and W = U^T X V_r, the rotated S~ = U^T S U decouples into
+    pairs: S~_ij = (s_j W_ij - s_i W_ji) / (s_i^2 + s_j^2) for i, j < r,
+    S~_ij = W_ij / s_j for i >= r > j (negated across the diagonal),
+    and zero where both indices reach the null space.  ``x`` may carry
+    leading stack axes; each (n, m) slice is solved with the one SVD.
+    """
     n, m = f.shape
-    rows, cols = np.tril_indices(n, k=-1)
-    k = np.arange(rows.size)
-    a = np.zeros((n, m, rows.size))
-    a[rows, :, k] += f[cols]
-    a[cols, :, k] -= f[rows]
-    return a.reshape(n * m, rows.size)
+    u, sig, vt = np.linalg.svd(f)
+    r = int(np.sum(sig > sig.max(initial=0.0) * max(n, m) * np.finfo(float).eps))
+    s = sig[:r]
+    w = u.T @ x @ vt[:r].T                       # (..., n, r)
+    wr = w[..., :r, :]
+    st = np.zeros(x.shape[:-2] + (n, n))
+    st[..., :r, :r] = (s * wr - s[:, None] * np.swapaxes(wr, -1, -2)) / (s[:, None] ** 2 + s ** 2)
+    st[..., r:, :r] = w[..., r:, :] / s
+    st[..., :r, r:] = -np.swapaxes(st[..., r:, :r], -1, -2)
+    s_mat = u @ st @ u.T
+    return 0.5 * (s_mat - np.swapaxes(s_mat, -1, -2)), r
 
 
 def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     """Assemble the operator from a closed positive rule.
 
-    The skew part S of Q = B/2 + S is parameterised by its strictly
-    lower triangle and found as the minimum-norm least-squares solution
-    of the exactness conditions S F = P F_x - B F / 2; a residual above
-    ``TOL_EXACT`` (relative to the right side's magnitude) signals an
-    inconsistent rule/space pairing and raises.
+    The skew part S of Q = B/2 + S is the closed-form minimum-norm
+    solution of the exactness conditions S F = P F_x - B F / 2 (see
+    ``_skew_solve``); its free part has dimension (n - m)(n - m - 1)/2.
+    A residual above ``TOL_EXACT`` (relative to the right side's
+    magnitude) signals an inconsistent rule/space pairing and raises.
     """
     if not rule.closed:
         raise AssemblyError("operator assembly needs a closed rule (both endpoints)")
@@ -149,25 +158,21 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
 
     f_vals = space.collocation(nodes)          # (n, m)
     f_ders = space.collocation_deriv(nodes)
-    if np.linalg.matrix_rank(f_vals) < m:
-        raise AssemblyError("collocation matrix is rank deficient at these nodes")
-
     p = rule.weights
     b_diag = _boundary_diagonal(n)
     r = p[:, None] * f_ders - 0.5 * b_diag[:, None] * f_vals
 
-    a_mat = _skew_action(f_vals)
-    rhs = r.reshape(-1)
-    s_vec, _, rank, _ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    residual = float(np.max(np.abs(a_mat @ s_vec - rhs)))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
+    s_mat, rank = _skew_solve(f_vals, r)
+    if rank < m:
+        raise AssemblyError("collocation matrix is rank deficient at these nodes")
+    residual = float(np.max(np.abs(s_mat @ f_vals - r)))
+    scale = max(1.0, float(np.max(np.abs(r))))
     if residual > TOL_EXACT * scale:
         raise AssemblyError(
             f"exactness system inconsistent (residual {residual:.3e}); "
             "the rule is not exact for the product-derivative space"
         )
 
-    s_mat = _skew_from_vector(s_vec, n)
     q = 0.5 * np.diag(b_diag) + s_mat
     d = q / p[:, None]
 
@@ -179,7 +184,7 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
         D=d,
         interval=rule.interval,
         space_fingerprint=space_fingerprint(space),
-        null_space_dim=int(a_mat.shape[1] - rank),
+        null_space_dim=(n - m) * (n - m - 1) // 2,
     )
     exact_err = float(np.max(np.abs(d @ f_vals - f_ders)))
     der_scale = max(1.0, float(np.max(np.abs(f_ders))))
@@ -192,40 +197,36 @@ def build_approximate_operator(space: FunctionSpace, nodes: np.ndarray) -> FsbpO
     """Best-effort operator on a prescribed node set.
 
     When the nodes cannot support an exact construction (e.g. too few
-    equispaced points), the weights and the skew part are chosen jointly
-    to minimise the derivative defect || Q F - P F_x || subject to
-    weights of at least 1e-3 (b - a) / n.  The P/Q structure is exact,
-    so the energy estimate still holds; only the differentiation
+    equispaced points), the weights w and the skew part minimise the
+    derivative defect || Q F - P F_x ||_F subject to weights of at least
+    1e-3 (b - a) / n.  For fixed w the best skew part is
+    ``_skew_solve(F, X(w))`` with X(w) = diag(w) F_x - B F / 2, and the
+    remaining misfit X(w) - _skew_solve(F, X(w)) F is linear in w, so w
+    is a bounded least-squares fit in n unknowns.  The P/Q structure is
+    exact, so the energy estimate still holds; only the differentiation
     accuracy suffers.
     """
     import scipy.optimize
 
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size
-    m = space.dim
     a, b = float(nodes[0]), float(nodes[-1])
 
     f_vals = space.collocation(nodes)            # (n, m)
     f_ders = space.collocation_deriv(nodes)
-    scale = max(1.0, float(np.max(np.abs(f_vals))))
-
-    # unknowns [s, w]; row (i, c): (S F)[i, c] - w_i f'_c(x_i) = -(B F / 2)[i, c]
     b_diag = _boundary_diagonal(n)
-    w_cols = np.zeros((n, m, n))
-    w_cols[np.arange(n), :, np.arange(n)] = -f_ders
-    a_mat = np.hstack([_skew_action(f_vals), w_cols.reshape(n * m, n)])
-    rhs = (-0.5 * b_diag[:, None] * f_vals).reshape(-1)
-    # normalise rows so huge basis magnitudes do not dominate
-    a_mat /= scale
-    rhs /= scale
 
-    n_s = n * (n - 1) // 2
-    lb = np.concatenate([np.full(n_s, -np.inf), np.full(n, 1e-3 * (b - a) / n)])
-    ub = np.full(n_s + n, np.inf)
-    res = scipy.optimize.lsq_linear(a_mat, rhs, bounds=(lb, ub))
-    s_vec, w = res.x[:n_s], res.x[n_s:]
+    # X(w) = sum_k w_k E_k + X_0: E_k holds row k of F_x, X_0 = -B F / 2
+    x_parts = np.zeros((n + 1,) + f_vals.shape)
+    x_parts[np.arange(n), np.arange(n)] = f_ders
+    x_parts[n] = -0.5 * b_diag[:, None] * f_vals
+    s_parts, _ = _skew_solve(f_vals, x_parts)
+    misfit = (x_parts - s_parts @ f_vals).reshape(n + 1, -1)
+    w = scipy.optimize.lsq_linear(
+        misfit[:n].T, -misfit[n], bounds=(1e-3 * (b - a) / n, np.inf), method="bvls",
+    ).x
 
-    s_mat = _skew_from_vector(s_vec, n)
+    s_mat, _ = _skew_solve(f_vals, w[:, None] * f_ders - 0.5 * b_diag[:, None] * f_vals)
     q = 0.5 * np.diag(b_diag) + s_mat
     d = q / w[:, None]
     return FsbpOperator(
@@ -261,17 +262,13 @@ def verify_sbp(
     skew = op.skew_defect()
     min_w = float(np.min(op.P))
 
-    rng = np.random.default_rng(rng_seed)
-    ibp = 0.0
-    for _ in range(n_pairs):
-        cu = rng.standard_normal(space.dim)
-        cv = rng.standard_normal(space.dim)
-        u = f_vals @ cu
-        v = f_vals @ cv
-        u = u / max(1.0, np.max(np.abs(u)))
-        v = v / max(1.0, np.max(np.abs(v)))
-        lhs = u @ (op.P * (op.D @ v)) + (op.D @ u) @ (op.P * v)
-        ibp = max(ibp, abs(lhs - (u[-1] * v[-1] - u[0] * v[0])))
+    # pair k is (u, v) = (uv[k, 0], uv[k, 1]), each a row of nodal values
+    coeffs = np.random.default_rng(rng_seed).standard_normal((n_pairs, 2, space.dim))
+    uv = coeffs @ f_vals.T
+    uv /= np.maximum(1.0, np.max(np.abs(uv), axis=-1, keepdims=True))
+    u, v = uv[:, 0], uv[:, 1]
+    lhs = np.sum(u * op.P * (v @ op.D.T) + (u @ op.D.T) * op.P * v, axis=-1)
+    ibp = np.max(np.abs(lhs - (u[:, -1] * v[:, -1] - u[:, 0] * v[:, 0])), initial=0.0)
 
     der_scale = max(1.0, float(np.max(np.abs(f_ders))))
     passed = (

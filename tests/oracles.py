@@ -3,12 +3,16 @@
 Everything here except the cardinal-basis section is deliberately
 written without the package's solver or integration paths: Legendre
 recurrences plus Newton root finding for the classical rules, and plain
-composite panel quadrature for integrals.  The right-side section
-writes both IBVP schemes face by face on a stacked state, with a dense
-LU solve for the gradient variable, as the reference for the assembled
-sparse operators.  The cardinal-basis section solves for the
-Hermite-Lagrange basis the Newton iteration only uses through its
-integrals, from the solver's own Hermite-Vandermonde rows.
+composite panel quadrature for integrals.  The skew solves assemble
+the dense Kronecker least-squares system over the strictly lower
+triangle, the reference for the operators' closed-form solve, and the
+Lagrange differentiation matrix is built from barycentric weights in
+long double.  The right-side section writes both IBVP schemes face by
+face on a stacked state, with a dense LU solve for the gradient
+variable, as the reference for the assembled sparse operators.  The
+cardinal-basis section solves for the Hermite-Lagrange basis the Newton
+iteration only uses through its integrals, from the solver's own
+Hermite-Vandermonde rows.
 """
 
 import math
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from fsbp.gauss import SolverError, _hermite_rows
 from fsbp.integrate import moments
@@ -95,21 +100,75 @@ def panel_integrate(f, a: float, b: float, panels: int = 2000) -> float:
     return float(half * np.sum(vals @ _G5_W))
 
 
-def skew_action_loop(f):
-    """Matrix of s -> (S F).ravel() for the skew S with strictly lower
-    triangle s, assembled entry by entry with an explicit pair index."""
+def skew_action(f):
+    """Matrix of the linear map s -> (S F).ravel() for the skew S whose
+    strictly lower triangle, in ``np.tril_indices`` order, is s:
+    (S F)[i] = sum_{j<i} s_ij F[j] - sum_{j>i} s_ji F[j]."""
     n, m = f.shape
-    pair_index = {}
-    for i in range(1, n):
-        for j in range(i):
-            pair_index[(i, j)] = len(pair_index)
-    a_mat = np.zeros((n * m, len(pair_index)))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                sgn = 1.0 if i > j else -1.0
-                a_mat[i * m:(i + 1) * m, pair_index[(max(i, j), min(i, j))]] += sgn * f[j]
-    return a_mat
+    rows, cols = np.tril_indices(n, k=-1)
+    k = np.arange(rows.size)
+    a = np.zeros((n, m, rows.size))
+    a[rows, :, k] += f[cols]
+    a[cols, :, k] -= f[rows]
+    return a.reshape(n * m, rows.size)
+
+
+def skew_from_vector(s, n: int):
+    mat = np.zeros((n, n))
+    mat[np.tril_indices(n, k=-1)] = s
+    return mat - mat.T
+
+
+def skew_lstsq(f, x):
+    """Minimum-norm skew S minimising ||S F - X||_F, by ``lstsq`` on the
+    dense Kronecker system over S's strictly lower triangle."""
+    s, *_ = np.linalg.lstsq(skew_action(f), np.asarray(x).reshape(-1), rcond=None)
+    return skew_from_vector(s, f.shape[0])
+
+
+def joint_defect_bvls(f_vals, f_ders, w_floor: float) -> float:
+    """min ||S F - diag(w) F_x + B F / 2||_F over skew S and weights
+    w >= w_floor, by one bounded least-squares solve of the unscaled
+    joint system in the unknowns (strictly lower triangle of S, w)."""
+    n, m = f_vals.shape
+    w_cols = np.zeros((n, m, n))
+    w_cols[np.arange(n), :, np.arange(n)] = -f_ders
+    a_mat = np.hstack([skew_action(f_vals), w_cols.reshape(n * m, n)])
+    b = np.zeros(n)
+    b[0], b[-1] = -1.0, 1.0
+    rhs = (-0.5 * b[:, None] * f_vals).reshape(-1)
+    n_s = n * (n - 1) // 2
+    lb = np.concatenate([np.full(n_s, -np.inf), np.full(n, w_floor)])
+    res = scipy.optimize.lsq_linear(a_mat, rhs, bounds=(lb, np.inf), method="bvls")
+    return float(np.linalg.norm(a_mat @ res.x - rhs))
+
+
+def ibp_defect_loop(op, f_vals, n_pairs: int, rng_seed: int) -> float:
+    """Largest |u^T P D v + (D u)^T P v - (u_n v_n - u_1 v_1)| over random
+    pairs from the span, one pair at a time, each scaled to unit max."""
+    rng = np.random.default_rng(rng_seed)
+    worst = 0.0
+    for _ in range(n_pairs):
+        u = f_vals @ rng.standard_normal(f_vals.shape[1])
+        v = f_vals @ rng.standard_normal(f_vals.shape[1])
+        u = u / max(1.0, np.max(np.abs(u)))
+        v = v / max(1.0, np.max(np.abs(v)))
+        lhs = u @ (op.P * (op.D @ v)) + (op.D @ u) @ (op.P * v)
+        worst = max(worst, abs(lhs - (u[-1] * v[-1] - u[0] * v[0])))
+    return float(worst)
+
+
+def lagrange_diff_matrix(nodes):
+    """Differentiation matrix of polynomial interpolation at the nodes,
+    from the barycentric weights, in long double."""
+    x = np.asarray(nodes, dtype=np.longdouble)
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1)
+    bary = 1 / np.prod(diff, axis=1)
+    d = bary[None, :] / bary[:, None] / diff
+    np.fill_diagonal(d, 0)
+    np.fill_diagonal(d, -np.sum(d, axis=1))
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsbp.gauss import QuadratureRule, continuation_solve
 from fsbp.gauss import classical_lobatto_rule
 from fsbp.operators import (
     AssemblyError,
-    _skew_action,
+    _skew_solve,
     build_approximate_operator,
     build_operator,
     operator_from_dict,
@@ -16,7 +17,7 @@ from fsbp.operators import (
 from fsbp.spaces import augment_to_even, make_family, product_derivative_space
 from fsbp import refcases
 
-from oracles import skew_action_loop
+from oracles import ibp_defect_loop, joint_defect_bvls, lagrange_diff_matrix, skew_lstsq
 
 
 def trapezoid_rule():
@@ -126,6 +127,15 @@ def test_verify_uniform_grid_negative_control(exp3_space):
     assert verdict.min_weight > 0
 
 
+@pytest.mark.parametrize("degree, rng_seed", [(1, 0), (6, 7), (24, 3)])
+def test_verify_ibp_defect_matches_pairwise_loop(degree, rng_seed):
+    space = make_family({"family": "monomial", "degree": degree, "interval": [-1, 1]})
+    op = build_operator(space, classical_lobatto_rule(degree + 1, space.interval))
+    got = verify_sbp(op, space, rng_seed=rng_seed).max_ibp_defect
+    # summation order differs; the pass tolerance TOL_IBP is 1e-10
+    assert abs(got - ibp_defect_loop(op, space.collocation(op.nodes), 100, rng_seed)) <= 1e-14
+
+
 def test_structural_invariants_across_fixture_matrix():
     specs = (
         [{"family": "monomial", "degree": n, "interval": [-1, 1]} for n in range(1, 7)]
@@ -201,21 +211,60 @@ def test_discrete_integration_by_parts_random_pairs(exp3_space, exp3_operator):
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs), np.max(np.abs(u)) * np.max(np.abs(v)))
 
 
-@pytest.mark.parametrize("spec, n", [
-    (refcases.EXP3_SPEC, 2),
-    (refcases.EXP3_SPEC, 5),
-    ({"family": "trig", "max_harmonic": 2, "interval": [0, 1]}, 7),
-    ({"family": "monomial", "degree": 24, "interval": [-1, 1]}, 25),
+TRIG2_SPEC = {"family": "trig", "max_harmonic": 2, "interval": [0, 1]}
+
+
+@pytest.mark.parametrize("spec, nodes, n", [
+    (refcases.EXP3_SPEC, "lobatto", 2),         # n < m (also the equispaced pair)
+    (refcases.EXP3_SPEC, "lobatto", 5),
+    (TRIG2_SPEC, "lobatto", 7),
+    ({"family": "monomial", "degree": 24, "interval": [-1, 1]}, "lobatto", 25),
+    (refcases.EXP3_SPEC, "equispaced", 5),      # null space dimension 1
+    (TRIG2_SPEC, "equispaced", 8),              # null space dimension 3
 ])
-def test_skew_action_matches_loop(spec, n):
-    # same values and sign bits (no -0.0 where the loop has 0.0)
+def test_skew_solve_matches_kronecker_lstsq(spec, nodes, n):
     space = make_family(spec)
-    nodes = classical_lobatto_rule(n, space.interval).nodes
-    f = space.collocation(nodes)
-    got, ref = _skew_action(f), skew_action_loop(f)
-    assert got.shape == ref.shape
-    assert np.array_equal(got, ref)
-    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    if nodes == "lobatto":
+        xs = classical_lobatto_rule(n, space.interval).nodes
+    else:
+        xs = np.linspace(*space.interval, n)
+    f = space.collocation(xs)
+    x = np.random.default_rng(n).standard_normal(f.shape)
+    s, rank = _skew_solve(f, x)
+    ref = skew_lstsq(f, x)
+    assert rank == min(f.shape)
+    res, ref_res = np.linalg.norm(s @ f - x), np.linalg.norm(ref @ f - x)
+    assert abs(res - ref_res) <= 1e-10 * ref_res
+    if np.linalg.cond(f) <= 1e8:
+        assert np.max(np.abs(s - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_skew_solve_recovers_consistent_skew_part(n, data):
+    m = data.draw(st.integers(1, n))
+    scale = 10.0 ** data.draw(st.integers(-4, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # full rank, condition number at most 10
+    q1, _ = np.linalg.qr(rng.standard_normal((n, m)))
+    q2, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    f = scale * (q1 * rng.uniform(1.0, 10.0, m)) @ q2
+    s0 = rng.standard_normal((n, n))
+    s0 -= s0.T
+    s, rank = _skew_solve(f, s0 @ f)
+    assert rank == m
+    assert np.array_equal(s, -s.T)
+    assert np.linalg.norm(s @ f - s0 @ f) <= 1e-12 * np.linalg.norm(s0 @ f)
+    # minimum norm among exact solutions, up to rounding
+    assert np.linalg.norm(s) <= np.linalg.norm(s0) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("degree", range(4, 25))
+def test_gll_operator_is_lagrange_differentiation(degree):
+    space = make_family({"family": "monomial", "degree": degree, "interval": [-1, 1]})
+    op = build_operator(space, classical_lobatto_rule(degree + 1, space.interval))
+    ref = lagrange_diff_matrix(op.nodes)
+    assert np.max(np.abs(op.D - ref)) <= 1e-9 * np.max(np.abs(op.D))
 
 
 # -------------------------------------------------------- approximate build
@@ -228,3 +277,17 @@ def test_approximate_operator_keeps_structure(exp3_space):
     # inexact differentiation by design
     assert not verdict.passed
     assert verdict.max_exactness_error > 1e-8
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.5, 10.0, 20.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_approximate_operator_reaches_joint_minimum(rate, n):
+    # rates 10 and 20 at n = 2 and 4 put one weight on the floor
+    space = make_family({"family": "exponential", "rates": [rate], "poly_degree": 1,
+                         "interval": [0, 1]})
+    nodes = np.linspace(0.0, 1.0, n)
+    op = build_approximate_operator(space, nodes)
+    f_vals, f_ders = space.collocation(nodes), space.collocation_deriv(nodes)
+    defect = np.linalg.norm(op.Q @ f_vals - op.P[:, None] * f_ders)
+    assert defect <= (1 + 1e-8) * joint_defect_bvls(f_vals, f_ders, 1e-3 / n)
+    assert np.min(op.P) >= 1e-3 / n
