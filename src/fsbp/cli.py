@@ -349,6 +349,7 @@ def cmd_solve(args) -> int:
         "dt": result.dt,
         "max_energy_increase": float(np.max(np.diff(trace.energy)))
         if len(trace.energy) > 1 else 0.0,
+        "energy_certificate": result.problem.energy_certificate(),
     })
     return EXIT_OK
 

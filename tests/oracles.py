@@ -10,6 +10,8 @@ Lagrange differentiation matrix is built from barycentric weights in
 long double.  The right-side section writes both IBVP schemes face by
 face on a stacked state, with a dense LU solve for the gradient
 variable, as the reference for the assembled sparse operators.  The
+time-marching section takes the classical four-stage scheme stage by
+stage through a right side, the reference for the precomputed step.  The
 cardinal-basis section solves for the Hermite-Lagrange basis the Newton
 iteration only uses through its integrals, from the solver's own
 Hermite-Vandermonde rows.
@@ -23,6 +25,7 @@ import scipy.linalg
 import scipy.optimize
 
 from fsbp.gauss import SolverError, _hermite_rows
+from fsbp.ibvp import BLOWUP_FACTOR, BlowUpError
 from fsbp.integrate import moments
 from fsbp.spaces import FunctionSpace
 
@@ -244,6 +247,37 @@ def advdiff_rhs(u, grid, params, sats, g_left: float, g_right: float, forcing=No
     if forcing is not None:
         du += forcing
     return du, phi
+
+
+# ---------------------------------------------------------------------------
+# time marching
+
+def rk4_loop(rhs, y0, t_span, dt: float, energy_fn):
+    """The classical four-stage scheme with four ``rhs(t, y)`` calls per
+    step, on the step count and times of ``ibvp.time_integrate`` and with
+    its blow-up guard and message.
+
+    Returns (final state, recorded energies).
+    """
+    t0, t1 = t_span
+    n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
+    dt = (t1 - t0) / n_steps
+    y = np.array(y0, dtype=float)
+    energy = [energy_fn(y)]
+    t = t0
+    for step in range(1, n_steps + 1):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
+        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
+        k4 = rhs(t + dt, y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t0 + step * dt
+        energy.append(energy_fn(y))
+        if not np.isfinite(energy[-1]) or energy[-1] > BLOWUP_FACTOR * max(energy[0], 1e-300):
+            raise BlowUpError(
+                f"energy {energy[-1]:.3e} exceeded {BLOWUP_FACTOR} x initial at t={t:.4f}"
+            )
+    return y, np.array(energy)
 
 
 # ---------------------------------------------------------------------------

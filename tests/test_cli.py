@@ -6,6 +6,8 @@ import pytest
 
 from fsbp.cli import main
 from fsbp import refcases
+from fsbp.ibvp import MmsCase, MultiElementGrid, PdeParams, assemble
+from fsbp.pipeline import build_study_operator
 
 
 def write_config(path, payload):
@@ -254,6 +256,40 @@ def test_solve_zero_data_monotone_energy(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["steps"] >= 10
     assert (out / "solution.csv").exists()
+
+
+ZERO_DATA_ADVECTION = {
+    "pde": "advection",
+    "params": {"a": 1.0, "final_time": 0.5},
+    "mms": "zero_data",
+    "operator": {"space": {"family": "trig", "max_harmonic": 2, "interval": [0, 1]},
+                 "node_mode": "gglq"},
+    "elements": 4,
+}
+
+
+@pytest.mark.parametrize("payload", [ZERO_DATA_ADVECTION, SOLVE_CONFIGS["advdiff"]],
+                         ids=["advection", "advection_diffusion"])
+def test_solve_records_energy_certificate(tmp_path, payload):
+    # lambda_max(sym(diag(P) A)) of the assembled system: no positive
+    # value beyond rounding
+    cfg = write_config(tmp_path / "solve.json", payload)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    op, _, _ = build_study_operator(payload["operator"]["space"], "gglq")
+    params = PdeParams(**payload["params"])
+    zero = lambda t: 0.0
+    case = MmsCase(exact=None, initial=None, boundary_left=zero, boundary_right=zero)
+    problem = assemble(payload["pde"], MultiElementGrid.uniform(op, payload["elements"]),
+                       params, case)
+    a_norm = np.linalg.norm(problem.A.toarray(), 2)
+    assert manifest["energy_certificate"] <= 1e-12 * a_norm
+    pa = problem.grid.P.reshape(-1, 1) * problem.A.toarray()
+    lam_max = np.linalg.eigvalsh(0.5 * (pa + pa.T))[-1]
+    assert manifest["energy_certificate"] == pytest.approx(lam_max, rel=0.0, abs=1e-14 * a_norm)
+    for name in ("energy.csv", "solution.csv"):
+        assert "certificate" not in (out / name).read_text()
 
 
 def test_solve_advection_diffusion_records_aux_and_sats(tmp_path):

@@ -1,8 +1,10 @@
+import dataclasses
 import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fsbp.gauss import ScreenFailure, continuation_solve
 from fsbp.operators import AssemblyError, build_operator, scale_to_element
@@ -21,7 +23,7 @@ from fsbp.ibvp import (
 )
 from fsbp.pipeline import build_study_operator, convergence_study
 
-from oracles import advdiff_rhs, advection_rhs
+from oracles import advdiff_rhs, advection_rhs, rk4_loop
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +340,7 @@ def test_steep_boundary_layer_is_finite():
 
 def test_time_integrate_zero_rhs():
     y0 = np.array([[1.0, 2.0, 3.0]])
-    y, trace = time_integrate(lambda t, y: np.zeros_like(y), y0, (0.0, 1.0), 0.1)
+    y, trace = time_integrate(sp.csr_array((3, 3)), lambda t: np.zeros(3), y0, (0.0, 1.0), 0.1)
     assert np.array_equal(y, y0)
     assert np.max(np.abs(np.diff(trace.energy))) == 0.0
 
@@ -346,7 +348,8 @@ def test_time_integrate_zero_rhs():
 def test_time_integrate_scalar_decay_fourth_order():
     errs = []
     for dt in (0.1, 0.05):
-        y, _ = time_integrate(lambda t, y: -y, np.array([1.0]), (0.0, 1.0), dt)
+        y, _ = time_integrate(sp.csr_array([[-1.0]]), lambda t: np.zeros(1), np.array([1.0]),
+                              (0.0, 1.0), dt)
         errs.append(abs(y[0] - math.exp(-1.0)))
     order = math.log(errs[0] / errs[1]) / math.log(2.0)
     assert order > 3.8
@@ -354,7 +357,8 @@ def test_time_integrate_scalar_decay_fourth_order():
 
 def test_time_integrate_blowup_detection():
     with pytest.raises(BlowUpError):
-        time_integrate(lambda t, y: 10.0 * y, np.array([1.0]), (0.0, 2.0), 0.05)
+        time_integrate(sp.csr_array([[10.0]]), lambda t: np.zeros(1), np.array([1.0]),
+                       (0.0, 2.0), 0.05)
 
 
 def test_zero_data_advection_energy_decays(trig_grid):
@@ -366,8 +370,8 @@ def test_zero_data_advection_energy_decays(trig_grid):
     )
     problem = assemble("advection", trig_grid, params, case)
     dt = cfl_timestep(trig_grid, params)
-    _, trace = time_integrate(problem.rhs, problem.initial(), (0.0, 1.0), dt,
-                                 energy_fn=problem.energy)
+    _, trace = time_integrate(problem.A, problem.data, problem.initial(), (0.0, 1.0), dt,
+                              energy_fn=problem.energy)
     increases = np.diff(trace.energy)
     assert np.max(increases) <= 1e-10 * trace.energy[0]
     assert np.max(trace.energy) <= trace.energy[0] * (1.0 + 1e-8)
@@ -384,10 +388,57 @@ def test_zero_data_advdiff_energy_decays(exp_bl_operator):
     grid = MultiElementGrid.uniform(exp_bl_operator, 4)
     problem = assemble("advection_diffusion", grid, params, case)
     dt = cfl_timestep(grid, params)
-    _, trace = time_integrate(problem.rhs, problem.initial(), (0.0, 1.0), dt,
-                                 energy_fn=problem.energy, aux_fn=problem.dissipation)
+    _, trace = time_integrate(problem.A, problem.data, problem.initial(), (0.0, 1.0), dt,
+                              energy_fn=problem.energy, aux_fn=problem.dissipation)
     assert np.max(np.diff(trace.energy)) <= 1e-10 * trace.energy[0]
     assert trace.aux is not None and np.all(trace.aux >= 0.0)
+
+
+@pytest.fixture(scope="module")
+def data_problems(trig_grid, exp_bl_operator):
+    """Advection with a time-dependent inflow datum and advection-diffusion
+    with the boundary-layer data and forcing."""
+    advdiff_grid = MultiElementGrid.uniform(exp_bl_operator, 4)
+    return {
+        "advection": assemble("advection", trig_grid, PdeParams(a=1.0),
+                              MmsCase.advecting_wave(1.0)),
+        "advection_diffusion": assemble("advection_diffusion", advdiff_grid,
+                                        PdeParams(a=1.0, eps=0.1),
+                                        MmsCase.boundary_layer(1.0, 0.1)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["advection", "advection_diffusion"])
+def test_precomputed_step_matches_stagewise_rk4(data_problems, kind):
+    # ten steps of the closed-form step against the four right-hand-side
+    # stages of the classical scheme, with non-zero boundary data
+    problem = data_problems[kind]
+    dt = cfl_timestep(problem.grid, problem.params)
+    t_span = (0.0, 10 * dt)
+    y, trace = time_integrate(problem.A, problem.data, problem.initial(), t_span, dt,
+                              energy_fn=problem.energy)
+    y_ref, energy_ref = rk4_loop(problem.rhs, problem.initial(), t_span, dt, problem.energy)
+    assert len(trace.times) == 11
+    assert np.any(problem.data(0.0) != 0.0)
+    assert np.linalg.norm(y - y_ref) <= 1e-13 * np.linalg.norm(y_ref)
+    assert np.max(np.abs(trace.energy - energy_ref)) <= 1e-13 * np.max(energy_ref)
+
+
+@pytest.mark.parametrize("kind", ["advection", "advection_diffusion"])
+def test_precomputed_step_blows_up_where_stagewise_rk4_does(data_problems, kind):
+    # A + 5 I grows the energy by about exp(10 t): both loops must stop at
+    # the same step with the same message
+    problem = data_problems[kind]
+    unstable = dataclasses.replace(
+        problem, A=sp.csr_array(problem.A + 5.0 * sp.eye_array(problem.A.shape[0])))
+    dt = cfl_timestep(problem.grid, problem.params)
+    assert dt > 1e-4           # distinct steps print distinct times
+    with pytest.raises(BlowUpError) as marched:
+        time_integrate(unstable.A, unstable.data, unstable.initial(), (0.0, 2.0), dt,
+                       energy_fn=unstable.energy)
+    with pytest.raises(BlowUpError) as stagewise:
+        rk4_loop(unstable.rhs, unstable.initial(), (0.0, 2.0), dt, unstable.energy)
+    assert str(marched.value) == str(stagewise.value)
 
 
 def test_aux_dissipation_is_recorded_at_the_recorded_states(exp_bl_operator):
@@ -464,8 +515,8 @@ def test_free_stream_preservation(trig_grid):
     )
     problem = assemble("advection", trig_grid, params, case)
     dt = cfl_timestep(trig_grid, params)
-    y, _ = time_integrate(problem.rhs, problem.initial(), (0.0, 0.5), dt,
-                             energy_fn=problem.energy)
+    y, _ = time_integrate(problem.A, problem.data, problem.initial(), (0.0, 0.5), dt,
+                          energy_fn=problem.energy)
     assert np.max(np.abs(y - c)) < 1e-10
 
 
