@@ -159,13 +159,8 @@ SCREEN_TRIALS = 100
 def _hermite_rows(space: FunctionSpace, nodes, closed: bool) -> np.ndarray:
     """Basis values at every node stacked over basis derivatives at the
     nodes (interior nodes only when closed)."""
-    vals = space.collocation(nodes)
-    if closed:
-        n = space.dim // 2
-        ders = space.collocation_deriv(nodes[1:-1]) if n > 1 else np.zeros((0, space.dim))
-    else:
-        ders = space.collocation_deriv(nodes)
-    return np.vstack([vals, ders])
+    vals, ders = space.jet(nodes, 1)
+    return np.vstack([vals, ders[1:-1] if closed else ders])
 
 
 def _condition_integrals(space, nodes, closed, moments_vec):

@@ -173,7 +173,6 @@ class MultiElementGrid:
         if len(sizes) != 1:
             raise ValueError("all elements must use the same node count")
 
-        self.elements = list(elements)
         self.n_elements = len(elements)
         self.nodes_per_element = ops[0].size
         self.domain = (ivs[0][0], ivs[-1][1])
@@ -192,14 +191,6 @@ class MultiElementGrid:
             ((edges[e], edges[e + 1]), scale_to_element(op, edges[e], edges[e + 1]))
             for e in range(n_elements)
         ])
-
-    @property
-    def global_nodes(self) -> np.ndarray:
-        """All nodes concatenated, interface nodes duplicated."""
-        return self.nodes.reshape(-1)
-
-    def total_nodes(self) -> int:
-        return self.n_elements * self.nodes_per_element
 
     def norm_squared(self, u: np.ndarray) -> float:
         """Sum of element-wise discrete L2 norms u^T P u."""

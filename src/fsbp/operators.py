@@ -156,8 +156,7 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     if m > n:
         raise AssemblyError(f"space dimension {m} exceeds node count {n}")
 
-    f_vals = space.collocation(nodes)          # (n, m)
-    f_ders = space.collocation_deriv(nodes)
+    f_vals, f_ders = space.jet(nodes, 1)       # (n, m) each
     p = rule.weights
     b_diag = _boundary_diagonal(n)
     r = p[:, None] * f_ders - 0.5 * b_diag[:, None] * f_vals
@@ -212,8 +211,7 @@ def build_approximate_operator(space: FunctionSpace, nodes: np.ndarray) -> FsbpO
     n = nodes.size
     a, b = float(nodes[0]), float(nodes[-1])
 
-    f_vals = space.collocation(nodes)            # (n, m)
-    f_ders = space.collocation_deriv(nodes)
+    f_vals, f_ders = space.jet(nodes, 1)         # (n, m) each
     b_diag = _boundary_diagonal(n)
 
     # X(w) = sum_k w_k E_k + X_0: E_k holds row k of F_x, X_0 = -B F / 2
@@ -256,8 +254,7 @@ def verify_sbp(
     are raw; the exactness pass tolerance is scaled by the derivative
     magnitude so huge-magnitude bases are judged relatively.
     """
-    f_vals = space.collocation(op.nodes)
-    f_ders = space.collocation_deriv(op.nodes)
+    f_vals, f_ders = space.jet(op.nodes, 1)
     exact_err = float(np.max(np.abs(op.D @ f_vals - f_ders)))
     skew = op.skew_defect()
     min_w = float(np.min(op.P))

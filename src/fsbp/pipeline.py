@@ -72,7 +72,9 @@ def solve_rule_pipeline(
     """Family descriptor to a certified generalised rule.
 
     ``mode`` is "closed" (endpoint nodes, for operator assembly) or
-    "open" (interior nodes only).
+    "open" (interior nodes only).  A target span whose orthonormal basis
+    comes out smaller than the span (a numerical rank loss) raises
+    RankError.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
@@ -80,6 +82,9 @@ def solve_rule_pipeline(
     product = product_derivative_space(space)
     target = augment_to_even(product)
     ortho = orthonormalize(target)
+    if ortho.dim < target.dim:
+        raise RankError(f"orthonormal basis has {ortho.dim} functions, fewer than the "
+                        f"{target.dim} of the target span")
     rule = continuation_solve(ortho, closed=(mode == "closed"), force=force, rng_seed=rng_seed)
     # certify against the augmented span in its natural (raw) basis
     rule.certificate = verify_exactness(rule, target)

@@ -1,21 +1,21 @@
 """Finite-dimensional function spaces on an interval.
 
-A space evaluates all of its basis functions at once: the private
-``_eval(xs, k)`` returns the (len(xs), dim) matrix of k-th derivatives,
-k = 0, 1, 2, and ``collocation`` / ``collocation_deriv`` are its k = 0
-and k = 1 cases.  Built-in families (monomial, trigonometric,
-exponential-plus-polynomial, Bessel) evaluate in closed form; explicit
-families column-stack the user's callables.  Derived spaces are maps on
-their parent's matrices:
+A space evaluates all of its basis functions at once, as a jet:
+``jet(xs, k)`` returns the derivatives 0..k (k <= 2) of the whole basis
+at the abscissae, stacked as a (k + 1, len(xs), dim) array, and
+``collocation`` / ``collocation_deriv`` are its slices ``jet(xs, 0)[0]``
+and ``jet(xs, 1)[1]``.  Built-in families (monomial, trigonometric,
+exponential-plus-polynomial, Bessel) compute their shared pieces (the
+powers, sin/cos, exp, one Bessel table) once per jet; explicit families
+stack the user's callables.  Derived spaces map their parent's jet:
 
-- product-derivative span: kept index pairs (i, j), with
-  (f_i f_j)' = f_i' f_j + f_i f_j' and its derivative
-  f_i'' f_j + 2 f_i' f_j' + f_i f_j'';
-- orthonormal spaces: the parent matrix times ``coeff_matrix.T``;
-- prefixes: a slice of the coefficient rows, or of the columns;
-- monomial augmentation: one appended column;
-- pull-back: an affine map of the abscissae, scaled by powers of its
-  Jacobian.
+- product-derivative span: kept index pairs (i, j), from one parent jet
+  of one order more, by Leibniz' rule on (f_i f_j)' = f_i' f_j + f_i f_j';
+- orthonormal spaces: the parent jet times ``coeff_matrix.T``;
+- prefixes: a slice of the coefficient rows, or of the last axis;
+- monomial augmentation: one column appended along the last axis;
+- pull-back: an affine map of the abscissae, order d scaled by the d-th
+  power of its Jacobian.
 
 Differentiation therefore never falls back to numerical differencing.
 Spaces expanded over an ill-conditioned parent carry ``noise_scale``,
@@ -62,7 +62,7 @@ class RankError(RuntimeError):
     """A derived space collapsed below the requested rank."""
 
 
-# (abscissae, derivative order k) -> (len(abscissae), dim) matrix
+# (abscissae, k) -> (k + 1, len(abscissae), dim) stack of derivatives 0..k
 Evaluator = Callable[[np.ndarray, int], np.ndarray]
 
 
@@ -70,11 +70,13 @@ class FunctionSpace:
     """An ordered basis of C^1 functions on a common interval.
 
     ``labels`` names the basis functions; ``noise_scale`` is described
-    in the module docstring.  Spaces whose members are linear
+    in the module docstring.  ``jet(xs, k)`` evaluates the derivatives
+    0..k of the basis in one call.  Spaces whose members are linear
     combinations of a common parent basis carry ``parent`` and
-    ``coeff_matrix`` (rows = members) and evaluate as one parent
-    evaluation times ``coeff_matrix.T``; every other space evaluates
-    through its ``evaluate`` callable.
+    ``coeff_matrix`` (rows = members), and their jet is the parent's jet
+    times ``coeff_matrix.T``; every other space's jet comes from its
+    ``evaluate`` callable, which returns the same (k + 1, len(xs), dim)
+    stack.
     """
 
     def __init__(
@@ -110,21 +112,24 @@ class FunctionSpace:
     def dim(self) -> int:
         return len(self.labels)
 
-    def _eval(self, xs: np.ndarray, k: int) -> np.ndarray:
-        """k-th derivatives (k = 0, 1, 2) of the basis at 1-d abscissae."""
+    def jet(self, xs, k: int) -> np.ndarray:
+        """Derivatives 0..k (k <= 2) of the basis, shape (k + 1, len(xs), dim)."""
+        if k not in (0, 1, 2):
+            raise ValueError(f"jet order must be 0, 1 or 2, got {k}")
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
         if self.coeff_matrix is not None:
-            return self.parent._eval(xs, k) @ self.coeff_matrix.T
+            return self.parent.jet(xs, k) @ self.coeff_matrix.T
         # C order whatever the evaluator's indexing produced: downstream
         # BLAS reductions sum in an order that depends on memory layout
         return np.ascontiguousarray(self._evaluate(xs, k))
 
     def collocation(self, xs) -> np.ndarray:
         """Matrix of basis values, shape (len(xs), dim)."""
-        return self._eval(np.atleast_1d(np.asarray(xs, dtype=float)), 0)
+        return self.jet(xs, 0)[0]
 
     def collocation_deriv(self, xs) -> np.ndarray:
         """Matrix of basis first derivatives, shape (len(xs), dim)."""
-        return self._eval(np.atleast_1d(np.asarray(xs, dtype=float)), 1)
+        return self.jet(xs, 1)[1]
 
     def prefix(self, k: int) -> "FunctionSpace":
         """Subspace spanned by the first k basis functions."""
@@ -137,7 +142,7 @@ class FunctionSpace:
             return FunctionSpace(self.interval, self.labels[:k], spec, parent=self.parent,
                                  coeff_matrix=self.coeff_matrix[:k], noise_scale=noise)
         return FunctionSpace(self.interval, self.labels[:k], spec,
-                             lambda xs, d: self._eval(xs, d)[:, :k], noise_scale=noise)
+                             lambda xs, d: self.jet(xs, d)[..., :k], noise_scale=noise)
 
     def __repr__(self):
         fam = self.family_spec.get("family", self.family_spec.get("derived", "?"))
@@ -162,15 +167,12 @@ def sampled_gram(space: FunctionSpace) -> np.ndarray:
 # built-in families
 
 def _powers(s: np.ndarray, degrees, k: int) -> np.ndarray:
-    """k-th derivatives of s**j, one column per degree j."""
-    out = np.empty((s.size, len(degrees)))
+    """Jet of order k of s**j, one column per degree j."""
+    pw = {i: s ** i for i in {j - d for j in degrees for d in range(min(j, k) + 1)}}
+    out = np.zeros((k + 1, s.size, len(degrees)))
     for col, j in enumerate(degrees):
-        if j < k:
-            out[:, col] = 0.0
-        elif k == 0:
-            out[:, col] = s ** j if j else 1.0
-        else:
-            out[:, col] = math.perm(j, k) * s ** (j - k)
+        for d in range(min(j, k) + 1):
+            out[d, :, col] = math.perm(j, d) * pw[j - d]
     return out
 
 
@@ -182,15 +184,13 @@ def _trig(a: float, b: float, max_harmonic: int, freq_scale: float) -> Evaluator
     def evaluate(x, k):
         t = (x - a)[:, None] * om
         sin, cos = np.sin(t), np.cos(t)
-        if k == 0:
-            pair = sin, cos
-        elif k == 1:
-            pair = om * cos, -om * sin
-        else:
-            pair = -om * om * sin, -om * om * cos
-        out = np.empty((x.size, 2 * om.size + 1))
-        out[:, 0] = 1.0 if k == 0 else 0.0
-        out[:, 1::2], out[:, 2::2] = pair
+        out = np.zeros((k + 1, x.size, 2 * om.size + 1))
+        out[0, :, 0] = 1.0
+        out[0, :, 1::2], out[0, :, 2::2] = sin, cos
+        # orders 1 and 2: (om cos, -om sin) and (-om^2 sin, -om^2 cos)
+        factors = ((om, cos, -om, sin), (-om * om, sin, -om * om, cos))
+        for d, (f, first, g, second) in enumerate(factors[:k], 1):
+            out[d, :, 1::2], out[d, :, 2::2] = f * first, g * second
         return out
 
     return evaluate
@@ -203,9 +203,10 @@ def _exponential(a: float, b: float, poly_degree: int, rates: list) -> Evaluator
     degrees = range(poly_degree + 1)
 
     def evaluate(x, k):
-        poly = _powers((x - a) / L, degrees, k) / L**k
-        exp = np.exp((x - a)[:, None] * r) * (1.0, r, r * r)[k]
-        return np.hstack([poly, exp])
+        poly = _powers((x - a) / L, degrees, k)
+        poly /= np.array([L**d for d in range(k + 1)])[:, None, None]
+        e = np.exp((x - a)[:, None] * r)
+        return np.concatenate([poly, [e * f for f in (1.0, r, r * r)[:k + 1]]], axis=2)
 
     return evaluate
 
@@ -218,14 +219,13 @@ def _bessel(orders: list) -> Evaluator:
     lo = min(orders)
     span = np.arange(lo - 2, max(orders) + 3)
     c = np.asarray(orders) - (lo - 2)            # column of J_v
+    jet_orders = (lambda j: j[:, c],
+                  lambda j: (j[:, c - 1] - j[:, c + 1]) / 2.0,
+                  lambda j: (j[:, c - 2] - 2.0 * j[:, c] + j[:, c + 2]) / 4.0)
 
     def evaluate(x, k):
         j = jv(span, x[:, None])
-        if k == 0:
-            return j[:, c]
-        if k == 1:
-            return (j[:, c - 1] - j[:, c + 1]) / 2.0
-        return (j[:, c - 2] - 2.0 * j[:, c] + j[:, c + 2]) / 4.0
+        return np.stack([order(j) for order in jet_orders[:k + 1]])
 
     return evaluate
 
@@ -236,7 +236,8 @@ def _explicit(funcs: list) -> Evaluator:
         lacking = [i for i, f in enumerate(funcs) if len(f) <= k]
         if lacking:
             raise FamilyError(f"second derivative required but not given for 'f{lacking[0]}'")
-        return np.column_stack([np.broadcast_to(f[k](x), x.shape) for f in funcs])
+        return np.stack([np.column_stack([np.broadcast_to(f[d](x), x.shape) for f in funcs])
+                         for d in range(k + 1)])
 
     return evaluate
 
@@ -349,28 +350,28 @@ def make_family(spec: dict) -> FunctionSpace:
 # derived spaces
 
 def _pair_derivatives(space: FunctionSpace, xs, k: int, pi, pj) -> np.ndarray:
-    """k-th derivatives of (f_i f_j)' for the index pairs (pi, pj).
+    """Jet of order k of (f_i f_j)' for the index pairs (pi, pj).
 
-    Terms are built and summed in place, left to right, so the large
-    reference grid of the rank selection needs few temporaries.
+    Order d is the Leibniz sum of C(d+1, e) f_i^(d+1-e) f_j^(e) over e,
+    from one parent jet of order k + 1.  Terms are built and summed in
+    place, left to right, so the large reference grid of the rank
+    selection needs few temporaries.
     """
     if k > 1:
         raise FamilyError("second derivative required but a product-derivative span has none")
-    v = [space._eval(xs, d) for d in range(k + 2)]      # f, f' (and f'')
+    v = space.jet(xs, k + 1)
 
-    def term(a, b, c=1.0):                               # c f_i^(a) f_j^(b)
-        t = np.take(v[a], pi, axis=1)
-        t *= c
-        t *= np.take(v[b], pj, axis=1)
+    def term(d, e):
+        t = np.take(v[d + 1 - e], pi, axis=1)
+        t *= math.comb(d + 1, e)
+        t *= np.take(v[e], pj, axis=1)
         return t
 
-    if k == 0:
-        out = term(1, 0)
-        out += term(0, 1)
-    else:
-        out = term(2, 0)
-        out += term(1, 1, 2.0)
-        out += term(0, 2)
+    out = np.empty((k + 1, v.shape[1], len(pi)))
+    for d in range(k + 1):
+        out[d] = term(d, 0)
+        for e in range(1, d + 2):
+            out[d] += term(d, e)
     return out
 
 
@@ -385,8 +386,8 @@ def product_derivative_space(space: FunctionSpace) -> FunctionSpace:
     """
     pi, pj = np.triu_indices(space.dim)
     xs, w = _reference_grid(space, pi.size)
-    space._eval(xs[:1], 2)   # reject a parent without second derivatives now
-    a_mat = _pair_derivatives(space, xs, 0, pi, pj) * np.sqrt(w)[:, None]
+    space.jet(xs[:1], 2)     # reject a parent without second derivatives now
+    a_mat = _pair_derivatives(space, xs, 0, pi, pj)[0] * np.sqrt(w)[:, None]
     mags = np.max(np.abs(a_mat), axis=0)
     live = mags > 0.0
     if not np.any(live):
@@ -431,7 +432,7 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
     a, b = space.interval
     m = space.dim
     xs, w = _reference_grid(space, m)
-    colloc = space.collocation(xs)
+    colloc, ders = space.jet(xs, 1)
     parent_mags = np.max(np.abs(colloc), axis=0)
     if np.any(parent_mags == 0.0):
         raise RankError("a basis function vanishes identically on the sample grid")
@@ -475,7 +476,7 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
     # ascending order: functions come out sorted by oscillation (the
     # constant, when in span, lands first with zero energy), which keeps
     # the even-dimensional prefixes well behaved for rule escalation
-    kd = (space.collocation_deriv(xs) @ coeff.T) * np.sqrt(w)[:, None]
+    kd = (ders @ coeff.T) * np.sqrt(w)[:, None]
     k_form = kd.T @ kd
     k_form = 0.5 * (k_form + k_form.T)
     _, u_rot = np.linalg.eigh(k_form)
@@ -484,7 +485,7 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
     # deterministic signs: value at the right endpoint positive, falling
     # back to the largest coefficient for functions vanishing there
     h_end = space.collocation(np.array([b])) @ coeff.T
-    h_peak = np.max(np.abs(space.collocation(xs) @ coeff.T), axis=0)
+    h_peak = np.max(np.abs(colloc @ coeff.T), axis=0)
     for i in range(rank):
         s = h_end[0, i]
         if abs(s) <= 1e-8 * h_peak[i]:
@@ -518,7 +519,7 @@ def augment_to_even(space: FunctionSpace) -> FunctionSpace:
     a_mat = space.collocation(xs) * sw
     q, _ = np.linalg.qr(a_mat)
     for deg in range(cap + 1):
-        v = _powers(xs, [deg], 0)[:, 0] * sw[:, 0]
+        v = _powers(xs, [deg], 0)[0, :, 0] * sw[:, 0]
         norm = np.linalg.norm(v)
         if norm == 0.0:
             continue
@@ -533,7 +534,7 @@ def augment_to_even(space: FunctionSpace) -> FunctionSpace:
             noise = None if space.noise_scale is None else np.append(space.noise_scale, 0.0)
             return FunctionSpace(
                 space.interval, space.labels + (f"x^{deg}",), spec,
-                lambda x, k: np.hstack([space._eval(x, k), _powers(x, [deg], k)]),
+                lambda x, k: np.concatenate([space.jet(x, k), _powers(x, [deg], k)], axis=2),
                 noise_scale=noise,
             )
     raise RankError(f"no independent monomial up to degree {cap}; space looks pathological")
@@ -573,8 +574,8 @@ def _scaled_log_dets(space: FunctionSpace, sets: np.ndarray, grad: bool = False)
     the column of row i's largest entry.
     """
     t, m = sets.shape
-    xs = sets.ravel()
-    c = space.collocation(xs).reshape(t, m, m)
+    jet = space.jet(sets.ravel(), int(grad)).reshape(-1, t, m, m)
+    c = jet[0]
     peak = np.argmax(np.abs(c), axis=2)[..., None]
     scale = np.abs(np.take_along_axis(c, peak, axis=2))
     scale[scale == 0.0] = 1.0            # a zero row stays zero: exactly singular
@@ -586,7 +587,7 @@ def _scaled_log_dets(space: FunctionSpace, sets: np.ndarray, grad: bool = False)
                         logdet - np.sum(np.log(sets[:, j] - sets[:, i]), axis=1))
         if not grad:
             return logs
-        cd = space.collocation_deriv(xs).reshape(t, m, m) / scale
+        cd = jet[1] / scale
         live = np.isfinite(logs)
         inv = np.zeros_like(c)
         inv[live] = np.linalg.inv(c[live])
@@ -714,10 +715,9 @@ def pull_back(space: FunctionSpace, target=(-1.0, 1.0), renormalize: bool = Fals
                              parent=pull_back(space.parent, target, renormalize=False),
                              coeff_matrix=scale * space.coeff_matrix, noise_scale=noise)
 
+    factors = [scale, scale * jac, scale * jac * jac]    # d^k/ds^k picks up jac**k
+
     def evaluate(s, k):
-        factor = scale
-        for _ in range(k):
-            factor *= jac                # d^k/ds^k picks up jac**k
-        return factor * space._eval(a + (s - ta) * jac, k)
+        return np.array(factors[:k + 1])[:, None, None] * space.jet(a + (s - ta) * jac, k)
 
     return FunctionSpace((ta, tb), space.labels, spec, evaluate, noise_scale=noise)

@@ -148,6 +148,16 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "solver error: LinAlgError" in capsys.readouterr().err
 
 
+def test_rank_loss_in_target_exits_3(tmp_path, capsys):
+    # the 18-function target of degree 9 on [0, 1] orthonormalises to 17
+    # functions: a numerical rank loss, not an invalid descriptor
+    cfg = write_config(tmp_path / "mono9.json", {"space": {
+        "family": "monomial", "degree": 9, "interval": [0, 1]}})
+    assert main(["rule", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "RankError" in err and "17" in err and "18" in err
+
+
 SOLVE_CONFIGS = {
     "advdiff": {
         "pde": "advection_diffusion",

@@ -92,11 +92,9 @@ def test_advdiff_sats_relations():
 def test_grid_validation(trig_operator):
     grid = MultiElementGrid.uniform(trig_operator, 3)
     assert grid.n_elements == 3
-    assert grid.total_nodes() == 3 * trig_operator.size
-    assert grid.global_nodes.size == grid.total_nodes()
+    assert grid.nodes.size == 3 * trig_operator.size
     # interface duplication: last node of an element equals the first of the next
-    p = trig_operator.size
-    assert grid.global_nodes[p - 1] == pytest.approx(grid.global_nodes[p])
+    assert grid.nodes[0, -1] == pytest.approx(grid.nodes[1, 0])
     with pytest.raises(ValueError):
         MultiElementGrid([])
 

@@ -67,7 +67,69 @@ def test_bessel_evaluator_matches_jvp_exactly(k):
     space = make_family({"family": "bessel", "orders": orders, "interval": [0, 25]})
     xs = np.linspace(0.0, 25.0, 101)
     expected = np.column_stack([jvp(v, xs, k) for v in orders])
-    assert np.array_equal(space._eval(xs, k), expected)
+    assert np.array_equal(space.jet(xs, 2)[k], expected)
+
+
+def _trig_family():
+    return make_family({"family": "trig", "max_harmonic": 2, "interval": [0, 1]})
+
+
+JET_SPACES = {
+    "monomial": lambda: make_family({"family": "monomial", "degree": 4, "interval": [-1, 2]}),
+    "trig": _trig_family,
+    "exponential": lambda: make_family(refcases.EXP3_SPEC),
+    "bessel": lambda: make_family({"family": "bessel", "orders": [0, 3], "interval": [0, 25]}),
+    "explicit": lambda: make_family({"family": "explicit", "interval": [0, 1], "functions": [
+        (lambda x: 1.0, lambda x: 0.0, lambda x: 0.0),
+        (np.sin, np.cos, lambda x: -np.sin(x)),
+    ]}),
+    "product_span": lambda: product_derivative_space(make_family(refcases.EXP3_SPEC)),
+    "orthonormal": lambda: orthonormalize(_trig_family()),
+    "prefix": lambda: _trig_family().prefix(3),
+    "augmented": lambda: augment_to_even(_trig_family()),
+    "pull_back": lambda: pull_back(orthonormalize(_trig_family()), renormalize=True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JET_SPACES))
+def test_jet_orders_agree(name):
+    # a jet's lower orders are the lower jets, bit for bit, and collocation /
+    # collocation_deriv are its slices; a product span has no second order
+    space = JET_SPACES[name]()
+    a, b = space.interval
+    xs = np.linspace(a, b, 13)
+    top = 1 if name == "product_span" else 2
+    jets = [space.jet(xs, k) for k in range(top + 1)]
+    for k, jet in enumerate(jets):
+        assert jet.shape == (k + 1, xs.size, space.dim)
+        for lower in jets[:k]:
+            assert np.array_equal(jet[:len(lower)], lower)
+    assert np.array_equal(space.collocation(xs), jets[0][0])
+    assert np.array_equal(space.collocation_deriv(xs), jets[1][1])
+    if top < 2:
+        with pytest.raises(FamilyError):
+            space.jet(xs, 2)
+    with pytest.raises(ValueError):
+        space.jet(xs, 3)
+
+
+def test_one_bessel_call_per_hermite_solve(monkeypatch):
+    # values and derivatives of a Hermite system come from one jet, so one
+    # jv table per solve, however deep the derived space
+    import scipy.special
+
+    from fsbp.gauss import _condition_integrals
+
+    calls = []
+    jv = scipy.special.jv
+    monkeypatch.setattr(scipy.special, "jv", lambda *args: calls.append(1) or jv(*args))
+    ortho = orthonormalize(augment_to_even(product_derivative_space(
+        make_family(refcases.BESSEL_SPEC))))
+    a, b = ortho.interval
+    nodes = np.linspace(a, b, ortho.dim // 2 + 1)
+    calls.clear()
+    _condition_integrals(ortho, nodes, True, np.ones(ortho.dim))
+    assert len(calls) == 1
 
 
 def test_bessel_feature_flag():
