@@ -21,7 +21,6 @@ from .gauss import (
     continuation_solve,
     verify_exactness,
     equispaced_rule,
-    classical_gauss_rule,
     classical_lobatto_rule,
 )
 from .operators import (

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -164,12 +165,22 @@ def _table(config: dict, key: str, default=None) -> dict:
     return value
 
 
-def _number(kind, value, what: str):
-    """``kind(value)`` with a wrongly typed value reported as a validation error."""
+def _number(value, what: str) -> float:
+    """``float(value)``; a wrongly typed or non-finite value is a validation error."""
     try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FamilyError(f"'{what}' must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise FamilyError(f"'{what}' must be finite, got {value!r}")
+    return number
+
+
+def _cfl(config: dict, default: float) -> float:
+    cfl = _number(config.get("cfl", default), "cfl")
+    if cfl <= 0:
+        raise FamilyError(f"'cfl' must be positive, got {cfl!r}")
+    return cfl
 
 
 def _n_nodes(config: dict) -> int | None:
@@ -220,7 +231,7 @@ def cmd_rule(args) -> int:
     })
     runner.finish({
         "dims": result.dims,
-        "screen": result.screen,
+        "screen": result.rule.trace["screen"],
         "certificate": result.rule.certificate.to_dict(),
     })
     if not result.rule.certificate.valid:
@@ -298,9 +309,9 @@ def _mms_case(name: str, pde: str, params: PdeParams) -> MmsCase:
 
 def _pde_params(p: dict) -> PdeParams:
     return PdeParams(
-        a=_number(float, p.get("a", 1.0), "a"),
-        eps=_number(float, p.get("eps", 0.0), "eps"),
-        final_time=_number(float, p.get("final_time", 1.0), "final_time"),
+        a=_number(p.get("a", 1.0), "a"),
+        eps=_number(p.get("eps", 0.0), "eps"),
+        final_time=_number(p.get("final_time", 1.0), "final_time"),
     )
 
 
@@ -317,8 +328,10 @@ def cmd_solve(args) -> int:
         raise FamilyError("solve 'operator' entry needs a 'space' family descriptor")
     params = _pde_params(_table(config, "params"))
     case = _mms_case(config.get("mms", "zero_data"), pde, params)
-    n_elements = _number(int, config.get("elements", 4), "elements")
-    cfl = _number(float, config.get("cfl", 0.1), "cfl")
+    n_elements = config.get("elements", 4)
+    if type(n_elements) is not int or n_elements < 1:
+        raise FamilyError(f"'elements' must be an integer of at least 1, got {n_elements!r}")
+    cfl = _cfl(config, 0.1)
     runner = Runner("solve", args, {**config, "seed": args.seed,
                                     "elements": n_elements, "cfl": cfl})
 
@@ -359,7 +372,7 @@ def _study_rows(study_name: str, config: dict, seed, force) -> list[dict]:
               else refcases.ADVECTION_DIFFUSION_STUDY)
     params = _pde_params({**frozen["params"], **_table(config, "params")})
     case = _mms_case(config.get("mms", frozen["mms"]), frozen["pde"], params)
-    cfl = _number(float, config.get("cfl", frozen["cfl"]), "cfl")
+    cfl = _cfl(config, frozen["cfl"])
     totals = config.get("totals")
     if totals is not None and not (
             isinstance(totals, list) and all(type(n) is int for n in totals)):

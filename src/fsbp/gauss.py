@@ -11,6 +11,12 @@ supplied by continuation in the integration measure: the unit weight
 is blended with a sum of point masses whose locations come from the
 previously converged rule of one size smaller.
 
+``continuation_solve`` takes the orthonormal working basis that
+``spaces.orthonormalize`` produces, and every solver returns an
+uncertified rule (``certificate`` None): ``verify_exactness`` is the
+one exactness check, and the callers that write a rule (the pipeline
+and the CLI) certify it once against the span they need.
+
 The solver's tolerances and schedule are the module constants below;
 every rule is computed against the unit weight on its interval.  All
 solves are pure and reentrant; a single solve is sequential.
@@ -24,7 +30,7 @@ import numpy as np
 import scipy.optimize
 
 from .integrate import moments
-from .spaces import FunctionSpace, pull_back, sampled_gram, orthonormalize, tchebyshev_screen
+from .spaces import FunctionSpace, pull_back, tchebyshev_screen
 
 __all__ = [
     "QuadratureRule",
@@ -35,7 +41,6 @@ __all__ = [
     "continuation_solve",
     "verify_exactness",
     "equispaced_rule",
-    "classical_gauss_rule",
     "classical_lobatto_rule",
 ]
 
@@ -198,8 +203,8 @@ def _ordered_with_margin(old_full, new_full, margin):
 def newton_solve(
     space: FunctionSpace,
     x0,
+    moments_vec: np.ndarray,
     closed: bool = False,
-    moments_vec: np.ndarray | None = None,
 ) -> QuadratureRule:
     """Damped quasi-Newton iteration for the rule nodes.
 
@@ -207,9 +212,10 @@ def newton_solve(
     its eta function); a backtracking line search keeps the nodes
     strictly ordered with a safety margin and never lets the residual
     grow.  For closed rules, the endpoints stay fixed and only interior
-    nodes move.  ``moments_vec`` defaults to the space's moments.
-    Returns a rule with positive weights and an exactness certificate
-    computed from the same moment vector.
+    nodes move.  ``moments_vec`` holds the integrals the rule must
+    reproduce, one per basis function (the space's moments, or a blend
+    of them during continuation).  Returns an uncertified rule with
+    positive weights.
     """
     a, b = space.interval
     m = space.dim
@@ -230,9 +236,6 @@ def newton_solve(
         upd = np.arange(n)
     if nodes.size > 1 and np.any(np.diff(nodes) <= 0):
         raise ValueError("initial nodes must be strictly increasing")
-
-    if moments_vec is None:
-        moments_vec = moments(space)
 
     def extended(vec):
         return vec if closed else np.concatenate([[a], vec, [b]])
@@ -272,7 +275,7 @@ def newton_solve(
             lam *= 0.5
         if not accepted:
             # evaluation noise of the basis can put a floor under the
-            # residual; accept within the noise band, the independent
+            # residual; accept within the noise band, the caller's
             # exactness certificate remains the quality gate
             if res <= RESIDUAL_ACCEPT:
                 status = "noise-floor"
@@ -303,19 +306,11 @@ def newton_solve(
             "as a Tchebyshev system on this interval"
         )
 
-    errors = np.abs(weights @ space.collocation(nodes) - moments_vec)
-    cert = ExactnessCertificate(
-        target_dim=m,
-        max_abs_error=float(np.max(errors)),
-        per_function_errors=errors,
-        tol=CERTIFICATE_TOL * max(1.0, float(np.max(np.abs(moments_vec)))),
-    )
     return QuadratureRule(
         nodes=nodes,
         weights=weights,
         closed=closed,
         interval=(a, b),
-        certificate=cert,
         trace={"iterations": iterations, "status": status,
                "final_residual": float(np.max(np.abs(sigma))) if sigma.size else 0.0},
     )
@@ -367,7 +362,7 @@ def _homotopy(space, m_target, anchors, closed, stage_trace):
         t_next = min(1.0, t + step)
         m_blend = t_next * m_target + (1.0 - t_next) * anchor_moments
         try:
-            rule = newton_solve(space, x0=nodes, closed=closed, moments_vec=m_blend)
+            rule = newton_solve(space, nodes, m_blend, closed=closed)
         except SolverError:
             step *= 0.5
             streak = 0
@@ -391,10 +386,11 @@ def continuation_solve(
     force: bool = False,
     rng_seed: int = 0,
 ) -> QuadratureRule:
-    """Full pipeline from a space to a converged rule.
+    """Measure continuation from an orthonormal basis to a converged rule.
 
-    The space is orthonormalised (if it is not already) and pulled back
-    to [-1, 1].  Open rules of increasing size are built by measure
+    ``space`` must be the output of ``spaces.orthonormalize`` (checked
+    from its descriptor; ValueError otherwise); it is pulled back to
+    [-1, 1] as it is.  Open rules of increasing size are built by measure
     continuation, each initialised with point masses interlaced between
     the previous rule's nodes.  For a closed rule the interior nodes are
     then seeded from consecutive midpoints of the final open rule (with
@@ -404,23 +400,17 @@ def continuation_solve(
 
     A Tchebyshev screen runs first and rejects the space on a "fail"
     verdict unless ``force`` is set.  The returned rule lives on the
-    original interval and is certified against the original space.
+    space's interval and carries no certificate.
     """
     if space.dim % 2 != 0:
         raise ValueError(
             f"space dimension must be even (got {space.dim}); augment the space first"
         )
+    if space.family_spec.get("derived") != "orthonormal":
+        raise ValueError("continuation_solve needs the basis of spaces.orthonormalize")
     n = space.dim // 2
     a, b = space.interval
-
-    gram = sampled_gram(space)
-    if np.max(np.abs(gram - np.eye(space.dim))) > 1e-6:
-        work = orthonormalize(space)
-        if work.dim != space.dim:
-            raise ValueError("space is rank deficient; orthonormalise and augment first")
-    else:
-        work = space
-    ref = pull_back(work, (-1.0, 1.0), renormalize=True)
+    ref = pull_back(space, renormalize=True)
 
     report = tchebyshev_screen(ref, trials=SCREEN_TRIALS, rng_seed=rng_seed)
     if report.verdict == "fail" and not force:
@@ -491,7 +481,7 @@ def continuation_solve(
             if np.any(np.diff(x0) <= 0):
                 continue
             try:
-                rule_ref = newton_solve(ref, x0=x0, closed=True, moments_vec=m_full)
+                rule_ref = newton_solve(ref, x0, m_full, closed=True)
                 trace["stages"].append({
                     "size": n, "closed": True,
                     "steps": [{"t": 1.0, "iterations": rule_ref.trace["iterations"]}],
@@ -516,9 +506,7 @@ def continuation_solve(
     if closed:
         nodes[0], nodes[-1] = a, b
     weights = half * rule_ref.weights
-    rule = QuadratureRule(nodes=nodes, weights=weights, closed=closed, interval=(a, b), trace=trace)
-    rule.certificate = verify_exactness(rule, space)
-    return rule
+    return QuadratureRule(nodes=nodes, weights=weights, closed=closed, interval=(a, b), trace=trace)
 
 
 def verify_exactness(
@@ -526,10 +514,13 @@ def verify_exactness(
     space: FunctionSpace,
     tol: float = CERTIFICATE_TOL,
 ) -> ExactnessCertificate:
-    """Independent exactness check of a rule against a space.
+    """Exactness certificate of a rule against a space.
 
-    The certificate tolerance is ``tol`` scaled by the largest moment
-    magnitude (floored at one); stored errors are raw absolute errors.
+    The one place a certificate is made: the solvers return uncertified
+    rules, and each caller that writes a rule certifies it here, once,
+    against the span it needs.  The certificate tolerance is ``tol``
+    scaled by the largest moment magnitude (floored at one); stored
+    errors are raw absolute errors.
     """
     a, b = space.interval
     if np.any(rule.nodes < a - 1e-12 * (b - a)) or np.any(rule.nodes > b + 1e-12 * (b - a)):
@@ -553,12 +544,14 @@ def equispaced_rule(
     n_nodes: int | None = None,
     max_extra: int = 8,
 ) -> QuadratureRule:
-    """Closed equispaced-node rule exact for the space.
+    """Closed equispaced-node rule exact for the space, uncertified.
 
     Starting from ``n_nodes`` (default: the space dimension), weights
     are solved from the exactness conditions; if they are not positive
     or not exact, the node count is increased (falling back to a
-    non-negative least-squares fit) until both hold.
+    non-negative least-squares fit) until both hold.  Exactness here is
+    the moment residual of the solve; the caller certifies the rule
+    against the span it needs.
     """
     a, b = space.interval
     m_vec = moments(space)
@@ -585,22 +578,10 @@ def equispaced_rule(
             if resid > CERTIFICATE_TOL * scale or np.min(w) <= 0:
                 last_issue = f"{count} nodes: residual {resid:.2e}, min weight {np.min(w):.2e}"
                 continue
-        rule = QuadratureRule(nodes=nodes, weights=w, closed=True, interval=(a, b),
+        return QuadratureRule(nodes=nodes, weights=w, closed=True, interval=(a, b),
                               trace={"construction": "equispaced", "n_nodes": count})
-        rule.certificate = verify_exactness(rule, space)
-        return rule
     raise SolverError(
         f"no positive exact equispaced rule with up to {start + max_extra} nodes ({last_issue})"
-    )
-
-
-def classical_gauss_rule(n: int, interval=(-1.0, 1.0)) -> QuadratureRule:
-    """Classical n-point Gauss-Legendre rule mapped to an interval."""
-    s, w = np.polynomial.legendre.leggauss(n)
-    a, b = interval
-    half = 0.5 * (b - a)
-    return QuadratureRule(
-        nodes=a + half * (s + 1.0), weights=half * w, closed=False, interval=(float(a), float(b))
     )
 
 

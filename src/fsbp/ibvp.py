@@ -78,6 +78,8 @@ class PdeParams:
     final_time: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.eps, self.final_time))):
+            raise ValueError("wave speed, diffusion constant and final time must be finite")
         if self.a <= 0:
             raise ValueError("wave speed a must be positive")
         if self.eps < 0:
@@ -91,7 +93,8 @@ class AdvectionSats:
     """Penalty coefficients for the advection scheme.
 
     Stability needs sigma_l <= a/2 with sigma_r = sigma_l - a and the
-    boundary penalty tau_l = -a (conservative, energy-dissipating).
+    boundary penalty tau_l = -a (conservative, energy-dissipating);
+    ``stable`` takes the upwind choice sigma_l = 0.
     """
 
     sigma_l: float
@@ -99,10 +102,8 @@ class AdvectionSats:
     tau_l: float
 
     @classmethod
-    def stable(cls, a: float, sigma_l: float = 0.0) -> "AdvectionSats":
-        if sigma_l > 0.5 * a:
-            raise ValueError(f"sigma_l={sigma_l} violates sigma_l <= a/2")
-        return cls(sigma_l=sigma_l, sigma_r=sigma_l - a, tau_l=-a)
+    def stable(cls, a: float) -> "AdvectionSats":
+        return cls(sigma_l=0.0, sigma_r=-a, tau_l=-a)
 
 
 @dataclass(frozen=True)

@@ -242,17 +242,17 @@ def build_approximate_operator(space: FunctionSpace, nodes: np.ndarray) -> FsbpO
 def verify_sbp(
     op: FsbpOperator,
     space: FunctionSpace,
-    n_pairs: int = 100,
     rng_seed: int = 0,
 ) -> SbpVerdict:
     """Measure the operator's defects against a space.
 
     Checks derivative exactness on the basis, the skew structure of Q,
     weight positivity, and the discrete integration-by-parts identity
-    u^T P (D v) + (D u)^T P v = u_n v_n - u_1 v_1 on random pairs drawn
-    from the span (normalised to unit max magnitude).  Reported defects
-    are raw; the exactness pass tolerance is scaled by the derivative
-    magnitude so huge-magnitude bases are judged relatively.
+    u^T P (D v) + (D u)^T P v = u_n v_n - u_1 v_1 on 100 random pairs
+    drawn from the span (normalised to unit max magnitude), seeded by
+    ``rng_seed``.  Reported defects are raw; the exactness pass
+    tolerance is scaled by the derivative magnitude so huge-magnitude
+    bases are judged relatively.
     """
     f_vals, f_ders = space.jet(op.nodes, 1)
     exact_err = float(np.max(np.abs(op.D @ f_vals - f_ders)))
@@ -260,7 +260,7 @@ def verify_sbp(
     min_w = float(np.min(op.P))
 
     # pair k is (u, v) = (uv[k, 0], uv[k, 1]), each a row of nodal values
-    coeffs = np.random.default_rng(rng_seed).standard_normal((n_pairs, 2, space.dim))
+    coeffs = np.random.default_rng(rng_seed).standard_normal((100, 2, space.dim))
     uv = coeffs @ f_vals.T
     uv /= np.maximum(1.0, np.max(np.abs(uv), axis=-1, keepdims=True))
     u, v = uv[:, 0], uv[:, 1]

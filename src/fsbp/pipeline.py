@@ -58,8 +58,7 @@ class RulePipelineResult:
     space: FunctionSpace           # the input family
     target: FunctionSpace          # augmented product-derivative span
     orthonormal: FunctionSpace
-    rule: QuadratureRule
-    screen: dict
+    rule: QuadratureRule           # certified against ``target``
     dims: dict
 
 
@@ -72,7 +71,9 @@ def solve_rule_pipeline(
     """Family descriptor to a certified generalised rule.
 
     ``mode`` is "closed" (endpoint nodes, for operator assembly) or
-    "open" (interior nodes only).  A target span whose orthonormal basis
+    "open" (interior nodes only).  The target span is orthonormalised
+    here, once, for the solver, and the solver's rule is certified here,
+    once, against the target.  A target span whose orthonormal basis
     comes out smaller than the span (a numerical rank loss) raises
     RankError.
     """
@@ -94,11 +95,7 @@ def solve_rule_pipeline(
         "target_dim": target.dim,
         "augmented": target.dim != product.dim,
     }
-    return RulePipelineResult(
-        space=space, target=target, orthonormal=ortho, rule=rule,
-        screen=rule.trace["screen"],      # the solver's gate is authoritative
-        dims=dims,
-    )
+    return RulePipelineResult(space=space, target=target, orthonormal=ortho, rule=rule, dims=dims)
 
 
 def build_study_operator(

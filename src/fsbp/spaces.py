@@ -156,13 +156,6 @@ def _reference_grid(space: FunctionSpace, m: int):
     return a + 0.5 * (b - a) * (s + 1.0), 0.5 * (b - a) * w
 
 
-def sampled_gram(space: FunctionSpace) -> np.ndarray:
-    """Gram matrix of the basis under a 4m-point Gauss-Legendre rule."""
-    xs, w = _reference_grid(space, space.dim)
-    c = space.collocation(xs) * np.sqrt(w)[:, None]
-    return c.T @ c
-
-
 # ---------------------------------------------------------------------------
 # built-in families
 
@@ -251,8 +244,15 @@ def _entry(spec: dict, key: str, convert, default=None):
         return default
     try:
         return convert(spec[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FamilyError(f"invalid {key!r} entry {spec[key]!r}") from exc
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not finite")
+    return x
 
 
 def _function_tuples(items) -> list:
@@ -277,14 +277,17 @@ def make_family(spec: dict) -> FunctionSpace:
       usable scipy.special)
     - ``{"family": "explicit", "functions": [(value, deriv[, deriv2]), ...]}``
 
-    Missing or ill-typed entries raise :class:`FamilyError`.
+    A descriptor that is not a dict, and missing, ill-typed or non-finite
+    entries, raise :class:`FamilyError`.
     """
+    if not isinstance(spec, dict):
+        raise FamilyError(f"a family descriptor must be an object, got {spec!r}")
     if "family" not in spec:
         raise FamilyError("descriptor lacks a 'family' entry")
     if "interval" not in spec:
         raise FamilyError("descriptor lacks an 'interval' entry")
     family = spec["family"]
-    interval = _entry(spec, "interval", lambda v: [float(e) for e in v])
+    interval = _entry(spec, "interval", lambda v: [_finite(e) for e in v])
     if len(interval) != 2:
         raise FamilyError(f"interval needs two entries, got {spec['interval']!r}")
     a, b = interval
@@ -301,7 +304,7 @@ def make_family(spec: dict) -> FunctionSpace:
         k = _entry(spec, "max_harmonic", int)
         if k < 1:
             raise FamilyError("trig family needs max_harmonic >= 1")
-        freq_scale = _entry(spec, "freq_scale", float, 1.0)
+        freq_scale = _entry(spec, "freq_scale", _finite, 1.0)
         if freq_scale <= 0:
             raise FamilyError("freq_scale must be positive")
         labels = ["x^0"]
@@ -309,7 +312,7 @@ def make_family(spec: dict) -> FunctionSpace:
             labels += [f"sin({j}pi*s)", f"cos({j}pi*s)"]
         evaluate = _trig(a, b, k, freq_scale)
     elif family == "exponential":
-        rates = _entry(spec, "rates", lambda v: [float(r) for r in v], [])
+        rates = _entry(spec, "rates", lambda v: [_finite(r) for r in v], [])
         p = _entry(spec, "poly_degree", int, 0)
         if p < 0:
             raise FamilyError("exponential family needs poly_degree >= 0")
@@ -693,31 +696,31 @@ def tchebyshev_screen(
 # ---------------------------------------------------------------------------
 # affine pull-back
 
-def pull_back(space: FunctionSpace, target=(-1.0, 1.0), renormalize: bool = False) -> FunctionSpace:
-    """The same space expressed on a target interval via an affine map.
+def pull_back(space: FunctionSpace, renormalize: bool = False) -> FunctionSpace:
+    """The same space expressed on the reference interval [-1, 1] via the
+    affine map x = a + (s + 1)(b - a)/2.
 
     With ``renormalize`` the functions are scaled by sqrt(dx/ds) so an
-    L2-orthonormal basis stays orthonormal on the target interval.
+    L2-orthonormal basis stays orthonormal on [-1, 1].
     """
     a, b = space.interval
-    ta, tb = float(target[0]), float(target[1])
-    jac = (b - a) / (tb - ta)            # dx/ds
+    jac = 0.5 * (b - a)                  # dx/ds
     scale = math.sqrt(jac) if renormalize else 1.0
     spec = {
         "derived": "pull_back",
         "parent": space.family_spec,
-        "interval": [ta, tb],
+        "interval": [-1.0, 1.0],
         "renormalized": renormalize,
     }
     noise = None if space.noise_scale is None else scale * space.noise_scale
     if space.coeff_matrix is not None:
-        return FunctionSpace((ta, tb), space.labels, spec,
-                             parent=pull_back(space.parent, target, renormalize=False),
+        return FunctionSpace((-1.0, 1.0), space.labels, spec,
+                             parent=pull_back(space.parent),
                              coeff_matrix=scale * space.coeff_matrix, noise_scale=noise)
 
     factors = [scale, scale * jac, scale * jac * jac]    # d^k/ds^k picks up jac**k
 
     def evaluate(s, k):
-        return np.array(factors[:k + 1])[:, None, None] * space.jet(a + (s - ta) * jac, k)
+        return np.array(factors[:k + 1])[:, None, None] * space.jet(a + (s + 1.0) * jac, k)
 
-    return FunctionSpace((ta, tb), space.labels, spec, evaluate, noise_scale=noise)
+    return FunctionSpace((-1.0, 1.0), space.labels, spec, evaluate, noise_scale=noise)

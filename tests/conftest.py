@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fsbp.spaces import make_family, product_derivative_space, augment_to_even, orthonormalize
-from fsbp.gauss import continuation_solve
+from oracles import certified_rule
 from fsbp import refcases
 
 
@@ -28,7 +28,7 @@ def exp3_orthonormal(exp3_target):
 
 @pytest.fixture(scope="session")
 def exp3_closed_rule(exp3_target):
-    return continuation_solve(exp3_target, closed=True)
+    return certified_rule(exp3_target, closed=True)
 
 
 @pytest.fixture(scope="session")

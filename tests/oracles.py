@@ -14,7 +14,8 @@ time-marching section takes the classical four-stage scheme stage by
 stage through a right side, the reference for the precomputed step.  The
 cardinal-basis section solves for the Hermite-Lagrange basis the Newton
 iteration only uses through its integrals, from the solver's own
-Hermite-Vandermonde rows.
+Hermite-Vandermonde rows.  ``certified_rule`` is no oracle: it runs the
+package's rule steps on a raw target span, as the pipeline does.
 """
 
 import math
@@ -24,10 +25,10 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 
-from fsbp.gauss import SolverError, _hermite_rows
+from fsbp.gauss import SolverError, _hermite_rows, continuation_solve, verify_exactness
 from fsbp.ibvp import BLOWUP_FACTOR, BlowUpError
 from fsbp.integrate import moments
-from fsbp.spaces import FunctionSpace
+from fsbp.spaces import FunctionSpace, orthonormalize
 
 
 def legendre_with_deriv(n: int, x):
@@ -371,3 +372,15 @@ def residuals_and_weights(basis: HermiteLagrangeBasis, moments_vec: np.ndarray |
     if moments_vec is None:
         moments_vec = moments(basis.space)
     return basis.sigma_coeffs @ moments_vec, basis.eta_coeffs @ moments_vec
+
+
+# ---------------------------------------------------------------------------
+# the package's rule steps
+
+def certified_rule(target: FunctionSpace, closed: bool, **kw):
+    """Rule for a raw target span: orthonormalise it, solve by measure
+    continuation (``kw`` goes to ``continuation_solve``) and certify the
+    rule once against ``target``."""
+    rule = continuation_solve(orthonormalize(target), closed=closed, **kw)
+    rule.certificate = verify_exactness(rule, target)
+    return rule

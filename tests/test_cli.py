@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from fsbp import cli, pipeline, refcases
 from fsbp.cli import main
-from fsbp import refcases
 from fsbp.ibvp import MmsCase, MultiElementGrid, PdeParams, assemble
 from fsbp.pipeline import build_study_operator
 
@@ -126,6 +126,17 @@ TRIG_OPERATOR = {"space": {"family": "trig", "max_harmonic": 2, "interval": [0, 
     ("solve", {"pde": "advection_diffusion", "mms": "oscillatory_wave",
                "params": {"eps": 0.1}, "operator": TRIG_OPERATOR}),
     ("converge", {"study": "advection", "mms": "boundary_layer", "params": {"eps": 0.1}}),
+    # a descriptor that is not an object, or carries a non-finite number
+    ("rule", {"space": 5}),
+    ("rule", {"space": ["family", "interval"]}),
+    ("rule", {"space": {"family": "monomial", "degree": math.inf, "interval": [0, 1]}}),
+    ("rule", {"space": {"family": "bessel", "orders": [math.inf], "interval": [0, 25]}}),
+    ("rule", {"space": {"family": "trig", "max_harmonic": 1, "freq_scale": math.nan,
+                        "interval": [0, 1]}}),
+    ("rule", {"space": {"family": "exponential", "rates": [math.nan], "interval": [0, 1]}}),
+    ("rule", {"space": {"family": "monomial", "degree": 2, "interval": [0, math.inf]}}),
+    ("operator", {"space": {"family": "monomial", "degree": 2, "interval": [0, math.inf]},
+                  "node_mode": "classical-gll"}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     # an operator file without its weights, for the verify case
@@ -137,6 +148,33 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     err = capsys.readouterr().err
     assert "validation error" in err
     assert "Traceback" not in err
+
+
+ADVECTION_SOLVE = {"pde": "advection", "operator": TRIG_OPERATOR}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("converge", {"study": "advection", "cfl": 0}),
+    ("converge", {"study": "advection", "cfl": -1}),
+    ("converge", {"study": "advection", "params": {"final_time": math.inf}}),
+    ("solve", {**ADVECTION_SOLVE, "elements": math.inf}),
+    ("solve", {**ADVECTION_SOLVE, "elements": 2.7}),
+    ("solve", {**ADVECTION_SOLVE, "elements": 0}),
+    ("solve", {**ADVECTION_SOLVE, "params": {"final_time": math.inf}}),
+    ("solve", {**ADVECTION_SOLVE, "params": {"a": math.nan}}),
+    ("solve", {**ADVECTION_SOLVE, "cfl": math.inf}),
+    ("solve", {**ADVECTION_SOLVE, "cfl": 0}),
+])
+def test_bad_run_parameters_exit_2_before_any_operator_build(
+        tmp_path, capsys, monkeypatch, command, config):
+    def no_build(*args, **kwargs):
+        raise AssertionError("an operator was built before the run parameters were checked")
+
+    monkeypatch.setattr(cli, "build_study_operator", no_build)
+    monkeypatch.setattr(pipeline, "build_study_operator", no_build)
+    cfg = write_config(tmp_path / "bad.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "validation error" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

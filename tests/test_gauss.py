@@ -5,17 +5,18 @@ from fsbp.gauss import (
     QuadratureRule,
     ScreenFailure,
     SolverError,
-    classical_gauss_rule,
     classical_lobatto_rule,
     continuation_solve,
     equispaced_rule,
     newton_solve,
     verify_exactness,
 )
+from fsbp.integrate import moments
 from fsbp.spaces import make_family, orthonormalize, product_derivative_space
-from fsbp import refcases
+from fsbp import cli, gauss, pipeline, refcases
 
 from oracles import (
+    certified_rule,
     gauss_nodes_weights,
     hermite_lagrange,
     hermite_vandermonde,
@@ -115,39 +116,40 @@ def test_midpoint_rule_residuals():
 
 def test_newton_forced_midpoint():
     space = monomials(1, (2.0, 5.0))
-    rule = newton_solve(space, x0=np.array([2.4]))
+    rule = newton_solve(space, np.array([2.4]), moments(space))
     assert rule.nodes[0] == pytest.approx(3.5, abs=1e-12)
     assert rule.weights[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_newton_two_point_gauss():
     space = monomials(3)
-    rule = newton_solve(space, x0=np.array([-0.3, 0.4]))
+    rule = newton_solve(space, np.array([-0.3, 0.4]), moments(space))
     assert np.allclose(rule.nodes, [-1.0 / np.sqrt(3.0), 1.0 / np.sqrt(3.0)], atol=1e-12)
     assert np.allclose(rule.weights, [1.0, 1.0], atol=1e-12)
 
 
 def test_newton_closed_reproduces_reference_exponential_rule(exp3_orthonormal):
     x0 = np.array([0.0, 0.3, 0.7, 1.0])
-    rule = newton_solve(exp3_orthonormal, x0=x0, closed=True)
+    rule = newton_solve(exp3_orthonormal, x0, moments(exp3_orthonormal), closed=True)
     assert np.allclose(rule.nodes, refcases.EXP3_CLOSED_NODES, atol=1e-8)
     assert np.allclose(rule.weights, refcases.EXP3_CLOSED_WEIGHTS, atol=1e-8)
-    assert rule.certificate.valid
+    assert verify_exactness(rule, exp3_orthonormal).valid
 
 
 def test_newton_rejects_bad_input():
     space = monomials(3)
+    m = moments(space)
     with pytest.raises(ValueError):
-        newton_solve(space, x0=np.array([0.4, -0.3]))      # not increasing
+        newton_solve(space, np.array([0.4, -0.3]), m)      # not increasing
     with pytest.raises(ValueError):
-        newton_solve(space, x0=np.array([-0.5, 0.0, 0.5]), closed=True)  # endpoints
+        newton_solve(space, np.array([-0.5, 0.0, 0.5]), m, closed=True)  # endpoints
 
 
 # ------------------------------------------------------- continuation solve
 
 def test_classical_lobatto_n3(trig_target):
     space = product_derivative_space(monomials(3))
-    rule = continuation_solve(space, closed=True)
+    rule = certified_rule(space, closed=True)
     assert np.allclose(rule.nodes, [-1.0, -1.0 / np.sqrt(5.0), 1.0 / np.sqrt(5.0), 1.0],
                        atol=1e-12)
     assert np.allclose(rule.weights, [1.0 / 6.0, 5.0 / 6.0, 5.0 / 6.0, 1.0 / 6.0],
@@ -157,11 +159,11 @@ def test_classical_lobatto_n3(trig_target):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_classical_limits_against_oracle(n):
     space = product_derivative_space(monomials(n))
-    closed = continuation_solve(space, closed=True)
+    closed = certified_rule(space, closed=True)
     x_ref, w_ref = lobatto_nodes_weights(n + 1)
     assert np.max(np.abs(closed.nodes - x_ref)) < 1e-10
     assert np.max(np.abs(closed.weights - w_ref)) < 1e-10
-    open_rule = continuation_solve(space, closed=False)
+    open_rule = certified_rule(space, closed=False)
     x_ref, w_ref = gauss_nodes_weights(n)
     assert np.max(np.abs(open_rule.nodes - x_ref)) < 1e-10
     assert np.max(np.abs(open_rule.weights - w_ref)) < 1e-10
@@ -174,14 +176,14 @@ def test_exp3_closed_rule_matches_reference(exp3_closed_rule):
 
 
 def test_node_counts(trig_target):
-    rule_closed = continuation_solve(trig_target, closed=True)
+    rule_closed = certified_rule(trig_target, closed=True)
     assert rule_closed.size == trig_target.dim // 2 + 1
-    rule_open = continuation_solve(trig_target, closed=False)
+    rule_open = certified_rule(trig_target, closed=False)
     assert rule_open.size == trig_target.dim // 2
 
 
 def test_symmetric_space_gives_symmetric_nodes(trig_target):
-    rule = continuation_solve(trig_target, closed=True)
+    rule = certified_rule(trig_target, closed=True)
     a, b = rule.interval
     assert np.max(np.abs((rule.nodes + rule.nodes[::-1]) - (a + b))) < 1e-9
     assert np.max(np.abs(rule.weights - rule.weights[::-1])) < 1e-9
@@ -193,7 +195,7 @@ def test_affine_covariance(exp3_closed_rule):
     from fsbp.spaces import augment_to_even
 
     target = augment_to_even(product_derivative_space(make_family(spec)))
-    mapped = continuation_solve(target, closed=True)
+    mapped = certified_rule(target, closed=True)
     assert np.max(np.abs(mapped.nodes - (2.0 + 4.0 * exp3_closed_rule.nodes))) < 1e-10
     assert np.max(np.abs(mapped.weights - 4.0 * exp3_closed_rule.weights)) < 1e-10
 
@@ -203,6 +205,12 @@ def test_odd_dimension_rejected():
     assert space.dim == 5
     with pytest.raises(ValueError):
         continuation_solve(space, closed=True)
+
+
+def test_continuation_needs_orthonormal_basis(trig_target):
+    # the caller orthonormalises; a raw span is refused, not orthonormalised
+    with pytest.raises(ValueError, match="orthonormalize"):
+        continuation_solve(trig_target, closed=True)
 
 
 def test_screen_gate_blocks_and_force_overrides():
@@ -220,10 +228,10 @@ def test_screen_gate_blocks_and_force_overrides():
         ],
     })
     with pytest.raises(ScreenFailure):
-        continuation_solve(space, closed=True)
+        certified_rule(space, closed=True)
     # forcing proceeds to the solver, which reports the genuine failure
     with pytest.raises(SolverError):
-        continuation_solve(space, closed=True, force=True)
+        certified_rule(space, closed=True, force=True)
 
 
 def test_trace_records_solver_path(exp3_closed_rule):
@@ -271,7 +279,7 @@ def test_reference_rule_certificate(exp3_closed_rule, exp3_target):
 
 
 def test_open_rule_certificate(exp3_target):
-    rule = continuation_solve(exp3_target, closed=False)
+    rule = certified_rule(exp3_target, closed=False)
     assert rule.size == exp3_target.dim // 2
     assert rule.certificate.valid
     assert 0.0 < rule.nodes[0] and rule.nodes[-1] < 1.0
@@ -283,6 +291,28 @@ def test_verify_exactness_rejects_outside_nodes(exp3_target):
                           closed=False, interval=(0.0, 1.2))
     with pytest.raises(ValueError):
         verify_exactness(rule, exp3_target)
+
+
+def test_solvers_return_uncertified_rules(exp3_orthonormal):
+    x0 = np.array([0.0, 0.3, 0.7, 1.0])
+    assert newton_solve(exp3_orthonormal, x0, moments(exp3_orthonormal),
+                        closed=True).certificate is None
+    assert equispaced_rule(exp3_orthonormal).certificate is None
+
+
+def test_pipeline_certifies_each_rule_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return verify_exactness(*args, **kwargs)
+
+    for module in (gauss, pipeline, cli):
+        monkeypatch.setattr(module, "verify_exactness", counted)
+    result = pipeline.solve_rule_pipeline(refcases.EXP3_SPEC, "closed")
+    assert len(calls) == 1
+    assert calls[0][1] is result.target
+    assert result.rule.certificate.valid
 
 
 # ------------------------------------------------------------- other rules
@@ -310,14 +340,10 @@ def test_equispaced_rule_bumps_node_count():
     rule = equispaced_rule(ortho)
     assert rule.size > ortho.dim          # exactness needs extra points here
     assert np.min(rule.weights) > 0
-    assert rule.certificate.valid
+    assert verify_exactness(rule, ortho).valid
 
 
 def test_classical_rule_constructors():
-    g = classical_gauss_rule(3, (0.0, 2.0))
-    x_ref, w_ref = gauss_nodes_weights(3)
-    assert np.allclose(g.nodes, 1.0 + x_ref, atol=1e-14)
-    assert np.allclose(g.weights, w_ref, atol=1e-14)
     lob = classical_lobatto_rule(4)
     x_ref, w_ref = lobatto_nodes_weights(4)
     assert np.allclose(lob.nodes, x_ref, atol=1e-13)

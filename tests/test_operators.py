@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fsbp.gauss import QuadratureRule, continuation_solve
+from fsbp.gauss import QuadratureRule
 from fsbp.gauss import classical_lobatto_rule
 from fsbp.operators import (
     AssemblyError,
@@ -17,7 +17,13 @@ from fsbp.operators import (
 from fsbp.spaces import augment_to_even, make_family, product_derivative_space
 from fsbp import refcases
 
-from oracles import ibp_defect_loop, joint_defect_bvls, lagrange_diff_matrix, skew_lstsq
+from oracles import (
+    certified_rule,
+    ibp_defect_loop,
+    joint_defect_bvls,
+    lagrange_diff_matrix,
+    skew_lstsq,
+)
 
 
 def trapezoid_rule():
@@ -146,9 +152,9 @@ def test_structural_invariants_across_fixture_matrix():
     for spec in specs:
         space = make_family(spec)
         target = augment_to_even(product_derivative_space(space))
-        rule = continuation_solve(target, closed=True)
+        rule = certified_rule(target, closed=True)
         op = build_operator(space, rule)
-        verdict = verify_sbp(op, space, n_pairs=100, rng_seed=int(rng.integers(1 << 30)))
+        verdict = verify_sbp(op, space, rng_seed=int(rng.integers(1 << 30)))
         assert verdict.max_skew_defect <= 1e-12, spec
         assert verdict.min_weight > 0, spec
         assert verdict.max_exactness_error <= 1e-8, spec
