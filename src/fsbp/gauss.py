@@ -11,10 +11,12 @@ supplied by continuation in the integration measure: the unit weight
 is blended with a sum of point masses whose locations come from the
 previously converged rule of one size smaller.
 
-``continuation_solve`` takes the orthonormal working basis that
-``spaces.orthonormalize`` produces, and every solver returns an
-uncertified rule (``certificate`` None): ``verify_exactness`` is the
-one exactness check, and the callers that write a rule (the pipeline
+``continuation_solve`` and ``equispaced_rule`` take the orthonormal
+working basis that ``spaces.orthonormalize`` produces, a truncated
+Chebyshev series, and read its moments in closed form from the series
+coefficients.  Every solver returns an uncertified rule (``certificate``
+None): ``verify_exactness``, which integrates the target adaptively, is
+the one exactness check, and the callers that write a rule (the pipeline
 and the CLI) certify it once against the span they need.
 
 The solver's tolerances and schedule are the module constants below;
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-import scipy.optimize
 
 from .integrate import moments
 from .spaces import FunctionSpace, pull_back, tchebyshev_screen
@@ -141,10 +142,8 @@ class QuadratureRule:
         )
 
 
-# Newton iteration: stop below RESIDUAL_TOL (the largest sigma integral);
-# a stalled iteration is accepted inside the noise band RESIDUAL_ACCEPT
+# Newton iteration: stop below RESIDUAL_TOL (the largest sigma integral)
 RESIDUAL_TOL = 1e-11
-RESIDUAL_ACCEPT = 1e-8
 STEP_TOL = 1e-13
 MAX_ITERATIONS = 100
 DAMPING_LEVELS = 10          # damping factor down to 2**-10
@@ -242,7 +241,6 @@ def newton_solve(
 
     sigma, eta = _condition_integrals(space, nodes, closed, moments_vec)
     iterations = 0
-    status = "converged"
     for _ in range(MAX_ITERATIONS):
         res = float(np.max(np.abs(sigma))) if sigma.size else 0.0
         if res < RESIDUAL_TOL:
@@ -274,12 +272,6 @@ def newton_solve(
                         break
             lam *= 0.5
         if not accepted:
-            # evaluation noise of the basis can put a floor under the
-            # residual; accept within the noise band, the caller's
-            # exactness certificate remains the quality gate
-            if res <= RESIDUAL_ACCEPT:
-                status = "noise-floor"
-                break
             raise SolverError(
                 f"backtracking failed at residual {res:.3e}; node ordering could not be rescued"
             )
@@ -288,9 +280,6 @@ def newton_solve(
         if step < STEP_TOL:
             res_now = float(np.max(np.abs(sigma))) if sigma.size else 0.0
             if res_now < RESIDUAL_TOL:
-                break
-            if res_now <= RESIDUAL_ACCEPT:
-                status = "noise-floor"
                 break
             raise SolverError(f"stagnated with residual {res_now:.3e}")
     else:
@@ -311,13 +300,27 @@ def newton_solve(
         weights=weights,
         closed=closed,
         interval=(a, b),
-        trace={"iterations": iterations, "status": status,
+        trace={"iterations": iterations,
                "final_residual": float(np.max(np.abs(sigma))) if sigma.size else 0.0},
     )
 
 
 # ---------------------------------------------------------------------------
 # continuation driver
+
+def _series_moments(space: FunctionSpace) -> np.ndarray:
+    """Integrals of an orthonormal basis over its interval, in closed form.
+
+    ``space`` must be the output of ``spaces.orthonormalize`` (ValueError
+    otherwise), a Chebyshev series in the local coordinate: the integral
+    of T_k over [-1, 1] is 2/(1 - k^2) for even k and 0 for odd k.
+    """
+    if space.family_spec.get("derived") != "orthonormal":
+        raise ValueError("the solvers need the basis of spaces.orthonormalize")
+    a, b = space.interval
+    k = np.arange(0, space.parent.dim, 2)
+    return 0.5 * (b - a) * (space.coeff_matrix[:, ::2] @ (2.0 / (1.0 - k * k)))
+
 
 def _interlaced_anchors(prev_nodes, a, b):
     ext = np.concatenate([[a], prev_nodes, [b]])
@@ -390,9 +393,10 @@ def continuation_solve(
 
     ``space`` must be the output of ``spaces.orthonormalize`` (checked
     from its descriptor; ValueError otherwise); it is pulled back to
-    [-1, 1] as it is.  Open rules of increasing size are built by measure
-    continuation, each initialised with point masses interlaced between
-    the previous rule's nodes.  For a closed rule the interior nodes are
+    [-1, 1] as it is, and its moments are the closed-form ones.  Open
+    rules of increasing size are built by measure continuation, each
+    initialised with point masses interlaced between the previous rule's
+    nodes.  For a closed rule the interior nodes are
     then seeded from consecutive midpoints of the final open rule (with
     a 5% affine guard against the endpoints) and re-solved with the
     endpoints pinned; if that Newton solve fails, the continuation is
@@ -406,10 +410,10 @@ def continuation_solve(
         raise ValueError(
             f"space dimension must be even (got {space.dim}); augment the space first"
         )
-    if space.family_spec.get("derived") != "orthonormal":
-        raise ValueError("continuation_solve needs the basis of spaces.orthonormalize")
     n = space.dim // 2
     a, b = space.interval
+    # the pulled-back basis is scaled by sqrt(dx/ds) and integrated in ds
+    m_full = _series_moments(space) / np.sqrt(0.5 * (b - a))
     ref = pull_back(space, renormalize=True)
 
     report = tchebyshev_screen(ref, trials=SCREEN_TRIALS, rng_seed=rng_seed)
@@ -418,8 +422,6 @@ def continuation_solve(
             f"Tchebyshev screen failed (min scaled determinant {report.min_abs_det:.3e}); "
             "pass force=True to attempt the solve anyway"
         )
-
-    m_full = moments(ref)
 
     trace = {
         "mode": "closed" if closed else "open",
@@ -546,15 +548,19 @@ def equispaced_rule(
 ) -> QuadratureRule:
     """Closed equispaced-node rule exact for the space, uncertified.
 
-    Starting from ``n_nodes`` (default: the space dimension), weights
-    are solved from the exactness conditions; if they are not positive
-    or not exact, the node count is increased (falling back to a
-    non-negative least-squares fit) until both hold.  Exactness here is
+    ``space`` must be the output of ``spaces.orthonormalize`` (ValueError
+    otherwise), whose moments are closed-form.  Starting from ``n_nodes``
+    (default: the space dimension), weights are solved from the
+    exactness conditions; if they are not positive or not exact, the
+    node count is increased (falling back to a non-negative
+    least-squares fit) until both hold.  Exactness here is
     the moment residual of the solve; the caller certifies the rule
     against the span it needs.
     """
+    import scipy.optimize
+
     a, b = space.interval
-    m_vec = moments(space)
+    m_vec = _series_moments(space)
     scale = max(1.0, float(np.max(np.abs(m_vec))))
     start = space.dim if n_nodes is None else n_nodes
     if start < space.dim:

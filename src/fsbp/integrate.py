@@ -10,8 +10,10 @@ vector integrand shares one subdivision, and a scalar integrand is its
 one-component case.  ``moments`` integrates a space's basis against
 the unit weight, the only measure the package uses.  Its tolerances are
 the fixed ``DEFAULT_ENGINE`` (1e-12 absolute and relative, at most
-10 000 subdivisions), floored per function at the evaluation noise of
-the basis; nothing in the package passes other tolerances.
+10 000 subdivisions); nothing in the package passes other tolerances.
+The rule solvers integrate nothing here: their orthonormal Chebyshev
+bases have closed-form moments.  ``moments`` is the independent check
+that certifies each rule against its target span.
 
 Integrands must be vectorised (accept an ndarray of abscissae) and
 finite everywhere on the closed interval.  Everything here is pure and
@@ -144,7 +146,6 @@ def integrate_vector(
     abs_tol: float = DEFAULT_ENGINE.abs_tol,
     rel_tol: float = DEFAULT_ENGINE.rel_tol,
     max_subdivisions: int = DEFAULT_ENGINE.max_subdivisions,
-    noise_floors: np.ndarray | None = None,
 ) -> IntegrationResult:
     """Integrate a vector-valued function on [a, b].
 
@@ -152,12 +153,6 @@ def integrate_vector(
     (d, m) (or (m,) for d = 1).  All d components share one adaptive
     subdivision; the error of every component is controlled to
     ``max(abs_tol, rel_tol * |value|)``.
-
-    ``noise_floors`` optionally gives per-component bounds on the
-    attainable accuracy (evaluation rounding noise of the integrand); a
-    component whose error estimate is below its floor counts as
-    converged even if the requested tolerance is tighter, since no
-    amount of subdivision can improve it.
     """
     if not (a < b):
         raise ValueError(f"require a < b, got [{a}, {b}]")
@@ -175,8 +170,6 @@ def integrate_vector(
     subdivisions = 0
     while True:
         bound = np.maximum(abs_tol, rel_tol * np.abs(total))
-        if noise_floors is not None:
-            bound = np.maximum(bound, noise_floors)
         if np.all(total_err <= bound):
             return IntegrationResult(total, total_err, subdivisions, True)
         if subdivisions >= max_subdivisions:
@@ -198,35 +191,15 @@ def integrate_vector(
         subdivisions += 1
 
 
-def evaluation_noise_floors(space) -> np.ndarray:
-    """Attainable integral accuracy per basis function of a space.
-
-    Basis functions represented as coefficient vectors over an
-    ill-conditioned parent basis cannot be evaluated more accurately
-    than epsilon times their amplification factor (the space's
-    ``noise_scale``); the corresponding integral over the interval
-    inherits that floor.  Spaces without a ``noise_scale`` evaluate to
-    relative machine accuracy and get a floor of zero.
-    """
-    if space.noise_scale is None:
-        return np.zeros(space.dim)
-    a, b = space.interval
-    eps = np.finfo(float).eps
-    return 32.0 * eps * space.noise_scale * (b - a)
-
-
 def moments(space, engine: Engine = DEFAULT_ENGINE) -> np.ndarray:
     """Integrals of every basis function of ``space`` over its interval.
 
-    Tolerances are floored at the attainable evaluation accuracy of
-    each basis function; raises :class:`IntegrationError` if any
-    component still fails to converge.
+    Raises :class:`IntegrationError` if any component fails to converge.
     """
     a, b = space.interval
     res = integrate_vector(
         lambda xs: space.collocation(xs).T, a, b,
         engine.abs_tol, engine.rel_tol, engine.max_subdivisions,
-        noise_floors=evaluation_noise_floors(space),
     )
     if not res.converged:
         worst = int(np.argmax(res.error_estimates))

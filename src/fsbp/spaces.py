@@ -11,17 +11,18 @@ stack the user's callables.  Derived spaces map their parent's jet:
 
 - product-derivative span: kept index pairs (i, j), from one parent jet
   of one order more, by Leibniz' rule on (f_i f_j)' = f_i' f_j + f_i f_j';
-- orthonormal spaces: the parent jet times ``coeff_matrix.T``;
+- orthonormal spaces: the jet of their Chebyshev parent times
+  ``coeff_matrix.T``;
 - prefixes: a slice of the coefficient rows, or of the last axis;
 - monomial augmentation: one column appended along the last axis;
 - pull-back: an affine map of the abscissae, order d scaled by the d-th
   power of its Jacobian.
 
 Differentiation therefore never falls back to numerical differencing.
-Spaces expanded over an ill-conditioned parent carry ``noise_scale``,
-one bound per basis function on the amplification of rounding noise in
-its evaluation (None when every function evaluates to relative machine
-accuracy); the integrator floors its tolerances with it.
+An orthonormal basis is a truncated Chebyshev series in the local
+coordinate, built from samples of its target span, so it evaluates to
+rounding level however ill-conditioned the target's own basis is, and
+its integrals follow in closed form from its coefficients.
 
 All spaces are immutable after construction and safe to share across
 threads; every operation here is a pure function of its inputs.
@@ -50,8 +51,14 @@ __all__ = [
 ]
 
 # Relative singular-value cutoff for all rank decisions, applied to the
-# quadrature-weighted collocation matrix on a 4m-point reference grid.
+# quadrature-weighted collocation matrix on a Gauss-Legendre grid.
 RANK_CUTOFF = 1e-12
+# Chebyshev series of orthonormal bases: coefficients of unit-maximum
+# samples below CHOP_TOL are rounding, and a series counts as resolved
+# once its last CHOP_TAIL coefficients are; at most MAX_SAMPLES samples
+CHOP_TOL = 1e-14
+CHOP_TAIL = 8
+MAX_SAMPLES = 2048
 
 
 class FamilyError(ValueError):
@@ -69,10 +76,9 @@ Evaluator = Callable[[np.ndarray, int], np.ndarray]
 class FunctionSpace:
     """An ordered basis of C^1 functions on a common interval.
 
-    ``labels`` names the basis functions; ``noise_scale`` is described
-    in the module docstring.  ``jet(xs, k)`` evaluates the derivatives
-    0..k of the basis in one call.  Spaces whose members are linear
-    combinations of a common parent basis carry ``parent`` and
+    ``labels`` names the basis functions.  ``jet(xs, k)`` evaluates the
+    derivatives 0..k of the basis in one call.  Spaces whose members are
+    linear combinations of a common parent basis carry ``parent`` and
     ``coeff_matrix`` (rows = members), and their jet is the parent's jet
     times ``coeff_matrix.T``; every other space's jet comes from its
     ``evaluate`` callable, which returns the same (k + 1, len(xs), dim)
@@ -87,7 +93,6 @@ class FunctionSpace:
         evaluate: Evaluator | None = None,
         parent: "FunctionSpace | None" = None,
         coeff_matrix: np.ndarray | None = None,
-        noise_scale: np.ndarray | None = None,
     ):
         a, b = float(interval[0]), float(interval[1])
         if not (a < b):
@@ -106,7 +111,6 @@ class FunctionSpace:
             raise ValueError("a space needs an evaluator or a coeff_matrix")
         self.coeff_matrix = coeff_matrix
         self._evaluate = evaluate
-        self.noise_scale = None if noise_scale is None else np.asarray(noise_scale, dtype=float)
 
     @property
     def dim(self) -> int:
@@ -137,12 +141,11 @@ class FunctionSpace:
             raise ValueError(f"prefix size {k} out of range 1..{self.dim}")
         spec = {"derived": "prefix", "parent": self.family_spec, "dim": k,
                 "interval": list(self.interval)}
-        noise = None if self.noise_scale is None else self.noise_scale[:k]
         if self.coeff_matrix is not None:
             return FunctionSpace(self.interval, self.labels[:k], spec, parent=self.parent,
-                                 coeff_matrix=self.coeff_matrix[:k], noise_scale=noise)
+                                 coeff_matrix=self.coeff_matrix[:k])
         return FunctionSpace(self.interval, self.labels[:k], spec,
-                             lambda xs, d: self.jet(xs, d)[..., :k], noise_scale=noise)
+                             lambda xs, d: self.jet(xs, d)[..., :k])
 
     def __repr__(self):
         fam = self.family_spec.get("family", self.family_spec.get("derived", "?"))
@@ -255,6 +258,12 @@ def _finite(value) -> float:
     return x
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or float(value) != int(value):
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _function_tuples(items) -> list:
     funcs = [tuple(item) for item in items]
     if any(not 2 <= len(f) <= 3 or not all(map(callable, f)) for f in funcs):
@@ -278,7 +287,8 @@ def make_family(spec: dict) -> FunctionSpace:
     - ``{"family": "explicit", "functions": [(value, deriv[, deriv2]), ...]}``
 
     A descriptor that is not a dict, and missing, ill-typed or non-finite
-    entries, raise :class:`FamilyError`.
+    entries, raise :class:`FamilyError`; so do fractional or boolean
+    values of the integer entries.
     """
     if not isinstance(spec, dict):
         raise FamilyError(f"a family descriptor must be an object, got {spec!r}")
@@ -295,13 +305,13 @@ def make_family(spec: dict) -> FunctionSpace:
         raise FamilyError(f"degenerate interval [{a}, {b}]")
 
     if family == "monomial":
-        d = _entry(spec, "degree", int)
+        d = _entry(spec, "degree", _integer)
         if d < 0:
             raise FamilyError("monomial degree must be >= 0")
         labels = [f"x^{j}" for j in range(d + 1)]
         evaluate = lambda x, k: _powers(x, range(d + 1), k)  # noqa: E731
     elif family == "trig":
-        k = _entry(spec, "max_harmonic", int)
+        k = _entry(spec, "max_harmonic", _integer)
         if k < 1:
             raise FamilyError("trig family needs max_harmonic >= 1")
         freq_scale = _entry(spec, "freq_scale", _finite, 1.0)
@@ -313,7 +323,7 @@ def make_family(spec: dict) -> FunctionSpace:
         evaluate = _trig(a, b, k, freq_scale)
     elif family == "exponential":
         rates = _entry(spec, "rates", lambda v: [_finite(r) for r in v], [])
-        p = _entry(spec, "poly_degree", int, 0)
+        p = _entry(spec, "poly_degree", _integer, 0)
         if p < 0:
             raise FamilyError("exponential family needs poly_degree >= 0")
         if 0.0 in rates:
@@ -328,7 +338,7 @@ def make_family(spec: dict) -> FunctionSpace:
             import scipy.special  # noqa: F401
         except ImportError as exc:  # pragma: no cover - scipy is a hard dep
             raise FamilyError("Bessel family requires scipy.special") from exc
-        orders = _entry(spec, "orders", lambda v: [int(o) for o in v])
+        orders = _entry(spec, "orders", lambda v: [_integer(o) for o in v])
         if not orders:
             raise FamilyError("bessel family needs at least one order")
         labels = [f"J{v}" for v in orders]
@@ -415,88 +425,91 @@ def product_derivative_space(space: FunctionSpace) -> FunctionSpace:
                          lambda x, k: _pair_derivatives(space, x, k, ki, kj))
 
 
+def _chebyshev(a: float, b: float, length: int) -> Evaluator:
+    # T_0 .. T_{length-1} of the local coordinate t = (2x - a - b)/(b - a),
+    # as cos(k arccos t); order d of T_k is the series chebder^d(e_k)
+    ks = np.arange(length)
+    ders = [np.polynomial.chebyshev.chebder(np.eye(length), d, scl=2.0 / (b - a))
+            for d in (1, 2)]
+
+    def evaluate(x, k):
+        t = np.clip((2.0 * x - a - b) / (b - a), -1.0, 1.0)
+        tk = np.cos(np.arccos(t)[:, None] * ks)
+        return np.stack([tk] + [tk[:, :c.shape[0]] @ c for c in ders[:k]])
+
+    return evaluate
+
+
 def orthonormalize(space: FunctionSpace) -> FunctionSpace:
-    """L2-orthonormal basis of the same span, rank-reduced.
+    """L2-orthonormal basis of the same span, rank-reduced, as a truncated
+    Chebyshev series in the local coordinate.
 
-    The rank decision and the initial orthonormal directions come from an
-    SVD of the quadrature-weighted collocation matrix on a 4m-point
-    Gauss-Legendre grid; the result is then polished against the Gram
-    matrix computed with the adaptive integrator so that orthonormality holds
-    with respect to the true L2 inner product.  When the constant
-    function lies in the span, the first output function is the
-    normalised constant (positive sign).
+    The span is sampled on an N-point Gauss-Legendre grid, N = max(8m, 64),
+    each column scaled to unit maximum.  N doubles (up to ``MAX_SAMPLES``)
+    until the last ``CHOP_TAIL`` Chebyshev coefficients of every column lie
+    below ``CHOP_TOL``; the series keeps the K leading coefficients, past
+    which every column stays below it (a simple form of Aurentz and
+    Trefethen's chopping rule).  An SVD of the weighted samples decides the
+    rank with ``RANK_CUTOFF`` and gives the values U_r/sqrt(w) of the
+    orthonormal functions at the grid (after Yarvin and Rokhlin); their
+    Chebyshev coefficients, cut to K, are the basis.  The grid integrates
+    products of such series exactly, so no Gram correction follows;
+    orthonormality holds up to what the cut removes, which is rounding
+    for the target but grows as 1/sigma for a function of small singular
+    value sigma.
 
-    The output carries a coefficient matrix over the input basis, so its
-    derivatives are exact linear combinations, and a ``noise_scale``
-    bounding the rounding noise those combinations amplify.
+    The functions are then rotated to diagonalise the derivative-energy
+    form and signed deterministically.  The output's ``parent`` is the
+    Chebyshev family T_0 .. T_{K-1} and its ``coeff_matrix`` holds the
+    series, one row per function.
     """
-    from .integrate import IntegrationError, integrate_vector
-
     a, b = space.interval
-    m = space.dim
-    xs, w = _reference_grid(space, m)
-    colloc, ders = space.jet(xs, 1)
-    parent_mags = np.max(np.abs(colloc), axis=0)
-    if np.any(parent_mags == 0.0):
-        raise RankError("a basis function vanishes identically on the sample grid")
-    a_mat = (colloc / parent_mags) * np.sqrt(w)[:, None]
-    _, svals, vt = np.linalg.svd(a_mat, full_matrices=False)
-    if svals[0] <= 0 or not np.isfinite(svals[0]):
-        raise RankError("basis is numerically zero")
+    n = max(8 * space.dim, 64)
+    while True:
+        s, w = np.polynomial.legendre.leggauss(n)
+        xs = a + 0.5 * (b - a) * (s + 1.0)
+        vals = space.collocation(xs)
+        if not np.all(np.isfinite(vals)):
+            raise RankError("non-finite basis values on the sample grid")
+        mags = np.max(np.abs(vals), axis=0)
+        if np.any(mags == 0.0):
+            raise RankError("a basis function vanishes identically on the sample grid")
+        vals /= mags
+        cheb = np.cos(np.arccos(s)[:, None] * np.arange(n))
+        peaks = np.max(np.abs(np.linalg.solve(cheb, vals)), axis=1)
+        length = int(np.sum(np.maximum.accumulate(peaks[::-1]) >= CHOP_TOL))
+        if length <= n - CHOP_TAIL or 2 * n > MAX_SAMPLES:
+            break
+        n *= 2
+
+    sw = np.sqrt(0.5 * (b - a) * w)[:, None]
+    u, svals, _ = np.linalg.svd(vals * sw, full_matrices=False)
     rank = int(np.sum(svals >= RANK_CUTOFF * svals[0]))
-    # rows expand the candidates over the (unnormalised) input basis
-    coeff = (vt[:rank] / svals[:rank, None]) / parent_mags
-
-    eps = np.finfo(float).eps
-    h_mags = np.max(np.abs(colloc @ coeff.T), axis=0)
-    parent_amp = (parent_mags if space.noise_scale is None
-                  else np.maximum(space.noise_scale, parent_mags))
-    amps = np.abs(coeff) @ parent_amp
-    pair_i, pair_j = np.triu_indices(rank)
-    floors = 32.0 * eps * (b - a) * (
-        amps[pair_i] * h_mags[pair_j] + amps[pair_j] * h_mags[pair_i]
-    )
-
-    # polish: make the candidates orthonormal w.r.t. the adaptive Gram
-    def stacked(xsamp):
-        vals = space.collocation(xsamp) @ coeff.T   # (npts, rank)
-        prods = vals[:, :, None] * vals[:, None, :]
-        return prods[:, pair_i, pair_j].T
-
-    res = integrate_vector(stacked, a, b, noise_floors=floors)
-    if not res.converged:
-        raise IntegrationError("Gram matrix integration did not converge")
-    gram = np.zeros((rank, rank))
-    gram[pair_i, pair_j] = res.values
-    gram = gram + gram.T - np.diag(np.diag(gram))
-    evals, evecs = np.linalg.eigh(gram)
-    if evals[0] <= 0:
-        raise RankError("Gram matrix not positive definite after rank reduction")
-    inv_sqrt = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-    coeff = inv_sqrt @ coeff
+    coeff = np.linalg.solve(cheb, u[:, :rank] / sw)[:length].T
+    spec = {"derived": "chebyshev", "parent": space.family_spec, "dim": length,
+            "interval": [a, b]}
+    parent = FunctionSpace(space.interval, [f"T{k}" for k in range(length)], spec,
+                           _chebyshev(a, b, length))
 
     # rotate to the basis diagonalising the derivative-energy form, in
     # ascending order: functions come out sorted by oscillation (the
     # constant, when in span, lands first with zero energy), which keeps
-    # the even-dimensional prefixes well behaved for rule escalation
-    kd = (ders @ coeff.T) * np.sqrt(w)[:, None]
-    k_form = kd.T @ kd
-    k_form = 0.5 * (k_form + k_form.T)
-    _, u_rot = np.linalg.eigh(k_form)
+    # the even-dimensional prefixes well behaved for rule escalation; the
+    # grid integrates the form exactly
+    kd = (parent.collocation_deriv(xs) @ coeff.T) * sw
+    _, u_rot = np.linalg.eigh(kd.T @ kd)
     coeff = u_rot.T @ coeff
 
-    # deterministic signs: value at the right endpoint positive, falling
-    # back to the largest coefficient for functions vanishing there
-    h_end = space.collocation(np.array([b])) @ coeff.T
-    h_peak = np.max(np.abs(colloc @ coeff.T), axis=0)
-    for i in range(rank):
-        s = h_end[0, i]
-        if abs(s) <= 1e-8 * h_peak[i]:
-            s = coeff[i, int(np.argmax(np.abs(coeff[i])))]
-        if s < 0:
-            coeff[i] = -coeff[i]
-
-    noise = np.array([2.0 * float(np.abs(row) @ parent_amp) for row in coeff])
+    # deterministic signs: value at the right endpoint (where every T_k is
+    # one) positive, falling back to the largest coefficient for functions
+    # vanishing there
+    h_peak = np.max(np.abs(cheb[:, :length] @ coeff.T), axis=0)
+    for i, row in enumerate(coeff):
+        end = row.sum()
+        if abs(end) <= 1e-8 * h_peak[i]:
+            end = row[int(np.argmax(np.abs(row)))]
+        if end < 0:
+            coeff[i] = -row
     spec = {
         "derived": "orthonormal",
         "parent": space.family_spec,
@@ -504,7 +517,7 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
         "interval": [a, b],
     }
     return FunctionSpace(space.interval, [f"q{i}" for i in range(rank)], spec,
-                         parent=space, coeff_matrix=coeff, noise_scale=noise)
+                         parent=parent, coeff_matrix=coeff)
 
 
 def augment_to_even(space: FunctionSpace) -> FunctionSpace:
@@ -534,11 +547,9 @@ def augment_to_even(space: FunctionSpace) -> FunctionSpace:
                 "augment": f"x^{deg}",
                 "interval": list(space.interval),
             }
-            noise = None if space.noise_scale is None else np.append(space.noise_scale, 0.0)
             return FunctionSpace(
                 space.interval, space.labels + (f"x^{deg}",), spec,
                 lambda x, k: np.concatenate([space.jet(x, k), _powers(x, [deg], k)], axis=2),
-                noise_scale=noise,
             )
     raise RankError(f"no independent monomial up to degree {cap}; space looks pathological")
 
@@ -712,15 +723,14 @@ def pull_back(space: FunctionSpace, renormalize: bool = False) -> FunctionSpace:
         "interval": [-1.0, 1.0],
         "renormalized": renormalize,
     }
-    noise = None if space.noise_scale is None else scale * space.noise_scale
     if space.coeff_matrix is not None:
         return FunctionSpace((-1.0, 1.0), space.labels, spec,
                              parent=pull_back(space.parent),
-                             coeff_matrix=scale * space.coeff_matrix, noise_scale=noise)
+                             coeff_matrix=scale * space.coeff_matrix)
 
     factors = [scale, scale * jac, scale * jac * jac]    # d^k/ds^k picks up jac**k
 
     def evaluate(s, k):
         return np.array(factors[:k + 1])[:, None, None] * space.jet(a + (s + 1.0) * jac, k)
 
-    return FunctionSpace((-1.0, 1.0), space.labels, spec, evaluate, noise_scale=noise)
+    return FunctionSpace((-1.0, 1.0), space.labels, spec, evaluate)

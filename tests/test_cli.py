@@ -186,6 +186,40 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "solver error: LinAlgError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("space", [
+    {"family": "monomial", "degree": 2.7, "interval": [0, 1]},
+    {"family": "bessel", "orders": [0.5, 1.9], "interval": [0, 25]},
+    {"family": "trig", "max_harmonic": True, "interval": [0, 1]},
+    {"family": "exponential", "rates": [1.0], "poly_degree": 1.5, "interval": [0, 1]},
+], ids=["fractional-degree", "fractional-orders", "boolean-harmonic", "fractional-poly"])
+def test_non_integer_family_entries_exit_2(tmp_path, capsys, space):
+    cfg = write_config(tmp_path / "bad.json", {"space": space})
+    assert main(["rule", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+def test_exponential_rate_0599_rule_exits_0(tmp_path, mode):
+    # exited 4 (closed) and 3 (open) while the basis carried rounding noise
+    cfg = write_config(tmp_path / "exp.json", {"space": {
+        "family": "exponential", "rates": [0.599], "poly_degree": 2, "interval": [0, 1]}})
+    out = tmp_path / "o"
+    assert main(["rule", "--config", cfg, "--out", str(out), "--mode", mode]) == 0
+    assert json.loads((out / "rule.json").read_text())["certificate"]["valid"] is True
+
+
+def test_bessel_operator_exits_0(tmp_path):
+    # exited 3 on a derivative exactness defect of 2.7e-8 while the basis
+    # carried rounding noise
+    cfg = write_config(tmp_path / "bessel.json", {"space": refcases.BESSEL_SPEC,
+                                                  "node_mode": "gglq"})
+    out = tmp_path / "o"
+    assert main(["operator", "--config", cfg, "--out", str(out)]) == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["pass"] is True
+    assert json.loads((out / "rule.json").read_text())["certificate"]["valid"] is True
+
+
 def test_rank_loss_in_target_exits_3(tmp_path, capsys):
     # the 18-function target of degree 9 on [0, 1] orthonormalises to 17
     # functions: a numerical rank loss, not an invalid descriptor
@@ -248,6 +282,15 @@ def test_operator_command_from_rule_file(tmp_path, exp3_rule_run):
     assert np.max(np.abs(d - refcases.EXP3_CLOSED_D)) < 1e-6
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["pass"] is True
+    # certified against the raw product span, as the equispaced path is
+    from fsbp.gauss import QuadratureRule, verify_exactness
+    from fsbp.spaces import make_family, product_derivative_space
+
+    product = product_derivative_space(make_family(refcases.EXP3_SPEC))
+    rule = QuadratureRule.from_dict(json.loads((out / "rule.json").read_text()))
+    assert rule.certificate.target_dim == product.dim == 5
+    assert np.array_equal(rule.certificate.per_function_errors,
+                          verify_exactness(rule, product).per_function_errors)
 
 
 def test_operator_command_equispaced_mode(tmp_path):

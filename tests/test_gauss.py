@@ -315,6 +315,29 @@ def test_pipeline_certifies_each_rule_once(monkeypatch):
     assert result.rule.certificate.valid
 
 
+def test_solvers_take_closed_form_moments(monkeypatch, exp3_orthonormal):
+    # the orthonormal basis is a Chebyshev series: neither solver integrates
+    import fsbp.integrate
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("integrate_vector called by a solver")
+
+    monkeypatch.setattr(fsbp.integrate, "integrate_vector", forbidden)
+    assert continuation_solve(exp3_orthonormal, closed=True).size == 4
+    assert equispaced_rule(exp3_orthonormal).size == 6
+
+
+@pytest.mark.parametrize("degree, interval", [(8, (0, 1)), (10, (0, 1)), (16, (-1, 1))])
+def test_closed_monomial_rules_certify(degree, interval):
+    # these targets lost their certificate (degree 8 on [0, 1]) or their
+    # solve (the others) when the basis was expanded over raw monomials
+    spec = {"family": "monomial", "degree": degree, "interval": list(interval)}
+    rule = pipeline.solve_rule_pipeline(spec, "closed").rule
+    assert rule.size == rule.certificate.target_dim // 2 + 1
+    assert rule.certificate.valid
+    assert rule.certificate.max_abs_error <= 1e-3 * rule.certificate.tol
+
+
 # ------------------------------------------------------------- other rules
 
 def test_equispaced_rule_reproduces_reference_five_point(exp3_space):

@@ -161,6 +161,18 @@ def test_structural_invariants_across_fixture_matrix():
         assert verdict.max_ibp_defect <= 1e-10, spec
 
 
+def test_finest_trig_optimal_operator_has_exactness_margin():
+    # the finest trig-optimal level of the advection study (32 elements)
+    # sat at 0.73 of the gate while the basis carried rounding noise
+    from fsbp.operators import TOL_EXACT
+    from fsbp.pipeline import build_study_operator
+
+    spec = {"family": "trig", "max_harmonic": 2, "freq_scale": 1.0 / 16, "interval": [0, 1]}
+    _, _, verdict = build_study_operator(spec, "gglq")
+    assert verdict.passed
+    assert verdict.max_exactness_error <= 1e-2 * TOL_EXACT
+
+
 def test_null_space_annihilates_constants(exp3_operator):
     ones = np.ones(exp3_operator.size)
     assert np.max(np.abs(exp3_operator.D @ ones)) < 1e-10

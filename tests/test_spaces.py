@@ -112,9 +112,9 @@ def test_jet_orders_agree(name):
         space.jet(xs, 3)
 
 
-def test_one_bessel_call_per_hermite_solve(monkeypatch):
-    # values and derivatives of a Hermite system come from one jet, so one
-    # jv table per solve, however deep the derived space
+def test_no_bessel_call_after_orthonormalisation(monkeypatch):
+    # the orthonormal basis is a Chebyshev series: a Hermite solve on it
+    # evaluates no Bessel function at all
     import scipy.special
 
     from fsbp.gauss import _condition_integrals
@@ -128,7 +128,7 @@ def test_one_bessel_call_per_hermite_solve(monkeypatch):
     nodes = np.linspace(a, b, ortho.dim // 2 + 1)
     calls.clear()
     _condition_integrals(ortho, nodes, True, np.ones(ortho.dim))
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_bessel_feature_flag():
@@ -182,13 +182,9 @@ def test_derivatives_match_finite_differences(spec):
         err1 = np.max(np.abs((v(xs + h1)[:, i] - v(xs - h1)[:, i]) / (2 * h1) - exact))
         err2 = np.max(np.abs((v(xs + h2)[:, i] - v(xs - h2)[:, i]) / (2 * h2) - exact))
         scale = max(1.0, np.max(np.abs(exact)))
-        # rounding noise of a coefficient expansion, amplified by 1/h (zero
-        # for the built-in families, which carry no noise_scale)
-        noise = 0.0 if space.noise_scale is None else (
-            np.finfo(float).eps * space.noise_scale[i] / h2)
         assert err1 <= 1e-5 * scale
         if err1 > 1e-11 * scale:  # above rounding, check the order
-            assert err2 <= 0.3 * err1 + noise
+            assert err2 <= 0.3 * err1
 
 
 # --------------------------------------------------- product-derivative space
@@ -290,15 +286,22 @@ def test_orthonormalize_preserves_span(exp3_target, exp3_orthonormal):
 
 
 def test_orthonormal_functions_carry_coefficients(exp3_orthonormal):
+    # each function is a Chebyshev series in the local coordinate t = 2x - 1:
+    # its jet matches numpy's chebval of the coefficients and of their
+    # chebder, and the parent is the Chebyshev family itself
+    cheb = np.polynomial.chebyshev
     xs = np.linspace(0, 1, 17)
+    t = 2.0 * xs - 1.0
     parent = exp3_orthonormal.parent
-    for i in range(exp3_orthonormal.dim):
-        coeffs = exp3_orthonormal.coeff_matrix[i]
-        assert coeffs is not None
-        assert np.allclose(exp3_orthonormal.collocation(xs)[:, i],
-                           parent.collocation(xs) @ coeffs, atol=1e-9)
-        assert np.allclose(exp3_orthonormal.collocation_deriv(xs)[:, i],
-                           parent.collocation_deriv(xs) @ coeffs, atol=1e-8)
+    assert parent.family_spec["derived"] == "chebyshev"
+    assert np.allclose(parent.collocation(xs), cheb.chebvander(t, parent.dim - 1), atol=1e-14)
+    jet = exp3_orthonormal.jet(xs, 2)
+    for i, coeffs in enumerate(exp3_orthonormal.coeff_matrix):
+        assert coeffs.shape == (parent.dim,)
+        for d in range(3):
+            expected = cheb.chebval(t, cheb.chebder(coeffs, d, scl=2.0))
+            assert np.allclose(jet[d, :, i], expected, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(expected)))
 
 
 # ---------------------------------------------------------------- augment
