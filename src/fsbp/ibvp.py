@@ -24,8 +24,12 @@ scheme with step h is, in closed form with B = hA and q = C g + f,
     R = I + B + B^2/2 + B^3/6 + B^4/24,
     M1 = I + B + B^2/2 + B^3/4,   M2 = 4I + 2B + B^2/2.
 
-``time_integrate`` builds these once per solve as one sparse step matrix
-and then marches with one sparse product per step.
+``time_integrate`` builds R and the forcing matrix (h/6)[M1 | M2 | I]
+once per solve and marches in blocks of ``BLOCK_STEPS`` steps: per block
+it evaluates q at every stage time in one call, turns the data into the
+block's forcing vectors f_k with one sparse-by-dense product and the
+states' energies with one product over the block; per step it takes one
+sparse product, u <- R u + f_k.
 
 ``run_case`` is the one solve: it tiles the unit domain with copies of a
 reference operator, assembles the problem, picks the step from the CFL
@@ -63,6 +67,9 @@ __all__ = [
 # a run whose discrete energy exceeds this multiple of its initial value
 # has blown up
 BLOWUP_FACTOR = 10.0
+# steps marched per block: the block's data, forcing and energies are
+# computed together, and only the block's states are held
+BLOCK_STEPS = 64
 
 
 class BlowUpError(RuntimeError):
@@ -193,10 +200,6 @@ class MultiElementGrid:
             for e in range(n_elements)
         ])
 
-    def norm_squared(self, u: np.ndarray) -> float:
-        """Sum of element-wise discrete L2 norms u^T P u."""
-        return float(np.sum(self.P * u * u))
-
 
 @dataclass
 class EnergyTrace:
@@ -214,32 +217,41 @@ class EnergyTrace:
     aux: np.ndarray | None = None
 
 
+def _time_axes(t, x) -> np.ndarray:
+    """The times ``t`` shaped to broadcast against ``x``, time axes first."""
+    t = np.asarray(t, dtype=float)
+    return t.reshape(t.shape + (1,) * np.ndim(x))
+
+
 @dataclass(frozen=True)
 class MmsCase:
     """A manufactured solution with consistent data.
 
     ``forcing`` must equal the PDE residual of ``exact``, and the
     boundary data its inflow (and, for advection-diffusion, outflow)
-    fluxes.
+    fluxes.  Every callable of time takes a time or an array of times:
+    ``exact(x, t)`` and ``forcing(x, t)`` return shape ``t.shape +
+    x.shape``, the boundary data values broadcastable to ``t.shape``.
     """
 
-    exact: Callable[[np.ndarray, float], np.ndarray]
+    exact: Callable[[np.ndarray, np.ndarray], np.ndarray]
     initial: Callable[[np.ndarray], np.ndarray]
-    boundary_left: Callable[[float], float]
-    boundary_right: Callable[[float], float] | None = None
-    forcing: Callable[[np.ndarray, float], np.ndarray] | None = None
+    boundary_left: Callable[[np.ndarray], np.ndarray]
+    boundary_right: Callable[[np.ndarray], np.ndarray] | None = None
+    forcing: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @classmethod
     def advecting_wave(cls, a: float) -> "MmsCase":
         """exp(sin(2 pi (x - a t))): advects with speed a, zero forcing."""
 
         def exact(x, t):
-            return np.exp(np.sin(2.0 * np.pi * (np.asarray(x, dtype=float) - a * t)))
+            x = np.asarray(x, dtype=float)
+            return np.exp(np.sin(2.0 * np.pi * (x - a * _time_axes(t, x))))
 
         return cls(
             exact=exact,
             initial=lambda x: exact(x, 0.0),
-            boundary_left=lambda t: float(exact(np.array([0.0]), t)[0]),
+            boundary_left=lambda t: exact(0.0, t),
         )
 
     @classmethod
@@ -256,20 +268,23 @@ class MmsCase:
         scale = -math.expm1(-r)
         floor = math.exp(-r)
 
+        def growth(t):
+            return np.exp(0.1 * np.asarray(t, dtype=float))
+
         def exact(x, t):
             x = np.asarray(x, dtype=float)
-            return (np.exp(r * (x - 1.0)) - floor) / scale * math.exp(0.1 * t)
+            return (np.exp(r * (x - 1.0)) - floor) / scale * growth(_time_axes(t, x))
 
         def forcing(x, t):
             return 0.1 * exact(x, t)
 
         def g_left(t):
             # a*u - eps*u_x at x = 0, where u vanishes
-            return -a * floor / scale * math.exp(0.1 * t)
+            return -a * floor / scale * growth(t)
 
         def g_right(t):
             # eps*u_x at x = 1
-            return a / scale * math.exp(0.1 * t)
+            return a / scale * growth(t)
 
         return cls(
             exact=exact,
@@ -306,25 +321,25 @@ class AffineProblem:
     def initial(self) -> np.ndarray:
         return self.case.initial(self.grid.nodes)
 
-    def data(self, t: float) -> np.ndarray:
-        """The affine part C g(t) + f(t), flattened like the state."""
-        q = self.C @ np.array([g(t) for g in self.boundary])
+    def data(self, t: np.ndarray) -> np.ndarray:
+        """The affine part C g(t) + f(t) at the times ``t``: one row per
+        time, flattened like the state."""
+        t = np.asarray(t, dtype=float)
+        g = np.stack([np.broadcast_to(fn(t), t.shape) for fn in self.boundary], axis=-1)
+        q = g @ self.C.T
         if self.case.forcing is not None:
-            q += self.case.forcing(self.grid.nodes, t).reshape(-1)
+            q += self.case.forcing(self.grid.nodes, t).reshape(q.shape)
         return q
 
-    def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
-        return (self.A @ u.reshape(-1) + self.data(t)).reshape(u.shape)
+    def energies(self, ys: np.ndarray) -> np.ndarray:
+        """The discrete energies u^T P u of the flattened states, the rows
+        of ``ys``."""
+        w = self.grid.P.reshape(-1)
+        return np.einsum("kn,n,kn->k", ys, w, ys)
 
-    def energy(self, u: np.ndarray) -> float:
-        return self.grid.norm_squared(u)
-
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        return (self.gradient_map @ u.reshape(-1)).reshape(u.shape)
-
-    def dissipation(self, u: np.ndarray) -> float:
-        """2 eps ||phi||^2 of the gradient variable of state ``u``."""
-        return 2.0 * self.params.eps * self.grid.norm_squared(self.gradient(u))
+    def dissipations(self, ys: np.ndarray) -> np.ndarray:
+        """2 eps ||phi||_P^2 of the gradient variable of each row of ``ys``."""
+        return 2.0 * self.params.eps * self.energies((self.gradient_map @ ys.T).T)
 
     def energy_certificate(self) -> float:
         """lambda_max(sym(diag(P) A)): the largest rate u^T P A u / u^T u.
@@ -406,28 +421,31 @@ def cfl_timestep(grid: MultiElementGrid, params: PdeParams, cfl: float = 0.1) ->
 
 def time_integrate(
     A: sp.sparray,
-    q: Callable[[float], np.ndarray],
+    q: Callable[[np.ndarray], np.ndarray],
     y0: np.ndarray,
     t_span: tuple,
     dt: float,
-    energy_fn: Callable[[np.ndarray], float] | None = None,
-    aux_fn: Callable[[np.ndarray], float] | None = None,
+    energy_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+    aux_fn: Callable[[np.ndarray], np.ndarray] | None = None,
 ):
     """March du/dt = A u + q(t) with the classical four-stage scheme and
     record the energy.
 
-    ``A`` is the sparse system matrix and ``q(t)`` returns the affine data
-    flattened like the state.  The step count is fixed up front (dt
-    rounded down so the final time is hit exactly), making runs
-    deterministic.  With h the step and B = hA, the step matrix
-    [R | (h/6) M1 | (h/6) M2 | (h/6) I] of the module docstring is built
-    once; each step then shifts q(t + h) of the previous step into the
-    q(t) slot, evaluates q at t + h/2 and t + h and takes one sparse
-    product with the stacked [u; q(t); q(t + h/2); q(t + h)].
+    ``A`` is the sparse system matrix and ``q(t)`` maps an array of times
+    to the affine data there, one row per time, flattened like the state.
+    The step count is fixed up front (dt rounded down so the final time
+    is hit exactly), making runs deterministic.  With h the step and
+    B = hA, R and the forcing matrix (h/6)[M1 | M2 | I] of the module
+    docstring are built once.  The march then goes in blocks of
+    ``BLOCK_STEPS`` steps: q is evaluated at the block's stage times t,
+    t + h/2 and t + h of every step in one call, one sparse product with
+    the forcing matrix gives each step's forcing f_k, and each step is
+    one sparse product u <- R u + f_k into the block's state buffer.
+    Only one block of states is held.
 
-    ``energy_fn`` and ``aux_fn`` are functions of the state (shaped like
-    ``y0``) and are recorded at every recorded state.  Raises
-    :class:`BlowUpError` when the recorded energy exceeds
+    ``energy_fn`` and ``aux_fn`` map a (K, n) block of flattened states
+    to their K values and are recorded at every recorded state.  Raises
+    :class:`BlowUpError` at the first step whose energy exceeds
     ``BLOWUP_FACTOR`` times its initial value.
 
     Returns (final state, :class:`EnergyTrace`).
@@ -439,7 +457,7 @@ def time_integrate(
     dt = (t1 - t0) / n_steps
 
     if energy_fn is None:
-        energy_fn = lambda y: float(np.sum(np.asarray(y) ** 2))
+        energy_fn = lambda ys: np.einsum("kn,kn->k", ys, ys)
 
     shape = np.shape(y0)
     n = math.prod(shape)
@@ -447,42 +465,43 @@ def time_integrate(
     b = dt * sp.csr_array(A)
     b2 = b @ b
     b3 = b2 @ b
-    r = eye + b + b2 / 2.0 + b3 / 6.0 + (b3 @ b) / 24.0
+    r = sp.csr_array(eye + b + b2 / 2.0 + b3 / 6.0 + (b3 @ b) / 24.0)
     m1 = eye + b + b2 / 2.0 + b3 / 4.0
     m2 = 4.0 * eye + 2.0 * b + b2 / 2.0
-    step = sp.hstack([r, (dt / 6.0) * m1, (dt / 6.0) * m2, (dt / 6.0) * eye], format="csr")
+    forcing = (dt / 6.0) * sp.hstack([m1, m2, eye], format="csr")
 
-    z = np.empty(4 * n)              # [u; q(t); q(t + h/2); q(t + h)]
-    z[:n] = np.reshape(y0, -1)
-    z[3 * n:] = q(t0)
-    y = z[:n].reshape(shape)         # a view: follows every step
-    times = np.empty(n_steps + 1)
+    times = t0 + dt * np.arange(n_steps + 1)
     energy = np.empty(n_steps + 1)
     aux = np.empty(n_steps + 1) if aux_fn is not None else None
-
-    t = t0
-    times[0] = t
-    energy[0] = energy_fn(y)
+    ys = np.empty((BLOCK_STEPS + 1, n))   # ys[0]: the last state of the previous block
+    ys[0] = np.reshape(y0, -1)
+    energy[0] = energy_fn(ys[:1])[0]
     if aux_fn is not None:
-        aux[0] = aux_fn(y)
-    e0 = max(energy[0], 1e-300)
+        aux[0] = aux_fn(ys[:1])[0]
+    limit = BLOWUP_FACTOR * max(energy[0], 1e-300)
 
-    for k in range(1, n_steps + 1):
-        z[n:2 * n] = z[3 * n:]
-        z[2 * n:3 * n] = q(t + 0.5 * dt)
-        z[3 * n:] = q(t + dt)
-        z[:n] = step @ z
-        t = t0 + k * dt
-        times[k] = t
-        energy[k] = energy_fn(y)
-        if not np.isfinite(energy[k]) or energy[k] > BLOWUP_FACTOR * e0:
+    for k0 in range(0, n_steps, BLOCK_STEPS):
+        k = min(BLOCK_STEPS, n_steps - k0)
+        start = times[k0:k0 + k]
+        stages = np.stack([start, start + 0.5 * dt, start + dt], axis=1)
+        f = (forcing @ q(stages.reshape(-1)).reshape(k, 3 * n).T).T
+        recorded = slice(k0 + 1, k0 + k + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(k):
+                np.add(r @ ys[j], f[j], out=ys[j + 1])
+            energy[recorded] = energy_fn(ys[1:k + 1])
+        block = energy[recorded]
+        bad = ~np.isfinite(block) | (block > limit)
+        if bad.any():
+            i = k0 + 1 + int(np.argmax(bad))
             raise BlowUpError(
-                f"energy {energy[k]:.3e} exceeded {BLOWUP_FACTOR} x initial at t={t:.4f}"
+                f"energy {energy[i]:.3e} exceeded {BLOWUP_FACTOR} x initial at t={times[i]:.4f}"
             )
         if aux_fn is not None:
-            aux[k] = aux_fn(y)
+            aux[recorded] = aux_fn(ys[1:k + 1])
+        ys[0] = ys[k]
 
-    return y.copy(), EnergyTrace(times=times, energy=energy, aux=aux)
+    return ys[0].reshape(shape).copy(), EnergyTrace(times=times, energy=energy, aux=aux)
 
 
 def solution_error(u: np.ndarray, grid: MultiElementGrid, exact, t: float):
@@ -532,8 +551,8 @@ def run_case(
     dt = cfl_timestep(grid, params, cfl)
     y, trace = time_integrate(
         problem.A, problem.data, problem.initial(), (0.0, params.final_time), dt,
-        energy_fn=problem.energy,
-        aux_fn=problem.dissipation if problem.gradient_map is not None else None,
+        energy_fn=problem.energies,
+        aux_fn=problem.dissipations if problem.gradient_map is not None else None,
     )
     error_sq, error = solution_error(y, grid, case.exact, params.final_time)
     return CaseResult(grid=grid, problem=problem, dt=dt, y=y, trace=trace,

@@ -31,6 +31,7 @@ threads; every operation here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -656,8 +657,10 @@ def tchebyshev_screen(
     numerically singular or non-finite set is rejected, never scored, so
     a reported zero means an initial set's determinant is exactly zero.
     ``tested_grids`` counts the sets evaluated: the initial sets plus the
-    refinement evaluations.  The verdict is heuristic: "fail" below 1e-13,
-    "pass" only if everything stays above 1e-8, otherwise "inconclusive".
+    refinement evaluations.  The verdict is heuristic and decided on the
+    log of the minimum: "fail" below 1e-13, "pass" only if everything stays
+    above 1e-8, otherwise "inconclusive".  ``min_abs_det`` is the minimum
+    itself, saturated at the largest double.
     """
     a, b = space.interval
     m = space.dim
@@ -694,13 +697,15 @@ def tchebyshev_screen(
         tested += len(worst) * (REFINE_STEPS + 1)
         min_log = min(min_log, float(np.min(refined)))
 
-    min_det = float(np.exp(min_log)) if np.isfinite(min_log) else 0.0
-    if min_det < FAIL_THRESHOLD:
+    if min_log < math.log(FAIL_THRESHOLD):
         verdict = "fail"
-    elif min_det > PASS_THRESHOLD:
+    elif min_log > math.log(PASS_THRESHOLD):
         verdict = "pass"
     else:
         verdict = "inconclusive"
+    # reported saturated at the largest double: JSON has no Infinity
+    with np.errstate(over="ignore"):
+        min_det = min(float(np.exp(min_log)), sys.float_info.max)
     return TchebyshevReport(tested_grids=tested, min_abs_det=min_det, verdict=verdict)
 
 

@@ -11,7 +11,8 @@ long double.  The right-side section writes both IBVP schemes face by
 face on a stacked state, with a dense LU solve for the gradient
 variable, as the reference for the assembled sparse operators.  The
 time-marching section takes the classical four-stage scheme stage by
-stage through a right side, the reference for the precomputed step.  The
+stage through the right side A u + q(t) of an assembled problem, one
+state and one time at a time, the reference for the blocked march.  The
 cardinal-basis section solves for the Hermite-Lagrange basis the Newton
 iteration only uses through its integrals, from the solver's own
 Hermite-Vandermonde rows.  ``certified_rule`` is no oracle: it runs the
@@ -252,6 +253,16 @@ def advdiff_rhs(u, grid, params, sats, g_left: float, g_right: float, forcing=No
 
 # ---------------------------------------------------------------------------
 # time marching
+
+def rhs(problem, t: float, u):
+    """A u + q(t) of an assembled problem at one time, shaped like ``u``."""
+    return (problem.A @ u.reshape(-1) + problem.data(np.array([t]))[0]).reshape(u.shape)
+
+
+def p_norm_squared(grid, u) -> float:
+    """The discrete energy u^T P u of one stacked state."""
+    return float(np.sum(grid.P * u * u))
+
 
 def rk4_loop(rhs, y0, t_span, dt: float, energy_fn):
     """The classical four-stage scheme with four ``rhs(t, y)`` calls per

@@ -208,6 +208,25 @@ def test_exponential_rate_0599_rule_exits_0(tmp_path, mode):
     assert json.loads((out / "rule.json").read_text())["certificate"]["valid"] is True
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_high_harmonic_rule_writes_strict_json(tmp_path):
+    # the screen's scaled minimum here is beyond the largest double; it
+    # was written as Infinity, which is not JSON
+    cfg = write_config(tmp_path / "trig.json", {"space": {
+        "family": "trig", "max_harmonic": 20, "interval": [0, 1]}})
+    out = tmp_path / "o"
+    assert main(["rule", "--config", cfg, "--out", str(out)]) == 0
+    for name in ("rule.json", "manifest.json"):
+        data = json.loads((out / name).read_text(), parse_constant=_reject_constant)
+        screen = data["trace"]["screen"] if name == "rule.json" else data["screen"]
+        assert screen["verdict"] == "pass"
+        assert math.isfinite(screen["min_abs_det"]) and screen["min_abs_det"] > 1e300
+
+
 def test_bessel_operator_exits_0(tmp_path):
     # exited 3 on a derivative exactness defect of 2.7e-8 while the basis
     # carried rounding noise

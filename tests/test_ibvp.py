@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.sparse as sp
 from fsbp.gauss import ScreenFailure
 from fsbp.operators import AssemblyError, build_operator, scale_to_element
 from fsbp.ibvp import (
+    BLOCK_STEPS,
     AdvectionDiffusionSats,
     AdvectionSats,
     BlowUpError,
@@ -23,7 +25,7 @@ from fsbp.ibvp import (
 )
 from fsbp.pipeline import build_study_operator, convergence_study
 
-from oracles import advdiff_rhs, advection_rhs, certified_rule, rk4_loop
+from oracles import advdiff_rhs, advection_rhs, certified_rule, p_norm_squared, rhs, rk4_loop
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +53,8 @@ def data_case(g_left=0.0, g_right=0.0, forcing=None):
     exact solution."""
     return MmsCase(exact=None, initial=None, boundary_left=lambda t: g_left,
                    boundary_right=lambda t: g_right,
-                   forcing=None if forcing is None else lambda x, t: forcing)
+                   forcing=None if forcing is None
+                   else lambda x, t: np.broadcast_to(forcing, np.shape(t) + forcing.shape))
 
 
 # ----------------------------------------------------------------- types
@@ -124,6 +127,26 @@ def test_mms_forcing_consistency_boundary_layer():
         assert residual == pytest.approx(forcing, abs=1e-5)
 
 
+@pytest.mark.parametrize("case", [MmsCase.advecting_wave(1.3), MmsCase.boundary_layer(1.0, 0.1)],
+                         ids=["advecting_wave", "boundary_layer"])
+def test_mms_callables_take_arrays_of_times(case):
+    # one call on an array of times gives, bitwise, the values of one call
+    # per time, stacked on a leading time axis
+    x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    times = np.random.default_rng(4).uniform(0.0, 2.0, 9)
+    for name in ("exact", "forcing"):
+        fn = getattr(case, name)
+        if fn is None:
+            continue
+        batch = fn(x, times)
+        assert batch.shape == times.shape + x.shape
+        for t, values in zip(times, batch):
+            assert np.array_equal(values, fn(x, float(t))), name
+    for fn in (case.boundary_left, case.boundary_right):
+        if fn is not None:
+            assert np.array_equal(fn(times), [fn(float(t)) for t in times])
+
+
 def test_mms_advecting_wave_is_exact_solution():
     case = MmsCase.advecting_wave(1.5)
     rng = np.random.default_rng(3)
@@ -142,7 +165,7 @@ def test_mms_advecting_wave_is_exact_solution():
 def test_constant_state_is_steady(trig_grid):
     params = PdeParams(a=1.0)
     u = np.full_like(trig_grid.nodes, 2.5)
-    du = assemble("advection", trig_grid, params, data_case(g_left=2.5)).rhs(0.0, u)
+    du = rhs(assemble("advection", trig_grid, params, data_case(g_left=2.5)), 0.0, u)
     assert np.max(np.abs(du)) < 1e-9
 
 
@@ -154,8 +177,8 @@ def test_interface_penalty_direction(trig_grid):
     assert sats.sigma_l == 0.0 and sats.sigma_r == -1.0
     u = np.zeros_like(trig_grid.nodes)
     u[0, :] = 1.0                      # element 0 above its neighbour
-    du_hom = assemble("advection", trig_grid, params, data_case()).rhs(0.0, np.zeros_like(u))
-    du = problem.rhs(0.0, u) - du_hom
+    du_hom = rhs(assemble("advection", trig_grid, params, data_case()), 0.0, np.zeros_like(u))
+    du = rhs(problem, 0.0, u) - du_hom
     # derivative term vanishes for the constant, SAT acts at the neighbour face
     jump = u[0, -1] - u[1, 0]
     expected = sats.sigma_r * trig_grid.Pinv[1, 0] * (u[1, 0] - u[0, -1])
@@ -170,7 +193,7 @@ def test_single_element_rhs_matches_analytic_derivative(trig_space, trig_operato
     # the rhs is exactly -a u_x at the nodes
     u = trig_space.collocation(grid.nodes[0])[:, 1][None, :]
     g_left = float(trig_space.collocation(np.array([0.0]))[0, 1])
-    du = assemble("advection", grid, params, data_case(g_left=g_left)).rhs(0.0, u)
+    du = rhs(assemble("advection", grid, params, data_case(g_left=g_left)), 0.0, u)
     assert np.max(np.abs(du[0] + trig_space.collocation_deriv(grid.nodes[0])[:, 1])) < 1e-9
 
 
@@ -182,7 +205,7 @@ def test_energy_rate_identity(trig_grid):
     rng = np.random.default_rng(7)
     u = rng.standard_normal(trig_grid.nodes.shape)
     g = 0.8
-    du = assemble("advection", trig_grid, params, data_case(g_left=g)).rhs(0.0, u)
+    du = rhs(assemble("advection", trig_grid, params, data_case(g_left=g)), 0.0, u)
     rate = 2.0 * float(np.sum(trig_grid.P * u * du))
     jumps = u[:-1, -1] - u[1:, 0]
     expected = (a * g * g - a * u[-1, -1] ** 2 - a * (u[0, 0] - g) ** 2
@@ -200,7 +223,7 @@ def test_advdiff_constant_state(exp_bl_operator):
     u = np.full_like(grid.nodes, c)
     problem = assemble("advection_diffusion", grid, params,
                        data_case(g_left=1.0 * c, g_right=0.0))
-    du, phi = problem.rhs(0.0, u), problem.gradient(u)
+    du, phi = rhs(problem, 0.0, u), problem.gradient_map @ u.ravel()
     assert np.max(np.abs(phi)) < 1e-8
     assert np.max(np.abs(du)) < 1e-8
 
@@ -213,7 +236,7 @@ def test_advdiff_gradient_variable_consistency(exp_bl_operator):
     grid = MultiElementGrid.uniform(exp_bl_operator, 4)
     # global linear function x: in the span of every element space
     u = grid.nodes.copy()
-    phi = assemble("advection_diffusion", grid, params, data_case()).gradient(u)
+    phi = assemble("advection_diffusion", grid, params, data_case()).gradient_map @ u.ravel()
     assert np.max(np.abs(phi - 1.0)) < 1e-7
 
 
@@ -282,12 +305,12 @@ def test_assembly_matches_the_face_by_face_right_sides(name, n_elements, uniform
 
     problem = assemble("advection", grid, params, case)
     ref = advection_rhs(u, grid, params, problem.sats, g_left, f)
-    assert relative_error(problem.rhs(0.0, u), ref) <= 1e-13
+    assert relative_error(rhs(problem, 0.0, u), ref) <= 1e-13
 
     problem = assemble("advection_diffusion", grid, params, case)
     ref, phi = advdiff_rhs(u, grid, params, problem.sats, g_left, g_right, f)
-    assert relative_error(problem.rhs(0.0, u), ref) <= 1e-13
-    assert relative_error(problem.gradient(u), phi) <= 1e-13
+    assert relative_error(rhs(problem, 0.0, u), ref) <= 1e-13
+    assert relative_error(problem.gradient_map @ u.ravel(), phi.ravel()) <= 1e-13
 
 
 @pytest.mark.parametrize("uniform", [True, False])
@@ -343,7 +366,8 @@ def test_steep_boundary_layer_is_finite():
 
 def test_time_integrate_zero_rhs():
     y0 = np.array([[1.0, 2.0, 3.0]])
-    y, trace = time_integrate(sp.csr_array((3, 3)), lambda t: np.zeros(3), y0, (0.0, 1.0), 0.1)
+    y, trace = time_integrate(sp.csr_array((3, 3)), lambda t: np.zeros((len(t), 3)), y0,
+                              (0.0, 1.0), 0.1)
     assert np.array_equal(y, y0)
     assert np.max(np.abs(np.diff(trace.energy))) == 0.0
 
@@ -351,8 +375,8 @@ def test_time_integrate_zero_rhs():
 def test_time_integrate_scalar_decay_fourth_order():
     errs = []
     for dt in (0.1, 0.05):
-        y, _ = time_integrate(sp.csr_array([[-1.0]]), lambda t: np.zeros(1), np.array([1.0]),
-                              (0.0, 1.0), dt)
+        y, _ = time_integrate(sp.csr_array([[-1.0]]), lambda t: np.zeros((len(t), 1)),
+                              np.array([1.0]), (0.0, 1.0), dt)
         errs.append(abs(y[0] - math.exp(-1.0)))
     order = math.log(errs[0] / errs[1]) / math.log(2.0)
     assert order > 3.8
@@ -360,7 +384,7 @@ def test_time_integrate_scalar_decay_fourth_order():
 
 def test_time_integrate_blowup_detection():
     with pytest.raises(BlowUpError):
-        time_integrate(sp.csr_array([[10.0]]), lambda t: np.zeros(1), np.array([1.0]),
+        time_integrate(sp.csr_array([[10.0]]), lambda t: np.zeros((len(t), 1)), np.array([1.0]),
                        (0.0, 2.0), 0.05)
 
 
@@ -374,7 +398,7 @@ def test_zero_data_advection_energy_decays(trig_grid):
     problem = assemble("advection", trig_grid, params, case)
     dt = cfl_timestep(trig_grid, params)
     _, trace = time_integrate(problem.A, problem.data, problem.initial(), (0.0, 1.0), dt,
-                              energy_fn=problem.energy)
+                              energy_fn=problem.energies)
     increases = np.diff(trace.energy)
     assert np.max(increases) <= 1e-10 * trace.energy[0]
     assert np.max(trace.energy) <= trace.energy[0] * (1.0 + 1e-8)
@@ -392,7 +416,7 @@ def test_zero_data_advdiff_energy_decays(exp_bl_operator):
     problem = assemble("advection_diffusion", grid, params, case)
     dt = cfl_timestep(grid, params)
     _, trace = time_integrate(problem.A, problem.data, problem.initial(), (0.0, 1.0), dt,
-                              energy_fn=problem.energy, aux_fn=problem.dissipation)
+                              energy_fn=problem.energies, aux_fn=problem.dissipations)
     assert np.max(np.diff(trace.energy)) <= 1e-10 * trace.energy[0]
     assert trace.aux is not None and np.all(trace.aux >= 0.0)
 
@@ -411,42 +435,65 @@ def data_problems(trig_grid, exp_bl_operator):
     }
 
 
-@pytest.mark.parametrize("kind", ["advection", "advection_diffusion"])
-def test_precomputed_step_matches_stagewise_rk4(data_problems, kind):
-    # ten steps of the closed-form step against the four right-hand-side
-    # stages of the classical scheme, with non-zero boundary data
+@pytest.mark.parametrize("kind, n_steps", [
+    pytest.param("advection", 10, id="advection"),
+    pytest.param("advection_diffusion", 10, id="advection_diffusion"),
+    pytest.param("advection", 2 * BLOCK_STEPS + 7, id="advection-three_blocks"),
+    pytest.param("advection_diffusion", 2 * BLOCK_STEPS + 7, id="advection_diffusion-three_blocks"),
+])
+def test_precomputed_step_matches_stagewise_rk4(data_problems, kind, n_steps):
+    # the blocked march against the four right-hand-side stages of the
+    # classical scheme, with non-zero boundary data: within one block, and
+    # over three blocks with a partial last block
     problem = data_problems[kind]
     dt = cfl_timestep(problem.grid, problem.params)
-    t_span = (0.0, 10 * dt)
+    t_span = (0.0, n_steps * dt)
     y, trace = time_integrate(problem.A, problem.data, problem.initial(), t_span, dt,
-                              energy_fn=problem.energy)
-    y_ref, energy_ref = rk4_loop(problem.rhs, problem.initial(), t_span, dt, problem.energy)
-    assert len(trace.times) == 11
-    assert np.any(problem.data(0.0) != 0.0)
+                              energy_fn=problem.energies)
+    y_ref, energy_ref = rk4_loop(functools.partial(rhs, problem), problem.initial(), t_span, dt,
+                                 functools.partial(p_norm_squared, problem.grid))
+    assert len(trace.times) == n_steps + 1
+    assert np.any(problem.data(np.array([0.0])) != 0.0)
     assert np.linalg.norm(y - y_ref) <= 1e-13 * np.linalg.norm(y_ref)
     assert np.max(np.abs(trace.energy - energy_ref)) <= 1e-13 * np.max(energy_ref)
 
 
-@pytest.mark.parametrize("kind", ["advection", "advection_diffusion"])
-def test_precomputed_step_blows_up_where_stagewise_rk4_does(data_problems, kind):
-    # A + 5 I grows the energy by about exp(10 t): both loops must stop at
-    # the same step with the same message
+@pytest.mark.parametrize("kind, shift, later_block", [
+    pytest.param("advection", 5.0, False, id="advection"),
+    pytest.param("advection_diffusion", 5.0, True, id="advection_diffusion"),
+    pytest.param("advection", 2.0, True, id="advection-later_block"),
+])
+def test_precomputed_step_blows_up_where_stagewise_rk4_does(data_problems, kind, shift,
+                                                            later_block):
+    # A + shift I grows the energy by about exp(2 shift t): both loops must
+    # stop at the same step with the same message, whether that step falls
+    # in the first block or a later one
     problem = data_problems[kind]
     unstable = dataclasses.replace(
-        problem, A=sp.csr_array(problem.A + 5.0 * sp.eye_array(problem.A.shape[0])))
+        problem, A=sp.csr_array(problem.A + shift * sp.eye_array(problem.A.shape[0])))
     dt = cfl_timestep(problem.grid, problem.params)
     assert dt > 1e-4           # distinct steps print distinct times
+    first_block = (0.0, BLOCK_STEPS * dt)
+    if later_block:
+        time_integrate(unstable.A, unstable.data, unstable.initial(), first_block, dt,
+                       energy_fn=unstable.energies)
+    else:
+        with pytest.raises(BlowUpError):
+            time_integrate(unstable.A, unstable.data, unstable.initial(), first_block, dt,
+                           energy_fn=unstable.energies)
     with pytest.raises(BlowUpError) as marched:
         time_integrate(unstable.A, unstable.data, unstable.initial(), (0.0, 2.0), dt,
-                       energy_fn=unstable.energy)
+                       energy_fn=unstable.energies)
     with pytest.raises(BlowUpError) as stagewise:
-        rk4_loop(unstable.rhs, unstable.initial(), (0.0, 2.0), dt, unstable.energy)
+        rk4_loop(functools.partial(rhs, unstable), unstable.initial(), (0.0, 2.0), dt,
+                 functools.partial(p_norm_squared, unstable.grid))
     assert str(marched.value) == str(stagewise.value)
 
 
 def test_aux_dissipation_is_recorded_at_the_recorded_states(exp_bl_operator):
-    # aux[n] is 2 eps ||phi(y_n)||_P^2, with phi recomputed here on the
-    # initial and the final state
+    # aux[n] is 2 eps ||phi(y_n)||_P^2 at every recorded state, over more
+    # than one block: the states of the stagewise march, with phi from the
+    # face-by-face gradient solve
     params = PdeParams(a=1.0, eps=0.1, final_time=0.2)
     case = MmsCase(
         exact=lambda x, t: np.zeros_like(np.asarray(x, float)),
@@ -455,13 +502,40 @@ def test_aux_dissipation_is_recorded_at_the_recorded_states(exp_bl_operator):
         boundary_right=lambda t: 0.0,
     )
     result = run_case("advection_diffusion", exp_bl_operator, 4, params, case)
-    grid, sats = result.grid, result.problem.sats
-    for y, recorded in ((result.problem.initial(), result.trace.aux[0]),
-                        (result.y, result.trace.aux[-1])):
-        _, phi = advdiff_rhs(y, grid, params, sats, 0.0, 0.0)
-        expected = 2.0 * params.eps * float(np.sum(grid.P * phi * phi))
-        assert expected > 0.0
-        assert recorded == pytest.approx(expected, rel=1e-12, abs=0.0)
+    grid, problem = result.grid, result.problem
+
+    def dissipation(y):
+        _, phi = advdiff_rhs(y, grid, params, problem.sats, 0.0, 0.0)
+        return 2.0 * params.eps * p_norm_squared(grid, phi)
+
+    _, expected = rk4_loop(functools.partial(rhs, problem), problem.initial(),
+                           (0.0, params.final_time), result.dt, dissipation)
+    assert len(result.trace.aux) > BLOCK_STEPS + 1
+    assert np.all(expected > 0.0)
+    np.testing.assert_allclose(result.trace.aux, expected, rtol=1e-12, atol=0.0)
+
+
+def test_march_holds_one_block_of_states():
+    # 20 000 steps at n = 100: a history of states would take 16 MB; the
+    # march holds the block's states, stage data and forcing, a few blocks'
+    # worth, beside the recorded times and energies
+    n, n_steps, dt = 100, 20_000, 1e-3
+    A = sp.diags_array([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], offsets=[-1, 0, 1])
+    shape = np.sin(np.linspace(0.0, np.pi, n))
+
+    def q(t):
+        return np.multiply.outer(0.1 * np.cos(t), shape)
+
+    block_bytes = (BLOCK_STEPS + 1) * n * 8
+    trace_bytes = 2 * (n_steps + 1) * 8
+    tracemalloc.start()
+    try:
+        y, trace = time_integrate(A, q, shape, (0.0, n_steps * dt), dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.times) == n_steps + 1 and np.all(np.isfinite(y))
+    assert peak <= trace_bytes + 16 * block_bytes
 
 
 # ------------------------------------------------------------ error measure
@@ -500,7 +574,7 @@ def test_nonuniform_grid_energy_identity(trig_operator):
     rng = np.random.default_rng(9)
     u = rng.standard_normal(grid.nodes.shape)
     g = 0.4
-    du = assemble("advection", grid, params, data_case(g_left=g)).rhs(0.0, u)
+    du = rhs(assemble("advection", grid, params, data_case(g_left=g)), 0.0, u)
     rate = 2.0 * float(np.sum(grid.P * u * du))
     jumps = u[:-1, -1] - u[1:, 0]
     expected = (a * g * g - a * u[-1, -1] ** 2 - a * (u[0, 0] - g) ** 2
@@ -519,7 +593,7 @@ def test_free_stream_preservation(trig_grid):
     problem = assemble("advection", trig_grid, params, case)
     dt = cfl_timestep(trig_grid, params)
     y, _ = time_integrate(problem.A, problem.data, problem.initial(), (0.0, 0.5), dt,
-                          energy_fn=problem.energy)
+                          energy_fn=problem.energies)
     assert np.max(np.abs(y - c)) < 1e-10
 
 
