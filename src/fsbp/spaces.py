@@ -154,9 +154,16 @@ class FunctionSpace:
 
 
 def _reference_grid(space: FunctionSpace, m: int):
-    """4m-point Gauss-Legendre grid and weights on the space's interval."""
+    """4m-point Gauss-Legendre grid and weights on the space's interval.
+
+    The nodes are the eigenvalues of the tridiagonal Jacobi matrix, in
+    O(n^2), polished by one Newton step (Golub-Welsch).
+    """
+    # imported on first use: loading fsbp does not load scipy.special
+    from scipy.special import roots_legendre
+
     a, b = space.interval
-    s, w = np.polynomial.legendre.leggauss(4 * m)
+    s, w = roots_legendre(4 * m)
     return a + 0.5 * (b - a) * (s + 1.0), 0.5 * (b - a) * w
 
 
@@ -464,10 +471,12 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
     Chebyshev family T_0 .. T_{K-1} and its ``coeff_matrix`` holds the
     series, one row per function.
     """
+    from scipy.special import roots_legendre
+
     a, b = space.interval
     n = max(8 * space.dim, 64)
     while True:
-        s, w = np.polynomial.legendre.leggauss(n)
+        s, w = roots_legendre(n)
         xs = a + 0.5 * (b - a) * (s + 1.0)
         vals = space.collocation(xs)
         if not np.all(np.isfinite(vals)):

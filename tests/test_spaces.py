@@ -9,6 +9,7 @@ from fsbp.spaces import (
     PASS_THRESHOLD,
     FamilyError,
     RankError,
+    _reference_grid,
     _scaled_log_dets,
     augment_to_even,
     make_family,
@@ -212,10 +213,41 @@ def test_constant_space_rank_collapse():
         product_derivative_space(space)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_monomial_product_space_dimension(n):
-    space = make_family({"family": "monomial", "degree": n, "interval": [-1, 1]})
-    assert product_derivative_space(space).dim == 2 * n
+# the widest ranges where the rank decision is exact: the span of the
+# (f_i f_j)' is the polynomials of degree <= 2d - 1 for monomials of degree
+# d, and {sin, cos}(j pi s), j = 1..2h, for h half-harmonics
+@pytest.mark.parametrize("spec, dim", [
+    *(pytest.param({"family": "monomial", "degree": d, "interval": [-1, 1]}, 2 * d, id=str(d))
+      for d in range(1, 17)),
+    *(pytest.param({"family": "monomial", "degree": d, "interval": [0, 1]}, 2 * d,
+                   id=f"unit{d}") for d in range(1, 9)),
+    *(pytest.param({"family": "trig", "max_harmonic": h, "interval": [0, 1]}, 4 * h,
+                   id=f"trig{h}") for h in range(1, 9)),
+])
+def test_monomial_product_space_dimension(spec, dim):
+    assert product_derivative_space(make_family(spec)).dim == dim
+
+
+@pytest.mark.parametrize("interval", [[0, 1], [-1, 1]])
+@pytest.mark.parametrize("n", [4, 64, 1300])
+def test_reference_grid_is_gauss_legendre(interval, n):
+    a, b = interval
+    space = make_family({"family": "monomial", "degree": 1, "interval": interval})
+    xs, w = _reference_grid(space, n // 4)
+    assert xs.shape == w.shape == (n,)
+    assert a < xs[0] and np.all(np.diff(xs) > 0) and xs[-1] < b
+    assert np.max(np.abs(xs + xs[::-1] - (a + b))) <= 4 * np.finfo(float).eps
+    assert np.all(w > 0) and abs(w.sum() - (b - a)) <= 1e-14
+    # P_k of the local coordinate integrates to (b - a) delta_k0 for every
+    # k <= 2n - 1 (a sample of them at n = 1300)
+    ks = np.arange(2 * n) if n <= 64 else np.array([0, 1, 2, 3, 100, 1299, 1300, 2598, 2599])
+    t = (2.0 * xs - a - b) / (b - a)
+    legendre = np.polynomial.legendre.legval(t, np.eye(2 * n)[ks].T)
+    integrals = legendre @ w
+    assert np.max(np.abs(integrals - (b - a) * (ks == 0))) <= 1e-13
+    if n <= 64:   # numpy's dense companion-matrix nodes as an independent oracle
+        s, _ = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(t - s)) <= 4 * np.finfo(float).eps
 
 
 def test_product_space_fundamental_theorem(exp3_space):
