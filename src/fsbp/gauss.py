@@ -154,7 +154,6 @@ CERTIFICATE_TOL = 1e-8
 T_STEP = 0.1
 T_STEP_MIN = 1e-6
 T_GROWTH = 1.5
-SCREEN_TRIALS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +415,11 @@ def continuation_solve(
     m_full = _series_moments(space) / np.sqrt(0.5 * (b - a))
     ref = pull_back(space, renormalize=True)
 
-    report = tchebyshev_screen(ref, trials=SCREEN_TRIALS, rng_seed=rng_seed)
+    report = tchebyshev_screen(ref, rng_seed=rng_seed)
     if report.verdict == "fail" and not force:
         raise ScreenFailure(
-            f"Tchebyshev screen failed (min scaled determinant {report.min_abs_det:.3e}); "
+            f"Tchebyshev screen failed ({report.certified_positive} certified node sets "
+            f"with a positive determinant, {report.certified_negative} with a negative one); "
             "pass force=True to attempt the solve anyway"
         )
 

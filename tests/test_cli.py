@@ -49,7 +49,7 @@ def test_rule_open_mode_gauss_legendre(tmp_path):
     assert np.allclose(rule["weights"], [1.0, 1.0], atol=1e-12)
 
 
-def test_rule_screen_gate_exit_code(tmp_path):
+def test_rule_screen_gate_exit_code(tmp_path, capsys):
     # even-degree pair on a symmetric interval fails the screen
     cfg = write_config(tmp_path / "bad.json", {
         "space": {"family": "cosine_pair", "interval": [-1, 1]},
@@ -61,8 +61,11 @@ def test_rule_screen_gate_exit_code(tmp_path):
                   "interval": [0, 1]},
     })
     # full-period trig family: translation-degenerate, the screen gates it
+    # on certified node sets of both signs and names their counts
     code = main(["rule", "--config", cfg2, "--out", str(tmp_path / "o2")])
     assert code == 4
+    assert ("38 certified node sets with a positive determinant, 82 with a negative one"
+            in capsys.readouterr().err)
 
 
 def test_validation_exit_codes(tmp_path):
@@ -208,6 +211,21 @@ def test_exponential_rate_0599_rule_exits_0(tmp_path, mode):
     assert json.loads((out / "rule.json").read_text())["certificate"]["valid"] is True
 
 
+@pytest.mark.parametrize("mode", ["closed", "open"])
+@pytest.mark.parametrize("rate", [20.0, 30.0])
+def test_steep_exponential_rule_passes_screen(tmp_path, rate, mode):
+    # {1, x, e^{rx}} is a Haar system; it exited 4 while the screen
+    # thresholded a rounding-level minimum determinant
+    cfg = write_config(tmp_path / "exp.json", {"space": {
+        "family": "exponential", "rates": [rate], "poly_degree": 1, "interval": [0, 1]}})
+    out = tmp_path / "o"
+    assert main(["rule", "--config", cfg, "--out", str(out), "--mode", mode]) == 0
+    rule = json.loads((out / "rule.json").read_text())
+    assert rule["certificate"]["valid"] is True
+    assert rule["trace"]["screen"]["verdict"] == "pass"
+    assert rule["trace"]["screen"]["certified_negative"] == 0
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -215,7 +233,9 @@ def _reject_constant(name):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_high_harmonic_rule_writes_strict_json(tmp_path):
     # the screen's scaled minimum here is beyond the largest double; it
-    # was written as Infinity, which is not JSON
+    # was written as Infinity, which is not JSON.  No drawn set's sign is
+    # certified at this dimension (62), so the verdict is inconclusive and
+    # the solve goes ahead
     cfg = write_config(tmp_path / "trig.json", {"space": {
         "family": "trig", "max_harmonic": 20, "interval": [0, 1]}})
     out = tmp_path / "o"
@@ -223,7 +243,7 @@ def test_high_harmonic_rule_writes_strict_json(tmp_path):
     for name in ("rule.json", "manifest.json"):
         data = json.loads((out / name).read_text(), parse_constant=_reject_constant)
         screen = data["trace"]["screen"] if name == "rule.json" else data["screen"]
-        assert screen["verdict"] == "pass"
+        assert screen["verdict"] == "inconclusive"
         assert math.isfinite(screen["min_abs_det"]) and screen["min_abs_det"] > 1e300
 
 

@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fsbp.gauss import SCREEN_TRIALS
+from hypothesis import given, settings, strategies as st
+
 from fsbp.spaces import (
-    FAIL_THRESHOLD,
-    PASS_THRESHOLD,
     FamilyError,
     RankError,
+    _determinant_signs,
     _reference_grid,
-    _scaled_log_dets,
     augment_to_even,
     make_family,
     orthonormalize,
@@ -372,26 +371,38 @@ def test_augment_always_even_or_raises():
 
 def test_screen_passes_monomials():
     space = make_family({"family": "monomial", "degree": 3, "interval": [-1, 1]})
-    report = tchebyshev_screen(space, trials=100, rng_seed=0)
+    report = tchebyshev_screen(space, rng_seed=0)
     assert report.verdict == "pass"
     assert report.tested_grids >= 100
 
 
-def test_screen_fails_even_pair():
+def _even_pair():
     # 1 and x^2 are singular at symmetric node pairs
-    space = make_family({
+    return make_family({
         "family": "explicit", "interval": [-1, 1],
         "functions": [
             (lambda x: np.ones_like(np.asarray(x, float)), lambda x: np.zeros_like(np.asarray(x, float))),
             (lambda x: np.asarray(x, float) ** 2, lambda x: 2.0 * np.asarray(x, float)),
         ],
     })
-    report = tchebyshev_screen(space, trials=100, rng_seed=0)
+
+
+def _screened(spec):
+    # the space the rule solver screens: the orthonormal target on [-1, 1]
+    target = augment_to_even(product_derivative_space(make_family(spec)))
+    return pull_back(orthonormalize(target), renormalize=True)
+
+
+FULL_PERIOD_TRIG = {"family": "trig", "max_harmonic": 1, "freq_scale": 2.0, "interval": [0, 1]}
+
+
+def test_screen_fails_even_pair():
+    report = tchebyshev_screen(_even_pair(), rng_seed=0)
     assert report.verdict == "fail"
 
 
 def test_screen_passes_exp3(exp3_orthonormal):
-    report = tchebyshev_screen(exp3_orthonormal, trials=200, rng_seed=1)
+    report = tchebyshev_screen(exp3_orthonormal, rng_seed=1)
     assert report.verdict == "pass"
 
 
@@ -401,45 +412,63 @@ def _random_ordered_sets(rng, space, count):
 
 
 def test_screen_reports_no_sentinel_determinant():
-    # a numerically singular refinement step is rejected, never scored as
-    # exp(-700); the exponential space passes, the full-period trig fails
+    # the verdict comes from certified determinant signs, and the reported
+    # minimum is a drawn set's own scaled determinant, never exp(-700):
+    # the exponential space passes, the full-period trig fails with
+    # certified sets of both signs
     sentinel = math.exp(-700.0)
     exp2445 = pipeline.solve_rule_pipeline(
         {"family": "exponential", "rates": [2.445], "poly_degree": 2, "interval": [0, 1]},
         "open", rng_seed=31337,
     ).rule.trace["screen"]
     assert exp2445["verdict"] == "pass"
-    assert exp2445["min_abs_det"] > PASS_THRESHOLD
+    assert exp2445["certified_positive"] + exp2445["certified_negative"] > 0
+    assert 0 in (exp2445["certified_positive"], exp2445["certified_negative"])
 
-    # the space the rule solver screens: the orthonormal target on [-1, 1]
-    target = augment_to_even(product_derivative_space(make_family(
-        {"family": "trig", "max_harmonic": 1, "freq_scale": 2.0, "interval": [0, 1]})))
-    screened = pull_back(orthonormalize(target), renormalize=True)
-    trig = tchebyshev_screen(screened, trials=SCREEN_TRIALS, rng_seed=0)
+    trig = tchebyshev_screen(_screened(FULL_PERIOD_TRIG), rng_seed=0)
     assert trig.verdict == "fail"
-    assert 0.0 < trig.min_abs_det <= FAIL_THRESHOLD
+    assert trig.certified_positive > 0 and trig.certified_negative > 0
+    assert trig.tested_grids == 120
     assert sentinel not in (exp2445["min_abs_det"], trig.min_abs_det)
 
 
-# central-difference steps sized to each objective's rounding noise: the
-# raw exp3 target is conditioned up to 1e9, so its objective carries about
-# 1e-9 of noise and needs the widest step; gaps above 0.05 keep the
-# perturbed sets ordered
-@pytest.mark.parametrize("spec, h", [
-    (refcases.EXP3_SPEC, 1e-2),
-    ({"family": "trig", "max_harmonic": 2, "interval": [0, 1]}, 3e-5),
-    ({"family": "monomial", "degree": 3, "interval": [0, 1]}, 1e-4),
-])
-def test_screen_gradient_matches_central_differences(spec, h):
-    target = augment_to_even(product_derivative_space(make_family(spec)))
-    space = pull_back(target)
-    sets = _random_ordered_sets(np.random.default_rng(7), space, 200)
-    sets = sets[np.min(np.diff(sets, axis=1), axis=1) > 0.05][:5]
-    _, grads = _scaled_log_dets(space, sets, grad=True)
-    for nodes, grad in zip(sets, grads):
-        step = h * np.eye(nodes.size)
-        fd = (_scaled_log_dets(space, nodes + step) - _scaled_log_dets(space, nodes - step)) / (2.0 * h)
-        assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+@pytest.mark.parametrize("seed", [0, 1, 2, 31337])
+def test_screen_fails_non_haar_spaces(seed):
+    # negative controls: translation-degenerate trig and an even pair
+    for space in (_screened(FULL_PERIOD_TRIG), _even_pair()):
+        report = tchebyshev_screen(space, rng_seed=seed)
+        assert report.verdict == "fail"
+        assert report.certified_positive > 0 and report.certified_negative > 0
+
+
+# single-rate exponential-polynomial spaces are Haar: the screen of the
+# solver's target may be inconclusive but must never fail
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(rate=st.floats(0.1, 40.0), negative=st.booleans(), poly_degree=st.integers(0, 2),
+       start=st.floats(-5.0, 5.0), length=st.floats(0.1, 5.0), seed=st.integers(0, 2**16))
+def test_screen_never_fails_exponential_spaces(rate, negative, poly_degree, start, length, seed):
+    spec = {"family": "exponential", "rates": [-rate if negative else rate],
+            "poly_degree": poly_degree, "interval": [start, start + length]}
+    report = tchebyshev_screen(_screened(spec), rng_seed=seed)
+    assert report.verdict != "fail", (spec, seed, report)
+
+
+def test_screen_leaves_non_finite_sets_uncertified():
+    # x is NaN beyond 0.9: sets reaching there carry no sign evidence, the
+    # others certify the positive sign of {1, x}
+    space = make_family({
+        "family": "explicit", "interval": [0, 1],
+        "functions": [
+            (lambda x: np.ones_like(np.asarray(x, float)), lambda x: np.zeros_like(np.asarray(x, float))),
+            (lambda x: np.where(np.asarray(x, float) > 0.9, np.nan, x),
+             lambda x: np.ones_like(np.asarray(x, float))),
+        ],
+    })
+    report = tchebyshev_screen(space, rng_seed=0)
+    assert report.verdict == "pass"
+    assert report.certified_negative == 0
+    assert 0 < report.certified_positive < report.tested_grids == 120
+    assert report.min_abs_det == 0.0
 
 
 def test_screen_batch_matches_per_set_loop(exp3_orthonormal, trig_target):
@@ -451,14 +480,22 @@ def test_screen_batch_matches_per_set_loop(exp3_orthonormal, trig_target):
         sets = np.sort(sets, axis=1)
         half = np.sort(rng.uniform(0.0, 1.0, size=(8, space.dim // 2)), axis=1)
         sets = np.vstack([sets, np.hstack([-half[:, ::-1], half])])   # mirrored
-        looped = []
+        signs, logs, sigma_min = [], [], []
+        c_max = 0.0
         for nodes in sets:
             c = space.collocation(nodes)
+            c_max = max(c_max, np.abs(c).max())
+            sigma_min.append(np.linalg.svd(c, compute_uv=False)[-1])
             c = c / np.abs(c).max(axis=1)[:, None]
-            _, logdet = np.linalg.slogdet(c)
+            sign, logdet = np.linalg.slogdet(c)
             i, j = np.triu_indices(nodes.size, k=1)
-            looped.append(logdet - np.sum(np.log(nodes[j] - nodes[i])))
-        assert np.max(np.abs(_scaled_log_dets(space, sets) - looped)) <= 1e-12
+            signs.append(sign)
+            logs.append(logdet - np.sum(np.log(nodes[j] - nodes[i])))
+        b_sign, b_logs, b_sigma, b_max = _determinant_signs(space, sets)
+        assert np.array_equal(b_sign, signs)
+        assert np.max(np.abs(b_logs - logs)) <= 1e-12
+        assert np.allclose(b_sigma, sigma_min, rtol=1e-10, atol=0.0)
+        assert b_max == c_max
 
 
 # ---------------------------------------------------------------- pull-back
