@@ -15,6 +15,7 @@ seed.  Exit codes: 0 success, 2 validation, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .integrate import IntegrationError
-from .spaces import FamilyError, RankError, make_family, product_derivative_space
+from .spaces import FamilyError, RankError, make_family, orthonormalize, product_derivative_space
 from .gauss import QuadratureRule, ScreenFailure, SolverError, verify_exactness
 from .operators import (
     AssemblyError,
@@ -250,7 +251,8 @@ def cmd_operator(args) -> int:
 
     if "rule" in config:
         rule = load_input(runner, args, config, "rule", QuadratureRule.from_dict)
-        rule.certificate = verify_exactness(rule, product_derivative_space(space))
+        product = product_derivative_space(space)
+        rule.certificate = verify_exactness(rule, product, orthonormalize(product).dim)
         op = build_operator(space, rule)
         verdict = verify_sbp(op, space, rng_seed=args.seed)
     else:
@@ -460,6 +462,7 @@ def cmd_fixtures(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsbp",

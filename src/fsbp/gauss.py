@@ -56,7 +56,7 @@ class ScreenFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ExactnessCertificate:
-    """Per-function quadrature errors against a target space."""
+    """Per-function quadrature errors against a spanning set of rank ``target_dim``."""
 
     target_dim: int
     max_abs_error: float
@@ -514,15 +514,18 @@ def continuation_solve(
 def verify_exactness(
     rule: QuadratureRule,
     space: FunctionSpace,
+    dim: int,
     tol: float = CERTIFICATE_TOL,
 ) -> ExactnessCertificate:
-    """Exactness certificate of a rule against a space.
+    """Exactness certificate of a rule against a spanning set.
 
     The one place a certificate is made: the solvers return uncertified
     rules, and each caller that writes a rule certifies it here, once,
-    against the span it needs.  The certificate tolerance is ``tol``
-    scaled by the largest moment magnitude (floored at one); stored
-    errors are raw absolute errors.
+    against the span it needs.  ``space`` is a spanning set of that span,
+    one error per function; its rank ``dim`` (from ``spaces.orthonormalize``)
+    becomes ``target_dim``.  The certificate tolerance is ``tol`` scaled by
+    the largest moment magnitude (floored at one); stored errors are raw
+    absolute errors.
     """
     a, b = space.interval
     if np.any(rule.nodes < a - 1e-12 * (b - a)) or np.any(rule.nodes > b + 1e-12 * (b - a)):
@@ -531,7 +534,7 @@ def verify_exactness(
     approx = rule.weights @ space.collocation(rule.nodes)
     errors = np.abs(approx - m)
     return ExactnessCertificate(
-        target_dim=space.dim,
+        target_dim=int(dim),
         max_abs_error=float(np.max(errors)),
         per_function_errors=errors,
         tol=tol * max(1.0, float(np.max(np.abs(m)))),

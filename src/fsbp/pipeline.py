@@ -1,8 +1,9 @@
 """End-to-end construction pipelines and the convergence-study runner.
 
 A rule pipeline takes a family descriptor to a certified quadrature rule:
-product-derivative span, parity augmentation, orthonormalisation, the
-Tchebyshev screen, then node optimisation (or an equispaced fallback).
+the product-derivative spanning set, its orthonormal basis (the one rank
+decision), parity augmentation, the Tchebyshev screen, then node
+optimisation (or an equispaced fallback).
 An operator pipeline feeds the resulting closed rule into the SBP
 assembly and verification.  A convergence study builds an operator per
 configuration and distinct family spec and solves the model problem with
@@ -56,7 +57,7 @@ NODE_MODES = ("gglq", "ggq", "equispaced", "classical-gll")
 @dataclass
 class RulePipelineResult:
     space: FunctionSpace           # the input family
-    target: FunctionSpace          # augmented product-derivative span
+    target: FunctionSpace          # product-derivative pairs, parity-augmented
     orthonormal: FunctionSpace
     rule: QuadratureRule           # certified against ``target``
     dims: dict
@@ -71,29 +72,30 @@ def solve_rule_pipeline(
     """Family descriptor to a certified generalised rule.
 
     ``mode`` is "closed" (endpoint nodes, for operator assembly) or
-    "open" (interior nodes only).  The target span is orthonormalised
-    here, once, for the solver, and the solver's rule is certified here,
-    once, against the target.  A target span whose orthonormal basis
-    comes out smaller than the span (a numerical rank loss) raises
-    RankError.
+    "open" (interior nodes only).  Orthonormalising the product-derivative
+    pairs decides their rank; an odd rank gets one Chebyshev polynomial
+    appended (``augment_to_even``) and the target is orthonormalised
+    again, and a rank still odd (a numerical rank loss) raises RankError.
+    The rule is certified here, once, against every function of the target.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
     space = make_family(family_spec)
     product = product_derivative_space(space)
-    target = augment_to_even(product)
-    ortho = orthonormalize(target)
-    if ortho.dim < target.dim:
-        raise RankError(f"orthonormal basis has {ortho.dim} functions, fewer than the "
-                        f"{target.dim} of the target span")
+    basis = orthonormalize(product)
+    target = augment_to_even(product, basis)
+    ortho = basis if target is product else orthonormalize(target)
+    if ortho.dim % 2:
+        raise RankError(f"the augmented target span has rank {ortho.dim}, not the "
+                        f"{basis.dim + 1} of the product span's {basis.dim} plus "
+                        f"{target.labels[-1]}")
     rule = continuation_solve(ortho, closed=(mode == "closed"), force=force, rng_seed=rng_seed)
-    # certify against the augmented span in its natural (raw) basis
-    rule.certificate = verify_exactness(rule, target)
+    rule.certificate = verify_exactness(rule, target, ortho.dim)
     dims = {
         "family_dim": space.dim,
-        "product_dim": product.dim,
-        "target_dim": target.dim,
-        "augmented": target.dim != product.dim,
+        "product_dim": basis.dim,
+        "target_dim": ortho.dim,
+        "augmented": target is not product,
     }
     return RulePipelineResult(space=space, target=target, orthonormal=ortho, rule=rule, dims=dims)
 
@@ -131,8 +133,10 @@ def build_study_operator(
             raise ValueError("classical-gll nodes apply to monomial families only")
         degree = int(family_spec["degree"])
         rule = classical_lobatto_rule(degree + 1, space.interval)
-        target = augment_to_even(product_derivative_space(space))
-        rule.certificate = verify_exactness(rule, target)
+        # an operator needs exactness on the product span only, which the
+        # d + 1 Lobatto nodes give to degree 2d - 1: no augmentation
+        product = product_derivative_space(space)
+        rule.certificate = verify_exactness(rule, product, orthonormalize(product).dim)
     elif node_mode == "gglq":
         result = solve_rule_pipeline(family_spec, "closed", force, rng_seed)
         rule = result.rule
@@ -141,11 +145,11 @@ def build_study_operator(
         ortho = orthonormalize(product)
         if n_nodes is None:
             rule = equispaced_rule(ortho)
-            rule.certificate = verify_exactness(rule, product)
+            rule.certificate = verify_exactness(rule, product, ortho.dim)
         else:
             try:
                 rule = equispaced_rule(ortho, n_nodes=n_nodes, max_extra=0)
-                rule.certificate = verify_exactness(rule, product)
+                rule.certificate = verify_exactness(rule, product, ortho.dim)
             except (SolverError, ValueError):
                 # node budget too small for exactness: defect-minimising
                 # construction with the structural identities kept exact

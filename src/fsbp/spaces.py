@@ -9,12 +9,12 @@ exponential-plus-polynomial, Bessel) compute their shared pieces (the
 powers, sin/cos, exp, one Bessel table) once per jet; explicit families
 stack the user's callables.  Derived spaces map their parent's jet:
 
-- product-derivative span: kept index pairs (i, j), from one parent jet
-  of one order more, by Leibniz' rule on (f_i f_j)' = f_i' f_j + f_i f_j';
+- product-derivative span: every pair (i, j) with i <= j, from one parent
+  jet of one order more, by Leibniz' rule on (f_i f_j)' = f_i' f_j + f_i f_j';
 - orthonormal spaces: the jet of their Chebyshev parent times
   ``coeff_matrix.T``;
 - prefixes: a slice of the coefficient rows, or of the last axis;
-- monomial augmentation: one column appended along the last axis;
+- parity augmentation: one Chebyshev column appended along the last axis;
 - pull-back: an affine map of the abscissae, order d scaled by the d-th
   power of its Jacobian.
 
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "FunctionSpace",
@@ -51,8 +50,8 @@ __all__ = [
     "pull_back",
 ]
 
-# Relative singular-value cutoff for all rank decisions, applied to the
-# quadrature-weighted collocation matrix on a Gauss-Legendre grid.
+# Relative singular-value cutoff of the one rank decision, orthonormalize's,
+# applied to the quadrature-weighted samples on a Gauss-Legendre grid.
 RANK_CUTOFF = 1e-12
 # Chebyshev series of orthonormal bases: coefficients of unit-maximum
 # samples below CHOP_TOL are rounding, and a series counts as resolved
@@ -151,20 +150,6 @@ class FunctionSpace:
     def __repr__(self):
         fam = self.family_spec.get("family", self.family_spec.get("derived", "?"))
         return f"FunctionSpace({fam!r}, dim={self.dim}, interval={self.interval})"
-
-
-def _reference_grid(space: FunctionSpace, m: int):
-    """4m-point Gauss-Legendre grid and weights on the space's interval.
-
-    The nodes are the eigenvalues of the tridiagonal Jacobi matrix, in
-    O(n^2), polished by one Newton step (Golub-Welsch).
-    """
-    # imported on first use: loading fsbp does not load scipy.special
-    from scipy.special import roots_legendre
-
-    a, b = space.interval
-    s, w = roots_legendre(4 * m)
-    return a + 0.5 * (b - a) * (s + 1.0), 0.5 * (b - a) * w
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +360,8 @@ def _pair_derivatives(space: FunctionSpace, xs, k: int, pi, pj) -> np.ndarray:
 
     Order d is the Leibniz sum of C(d+1, e) f_i^(d+1-e) f_j^(e) over e,
     from one parent jet of order k + 1.  Terms are built and summed in
-    place, left to right, so the large reference grid of the rank
-    selection needs few temporaries.
+    place, left to right, so a sample grid of many pairs needs few
+    temporaries.
     """
     if k > 1:
         raise FamilyError("second derivative required but a product-derivative span has none")
@@ -397,40 +382,21 @@ def _pair_derivatives(space: FunctionSpace, xs, k: int, pi, pj) -> np.ndarray:
 
 
 def product_derivative_space(space: FunctionSpace) -> FunctionSpace:
-    """Span of derivatives of all pairwise products of the basis.
+    """Every (f_i f_j)' with i <= j, in ``np.triu_indices`` order: a
+    spanning set of the product-derivative span, evaluated lazily.
 
-    The raw spanning set {(f_i f_j)' : i <= j} is reduced to a
-    numerically full-rank subset, selected by column-pivoted QR of the
-    quadrature-weighted collocation matrix on a 4m-point grid with the
-    usual relative singular-value cutoff.  The parent needs second
-    derivatives; FamilyError otherwise.
+    Dependent and vanishing pairs such as (1*1)' stay in; ``orthonormalize``
+    decides the rank.  The parent needs second derivatives; FamilyError
+    otherwise.
     """
     pi, pj = np.triu_indices(space.dim)
-    xs, w = _reference_grid(space, pi.size)
-    space.jet(xs[:1], 2)     # reject a parent without second derivatives now
-    a_mat = _pair_derivatives(space, xs, 0, pi, pj)[0] * np.sqrt(w)[:, None]
-    mags = np.max(np.abs(a_mat), axis=0)
-    live = mags > 0.0
-    if not np.any(live):
-        raise RankError("all product derivatives vanish identically")
-    a_mat = a_mat / np.where(live, mags, 1.0)
-    svals = np.linalg.svd(a_mat[:, live], compute_uv=False)
-    rank = int(np.sum(svals >= RANK_CUTOFF * svals[0]))
-    if rank < 1:
-        raise RankError("product-derivative space has rank zero")
-
-    _, _, piv = scipy.linalg.qr(a_mat, mode="economic", pivoting=True)
-    keep = sorted(piv[:rank])
-    ki, kj = pi[keep], pj[keep]
-    labels = [f"({space.labels[i]}*{space.labels[j]})'" for i, j in zip(ki, kj)]
-    spec = {
-        "derived": "product_derivative",
-        "parent": space.family_spec,
-        "dim": rank,
-        "interval": list(space.interval),
-    }
+    a, b = space.interval
+    space.jet(np.array([0.5 * (a + b)]), 2)   # reject a parent without second derivatives now
+    labels = [f"({space.labels[i]}*{space.labels[j]})'" for i, j in zip(pi, pj)]
+    spec = {"derived": "product_derivative", "parent": space.family_spec, "dim": int(pi.size),
+            "interval": [a, b]}
     return FunctionSpace(space.interval, labels, spec,
-                         lambda x, k: _pair_derivatives(space, x, k, ki, kj))
+                         lambda x, k: _pair_derivatives(space, x, k, pi, pj))
 
 
 def _chebyshev(a: float, b: float, length: int) -> Evaluator:
@@ -452,19 +418,21 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
     """L2-orthonormal basis of the same span, rank-reduced, as a truncated
     Chebyshev series in the local coordinate.
 
-    The span is sampled on an N-point Gauss-Legendre grid, N = max(8m, 64),
-    each column scaled to unit maximum.  N doubles (up to ``MAX_SAMPLES``)
-    until the last ``CHOP_TAIL`` Chebyshev coefficients of every column lie
-    below ``CHOP_TOL``; the series keeps the K leading coefficients, past
-    which every column stays below it (a simple form of Aurentz and
-    Trefethen's chopping rule).  An SVD of the weighted samples decides the
-    rank with ``RANK_CUTOFF`` and gives the values U_r/sqrt(w) of the
-    orthonormal functions at the grid (after Yarvin and Rokhlin); their
-    Chebyshev coefficients, cut to K, are the basis.  The grid integrates
-    products of such series exactly, so no Gram correction follows;
-    orthonormality holds up to what the cut removes, which is rounding
-    for the target but grows as 1/sigma for a function of small singular
-    value sigma.
+    The one rank decision: ``space`` may be any spanning set.  It is
+    sampled on an N-point Gauss-Legendre grid, N = 64 at first, each
+    column scaled to unit maximum; identically vanishing columns are
+    dropped (RankError if all vanish or a sample is not finite).  N
+    doubles (up to ``MAX_SAMPLES``) until the last ``CHOP_TAIL`` Chebyshev
+    coefficients of every column lie below ``CHOP_TOL``; the series keeps
+    the K leading coefficients, past which every column stays below it (a
+    simple form of Aurentz and Trefethen's chopping rule).  An SVD of the
+    weighted samples decides the rank with ``RANK_CUTOFF`` and gives the
+    values U_r/sqrt(w) of the orthonormal functions at the grid (after
+    Yarvin and Rokhlin); their Chebyshev coefficients, cut to K, are the
+    basis.  The grid integrates products of such series exactly, so no
+    Gram correction follows; orthonormality holds up to what the cut
+    removes, which is rounding for the target but grows as 1/sigma for a
+    function of small singular value sigma.
 
     The functions are then rotated to diagonalise the derivative-energy
     form and signed deterministically.  The output's ``parent`` is the
@@ -474,7 +442,7 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
     from scipy.special import roots_legendre
 
     a, b = space.interval
-    n = max(8 * space.dim, 64)
+    n = 64
     while True:
         s, w = roots_legendre(n)
         xs = a + 0.5 * (b - a) * (s + 1.0)
@@ -482,9 +450,10 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
         if not np.all(np.isfinite(vals)):
             raise RankError("non-finite basis values on the sample grid")
         mags = np.max(np.abs(vals), axis=0)
-        if np.any(mags == 0.0):
-            raise RankError("a basis function vanishes identically on the sample grid")
-        vals /= mags
+        live = mags > 0.0
+        if not np.any(live):
+            raise RankError("every basis function vanishes identically on the sample grid")
+        vals = vals[:, live] / mags[live]
         cheb = np.cos(np.arccos(s)[:, None] * np.arange(n))
         peaks = np.max(np.abs(np.linalg.solve(cheb, vals)), axis=1)
         length = int(np.sum(np.maximum.accumulate(peaks[::-1]) >= CHOP_TOL))
@@ -530,38 +499,40 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
                          parent=parent, coeff_matrix=coeff)
 
 
-def augment_to_even(space: FunctionSpace) -> FunctionSpace:
-    """Append the lowest-degree monomial outside the span if dim is odd.
+def augment_to_even(span: FunctionSpace, basis: FunctionSpace) -> FunctionSpace:
+    """``span``, plus one Chebyshev polynomial if ``basis`` (its
+    ``orthonormalize``) has odd dimension.
 
-    Even-dimensional spaces are returned unchanged.  The scan checks the
-    relative residual of each monomial after projection onto the span,
-    on the weighted reference grid; it gives up past ``dim + 4``.
+    That is T_k of the local coordinate for the lowest k whose relative L2
+    residual after projection onto the basis exceeds 1e-8, projected
+    through a QR of the basis's weighted samples (the basis is orthonormal
+    only up to its series cut).  With T_0 .. T_{k-1} in the span, x^k is a
+    multiple of T_k modulo the span, so T_k adds what the lowest missing
+    monomial would, bounded by one on every interval.  RankError if no
+    k <= dim + 4 qualifies.
     """
-    if space.dim % 2 == 0:
-        return space
-    cap = space.dim + 4
-    xs, w = _reference_grid(space, space.dim + 1)
+    if basis.dim % 2 == 0:
+        return span
+    from scipy.special import roots_legendre
+
+    a, b = span.interval
+    cap = basis.dim + 4
+    # a grid exact for every product of the series and the T_k tested
+    s, w = roots_legendre(basis.parent.dim + cap + 1)
+    xs = a + 0.5 * (b - a) * (s + 1.0)
     sw = np.sqrt(w)[:, None]
-    a_mat = space.collocation(xs) * sw
-    q, _ = np.linalg.qr(a_mat)
-    for deg in range(cap + 1):
-        v = _powers(xs, [deg], 0)[0, :, 0] * sw[:, 0]
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            continue
-        resid = np.linalg.norm(v - q @ (q.T @ v)) / norm
-        if resid > 1e-8:
-            spec = {
-                "derived": "augmented",
-                "parent": space.family_spec,
-                "augment": f"x^{deg}",
-                "interval": list(space.interval),
-            }
-            return FunctionSpace(
-                space.interval, space.labels + (f"x^{deg}",), spec,
-                lambda x, k: np.concatenate([space.jet(x, k), _powers(x, [deg], k)], axis=2),
-            )
-    raise RankError(f"no independent monomial up to degree {cap}; space looks pathological")
+    q, _ = np.linalg.qr(basis.collocation(xs) * sw)
+    v = _chebyshev(a, b, cap + 1)(xs, 0)[0] * sw
+    resid = np.linalg.norm(v - q @ (q.T @ v), axis=0) / np.linalg.norm(v, axis=0)
+    if not np.any(resid > 1e-8):
+        raise RankError(f"no independent Chebyshev polynomial up to degree {cap}; "
+                        "space looks pathological")
+    k = int(np.argmax(resid > 1e-8))
+    cheb = _chebyshev(a, b, k + 1)
+    spec = {"derived": "augmented", "parent": span.family_spec, "augment": f"T{k}",
+            "interval": [a, b]}
+    return FunctionSpace(span.interval, span.labels + (f"T{k}",), spec,
+                         lambda x, d: np.concatenate([span.jet(x, d), cheb(x, d)[..., k:]], axis=2))
 
 
 # ---------------------------------------------------------------------------

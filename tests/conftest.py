@@ -5,8 +5,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fsbp.spaces import make_family, product_derivative_space, augment_to_even, orthonormalize
-from oracles import certified_rule
+from fsbp.spaces import make_family, orthonormalize
+from oracles import augmented_target, certified_rule
 from fsbp import refcases
 
 
@@ -17,8 +17,8 @@ def exp3_space():
 
 @pytest.fixture(scope="session")
 def exp3_target(exp3_space):
-    """Augmented product-derivative span of the exponential space."""
-    return augment_to_even(product_derivative_space(exp3_space))
+    """Augmented product-derivative pairs of the exponential space."""
+    return augmented_target(exp3_space)
 
 
 @pytest.fixture(scope="session")
@@ -38,4 +38,4 @@ def trig_space():
 
 @pytest.fixture(scope="session")
 def trig_target(trig_space):
-    return augment_to_even(product_derivative_space(trig_space))
+    return augmented_target(trig_space)

@@ -15,8 +15,9 @@ stage through the right side A u + q(t) of an assembled problem, one
 state and one time at a time, the reference for the blocked march.  The
 cardinal-basis section solves for the Hermite-Lagrange basis the Newton
 iteration only uses through its integrals, from the solver's own
-Hermite-Vandermonde rows.  ``certified_rule`` is no oracle: it runs the
-package's rule steps on a raw target span, as the pipeline does.
+Hermite-Vandermonde rows.  ``augmented_target`` and ``certified_rule``
+are no oracles: they run the package's rule steps on a family and on a
+target spanning set, as the pipeline does.
 """
 
 import math
@@ -29,7 +30,12 @@ import scipy.optimize
 from fsbp.gauss import SolverError, _hermite_rows, continuation_solve, verify_exactness
 from fsbp.ibvp import BLOWUP_FACTOR, BlowUpError
 from fsbp.integrate import moments
-from fsbp.spaces import FunctionSpace, orthonormalize
+from fsbp.spaces import (
+    FunctionSpace,
+    augment_to_even,
+    orthonormalize,
+    product_derivative_space,
+)
 
 
 def legendre_with_deriv(n: int, x):
@@ -388,10 +394,18 @@ def residuals_and_weights(basis: HermiteLagrangeBasis, moments_vec: np.ndarray |
 # ---------------------------------------------------------------------------
 # the package's rule steps
 
+def augmented_target(space: FunctionSpace) -> FunctionSpace:
+    """The pipeline's target spanning set for a family: every product
+    derivative pair, plus one Chebyshev polynomial when their rank is odd."""
+    product = product_derivative_space(space)
+    return augment_to_even(product, orthonormalize(product))
+
+
 def certified_rule(target: FunctionSpace, closed: bool, **kw):
-    """Rule for a raw target span: orthonormalise it, solve by measure
+    """Rule for a target spanning set: orthonormalise it, solve by measure
     continuation (``kw`` goes to ``continuation_solve``) and certify the
-    rule once against ``target``."""
-    rule = continuation_solve(orthonormalize(target), closed=closed, **kw)
-    rule.certificate = verify_exactness(rule, target)
+    rule once against every function of ``target``, with its rank."""
+    ortho = orthonormalize(target)
+    rule = continuation_solve(ortho, closed=closed, **kw)
+    rule.certificate = verify_exactness(rule, target, ortho.dim)
     return rule

@@ -64,7 +64,7 @@ def test_rule_screen_gate_exit_code(tmp_path, capsys):
     # on certified node sets of both signs and names their counts
     code = main(["rule", "--config", cfg2, "--out", str(tmp_path / "o2")])
     assert code == 4
-    assert ("38 certified node sets with a positive determinant, 82 with a negative one"
+    assert ("82 certified node sets with a positive determinant, 38 with a negative one"
             in capsys.readouterr().err)
 
 
@@ -181,12 +181,13 @@ def test_bad_run_parameters_exit_2_before_any_operator_build(
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
-    # exp(1000 s) overflows; the failing SVD is a solver error, not a validation one
+    # exp(1000 s) overflows; the rank decision refuses the non-finite samples
+    # as a solver error, not a validation one
     cfg = write_config(tmp_path / "overflow.json", {"space": {
         "family": "exponential", "rates": [1e3], "poly_degree": 2, "interval": [0, 1]}})
     with np.errstate(all="ignore"):
         assert main(["rule", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert "solver error: LinAlgError" in capsys.readouterr().err
+    assert "solver error: RankError: non-finite basis values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("space", [
@@ -260,13 +261,26 @@ def test_bessel_operator_exits_0(tmp_path):
 
 
 def test_rank_loss_in_target_exits_3(tmp_path, capsys):
-    # the 18-function target of degree 9 on [0, 1] orthonormalises to 17
-    # functions: a numerical rank loss, not an invalid descriptor
+    # the product span of degree 9 on [0, 1] has numerical rank 17, not 18,
+    # and one appended Chebyshev polynomial still leaves rank 17: a
+    # numerical rank loss, not an invalid descriptor
     cfg = write_config(tmp_path / "mono9.json", {"space": {
         "family": "monomial", "degree": 9, "interval": [0, 1]}})
     assert main(["rule", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "RankError" in err and "17" in err and "18" in err
+
+
+@pytest.mark.parametrize("mode", ["closed", "open"])
+@pytest.mark.parametrize("harmonic", [17, 18])
+def test_high_harmonic_trig_rules_exit_0(tmp_path, harmonic, mode):
+    # exited 3 while the product span's rank was decided apart from the
+    # orthonormal basis's
+    cfg = write_config(tmp_path / "trig.json", {"space": {
+        "family": "trig", "max_harmonic": harmonic, "interval": [0, 1]}})
+    out = tmp_path / "o"
+    assert main(["rule", "--config", cfg, "--out", str(out), "--mode", mode]) == 0
+    assert json.loads((out / "rule.json").read_text())["certificate"]["valid"] is True
 
 
 SOLVE_CONFIGS = {
@@ -321,15 +335,16 @@ def test_operator_command_from_rule_file(tmp_path, exp3_rule_run):
     assert np.max(np.abs(d - refcases.EXP3_CLOSED_D)) < 1e-6
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["pass"] is True
-    # certified against the raw product span, as the equispaced path is
+    # certified against every product pair with the span's rank, as the
+    # equispaced path is
     from fsbp.gauss import QuadratureRule, verify_exactness
-    from fsbp.spaces import make_family, product_derivative_space
+    from fsbp.spaces import make_family, orthonormalize, product_derivative_space
 
     product = product_derivative_space(make_family(refcases.EXP3_SPEC))
     rule = QuadratureRule.from_dict(json.loads((out / "rule.json").read_text()))
-    assert rule.certificate.target_dim == product.dim == 5
+    assert rule.certificate.target_dim == orthonormalize(product).dim == 5
     assert np.array_equal(rule.certificate.per_function_errors,
-                          verify_exactness(rule, product).per_function_errors)
+                          verify_exactness(rule, product, 5).per_function_errors)
 
 
 def test_operator_command_equispaced_mode(tmp_path):

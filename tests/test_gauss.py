@@ -16,6 +16,7 @@ from fsbp.spaces import make_family, orthonormalize, product_derivative_space
 from fsbp import cli, gauss, pipeline, refcases
 
 from oracles import (
+    augmented_target,
     certified_rule,
     gauss_nodes_weights,
     hermite_lagrange,
@@ -133,7 +134,7 @@ def test_newton_closed_reproduces_reference_exponential_rule(exp3_orthonormal):
     rule = newton_solve(exp3_orthonormal, x0, moments(exp3_orthonormal), closed=True)
     assert np.allclose(rule.nodes, refcases.EXP3_CLOSED_NODES, atol=1e-8)
     assert np.allclose(rule.weights, refcases.EXP3_CLOSED_WEIGHTS, atol=1e-8)
-    assert verify_exactness(rule, exp3_orthonormal).valid
+    assert verify_exactness(rule, exp3_orthonormal, exp3_orthonormal.dim).valid
 
 
 def test_newton_rejects_bad_input():
@@ -176,10 +177,11 @@ def test_exp3_closed_rule_matches_reference(exp3_closed_rule):
 
 
 def test_node_counts(trig_target):
+    rank = orthonormalize(trig_target).dim
     rule_closed = certified_rule(trig_target, closed=True)
-    assert rule_closed.size == trig_target.dim // 2 + 1
+    assert rule_closed.size == rank // 2 + 1
     rule_open = certified_rule(trig_target, closed=False)
-    assert rule_open.size == trig_target.dim // 2
+    assert rule_open.size == rank // 2
 
 
 def test_symmetric_space_gives_symmetric_nodes(trig_target):
@@ -192,25 +194,24 @@ def test_symmetric_space_gives_symmetric_nodes(trig_target):
 def test_affine_covariance(exp3_closed_rule):
     spec = dict(refcases.EXP3_SPEC)
     spec["interval"] = [2.0, 6.0]
-    from fsbp.spaces import augment_to_even
-
-    target = augment_to_even(product_derivative_space(make_family(spec)))
-    mapped = certified_rule(target, closed=True)
+    mapped = certified_rule(augmented_target(make_family(spec)), closed=True)
     assert np.max(np.abs(mapped.nodes - (2.0 + 4.0 * exp3_closed_rule.nodes))) < 1e-10
     assert np.max(np.abs(mapped.weights - 4.0 * exp3_closed_rule.weights)) < 1e-10
 
 
 def test_odd_dimension_rejected():
-    space = product_derivative_space(make_family(refcases.EXP3_SPEC))
+    space = orthonormalize(product_derivative_space(make_family(refcases.EXP3_SPEC)))
     assert space.dim == 5
     with pytest.raises(ValueError):
         continuation_solve(space, closed=True)
 
 
 def test_continuation_needs_orthonormal_basis(trig_target):
-    # the caller orthonormalises; a raw span is refused, not orthonormalised
+    # the caller orthonormalises; a raw spanning set is refused, not
+    # orthonormalised, even at an even size
+    raw = trig_target.prefix(trig_target.dim - trig_target.dim % 2)
     with pytest.raises(ValueError, match="orthonormalize"):
-        continuation_solve(trig_target, closed=True)
+        continuation_solve(raw, closed=True)
 
 
 def test_screen_gate_blocks_and_force_overrides():
@@ -259,7 +260,7 @@ def test_residuals_and_weights_blended():
 def test_trapezoid_exact_on_linears():
     rule = QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([0.5, 0.5]),
                           closed=True, interval=(0.0, 1.0))
-    cert = verify_exactness(rule, monomials(1, (0, 1)))
+    cert = verify_exactness(rule, monomials(1, (0, 1)), 2)
     assert cert.valid
     assert np.max(cert.per_function_errors) < 1e-14
 
@@ -267,20 +268,35 @@ def test_trapezoid_exact_on_linears():
 def test_trapezoid_fails_on_quadratics():
     rule = QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([0.5, 0.5]),
                           closed=True, interval=(0.0, 1.0))
-    cert = verify_exactness(rule, monomials(2, (0, 1)))
+    cert = verify_exactness(rule, monomials(2, (0, 1)), 3)
     assert not cert.valid
     assert cert.per_function_errors[2] == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
 def test_reference_rule_certificate(exp3_closed_rule, exp3_target):
-    cert = verify_exactness(exp3_closed_rule, exp3_target)
+    cert = verify_exactness(exp3_closed_rule, exp3_target, 6)
     assert cert.valid
     assert cert.max_abs_error <= 1e-8
+    assert cert.target_dim == 6 and cert.per_function_errors.size == exp3_target.dim == 7
 
 
-def test_open_rule_certificate(exp3_target):
+def test_exp3_certificate_lists_every_pair():
+    # one error per pair in triu order, the identically zero (1*1)' first
+    # (an exact 0), then the appended T2: the layout is a function of the
+    # family alone, never of rounding
+    result = pipeline.solve_rule_pipeline(refcases.EXP3_SPEC, "closed")
+    errors = result.rule.certificate.per_function_errors
+    assert result.target.labels == (
+        "(1*1)'", "(1*s)'", "(1*exp(1.0s))'", "(s*s)'", "(s*exp(1.0s))'",
+        "(exp(1.0s)*exp(1.0s))'", "T2")
+    assert errors.size == 7 and errors[0] == 0.0
+    assert result.rule.certificate.target_dim == 6
+    assert result.rule.certificate.valid
+
+
+def test_open_rule_certificate(exp3_target, exp3_orthonormal):
     rule = certified_rule(exp3_target, closed=False)
-    assert rule.size == exp3_target.dim // 2
+    assert rule.size == exp3_orthonormal.dim // 2
     assert rule.certificate.valid
     assert 0.0 < rule.nodes[0] and rule.nodes[-1] < 1.0
 
@@ -290,7 +306,7 @@ def test_verify_exactness_rejects_outside_nodes(exp3_target):
                           weights=np.array([0.3, 0.4, 0.3]),
                           closed=False, interval=(0.0, 1.2))
     with pytest.raises(ValueError):
-        verify_exactness(rule, exp3_target)
+        verify_exactness(rule, exp3_target, 6)
 
 
 def test_solvers_return_uncertified_rules(exp3_orthonormal):
@@ -357,13 +373,11 @@ def test_equispaced_rule_bumps_node_count():
         equispaced_rule(orthonormalize(target), n_nodes=3)
     bl = make_family({"family": "exponential", "rates": [10.0], "poly_degree": 1,
                       "interval": [0, 1]})
-    from fsbp.spaces import augment_to_even
-
-    ortho = orthonormalize(augment_to_even(product_derivative_space(bl)))
+    ortho = orthonormalize(augmented_target(bl))
     rule = equispaced_rule(ortho)
     assert rule.size > ortho.dim          # exactness needs extra points here
     assert np.min(rule.weights) > 0
-    assert verify_exactness(rule, ortho).valid
+    assert verify_exactness(rule, ortho, ortho.dim).valid
 
 
 def test_classical_rule_constructors():

@@ -14,10 +14,11 @@ from fsbp.operators import (
     scale_to_element,
     verify_sbp,
 )
-from fsbp.spaces import augment_to_even, make_family, product_derivative_space
+from fsbp.spaces import make_family
 from fsbp import refcases
 
 from oracles import (
+    augmented_target,
     certified_rule,
     ibp_defect_loop,
     joint_defect_bvls,
@@ -151,14 +152,26 @@ def test_structural_invariants_across_fixture_matrix():
     rng = np.random.default_rng(0)
     for spec in specs:
         space = make_family(spec)
-        target = augment_to_even(product_derivative_space(space))
-        rule = certified_rule(target, closed=True)
+        rule = certified_rule(augmented_target(space), closed=True)
         op = build_operator(space, rule)
         verdict = verify_sbp(op, space, rng_seed=int(rng.integers(1 << 30)))
         assert verdict.max_skew_defect <= 1e-12, spec
         assert verdict.min_weight > 0, spec
         assert verdict.max_exactness_error <= 1e-8, spec
         assert verdict.max_ibp_defect <= 1e-10, spec
+
+
+def test_classical_gll_operators_of_high_degree():
+    # degrees 19 and 22 on [-1, 1] failed while the certificate's span was
+    # decided by three rank decisions that could disagree
+    from fsbp.pipeline import build_study_operator
+
+    for degree in range(17, 25):
+        spec = {"family": "monomial", "degree": degree, "interval": [-1, 1]}
+        _, rule, verdict = build_study_operator(spec, "classical-gll")
+        assert rule.size == degree + 1, degree
+        assert rule.certificate.valid, degree
+        assert verdict.passed, degree
 
 
 def test_finest_trig_optimal_operator_has_exactness_margin():

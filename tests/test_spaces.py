@@ -9,7 +9,6 @@ from fsbp.spaces import (
     FamilyError,
     RankError,
     _determinant_signs,
-    _reference_grid,
     augment_to_even,
     make_family,
     orthonormalize,
@@ -19,7 +18,7 @@ from fsbp.spaces import (
 )
 
 from fsbp import pipeline, refcases
-from oracles import panel_integrate
+from oracles import augmented_target, panel_integrate
 
 
 # ---------------------------------------------------------------------- families
@@ -85,7 +84,7 @@ JET_SPACES = {
     "product_span": lambda: product_derivative_space(make_family(refcases.EXP3_SPEC)),
     "orthonormal": lambda: orthonormalize(_trig_family()),
     "prefix": lambda: _trig_family().prefix(3),
-    "augmented": lambda: augment_to_even(_trig_family()),
+    "augmented": lambda: augment_to_even(_trig_family(), orthonormalize(_trig_family())),
     "pull_back": lambda: pull_back(orthonormalize(_trig_family()), renormalize=True),
 }
 
@@ -122,8 +121,7 @@ def test_no_bessel_call_after_orthonormalisation(monkeypatch):
     calls = []
     jv = scipy.special.jv
     monkeypatch.setattr(scipy.special, "jv", lambda *args: calls.append(1) or jv(*args))
-    ortho = orthonormalize(augment_to_even(product_derivative_space(
-        make_family(refcases.BESSEL_SPEC))))
+    ortho = orthonormalize(augmented_target(make_family(refcases.BESSEL_SPEC)))
     a, b = ortho.interval
     nodes = np.linspace(a, b, ortho.dim // 2 + 1)
     calls.clear()
@@ -159,10 +157,10 @@ def test_family_errors(bad):
     pytest.param(lambda: product_derivative_space(
         make_family({"family": "trig", "max_harmonic": 2, "interval": [0, 1]})),
                  id="product-trig"),
-    pytest.param(lambda: orthonormalize(augment_to_even(product_derivative_space(
-        make_family(refcases.EXP3_SPEC)))), id="orthonormal-exp3-target"),
-    pytest.param(lambda: pull_back(orthonormalize(augment_to_even(product_derivative_space(
-        make_family(refcases.EXP3_SPEC)))), renormalize=True),
+    pytest.param(lambda: orthonormalize(augmented_target(make_family(refcases.EXP3_SPEC))),
+                 id="orthonormal-exp3-target"),
+    pytest.param(lambda: pull_back(orthonormalize(augmented_target(
+        make_family(refcases.EXP3_SPEC))), renormalize=True),
                  id="pull-back-orthonormal-exp3-target"),
     pytest.param(lambda: pull_back(make_family(
         {"family": "bessel", "orders": [0, 2, 5], "interval": [0.0, 25.0]}),
@@ -190,12 +188,17 @@ def test_derivatives_match_finite_differences(spec):
 # --------------------------------------------------- product-derivative space
 
 def test_exp3_product_space_spans_expected_functions(exp3_space):
+    # every pair (f_i f_j)', i <= j, the identically zero (1*1)' included;
+    # orthonormalize decides the rank
     product = product_derivative_space(exp3_space)
-    assert product.dim == 5
-    # span check: each expected function reconstructs from the basis
+    assert product.dim == 6
+    assert product.labels[0] == "(1*1)'"
     xs = np.linspace(0, 1, 60)
     c = product.collocation(xs)
-    q, _ = np.linalg.qr(c)
+    assert np.all(c[:, 0] == 0.0)
+    assert orthonormalize(product).dim == 5
+    # span check: each expected function reconstructs from the pairs
+    q, _ = np.linalg.qr(c[:, 1:])
     for name, fn in [
         ("1", lambda x: np.ones_like(x)), ("x", lambda x: x),
         ("e^x", np.exp), ("x e^x", lambda x: x * np.exp(x)),
@@ -207,9 +210,11 @@ def test_exp3_product_space_spans_expected_functions(exp3_space):
 
 
 def test_constant_space_rank_collapse():
+    # the one pair (1*1)' vanishes identically: the rank decision refuses it
     space = make_family({"family": "monomial", "degree": 0, "interval": [0, 1]})
-    with pytest.raises(RankError):
-        product_derivative_space(space)
+    product = product_derivative_space(space)
+    with pytest.raises(RankError, match="vanishes identically"):
+        orthonormalize(product)
 
 
 # the widest ranges where the rank decision is exact: the span of the
@@ -224,29 +229,7 @@ def test_constant_space_rank_collapse():
                    id=f"trig{h}") for h in range(1, 9)),
 ])
 def test_monomial_product_space_dimension(spec, dim):
-    assert product_derivative_space(make_family(spec)).dim == dim
-
-
-@pytest.mark.parametrize("interval", [[0, 1], [-1, 1]])
-@pytest.mark.parametrize("n", [4, 64, 1300])
-def test_reference_grid_is_gauss_legendre(interval, n):
-    a, b = interval
-    space = make_family({"family": "monomial", "degree": 1, "interval": interval})
-    xs, w = _reference_grid(space, n // 4)
-    assert xs.shape == w.shape == (n,)
-    assert a < xs[0] and np.all(np.diff(xs) > 0) and xs[-1] < b
-    assert np.max(np.abs(xs + xs[::-1] - (a + b))) <= 4 * np.finfo(float).eps
-    assert np.all(w > 0) and abs(w.sum() - (b - a)) <= 1e-14
-    # P_k of the local coordinate integrates to (b - a) delta_k0 for every
-    # k <= 2n - 1 (a sample of them at n = 1300)
-    ks = np.arange(2 * n) if n <= 64 else np.array([0, 1, 2, 3, 100, 1299, 1300, 2598, 2599])
-    t = (2.0 * xs - a - b) / (b - a)
-    legendre = np.polynomial.legendre.legval(t, np.eye(2 * n)[ks].T)
-    integrals = legendre @ w
-    assert np.max(np.abs(integrals - (b - a) * (ks == 0))) <= 1e-13
-    if n <= 64:   # numpy's dense companion-matrix nodes as an independent oracle
-        s, _ = np.polynomial.legendre.leggauss(n)
-        assert np.max(np.abs(t - s)) <= 4 * np.finfo(float).eps
+    assert orthonormalize(product_derivative_space(make_family(spec))).dim == dim
 
 
 def test_product_space_fundamental_theorem(exp3_space):
@@ -338,23 +321,31 @@ def test_orthonormal_functions_carry_coefficients(exp3_orthonormal):
 # ---------------------------------------------------------------- augment
 
 def test_augment_exp3_with_x_squared(exp3_space):
+    # 1 and s are in the rank-5 span, so T2 adds what s^2 would
     product = product_derivative_space(exp3_space)
-    assert product.dim == 5
-    augmented = augment_to_even(product)
-    assert augmented.dim == 6
-    assert augmented.family_spec["augment"] == "x^2"
+    basis = orthonormalize(product)
+    assert basis.dim == 5
+    augmented = augment_to_even(product, basis)
+    assert augmented.dim == product.dim + 1
+    assert augmented.family_spec["augment"] == augmented.labels[-1] == "T2"
+    assert orthonormalize(augmented).dim == 6
 
 
 def test_augment_even_dimension_unchanged(trig_target):
-    assert trig_target.dim % 2 == 0
-    assert augment_to_even(trig_target) is trig_target
+    basis = orthonormalize(trig_target)
+    assert basis.dim % 2 == 0
+    assert augment_to_even(trig_target, basis) is trig_target
 
 
 def test_augment_quadratic_monomials_gets_cubic():
     space = make_family({"family": "monomial", "degree": 2, "interval": [0, 1]})
-    augmented = augment_to_even(space)
+    augmented = augment_to_even(space, orthonormalize(space))
     assert augmented.dim == 4
-    assert augmented.family_spec["augment"] == "x^3"
+    assert augmented.family_spec["augment"] == "T3"
+    # T3 of the local coordinate 2x - 1
+    xs = np.linspace(0, 1, 7)
+    assert np.allclose(augmented.collocation(xs)[:, 3],
+                       np.polynomial.chebyshev.chebval(2 * xs - 1, [0, 0, 0, 1]), atol=1e-14)
 
 
 def test_augment_always_even_or_raises():
@@ -363,8 +354,9 @@ def test_augment_always_even_or_raises():
         {"family": "monomial", "degree": 3, "interval": [0, 1]},
         {"family": "trig", "max_harmonic": 1, "interval": [0, 1]},
     ]:
-        out = augment_to_even(make_family(spec))
-        assert out.dim % 2 == 0
+        space = make_family(spec)
+        out = augment_to_even(space, orthonormalize(space))
+        assert orthonormalize(out).dim % 2 == 0
 
 
 # ------------------------------------------------------------------ screen
@@ -389,8 +381,7 @@ def _even_pair():
 
 def _screened(spec):
     # the space the rule solver screens: the orthonormal target on [-1, 1]
-    target = augment_to_even(product_derivative_space(make_family(spec)))
-    return pull_back(orthonormalize(target), renormalize=True)
+    return pull_back(orthonormalize(augmented_target(make_family(spec))), renormalize=True)
 
 
 FULL_PERIOD_TRIG = {"family": "trig", "max_harmonic": 1, "freq_scale": 2.0, "interval": [0, 1]}
@@ -474,7 +465,7 @@ def test_screen_leaves_non_finite_sets_uncertified():
 def test_screen_batch_matches_per_set_loop(exp3_orthonormal, trig_target):
     rng = np.random.default_rng(3)
     for space in (pull_back(exp3_orthonormal, renormalize=True),
-                  pull_back(trig_target)):
+                  pull_back(orthonormalize(trig_target))):
         sets = _random_ordered_sets(rng, space, 40)
         sets[::4, 1] = sets[::4, 0] + 2e-4                # pairs at the gap floor
         sets = np.sort(sets, axis=1)
