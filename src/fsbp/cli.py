@@ -50,15 +50,13 @@ class VerificationFailure(RuntimeError):
     """A requested check did not pass."""
 
 
-def fmt(x: float) -> str:
-    """17-significant-digit decimal rendering used in all CSV output."""
-    return format(float(x), ".17g")
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """CSV file of ``rows`` under ``header``: floats in 17 significant
+    digits, every other value as ``str``, one %-format string per row."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, float) else str(v) for v in row))
+        row = tuple(row)
+        lines.append(",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) % row)
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -417,10 +417,12 @@ def continuation_solve(
 
     report = tchebyshev_screen(ref, rng_seed=rng_seed)
     if report.verdict == "fail" and not force:
+        # which sign is which depends on the basis orientation, a rounding
+        # tie inside degenerate derivative-energy eigenspaces: name counts only
+        more, fewer = sorted((report.certified_positive, report.certified_negative), reverse=True)
         raise ScreenFailure(
-            f"Tchebyshev screen failed ({report.certified_positive} certified node sets "
-            f"with a positive determinant, {report.certified_negative} with a negative one); "
-            "pass force=True to attempt the solve anyway"
+            f"Tchebyshev screen failed ({more} certified node sets with a determinant "
+            f"of one sign, {fewer} of the other); pass force=True to attempt the solve anyway"
         )
 
     trace = {
@@ -560,8 +562,6 @@ def equispaced_rule(
     the moment residual of the solve; the caller certifies the rule
     against the span it needs.
     """
-    import scipy.optimize
-
     a, b = space.interval
     m_vec = _series_moments(space)
     scale = max(1.0, float(np.max(np.abs(m_vec))))
@@ -582,6 +582,8 @@ def equispaced_rule(
             w = np.linalg.lstsq(c.T, m_vec, rcond=None)[0]
         resid = float(np.max(np.abs(c.T @ w - m_vec)))
         if resid > CERTIFICATE_TOL * scale or np.min(w) <= 0:
+            import scipy.optimize
+
             w, _ = scipy.optimize.nnls(c.T, m_vec)
             resid = float(np.max(np.abs(c.T @ w - m_vec)))
             if resid > CERTIFICATE_TOL * scale or np.min(w) <= 0:

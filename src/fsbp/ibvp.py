@@ -40,12 +40,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .operators import FsbpOperator, scale_to_element
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "PdeParams",
@@ -353,6 +355,8 @@ class AffineProblem:
 
 def _rows(index, n: int) -> sp.csr_array:
     """The rows of the n x n identity listed in ``index``."""
+    import scipy.sparse as sp
+
     index = np.asarray(index)
     return sp.csr_array((np.ones(index.size), (np.arange(index.size), index)),
                         shape=(index.size, n))
@@ -370,6 +374,8 @@ def assemble(
     leading face; the inflow condition is imposed weakly at the global
     left boundary, the diffusive flux at the right one.
     """
+    import scipy.sparse as sp
+
     e_count, p = grid.n_elements, grid.nodes_per_element
     n = e_count * p
     a, eps = params.a, params.eps
@@ -450,6 +456,8 @@ def time_integrate(
 
     Returns (final state, :class:`EnergyTrace`).
     """
+    import scipy.sparse as sp
+
     t0, t1 = t_span
     if not (t1 > t0) or dt <= 0:
         raise ValueError("need t1 > t0 and dt > 0")

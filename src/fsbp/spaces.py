@@ -51,7 +51,8 @@ __all__ = [
 ]
 
 # Relative singular-value cutoff of the one rank decision, orthonormalize's,
-# applied to the quadrature-weighted samples on a Gauss-Legendre grid.
+# applied to the Chebyshev coefficients weighted by the Cholesky factor of
+# their closed-form L2 Gram.
 RANK_CUTOFF = 1e-12
 # Chebyshev series of orthonormal bases: coefficients of unit-maximum
 # samples below CHOP_TOL are rounding, and a series counts as resolved
@@ -414,38 +415,67 @@ def _chebyshev(a: float, b: float, length: int) -> Evaluator:
     return evaluate
 
 
+def _chebyshev_coefficients(vals: np.ndarray) -> np.ndarray:
+    """Coefficients c_k of the series sum_k c_k T_k(t) through samples at
+    the n first-kind points t_j = cos(pi (j + 1/2) / n), one column per
+    function.
+
+    A DCT-II by one complex FFT of Makhoul's reordering (J. Makhoul, "A
+    fast cosine transform in one and two dimensions", IEEE Trans. ASSP 28,
+    1980): even-indexed samples ascending, then odd-indexed ones
+    descending.  A matrix-product transform would leave a rounding floor
+    near ``CHOP_TOL`` under the coefficients.
+    """
+    n = vals.shape[0]
+    spec = np.fft.fft(np.concatenate([vals[::2], vals[1::2][::-1]]), axis=0)
+    coeffs = (np.exp(-0.5j * np.pi * np.arange(n) / n)[:, None] * spec).real * (2.0 / n)
+    coeffs[0] *= 0.5
+    return coeffs
+
+
+def _chebyshev_gram(a: float, b: float, length: int) -> np.ndarray:
+    """L2 Gram matrix of T_0 .. T_{length-1} of the local coordinate on
+    [a, b], in closed form: M_kl = (I_{k+l} + I_{|k-l|}) (b - a) / 4, with
+    I_m = 2/(1 - m^2) the integral of T_m over [-1, 1] for even m, 0 for
+    odd m."""
+    m = np.arange(0, 2 * length - 1, 2)
+    integrals = np.zeros(2 * length - 1)
+    integrals[::2] = 2.0 / (1.0 - m * m)
+    k, l = np.ogrid[:length, :length]
+    return 0.25 * (b - a) * (integrals[k + l] + integrals[np.abs(k - l)])
+
+
 def orthonormalize(space: FunctionSpace) -> FunctionSpace:
     """L2-orthonormal basis of the same span, rank-reduced, as a truncated
     Chebyshev series in the local coordinate.
 
     The one rank decision: ``space`` may be any spanning set.  It is
-    sampled on an N-point Gauss-Legendre grid, N = 64 at first, each
-    column scaled to unit maximum; identically vanishing columns are
-    dropped (RankError if all vanish or a sample is not finite).  N
-    doubles (up to ``MAX_SAMPLES``) until the last ``CHOP_TAIL`` Chebyshev
+    sampled at the N Chebyshev points of the first kind, N = 64 at first,
+    each column scaled to unit maximum; identically vanishing columns are
+    dropped (RankError if all vanish or a sample is not finite).  The
+    Chebyshev coefficients come from one FFT (``_chebyshev_coefficients``),
+    and N doubles (up to ``MAX_SAMPLES``) until the last ``CHOP_TAIL``
     coefficients of every column lie below ``CHOP_TOL``; the series keeps
     the K leading coefficients, past which every column stays below it (a
-    simple form of Aurentz and Trefethen's chopping rule).  An SVD of the
-    weighted samples decides the rank with ``RANK_CUTOFF`` and gives the
-    values U_r/sqrt(w) of the orthonormal functions at the grid (after
-    Yarvin and Rokhlin); their Chebyshev coefficients, cut to K, are the
-    basis.  The grid integrates products of such series exactly, so no
-    Gram correction follows; orthonormality holds up to what the cut
-    removes, which is rounding for the target but grows as 1/sigma for a
-    function of small singular value sigma.
+    simple form of Aurentz and Trefethen's chopping rule).
+
+    With M = L L^T the closed-form Gram of T_0 .. T_{K-1}
+    (``_chebyshev_gram``) and C the kept coefficients, one column per
+    function, an SVD L^T C = U S V^T decides the rank with
+    ``RANK_CUTOFF``, and the basis series are the columns of L^-T U_r.
+    They are M-orthonormal by construction, so the basis is orthonormal
+    to rounding, with no cut after the SVD.
 
     The functions are then rotated to diagonalise the derivative-energy
-    form and signed deterministically.  The output's ``parent`` is the
-    Chebyshev family T_0 .. T_{K-1} and its ``coeff_matrix`` holds the
-    series, one row per function.
+    form, the same M on the ``chebder`` coefficients, and signed
+    deterministically.  The output's ``parent`` is the Chebyshev family
+    T_0 .. T_{K-1} and its ``coeff_matrix`` holds the series, one row per
+    function.
     """
-    from scipy.special import roots_legendre
-
     a, b = space.interval
     n = 64
     while True:
-        s, w = roots_legendre(n)
-        xs = a + 0.5 * (b - a) * (s + 1.0)
+        xs = a + 0.5 * (b - a) * (np.cos(np.pi * (np.arange(n) + 0.5) / n) + 1.0)
         vals = space.collocation(xs)
         if not np.all(np.isfinite(vals)):
             raise RankError("non-finite basis values on the sample grid")
@@ -453,18 +483,17 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
         live = mags > 0.0
         if not np.any(live):
             raise RankError("every basis function vanishes identically on the sample grid")
-        vals = vals[:, live] / mags[live]
-        cheb = np.cos(np.arccos(s)[:, None] * np.arange(n))
-        peaks = np.max(np.abs(np.linalg.solve(cheb, vals)), axis=1)
+        coeffs = _chebyshev_coefficients(vals[:, live] / mags[live])
+        peaks = np.max(np.abs(coeffs), axis=1)
         length = int(np.sum(np.maximum.accumulate(peaks[::-1]) >= CHOP_TOL))
         if length <= n - CHOP_TAIL or 2 * n > MAX_SAMPLES:
             break
         n *= 2
 
-    sw = np.sqrt(0.5 * (b - a) * w)[:, None]
-    u, svals, _ = np.linalg.svd(vals * sw, full_matrices=False)
+    lower = np.linalg.cholesky(_chebyshev_gram(a, b, length))
+    u, svals, _ = np.linalg.svd(lower.T @ coeffs[:length], full_matrices=False)
     rank = int(np.sum(svals >= RANK_CUTOFF * svals[0]))
-    coeff = np.linalg.solve(cheb, u[:, :rank] / sw)[:length].T
+    coeff = np.linalg.solve(lower.T, u[:, :rank]).T
     spec = {"derived": "chebyshev", "parent": space.family_spec, "dim": length,
             "interval": [a, b]}
     parent = FunctionSpace(space.interval, [f"T{k}" for k in range(length)], spec,
@@ -473,16 +502,16 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
     # rotate to the basis diagonalising the derivative-energy form, in
     # ascending order: functions come out sorted by oscillation (the
     # constant, when in span, lands first with zero energy), which keeps
-    # the even-dimensional prefixes well behaved for rule escalation; the
-    # grid integrates the form exactly
-    kd = (parent.collocation_deriv(xs) @ coeff.T) * sw
-    _, u_rot = np.linalg.eigh(kd.T @ kd)
+    # the even-dimensional prefixes well behaved for rule escalation
+    deriv = np.polynomial.chebyshev.chebder(coeff, scl=2.0 / (b - a), axis=1)
+    kd = deriv @ lower[:deriv.shape[1], :deriv.shape[1]]
+    _, u_rot = np.linalg.eigh(kd @ kd.T)
     coeff = u_rot.T @ coeff
 
     # deterministic signs: value at the right endpoint (where every T_k is
     # one) positive, falling back to the largest coefficient for functions
     # vanishing there
-    h_peak = np.max(np.abs(cheb[:, :length] @ coeff.T), axis=0)
+    h_peak = np.max(np.abs(parent.collocation(xs) @ coeff.T), axis=0)
     for i, row in enumerate(coeff):
         end = row.sum()
         if abs(end) <= 1e-8 * h_peak[i]:
@@ -504,25 +533,23 @@ def augment_to_even(span: FunctionSpace, basis: FunctionSpace) -> FunctionSpace:
     ``orthonormalize``) has odd dimension.
 
     That is T_k of the local coordinate for the lowest k whose relative L2
-    residual after projection onto the basis exceeds 1e-8, projected
-    through a QR of the basis's weighted samples (the basis is orthonormal
-    only up to its series cut).  With T_0 .. T_{k-1} in the span, x^k is a
-    multiple of T_k modulo the span, so T_k adds what the lowest missing
-    monomial would, bounded by one on every interval.  RankError if no
-    k <= dim + 4 qualifies.
+    residual after projection onto the basis exceeds 1e-8.  The projection
+    is made on coefficients: with M = L L^T the closed-form Gram of the
+    Chebyshev polynomials, the columns of Q = L^T C (C the basis series)
+    are orthonormal, and the residual of T_k is
+    |(I - Q Q^T) L^T e_k| / |L^T e_k|.  With T_0 .. T_{k-1} in the span,
+    x^k is a multiple of T_k modulo the span, so T_k adds what the lowest
+    missing monomial would, bounded by one on every interval.  RankError
+    if no k <= dim + 4 qualifies.
     """
     if basis.dim % 2 == 0:
         return span
-    from scipy.special import roots_legendre
-
     a, b = span.interval
     cap = basis.dim + 4
-    # a grid exact for every product of the series and the T_k tested
-    s, w = roots_legendre(basis.parent.dim + cap + 1)
-    xs = a + 0.5 * (b - a) * (s + 1.0)
-    sw = np.sqrt(w)[:, None]
-    q, _ = np.linalg.qr(basis.collocation(xs) * sw)
-    v = _chebyshev(a, b, cap + 1)(xs, 0)[0] * sw
+    length = max(basis.parent.dim, cap + 1)
+    upper = np.linalg.cholesky(_chebyshev_gram(a, b, length)).T
+    q = upper[:, :basis.parent.dim] @ basis.coeff_matrix.T
+    v = upper[:, :cap + 1]
     resid = np.linalg.norm(v - q @ (q.T @ v), axis=0) / np.linalg.norm(v, axis=0)
     if not np.any(resid > 1e-8):
         raise RankError(f"no independent Chebyshev polynomial up to degree {cap}; "

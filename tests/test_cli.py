@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import fsbp
 from fsbp import cli, pipeline, refcases
 from fsbp.cli import main
 from fsbp.ibvp import MmsCase, MultiElementGrid, PdeParams, assemble
@@ -61,11 +66,37 @@ def test_rule_screen_gate_exit_code(tmp_path, capsys):
                   "interval": [0, 1]},
     })
     # full-period trig family: translation-degenerate, the screen gates it
-    # on certified node sets of both signs and names their counts
+    # on certified node sets of both signs and names their counts, larger
+    # first: which sign is which depends on the basis orientation
     code = main(["rule", "--config", cfg2, "--out", str(tmp_path / "o2")])
     assert code == 4
-    assert ("82 certified node sets with a positive determinant, 38 with a negative one"
+    assert ("82 certified node sets with a determinant of one sign, 38 of the other"
             in capsys.readouterr().err)
+
+
+def test_rule_operator_and_verify_load_no_scipy(tmp_path):
+    # only the Bessel family, the NNLS and approximate-operator fallbacks and
+    # the PDE solves import scipy; a fresh interpreter runs the rest without it
+    mono6 = {"family": "monomial", "degree": 6, "interval": [-1, 1]}
+    write_config(tmp_path / "rule.json", {"space": refcases.EXP3_SPEC, "mode": "closed"})
+    write_config(tmp_path / "gll.json", {"space": mono6})
+    write_config(tmp_path / "verify.json", {"operator": "op/operator.json", "space": mono6})
+    script = textwrap.dedent("""
+        import json, sys
+        from fsbp.cli import main
+        codes = [main(["rule", "--config", "rule.json", "--out", "rule"]),
+                 main(["operator", "--config", "gll.json", "--mode", "classical-gll",
+                       "--out", "op"]),
+                 main(["verify", "--config", "verify.json", "--out", "verify"])]
+        print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+    """)
+    src = os.path.dirname(os.path.dirname(fsbp.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    codes, loaded = json.loads(out.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded == []
 
 
 def test_validation_exit_codes(tmp_path):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from fsbp.spaces import (
     FamilyError,
     RankError,
+    _chebyshev_coefficients,
+    _chebyshev_gram,
     _determinant_signs,
     augment_to_even,
     make_family,
@@ -258,6 +260,48 @@ def test_orthonormalize_closed_form():
     # 1/sqrt(2) and x sqrt(3/2), up to sign
     assert np.allclose(np.abs(c[:, 0]), 1.0 / np.sqrt(2.0), atol=1e-12)
     assert np.allclose(np.abs(c[:, 1]), np.abs(xs) * np.sqrt(1.5), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 64, 256])
+def test_chebyshev_coefficients_match_chebinterpolate(n):
+    # the FFT transform interpolates at the same first-kind points as
+    # numpy's, whose matrix-product transform rounds to about n eps max|f|
+    cheb = np.polynomial.chebyshev
+    t = np.cos(np.pi * (np.arange(n) + 0.5) / n)
+    funcs = [np.exp, lambda x: np.sin(7.0 * x), lambda x: 1.0 / (1.1 + x)]
+    vals = np.column_stack([f(t) for f in funcs])
+    got = _chebyshev_coefficients(vals)
+    for col, f in enumerate(funcs):
+        assert np.allclose(got[:, col], cheb.chebinterpolate(f, n - 1), rtol=0,
+                           atol=1e-15 * n * np.max(np.abs(vals[:, col])))
+
+
+@pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.0, 1.0), (2.0, 25.0)])
+def test_chebyshev_gram_matches_gauss_legendre(interval):
+    a, b = interval
+    length = 40
+    s, w = np.polynomial.legendre.leggauss(64)
+    v = np.polynomial.chebyshev.chebvander(s, length - 1)
+    gram = 0.5 * (b - a) * (v.T @ (w[:, None] * v))
+    assert np.allclose(_chebyshev_gram(a, b, length), gram, rtol=0, atol=1e-13 * (b - a))
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "trig", "max_harmonic": 3, "freq_scale": 1 / 16, "interval": [0, 1]},
+    {"family": "exponential", "rates": [0.85], "poly_degree": 2, "interval": [0, 1]},
+    {"family": "monomial", "degree": 24, "interval": [-1, 1]},
+])
+def test_orthonormal_basis_gram_is_identity_on_nearly_dependent_spans(spec):
+    # spans with singular values down to the rank cutoff: the basis is
+    # orthonormal to rounding, measured on an independent 512-point grid
+    s, w = np.polynomial.legendre.leggauss(512)
+    product = product_derivative_space(make_family(spec))
+    basis = orthonormalize(product)
+    for basis in (basis, orthonormalize(augment_to_even(product, basis))):
+        a, b = basis.interval
+        v = basis.collocation(a + 0.5 * (b - a) * (s + 1.0))
+        gram = 0.5 * (b - a) * (v.T @ (w[:, None] * v))
+        assert np.max(np.abs(gram - np.eye(basis.dim))) <= 1e-10
 
 
 def test_orthonormalize_drops_duplicates():
