@@ -11,25 +11,30 @@ once in ``scipy.sparse`` algebra (the block-diagonal element derivative
 D, the interface jump matrix J, P^-1-scaled face lifts and the boundary
 traces) as an :class:`AffineProblem`
 
-    du/dt = A u + C g(t) + f(t),
+    du/dt = A u + C g(t),
 
-with g the boundary data and f the forcing.  Advection-diffusion also
-keeps the gradient map phi = Phi u; its system, eps I plus one 2x2
-block per interface, is inverted in closed form.
+with the data in factored form: the columns of C are the boundary
+lifts, followed by an identity block when the case has a source, and
+g(t) holds the boundary data, followed by the source at every node.
+Advection-diffusion also keeps the gradient map phi = Phi u; its system,
+eps I plus one 2x2 block per interface, is inverted in closed form.
 
 Because the system is affine, one step of the classical four-stage
-scheme with step h is, in closed form with B = hA and q = C g + f,
+scheme with step h is, in closed form with B = hA and q = C g,
 
     u <- R u + (h/6) (M1 q(t) + M2 q(t + h/2) + q(t + h)),
     R = I + B + B^2/2 + B^3/6 + B^4/24,
     M1 = I + B + B^2/2 + B^3/4,   M2 = 4I + 2B + B^2/2.
 
-``time_integrate`` builds R and the forcing matrix (h/6)[M1 | M2 | I]
+``time_integrate`` builds R and the forcing columns (h/6)[M1 C | M2 C | C]
 once per solve and marches in blocks of ``BLOCK_STEPS`` steps: per block
-it evaluates q at every stage time in one call, turns the data into the
-block's forcing vectors f_k with one sparse-by-dense product and the
-states' energies with one product over the block; per step it takes one
-sparse product, u <- R u + f_k.
+it evaluates g at every stage time in one call, turns the data into the
+block's forcing vectors f_k with one product with the forcing columns
+and the states' energies with one product over the block.  R is held by
+element bands, a dense (E, p, (lo + hi + 1) p) stack of the p x p blocks
+each element's row couples, so each step is one batched product
+u <- R u + f_k over windows of a zero-padded state buffer: work and
+memory linear in the element count.
 
 ``run_case`` is the one solve: it tiles the unit domain with copies of a
 reference operator, assembles the problem, picks the step from the CFL
@@ -302,13 +307,15 @@ class MmsCase:
 
 @dataclass(frozen=True, eq=False)
 class AffineProblem:
-    """A semi-discretisation du/dt = A u + C g(t) + f(t) on a grid.
+    """A semi-discretisation du/dt = A u + C g(t) on a grid.
 
-    States are stacked (E, p) like the grid's nodes; ``A`` (CSR) acts on
-    them flattened element by element.  ``boundary`` holds the data
-    functions g(t) in the order of the (dense) columns of ``C``, and the
-    case's forcing (if any) is f.  ``gradient_map`` (advection-diffusion
-    only) maps a state to its gradient variable phi.
+    States are stacked (E, p) like the grid's nodes; ``A`` and ``C``
+    (CSR) act on them flattened element by element.  The data is held
+    in factored form: ``boundary`` holds the boundary data functions in
+    the order of the leading columns of ``C``, and a case with a forcing
+    appends an identity block to ``C`` and the forcing at every node to
+    g.  ``gradient_map`` (advection-diffusion only) maps a state to its
+    gradient variable phi.
     """
 
     grid: MultiElementGrid
@@ -316,22 +323,26 @@ class AffineProblem:
     case: MmsCase
     sats: AdvectionSats | AdvectionDiffusionSats
     A: sp.csr_array
-    C: np.ndarray
+    C: sp.csr_array
     boundary: tuple
     gradient_map: sp.csr_array | None = None
 
     def initial(self) -> np.ndarray:
         return self.case.initial(self.grid.nodes)
 
-    def data(self, t: np.ndarray) -> np.ndarray:
-        """The affine part C g(t) + f(t) at the times ``t``: one row per
-        time, flattened like the state."""
+    def g(self, t: np.ndarray) -> np.ndarray:
+        """The data factor g at the times ``t``: one row per time, one
+        column per column of ``C``."""
         t = np.asarray(t, dtype=float)
-        g = np.stack([np.broadcast_to(fn(t), t.shape) for fn in self.boundary], axis=-1)
-        q = g @ self.C.T
+        cols = [np.broadcast_to(fn(t), t.shape)[..., None] for fn in self.boundary]
         if self.case.forcing is not None:
-            q += self.case.forcing(self.grid.nodes, t).reshape(q.shape)
-        return q
+            cols.append(self.case.forcing(self.grid.nodes, t).reshape(t.shape + (-1,)))
+        return np.concatenate(cols, axis=-1)
+
+    def data(self, t: np.ndarray) -> np.ndarray:
+        """The affine part g(t) C^T at the times ``t``: one row per time,
+        flattened like the state."""
+        return self.g(t) @ self.C.T
 
     def energies(self, ys: np.ndarray) -> np.ndarray:
         """The discrete energies u^T P u of the flattened states, the rows
@@ -360,6 +371,16 @@ def _rows(index, n: int) -> sp.csr_array:
     index = np.asarray(index)
     return sp.csr_array((np.ones(index.size), (np.arange(index.size), index)),
                         shape=(index.size, n))
+
+
+def _with_source(C: sp.sparray, case: MmsCase) -> sp.csr_array:
+    """The boundary lifts ``C``, with an identity block appended when
+    ``case`` has a forcing."""
+    import scipy.sparse as sp
+
+    if case.forcing is None:
+        return sp.csr_array(C)
+    return sp.hstack([C, sp.eye_array(C.shape[0])], format="csr")
 
 
 def assemble(
@@ -394,7 +415,7 @@ def assemble(
         s = AdvectionSats.stable(a)
         A = -a * D + lift(s.sigma_l, s.sigma_r) @ J + s.tau_l * pinv @ left.T @ left
         C = -s.tau_l * pinv @ left.T
-        return AffineProblem(grid, params, case, s, sp.csr_array(A), C.toarray(),
+        return AffineProblem(grid, params, case, s, sp.csr_array(A), _with_source(C, case),
                              (case.boundary_left,))
     if problem_kind != "advection_diffusion":
         raise ValueError(f"unknown problem kind {problem_kind!r}")
@@ -412,7 +433,7 @@ def assemble(
          + s.tau_r * eps * pinv @ right.T @ right @ phi)
     C = -pinv @ sp.hstack([s.tau_l * left.T, s.tau_r * right.T])
     g_right = case.boundary_right or (lambda t: 0.0)
-    return AffineProblem(grid, params, case, s, sp.csr_array(A), C.toarray(),
+    return AffineProblem(grid, params, case, s, sp.csr_array(A), _with_source(C, case),
                          (case.boundary_left, g_right), phi)
 
 
@@ -425,29 +446,78 @@ def cfl_timestep(grid: MultiElementGrid, params: PdeParams, cfl: float = 0.1) ->
     return cfl * h / (params.a + params.eps / h)
 
 
+def _block_band(r: sp.sparray, p: int):
+    """``r`` by element bands: the dense (E, p, (lo + hi + 1) p) stack
+    whose block row e holds the p x p blocks e - lo .. e + hi of ``r``
+    side by side (zero where they fall outside the grid), with lo and hi
+    the widest block offsets of ``r``'s sparsity pattern below and above
+    the diagonal.
+
+    Returns (band, lo, hi).
+    """
+    coo = r.tocoo()
+    coo.sum_duplicates()
+    rows, cols = coo.row, coo.col
+    offset = cols // p - rows // p
+    lo, hi = int(-offset.min(initial=0)), int(offset.max(initial=0))
+    band = np.zeros((r.shape[0] // p, p, (lo + hi + 1) * p))
+    band[rows // p, rows % p, (offset + lo) * p + cols % p] = coo.data
+    return band, lo, hi
+
+
+def _step_matrices(A: sp.sparray, C, dt: float, p: int):
+    """The step's R by element bands of p nodes (``_block_band``) and
+    its forcing columns (h/6)[M1 C | M2 C | C], for the step h = ``dt``;
+    the powers of hA are freed before the march starts.
+
+    Returns (band, lo, hi, forcing columns).
+    """
+    import scipy.sparse as sp
+
+    eye = sp.eye_array(A.shape[0], format="csr")
+    b = dt * sp.csr_array(A)
+    b2 = b @ b
+    b3 = b2 @ b
+    band, lo, hi = _block_band(eye + b + b2 / 2.0 + b3 / 6.0 + (b3 @ b) / 24.0, p)
+    m1 = eye + b + b2 / 2.0 + b3 / 4.0
+    m2 = 4.0 * eye + 2.0 * b + b2 / 2.0
+    c = sp.csr_array(C)
+    forcing = (dt / 6.0) * sp.hstack([m1 @ c, m2 @ c, c], format="csr")
+    return band, lo, hi, forcing
+
+
 def time_integrate(
     A: sp.sparray,
-    q: Callable[[np.ndarray], np.ndarray],
+    C: np.ndarray | sp.sparray,
+    g: Callable[[np.ndarray], np.ndarray],
     y0: np.ndarray,
     t_span: tuple,
     dt: float,
     energy_fn: Callable[[np.ndarray], np.ndarray] | None = None,
     aux_fn: Callable[[np.ndarray], np.ndarray] | None = None,
 ):
-    """March du/dt = A u + q(t) with the classical four-stage scheme and
-    record the energy.
+    """March du/dt = A u + C g(t) with the classical four-stage scheme
+    and record the energy.
 
-    ``A`` is the sparse system matrix and ``q(t)`` maps an array of times
-    to the affine data there, one row per time, flattened like the state.
-    The step count is fixed up front (dt rounded down so the final time
-    is hit exactly), making runs deterministic.  With h the step and
-    B = hA, R and the forcing matrix (h/6)[M1 | M2 | I] of the module
-    docstring are built once.  The march then goes in blocks of
-    ``BLOCK_STEPS`` steps: q is evaluated at the block's stage times t,
-    t + h/2 and t + h of every step in one call, one sparse product with
-    the forcing matrix gives each step's forcing f_k, and each step is
-    one sparse product u <- R u + f_k into the block's state buffer.
-    Only one block of states is held.
+    ``A`` is the sparse n x n system matrix, ``C`` an n x m matrix (dense
+    or sparse) and ``g(t)`` maps an array of times to the data there, one
+    row of m values per time; states flatten like ``y0``.  The step count
+    is fixed up front (dt rounded down so the final time is hit exactly),
+    making runs deterministic.  With h the step and B = hA, R and the
+    forcing columns (h/6)[M1 C | M2 C | C] of the module docstring are
+    built once.
+
+    The state is E blocks of p values, the rows of a 2-D ``y0`` (one
+    block if ``y0`` is flat), and R is held by element bands
+    (``_block_band``): block row e holds blocks e - lo .. e + hi.  The
+    state buffer stores each state with lo zero blocks before it and hi
+    after, so the p (lo + hi + 1) values block row e reads are one
+    strided window of the buffer.  The march goes in blocks of
+    ``BLOCK_STEPS`` steps: g is evaluated at the block's stage times t,
+    t + h/2 and t + h of every step in one call, one product with the
+    forcing columns gives each step's forcing f_k, and each step is one
+    batched product u <- R u + f_k, written in place into the next row
+    of the buffer.  Only one block of states is held.
 
     ``energy_fn`` and ``aux_fn`` map a (K, n) block of flattened states
     to their K values and are recorded at every recorded state.  Raises
@@ -456,7 +526,7 @@ def time_integrate(
 
     Returns (final state, :class:`EnergyTrace`).
     """
-    import scipy.sparse as sp
+    from numpy.lib.stride_tricks import sliding_window_view
 
     t0, t1 = t_span
     if not (t1 > t0) or dt <= 0:
@@ -469,35 +539,39 @@ def time_integrate(
 
     shape = np.shape(y0)
     n = math.prod(shape)
-    eye = sp.eye_array(n, format="csr")
-    b = dt * sp.csr_array(A)
-    b2 = b @ b
-    b3 = b2 @ b
-    r = sp.csr_array(eye + b + b2 / 2.0 + b3 / 6.0 + (b3 @ b) / 24.0)
-    m1 = eye + b + b2 / 2.0 + b3 / 4.0
-    m2 = 4.0 * eye + 2.0 * b + b2 / 2.0
-    forcing = (dt / 6.0) * sp.hstack([m1, m2, eye], format="csr")
+    e_count = shape[0] if len(shape) == 2 else 1
+    p = n // e_count
+    band, lo, hi, forcing = _step_matrices(A, C, dt, p)
 
     times = t0 + dt * np.arange(n_steps + 1)
     energy = np.empty(n_steps + 1)
     aux = np.empty(n_steps + 1) if aux_fn is not None else None
-    ys = np.empty((BLOCK_STEPS + 1, n))   # ys[0]: the last state of the previous block
-    ys[0] = np.reshape(y0, -1)
-    energy[0] = energy_fn(ys[:1])[0]
+    # ys[0]: the last state of the previous block; lo and hi zero blocks
+    # pad every state
+    ys = np.zeros((BLOCK_STEPS + 1, (lo + e_count + hi) * p))
+    states = ys[:, lo * p:(lo + e_count) * p]
+    # each step's output is a view of its buffer row: reshape raises
+    # rather than copy
+    outs = list(states.reshape(BLOCK_STEPS + 1, e_count, p, 1, copy=False))
+    windows = list(sliding_window_view(ys, (lo + hi + 1) * p, axis=1)[:, ::p, :, None])
+    states[0] = np.reshape(y0, -1)
+    energy[0] = energy_fn(states[:1])[0]
     if aux_fn is not None:
-        aux[0] = aux_fn(ys[:1])[0]
+        aux[0] = aux_fn(states[:1])[0]
     limit = BLOWUP_FACTOR * max(energy[0], 1e-300)
 
     for k0 in range(0, n_steps, BLOCK_STEPS):
         k = min(BLOCK_STEPS, n_steps - k0)
         start = times[k0:k0 + k]
         stages = np.stack([start, start + 0.5 * dt, start + dt], axis=1)
-        f = (forcing @ q(stages.reshape(-1)).reshape(k, 3 * n).T).T
+        f = (forcing @ g(stages.reshape(-1)).reshape(k, -1).T).T.reshape(k, e_count, p, 1)
         recorded = slice(k0 + 1, k0 + k + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(k):
-                np.add(r @ ys[j], f[j], out=ys[j + 1])
-            energy[recorded] = energy_fn(ys[1:k + 1])
+                out = outs[j + 1]
+                np.matmul(band, windows[j], out=out)
+                out += f[j]
+            energy[recorded] = energy_fn(states[1:k + 1])
         block = energy[recorded]
         bad = ~np.isfinite(block) | (block > limit)
         if bad.any():
@@ -506,10 +580,10 @@ def time_integrate(
                 f"energy {energy[i]:.3e} exceeded {BLOWUP_FACTOR} x initial at t={times[i]:.4f}"
             )
         if aux_fn is not None:
-            aux[recorded] = aux_fn(ys[1:k + 1])
-        ys[0] = ys[k]
+            aux[recorded] = aux_fn(states[1:k + 1])
+        states[0] = states[k]
 
-    return ys[0].reshape(shape).copy(), EnergyTrace(times=times, energy=energy, aux=aux)
+    return states[0].reshape(shape).copy(), EnergyTrace(times=times, energy=energy, aux=aux)
 
 
 def solution_error(u: np.ndarray, grid: MultiElementGrid, exact, t: float):
@@ -558,7 +632,7 @@ def run_case(
     problem = assemble(problem_kind, grid, params, case)
     dt = cfl_timestep(grid, params, cfl)
     y, trace = time_integrate(
-        problem.A, problem.data, problem.initial(), (0.0, params.final_time), dt,
+        problem.A, problem.C, problem.g, problem.initial(), (0.0, params.final_time), dt,
         energy_fn=problem.energies,
         aux_fn=problem.dissipations if problem.gradient_map is not None else None,
     )

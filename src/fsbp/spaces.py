@@ -402,15 +402,20 @@ def product_derivative_space(space: FunctionSpace) -> FunctionSpace:
 
 def _chebyshev(a: float, b: float, length: int) -> Evaluator:
     # T_0 .. T_{length-1} of the local coordinate t = (2x - a - b)/(b - a),
-    # as cos(k arccos t); order d of T_k is the series chebder^d(e_k)
+    # as cos(k arccos t); order d of T_k is the series chebder^d(e_k), a
+    # dense matrix built at the first jet that asks for order d
     ks = np.arange(length)
-    ders = [np.polynomial.chebyshev.chebder(np.eye(length), d, scl=2.0 / (b - a))
-            for d in (1, 2)]
+    ders = {}
+
+    def der(d):
+        if d not in ders:
+            ders[d] = np.polynomial.chebyshev.chebder(np.eye(length), d, scl=2.0 / (b - a))
+        return ders[d]
 
     def evaluate(x, k):
         t = np.clip((2.0 * x - a - b) / (b - a), -1.0, 1.0)
         tk = np.cos(np.arccos(t)[:, None] * ks)
-        return np.stack([tk] + [tk[:, :c.shape[0]] @ c for c in ders[:k]])
+        return np.stack([tk] + [tk[:, :c.shape[0]] @ c for c in map(der, range(1, k + 1))])
 
     return evaluate
 

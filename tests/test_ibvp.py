@@ -366,7 +366,7 @@ def test_steep_boundary_layer_is_finite():
 
 def test_time_integrate_zero_rhs():
     y0 = np.array([[1.0, 2.0, 3.0]])
-    y, trace = time_integrate(sp.csr_array((3, 3)), lambda t: np.zeros((len(t), 3)), y0,
+    y, trace = time_integrate(sp.csr_array((3, 3)), np.eye(3), lambda t: np.zeros((len(t), 3)), y0,
                               (0.0, 1.0), 0.1)
     assert np.array_equal(y, y0)
     assert np.max(np.abs(np.diff(trace.energy))) == 0.0
@@ -375,7 +375,7 @@ def test_time_integrate_zero_rhs():
 def test_time_integrate_scalar_decay_fourth_order():
     errs = []
     for dt in (0.1, 0.05):
-        y, _ = time_integrate(sp.csr_array([[-1.0]]), lambda t: np.zeros((len(t), 1)),
+        y, _ = time_integrate(sp.csr_array([[-1.0]]), np.eye(1), lambda t: np.zeros((len(t), 1)),
                               np.array([1.0]), (0.0, 1.0), dt)
         errs.append(abs(y[0] - math.exp(-1.0)))
     order = math.log(errs[0] / errs[1]) / math.log(2.0)
@@ -384,8 +384,8 @@ def test_time_integrate_scalar_decay_fourth_order():
 
 def test_time_integrate_blowup_detection():
     with pytest.raises(BlowUpError):
-        time_integrate(sp.csr_array([[10.0]]), lambda t: np.zeros((len(t), 1)), np.array([1.0]),
-                       (0.0, 2.0), 0.05)
+        time_integrate(sp.csr_array([[10.0]]), np.eye(1), lambda t: np.zeros((len(t), 1)),
+                       np.array([1.0]), (0.0, 2.0), 0.05)
 
 
 def test_zero_data_advection_energy_decays(trig_grid):
@@ -397,7 +397,7 @@ def test_zero_data_advection_energy_decays(trig_grid):
     )
     problem = assemble("advection", trig_grid, params, case)
     dt = cfl_timestep(trig_grid, params)
-    _, trace = time_integrate(problem.A, problem.data, problem.initial(), (0.0, 1.0), dt,
+    _, trace = time_integrate(problem.A, problem.C, problem.g, problem.initial(), (0.0, 1.0), dt,
                               energy_fn=problem.energies)
     increases = np.diff(trace.energy)
     assert np.max(increases) <= 1e-10 * trace.energy[0]
@@ -415,43 +415,82 @@ def test_zero_data_advdiff_energy_decays(exp_bl_operator):
     grid = MultiElementGrid.uniform(exp_bl_operator, 4)
     problem = assemble("advection_diffusion", grid, params, case)
     dt = cfl_timestep(grid, params)
-    _, trace = time_integrate(problem.A, problem.data, problem.initial(), (0.0, 1.0), dt,
+    _, trace = time_integrate(problem.A, problem.C, problem.g, problem.initial(), (0.0, 1.0), dt,
                               energy_fn=problem.energies, aux_fn=problem.dissipations)
     assert np.max(np.diff(trace.energy)) <= 1e-10 * trace.energy[0]
     assert trace.aux is not None and np.all(trace.aux >= 0.0)
 
 
 @pytest.fixture(scope="module")
-def data_problems(trig_grid, exp_bl_operator):
+def data_problems(trig_operator, trig_grid, exp_bl_operator):
     """Advection with a time-dependent inflow datum and advection-diffusion
-    with the boundary-layer data and forcing."""
-    advdiff_grid = MultiElementGrid.uniform(exp_bl_operator, 4)
+    with the boundary-layer data and forcing: on 4 elements, and on grids
+    with more elements than the march's element band is wide, one of them
+    non-uniform."""
+    edges = [0.0, 0.1, 0.3, 0.45, 0.7, 0.8, 1.0]
+    nonuniform = MultiElementGrid([((a, b), scale_to_element(trig_operator, a, b))
+                                   for a, b in zip(edges[:-1], edges[1:])])
+    wave, layer = MmsCase.advecting_wave(1.0), MmsCase.boundary_layer(1.0, 0.1)
+    adv, advdiff = PdeParams(a=1.0), PdeParams(a=1.0, eps=0.1)
     return {
-        "advection": assemble("advection", trig_grid, PdeParams(a=1.0),
-                              MmsCase.advecting_wave(1.0)),
-        "advection_diffusion": assemble("advection_diffusion", advdiff_grid,
-                                        PdeParams(a=1.0, eps=0.1),
-                                        MmsCase.boundary_layer(1.0, 0.1)),
+        "advection": assemble("advection", trig_grid, adv, wave),
+        "advection_diffusion": assemble("advection_diffusion",
+                                        MultiElementGrid.uniform(exp_bl_operator, 4),
+                                        advdiff, layer),
+        "advection-16_elements": assemble("advection",
+                                          MultiElementGrid.uniform(trig_operator, 16),
+                                          adv, wave),
+        "advection_diffusion-12_elements": assemble("advection_diffusion",
+                                                    MultiElementGrid.uniform(exp_bl_operator, 12),
+                                                    advdiff, layer),
+        "advection-nonuniform": assemble("advection", nonuniform, adv, wave),
     }
 
 
-@pytest.mark.parametrize("kind, n_steps", [
-    pytest.param("advection", 10, id="advection"),
-    pytest.param("advection_diffusion", 10, id="advection_diffusion"),
-    pytest.param("advection", 2 * BLOCK_STEPS + 7, id="advection-three_blocks"),
-    pytest.param("advection_diffusion", 2 * BLOCK_STEPS + 7, id="advection_diffusion-three_blocks"),
+def block_bandwidths(problem) -> tuple[int, int]:
+    """The widest element offsets below and above the diagonal that the
+    step matrix R, a quartic in A, can couple: those of (I + |A|)^4."""
+    reach = abs(problem.A) + sp.eye_array(problem.A.shape[0])
+    rows, cols = sp.csr_array(reach @ reach @ reach @ reach).nonzero()
+    p = problem.grid.nodes_per_element
+    offset = cols // p - rows // p
+    return int(-offset.min()), int(offset.max())
+
+
+@pytest.mark.parametrize("name, n_steps, layout", [
+    pytest.param("advection", 10, "stacked", id="advection"),
+    pytest.param("advection_diffusion", 10, "stacked", id="advection_diffusion"),
+    pytest.param("advection", 2 * BLOCK_STEPS + 7, "stacked", id="advection-three_blocks"),
+    pytest.param("advection_diffusion", 2 * BLOCK_STEPS + 7, "stacked",
+                 id="advection_diffusion-three_blocks"),
+    pytest.param("advection-16_elements", BLOCK_STEPS + 7, "padded",
+                 id="advection-16_elements"),
+    pytest.param("advection_diffusion-12_elements", BLOCK_STEPS + 7, "padded",
+                 id="advection_diffusion-12_elements"),
+    pytest.param("advection-nonuniform", BLOCK_STEPS + 7, "padded",
+                 id="advection-nonuniform"),
+    pytest.param("advection", BLOCK_STEPS + 7, "flat", id="advection-flat_state"),
 ])
-def test_precomputed_step_matches_stagewise_rk4(data_problems, kind, n_steps):
+def test_precomputed_step_matches_stagewise_rk4(data_problems, name, n_steps, layout):
     # the blocked march against the four right-hand-side stages of the
     # classical scheme, with non-zero boundary data: within one block, and
-    # over three blocks with a partial last block
-    problem = data_problems[kind]
-    dt = cfl_timestep(problem.grid, problem.params)
+    # over two or three blocks with a partial last block.  On the padded
+    # grids the element band is narrower than the grid, so the edge
+    # elements' windows read the zero padding; a flat state is one block
+    problem = data_problems[name]
+    y0, grid = problem.initial(), problem.grid
+    if layout == "padded":
+        lo, hi = block_bandwidths(problem)
+        assert grid.n_elements > lo + hi + 1
+    if layout == "flat":
+        y0 = y0.reshape(-1)
+    dt = cfl_timestep(grid, problem.params)
     t_span = (0.0, n_steps * dt)
-    y, trace = time_integrate(problem.A, problem.data, problem.initial(), t_span, dt,
+    y, trace = time_integrate(problem.A, problem.C, problem.g, y0, t_span, dt,
                               energy_fn=problem.energies)
-    y_ref, energy_ref = rk4_loop(functools.partial(rhs, problem), problem.initial(), t_span, dt,
-                                 functools.partial(p_norm_squared, problem.grid))
+    y_ref, energy_ref = rk4_loop(functools.partial(rhs, problem), y0, t_span, dt,
+                                 lambda u: p_norm_squared(grid, u.reshape(grid.nodes.shape)))
+    assert y.shape == y0.shape
     assert len(trace.times) == n_steps + 1
     assert np.any(problem.data(np.array([0.0])) != 0.0)
     assert np.linalg.norm(y - y_ref) <= 1e-13 * np.linalg.norm(y_ref)
@@ -475,14 +514,14 @@ def test_precomputed_step_blows_up_where_stagewise_rk4_does(data_problems, kind,
     assert dt > 1e-4           # distinct steps print distinct times
     first_block = (0.0, BLOCK_STEPS * dt)
     if later_block:
-        time_integrate(unstable.A, unstable.data, unstable.initial(), first_block, dt,
+        time_integrate(unstable.A, unstable.C, unstable.g, unstable.initial(), first_block, dt,
                        energy_fn=unstable.energies)
     else:
         with pytest.raises(BlowUpError):
-            time_integrate(unstable.A, unstable.data, unstable.initial(), first_block, dt,
+            time_integrate(unstable.A, unstable.C, unstable.g, unstable.initial(), first_block, dt,
                            energy_fn=unstable.energies)
     with pytest.raises(BlowUpError) as marched:
-        time_integrate(unstable.A, unstable.data, unstable.initial(), (0.0, 2.0), dt,
+        time_integrate(unstable.A, unstable.C, unstable.g, unstable.initial(), (0.0, 2.0), dt,
                        energy_fn=unstable.energies)
     with pytest.raises(BlowUpError) as stagewise:
         rk4_loop(functools.partial(rhs, unstable), unstable.initial(), (0.0, 2.0), dt,
@@ -530,13 +569,35 @@ def test_march_holds_one_block_of_states():
     trace_bytes = 2 * (n_steps + 1) * 8
     tracemalloc.start()
     try:
-        y, trace = time_integrate(A, q, shape, (0.0, n_steps * dt), dt)
+        y, trace = time_integrate(A, sp.eye_array(n), q, shape, (0.0, n_steps * dt), dt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(trace.times) == n_steps + 1 and np.all(np.isfinite(y))
     assert peak <= trace_bytes + 16 * block_bytes
 
+
+
+def test_march_memory_is_linear_in_the_element_count():
+    # two blocks on 400 elements of 4 nodes (n = 1600): R by element bands,
+    # the forcing columns and one block of states and forcing stay under
+    # 4 MB, where one dense n x n R alone would take 20.5 MB
+    op, _, _ = build_study_operator(
+        {"family": "monomial", "degree": 3, "interval": [0, 1]}, "classical-gll")
+    grid = MultiElementGrid.uniform(op, 400)
+    params = PdeParams(a=1.0)
+    problem = assemble("advection", grid, params, MmsCase.advecting_wave(1.0))
+    dt = cfl_timestep(grid, params)
+    tracemalloc.start()
+    try:
+        y, trace = time_integrate(problem.A, problem.C, problem.g, problem.initial(),
+                                  (0.0, 2 * BLOCK_STEPS * dt), dt, energy_fn=problem.energies)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.nodes.size == 1600 and len(trace.times) == 2 * BLOCK_STEPS + 1
+    assert np.all(np.isfinite(y))
+    assert peak <= 4e6
 
 # ------------------------------------------------------------ error measure
 
@@ -592,7 +653,7 @@ def test_free_stream_preservation(trig_grid):
     )
     problem = assemble("advection", trig_grid, params, case)
     dt = cfl_timestep(trig_grid, params)
-    y, _ = time_integrate(problem.A, problem.data, problem.initial(), (0.0, 0.5), dt,
+    y, _ = time_integrate(problem.A, problem.C, problem.g, problem.initial(), (0.0, 0.5), dt,
                           energy_fn=problem.energies)
     assert np.max(np.abs(y - c)) < 1e-10
 

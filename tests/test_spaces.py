@@ -362,6 +362,28 @@ def test_orthonormal_functions_carry_coefficients(exp3_orthonormal):
                                atol=1e-12 * np.max(np.abs(expected)))
 
 
+
+def test_chebyshev_derivative_matrices_are_built_on_demand(monkeypatch):
+    # an order-0 jet of the Chebyshev parent builds no derivative matrix;
+    # the first jets of orders 1 and 2 build one each, and later jets
+    # reuse them
+    cheb = np.polynomial.chebyshev
+    ortho = orthonormalize(make_family(refcases.EXP3_SPEC))
+    orders = []
+    chebder = cheb.chebder
+
+    def counted(c, m=1, *args, **kwargs):
+        orders.append(m)
+        return chebder(c, m, *args, **kwargs)
+
+    monkeypatch.setattr(cheb, "chebder", counted)
+    xs = np.linspace(0.0, 1.0, 9)
+    ortho.jet(xs, 0)
+    assert orders == []
+    for k in (1, 2, 1, 2):
+        ortho.jet(xs, k)
+    assert orders == [1, 2]
+
 # ---------------------------------------------------------------- augment
 
 def test_augment_exp3_with_x_squared(exp3_space):
