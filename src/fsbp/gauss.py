@@ -8,8 +8,11 @@ behaves as a Tchebyshev system.
 Nodes are found by a damped quasi-Newton iteration on a (quasi-)cardinal
 basis built from the Hermite-Vandermonde matrix, with initial guesses
 supplied by continuation in the integration measure: the unit weight
-is blended with a sum of point masses whose locations come from the
-previously converged rule of one size smaller.
+is blended with a sum of point masses interlaced with the previously
+converged rule of one size smaller.  There is one initialisation per
+stage: the open ladder climbs sizes 1 .. n, the closed rule is seeded
+once from the midpoints of the size-n open rule, and a stage that fails
+raises SolverError naming its size and its last Newton error.
 
 ``continuation_solve`` and ``equispaced_rule`` take the orthonormal
 working basis that ``spaces.orthonormalize`` produces, a truncated
@@ -322,36 +325,9 @@ def _series_moments(space: FunctionSpace) -> np.ndarray:
 
 
 def _interlaced_anchors(prev_nodes, a, b):
+    """Midpoints of the gaps of [a, prev_nodes, b]: one more than prev_nodes."""
     ext = np.concatenate([[a], prev_nodes, [b]])
     return 0.5 * (ext[:-1] + ext[1:])
-
-
-def _spread_anchors(prev_nodes, count, a, b):
-    """``count`` interior anchors spread along the previous node set.
-
-    Reduces to interlaced midpoints when counts line up and otherwise
-    places anchors at quantiles of the extended node sequence.
-    """
-    ext = np.concatenate([[a], np.asarray(prev_nodes, dtype=float), [b]])
-    u = np.linspace(0.0, 1.0, ext.size)
-    return np.interp((np.arange(count) + 0.5) / count, u, ext)
-
-
-def _anchor_candidates(prev_nodes, count, a, b):
-    """Deterministic initial point-mass placements for one stage."""
-    cands = []
-    if prev_nodes is not None and len(prev_nodes) == count - 1:
-        cands.append(_interlaced_anchors(prev_nodes, a, b))
-    if prev_nodes is not None:
-        cands.append(_spread_anchors(prev_nodes, count, a, b))
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    cands.append(mid - half * np.cos(np.pi * (np.arange(count) + 0.5) / count))
-    cands.append(a + (b - a) * (np.arange(count) + 1.0) / (count + 1.0))
-    unique = []
-    for c in cands:
-        if not any(np.allclose(c, u) for u in unique):
-            unique.append(c)
-    return unique
 
 
 def _homotopy(space, m_target, anchors, closed, stage_trace):
@@ -365,14 +341,14 @@ def _homotopy(space, m_target, anchors, closed, stage_trace):
         m_blend = t_next * m_target + (1.0 - t_next) * anchor_moments
         try:
             rule = newton_solve(space, nodes, m_blend, closed=closed)
-        except SolverError:
+        except SolverError as exc:
             step *= 0.5
             streak = 0
             if step < T_STEP_MIN:
                 raise SolverError(
                     f"measure continuation stalled at t={t:.6f} "
-                    f"(step below {T_STEP_MIN})"
-                )
+                    f"(step below {T_STEP_MIN}); last Newton error: {exc}"
+                ) from exc
             continue
         t, nodes = t_next, rule.nodes
         stage_trace.append({"t": t_next, "iterations": rule.trace["iterations"]})
@@ -393,13 +369,15 @@ def continuation_solve(
     ``space`` must be the output of ``spaces.orthonormalize`` (checked
     from its descriptor; ValueError otherwise); it is pulled back to
     [-1, 1] as it is, and its moments are the closed-form ones.  Open
-    rules of increasing size are built by measure continuation, each
-    initialised with point masses interlaced between the previous rule's
-    nodes.  For a closed rule the interior nodes are
-    then seeded from consecutive midpoints of the final open rule (with
-    a 5% affine guard against the endpoints) and re-solved with the
-    endpoints pinned; if that Newton solve fails, the continuation is
-    repeated on the closed formulation.
+    rules of sizes 1 .. n are built by measure continuation, stage k
+    starting from point masses interlaced with the k-1 nodes of stage
+    k-1 (stage 1 from the midpoint); a stage that fails raises
+    SolverError naming its size.  A closed rule seeds its interior once,
+    from consecutive midpoints of the size-n open rule (affinely guarded
+    to [-0.9, 0.9]), and solves with the endpoints pinned: direct Newton
+    first, then measure continuation on the closed formulation from the
+    same seed.  A closed rule with n = 1 has no interior and runs no
+    open ladder.
 
     A Tchebyshev screen runs first and rejects the space on a "fail"
     verdict unless ``force`` is set.  The returned rule lives on the
@@ -433,76 +411,41 @@ def continuation_solve(
         "endpoints_fixed_outside_homotopy": True,
     }
 
-    prev_nodes = None
-    open_rule = None
-    ladder_error = None
-    for k in range(1, n + 1):
-        sub = ref.prefix(2 * k)
+    # a closed rule with n = 1 has no interior to seed: it runs no ladder
+    ladder_sizes = range(1, n + 1) if n > 1 or not closed else ()
+    nodes, rule_ref = np.array([]), None
+    for k in ladder_sizes:
         stage_steps: list = []
-        solved = False
-        for anchors in _anchor_candidates(prev_nodes, k, -1.0, 1.0):
-            stage_steps.clear()
-            try:
-                prev_nodes, open_rule = _homotopy(
-                    sub, m_full[: 2 * k], anchors, False, stage_steps
-                )
-                solved = True
-                break
-            except SolverError as exc:
-                ladder_error = exc
-        if solved:
-            trace["stages"].append({"size": k, "closed": False, "steps": stage_steps})
-        elif k < n:
-            # an intermediate rule size may simply not exist for spaces
-            # without Tchebyshev structure; skip and respread anchors
-            trace["stages"].append({"size": k, "closed": False, "skipped": True})
-        elif not closed:
-            raise SolverError(f"open ladder failed at size {k}/{n}: {ladder_error}")
+        anchors = _interlaced_anchors(nodes, -1.0, 1.0)
+        try:
+            nodes, rule_ref = _homotopy(ref.prefix(2 * k), m_full[: 2 * k], anchors,
+                                        False, stage_steps)
+        except SolverError as exc:
+            raise SolverError(f"open ladder failed at size {k}/{n}: {exc}") from exc
+        trace["stages"].append({"size": k, "closed": False, "steps": stage_steps})
 
-    if not closed:
-        rule_ref = open_rule
-    else:
-        candidates = []
-        if prev_nodes is not None and len(prev_nodes) == n and n >= 2:
-            interior = 0.5 * (prev_nodes[:-1] + prev_nodes[1:])
-            lo, hi = -0.9, 0.9
-            if interior[0] < lo or interior[-1] > hi:
-                if interior.size > 1:
-                    interior = lo + (interior - interior[0]) * (hi - lo) / (interior[-1] - interior[0])
-                else:
-                    interior = np.clip(interior, lo, hi)
-            candidates.append(interior)
-        if n >= 2:
-            for cand in _anchor_candidates(prev_nodes, n - 1, -1.0, 1.0):
-                candidates.append(np.clip(cand, -0.95, 0.95))
+    if closed:
+        interior = 0.5 * (nodes[:-1] + nodes[1:])
+        lo, hi = -0.9, 0.9
+        if interior.size > 1 and (interior[0] < lo or interior[-1] > hi):
+            interior = lo + (interior - interior[0]) * (hi - lo) / (interior[-1] - interior[0])
         else:
-            candidates.append(np.array([]))
-
-        rule_ref = None
-        closed_error = None
-        for interior in candidates:
-            x0 = np.concatenate([[-1.0], interior, [1.0]])
-            if np.any(np.diff(x0) <= 0):
-                continue
-            try:
-                rule_ref = newton_solve(ref, x0, m_full, closed=True)
-                trace["stages"].append({
-                    "size": n, "closed": True,
-                    "steps": [{"t": 1.0, "iterations": rule_ref.trace["iterations"]}],
-                })
-                break
-            except SolverError:
-                pass
+            interior = np.clip(interior, lo, hi)
+        x0 = np.concatenate([[-1.0], interior, [1.0]])
+        try:
+            rule_ref = newton_solve(ref, x0, m_full, closed=True)
+            stage_steps = [{"t": 1.0, "iterations": rule_ref.trace["iterations"]}]
+        except SolverError as direct_exc:
             trace["closed_fallback"] = True
             stage_steps = []
             try:
                 _, rule_ref = _homotopy(ref, m_full, x0, True, stage_steps)
-                trace["stages"].append({"size": n, "closed": True, "steps": stage_steps})
-                break
             except SolverError as exc:
-                closed_error = exc
-        if rule_ref is None:
-            raise SolverError(f"closed solve failed for every initialisation: {closed_error}")
+                raise SolverError(
+                    f"closed solve failed at size {n}: direct Newton: {direct_exc}; "
+                    f"continuation: {exc}"
+                ) from exc
+        trace["stages"].append({"size": n, "closed": True, "steps": stage_steps})
 
     # map back to the user interval
     half = 0.5 * (b - a)
@@ -556,11 +499,11 @@ def equispaced_rule(
     ``space`` must be the output of ``spaces.orthonormalize`` (ValueError
     otherwise), whose moments are closed-form.  Starting from ``n_nodes``
     (default: the space dimension), weights are solved from the
-    exactness conditions; if they are not positive or not exact, the
-    node count is increased (falling back to a non-negative
-    least-squares fit) until both hold.  Exactness here is
-    the moment residual of the solve; the caller certifies the rule
-    against the span it needs.
+    exactness conditions, directly at dim nodes and by least squares
+    beyond; a count whose weights are not exact and positive moves on to
+    the next, up to ``max_extra`` more nodes (SolverError after that).
+    Exactness here is the moment residual of the solve; the caller
+    certifies the rule against the span it needs.
     """
     a, b = space.interval
     m_vec = _series_moments(space)
@@ -582,13 +525,8 @@ def equispaced_rule(
             w = np.linalg.lstsq(c.T, m_vec, rcond=None)[0]
         resid = float(np.max(np.abs(c.T @ w - m_vec)))
         if resid > CERTIFICATE_TOL * scale or np.min(w) <= 0:
-            import scipy.optimize
-
-            w, _ = scipy.optimize.nnls(c.T, m_vec)
-            resid = float(np.max(np.abs(c.T @ w - m_vec)))
-            if resid > CERTIFICATE_TOL * scale or np.min(w) <= 0:
-                last_issue = f"{count} nodes: residual {resid:.2e}, min weight {np.min(w):.2e}"
-                continue
+            last_issue = f"{count} nodes: residual {resid:.2e}, min weight {np.min(w):.2e}"
+            continue
         return QuadratureRule(nodes=nodes, weights=w, closed=True, interval=(a, b),
                               trace={"construction": "equispaced", "n_nodes": count})
     raise SolverError(

@@ -75,19 +75,25 @@ def test_rule_screen_gate_exit_code(tmp_path, capsys):
 
 
 def test_rule_operator_and_verify_load_no_scipy(tmp_path):
-    # only the Bessel family, the NNLS and approximate-operator fallbacks and
-    # the PDE solves import scipy; a fresh interpreter runs the rest without it
+    # only the Bessel family, approximate operators and the PDE solves
+    # import scipy; a fresh interpreter runs the rest without it, exact
+    # equispaced operators included: {1, s, e^{10s}} climbs from 5 to 9
+    # equispaced nodes on direct and least-squares weights alone
     mono6 = {"family": "monomial", "degree": 6, "interval": [-1, 1]}
     write_config(tmp_path / "rule.json", {"space": refcases.EXP3_SPEC, "mode": "closed"})
     write_config(tmp_path / "gll.json", {"space": mono6})
     write_config(tmp_path / "verify.json", {"operator": "op/operator.json", "space": mono6})
+    write_config(tmp_path / "equi.json", {"space": {
+        "family": "exponential", "rates": [10.0], "poly_degree": 1, "interval": [0, 1]}})
     script = textwrap.dedent("""
         import json, sys
         from fsbp.cli import main
         codes = [main(["rule", "--config", "rule.json", "--out", "rule"]),
                  main(["operator", "--config", "gll.json", "--mode", "classical-gll",
                        "--out", "op"]),
-                 main(["verify", "--config", "verify.json", "--out", "verify"])]
+                 main(["verify", "--config", "verify.json", "--out", "verify"]),
+                 main(["operator", "--config", "equi.json", "--mode", "equispaced",
+                       "--out", "equi"])]
         print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
     """)
     src = os.path.dirname(os.path.dirname(fsbp.__file__))
@@ -95,8 +101,9 @@ def test_rule_operator_and_verify_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout
     codes, loaded = json.loads(out.splitlines()[-1])
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     assert loaded == []
+    assert len(json.loads((tmp_path / "equi" / "operator.json").read_text())["nodes"]) == 9
 
 
 def test_validation_exit_codes(tmp_path):
@@ -256,6 +263,20 @@ def test_steep_exponential_rule_passes_screen(tmp_path, rate, mode):
     assert rule["certificate"]["valid"] is True
     assert rule["trace"]["screen"]["verdict"] == "pass"
     assert rule["trace"]["screen"]["certified_negative"] == 0
+
+
+def test_steep_pure_exponential_failures_name_their_stage(tmp_path, capsys):
+    # {e^{20x}} alone: the size-1 open homotopy stalls at t = 0, and the
+    # error names the ladder stage and the last Newton error with its
+    # residual; the closed rule (n = 1) has no ladder and fails its
+    # certificate instead
+    cfg = write_config(tmp_path / "exp.json", {"space": {
+        "family": "exponential", "rates": [20.0], "poly_degree": 0, "interval": [0, 1]}})
+    assert main(["rule", "--config", cfg, "--out", str(tmp_path / "o"), "--mode", "open"]) == 3
+    err = capsys.readouterr().err
+    assert "open ladder failed at size 1/1" in err
+    assert "last Newton error: backtracking failed at residual" in err
+    assert main(["rule", "--config", cfg, "--out", str(tmp_path / "c"), "--mode", "closed"]) == 4
 
 
 def _reject_constant(name):

@@ -231,7 +231,7 @@ def test_screen_gate_blocks_and_force_overrides():
     with pytest.raises(ScreenFailure):
         certified_rule(space, closed=True)
     # forcing proceeds to the solver, which reports the genuine failure
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match="closed solve failed at size 1"):
         certified_rule(space, closed=True, force=True)
 
 
@@ -242,6 +242,18 @@ def test_trace_records_solver_path(exp3_closed_rule):
     assert trace["endpoints_fixed_outside_homotopy"] is True
     sizes = [s["size"] for s in trace["stages"]]
     assert sizes == [1, 2, 3, 3]      # open ladder then the closed solve
+    # one stage per size: the open ladder climbs 1 .. n, the closed rule
+    # adds its one closed stage, and a closed rule with n = 1 has no ladder
+    exp1 = {"family": "exponential", "rates": [1.0], "poly_degree": 0, "interval": [0, 1]}
+    for spec, mode, expected in [
+        (exp1, "closed", [(1, True)]),
+        (exp1, "open", [(1, False)]),
+        (refcases.EXP3_SPEC, "open", [(1, False), (2, False), (3, False)]),
+        (refcases.EXP3_SPEC, "closed", [(1, False), (2, False), (3, False), (3, True)]),
+    ]:
+        stages = pipeline.solve_rule_pipeline(spec, mode).rule.trace["stages"]
+        assert [(s["size"], s["closed"]) for s in stages] == expected
+        assert all(set(s) == {"size", "closed", "steps"} and s["steps"] for s in stages)
 
 
 def test_residuals_and_weights_blended():
