@@ -391,7 +391,7 @@ def continuation_solve(
     a, b = space.interval
     # the pulled-back basis is scaled by sqrt(dx/ds) and integrated in ds
     m_full = _series_moments(space) / np.sqrt(0.5 * (b - a))
-    ref = pull_back(space, renormalize=True)
+    ref = pull_back(space)
 
     report = tchebyshev_screen(ref, rng_seed=rng_seed)
     if report.verdict == "fail" and not force:

@@ -73,9 +73,9 @@ def solve_rule_pipeline(
 
     ``mode`` is "closed" (endpoint nodes, for operator assembly) or
     "open" (interior nodes only).  Orthonormalising the product-derivative
-    pairs decides their rank; an odd rank gets one Chebyshev polynomial
-    appended (``augment_to_even``) and the target is orthonormalised
-    again, and a rank still odd (a numerical rank loss) raises RankError.
+    pairs decides their rank, once; an odd rank gets one Chebyshev
+    polynomial appended to the target and its residual to the basis
+    (``augment_to_even``), so the basis always has even dimension.
     The rule is certified here, once, against every function of the target.
     """
     if mode not in ("open", "closed"):
@@ -83,12 +83,7 @@ def solve_rule_pipeline(
     space = make_family(family_spec)
     product = product_derivative_space(space)
     basis = orthonormalize(product)
-    target = augment_to_even(product, basis)
-    ortho = basis if target is product else orthonormalize(target)
-    if ortho.dim % 2:
-        raise RankError(f"the augmented target span has rank {ortho.dim}, not the "
-                        f"{basis.dim + 1} of the product span's {basis.dim} plus "
-                        f"{target.labels[-1]}")
+    target, ortho = augment_to_even(product, basis)
     rule = continuation_solve(ortho, closed=(mode == "closed"), force=force, rng_seed=rng_seed)
     rule.certificate = verify_exactness(rule, target, ortho.dim)
     dims = {

@@ -14,9 +14,9 @@ stack the user's callables.  Derived spaces map their parent's jet:
 - orthonormal spaces: the jet of their Chebyshev parent times
   ``coeff_matrix.T``;
 - prefixes: a slice of the coefficient rows, or of the last axis;
-- parity augmentation: one Chebyshev column appended along the last axis;
-- pull-back: an affine map of the abscissae, order d scaled by the d-th
-  power of its Jacobian.
+- parity augmentation: one Chebyshev column appended along the last axis
+  of the target, and its residual as one more row of the basis series;
+- pull-back: the same series on the reference interval.
 
 Differentiation therefore never falls back to numerical differencing.
 An orthonormal basis is a truncated Chebyshev series in the local
@@ -362,7 +362,9 @@ def _pair_derivatives(space: FunctionSpace, xs, k: int, pi, pj) -> np.ndarray:
     Order d is the Leibniz sum of C(d+1, e) f_i^(d+1-e) f_j^(e) over e,
     from one parent jet of order k + 1.  Terms are built and summed in
     place, left to right, so a sample grid of many pairs needs few
-    temporaries.
+    temporaries.  A value at or below 1e-13 of the sum of its terms'
+    magnitudes is set to zero: a pair that cancels identically, such as
+    (e^{-rs} e^{rs})', is then a zero column, not a noise direction.
     """
     if k > 1:
         raise FamilyError("second derivative required but a product-derivative span has none")
@@ -377,8 +379,12 @@ def _pair_derivatives(space: FunctionSpace, xs, k: int, pi, pj) -> np.ndarray:
     out = np.empty((k + 1, v.shape[1], len(pi)))
     for d in range(k + 1):
         out[d] = term(d, 0)
+        scale = np.abs(out[d])
         for e in range(1, d + 2):
-            out[d] += term(d, e)
+            t = term(d, e)
+            out[d] += t
+            scale += np.abs(t, out=t)
+        out[d][np.abs(out[d]) <= 1e-13 * scale] = 0.0
     return out
 
 
@@ -469,13 +475,8 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
     function, an SVD L^T C = U S V^T decides the rank with
     ``RANK_CUTOFF``, and the basis series are the columns of L^-T U_r.
     They are M-orthonormal by construction, so the basis is orthonormal
-    to rounding, with no cut after the SVD.
-
-    The functions are then rotated to diagonalise the derivative-energy
-    form, the same M on the ``chebder`` coefficients, and signed
-    deterministically.  The output's ``parent`` is the Chebyshev family
-    T_0 .. T_{K-1} and its ``coeff_matrix`` holds the series, one row per
-    function.
+    to rounding, with no cut after the SVD; ``_orthonormal_space``
+    rotates and signs them.
     """
     a, b = space.interval
     n = 64
@@ -499,9 +500,21 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
     u, svals, _ = np.linalg.svd(lower.T @ coeffs[:length], full_matrices=False)
     rank = int(np.sum(svals >= RANK_CUTOFF * svals[0]))
     coeff = np.linalg.solve(lower.T, u[:, :rank]).T
-    spec = {"derived": "chebyshev", "parent": space.family_spec, "dim": length,
+    return _orthonormal_space(space, coeff, lower, xs)
+
+
+def _orthonormal_space(span: FunctionSpace, coeff: np.ndarray, lower: np.ndarray,
+                       xs: np.ndarray) -> FunctionSpace:
+    """The basis of ``span`` with the M-orthonormal series ``coeff`` (one
+    row per function, on T_0 .. T_{K-1}; M = L L^T, ``lower`` = L), rotated
+    to diagonalise the derivative-energy form and signed deterministically
+    on the samples ``xs``: a space whose ``parent`` is T_0 .. T_{K-1}.
+    """
+    a, b = span.interval
+    length = coeff.shape[1]
+    spec = {"derived": "chebyshev", "parent": span.family_spec, "dim": length,
             "interval": [a, b]}
-    parent = FunctionSpace(space.interval, [f"T{k}" for k in range(length)], spec,
+    parent = FunctionSpace(span.interval, [f"T{k}" for k in range(length)], spec,
                            _chebyshev(a, b, length))
 
     # rotate to the basis diagonalising the derivative-energy form, in
@@ -523,48 +536,55 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
             end = row[int(np.argmax(np.abs(row)))]
         if end < 0:
             coeff[i] = -row
-    spec = {
-        "derived": "orthonormal",
-        "parent": space.family_spec,
-        "dim": rank,
-        "interval": [a, b],
-    }
-    return FunctionSpace(space.interval, [f"q{i}" for i in range(rank)], spec,
+    rank = coeff.shape[0]
+    spec = {"derived": "orthonormal", "parent": span.family_spec, "dim": rank,
+            "interval": [a, b]}
+    return FunctionSpace(span.interval, [f"q{i}" for i in range(rank)], spec,
                          parent=parent, coeff_matrix=coeff)
 
 
-def augment_to_even(span: FunctionSpace, basis: FunctionSpace) -> FunctionSpace:
-    """``span``, plus one Chebyshev polynomial if ``basis`` (its
-    ``orthonormalize``) has odd dimension.
+def augment_to_even(span: FunctionSpace,
+                    basis: FunctionSpace) -> tuple[FunctionSpace, FunctionSpace]:
+    """``(target, basis)`` of even dimension, from ``span`` and its
+    ``orthonormalize`` ``basis``: both unchanged at even dimension, else
+    ``span`` plus T_k of the local coordinate and ``basis`` plus T_k's
+    residual, for the lowest k whose relative L2 residual against the
+    basis exceeds 1e-8.  With T_0 .. T_{k-1} in the span, x^k is a
+    multiple of T_k modulo the span, so T_k adds what the lowest missing
+    monomial would, bounded by one on every interval.
 
-    That is T_k of the local coordinate for the lowest k whose relative L2
-    residual after projection onto the basis exceeds 1e-8.  The projection
-    is made on coefficients: with M = L L^T the closed-form Gram of the
+    Nothing is sampled again: with M = L L^T the closed-form Gram of the
     Chebyshev polynomials, the columns of Q = L^T C (C the basis series)
-    are orthonormal, and the residual of T_k is
-    |(I - Q Q^T) L^T e_k| / |L^T e_k|.  With T_0 .. T_{k-1} in the span,
-    x^k is a multiple of T_k modulo the span, so T_k adds what the lowest
-    missing monomial would, bounded by one on every interval.  RankError
-    if no k <= dim + 4 qualifies.
+    are orthonormal, and T_k's residual is w = (I - Q Q^T) L^T e_k.
+    Normalised and orthogonalised against Q once more, L^-T w is one more
+    row of the basis series, which are then rotated and signed as
+    ``orthonormalize``'s are.  RankError if no k <= dim + 4 qualifies.
     """
     if basis.dim % 2 == 0:
-        return span
+        return span, basis
     a, b = span.interval
     cap = basis.dim + 4
     length = max(basis.parent.dim, cap + 1)
-    upper = np.linalg.cholesky(_chebyshev_gram(a, b, length)).T
-    q = upper[:, :basis.parent.dim] @ basis.coeff_matrix.T
-    v = upper[:, :cap + 1]
-    resid = np.linalg.norm(v - q @ (q.T @ v), axis=0) / np.linalg.norm(v, axis=0)
-    if not np.any(resid > 1e-8):
+    lower = np.linalg.cholesky(_chebyshev_gram(a, b, length))
+    coeff = np.zeros((basis.dim + 1, length))
+    coeff[:-1, :basis.parent.dim] = basis.coeff_matrix
+    q = lower.T @ coeff[:-1].T
+    v = lower.T[:, :cap + 1]
+    resid = v - q @ (q.T @ v)
+    rel = np.linalg.norm(resid, axis=0) / np.linalg.norm(v, axis=0)
+    if not np.any(rel > 1e-8):
         raise RankError(f"no independent Chebyshev polynomial up to degree {cap}; "
                         "space looks pathological")
-    k = int(np.argmax(resid > 1e-8))
+    k = int(np.argmax(rel > 1e-8))
+    w = resid[:, k] / np.linalg.norm(resid[:, k])
+    w -= q @ (q.T @ w)
+    coeff[-1] = np.linalg.solve(lower.T, w / np.linalg.norm(w))
     cheb = _chebyshev(a, b, k + 1)
     spec = {"derived": "augmented", "parent": span.family_spec, "augment": f"T{k}",
             "interval": [a, b]}
-    return FunctionSpace(span.interval, span.labels + (f"T{k}",), spec,
-                         lambda x, d: np.concatenate([span.jet(x, d), cheb(x, d)[..., k:]], axis=2))
+    target = FunctionSpace(span.interval, span.labels + (f"T{k}",), spec,
+                           lambda x, d: np.concatenate([span.jet(x, d), cheb(x, d)[..., k:]], axis=2))
+    return target, _orthonormal_space(target, coeff, lower, np.linspace(a, b, 2 * length))
 
 
 # ---------------------------------------------------------------------------
@@ -682,30 +702,13 @@ def tchebyshev_screen(space: FunctionSpace, rng_seed: int = 0) -> TchebyshevRepo
 # ---------------------------------------------------------------------------
 # affine pull-back
 
-def pull_back(space: FunctionSpace, renormalize: bool = False) -> FunctionSpace:
-    """The same space expressed on the reference interval [-1, 1] via the
-    affine map x = a + (s + 1)(b - a)/2.
-
-    With ``renormalize`` the functions are scaled by sqrt(dx/ds) so an
-    L2-orthonormal basis stays orthonormal on [-1, 1].
-    """
+def pull_back(space: FunctionSpace) -> FunctionSpace:
+    """An ``orthonormalize`` basis on the reference interval [-1, 1], via
+    x = a + (s + 1)(b - a)/2: the same series on T_k(s), scaled by
+    sqrt(dx/ds) so that the basis stays orthonormal on [-1, 1]."""
     a, b = space.interval
-    jac = 0.5 * (b - a)                  # dx/ds
-    scale = math.sqrt(jac) if renormalize else 1.0
-    spec = {
-        "derived": "pull_back",
-        "parent": space.family_spec,
-        "interval": [-1.0, 1.0],
-        "renormalized": renormalize,
-    }
-    if space.coeff_matrix is not None:
-        return FunctionSpace((-1.0, 1.0), space.labels, spec,
-                             parent=pull_back(space.parent),
-                             coeff_matrix=scale * space.coeff_matrix)
-
-    factors = [scale, scale * jac, scale * jac * jac]    # d^k/ds^k picks up jac**k
-
-    def evaluate(s, k):
-        return np.array(factors[:k + 1])[:, None, None] * space.jet(a + (s + 1.0) * jac, k)
-
-    return FunctionSpace((-1.0, 1.0), space.labels, spec, evaluate)
+    spec = {"derived": "pull_back", "parent": space.family_spec, "interval": [-1.0, 1.0]}
+    parent = FunctionSpace((-1.0, 1.0), space.parent.labels, spec,
+                           _chebyshev(-1.0, 1.0, space.parent.dim))
+    return FunctionSpace((-1.0, 1.0), space.labels, spec, parent=parent,
+                         coeff_matrix=math.sqrt(0.5 * (b - a)) * space.coeff_matrix)

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fsbp.spaces import make_family, orthonormalize
+from fsbp.spaces import make_family
 from oracles import augmented_target, certified_rule
 from fsbp import refcases
 
@@ -16,19 +16,25 @@ def exp3_space():
 
 
 @pytest.fixture(scope="session")
-def exp3_target(exp3_space):
-    """Augmented product-derivative pairs of the exponential space."""
+def exp3_augmented(exp3_space):
+    """Augmented product-derivative pairs of the exponential space and
+    their orthonormal basis."""
     return augmented_target(exp3_space)
 
 
 @pytest.fixture(scope="session")
-def exp3_orthonormal(exp3_target):
-    return orthonormalize(exp3_target)
+def exp3_target(exp3_augmented):
+    return exp3_augmented[0]
 
 
 @pytest.fixture(scope="session")
-def exp3_closed_rule(exp3_target):
-    return certified_rule(exp3_target, closed=True)
+def exp3_orthonormal(exp3_augmented):
+    return exp3_augmented[1]
+
+
+@pytest.fixture(scope="session")
+def exp3_closed_rule(exp3_augmented):
+    return certified_rule(*exp3_augmented, closed=True)
 
 
 @pytest.fixture(scope="session")
@@ -37,5 +43,10 @@ def trig_space():
 
 
 @pytest.fixture(scope="session")
-def trig_target(trig_space):
+def trig_augmented(trig_space):
     return augmented_target(trig_space)
+
+
+@pytest.fixture(scope="session")
+def trig_target(trig_augmented):
+    return trig_augmented[0]

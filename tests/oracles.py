@@ -17,7 +17,7 @@ cardinal-basis section solves for the Hermite-Lagrange basis the Newton
 iteration only uses through its integrals, from the solver's own
 Hermite-Vandermonde rows.  ``augmented_target`` and ``certified_rule``
 are no oracles: they run the package's rule steps on a family and on a
-target spanning set, as the pipeline does.
+target spanning set with its basis, as the pipeline does.
 """
 
 import math
@@ -394,18 +394,19 @@ def residuals_and_weights(basis: HermiteLagrangeBasis, moments_vec: np.ndarray |
 # ---------------------------------------------------------------------------
 # the package's rule steps
 
-def augmented_target(space: FunctionSpace) -> FunctionSpace:
-    """The pipeline's target spanning set for a family: every product
-    derivative pair, plus one Chebyshev polynomial when their rank is odd."""
+def augmented_target(space: FunctionSpace) -> tuple[FunctionSpace, FunctionSpace]:
+    """The pipeline's target spanning set for a family and its orthonormal
+    basis, of even dimension: every product derivative pair, plus one
+    Chebyshev polynomial when their rank is odd."""
     product = product_derivative_space(space)
     return augment_to_even(product, orthonormalize(product))
 
 
-def certified_rule(target: FunctionSpace, closed: bool, **kw):
-    """Rule for a target spanning set: orthonormalise it, solve by measure
-    continuation (``kw`` goes to ``continuation_solve``) and certify the
-    rule once against every function of ``target``, with its rank."""
-    ortho = orthonormalize(target)
-    rule = continuation_solve(ortho, closed=closed, **kw)
-    rule.certificate = verify_exactness(rule, target, ortho.dim)
+def certified_rule(target: FunctionSpace, basis: FunctionSpace, closed: bool, **kw):
+    """Rule for a target spanning set and its orthonormal basis: solve on
+    the basis by measure continuation (``kw`` goes to
+    ``continuation_solve``) and certify the rule once against every
+    function of ``target``, with the basis's rank."""
+    rule = continuation_solve(basis, closed=closed, **kw)
+    rule.certificate = verify_exactness(rule, target, basis.dim)
     return rule

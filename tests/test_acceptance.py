@@ -15,7 +15,7 @@ from fsbp.gauss import QuadratureRule, verify_exactness
 from fsbp.ibvp import MmsCase, PdeParams, run_case
 from fsbp.operators import build_operator, verify_sbp
 from fsbp.pipeline import build_study_operator
-from fsbp.spaces import make_family, product_derivative_space
+from fsbp.spaces import make_family
 from fsbp import refcases
 
 from oracles import (
@@ -47,8 +47,8 @@ def fixture_matrix():
     rows = []
     for label, spec in FIXTURE_SPECS:
         space = make_family(spec)
-        target = augmented_target(space)
-        rule = certified_rule(target, closed=True)
+        target, basis = augmented_target(space)
+        rule = certified_rule(target, basis, closed=True)
         op = build_operator(space, rule)
         rows.append((label, space, target, rule, op))
     return rows
@@ -117,14 +117,14 @@ def test_criterion_4_classical_limit():
     t0 = time.perf_counter()
     worst_closed = worst_open = 0.0
     for n in range(2, 9):
-        target = product_derivative_space(
+        augmented = augmented_target(
             make_family({"family": "monomial", "degree": n, "interval": [-1, 1]}))
-        closed = certified_rule(target, closed=True)
+        closed = certified_rule(*augmented, closed=True)
         x_ref, w_ref = lobatto_nodes_weights(n + 1)
         worst_closed = max(worst_closed,
                            float(np.max(np.abs(closed.nodes - x_ref))),
                            float(np.max(np.abs(closed.weights - w_ref))))
-        open_rule = certified_rule(target, closed=False)
+        open_rule = certified_rule(*augmented, closed=False)
         x_ref, w_ref = gauss_nodes_weights(n)
         worst_open = max(worst_open,
                          float(np.max(np.abs(open_rule.nodes - x_ref))),
@@ -261,12 +261,12 @@ def test_criterion_9_uniform_grid_defect(exp3_space):
 
 
 @pytest.fixture(scope="module")
-def bessel_target():
+def bessel_augmented():
     space = make_family(refcases.BESSEL_SPEC)
     return augmented_target(space)
 
 
-def test_criterion_10_bessel_certificates(bessel_target):
+def test_criterion_10_bessel_certificates(bessel_augmented):
     """Bessel feature: the frozen 25-point rule is exact for the product
     span at 1e-7, and the pipeline's own minimal rule is certified.
 
@@ -276,10 +276,10 @@ def test_criterion_10_bessel_certificates(bessel_target):
     valid but not minimal.
     """
     t0 = time.perf_counter()
-    own = certified_rule(bessel_target, closed=True)
+    own = certified_rule(*bessel_augmented, closed=True)
     rank = own.certificate.target_dim
     frozen = refcases.bessel_reference_rule()
-    cert = verify_exactness(frozen, bessel_target, rank, tol=1e-7)
+    cert = verify_exactness(frozen, bessel_augmented[0], rank, tol=1e-7)
     elapsed = time.perf_counter() - t0
     ok = (cert.max_abs_error <= 1e-7
           and own.size == rank // 2 + 1
@@ -299,8 +299,8 @@ def test_criterion_10_bessel_certificates(bessel_target):
     "has 15 nodes and cannot match a 25-node table built atop 21 noise-level "
     "directions",
 )
-def test_criterion_10_bessel_node_reproduction(bessel_target):
-    rule = certified_rule(bessel_target, closed=True)
+def test_criterion_10_bessel_node_reproduction(bessel_augmented):
+    rule = certified_rule(*bessel_augmented, closed=True)
     assert rule.size == 25
     assert np.max(np.abs(rule.nodes - refcases.BESSEL_25_NODES)) <= 1e-6
     assert np.max(np.abs(rule.weights - refcases.BESSEL_25_WEIGHTS)) <= 1e-6

@@ -148,9 +148,8 @@ def test_newton_rejects_bad_input():
 
 # ------------------------------------------------------- continuation solve
 
-def test_classical_lobatto_n3(trig_target):
-    space = product_derivative_space(monomials(3))
-    rule = certified_rule(space, closed=True)
+def test_classical_lobatto_n3():
+    rule = certified_rule(*augmented_target(monomials(3)), closed=True)
     assert np.allclose(rule.nodes, [-1.0, -1.0 / np.sqrt(5.0), 1.0 / np.sqrt(5.0), 1.0],
                        atol=1e-12)
     assert np.allclose(rule.weights, [1.0 / 6.0, 5.0 / 6.0, 5.0 / 6.0, 1.0 / 6.0],
@@ -159,12 +158,12 @@ def test_classical_lobatto_n3(trig_target):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_classical_limits_against_oracle(n):
-    space = product_derivative_space(monomials(n))
-    closed = certified_rule(space, closed=True)
+    augmented = augmented_target(monomials(n))
+    closed = certified_rule(*augmented, closed=True)
     x_ref, w_ref = lobatto_nodes_weights(n + 1)
     assert np.max(np.abs(closed.nodes - x_ref)) < 1e-10
     assert np.max(np.abs(closed.weights - w_ref)) < 1e-10
-    open_rule = certified_rule(space, closed=False)
+    open_rule = certified_rule(*augmented, closed=False)
     x_ref, w_ref = gauss_nodes_weights(n)
     assert np.max(np.abs(open_rule.nodes - x_ref)) < 1e-10
     assert np.max(np.abs(open_rule.weights - w_ref)) < 1e-10
@@ -176,16 +175,16 @@ def test_exp3_closed_rule_matches_reference(exp3_closed_rule):
     assert np.allclose(exp3_closed_rule.weights, refcases.EXP3_CLOSED_WEIGHTS, atol=1e-8)
 
 
-def test_node_counts(trig_target):
-    rank = orthonormalize(trig_target).dim
-    rule_closed = certified_rule(trig_target, closed=True)
+def test_node_counts(trig_augmented):
+    rank = trig_augmented[1].dim
+    rule_closed = certified_rule(*trig_augmented, closed=True)
     assert rule_closed.size == rank // 2 + 1
-    rule_open = certified_rule(trig_target, closed=False)
+    rule_open = certified_rule(*trig_augmented, closed=False)
     assert rule_open.size == rank // 2
 
 
-def test_symmetric_space_gives_symmetric_nodes(trig_target):
-    rule = certified_rule(trig_target, closed=True)
+def test_symmetric_space_gives_symmetric_nodes(trig_augmented):
+    rule = certified_rule(*trig_augmented, closed=True)
     a, b = rule.interval
     assert np.max(np.abs((rule.nodes + rule.nodes[::-1]) - (a + b))) < 1e-9
     assert np.max(np.abs(rule.weights - rule.weights[::-1])) < 1e-9
@@ -194,7 +193,7 @@ def test_symmetric_space_gives_symmetric_nodes(trig_target):
 def test_affine_covariance(exp3_closed_rule):
     spec = dict(refcases.EXP3_SPEC)
     spec["interval"] = [2.0, 6.0]
-    mapped = certified_rule(augmented_target(make_family(spec)), closed=True)
+    mapped = certified_rule(*augmented_target(make_family(spec)), closed=True)
     assert np.max(np.abs(mapped.nodes - (2.0 + 4.0 * exp3_closed_rule.nodes))) < 1e-10
     assert np.max(np.abs(mapped.weights - 4.0 * exp3_closed_rule.weights)) < 1e-10
 
@@ -228,11 +227,12 @@ def test_screen_gate_blocks_and_force_overrides():
              lambda x: 2.0 * np.ones_like(np.asarray(x, float))),
         ],
     })
+    basis = orthonormalize(space)
     with pytest.raises(ScreenFailure):
-        certified_rule(space, closed=True)
+        certified_rule(space, basis, closed=True)
     # forcing proceeds to the solver, which reports the genuine failure
     with pytest.raises(SolverError, match="closed solve failed at size 1"):
-        certified_rule(space, closed=True, force=True)
+        certified_rule(space, basis, closed=True, force=True)
 
 
 def test_trace_records_solver_path(exp3_closed_rule):
@@ -307,7 +307,7 @@ def test_exp3_certificate_lists_every_pair():
 
 
 def test_open_rule_certificate(exp3_target, exp3_orthonormal):
-    rule = certified_rule(exp3_target, closed=False)
+    rule = certified_rule(exp3_target, exp3_orthonormal, closed=False)
     assert rule.size == exp3_orthonormal.dim // 2
     assert rule.certificate.valid
     assert 0.0 < rule.nodes[0] and rule.nodes[-1] < 1.0
@@ -385,7 +385,7 @@ def test_equispaced_rule_bumps_node_count():
         equispaced_rule(orthonormalize(target), n_nodes=3)
     bl = make_family({"family": "exponential", "rates": [10.0], "poly_degree": 1,
                       "interval": [0, 1]})
-    ortho = orthonormalize(augmented_target(bl))
+    _, ortho = augmented_target(bl)
     rule = equispaced_rule(ortho)
     assert rule.size > ortho.dim          # exactness needs extra points here
     assert np.min(rule.weights) > 0

@@ -29,8 +29,8 @@ from oracles import advdiff_rhs, advection_rhs, certified_rule, p_norm_squared, 
 
 
 @pytest.fixture(scope="module")
-def trig_operator(trig_space, trig_target):
-    rule = certified_rule(trig_target, closed=True)
+def trig_operator(trig_space, trig_augmented):
+    rule = certified_rule(*trig_augmented, closed=True)
     return build_operator(trig_space, rule)
 
 

@@ -152,7 +152,7 @@ def test_structural_invariants_across_fixture_matrix():
     rng = np.random.default_rng(0)
     for spec in specs:
         space = make_family(spec)
-        rule = certified_rule(augmented_target(space), closed=True)
+        rule = certified_rule(*augmented_target(space), closed=True)
         op = build_operator(space, rule)
         verdict = verify_sbp(op, space, rng_seed=int(rng.integers(1 << 30)))
         assert verdict.max_skew_defect <= 1e-12, spec
