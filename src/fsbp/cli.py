@@ -52,11 +52,15 @@ class VerificationFailure(RuntimeError):
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     """CSV file of ``rows`` under ``header``: floats in 17 significant
-    digits, every other value as ``str``, one %-format string per row."""
+    digits, every other value as ``str``.  The first row fixes each
+    column's format, so the file takes one %-format string."""
+    rows = map(tuple, rows)
+    first = next(rows, None)
     lines = [",".join(header)]
-    for row in rows:
-        row = tuple(row)
-        lines.append(",".join(["%.17g" if isinstance(v, float) else "%s" for v in row]) % row)
+    if first is not None:
+        fmt = ",".join(["%.17g" if isinstance(v, float) else "%s" for v in first])
+        lines.append(fmt % first)
+        lines.extend(map(fmt.__mod__, rows))
     path.write_text("\n".join(lines) + "\n")
 
 

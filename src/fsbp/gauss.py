@@ -18,9 +18,10 @@ raises SolverError naming its size and its last Newton error.
 working basis that ``spaces.orthonormalize`` produces, a truncated
 Chebyshev series, and read its moments in closed form from the series
 coefficients.  Every solver returns an uncertified rule (``certificate``
-None): ``verify_exactness``, which integrates the target adaptively, is
-the one exactness check, and the callers that write a rule (the pipeline
-and the CLI) certify it once against the span they need.
+None): ``verify_exactness``, which takes the target's moments from the
+family's endpoint values, is the one exactness check, and the callers
+that write a rule (the pipeline and the CLI) certify it once against the
+span they need.
 
 The solver's tolerances and schedule are the module constants below;
 every rule is computed against the unit weight on its interval.  All
@@ -33,7 +34,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .integrate import moments
+from .integrate import IntegrationError, moments
 from .spaces import FunctionSpace, pull_back, tchebyshev_screen
 
 __all__ = [
@@ -471,11 +472,20 @@ def verify_exactness(
     becomes ``target_dim``.  The certificate tolerance is ``tol`` scaled by
     the largest moment magnitude (floored at one); stored errors are raw
     absolute errors.
+
+    The moments are the span's closed-form ones where it has them (the
+    product-derivative pairs and their parity augmentation, from the
+    family's values at the endpoints), so the check stays independent of
+    the solvers' Chebyshev-series moments; any other space is integrated
+    adaptively (``integrate.moments``).  A non-finite moment raises
+    IntegrationError.
     """
     a, b = space.interval
     if np.any(rule.nodes < a - 1e-12 * (b - a)) or np.any(rule.nodes > b + 1e-12 * (b - a)):
         raise ValueError("rule nodes fall outside the space's interval")
-    m = moments(space)
+    m = moments(space) if space._moments is None else space._moments()
+    if not np.all(np.isfinite(m)):
+        raise IntegrationError("non-finite moment: a basis function is not finite at an endpoint")
     approx = rule.weights @ space.collocation(rule.nodes)
     errors = np.abs(approx - m)
     return ExactnessCertificate(

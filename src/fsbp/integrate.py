@@ -11,9 +11,12 @@ one-component case.  ``moments`` integrates a space's basis against
 the unit weight, the only measure the package uses.  Its tolerances are
 the fixed ``DEFAULT_ENGINE`` (1e-12 absolute and relative, at most
 10 000 subdivisions); nothing in the package passes other tolerances.
-The rule solvers integrate nothing here: their orthonormal Chebyshev
-bases have closed-form moments.  ``moments`` is the independent check
-that certifies each rule against its target span.
+No command-line path integrates here.  The rule solvers read their
+orthonormal Chebyshev bases' moments from the series coefficients, and
+``gauss.verify_exactness`` reads a product-derivative target's from the
+family's endpoint values.  ``moments`` is the reference the tests check
+both against, and the certificate's fallback for a space given by a
+library caller that has no closed-form integrals.
 
 Integrands must be vectorised (accept an ndarray of abscissae) and
 finite everywhere on the closed interval.  Everything here is pure and

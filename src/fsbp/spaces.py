@@ -11,11 +11,14 @@ stack the user's callables.  Derived spaces map their parent's jet:
 
 - product-derivative span: every pair (i, j) with i <= j, from one parent
   jet of one order more, by Leibniz' rule on (f_i f_j)' = f_i' f_j + f_i f_j';
+  its integrals are closed-form, f_i f_j(b) - f_i f_j(a), from one parent
+  collocation at the endpoints (the fundamental theorem of calculus);
 - orthonormal spaces: the jet of their Chebyshev parent times
   ``coeff_matrix.T``;
 - prefixes: a slice of the coefficient rows, or of the last axis;
 - parity augmentation: one Chebyshev column appended along the last axis
-  of the target, and its residual as one more row of the basis series;
+  of the target, with T_k's integral appended to the target's, and its
+  residual as one more row of the basis series;
 - pull-back: the same series on the reference interval.
 
 Differentiation therefore never falls back to numerical differencing.
@@ -83,7 +86,9 @@ class FunctionSpace:
     ``coeff_matrix`` (rows = members), and their jet is the parent's jet
     times ``coeff_matrix.T``; every other space's jet comes from its
     ``evaluate`` callable, which returns the same (k + 1, len(xs), dim)
-    stack.
+    stack.  The product-derivative span and its parity augmentation set
+    ``_moments``, a callable returning the integrals of the basis over the
+    interval in closed form; it is None on every other space.
     """
 
     def __init__(
@@ -112,6 +117,7 @@ class FunctionSpace:
             raise ValueError("a space needs an evaluator or a coeff_matrix")
         self.coeff_matrix = coeff_matrix
         self._evaluate = evaluate
+        self._moments: Callable[[], np.ndarray] | None = None
 
     @property
     def dim(self) -> int:
@@ -394,7 +400,8 @@ def product_derivative_space(space: FunctionSpace) -> FunctionSpace:
 
     Dependent and vanishing pairs such as (1*1)' stay in; ``orthonormalize``
     decides the rank.  The parent needs second derivatives; FamilyError
-    otherwise.
+    otherwise.  The integral of (f_i f_j)' is f_i f_j(b) - f_i f_j(a),
+    read from one parent collocation at the endpoints.
     """
     pi, pj = np.triu_indices(space.dim)
     a, b = space.interval
@@ -402,8 +409,16 @@ def product_derivative_space(space: FunctionSpace) -> FunctionSpace:
     labels = [f"({space.labels[i]}*{space.labels[j]})'" for i, j in zip(pi, pj)]
     spec = {"derived": "product_derivative", "parent": space.family_spec, "dim": int(pi.size),
             "interval": [a, b]}
-    return FunctionSpace(space.interval, labels, spec,
-                         lambda x, k: _pair_derivatives(space, x, k, pi, pj))
+    pairs = FunctionSpace(space.interval, labels, spec,
+                          lambda x, k: _pair_derivatives(space, x, k, pi, pj))
+
+    def moments():
+        ends = space.collocation(np.array([a, b]))
+        products = ends[:, pi] * ends[:, pj]
+        return products[1] - products[0]
+
+    pairs._moments = moments
+    return pairs
 
 
 def _chebyshev(a: float, b: float, length: int) -> Evaluator:
@@ -559,6 +574,8 @@ def augment_to_even(span: FunctionSpace,
     Normalised and orthogonalised against Q once more, L^-T w is one more
     row of the basis series, which are then rotated and signed as
     ``orthonormalize``'s are.  RankError if no k <= dim + 4 qualifies.
+    The target's integrals, when ``span``'s are closed-form, are followed
+    by T_k's: (b - a)/(1 - k^2) for even k, 0 for odd k.
     """
     if basis.dim % 2 == 0:
         return span, basis
@@ -584,6 +601,9 @@ def augment_to_even(span: FunctionSpace,
             "interval": [a, b]}
     target = FunctionSpace(span.interval, span.labels + (f"T{k}",), spec,
                            lambda x, d: np.concatenate([span.jet(x, d), cheb(x, d)[..., k:]], axis=2))
+    if span._moments is not None:
+        integral = (b - a) / (1.0 - k * k) if k % 2 == 0 else 0.0
+        target._moments = lambda: np.append(span._moments(), integral)
     return target, _orthonormal_space(target, coeff, lower, np.linspace(a, b, 2 * length))
 
 

@@ -228,6 +228,29 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "solver error: RankError: non-finite basis values" in capsys.readouterr().err
 
 
+def test_non_finite_endpoint_value_exits_3(tmp_path, capsys, monkeypatch):
+    # a family value that overflows at an endpoint only, which no sample of
+    # the rank decision or the solver reaches: the closed-form certificate
+    # moments are not finite, a solver error, and no certificate is written
+    from fsbp import spaces
+
+    powers = spaces._powers
+
+    def overflowing_at_one(s, degrees, k):
+        out = powers(s, degrees, k)
+        out[:, s == 1.0, -1] = np.inf
+        return out
+
+    monkeypatch.setattr(spaces, "_powers", overflowing_at_one)
+    cfg = write_config(tmp_path / "mono.json", {"space": {
+        "family": "monomial", "degree": 3, "interval": [-1, 1]}, "mode": "open"})
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main(["rule", "--config", cfg, "--out", str(out)]) == 3
+    assert "IntegrationError: non-finite moment" in capsys.readouterr().err
+    assert not (out / "rule.json").exists()
+
+
 @pytest.mark.parametrize("space", [
     {"family": "monomial", "degree": 2.7, "interval": [0, 1]},
     {"family": "bessel", "orders": [0.5, 1.9], "interval": [0, 25]},
@@ -553,6 +576,19 @@ def test_converge_command_emits_table(tmp_path):
         assert errs[0] > errs[-1], label
     header = (out / "convergence.csv").read_text().splitlines()[0]
     assert header.startswith("operator,elements")
+
+
+def test_csv_bytes_for_mixed_columns(tmp_path):
+    # the columns of convergence.csv and solution.csv: a str label, ints,
+    # floats in 17 significant digits and NaN for a missing value
+    path = tmp_path / "mixed.csv"
+    cli.write_csv(path, ["operator", "elements", "error_norm", "observed_order"],
+                  iter([("gglq", 8, 0.1, float("nan")), ["gll-4", 16, 1.0 / 3.0, 2.0]]))
+    assert path.read_bytes() == (b"operator,elements,error_norm,observed_order\n"
+                                 b"gglq,8,0.10000000000000001,nan\n"
+                                 b"gll-4,16,0.33333333333333331,2\n")
+    cli.write_csv(path, ["element", "x", "u"], [])
+    assert path.read_bytes() == b"element,x,u\n"
 
 
 def test_converge_fills_missing_params_from_the_frozen_study(tmp_path):

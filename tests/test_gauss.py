@@ -344,15 +344,24 @@ def test_pipeline_certifies_each_rule_once(monkeypatch):
 
 
 def test_solvers_take_closed_form_moments(monkeypatch, exp3_orthonormal):
-    # the orthonormal basis is a Chebyshev series: neither solver integrates
+    # the orthonormal basis is a Chebyshev series: neither solver
+    # integrates; the certificates of every command-line path read the
+    # product-derivative target's moments from the family's endpoint values
     import fsbp.integrate
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("integrate_vector called by a solver")
+        raise AssertionError("integrate_vector called on a command-line path")
 
     monkeypatch.setattr(fsbp.integrate, "integrate_vector", forbidden)
     assert continuation_solve(exp3_orthonormal, closed=True).size == 4
     assert equispaced_rule(exp3_orthonormal).size == 6
+    for mode in ("closed", "open"):
+        assert pipeline.solve_rule_pipeline(refcases.EXP3_SPEC, mode).rule.certificate.valid
+    gll = {"family": "monomial", "degree": 4, "interval": [0, 1]}
+    for spec, node_mode in ((refcases.EXP3_SPEC, "gglq"), (gll, "classical-gll"),
+                            (refcases.EXP3_SPEC, "equispaced")):
+        _, rule, verdict = pipeline.build_study_operator(spec, node_mode)
+        assert rule.certificate.valid and verdict.passed
 
 
 @pytest.mark.parametrize("degree, interval", [(8, (0, 1)), (10, (0, 1)), (16, (-1, 1))])

@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` looks up modules, classes and call signatures of
 the package by name; a removed or renamed one would only show in a
 traced benchmark run.  This installs the tracer, runs one small solve
-through the CLI and uninstalls it again.  Nothing under ``perfbench/``
-is written.
+through the CLI plus one direct adaptive integration (no CLI path
+integrates adaptively) and uninstalls it again.  Nothing under
+``perfbench/`` is written.
 """
 
 import importlib.util
@@ -13,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+import fsbp.integrate
 from fsbp import cli, ibvp, pipeline
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -48,6 +50,7 @@ def test_tracer_installs_and_uninstalls(tmp_path):
     try:
         assert all(getattr(mod, name) is not fn for (mod, name), fn in originals.items())
         assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert fsbp.integrate.integrate_vector(lambda x: x, 0.0, 1.0).converged
     finally:
         tracer.uninstall()
     assert all(getattr(mod, name) is fn for (mod, name), fn in originals.items())
@@ -58,7 +61,7 @@ def test_tracer_installs_and_uninstalls(tmp_path):
     assert metrics["pipeline.build_study_operator.calls"] == 1
     assert metrics["gauss.newton_solve.calls"] > 0
     assert metrics["gauss.homotopy_steps"] > 0
-    assert metrics["integrate.integrate_vector.calls"] > 0
+    assert metrics["integrate.integrate_vector.calls"] == 1
     assert metrics["operators.build_operator.calls"] == 1
     assert metrics["ibvp.rk4_steps"] > 0
     assert metrics["ibvp.time_integrate.s"] > 0

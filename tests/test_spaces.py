@@ -262,6 +262,31 @@ def test_product_space_fundamental_theorem(exp3_space):
             assert res.values[0] == pytest.approx(float(expected), abs=1e-10)
 
 
+# multi-rate exponentials {-r, r}, trig harmonics at a frequency scale and
+# monomials, each drawn on an affine image of [-1, 1]
+_MOMENT_FAMILIES = st.one_of(
+    st.builds(lambda r, p: {"family": "exponential", "rates": [-r, r], "poly_degree": p},
+              st.floats(0.1, 10.0), st.integers(0, 2)),
+    st.builds(lambda k, f: {"family": "trig", "max_harmonic": k, "freq_scale": f},
+              st.integers(1, 6), st.floats(0.25, 1.0)),
+    st.builds(lambda d: {"family": "monomial", "degree": d}, st.integers(1, 10)),
+)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(family=_MOMENT_FAMILIES, centre=st.floats(-5.0, 5.0), half=st.floats(0.1, 3.0))
+def test_closed_form_moments_match_adaptive_integration(family, centre, half):
+    from fsbp.integrate import moments
+
+    spec = {**family, "interval": [centre - half, centre + half]}
+    product = product_derivative_space(make_family(spec))
+    target, _ = augment_to_even(product, orthonormalize(product))
+    for space in (product, target):
+        closed, adaptive = space._moments(), moments(space)
+        assert closed.shape == (space.dim,)
+        assert np.all(np.abs(closed - adaptive) <= 1e-12 * np.maximum(1.0, np.abs(adaptive))), spec
+
+
 # ----------------------------------------------------------- orthonormalize
 
 def test_orthonormalize_closed_form():
