@@ -7,17 +7,16 @@ zero-data runs have non-increasing discrete energy; accuracy is measured
 against manufactured solutions.
 
 Both semi-discretisations are affine.  ``assemble`` writes each scheme
-once in ``scipy.sparse`` algebra (the block-diagonal element derivative
-D, the interface jump matrix J, P^-1-scaled face lifts and the boundary
-traces) as an :class:`AffineProblem`
+once on element bands (:class:`ElementBand`: the p x p blocks that each
+element's rows couple) as an :class:`AffineProblem`
 
     du/dt = A u + C g(t),
 
-with the data in factored form: the columns of C are the boundary
-lifts, followed by an identity block when the case has a source, and
-g(t) holds the boundary data, followed by the source at every node.
-Advection-diffusion also keeps the gradient map phi = Phi u; its system,
-eps I plus one 2x2 block per interface, is inverted in closed form.
+with the data in factored form: the dense columns of C are the boundary
+lifts, then the profile of a separable forcing, and g(t) holds the
+boundary data, then the forcing's amplitude.  Advection-diffusion also
+keeps the gradient map phi = Phi u; its system, eps I plus one 2x2 block
+per interface, is inverted in closed form.
 
 Because the system is affine, one step of the classical four-stage
 scheme with step h is, in closed form with B = hA and q = C g,
@@ -26,15 +25,9 @@ scheme with step h is, in closed form with B = hA and q = C g,
     R = I + B + B^2/2 + B^3/6 + B^4/24,
     M1 = I + B + B^2/2 + B^3/4,   M2 = 4I + 2B + B^2/2.
 
-``time_integrate`` builds R and the forcing columns (h/6)[M1 C | M2 C | C]
-once per solve and marches in blocks of ``BLOCK_STEPS`` steps: per block
-it evaluates g at every stage time in one call, turns the data into the
-block's forcing vectors f_k with one product with the forcing columns
-and the states' energies with one product over the block.  R is held by
-element bands, a dense (E, p, (lo + hi + 1) p) stack of the p x p blocks
-each element's row couples, so each step is one batched product
-u <- R u + f_k over windows of a zero-padded state buffer: work and
-memory linear in the element count.
+``time_integrate`` builds R by band products and the forcing columns
+(h/6)[M1 C | M2 C | C] once per solve and marches with work and memory
+linear in the element count.
 
 ``run_case`` is the one solve: it tiles the unit domain with copies of a
 reference operator, assembles the problem, picks the step from the CFL
@@ -45,14 +38,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import FsbpOperator, scale_to_element
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "PdeParams",
@@ -60,8 +51,10 @@ __all__ = [
     "AdvectionDiffusionSats",
     "MultiElementGrid",
     "EnergyTrace",
+    "SeparableForcing",
     "MmsCase",
     "BlowUpError",
+    "ElementBand",
     "AffineProblem",
     "assemble",
     "time_integrate",
@@ -231,6 +224,18 @@ def _time_axes(t, x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class SeparableForcing:
+    """A forcing profile(x) * amplitude(t); called as ``forcing(x, t)``
+    it returns shape ``t.shape + x.shape``."""
+
+    profile: Callable[[np.ndarray], np.ndarray]
+    amplitude: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x, t) -> np.ndarray:
+        return np.multiply.outer(np.broadcast_to(self.amplitude(t), np.shape(t)), self.profile(x))
+
+
+@dataclass(frozen=True)
 class MmsCase:
     """A manufactured solution with consistent data.
 
@@ -245,7 +250,7 @@ class MmsCase:
     initial: Callable[[np.ndarray], np.ndarray]
     boundary_left: Callable[[np.ndarray], np.ndarray]
     boundary_right: Callable[[np.ndarray], np.ndarray] | None = None
-    forcing: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    forcing: SeparableForcing | None = None
 
     @classmethod
     def advecting_wave(cls, a: float) -> "MmsCase":
@@ -265,11 +270,11 @@ class MmsCase:
     def boundary_layer(cls, a: float, eps: float) -> "MmsCase":
         """Steep layer profile (exp(a x / eps) - 1) / (exp(a / eps) - 1) * exp(t/10).
 
-        Satisfies the advection-diffusion equation up to the forcing
-        exact/10; the left datum is the inflow flux a*u - eps*u_x and
-        the right datum the diffusive flux eps*u_x.  With r = a/eps the
-        profile is evaluated as (exp(r (x - 1)) - exp(-r)) / (1 - exp(-r)),
-        which does not overflow however steep the layer.
+        Satisfies the advection-diffusion equation up to the separable
+        forcing exact/10; the left datum is the inflow flux a*u - eps*u_x
+        and the right datum the diffusive flux eps*u_x.  With r = a/eps
+        the profile is evaluated as (exp(r (x - 1)) - exp(-r)) /
+        (1 - exp(-r)), which does not overflow however steep the layer.
         """
         r = a / eps
         scale = -math.expm1(-r)
@@ -278,12 +283,11 @@ class MmsCase:
         def growth(t):
             return np.exp(0.1 * np.asarray(t, dtype=float))
 
-        def exact(x, t):
-            x = np.asarray(x, dtype=float)
-            return (np.exp(r * (x - 1.0)) - floor) / scale * growth(_time_axes(t, x))
+        def profile(x):
+            return (np.exp(r * (np.asarray(x, dtype=float) - 1.0)) - floor) / scale
 
-        def forcing(x, t):
-            return 0.1 * exact(x, t)
+        def exact(x, t):
+            return profile(x) * growth(_time_axes(t, x))
 
         def g_left(t):
             # a*u - eps*u_x at x = 0, where u vanishes
@@ -298,8 +302,63 @@ class MmsCase:
             initial=lambda x: exact(x, 0.0),
             boundary_left=g_left,
             boundary_right=g_right,
-            forcing=forcing,
+            forcing=SeparableForcing(profile, lambda t: 0.1 * growth(t)),
         )
+
+
+# ---------------------------------------------------------------------------
+# element bands
+
+class ElementBand:
+    """An n x n matrix on E elements of p nodes by element bands: the
+    dense (E, p, (lo + hi + 1) p) stack ``blocks`` whose block row e
+    holds the p x p blocks e - lo .. e + hi side by side, zero outside
+    the grid.  Outer offsets that are exactly zero on every block row
+    are dropped.  ``band @ x`` is the band product for a band x, else
+    the product with a vector (n,) or columns (n, K)."""
+
+    __array_ufunc__ = None      # numpy operands defer to the operators below
+
+    def __init__(self, blocks, lo: int = 0, hi: int = 0):
+        blocks = np.asarray(blocks, dtype=float)
+        if blocks.ndim != 3 or blocks.shape[2] != (lo + hi + 1) * blocks.shape[1]:
+            raise ValueError(f"offsets -{lo}..{hi} need blocks (E, p, (lo + hi + 1) p)")
+        p = blocks.shape[1]
+        while lo and not blocks[:, :, :p].any():
+            blocks, lo = blocks[:, :, p:], lo - 1
+        while hi and not blocks[:, :, -p:].any():
+            blocks, hi = blocks[:, :, :-p], hi - 1
+        self.blocks, self.lo, self.hi = np.ascontiguousarray(blocks), lo, hi
+
+    def __rmul__(self, c: float) -> "ElementBand":
+        return ElementBand(c * self.blocks, self.lo, self.hi)
+
+    def __add__(self, other: "ElementBand") -> "ElementBand":
+        lo, hi, p = max(self.lo, other.lo), max(self.hi, other.hi), self.blocks.shape[1]
+        widened = [np.pad(b.blocks, ((0, 0), (0, 0), ((lo - b.lo) * p, (hi - b.hi) * p)))
+                   for b in (self, other)]
+        return ElementBand(widened[0] + widened[1], lo, hi)
+
+    def __matmul__(self, other):
+        e_count, p, _ = self.blocks.shape
+        if isinstance(other, ElementBand):
+            x, shift = other.blocks, p
+        else:
+            x, shift = np.asarray(other, dtype=float).reshape(e_count, p, -1), 0
+        # block row e gains self's block (e, a) times block row e + a of
+        # x, whose block rows are padded so that every e + a exists; a
+        # band's columns shift with a
+        rows = np.pad(x, ((self.lo, self.hi), (0, 0), (0, 0)))
+        out = np.zeros((e_count, p, x.shape[2] + shift * (self.lo + self.hi)))
+        for i in range(self.lo + self.hi + 1):
+            out[:, :, i * shift:i * shift + x.shape[2]] += (
+                self.blocks[:, :, i * p:(i + 1) * p] @ rows[i:i + e_count])
+        if shift:
+            return ElementBand(out, self.lo + other.lo, self.hi + other.hi)
+        return out.reshape(np.shape(other))
+
+    def toarray(self) -> np.ndarray:
+        return self @ np.eye(self.blocks.shape[0] * self.blocks.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +368,22 @@ class MmsCase:
 class AffineProblem:
     """A semi-discretisation du/dt = A u + C g(t) on a grid.
 
-    States are stacked (E, p) like the grid's nodes; ``A`` and ``C``
-    (CSR) act on them flattened element by element.  The data is held
-    in factored form: ``boundary`` holds the boundary data functions in
-    the order of the leading columns of ``C``, and a case with a forcing
-    appends an identity block to ``C`` and the forcing at every node to
-    g.  ``gradient_map`` (advection-diffusion only) maps a state to its
-    gradient variable phi.
+    States are stacked (E, p) like the grid's nodes; the band ``A`` and
+    the dense n x m ``C`` act on them flattened element by element.
+    ``columns`` holds the functions of time that make up g, one per
+    column of ``C``: the boundary data, then the amplitude of a
+    separable forcing.  ``gradient_map`` (advection-diffusion only) maps
+    a state to its gradient variable phi.
     """
 
     grid: MultiElementGrid
     params: PdeParams
     case: MmsCase
     sats: AdvectionSats | AdvectionDiffusionSats
-    A: sp.csr_array
-    C: sp.csr_array
-    boundary: tuple
-    gradient_map: sp.csr_array | None = None
+    A: ElementBand
+    C: np.ndarray
+    columns: tuple
+    gradient_map: ElementBand | None = None
 
     def initial(self) -> np.ndarray:
         return self.case.initial(self.grid.nodes)
@@ -334,15 +392,10 @@ class AffineProblem:
         """The data factor g at the times ``t``: one row per time, one
         column per column of ``C``."""
         t = np.asarray(t, dtype=float)
-        cols = [np.broadcast_to(fn(t), t.shape)[..., None] for fn in self.boundary]
-        if self.case.forcing is not None:
-            cols.append(self.case.forcing(self.grid.nodes, t).reshape(t.shape + (-1,)))
-        return np.concatenate(cols, axis=-1)
-
-    def data(self, t: np.ndarray) -> np.ndarray:
-        """The affine part g(t) C^T at the times ``t``: one row per time,
-        flattened like the state."""
-        return self.g(t) @ self.C.T
+        out = np.empty(t.shape + (len(self.columns),))
+        for j, fn in enumerate(self.columns):
+            out[..., j] = fn(t)
+        return out
 
     def energies(self, ys: np.ndarray) -> np.ndarray:
         """The discrete energies u^T P u of the flattened states, the rows
@@ -364,25 +417,6 @@ class AffineProblem:
         return float(np.linalg.eigvalsh(0.5 * (pa + pa.T))[-1])
 
 
-def _rows(index, n: int) -> sp.csr_array:
-    """The rows of the n x n identity listed in ``index``."""
-    import scipy.sparse as sp
-
-    index = np.asarray(index)
-    return sp.csr_array((np.ones(index.size), (np.arange(index.size), index)),
-                        shape=(index.size, n))
-
-
-def _with_source(C: sp.sparray, case: MmsCase) -> sp.csr_array:
-    """The boundary lifts ``C``, with an identity block appended when
-    ``case`` has a forcing."""
-    import scipy.sparse as sp
-
-    if case.forcing is None:
-        return sp.csr_array(C)
-    return sp.hstack([C, sp.eye_array(C.shape[0])], format="csr")
-
-
 def assemble(
     problem_kind: str, grid: MultiElementGrid, params: PdeParams, case: MmsCase
 ) -> AffineProblem:
@@ -395,46 +429,50 @@ def assemble(
     leading face; the inflow condition is imposed weakly at the global
     left boundary, the diffusive flux at the right one.
     """
-    import scipy.sparse as sp
-
     e_count, p = grid.n_elements, grid.nodes_per_element
-    n = e_count * p
-    a, eps = params.a, params.eps
-    D = sp.bsr_array((grid.D, np.arange(e_count), np.arange(e_count + 1)),
-                     shape=(n, n)).tocsr()
-    pinv = sp.diags_array(grid.Pinv.reshape(-1))
-    trailing = np.arange(e_count - 1) * p + p - 1
-    t_face, l_face = _rows(trailing, n), _rows(trailing + 1, n)
-    left, right = _rows([0], n), _rows([n - 1], n)
-    J = t_face - l_face
+    a, eps, pinv = params.a, params.eps, grid.Pinv
+    t_lift, l_lift = pinv[:-1, -1], pinv[1:, 0]     # P^-1 at the two faces of each interface
 
-    def lift(s_l, s_r):    # (n, E - 1): penalty pair on each jump, onto both faces
-        return pinv @ (s_l * t_face - s_r * l_face).T
+    def band(diag, s_l=0.0, s_r=0.0, left=0.0, right=0.0) -> ElementBand:
+        """``diag`` on the diagonal blocks, the pair (s_l, s_r) on every
+        jump, and left P^-1 u, right P^-1 u at the first and last node."""
+        blocks = np.zeros((e_count, p, 3 * p))
+        blocks[:, :, p:2 * p] = diag
+        blocks[:-1, -1, 2 * p - 1] += s_l * t_lift
+        blocks[:-1, -1, 2 * p] -= s_l * t_lift
+        blocks[1:, 0, p - 1] -= s_r * l_lift
+        blocks[1:, 0, p] += s_r * l_lift
+        blocks[0, 0, p] += left * pinv[0, 0]
+        blocks[-1, -1, 2 * p - 1] += right * pinv[-1, -1]
+        return ElementBand(blocks, 1, 1)
 
     if problem_kind == "advection":
         s = AdvectionSats.stable(a)
-        A = -a * D + lift(s.sigma_l, s.sigma_r) @ J + s.tau_l * pinv @ left.T @ left
-        C = -s.tau_l * pinv @ left.T
-        return AffineProblem(grid, params, case, s, sp.csr_array(A), _with_source(C, case),
-                             (case.boundary_left,))
-    if problem_kind != "advection_diffusion":
+        A, phi = band(-a * grid.D, s.sigma_l, s.sigma_r, left=s.tau_l), None
+        faces, lifts, columns = [0], [-s.tau_l * pinv[0, 0]], [case.boundary_left]
+    elif problem_kind == "advection_diffusion":
+        if eps <= 0:
+            raise ValueError("advection-diffusion needs eps > 0")
+        s = AdvectionDiffusionSats.stable(a, eps)
+        # the gradient system eps I - L4 J couples only the two faces of
+        # each interface, so J L4 is diagonal and the Woodbury identity
+        # inverts it: (I + L4 W J) / eps with W = (eps - J L4)^-1
+        w = 1.0 / (eps - s.sigma4_l * t_lift - s.sigma4_r * l_lift)
+        m_inv = (1.0 / eps) * band(np.eye(p), w * s.sigma4_l, w * s.sigma4_r)
+        phi = m_inv @ band(eps * grid.D, s.sigma3_l, s.sigma3_r)
+        A = (band(-a * grid.D, s.sigma1_l, s.sigma1_r, left=s.tau_l * a)
+             + band(eps * grid.D, s.sigma2_l, s.sigma2_r, left=-s.tau_l * eps,
+                    right=s.tau_r * eps) @ phi)
+        faces, lifts = [0, e_count * p - 1], [-s.tau_l * pinv[0, 0], -s.tau_r * pinv[-1, -1]]
+        columns = [case.boundary_left, case.boundary_right or (lambda t: 0.0)]
+    else:
         raise ValueError(f"unknown problem kind {problem_kind!r}")
-    if eps <= 0:
-        raise ValueError("advection-diffusion needs eps > 0")
-    s = AdvectionDiffusionSats.stable(a, eps)
-    # the gradient system eps I - L4 J couples only the two faces of each
-    # interface, so J L4 is diagonal and the Woodbury identity inverts it
-    l4 = lift(s.sigma4_l, s.sigma4_r)
-    m_inv = (sp.eye_array(n) + l4 @ sp.diags_array(1.0 / (eps - (J @ l4).diagonal())) @ J) / eps
-    phi = sp.csr_array(m_inv @ (eps * D + lift(s.sigma3_l, s.sigma3_r) @ J))
-    A = (-a * D + lift(s.sigma1_l, s.sigma1_r) @ J
-         + (eps * D + lift(s.sigma2_l, s.sigma2_r) @ J) @ phi
-         + s.tau_l * pinv @ left.T @ (a * left - eps * left @ phi)
-         + s.tau_r * eps * pinv @ right.T @ right @ phi)
-    C = -pinv @ sp.hstack([s.tau_l * left.T, s.tau_r * right.T])
-    g_right = case.boundary_right or (lambda t: 0.0)
-    return AffineProblem(grid, params, case, s, sp.csr_array(A), _with_source(C, case),
-                         (case.boundary_left, g_right), phi)
+    C = np.zeros((e_count * p, len(faces) + (case.forcing is not None)))
+    C[faces, range(len(faces))] = lifts
+    if case.forcing is not None:
+        C[:, -1] = case.forcing.profile(grid.nodes).reshape(-1)
+        columns.append(case.forcing.amplitude)
+    return AffineProblem(grid, params, case, s, A, C, tuple(columns), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -446,78 +484,43 @@ def cfl_timestep(grid: MultiElementGrid, params: PdeParams, cfl: float = 0.1) ->
     return cfl * h / (params.a + params.eps / h)
 
 
-def _block_band(r: sp.sparray, p: int):
-    """``r`` by element bands: the dense (E, p, (lo + hi + 1) p) stack
-    whose block row e holds the p x p blocks e - lo .. e + hi of ``r``
-    side by side (zero where they fall outside the grid), with lo and hi
-    the widest block offsets of ``r``'s sparsity pattern below and above
-    the diagonal.
-
-    Returns (band, lo, hi).
-    """
-    coo = r.tocoo()
-    coo.sum_duplicates()
-    rows, cols = coo.row, coo.col
-    offset = cols // p - rows // p
-    lo, hi = int(-offset.min(initial=0)), int(offset.max(initial=0))
-    band = np.zeros((r.shape[0] // p, p, (lo + hi + 1) * p))
-    band[rows // p, rows % p, (offset + lo) * p + cols % p] = coo.data
-    return band, lo, hi
+def _horner(b: ElementBand, coeffs, x):
+    """sum_k coeffs[k] B^k x by Horner's rule, for a band or columns x."""
+    acc = coeffs[-1] * x
+    for c in coeffs[-2::-1]:
+        acc = b @ acc + c * x
+    return acc
 
 
-def _step_matrices(A: sp.sparray, C, dt: float, p: int):
-    """The step's R by element bands of p nodes (``_block_band``) and
-    its forcing columns (h/6)[M1 C | M2 C | C], for the step h = ``dt``;
-    the powers of hA are freed before the march starts.
-
-    Returns (band, lo, hi, forcing columns).
-    """
-    import scipy.sparse as sp
-
-    eye = sp.eye_array(A.shape[0], format="csr")
-    b = dt * sp.csr_array(A)
-    b2 = b @ b
-    b3 = b2 @ b
-    band, lo, hi = _block_band(eye + b + b2 / 2.0 + b3 / 6.0 + (b3 @ b) / 24.0, p)
-    m1 = eye + b + b2 / 2.0 + b3 / 4.0
-    m2 = 4.0 * eye + 2.0 * b + b2 / 2.0
-    c = sp.csr_array(C)
-    forcing = (dt / 6.0) * sp.hstack([m1 @ c, m2 @ c, c], format="csr")
-    return band, lo, hi, forcing
+def _step_matrices(A: ElementBand, C: np.ndarray, dt: float):
+    """(R, forcing columns (h/6)[M1 C | M2 C | C]) for the step h = ``dt``,
+    by Horner's rule in B = hA; R is an :class:`ElementBand`."""
+    b = dt * A
+    e_count, p, _ = b.blocks.shape
+    r = _horner(b, (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0),
+                ElementBand(np.broadcast_to(np.eye(p), (e_count, p, p))))
+    c = np.asarray(C, dtype=float)
+    m1c = _horner(b, (1.0, 1.0, 1.0 / 2.0, 1.0 / 4.0), c)
+    m2c = _horner(b, (4.0, 2.0, 1.0 / 2.0), c)
+    return r, (dt / 6.0) * np.hstack([m1c, m2c, c])
 
 
-def time_integrate(
-    A: sp.sparray,
-    C: np.ndarray | sp.sparray,
-    g: Callable[[np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    t_span: tuple,
-    dt: float,
-    energy_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-    aux_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-):
+def time_integrate(A: ElementBand, C: np.ndarray, g: Callable[[np.ndarray], np.ndarray],
+                   y0: np.ndarray, t_span: tuple, dt: float,
+                   energy_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+                   aux_fn: Callable[[np.ndarray], np.ndarray] | None = None):
     """March du/dt = A u + C g(t) with the classical four-stage scheme
     and record the energy.
 
-    ``A`` is the sparse n x n system matrix, ``C`` an n x m matrix (dense
-    or sparse) and ``g(t)`` maps an array of times to the data there, one
-    row of m values per time; states flatten like ``y0``.  The step count
-    is fixed up front (dt rounded down so the final time is hit exactly),
-    making runs deterministic.  With h the step and B = hA, R and the
-    forcing columns (h/6)[M1 C | M2 C | C] of the module docstring are
-    built once.
-
-    The state is E blocks of p values, the rows of a 2-D ``y0`` (one
-    block if ``y0`` is flat), and R is held by element bands
-    (``_block_band``): block row e holds blocks e - lo .. e + hi.  The
-    state buffer stores each state with lo zero blocks before it and hi
-    after, so the p (lo + hi + 1) values block row e reads are one
-    strided window of the buffer.  The march goes in blocks of
-    ``BLOCK_STEPS`` steps: g is evaluated at the block's stage times t,
-    t + h/2 and t + h of every step in one call, one product with the
-    forcing columns gives each step's forcing f_k, and each step is one
-    batched product u <- R u + f_k, written in place into the next row
-    of the buffer.  Only one block of states is held.
+    ``A`` is an :class:`ElementBand`, ``C`` a dense n x m matrix and
+    ``g(t)`` maps an array of times to the data there, one row of m
+    values per time; the final state takes the shape of ``y0``.  The
+    step count is fixed up front (dt rounded down so the final time is
+    hit exactly).  Per block of ``BLOCK_STEPS`` steps one call of g at
+    every stage time and one product with the forcing columns give each
+    step's f_k; each step is one batched product u <- R u + f_k over
+    windows of a state buffer that pads each state with R's lo zero
+    blocks before it and hi after.  Only one block of states is held.
 
     ``energy_fn`` and ``aux_fn`` map a (K, n) block of flattened states
     to their K values and are recorded at every recorded state.  Raises
@@ -526,8 +529,6 @@ def time_integrate(
 
     Returns (final state, :class:`EnergyTrace`).
     """
-    from numpy.lib.stride_tricks import sliding_window_view
-
     t0, t1 = t_span
     if not (t1 > t0) or dt <= 0:
         raise ValueError("need t1 > t0 and dt > 0")
@@ -537,23 +538,20 @@ def time_integrate(
     if energy_fn is None:
         energy_fn = lambda ys: np.einsum("kn,kn->k", ys, ys)
 
-    shape = np.shape(y0)
-    n = math.prod(shape)
-    e_count = shape[0] if len(shape) == 2 else 1
-    p = n // e_count
-    band, lo, hi, forcing = _step_matrices(A, C, dt, p)
-
+    r, forcing = _step_matrices(A, C, dt)
+    e_count, p, width = r.blocks.shape
     times = t0 + dt * np.arange(n_steps + 1)
     energy = np.empty(n_steps + 1)
     aux = np.empty(n_steps + 1) if aux_fn is not None else None
     # ys[0]: the last state of the previous block; lo and hi zero blocks
     # pad every state
-    ys = np.zeros((BLOCK_STEPS + 1, (lo + e_count + hi) * p))
-    states = ys[:, lo * p:(lo + e_count) * p]
+    ys = np.zeros((BLOCK_STEPS + 1, (r.lo + e_count + r.hi) * p))
+    states = ys[:, r.lo * p:(r.lo + e_count) * p]
     # each step's output is a view of its buffer row: reshape raises
     # rather than copy
     outs = list(states.reshape(BLOCK_STEPS + 1, e_count, p, 1, copy=False))
-    windows = list(sliding_window_view(ys, (lo + hi + 1) * p, axis=1)[:, ::p, :, None])
+    # windows[j][e]: the values block row e of R reads from buffer row j
+    windows = list(sliding_window_view(ys, width, axis=1)[:, ::p, :, None])
     states[0] = np.reshape(y0, -1)
     energy[0] = energy_fn(states[:1])[0]
     if aux_fn is not None:
@@ -564,12 +562,12 @@ def time_integrate(
         k = min(BLOCK_STEPS, n_steps - k0)
         start = times[k0:k0 + k]
         stages = np.stack([start, start + 0.5 * dt, start + dt], axis=1)
-        f = (forcing @ g(stages.reshape(-1)).reshape(k, -1).T).T.reshape(k, e_count, p, 1)
+        f = (g(stages.reshape(-1)).reshape(k, -1) @ forcing.T).reshape(k, e_count, p, 1)
         recorded = slice(k0 + 1, k0 + k + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(k):
                 out = outs[j + 1]
-                np.matmul(band, windows[j], out=out)
+                np.matmul(r.blocks, windows[j], out=out)
                 out += f[j]
             energy[recorded] = energy_fn(states[1:k + 1])
         block = energy[recorded]
@@ -583,7 +581,7 @@ def time_integrate(
             aux[recorded] = aux_fn(states[1:k + 1])
         states[0] = states[k]
 
-    return states[0].reshape(shape).copy(), EnergyTrace(times=times, energy=energy, aux=aux)
+    return states[0].reshape(np.shape(y0)).copy(), EnergyTrace(times=times, energy=energy, aux=aux)
 
 
 def solution_error(u: np.ndarray, grid: MultiElementGrid, exact, t: float):

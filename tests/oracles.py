@@ -9,7 +9,7 @@ triangle, the reference for the operators' closed-form solve, and the
 Lagrange differentiation matrix is built from barycentric weights in
 long double.  The right-side section writes both IBVP schemes face by
 face on a stacked state, with a dense LU solve for the gradient
-variable, as the reference for the assembled sparse operators.  The
+variable, as the reference for the assembled element-band operators.  The
 time-marching section takes the classical four-stage scheme stage by
 stage through the right side A u + q(t) of an assembled problem, one
 state and one time at a time, the reference for the blocked march.  The
@@ -262,7 +262,7 @@ def advdiff_rhs(u, grid, params, sats, g_left: float, g_right: float, forcing=No
 
 def rhs(problem, t: float, u):
     """A u + q(t) of an assembled problem at one time, shaped like ``u``."""
-    return (problem.A @ u.reshape(-1) + problem.data(np.array([t]))[0]).reshape(u.shape)
+    return (problem.A @ u.reshape(-1) + problem.C @ problem.g(np.array([t]))[0]).reshape(u.shape)
 
 
 def p_norm_squared(grid, u) -> float:

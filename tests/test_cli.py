@@ -75,10 +75,10 @@ def test_rule_screen_gate_exit_code(tmp_path, capsys):
 
 
 def test_rule_operator_and_verify_load_no_scipy(tmp_path):
-    # only the Bessel family, approximate operators and the PDE solves
-    # import scipy; a fresh interpreter runs the rest without it, exact
-    # equispaced operators included: {1, s, e^{10s}} climbs from 5 to 9
-    # equispaced nodes on direct and least-squares weights alone
+    # only the Bessel family and approximate operators import scipy; a
+    # fresh interpreter runs the rest without it, exact equispaced
+    # operators included: {1, s, e^{10s}} climbs from 5 to 9 equispaced
+    # nodes on direct and least-squares weights alone
     mono6 = {"family": "monomial", "degree": 6, "interval": [-1, 1]}
     write_config(tmp_path / "rule.json", {"space": refcases.EXP3_SPEC, "mode": "closed"})
     write_config(tmp_path / "gll.json", {"space": mono6})
@@ -104,6 +104,41 @@ def test_rule_operator_and_verify_load_no_scipy(tmp_path):
     assert codes == [0, 0, 0, 0]
     assert loaded == []
     assert len(json.loads((tmp_path / "equi" / "operator.json").read_text())["nodes"]) == 9
+
+
+def test_solve_loads_no_scipy(tmp_path):
+    # assembly and march run on element bands in numpy alone: a zero-data
+    # advection solve on classical Gauss-Lobatto elements and the
+    # boundary-layer advection-diffusion solve, whose separable source
+    # enters as one data column, load no scipy module
+    write_config(tmp_path / "adv.json", {
+        "pde": "advection", "params": {"a": 1.0, "final_time": 0.5}, "mms": "zero_data",
+        "operator": {"space": {"family": "monomial", "degree": 6, "interval": [-1, 1]},
+                     "node_mode": "classical-gll"},
+        "elements": 4})
+    write_config(tmp_path / "layer.json", {
+        "pde": "advection_diffusion", "params": {"a": 1.0, "eps": 0.1, "final_time": 0.2},
+        "mms": "boundary_layer",
+        "operator": {"space": {"family": "exponential", "rates": [2.5], "poly_degree": 1,
+                               "interval": [0, 1]},
+                     "node_mode": "gglq"},
+        "elements": 4})
+    script = textwrap.dedent("""
+        import json, sys
+        from fsbp.cli import main
+        codes = [main(["solve", "--config", "adv.json", "--out", "adv"]),
+                 main(["solve", "--config", "layer.json", "--out", "layer"])]
+        print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+    """)
+    src = os.path.dirname(os.path.dirname(fsbp.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    codes, loaded = json.loads(out.splitlines()[-1])
+    assert codes == [0, 0]
+    assert loaded == []
+    manifest = json.loads((tmp_path / "layer" / "manifest.json").read_text())
+    assert 0.0 < manifest["final_error_norm"] < 1e-3
 
 
 def test_validation_exit_codes(tmp_path):

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from fsbp.gauss import ScreenFailure
 from fsbp.operators import AssemblyError, build_operator, scale_to_element
@@ -14,9 +13,12 @@ from fsbp.ibvp import (
     AdvectionDiffusionSats,
     AdvectionSats,
     BlowUpError,
+    ElementBand,
     MmsCase,
     MultiElementGrid,
     PdeParams,
+    SeparableForcing,
+    _step_matrices,
     assemble,
     cfl_timestep,
     run_case,
@@ -24,6 +26,12 @@ from fsbp.ibvp import (
     time_integrate,
 )
 from fsbp.pipeline import build_study_operator, convergence_study
+from fsbp.refcases import (
+    ADVECTION_DIFFUSION_STUDY,
+    ADVECTION_STUDY,
+    advection_diffusion_study_configs,
+    advection_study_configs,
+)
 
 from oracles import advdiff_rhs, advection_rhs, certified_rule, p_norm_squared, rhs, rk4_loop
 
@@ -54,7 +62,7 @@ def data_case(g_left=0.0, g_right=0.0, forcing=None):
     return MmsCase(exact=None, initial=None, boundary_left=lambda t: g_left,
                    boundary_right=lambda t: g_right,
                    forcing=None if forcing is None
-                   else lambda x, t: np.broadcast_to(forcing, np.shape(t) + forcing.shape))
+                   else SeparableForcing(lambda x: forcing, lambda t: 1.0))
 
 
 # ----------------------------------------------------------------- types
@@ -293,9 +301,10 @@ def relative_error(got, ref):
 @pytest.mark.parametrize("name", ["trig-gglq", "exp10-gglq", "gll24"])
 def test_assembly_matches_the_face_by_face_right_sides(name, n_elements, uniform):
     # A u + C g + f and Phi u against the per-stage right sides they
-    # replace; on gll24 with five elements the gap (up to 7.2e-14) is the
-    # rounding of the assembled gradient map, while the refined reference
-    # stays within 4e-16 of a long-double evaluation of the scheme
+    # replace; on gll24 with five elements the gap (up to 7.3e-14) lies in
+    # the reference, whose gradient system rounds its face entries (about
+    # 105) to float64 before a solve of condition 3e3, while the assembled
+    # gradient map stays within 6e-16 of a long-double elimination
     grid = element_grid(reference_operator(name), n_elements, uniform)
     params = PdeParams(a=1.3, eps=0.07)
     rng = np.random.default_rng(n_elements)
@@ -366,8 +375,8 @@ def test_steep_boundary_layer_is_finite():
 
 def test_time_integrate_zero_rhs():
     y0 = np.array([[1.0, 2.0, 3.0]])
-    y, trace = time_integrate(sp.csr_array((3, 3)), np.eye(3), lambda t: np.zeros((len(t), 3)), y0,
-                              (0.0, 1.0), 0.1)
+    y, trace = time_integrate(ElementBand(np.zeros((1, 3, 3))), np.eye(3),
+                              lambda t: np.zeros((len(t), 3)), y0, (0.0, 1.0), 0.1)
     assert np.array_equal(y, y0)
     assert np.max(np.abs(np.diff(trace.energy))) == 0.0
 
@@ -375,8 +384,8 @@ def test_time_integrate_zero_rhs():
 def test_time_integrate_scalar_decay_fourth_order():
     errs = []
     for dt in (0.1, 0.05):
-        y, _ = time_integrate(sp.csr_array([[-1.0]]), np.eye(1), lambda t: np.zeros((len(t), 1)),
-                              np.array([1.0]), (0.0, 1.0), dt)
+        y, _ = time_integrate(ElementBand([[[-1.0]]]), np.eye(1),
+                              lambda t: np.zeros((len(t), 1)), np.array([1.0]), (0.0, 1.0), dt)
         errs.append(abs(y[0] - math.exp(-1.0)))
     order = math.log(errs[0] / errs[1]) / math.log(2.0)
     assert order > 3.8
@@ -384,7 +393,7 @@ def test_time_integrate_scalar_decay_fourth_order():
 
 def test_time_integrate_blowup_detection():
     with pytest.raises(BlowUpError):
-        time_integrate(sp.csr_array([[10.0]]), np.eye(1), lambda t: np.zeros((len(t), 1)),
+        time_integrate(ElementBand([[[10.0]]]), np.eye(1), lambda t: np.zeros((len(t), 1)),
                        np.array([1.0]), (0.0, 2.0), 0.05)
 
 
@@ -450,11 +459,45 @@ def data_problems(trig_operator, trig_grid, exp_bl_operator):
 def block_bandwidths(problem) -> tuple[int, int]:
     """The widest element offsets below and above the diagonal that the
     step matrix R, a quartic in A, can couple: those of (I + |A|)^4."""
-    reach = abs(problem.A) + sp.eye_array(problem.A.shape[0])
-    rows, cols = sp.csr_array(reach @ reach @ reach @ reach).nonzero()
+    reach = abs(problem.A.toarray()) + np.eye(problem.grid.nodes.size)
+    rows, cols = np.linalg.matrix_power(reach, 4).nonzero()
     p = problem.grid.nodes_per_element
     offset = cols // p - rows // p
     return int(-offset.min()), int(offset.max())
+
+
+@pytest.mark.parametrize("study", ["advection", "advection_diffusion"])
+def test_step_band_widths_stay_narrow(study):
+    # R's element band on every grid of the frozen studies is as narrow as
+    # the reach of (I + |A|)^4: two blocks below the diagonal for upwind
+    # advection, whose offset -1 blocks hold one face-to-face entry, and
+    # four on each side for advection-diffusion, capped at E - 1.  Band
+    # products that kept their exactly zero outer blocks would give (4, 0)
+    # and (8, 8), doubling the march's work without losing accuracy
+    if study == "advection":
+        frozen, configs = ADVECTION_STUDY, advection_study_configs()
+        case = MmsCase.advecting_wave(1.0)
+    else:
+        frozen, configs = ADVECTION_DIFFUSION_STUDY, advection_diffusion_study_configs()
+        case = MmsCase.boundary_layer(1.0, 0.1)
+    params = PdeParams(**frozen["params"])
+    widths = {}
+    for cfg in configs:
+        for n_el in cfg["elements"]:
+            op = build_study_operator(cfg["spec"](n_el), cfg["node_mode"],
+                                      n_nodes=cfg.get("n_nodes"))[0]
+            grid = MultiElementGrid.uniform(op, n_el)
+            problem = assemble(frozen["pde"], grid, params, case)
+            r, _ = _step_matrices(problem.A, problem.C, cfl_timestep(grid, params, frozen["cfl"]))
+            widths[cfg["label"], n_el] = r.lo, r.hi
+            assert (r.lo, r.hi) == block_bandwidths(problem)
+    if study == "advection":
+        assert len(widths) == 9
+        expected = dict.fromkeys(widths, (2, 0))
+    else:
+        assert len(widths) == 12
+        expected = dict.fromkeys(widths, (4, 4)) | {("poly-equispaced", 4): (3, 3)}
+    assert widths == expected
 
 
 @pytest.mark.parametrize("name, n_steps, layout", [
@@ -492,7 +535,7 @@ def test_precomputed_step_matches_stagewise_rk4(data_problems, name, n_steps, la
                                  lambda u: p_norm_squared(grid, u.reshape(grid.nodes.shape)))
     assert y.shape == y0.shape
     assert len(trace.times) == n_steps + 1
-    assert np.any(problem.data(np.array([0.0])) != 0.0)
+    assert np.any(problem.C @ problem.g(np.array([0.0]))[0] != 0.0)
     assert np.linalg.norm(y - y_ref) <= 1e-13 * np.linalg.norm(y_ref)
     assert np.max(np.abs(trace.energy - energy_ref)) <= 1e-13 * np.max(energy_ref)
 
@@ -508,8 +551,9 @@ def test_precomputed_step_blows_up_where_stagewise_rk4_does(data_problems, kind,
     # stop at the same step with the same message, whether that step falls
     # in the first block or a later one
     problem = data_problems[kind]
+    e_count, p = problem.grid.nodes.shape
     unstable = dataclasses.replace(
-        problem, A=sp.csr_array(problem.A + shift * sp.eye_array(problem.A.shape[0])))
+        problem, A=problem.A + shift * ElementBand(np.broadcast_to(np.eye(p), (e_count, p, p))))
     dt = cfl_timestep(problem.grid, problem.params)
     assert dt > 1e-4           # distinct steps print distinct times
     first_block = (0.0, BLOCK_STEPS * dt)
@@ -559,7 +603,8 @@ def test_march_holds_one_block_of_states():
     # march holds the block's states, stage data and forcing, a few blocks'
     # worth, beside the recorded times and energies
     n, n_steps, dt = 100, 20_000, 1e-3
-    A = sp.diags_array([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], offsets=[-1, 0, 1])
+    A = ElementBand((np.eye(n, k=-1) - 2.0 * np.eye(n) + np.eye(n, k=1))[None])
+    C = np.eye(n)
     shape = np.sin(np.linspace(0.0, np.pi, n))
 
     def q(t):
@@ -569,7 +614,7 @@ def test_march_holds_one_block_of_states():
     trace_bytes = 2 * (n_steps + 1) * 8
     tracemalloc.start()
     try:
-        y, trace = time_integrate(A, sp.eye_array(n), q, shape, (0.0, n_steps * dt), dt)
+        y, trace = time_integrate(A, C, q, shape, (0.0, n_steps * dt), dt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
