@@ -9,10 +9,11 @@ Nodes are found by a damped quasi-Newton iteration on a (quasi-)cardinal
 basis built from the Hermite-Vandermonde matrix, with initial guesses
 supplied by continuation in the integration measure: the unit weight
 is blended with a sum of point masses interlaced with the previously
-converged rule of one size smaller.  There is one initialisation per
-stage: the open ladder climbs sizes 1 .. n, the closed rule is seeded
-once from the midpoints of the size-n open rule, and a stage that fails
-raises SolverError naming its size and its last Newton error.
+converged rule of one size smaller.  Both modes climb one ladder of
+sizes 1 .. n in their own formulation, open from the gap midpoints of
+the previous rule, closed from the endpoints around its midpoints; each
+stage has one initialisation, and a stage that fails raises SolverError
+naming its mode, its size and its last Newton error.
 
 ``continuation_solve`` and ``equispaced_rule`` take the orthonormal
 working basis that ``spaces.orthonormalize`` produces, a truncated
@@ -325,17 +326,23 @@ def _series_moments(space: FunctionSpace) -> np.ndarray:
     return 0.5 * (b - a) * (space.coeff_matrix[:, ::2] @ (2.0 / (1.0 - k * k)))
 
 
-def _interlaced_anchors(prev_nodes, a, b):
-    """Midpoints of the gaps of [a, prev_nodes, b]: one more than prev_nodes."""
-    ext = np.concatenate([[a], prev_nodes, [b]])
+def _stage_anchors(prev_nodes, closed):
+    """Point masses of the next ladder stage, one node more than ``prev_nodes``.
+
+    Open: the gap midpoints of [-1, prev_nodes, 1].  Closed: the two
+    endpoints around the midpoints of ``prev_nodes`` (both endpoints on
+    an empty ``prev_nodes``).
+    """
+    if closed:
+        return np.concatenate([[-1.0], 0.5 * (prev_nodes[:-1] + prev_nodes[1:]), [1.0]])
+    ext = np.concatenate([[-1.0], prev_nodes, [1.0]])
     return 0.5 * (ext[:-1] + ext[1:])
 
 
 def _homotopy(space, m_target, anchors, closed, stage_trace):
     """Advance the blend parameter t from 0 to 1, solving at each step."""
-    anchors = np.asarray(anchors, dtype=float)
     anchor_moments = space.collocation(anchors).sum(axis=0)
-    t, nodes, step = 0.0, anchors.copy(), T_STEP
+    t, nodes, step = 0.0, anchors, T_STEP
     streak = 0
     while t < 1.0:
         t_next = min(1.0, t + step)
@@ -356,7 +363,7 @@ def _homotopy(space, m_target, anchors, closed, stage_trace):
         streak += 1
         if streak >= 2:
             step *= T_GROWTH
-    return nodes, rule
+    return rule
 
 
 def continuation_solve(
@@ -369,16 +376,14 @@ def continuation_solve(
 
     ``space`` must be the output of ``spaces.orthonormalize`` (checked
     from its descriptor; ValueError otherwise); it is pulled back to
-    [-1, 1] as it is, and its moments are the closed-form ones.  Open
-    rules of sizes 1 .. n are built by measure continuation, stage k
-    starting from point masses interlaced with the k-1 nodes of stage
-    k-1 (stage 1 from the midpoint); a stage that fails raises
-    SolverError naming its size.  A closed rule seeds its interior once,
-    from consecutive midpoints of the size-n open rule (affinely guarded
-    to [-0.9, 0.9]), and solves with the endpoints pinned: direct Newton
-    first, then measure continuation on the closed formulation from the
-    same seed.  A closed rule with n = 1 has no interior and runs no
-    open ladder.
+    [-1, 1] as it is, and its moments are the closed-form ones.  Rules
+    of sizes 1 .. n in the requested mode are built by measure
+    continuation on the basis prefixes, stage k starting from point
+    masses placed by the nodes of stage k-1: open at the gap midpoints
+    of [-1, nodes, 1] (stage 1 at the midpoint), closed at the two
+    endpoints around the midpoints of the nodes (stage 1 at the two
+    endpoints).  A stage that fails raises SolverError naming its mode
+    and size.
 
     A Tchebyshev screen runs first and rejects the space on a "fail"
     verdict unless ``force`` is set.  The returned rule lives on the
@@ -404,53 +409,22 @@ def continuation_solve(
             f"of one sign, {fewer} of the other); pass force=True to attempt the solve anyway"
         )
 
-    trace = {
-        "mode": "closed" if closed else "open",
-        "screen": asdict(report),
-        "stages": [],
-        "closed_fallback": False,
-        "endpoints_fixed_outside_homotopy": True,
-    }
-
-    # a closed rule with n = 1 has no interior to seed: it runs no ladder
-    ladder_sizes = range(1, n + 1) if n > 1 or not closed else ()
-    nodes, rule_ref = np.array([]), None
-    for k in ladder_sizes:
+    mode = "closed" if closed else "open"
+    trace = {"mode": mode, "screen": asdict(report), "stages": []}
+    nodes = np.array([])
+    for k in range(1, n + 1):
         stage_steps: list = []
-        anchors = _interlaced_anchors(nodes, -1.0, 1.0)
         try:
-            nodes, rule_ref = _homotopy(ref.prefix(2 * k), m_full[: 2 * k], anchors,
-                                        False, stage_steps)
+            rule_ref = _homotopy(ref.prefix(2 * k), m_full[: 2 * k],
+                                 _stage_anchors(nodes, closed), closed, stage_steps)
         except SolverError as exc:
-            raise SolverError(f"open ladder failed at size {k}/{n}: {exc}") from exc
-        trace["stages"].append({"size": k, "closed": False, "steps": stage_steps})
-
-    if closed:
-        interior = 0.5 * (nodes[:-1] + nodes[1:])
-        lo, hi = -0.9, 0.9
-        if interior.size > 1 and (interior[0] < lo or interior[-1] > hi):
-            interior = lo + (interior - interior[0]) * (hi - lo) / (interior[-1] - interior[0])
-        else:
-            interior = np.clip(interior, lo, hi)
-        x0 = np.concatenate([[-1.0], interior, [1.0]])
-        try:
-            rule_ref = newton_solve(ref, x0, m_full, closed=True)
-            stage_steps = [{"t": 1.0, "iterations": rule_ref.trace["iterations"]}]
-        except SolverError as direct_exc:
-            trace["closed_fallback"] = True
-            stage_steps = []
-            try:
-                _, rule_ref = _homotopy(ref, m_full, x0, True, stage_steps)
-            except SolverError as exc:
-                raise SolverError(
-                    f"closed solve failed at size {n}: direct Newton: {direct_exc}; "
-                    f"continuation: {exc}"
-                ) from exc
-        trace["stages"].append({"size": n, "closed": True, "steps": stage_steps})
+            raise SolverError(f"{mode} ladder failed at size {k}/{n}: {exc}") from exc
+        nodes = rule_ref.nodes
+        trace["stages"].append({"size": k, "steps": stage_steps})
 
     # map back to the user interval
     half = 0.5 * (b - a)
-    nodes = a + half * (rule_ref.nodes + 1.0)
+    nodes = a + half * (nodes + 1.0)
     if closed:
         nodes[0], nodes[-1] = a, b
     weights = half * rule_ref.weights

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsbp.gauss import (
     QuadratureRule,
@@ -231,7 +232,7 @@ def test_screen_gate_blocks_and_force_overrides():
     with pytest.raises(ScreenFailure):
         certified_rule(space, basis, closed=True)
     # forcing proceeds to the solver, which reports the genuine failure
-    with pytest.raises(SolverError, match="closed solve failed at size 1"):
+    with pytest.raises(SolverError, match="closed ladder failed at size 1/1"):
         certified_rule(space, basis, closed=True, force=True)
 
 
@@ -239,21 +240,20 @@ def test_trace_records_solver_path(exp3_closed_rule):
     trace = exp3_closed_rule.trace
     assert trace["mode"] == "closed"
     assert trace["screen"]["verdict"] == "pass"
-    assert trace["endpoints_fixed_outside_homotopy"] is True
-    sizes = [s["size"] for s in trace["stages"]]
-    assert sizes == [1, 2, 3, 3]      # open ladder then the closed solve
-    # one stage per size: the open ladder climbs 1 .. n, the closed rule
-    # adds its one closed stage, and a closed rule with n = 1 has no ladder
+    # one stage per size: both modes climb their own ladder 1 .. n
+    assert [s["size"] for s in trace["stages"]] == [1, 2, 3]
     exp1 = {"family": "exponential", "rates": [1.0], "poly_degree": 0, "interval": [0, 1]}
     for spec, mode, expected in [
-        (exp1, "closed", [(1, True)]),
-        (exp1, "open", [(1, False)]),
-        (refcases.EXP3_SPEC, "open", [(1, False), (2, False), (3, False)]),
-        (refcases.EXP3_SPEC, "closed", [(1, False), (2, False), (3, False), (3, True)]),
+        (exp1, "closed", [1]),
+        (exp1, "open", [1]),
+        (refcases.EXP3_SPEC, "open", [1, 2, 3]),
+        (refcases.EXP3_SPEC, "closed", [1, 2, 3]),
     ]:
-        stages = pipeline.solve_rule_pipeline(spec, mode).rule.trace["stages"]
-        assert [(s["size"], s["closed"]) for s in stages] == expected
-        assert all(set(s) == {"size", "closed", "steps"} and s["steps"] for s in stages)
+        trace = pipeline.solve_rule_pipeline(spec, mode).rule.trace
+        assert trace["mode"] == mode
+        assert [s["size"] for s in trace["stages"]] == expected
+        assert all(set(s) == {"size", "steps"} and s["steps"] for s in trace["stages"])
+        assert all(set(step) == {"t", "iterations"} for s in trace["stages"] for step in s["steps"])
 
 
 def test_residuals_and_weights_blended():
@@ -373,6 +373,49 @@ def test_closed_monomial_rules_certify(degree, interval):
     assert rule.size == rule.certificate.target_dim // 2 + 1
     assert rule.certificate.valid
     assert rule.certificate.max_abs_error <= 1e-3 * rule.certificate.tol
+
+
+@pytest.mark.parametrize("harmonics, freq_scale", [(22, 1.0), (18, 1.5), (8, 1.5)])
+def test_closed_ladder_certifies_high_harmonics(harmonics, freq_scale):
+    # each closed stage starts from the closed rule one size smaller, which
+    # carries these high-harmonic spans to their full size
+    spec = {"family": "trig", "max_harmonic": harmonics, "freq_scale": freq_scale,
+            "interval": [0, 1]}
+    rule = pipeline.solve_rule_pipeline(spec, "closed").rule
+    assert rule.certificate.valid
+    assert rule.size == rule.certificate.target_dim // 2 + 1
+    assert rule.nodes[0] == 0.0 and rule.nodes[-1] == 1.0
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(rate=st.floats(0.3, 4.0), negative=st.booleans(), poly_degree=st.integers(0, 1),
+       start=st.floats(-5.0, 5.0), length=st.floats(0.1, 5.0))
+def test_rules_are_affinely_covariant(rate, negative, poly_degree, start, length):
+    # the rates act on the local coordinate, so the family on any interval
+    # is the affine image of the same family on [0, 1], and so are its rules
+    spec = {"family": "exponential", "rates": [-rate if negative else rate],
+            "poly_degree": poly_degree}
+    for mode in ("open", "closed"):
+        unit = pipeline.solve_rule_pipeline({**spec, "interval": [0, 1]}, mode).rule
+        rule = pipeline.solve_rule_pipeline(
+            {**spec, "interval": [start, start + length]}, mode).rule
+        assert rule.certificate.valid and rule.size == unit.size
+        assert np.max(np.abs(rule.nodes - (start + length * unit.nodes))) <= 1e-8 * length
+        scaled = length * unit.weights
+        assert np.max(np.abs(rule.weights - scaled) / scaled) <= 1e-7
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(harmonics=st.integers(2, 12), freq_scale=st.floats(0.25, 1.5))
+def test_closed_trig_draws_certify_or_fail_the_screen(harmonics, freq_scale):
+    spec = {"family": "trig", "max_harmonic": harmonics, "freq_scale": freq_scale,
+            "interval": [0, 1]}
+    try:
+        rule = pipeline.solve_rule_pipeline(spec, "closed").rule
+    except ScreenFailure:
+        return
+    assert rule.certificate.valid
+    assert rule.size == rule.certificate.target_dim // 2 + 1
 
 
 # ------------------------------------------------------------- other rules
