@@ -340,9 +340,13 @@ def _stage_anchors(prev_nodes, closed):
 
 
 def _homotopy(space, m_target, anchors, closed, stage_trace):
-    """Advance the blend parameter t from 0 to 1, solving at each step."""
+    """Advance the blend parameter t from 0 to 1, solving at each step.
+
+    With no free node (the closed size-1 stage: the two endpoints) the
+    solve is linear in the moments, and one step goes straight to t = 1.
+    """
     anchor_moments = space.collocation(anchors).sum(axis=0)
-    t, nodes, step = 0.0, anchors, T_STEP
+    t, nodes, step = 0.0, anchors, 1.0 if closed and anchors.size == 2 else T_STEP
     streak = 0
     while t < 1.0:
         t_next = min(1.0, t + step)

@@ -619,12 +619,14 @@ def run_case(
     params: PdeParams,
     case: MmsCase,
     cfl: float = 0.1,
+    dissipation: bool = True,
 ) -> CaseResult:
     """Solve on ``n_elements`` equal elements of [0, 1] up to the final
     time.
 
     Advection-diffusion runs also record the gradient-variable
-    dissipation in the trace's ``aux``.
+    dissipation in the trace's ``aux``, unless ``dissipation`` is False;
+    the march and the error do not depend on it.
     """
     grid = MultiElementGrid.uniform(op, n_elements)
     problem = assemble(problem_kind, grid, params, case)
@@ -632,7 +634,7 @@ def run_case(
     y, trace = time_integrate(
         problem.A, problem.C, problem.g, problem.initial(), (0.0, params.final_time), dt,
         energy_fn=problem.energies,
-        aux_fn=problem.dissipations if problem.gradient_map is not None else None,
+        aux_fn=problem.dissipations if dissipation and problem.gradient_map is not None else None,
     )
     error_sq, error = solution_error(y, grid, case.exact, params.final_time)
     return CaseResult(grid=grid, problem=problem, dt=dt, y=y, trace=trace,

@@ -8,7 +8,9 @@ integration by parts.
 
 S in Q = B/2 + S is the closed-form minimum-norm skew solution of
 S F = P F_x - B F / 2 (``_skew_solve``); the fallback for node sets
-without an exact rule eliminates S the same way and fits the weights.
+without an exact rule eliminates S the same way and fits the weights
+above a floor of 1e-3 (b - a) / n by Lawson and Hanson's active-set
+non-negative least squares on w - floor (``_nnls``), in numpy alone.
 
 Operators are immutable after construction; builds are pure functions
 of (space, rule) and safe for concurrent use.
@@ -134,6 +136,64 @@ def _skew_solve(f: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
     return 0.5 * (s_mat - np.swapaxes(s_mat, -1, -2)), r
 
 
+# a column enters the free set of ``_nnls`` only if its part outside the
+# span of the free columns exceeds this fraction of the Frobenius norm of A
+NNLS_INDEPENDENCE = 100 * np.finfo(float).eps
+
+
+def _nnls(a: np.ndarray, b: np.ndarray, floor: float) -> np.ndarray:
+    """x >= floor minimising ||A x - b||: Lawson and Hanson's active set,
+    non-negative least squares on x - floor.
+
+    From x = floor, each pass frees the entry of largest gradient
+    g = A^T (b - A x) among those on the floor whose column is
+    numerically independent of the free ones (``NNLS_INDEPENDENCE``)
+    and whose least-squares value on the enlarged free set lies above
+    the floor; the inner loop then steps towards the least-squares
+    solution on the free set (the other entries held on the floor),
+    dropping entries that reach the floor, until every free entry lies
+    above it.  The pass stops when no entry qualifies: there is no
+    gradient tolerance, so an ill-conditioned A still reaches its
+    minimum.  When A is rank deficient the minimiser is not unique; the
+    one returned is this path's, a basic solution whose free columns are
+    independent and whose free entries are their unique least-squares
+    fit.
+    """
+    n = a.shape[1]
+    x = np.full(n, floor)
+    free = np.zeros(n, dtype=bool)
+    small = NNLS_INDEPENDENCE * np.linalg.norm(a)
+
+    def solve(cols):
+        z = np.full(n, floor)
+        z[cols] = np.linalg.lstsq(a[:, cols], b - a[:, ~cols] @ z[~cols], rcond=None)[0]
+        return z
+
+    for _ in range(3 * n):
+        grad = a.T @ (b - a @ x)
+        q = np.linalg.qr(a[:, free])[0]
+        for j in np.argsort(-grad, kind="stable"):
+            if free[j] or not grad[j] > 0:
+                continue
+            if np.linalg.norm(a[:, j] - q @ (q.T @ a[:, j])) <= small:
+                continue
+            z = solve(free | (np.arange(n) == j))
+            if z[j] > floor:
+                free[j] = True
+                break
+        else:
+            return x
+        while not np.all(z[free] > floor):
+            low = free & (z <= floor)
+            ratios = (x[low] - floor) / (x[low] - z[low])
+            x = x + ratios.min() * (z - x)
+            x[np.flatnonzero(low)[np.argmin(ratios)]] = floor
+            free &= x > floor
+            z = solve(free)
+        x = z
+    raise AssemblyError(f"weight fit did not converge in {3 * n} active-set passes")
+
+
 def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     """Assemble the operator from a closed positive rule.
 
@@ -201,15 +261,18 @@ def build_approximate_operator(space: FunctionSpace, nodes: np.ndarray) -> FsbpO
     1e-3 (b - a) / n.  For fixed w the best skew part is
     ``_skew_solve(F, X(w))`` with X(w) = diag(w) F_x - B F / 2, and the
     remaining misfit X(w) - _skew_solve(F, X(w)) F is linear in w, so w
-    is a bounded least-squares fit in n unknowns.  The P/Q structure is
-    exact, so the energy estimate still holds; only the differentiation
-    accuracy suffers.
+    is a bounded least-squares fit in n unknowns: non-negative least
+    squares on w - floor, solved by ``_nnls``.  Where the misfit's
+    n columns are rank deficient the minimising w is not unique, and the
+    one returned is ``_nnls``'s basic solution: weights above the floor
+    belong to independent misfit columns, which they fit exactly in
+    least squares.  The P/Q structure is exact, so the energy estimate
+    still holds; only the differentiation accuracy suffers.
     """
-    import scipy.optimize
-
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size
     a, b = float(nodes[0]), float(nodes[-1])
+    floor = 1e-3 * (b - a) / n
 
     f_vals, f_ders = space.jet(nodes, 1)         # (n, m) each
     b_diag = _boundary_diagonal(n)
@@ -220,9 +283,7 @@ def build_approximate_operator(space: FunctionSpace, nodes: np.ndarray) -> FsbpO
     x_parts[n] = -0.5 * b_diag[:, None] * f_vals
     s_parts, _ = _skew_solve(f_vals, x_parts)
     misfit = (x_parts - s_parts @ f_vals).reshape(n + 1, -1)
-    w = scipy.optimize.lsq_linear(
-        misfit[:n].T, -misfit[n], bounds=(1e-3 * (b - a) / n, np.inf), method="bvls",
-    ).x
+    w = _nnls(misfit[:n].T, -misfit[n], floor)
 
     s_mat, _ = _skew_solve(f_vals, w[:, None] * f_ders - 0.5 * b_diag[:, None] * f_vals)
     q = 0.5 * np.diag(b_diag) + s_mat

@@ -209,7 +209,7 @@ def convergence_study(
                     )
                     built[key] = op, verdict
                 op, verdict = built[key]
-                err = run_case(pde, op, n_el, params, case, cfl).error
+                err = run_case(pde, op, n_el, params, case, cfl, dissipation=False).error
                 row["error_norm"] = err
                 row["operator_exact"] = bool(verdict.passed)
                 if prev is not None and err > 0 and prev["error_norm"] > 0:

@@ -75,15 +75,18 @@ def test_rule_screen_gate_exit_code(tmp_path, capsys):
 
 
 def test_rule_operator_and_verify_load_no_scipy(tmp_path):
-    # only the Bessel family and approximate operators import scipy; a
-    # fresh interpreter runs the rest without it, exact equispaced
-    # operators included: {1, s, e^{10s}} climbs from 5 to 9 equispaced
-    # nodes on direct and least-squares weights alone
+    # only the Bessel family imports scipy; a fresh interpreter runs the
+    # rest without it, equispaced operators included: {1, s, e^{10s}}
+    # climbs from 5 to 9 equispaced nodes on direct and least-squares
+    # weights alone, and on 4 nodes its weights come from the numpy
+    # non-negative least-squares fit of the approximate operator
     mono6 = {"family": "monomial", "degree": 6, "interval": [-1, 1]}
     write_config(tmp_path / "rule.json", {"space": refcases.EXP3_SPEC, "mode": "closed"})
     write_config(tmp_path / "gll.json", {"space": mono6})
     write_config(tmp_path / "verify.json", {"operator": "op/operator.json", "space": mono6})
     write_config(tmp_path / "equi.json", {"space": {
+        "family": "exponential", "rates": [10.0], "poly_degree": 1, "interval": [0, 1]}})
+    write_config(tmp_path / "approx.json", {"n_nodes": 4, "space": {
         "family": "exponential", "rates": [10.0], "poly_degree": 1, "interval": [0, 1]}})
     script = textwrap.dedent("""
         import json, sys
@@ -93,7 +96,9 @@ def test_rule_operator_and_verify_load_no_scipy(tmp_path):
                        "--out", "op"]),
                  main(["verify", "--config", "verify.json", "--out", "verify"]),
                  main(["operator", "--config", "equi.json", "--mode", "equispaced",
-                       "--out", "equi"])]
+                       "--out", "equi"]),
+                 main(["operator", "--config", "approx.json", "--mode", "equispaced",
+                       "--out", "approx"])]
         print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
     """)
     src = os.path.dirname(os.path.dirname(fsbp.__file__))
@@ -101,16 +106,20 @@ def test_rule_operator_and_verify_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout
     codes, loaded = json.loads(out.splitlines()[-1])
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
     assert loaded == []
     assert len(json.loads((tmp_path / "equi" / "operator.json").read_text())["nodes"]) == 9
+    approx = json.loads((tmp_path / "approx" / "rule.json").read_text())
+    assert approx["trace"]["construction"] == "equispaced-approximate"
 
 
 def test_solve_loads_no_scipy(tmp_path):
     # assembly and march run on element bands in numpy alone: a zero-data
     # advection solve on classical Gauss-Lobatto elements and the
     # boundary-layer advection-diffusion solve, whose separable source
-    # enters as one data column, load no scipy module
+    # enters as one data column, load no scipy module; nor does the
+    # advection-diffusion study, whose exp-equispaced operator is the
+    # approximate one
     write_config(tmp_path / "adv.json", {
         "pde": "advection", "params": {"a": 1.0, "final_time": 0.5}, "mms": "zero_data",
         "operator": {"space": {"family": "monomial", "degree": 6, "interval": [-1, 1]},
@@ -123,11 +132,13 @@ def test_solve_loads_no_scipy(tmp_path):
                                "interval": [0, 1]},
                      "node_mode": "gglq"},
         "elements": 4})
+    write_config(tmp_path / "study.json", {"study": "advection_diffusion", "totals": [24]})
     script = textwrap.dedent("""
         import json, sys
         from fsbp.cli import main
         codes = [main(["solve", "--config", "adv.json", "--out", "adv"]),
-                 main(["solve", "--config", "layer.json", "--out", "layer"])]
+                 main(["solve", "--config", "layer.json", "--out", "layer"]),
+                 main(["converge", "--config", "study.json", "--out", "study"])]
         print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
     """)
     src = os.path.dirname(os.path.dirname(fsbp.__file__))
@@ -135,10 +146,13 @@ def test_solve_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout
     codes, loaded = json.loads(out.splitlines()[-1])
-    assert codes == [0, 0]
+    assert codes == [0, 0, 0]
     assert loaded == []
     manifest = json.loads((tmp_path / "layer" / "manifest.json").read_text())
     assert 0.0 < manifest["final_error_norm"] < 1e-3
+    rows = json.loads((tmp_path / "study" / "convergence.json").read_text())["rows"]
+    assert "exp-equispaced" in [row["operator"] for row in rows]
+    assert all("error_norm" in row for row in rows)
 
 
 def test_validation_exit_codes(tmp_path):

@@ -256,6 +256,12 @@ def test_trace_records_solver_path(exp3_closed_rule):
         assert all(set(step) == {"t", "iterations"} for s in trace["stages"] for step in s["steps"])
 
 
+def test_closed_first_stage_is_one_step(exp3_closed_rule):
+    # the two endpoints leave no node free: the size-1 solve is linear in
+    # the moments and goes to t = 1 at once
+    assert exp3_closed_rule.trace["stages"][0]["steps"] == [{"t": 1.0, "iterations": 0}]
+
+
 def test_residuals_and_weights_blended():
     space = monomials(1, (0, 1))
     basis = hermite_lagrange(space, np.array([0.5]), closed=False)

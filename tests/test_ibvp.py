@@ -596,6 +596,11 @@ def test_aux_dissipation_is_recorded_at_the_recorded_states(exp_bl_operator):
     assert len(result.trace.aux) > BLOCK_STEPS + 1
     assert np.all(expected > 0.0)
     np.testing.assert_allclose(result.trace.aux, expected, rtol=1e-12, atol=0.0)
+    # without the dissipation the march is the same: the study's setting
+    bare = run_case("advection_diffusion", exp_bl_operator, 4, params, case, dissipation=False)
+    assert bare.trace.aux is None
+    assert np.array_equal(bare.y, result.y)
+    assert np.array_equal(bare.trace.energy, result.trace.energy)
 
 
 def test_march_holds_one_block_of_states():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
 from fsbp.gauss import QuadratureRule
 from fsbp.gauss import classical_lobatto_rule
 from fsbp.operators import (
     AssemblyError,
+    _nnls,
     _skew_solve,
     build_approximate_operator,
     build_operator,
@@ -322,3 +324,55 @@ def test_approximate_operator_reaches_joint_minimum(rate, n):
     defect = np.linalg.norm(op.Q @ f_vals - op.P[:, None] * f_ders)
     assert defect <= (1 + 1e-8) * joint_defect_bvls(f_vals, f_ders, 1e-3 / n)
     assert np.min(op.P) >= 1e-3 / n
+
+
+@pytest.mark.parametrize("rate, n", [(0.6, 7), (1.0, 7), (2.5, 8), (3.3, 8)])
+def test_approximate_weights_reach_the_joint_minimum_when_ill_conditioned(rate, n):
+    # misfit columns of full rank but condition 2e6 to 6e7: a weight fit
+    # that stops on a gradient tolerance leaves 3 to 2500 times the minimum
+    space = make_family({"family": "exponential", "rates": [rate], "poly_degree": 2,
+                         "interval": [0, 1]})
+    nodes = np.linspace(0.0, 1.0, n)
+    op = build_approximate_operator(space, nodes)
+    f_vals, f_ders = space.jet(nodes, 1)
+    defect = np.linalg.norm(op.Q @ f_vals - op.P[:, None] * f_ders)
+    assert defect <= (1 + 1e-6) * joint_defect_bvls(f_vals, f_ders, 1e-3 / n) + 1e-11
+    assert np.min(op.P) >= 1e-3 / n
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(m=st.integers(1, 24), n=st.integers(1, 10), data=st.data())
+def test_nnls_meets_its_optimality_conditions(m, n, data):
+    rank = data.draw(st.integers(1, min(m, n)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # rank-deficient A with singular values spread over up to six decades
+    u, _ = np.linalg.qr(rng.standard_normal((m, rank)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, rank)))
+    sig = 10.0 ** rng.uniform(-data.draw(st.integers(0, 6)), 0.0, rank)
+    a = (u * sig) @ v.T
+    # some columns repeat others, possibly rescaled, exactly or up to a
+    # perturbation that raises the rank by one
+    perturbed = 0
+    for j in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        a[:, j] = a[:, data.draw(st.integers(0, n - 1))] * data.draw(st.sampled_from([1.0, 2.0]))
+        digits = data.draw(st.sampled_from([None, 8, 10, 12, 14]))
+        if digits is not None:
+            a[:, j] += 10.0 ** -digits * rng.standard_normal(m)
+            perturbed += 1
+    a *= 10.0 ** data.draw(st.integers(-3, 3))
+    b = rng.standard_normal(m) * 10.0 ** data.draw(st.integers(-3, 3))
+    norm_a = np.linalg.norm(a, 2)
+    floor = data.draw(st.sampled_from([0.0, 0.01])) * np.linalg.norm(b) / norm_a
+    x = _nnls(a, b, floor)
+    grad = a.T @ (b - a @ x)
+    tol = 1e-12 * norm_a * (np.linalg.norm(b) + norm_a * np.linalg.norm(x))
+    assert np.all(x >= floor)
+    assert np.all(grad[x == floor] <= tol)
+    assert np.all(np.abs(grad[x > floor]) <= tol)
+    # a basic solution: the free columns are independent
+    assert np.count_nonzero(x > floor) <= rank + perturbed
+    # no worse a fit than the reference, whose x may grow huge on rounding
+    # noise in A's null space: its backward error is the margin
+    x_ref = floor + scipy.optimize.nnls(a, b - floor * a.sum(axis=1))[0]
+    margin = 100 * np.finfo(float).eps * norm_a * np.linalg.norm(x_ref) + 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(a @ x - b) <= np.linalg.norm(a @ x_ref - b) + margin
