@@ -1,6 +1,5 @@
 """Generalised Gauss / Gauss-Lobatto quadrature and function-space SBP operators."""
 
-from .integrate import IntegrationError, moments
 from .spaces import (
     FunctionSpace,
     TchebyshevReport,
@@ -17,6 +16,7 @@ from .gauss import (
     ExactnessCertificate,
     SolverError,
     ScreenFailure,
+    IntegrationError,
     newton_solve,
     continuation_solve,
     verify_exactness,

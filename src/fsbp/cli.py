@@ -26,9 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .integrate import IntegrationError
 from .spaces import FamilyError, RankError, make_family, orthonormalize, product_derivative_space
-from .gauss import QuadratureRule, ScreenFailure, SolverError, verify_exactness
+from .gauss import IntegrationError, QuadratureRule, ScreenFailure, SolverError, verify_exactness
 from .operators import (
     AssemblyError,
     build_operator,
@@ -478,9 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="path to the JSON config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--mode", help="rule mode (open/closed) or operator node mode")
-        p.add_argument("--force-tchebyshev", action="store_true",
-                       help="proceed past a failing Tchebyshev screen")
+        # each flag only on the commands that read it
+        if name in ("rule", "operator"):
+            p.add_argument("--mode", help="rule mode (open/closed) or operator node mode")
+        if name not in ("verify", "fixtures"):
+            p.add_argument("--force-tchebyshev", action="store_true",
+                           help="proceed past a failing Tchebyshev screen")
         p.add_argument("--seed", type=int, default=0, help="seed for screens and checks")
         p.set_defaults(fn=fn)
     return parser

@@ -17,12 +17,11 @@ naming its mode, its size and its last Newton error.
 
 ``continuation_solve`` and ``equispaced_rule`` take the orthonormal
 working basis that ``spaces.orthonormalize`` produces, a truncated
-Chebyshev series, and read its moments in closed form from the series
-coefficients.  Every solver returns an uncertified rule (``certificate``
-None): ``verify_exactness``, which takes the target's moments from the
-family's endpoint values, is the one exactness check, and the callers
-that write a rule (the pipeline and the CLI) certify it once against the
-span they need.
+Chebyshev series.  Every solver returns an uncertified rule
+(``certificate`` None): ``verify_exactness`` is the one exactness check,
+and the callers that write a rule (the pipeline and the CLI) certify it
+once against the span they need.  Nothing here integrates numerically:
+every moment is a space's own closed form (``FunctionSpace.moments``).
 
 The solver's tolerances and schedule are the module constants below;
 every rule is computed against the unit weight on its interval.  All
@@ -35,7 +34,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .integrate import IntegrationError, moments
 from .spaces import FunctionSpace, pull_back, tchebyshev_screen
 
 __all__ = [
@@ -43,6 +41,7 @@ __all__ = [
     "ExactnessCertificate",
     "SolverError",
     "ScreenFailure",
+    "IntegrationError",
     "newton_solve",
     "continuation_solve",
     "verify_exactness",
@@ -57,6 +56,10 @@ class SolverError(RuntimeError):
 
 class ScreenFailure(RuntimeError):
     """The Tchebyshev screen rejected the space and no force flag was set."""
+
+
+class IntegrationError(RuntimeError):
+    """A non-finite moment or integrand value, or an integral that did not converge."""
 
 
 @dataclass(frozen=True)
@@ -312,20 +315,6 @@ def newton_solve(
 # ---------------------------------------------------------------------------
 # continuation driver
 
-def _series_moments(space: FunctionSpace) -> np.ndarray:
-    """Integrals of an orthonormal basis over its interval, in closed form.
-
-    ``space`` must be the output of ``spaces.orthonormalize`` (ValueError
-    otherwise), a Chebyshev series in the local coordinate: the integral
-    of T_k over [-1, 1] is 2/(1 - k^2) for even k and 0 for odd k.
-    """
-    if space.family_spec.get("derived") != "orthonormal":
-        raise ValueError("the solvers need the basis of spaces.orthonormalize")
-    a, b = space.interval
-    k = np.arange(0, space.parent.dim, 2)
-    return 0.5 * (b - a) * (space.coeff_matrix[:, ::2] @ (2.0 / (1.0 - k * k)))
-
-
 def _stage_anchors(prev_nodes, closed):
     """Point masses of the next ladder stage, one node more than ``prev_nodes``.
 
@@ -397,10 +386,12 @@ def continuation_solve(
         raise ValueError(
             f"space dimension must be even (got {space.dim}); augment the space first"
         )
+    if space.family_spec.get("derived") != "orthonormal":
+        raise ValueError("the solvers need the basis of spaces.orthonormalize")
     n = space.dim // 2
     a, b = space.interval
     # the pulled-back basis is scaled by sqrt(dx/ds) and integrated in ds
-    m_full = _series_moments(space) / np.sqrt(0.5 * (b - a))
+    m_full = space.moments() / np.sqrt(0.5 * (b - a))
     ref = pull_back(space)
 
     report = tchebyshev_screen(ref, rng_seed=rng_seed)
@@ -446,22 +437,22 @@ def verify_exactness(
     The one place a certificate is made: the solvers return uncertified
     rules, and each caller that writes a rule certifies it here, once,
     against the span it needs.  ``space`` is a spanning set of that span,
-    one error per function; its rank ``dim`` (from ``spaces.orthonormalize``)
-    becomes ``target_dim``.  The certificate tolerance is ``tol`` scaled by
+    one error per function; its rank ``dim`` (from ``spaces.orthonormalize``,
+    or 2d for the degree-d classical Gauss-Lobatto span P_{2d-1}) becomes
+    ``target_dim``.  The certificate tolerance is ``tol`` scaled by
     the largest moment magnitude (floored at one); stored errors are raw
     absolute errors.
 
-    The moments are the span's closed-form ones where it has them (the
-    product-derivative pairs and their parity augmentation, from the
-    family's values at the endpoints), so the check stays independent of
-    the solvers' Chebyshev-series moments; any other space is integrated
-    adaptively (``integrate.moments``).  A non-finite moment raises
+    The moments are the span's closed forms (ValueError for a space
+    without them); for the product-derivative pairs and their parity
+    augmentation they come from the family's endpoint values, independent
+    of the solvers' Chebyshev series.  A non-finite moment raises
     IntegrationError.
     """
     a, b = space.interval
     if np.any(rule.nodes < a - 1e-12 * (b - a)) or np.any(rule.nodes > b + 1e-12 * (b - a)):
         raise ValueError("rule nodes fall outside the space's interval")
-    m = moments(space) if space._moments is None else space._moments()
+    m = space.moments()
     if not np.all(np.isfinite(m)):
         raise IntegrationError("non-finite moment: a basis function is not finite at an endpoint")
     approx = rule.weights @ space.collocation(rule.nodes)
@@ -493,8 +484,10 @@ def equispaced_rule(
     Exactness here is the moment residual of the solve; the caller
     certifies the rule against the span it needs.
     """
+    if space.family_spec.get("derived") != "orthonormal":
+        raise ValueError("the solvers need the basis of spaces.orthonormalize")
     a, b = space.interval
-    m_vec = _series_moments(space)
+    m_vec = space.moments()
     scale = max(1.0, float(np.max(np.abs(m_vec))))
     start = space.dim if n_nodes is None else n_nodes
     if start < space.dim:

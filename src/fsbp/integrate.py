@@ -8,15 +8,13 @@ estimate first, so results are deterministic for identical inputs.
 ``integrate_vector`` is the one integration path: every component of a
 vector integrand shares one subdivision, and a scalar integrand is its
 one-component case.  ``moments`` integrates a space's basis against
-the unit weight, the only measure the package uses.  Its tolerances are
-the fixed ``DEFAULT_ENGINE`` (1e-12 absolute and relative, at most
-10 000 subdivisions); nothing in the package passes other tolerances.
-No command-line path integrates here.  The rule solvers read their
-orthonormal Chebyshev bases' moments from the series coefficients, and
-``gauss.verify_exactness`` reads a product-derivative target's from the
-family's endpoint values.  ``moments`` is the reference the tests check
-both against, and the certificate's fallback for a space given by a
-library caller that has no closed-form integrals.
+the unit weight.  Its tolerances are the fixed ``DEFAULT_ENGINE``
+(1e-12 absolute and relative, at most 10 000 subdivisions).
+
+No other module of the package imports this one: every moment the
+solvers and ``gauss.verify_exactness`` read is a space's own closed form
+(``FunctionSpace.moments``).  ``moments`` here is the independent
+reference the tests check those closed forms against.
 
 Integrands must be vectorised (accept an ndarray of abscissae) and
 finite everywhere on the closed interval.  Everything here is pure and
@@ -32,6 +30,8 @@ from typing import Callable
 
 import numpy as np
 
+from .gauss import IntegrationError
+
 __all__ = [
     "IntegrationResult",
     "IntegrationError",
@@ -40,10 +40,6 @@ __all__ = [
     "integrate_vector",
     "moments",
 ]
-
-
-class IntegrationError(RuntimeError):
-    """Raised for non-finite integrand values or failed convergence."""
 
 
 # 15-point Kronrod abscissae on [-1, 1]; every second entry (odd index)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import IntegrationError
 from .spaces import (
     FunctionSpace,
     RankError,
@@ -27,6 +26,7 @@ from .spaces import (
     product_derivative_space,
 )
 from .gauss import (
+    IntegrationError,
     QuadratureRule,
     SolverError,
     classical_lobatto_rule,
@@ -110,12 +110,12 @@ def build_study_operator(
     assembly needs endpoint nodes.
 
     For "equispaced", ``n_nodes`` fixes the node budget.  When that
-    budget cannot support an exact positive rule, the weights minimise
-    the moment residual under positivity and the operator is assembled
-    without enforcing exactness: the P/Q structure (and hence the energy
-    estimate) is kept, the differentiation is approximate, and the
-    verdict reports the defect.  Without ``n_nodes`` the smallest exact
-    equispaced rule is used.
+    budget is below the product span's rank or carries no exact positive
+    rule, ``build_approximate_operator`` takes the weights (each at least
+    1e-3 (b - a)/n_nodes) and skew part minimising ||Q F - P F_x||_F: the
+    P/Q structure (and hence the energy estimate) is kept, the
+    differentiation is approximate, and the verdict reports the defect.
+    Without ``n_nodes`` the smallest exact equispaced rule is used.
     """
     if node_mode not in NODE_MODES:
         raise ValueError(f"node_mode must be one of {NODE_MODES}, got {node_mode!r}")
@@ -128,34 +128,33 @@ def build_study_operator(
             raise ValueError("classical-gll nodes apply to monomial families only")
         degree = int(family_spec["degree"])
         rule = classical_lobatto_rule(degree + 1, space.interval)
-        # an operator needs exactness on the product span only, which the
-        # d + 1 Lobatto nodes give to degree 2d - 1: no augmentation
+        # an operator needs exactness on the product span only, P_{2d-1}
+        # of rank 2d, which the d + 1 Lobatto nodes give: no augmentation
         product = product_derivative_space(space)
-        rule.certificate = verify_exactness(rule, product, orthonormalize(product).dim)
+        rule.certificate = verify_exactness(rule, product, 2 * degree)
     elif node_mode == "gglq":
         result = solve_rule_pipeline(family_spec, "closed", force, rng_seed)
         rule = result.rule
     else:  # equispaced
         product = product_derivative_space(space)
         ortho = orthonormalize(product)
+        rule = None
         if n_nodes is None:
             rule = equispaced_rule(ortho)
-            rule.certificate = verify_exactness(rule, product, ortho.dim)
-        else:
+        elif n_nodes >= ortho.dim:
             try:
                 rule = equispaced_rule(ortho, n_nodes=n_nodes, max_extra=0)
-                rule.certificate = verify_exactness(rule, product, ortho.dim)
-            except (SolverError, ValueError):
-                # node budget too small for exactness: defect-minimising
-                # construction with the structural identities kept exact
-                a, b = space.interval
-                op = build_approximate_operator(space, np.linspace(a, b, n_nodes))
-                rule = QuadratureRule(
-                    nodes=op.nodes, weights=op.P, closed=True, interval=(a, b),
-                    trace={"construction": "equispaced-approximate", "n_nodes": n_nodes},
-                )
-                verdict = verify_sbp(op, space, rng_seed=rng_seed)
-                return op, rule, verdict
+            except SolverError:
+                pass
+        if rule is None:
+            # node budget too small for exactness: defect-minimising
+            # construction with the structural identities kept exact
+            a, b = space.interval
+            op = build_approximate_operator(space, np.linspace(a, b, n_nodes))
+            trace = {"construction": "equispaced-approximate", "n_nodes": n_nodes}
+            rule = QuadratureRule(op.nodes, op.P, closed=True, interval=(a, b), trace=trace)
+            return op, rule, verify_sbp(op, space, rng_seed=rng_seed)
+        rule.certificate = verify_exactness(rule, product, ortho.dim)
     op = build_operator(space, rule)
     verdict = verify_sbp(op, space, rng_seed=rng_seed)
     return op, rule, verdict

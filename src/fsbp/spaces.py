@@ -3,29 +3,30 @@
 A space evaluates all of its basis functions at once, as a jet:
 ``jet(xs, k)`` returns the derivatives 0..k (k <= 2) of the whole basis
 at the abscissae, stacked as a (k + 1, len(xs), dim) array, and
-``collocation`` / ``collocation_deriv`` are its slices ``jet(xs, 0)[0]``
-and ``jet(xs, 1)[1]``.  Built-in families (monomial, trigonometric,
-exponential-plus-polynomial, Bessel) compute their shared pieces (the
-powers, sin/cos, exp, one Bessel table) once per jet; explicit families
-stack the user's callables.  Derived spaces map their parent's jet:
+``collocation`` is its slice ``jet(xs, 0)[0]``.  Built-in families
+(monomial, trigonometric, exponential-plus-polynomial, Bessel) compute
+their shared pieces (the powers, sin/cos, exp, one Bessel table) once per
+jet; explicit families stack the user's callables.  Derived spaces map their parent's jet:
 
 - product-derivative span: every pair (i, j) with i <= j, from one parent
   jet of one order more, by Leibniz' rule on (f_i f_j)' = f_i' f_j + f_i f_j';
-  its integrals are closed-form, f_i f_j(b) - f_i f_j(a), from one parent
-  collocation at the endpoints (the fundamental theorem of calculus);
 - orthonormal spaces: the jet of their Chebyshev parent times
   ``coeff_matrix.T``;
 - prefixes: a slice of the coefficient rows, or of the last axis;
 - parity augmentation: one Chebyshev column appended along the last axis
-  of the target, with T_k's integral appended to the target's, and its
-  residual as one more row of the basis series;
+  of the target, and its residual as one more row of the basis series;
 - pull-back: the same series on the reference interval.
 
 Differentiation therefore never falls back to numerical differencing.
 An orthonormal basis is a truncated Chebyshev series in the local
 coordinate, built from samples of its target span, so it evaluates to
-rounding level however ill-conditioned the target's own basis is, and
-its integrals follow in closed form from its coefficients.
+rounding level however ill-conditioned the target's own basis is.
+
+Integrals are closed forms a space takes at construction, returned by
+``moments()`` (ValueError for any other space): the monomial family's
+(b^(j+1) - a^(j+1))/(j + 1); the product-derivative pairs' f_i f_j(b) -
+f_i f_j(a), by the fundamental theorem of calculus; their augmentation's,
+plus T_k's; an orthonormal basis's, from its Chebyshev coefficients.
 
 All spaces are immutable after construction and safe to share across
 threads; every operation here is a pure function of its inputs.
@@ -86,9 +87,8 @@ class FunctionSpace:
     ``coeff_matrix`` (rows = members), and their jet is the parent's jet
     times ``coeff_matrix.T``; every other space's jet comes from its
     ``evaluate`` callable, which returns the same (k + 1, len(xs), dim)
-    stack.  The product-derivative span and its parity augmentation set
-    ``_moments``, a callable returning the integrals of the basis over the
-    interval in closed form; it is None on every other space.
+    stack.  ``moments``, when given, returns the basis's closed-form
+    integrals, which ``moments()`` reads.
     """
 
     def __init__(
@@ -99,6 +99,7 @@ class FunctionSpace:
         evaluate: Evaluator | None = None,
         parent: "FunctionSpace | None" = None,
         coeff_matrix: np.ndarray | None = None,
+        moments: Callable[[], np.ndarray] | None = None,
     ):
         a, b = float(interval[0]), float(interval[1])
         if not (a < b):
@@ -117,7 +118,7 @@ class FunctionSpace:
             raise ValueError("a space needs an evaluator or a coeff_matrix")
         self.coeff_matrix = coeff_matrix
         self._evaluate = evaluate
-        self._moments: Callable[[], np.ndarray] | None = None
+        self._moments = moments
 
     @property
     def dim(self) -> int:
@@ -138,9 +139,11 @@ class FunctionSpace:
         """Matrix of basis values, shape (len(xs), dim)."""
         return self.jet(xs, 0)[0]
 
-    def collocation_deriv(self, xs) -> np.ndarray:
-        """Matrix of basis first derivatives, shape (len(xs), dim)."""
-        return self.jet(xs, 1)[1]
+    def moments(self) -> np.ndarray:
+        """Closed-form integrals of the basis over the interval (ValueError without them)."""
+        if self._moments is None:
+            raise ValueError(f"{self!r} has no closed-form integrals")
+        return self._moments()
 
     def prefix(self, k: int) -> "FunctionSpace":
         """Subspace spanned by the first k basis functions."""
@@ -304,12 +307,15 @@ def make_family(spec: dict) -> FunctionSpace:
     if not (a < b):
         raise FamilyError(f"degenerate interval [{a}, {b}]")
 
+    moments = None          # closed-form integrals: the monomial family's only
     if family == "monomial":
         d = _entry(spec, "degree", _integer)
         if d < 0:
             raise FamilyError("monomial degree must be >= 0")
         labels = [f"x^{j}" for j in range(d + 1)]
         evaluate = lambda x, k: _powers(x, range(d + 1), k)  # noqa: E731
+        powers = np.arange(1, d + 2)
+        moments = lambda: (b ** powers - a ** powers) / powers  # noqa: E731
     elif family == "trig":
         k = _entry(spec, "max_harmonic", _integer)
         if k < 1:
@@ -356,7 +362,7 @@ def make_family(spec: dict) -> FunctionSpace:
     stored["interval"] = [a, b]
     if family == "explicit":
         stored["labels"] = labels
-    return FunctionSpace((a, b), labels, stored, evaluate)
+    return FunctionSpace((a, b), labels, stored, evaluate, moments=moments)
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +415,14 @@ def product_derivative_space(space: FunctionSpace) -> FunctionSpace:
     labels = [f"({space.labels[i]}*{space.labels[j]})'" for i, j in zip(pi, pj)]
     spec = {"derived": "product_derivative", "parent": space.family_spec, "dim": int(pi.size),
             "interval": [a, b]}
-    pairs = FunctionSpace(space.interval, labels, spec,
-                          lambda x, k: _pair_derivatives(space, x, k, pi, pj))
 
     def moments():
         ends = space.collocation(np.array([a, b]))
         products = ends[:, pi] * ends[:, pj]
         return products[1] - products[0]
 
-    pairs._moments = moments
-    return pairs
+    return FunctionSpace(space.interval, labels, spec,
+                         lambda x, k: _pair_derivatives(space, x, k, pi, pj), moments=moments)
 
 
 def _chebyshev(a: float, b: float, length: int) -> Evaluator:
@@ -554,8 +558,12 @@ def _orthonormal_space(span: FunctionSpace, coeff: np.ndarray, lower: np.ndarray
     rank = coeff.shape[0]
     spec = {"derived": "orthonormal", "parent": span.family_spec, "dim": rank,
             "interval": [a, b]}
+    # the integral of T_k over [-1, 1] is 2/(1 - k^2) for even k, 0 for odd k
+    even = np.arange(0, length, 2)
+    even_integrals = 2.0 / (1.0 - even * even)
     return FunctionSpace(span.interval, [f"q{i}" for i in range(rank)], spec,
-                         parent=parent, coeff_matrix=coeff)
+                         parent=parent, coeff_matrix=coeff,
+                         moments=lambda: 0.5 * (b - a) * (coeff[:, ::2] @ even_integrals))
 
 
 def augment_to_even(span: FunctionSpace,
@@ -599,11 +607,11 @@ def augment_to_even(span: FunctionSpace,
     cheb = _chebyshev(a, b, k + 1)
     spec = {"derived": "augmented", "parent": span.family_spec, "augment": f"T{k}",
             "interval": [a, b]}
+    integral = (b - a) / (1.0 - k * k) if k % 2 == 0 else 0.0
+    moments = None if span._moments is None else lambda: np.append(span.moments(), integral)
     target = FunctionSpace(span.interval, span.labels + (f"T{k}",), spec,
-                           lambda x, d: np.concatenate([span.jet(x, d), cheb(x, d)[..., k:]], axis=2))
-    if span._moments is not None:
-        integral = (b - a) / (1.0 - k * k) if k % 2 == 0 else 0.0
-        target._moments = lambda: np.append(span._moments(), integral)
+                           lambda x, d: np.concatenate([span.jet(x, d), cheb(x, d)[..., k:]], axis=2),
+                           moments=moments)
     return target, _orthonormal_space(target, coeff, lower, np.linspace(a, b, 2 * length))
 
 

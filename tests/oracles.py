@@ -352,10 +352,10 @@ class HermiteLagrangeBasis:
         return self.space.collocation(xs) @ self.eta_coeffs.T
 
     def sigma_derivs(self, xs) -> np.ndarray:
-        return self.space.collocation_deriv(xs) @ self.sigma_coeffs.T
+        return self.space.jet(xs, 1)[1] @ self.sigma_coeffs.T
 
     def eta_derivs(self, xs) -> np.ndarray:
-        return self.space.collocation_deriv(xs) @ self.eta_coeffs.T
+        return self.space.jet(xs, 1)[1] @ self.eta_coeffs.T
 
 
 def hermite_lagrange(space: FunctionSpace, nodes, closed: bool) -> HermiteLagrangeBasis:

@@ -79,7 +79,8 @@ def test_rule_operator_and_verify_load_no_scipy(tmp_path):
     # rest without it, equispaced operators included: {1, s, e^{10s}}
     # climbs from 5 to 9 equispaced nodes on direct and least-squares
     # weights alone, and on 4 nodes its weights come from the numpy
-    # non-negative least-squares fit of the approximate operator
+    # non-negative least-squares fit of the approximate operator; every
+    # moment is closed-form, so the adaptive integrator stays unloaded
     mono6 = {"family": "monomial", "degree": 6, "interval": [-1, 1]}
     write_config(tmp_path / "rule.json", {"space": refcases.EXP3_SPEC, "mode": "closed"})
     write_config(tmp_path / "gll.json", {"space": mono6})
@@ -99,15 +100,17 @@ def test_rule_operator_and_verify_load_no_scipy(tmp_path):
                        "--out", "equi"]),
                  main(["operator", "--config", "approx.json", "--mode", "equispaced",
                        "--out", "approx"])]
-        print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+        print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy")),
+                          "fsbp.integrate" in sys.modules]))
     """)
     src = os.path.dirname(os.path.dirname(fsbp.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout
-    codes, loaded = json.loads(out.splitlines()[-1])
+    codes, loaded, integrator = json.loads(out.splitlines()[-1])
     assert codes == [0, 0, 0, 0, 0]
     assert loaded == []
+    assert not integrator
     assert len(json.loads((tmp_path / "equi" / "operator.json").read_text())["nodes"]) == 9
     approx = json.loads((tmp_path / "approx" / "rule.json").read_text())
     assert approx["trace"]["construction"] == "equispaced-approximate"
@@ -119,7 +122,7 @@ def test_solve_loads_no_scipy(tmp_path):
     # boundary-layer advection-diffusion solve, whose separable source
     # enters as one data column, load no scipy module; nor does the
     # advection-diffusion study, whose exp-equispaced operator is the
-    # approximate one
+    # approximate one; no command loads the adaptive integrator
     write_config(tmp_path / "adv.json", {
         "pde": "advection", "params": {"a": 1.0, "final_time": 0.5}, "mms": "zero_data",
         "operator": {"space": {"family": "monomial", "degree": 6, "interval": [-1, 1]},
@@ -139,15 +142,17 @@ def test_solve_loads_no_scipy(tmp_path):
         codes = [main(["solve", "--config", "adv.json", "--out", "adv"]),
                  main(["solve", "--config", "layer.json", "--out", "layer"]),
                  main(["converge", "--config", "study.json", "--out", "study"])]
-        print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+        print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy")),
+                          "fsbp.integrate" in sys.modules]))
     """)
     src = os.path.dirname(os.path.dirname(fsbp.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout
-    codes, loaded = json.loads(out.splitlines()[-1])
+    codes, loaded, integrator = json.loads(out.splitlines()[-1])
     assert codes == [0, 0, 0]
     assert loaded == []
+    assert not integrator
     manifest = json.loads((tmp_path / "layer" / "manifest.json").read_text())
     assert 0.0 < manifest["final_error_norm"] < 1e-3
     rows = json.loads((tmp_path / "study" / "convergence.json").read_text())["rows"]
@@ -601,6 +606,19 @@ def test_solve_steep_boundary_layer(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert math.isfinite(manifest["final_error_norm"])
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--mode"), ("solve", "--mode"), ("converge", "--mode"), ("fixtures", "--mode"),
+    ("verify", "--force-tchebyshev"), ("fixtures", "--force-tchebyshev"),
+])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command, flag):
+    # each flag is registered only on the commands that read it
+    argv = [command, "--out", str(tmp_path / "o"), flag] + (["closed"] if flag == "--mode" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_operator_rejects_open_node_mode(tmp_path):

@@ -291,6 +291,22 @@ def test_trapezoid_fails_on_quadratics():
     assert cert.per_function_errors[2] == pytest.approx(1.0 / 6.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", [
+    {"family": "trig", "max_harmonic": 2, "interval": [0, 1]},
+    {"family": "exponential", "rates": [1.0], "poly_degree": 1, "interval": [0, 1]},
+    {"family": "bessel", "orders": [0, 1], "interval": [0, 1]},
+    {"family": "explicit", "functions": [(np.sin, np.cos)], "interval": [0, 1]},
+], ids=["trig", "exponential", "bessel", "explicit"])
+def test_verify_exactness_needs_closed_form_moments(spec):
+    # the certificate integrates nothing: a space without closed-form
+    # integrals is rejected
+    rule = QuadratureRule(nodes=np.array([0.0, 1.0]), weights=np.array([0.5, 0.5]),
+                          closed=True, interval=(0.0, 1.0))
+    space = make_family(spec)
+    with pytest.raises(ValueError, match="no closed-form integrals"):
+        verify_exactness(rule, space, space.dim)
+
+
 def test_reference_rule_certificate(exp3_closed_rule, exp3_target):
     cert = verify_exactness(exp3_closed_rule, exp3_target, 6)
     assert cert.valid

@@ -202,7 +202,7 @@ def test_single_element_rhs_matches_analytic_derivative(trig_space, trig_operato
     u = trig_space.collocation(grid.nodes[0])[:, 1][None, :]
     g_left = float(trig_space.collocation(np.array([0.0]))[0, 1])
     du = rhs(assemble("advection", grid, params, data_case(g_left=g_left)), 0.0, u)
-    assert np.max(np.abs(du[0] + trig_space.collocation_deriv(grid.nodes[0])[:, 1])) < 1e-9
+    assert np.max(np.abs(du[0] + trig_space.jet(grid.nodes[0], 1)[1][:, 1])) < 1e-9
 
 
 def test_energy_rate_identity(trig_grid):

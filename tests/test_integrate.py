@@ -134,11 +134,9 @@ def test_orthonormal_moments_constant_first(exp3_orthonormal):
     # constant lies in the span, so the first orthonormal function is the
     # normalised constant and its moment is sqrt(b - a); the solvers'
     # closed-form moments agree with the adaptive ones
-    from fsbp.gauss import _series_moments
-
     m = moments(exp3_orthonormal)
     assert m[0] == pytest.approx(1.0, abs=1e-12)  # sqrt(1 - 0)
-    assert np.max(np.abs(_series_moments(exp3_orthonormal) - m)) <= 1e-12
+    assert np.max(np.abs(exp3_orthonormal.moments() - m)) <= 1e-12
 
 
 def test_moment_failure_propagates():

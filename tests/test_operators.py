@@ -76,7 +76,7 @@ def test_five_point_operator_is_valid_but_reference_matrix_is_not(exp3_space):
 
     # the frozen matrix is internally inconsistent ...
     f_vals = exp3_space.collocation(rule.nodes)
-    f_ders = exp3_space.collocation_deriv(rule.nodes)
+    f_ders = exp3_space.jet(rule.nodes, 1)[1]
     frozen_defect = np.max(np.abs(refcases.EXP3_EQUI5_D @ f_vals - f_ders))
     assert 1e-3 < frozen_defect < 2e-2
     # ... hence necessarily differs from any exact operator
@@ -176,6 +176,19 @@ def test_classical_gll_operators_of_high_degree():
         assert verdict.passed, degree
 
 
+@pytest.mark.parametrize("degree, interval", [(24, [-1, 1]), (12, [0, 1])])
+def test_classical_gll_certificate_rank_is_twice_the_degree(degree, interval):
+    # the product span of x^0 .. x^d is P_{2d-1}, of rank 2d, which a
+    # numerical rank of the monomial pairs underestimates above degree 16
+    # on [-1, 1] and above degree 8 on [0, 1]
+    from fsbp.pipeline import build_study_operator
+
+    spec = {"family": "monomial", "degree": degree, "interval": interval}
+    _, rule, verdict = build_study_operator(spec, "classical-gll")
+    assert rule.certificate.target_dim == 2 * degree
+    assert rule.certificate.valid and verdict.passed
+
+
 def test_finest_trig_optimal_operator_has_exactness_margin():
     # the finest trig-optimal level of the advection study (32 elements)
     # sat at 0.73 of the gate while the basis carried rounding noise
@@ -214,7 +227,7 @@ def test_scaled_operator_exact_for_mapped_basis(exp3_space, exp3_operator):
     # mapped basis f(2x) has derivative 2 f'(2x)
     xs = mapped.nodes
     vals = exp3_space.collocation(2.0 * xs)
-    ders = 2.0 * exp3_space.collocation_deriv(2.0 * xs)
+    ders = 2.0 * exp3_space.jet(2.0 * xs, 1)[1]
     assert np.max(np.abs(mapped.D @ vals - ders)) < 1e-8
 
 
@@ -312,6 +325,23 @@ def test_approximate_operator_keeps_structure(exp3_space):
     assert verdict.max_exactness_error > 1e-8
 
 
+def test_equispaced_budget_at_the_rank_builds_the_exact_operator():
+    # exp3's product span has rank 5, and 5 equispaced nodes carry its
+    # smallest exact rule: a budget of 5 gives the budget-free rule,
+    # certificate and operator; a budget of 4, below the rank, gives the
+    # approximate operator
+    from fsbp.pipeline import build_study_operator
+
+    free_op, free_rule, _ = build_study_operator(refcases.EXP3_SPEC, "equispaced")
+    op, rule, verdict = build_study_operator(refcases.EXP3_SPEC, "equispaced", n_nodes=5)
+    assert rule.to_dict() == free_rule.to_dict()
+    assert rule.certificate.valid and verdict.passed
+    assert operator_to_dict(op) == operator_to_dict(free_op)
+    _, rule, verdict = build_study_operator(refcases.EXP3_SPEC, "equispaced", n_nodes=4)
+    assert rule.trace["construction"] == "equispaced-approximate"
+    assert rule.certificate is None and not verdict.passed
+
+
 @pytest.mark.parametrize("rate", [1.0, 2.5, 10.0, 20.0])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_approximate_operator_reaches_joint_minimum(rate, n):
@@ -320,7 +350,7 @@ def test_approximate_operator_reaches_joint_minimum(rate, n):
                          "interval": [0, 1]})
     nodes = np.linspace(0.0, 1.0, n)
     op = build_approximate_operator(space, nodes)
-    f_vals, f_ders = space.collocation(nodes), space.collocation_deriv(nodes)
+    f_vals, f_ders = space.collocation(nodes), space.jet(nodes, 1)[1]
     defect = np.linalg.norm(op.Q @ f_vals - op.P[:, None] * f_ders)
     assert defect <= (1 + 1e-8) * joint_defect_bvls(f_vals, f_ders, 1e-3 / n)
     assert np.min(op.P) >= 1e-3 / n

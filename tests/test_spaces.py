@@ -29,14 +29,14 @@ def test_monomial_family_trivial():
     space = make_family({"family": "monomial", "degree": 1, "interval": [0, 1]})
     xs = np.array([0.0, 0.3, 1.0])
     assert np.allclose(space.collocation(xs), np.column_stack([np.ones(3), xs]))
-    assert np.allclose(space.collocation_deriv(xs), np.column_stack([np.zeros(3), np.ones(3)]))
+    assert np.allclose(space.jet(xs, 1)[1], np.column_stack([np.zeros(3), np.ones(3)]))
 
 
 def test_exponential_family_is_three_dimensional(exp3_space):
     assert exp3_space.dim == 3
     xs = np.linspace(0, 1, 7)
     assert np.allclose(exp3_space.collocation(xs)[:, 2], np.exp(xs))
-    assert np.allclose(exp3_space.collocation_deriv(xs)[:, 2], np.exp(xs))
+    assert np.allclose(exp3_space.jet(xs, 1)[1][:, 2], np.exp(xs))
 
 
 def test_trig_family_count(trig_space):
@@ -93,8 +93,8 @@ JET_SPACES = {
 
 @pytest.mark.parametrize("name", sorted(JET_SPACES))
 def test_jet_orders_agree(name):
-    # a jet's lower orders are the lower jets, bit for bit, and collocation /
-    # collocation_deriv are its slices; a product span has no second order
+    # a jet's lower orders are the lower jets, bit for bit, and collocation
+    # is its slice; a product span has no second order
     space = JET_SPACES[name]()
     a, b = space.interval
     xs = np.linspace(a, b, 13)
@@ -105,7 +105,6 @@ def test_jet_orders_agree(name):
         for lower in jets[:k]:
             assert np.array_equal(jet[:len(lower)], lower)
     assert np.array_equal(space.collocation(xs), jets[0][0])
-    assert np.array_equal(space.collocation_deriv(xs), jets[1][1])
     if top < 2:
         with pytest.raises(FamilyError):
             space.jet(xs, 2)
@@ -174,7 +173,7 @@ def test_derivatives_match_finite_differences(spec):
     for i in range(space.dim):
         h1 = 1e-4 * (b - a)
         h2 = h1 / 2.0
-        exact = space.collocation_deriv(xs)[:, i]
+        exact = space.jet(xs, 1)[1][:, i]
         err1 = np.max(np.abs((v(xs + h1)[:, i] - v(xs - h1)[:, i]) / (2 * h1) - exact))
         err2 = np.max(np.abs((v(xs + h2)[:, i] - v(xs - h2)[:, i]) / (2 * h2) - exact))
         scale = max(1.0, np.max(np.abs(exact)))
@@ -254,7 +253,7 @@ def test_product_space_fundamental_theorem(exp3_space):
 
     for i in range(space.dim):
         for j in range(i, space.dim):
-            v, d = space.collocation, space.collocation_deriv
+            v, d = space.collocation, lambda x: space.jet(x, 1)[1]
             g = lambda x: d(x)[:, i] * v(x)[:, j] + v(x)[:, i] * d(x)[:, j]
             res = integrate_vector(g, a, b)
             expected = (v(np.array([b]))[:, i] * v(np.array([b]))[:, j]
@@ -276,13 +275,20 @@ _MOMENT_FAMILIES = st.one_of(
 @settings(derandomize=True, max_examples=30, deadline=None)
 @given(family=_MOMENT_FAMILIES, centre=st.floats(-5.0, 5.0), half=st.floats(0.1, 3.0))
 def test_closed_form_moments_match_adaptive_integration(family, centre, half):
+    # every space with closed-form integrals: the monomial family, the
+    # product-derivative pairs, their augmentation and orthonormal bases
     from fsbp.integrate import moments
 
     spec = {**family, "interval": [centre - half, centre + half]}
-    product = product_derivative_space(make_family(spec))
-    target, _ = augment_to_even(product, orthonormalize(product))
-    for space in (product, target):
-        closed, adaptive = space._moments(), moments(space)
+    space = make_family(spec)
+    product = product_derivative_space(space)
+    basis = orthonormalize(product)
+    target, even_basis = augment_to_even(product, basis)
+    spaces = [product, target, basis, even_basis]
+    if family["family"] == "monomial":
+        spaces.append(space)
+    for space in spaces:
+        closed, adaptive = space.moments(), moments(space)
         assert closed.shape == (space.dim,)
         assert np.all(np.abs(closed - adaptive) <= 1e-12 * np.maximum(1.0, np.abs(adaptive))), spec
 
