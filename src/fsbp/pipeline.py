@@ -68,6 +68,7 @@ def solve_rule_pipeline(
     mode: str = "closed",
     force: bool = False,
     rng_seed: int = 0,
+    min_nodes: int = 0,
 ) -> RulePipelineResult:
     """Family descriptor to a certified generalised rule.
 
@@ -76,6 +77,8 @@ def solve_rule_pipeline(
     pairs decides their rank, once; an odd rank gets one Chebyshev
     polynomial appended to the target and its residual to the basis
     (``augment_to_even``), so the basis always has even dimension.
+    A rule on a basis of dimension m has m/2 + 1 nodes when closed and m/2
+    when open; fewer than ``min_nodes`` raise RankError before any solve.
     The rule is certified here, once, against every function of the target.
     """
     if mode not in ("open", "closed"):
@@ -84,6 +87,10 @@ def solve_rule_pipeline(
     product = product_derivative_space(space)
     basis = orthonormalize(product)
     target, ortho = augment_to_even(product, basis)
+    n_nodes = ortho.dim // 2 + (mode == "closed")
+    if n_nodes < min_nodes:
+        raise RankError(f"the {mode} rule on the {ortho.dim}-dimensional basis has {n_nodes} "
+                        f"nodes, fewer than the {min_nodes} required")
     rule = continuation_solve(ortho, closed=(mode == "closed"), force=force, rng_seed=rng_seed)
     rule.certificate = verify_exactness(rule, target, ortho.dim)
     dims = {
@@ -107,7 +114,9 @@ def build_study_operator(
     Modes: "gglq" (optimised closed nodes), "equispaced" (equispaced
     nodes), "classical-gll" (Gauss-Lobatto nodes; polynomial families
     only).  The open mode "ggq" produces rules but no operator, since
-    assembly needs endpoint nodes.
+    assembly needs endpoint nodes.  An operator needs at least as many
+    nodes as the family has functions: in "gglq" a closed rule with fewer
+    raises RankError before the rule is solved.
 
     For "equispaced", ``n_nodes`` fixes the node budget.  When that
     budget is below the product span's rank or carries no exact positive
@@ -133,8 +142,7 @@ def build_study_operator(
         product = product_derivative_space(space)
         rule.certificate = verify_exactness(rule, product, 2 * degree)
     elif node_mode == "gglq":
-        result = solve_rule_pipeline(family_spec, "closed", force, rng_seed)
-        rule = result.rule
+        rule = solve_rule_pipeline(family_spec, "closed", force, rng_seed, space.dim).rule
     else:  # equispaced
         product = product_derivative_space(space)
         ortho = orthonormalize(product)

@@ -64,6 +64,12 @@ RANK_CUTOFF = 1e-12
 CHOP_TOL = 1e-14
 CHOP_TAIL = 8
 MAX_SAMPLES = 2048
+# Bessel family: arguments and orders at most BESSEL_BOUND in magnitude
+# (FamilyError beyond), where the FFT evaluator stays within 1e-13 and a
+# product span on [0, BESSEL_BOUND] still resolves within MAX_SAMPLES
+# samples; each FFT block holds at most BESSEL_BLOCK complex entries (4 MB)
+BESSEL_BOUND = 1000
+BESSEL_BLOCK = 1 << 18
 
 
 class FamilyError(ValueError):
@@ -210,11 +216,34 @@ def _exponential(a: float, b: float, poly_degree: int, rates: list) -> Evaluator
     return evaluate
 
 
-def _bessel(orders: list) -> Evaluator:
-    # one jv call over orders min-2 .. max+2; the derivatives follow from
-    # J' = (J_{v-1} - J_{v+1}) / 2 and J'' = (J_{v-2} - 2 J_v + J_{v+2}) / 4
-    from scipy.special import jv
+def _bessel_table(x: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """J_n(x) for integer orders n, one column per order.
 
+    The M-point trapezoid rule of Bessel's integral J_n(x) = (1/2pi)
+    int_0^2pi exp(i(x sin t - n t)) dt is column n mod M of one FFT over t
+    of exp(i x sin t), exact up to the aliased terms J_{n+lM}(x), l != 0.
+    Over a period the rule converges exponentially (Trefethen and Weideman,
+    "The exponentially convergent trapezoidal rule", SIAM Review 56, 2014):
+    J_m(x) decays past the turning point m = |x| over a width of order
+    |x|^(1/3), so M = 2 ceil((X + N + 20 + 8 X^(1/3)) / 2), with X = max|x|
+    and N = max|n|, puts every aliased order beyond it.  Rows go in blocks
+    of at most BESSEL_BLOCK complex entries.
+    """
+    xmax = float(np.max(np.abs(x), initial=0.0))
+    m = 2 * math.ceil((xmax + np.max(np.abs(orders)) + 20 + 8 * xmax ** (1 / 3)) / 2)
+    phase = 1j * np.sin(2 * np.pi * np.arange(m) / m)
+    cols = orders % m
+    rows = max(1, BESSEL_BLOCK // m)
+    out = np.empty((x.size, orders.size))
+    for i in range(0, x.size, rows):
+        z = np.outer(x[i:i + rows], phase)
+        out[i:i + rows] = np.fft.fft(np.exp(z, out=z))[:, cols].real / m
+    return out
+
+
+def _bessel(orders: list) -> Evaluator:
+    # one table over orders min-2 .. max+2; the derivatives follow from
+    # J' = (J_{v-1} - J_{v+1}) / 2 and J'' = (J_{v-2} - 2 J_v + J_{v+2}) / 4
     lo = min(orders)
     span = np.arange(lo - 2, max(orders) + 3)
     c = np.asarray(orders) - (lo - 2)            # column of J_v
@@ -223,7 +252,7 @@ def _bessel(orders: list) -> Evaluator:
                   lambda j: (j[:, c - 2] - 2.0 * j[:, c] + j[:, c + 2]) / 4.0)
 
     def evaluate(x, k):
-        j = jv(span, x[:, None])
+        j = _bessel_table(x, span)
         return np.stack([order(j) for order in jet_orders[:k + 1]])
 
     return evaluate
@@ -285,8 +314,8 @@ def make_family(spec: dict) -> FunctionSpace:
     - ``{"family": "exponential", "rates": [...], "poly_degree": p}`` --
       local monomials up to degree p plus exp(rate * s) for each rate
     - ``{"family": "bessel", "orders": [...]}`` -- Bessel J_v of the
-      physical coordinate (needs the optional Bessel feature, i.e. a
-      usable scipy.special)
+      physical coordinate, integer orders; the interval's endpoints and
+      the orders are at most ``BESSEL_BOUND`` in magnitude
     - ``{"family": "explicit", "functions": [(value, deriv[, deriv2]), ...]}``
 
     A descriptor that is not a dict, and missing, ill-typed or non-finite
@@ -340,13 +369,12 @@ def make_family(spec: dict) -> FunctionSpace:
     elif family == "bessel":
         if not spec.get("enabled", True):
             raise FamilyError("Bessel family requested but the feature is disabled")
-        try:
-            import scipy.special  # noqa: F401
-        except ImportError as exc:  # pragma: no cover - scipy is a hard dep
-            raise FamilyError("Bessel family requires scipy.special") from exc
         orders = _entry(spec, "orders", lambda v: [_integer(o) for o in v])
         if not orders:
             raise FamilyError("bessel family needs at least one order")
+        if max(-a, b, *map(abs, orders)) > BESSEL_BOUND:
+            raise FamilyError(f"bessel family needs an interval and orders within "
+                              f"[-{BESSEL_BOUND}, {BESSEL_BOUND}]")
         labels = [f"J{v}" for v in orders]
         evaluate = _bessel(orders)
     elif family == "explicit":

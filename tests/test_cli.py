@@ -75,14 +75,15 @@ def test_rule_screen_gate_exit_code(tmp_path, capsys):
 
 
 def test_rule_operator_and_verify_load_no_scipy(tmp_path):
-    # only the Bessel family imports scipy; a fresh interpreter runs the
-    # rest without it, equispaced operators included: {1, s, e^{10s}}
+    # a fresh interpreter runs every family without scipy, the Bessel rule
+    # included, and equispaced operators too: {1, s, e^{10s}}
     # climbs from 5 to 9 equispaced nodes on direct and least-squares
     # weights alone, and on 4 nodes its weights come from the numpy
     # non-negative least-squares fit of the approximate operator; every
     # moment is closed-form, so the adaptive integrator stays unloaded
     mono6 = {"family": "monomial", "degree": 6, "interval": [-1, 1]}
     write_config(tmp_path / "rule.json", {"space": refcases.EXP3_SPEC, "mode": "closed"})
+    write_config(tmp_path / "bessel.json", {"space": refcases.BESSEL_SPEC})
     write_config(tmp_path / "gll.json", {"space": mono6})
     write_config(tmp_path / "verify.json", {"operator": "op/operator.json", "space": mono6})
     write_config(tmp_path / "equi.json", {"space": {
@@ -93,6 +94,7 @@ def test_rule_operator_and_verify_load_no_scipy(tmp_path):
         import json, sys
         from fsbp.cli import main
         codes = [main(["rule", "--config", "rule.json", "--out", "rule"]),
+                 main(["rule", "--config", "bessel.json", "--out", "bessel"]),
                  main(["operator", "--config", "gll.json", "--mode", "classical-gll",
                        "--out", "op"]),
                  main(["verify", "--config", "verify.json", "--out", "verify"]),
@@ -108,12 +110,34 @@ def test_rule_operator_and_verify_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout
     codes, loaded, integrator = json.loads(out.splitlines()[-1])
-    assert codes == [0, 0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0, 0]
     assert loaded == []
     assert not integrator
     assert len(json.loads((tmp_path / "equi" / "operator.json").read_text())["nodes"]) == 9
     approx = json.loads((tmp_path / "approx" / "rule.json").read_text())
     assert approx["trace"]["construction"] == "equispaced-approximate"
+
+
+def test_bessel_rule_and_operator_without_scipy(tmp_path):
+    # with scipy made unimportable, the Bessel rule and its gglq operator
+    # still exit 0 with a valid certificate and a passing verdict
+    write_config(tmp_path / "bessel.json", {"space": refcases.BESSEL_SPEC})
+    script = textwrap.dedent("""
+        import json, sys
+        sys.modules["scipy"] = None
+        from fsbp.cli import main
+        print(json.dumps([main(["rule", "--config", "bessel.json", "--out", "rule"]),
+                          main(["operator", "--config", "bessel.json", "--out", "op"])]))
+    """)
+    src = os.path.dirname(os.path.dirname(fsbp.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, 0]
+    for run in ("rule", "op"):
+        cert = json.loads((tmp_path / run / "rule.json").read_text())["certificate"]
+        assert cert["valid"] and cert["max_abs_error"] <= cert["tol"]
+    assert json.loads((tmp_path / "op" / "verdict.json").read_text())["pass"]
 
 
 def test_solve_loads_no_scipy(tmp_path):
@@ -182,6 +206,15 @@ def test_validation_exit_codes(tmp_path):
     {"family": "explicit", "functions": [[1, 2]], "interval": [0, 1]},
     {"family": "exponential", "rates": ["fast"], "interval": [0, 1]},
     {"family": "exponential", "rates": [1.0], "poly_degree": -1, "interval": [0, 1]},
+    {"family": "monomial", "degree": 2, "interval": [0, 1, 2]},
+    {"family": "trig", "max_harmonic": 2, "freq_scale": 0, "interval": [0, 1]},
+    {"family": "exponential", "rates": [0.0], "interval": [0, 1]},
+    {"family": "bessel", "orders": [], "interval": [0, 25]},
+    {"family": "explicit", "functions": [], "interval": [0, 1]},
+    # the Bessel domain: arguments and orders at most BESSEL_BOUND = 1000
+    {"family": "bessel", "orders": [0, 1], "interval": [0, 1001]},
+    {"family": "bessel", "orders": [0, 1], "interval": [-1001, 0]},
+    {"family": "bessel", "orders": [-1001], "interval": [0, 25]},
 ])
 def test_malformed_descriptor_exits_2(tmp_path, capsys, space):
     cfg = write_config(tmp_path / "bad.json", {"space": space})
@@ -412,6 +445,25 @@ def test_high_harmonic_trig_rules_exit_0(tmp_path, harmonic, mode):
     out = tmp_path / "o"
     assert main(["rule", "--config", cfg, "--out", str(out), "--mode", mode]) == 0
     assert json.loads((out / "rule.json").read_text())["certificate"]["valid"] is True
+
+
+def test_too_few_closed_nodes_fail_before_the_solve(tmp_path, capsys, monkeypatch):
+    # trig 12 at freq_scale 1.0: the product span resolves to rank 43 of
+    # 48, so the closed rule on the augmented 44-dimensional basis has 23
+    # nodes, too few for the family's 25 functions; the operator stops
+    # before the rule is solved, while the rule itself still exits 0
+    cfg = write_config(tmp_path / "trig.json", {"space": {
+        "family": "trig", "max_harmonic": 12, "freq_scale": 1.0, "interval": [0, 1]}})
+    assert main(["rule", "--config", cfg, "--out", str(tmp_path / "rule")]) == 0
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the rule was solved")
+
+    monkeypatch.setattr(pipeline, "continuation_solve", no_solve)
+    assert main(["operator", "--config", cfg, "--out", str(tmp_path / "op")]) == 3
+    err = capsys.readouterr().err
+    assert "RankError" in err and "23 nodes" in err and "25 required" in err
 
 
 SOLVE_CONFIGS = {

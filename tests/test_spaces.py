@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsbp.spaces import (
+    BESSEL_BLOCK,
+    BESSEL_BOUND,
+    MAX_SAMPLES,
     FamilyError,
     RankError,
     _chebyshev_coefficients,
@@ -59,15 +62,41 @@ def test_bessel_family():
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_bessel_evaluator_matches_jvp_exactly(k):
-    # orders 0 and 1 reach J_{-1} and J_{-2} through the recurrences
+def test_bessel_evaluator_matches_jvp(k):
+    # the FFT of Bessel's integral against scipy's jvp, orders reaching
+    # J_{-2} .. J_{-7} through the recurrences, on both sides of 0 and on
+    # the longest intervals the family accepts
     from scipy.special import jvp
 
-    orders = [0, 1, 2, 5, 9]
-    space = make_family({"family": "bessel", "orders": orders, "interval": [0, 25]})
-    xs = np.linspace(0.0, 25.0, 101)
-    expected = np.column_stack([jvp(v, xs, k) for v in orders])
-    assert np.array_equal(space.jet(xs, 2)[k], expected)
+    cases = [([0.0, 25.0], [0, 1, 2, 5, 9]),
+             ([-25.0, 0.0], [0, 1, 2, 5, 9]),
+             ([-3.0, 25.0], [-5, -1, 0, 3, 14]),
+             ([0.0, BESSEL_BOUND], [0, 1, 7, 30]),
+             ([-BESSEL_BOUND, BESSEL_BOUND], [-BESSEL_BOUND, 0, BESSEL_BOUND])]
+    for interval, orders in cases:
+        space = make_family({"family": "bessel", "orders": orders, "interval": interval})
+        xs = np.linspace(*interval, 1001)
+        expected = np.column_stack([jvp(v, xs, k) for v in orders])
+        assert np.max(np.abs(space.jet(xs, 2)[k] - expected)) <= 1e-13, (interval, orders)
+
+
+def test_bessel_jet_at_the_bound_evaluates_in_blocks():
+    # one MAX_SAMPLES-point jet on [0, BESSEL_BOUND] takes about 1100 FFT
+    # terms, so an unblocked complex temporary would hold 2048 x 1100
+    # entries (36 MB); blocks keep the traced peak within a few blocks
+    import tracemalloc
+
+    space = make_family({"family": "bessel", "orders": list(range(10)),
+                         "interval": [0.0, BESSEL_BOUND]})
+    xs = np.linspace(0.0, BESSEL_BOUND, MAX_SAMPLES)
+    tracemalloc.start()
+    try:
+        jet = space.jet(xs, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(jet))
+    assert peak <= 3 * 16 * BESSEL_BLOCK
 
 
 def _trig_family():
@@ -115,14 +144,14 @@ def test_jet_orders_agree(name):
 def test_no_bessel_call_after_orthonormalisation(monkeypatch):
     # the orthonormal basis is a Chebyshev series: a Hermite solve on it
     # evaluates no Bessel function at all
-    import scipy.special
-
+    from fsbp import spaces
     from fsbp.gauss import _condition_integrals
 
     calls = []
-    jv = scipy.special.jv
-    monkeypatch.setattr(scipy.special, "jv", lambda *args: calls.append(1) or jv(*args))
+    table = spaces._bessel_table
+    monkeypatch.setattr(spaces, "_bessel_table", lambda *args: calls.append(1) or table(*args))
     _, ortho = augmented_target(make_family(refcases.BESSEL_SPEC))
+    assert calls
     a, b = ortho.interval
     nodes = np.linspace(a, b, ortho.dim // 2 + 1)
     calls.clear()
