@@ -26,17 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .spaces import FamilyError, RankError, make_family, orthonormalize, product_derivative_space
-from .gauss import IntegrationError, QuadratureRule, ScreenFailure, SolverError, verify_exactness
-from .operators import (
-    AssemblyError,
-    build_operator,
-    operator_from_dict,
-    operator_to_dict,
-    verify_sbp,
-)
+from .spaces import FamilyError, RankError, make_family
+from .gauss import IntegrationError, QuadratureRule, ScreenFailure, SolverError
+from .operators import AssemblyError, operator_from_dict, operator_to_dict, verify_sbp
 from .ibvp import BlowUpError, MmsCase, PdeParams, run_case
-from .pipeline import build_study_operator, convergence_study, solve_rule_pipeline
+from .pipeline import (build_rule_operator, build_study_operator, convergence_study,
+                       solve_rule_pipeline)
 from . import refcases
 
 EXIT_OK = 0
@@ -252,10 +247,7 @@ def cmd_operator(args) -> int:
 
     if "rule" in config:
         rule = load_input(runner, args, config, "rule", QuadratureRule.from_dict)
-        product = product_derivative_space(space)
-        rule.certificate = verify_exactness(rule, product, orthonormalize(product).dim)
-        op = build_operator(space, rule)
-        verdict = verify_sbp(op, space, rng_seed=args.seed)
+        op, rule, verdict = build_rule_operator(space, rule, rng_seed=args.seed)
     else:
         node_mode = args.mode or config.get("node_mode", "gglq")
         op, rule, verdict = build_study_operator(
@@ -301,12 +293,7 @@ def _mms_case(name: str, pde: str, params: PdeParams) -> MmsCase:
         if params.eps <= 0:
             raise FamilyError("boundary_layer case needs eps > 0")
         return MmsCase.boundary_layer(params.a, params.eps)
-    return MmsCase(
-        exact=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
-        initial=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)) ** 2,
-        boundary_left=lambda t: 0.0,
-        boundary_right=lambda t: 0.0,
-    )
+    return MmsCase.zero_data()
 
 
 def _pde_params(p: dict) -> PdeParams:
@@ -420,15 +407,12 @@ def cmd_fixtures(args) -> int:
     runner = Runner("fixtures", args, {**config, "seed": args.seed})
     report = {}
 
-    result = solve_rule_pipeline(refcases.EXP3_SPEC, "closed", rng_seed=args.seed)
-    rule_files(runner, "exp3_closed_rule", result.rule)
+    op, rule, _ = build_study_operator(refcases.EXP3_SPEC, "gglq", rng_seed=args.seed)
+    rule_files(runner, "exp3_closed_rule", rule)
     report["exp3_closed_nodes_delta"] = float(
-        np.max(np.abs(result.rule.nodes - refcases.EXP3_CLOSED_NODES)))
+        np.max(np.abs(rule.nodes - refcases.EXP3_CLOSED_NODES)))
     report["exp3_closed_weights_delta"] = float(
-        np.max(np.abs(result.rule.weights - refcases.EXP3_CLOSED_WEIGHTS)))
-
-    space = make_family(refcases.EXP3_SPEC)
-    op = build_operator(space, result.rule)
+        np.max(np.abs(rule.weights - refcases.EXP3_CLOSED_WEIGHTS)))
     operator_files(runner, "exp3_closed_operator", op)
     report["exp3_closed_d_delta"] = float(np.max(np.abs(op.D - refcases.EXP3_CLOSED_D)))
 
@@ -440,7 +424,7 @@ def cmd_fixtures(args) -> int:
 
     uni = refcases.uniform4_operator()
     operator_files(runner, "exp3_uniform4_operator", uni)
-    verdict = verify_sbp(uni, space, rng_seed=args.seed)
+    verdict = verify_sbp(uni, make_family(refcases.EXP3_SPEC), rng_seed=args.seed)
     write_json(runner.path("exp3_uniform4_verdict.json"), verdict.to_dict())
     report["uniform4_exactness_defect"] = verdict.max_exactness_error
 

@@ -19,8 +19,8 @@ naming its mode, its size and its last Newton error.
 working basis that ``spaces.orthonormalize`` produces, a truncated
 Chebyshev series.  Every solver returns an uncertified rule
 (``certificate`` None): ``verify_exactness`` is the one exactness check,
-and the callers that write a rule (the pipeline and the CLI) certify it
-once against the span they need.  Nothing here integrates numerically:
+and ``fsbp.pipeline``, which makes every rule a command writes, certifies
+it once against the span it needs.  Nothing here integrates numerically:
 every moment is a space's own closed form (``FunctionSpace.moments``).
 
 The solver's tolerances and schedule are the module constants below;
@@ -162,6 +162,8 @@ CERTIFICATE_TOL = 1e-8
 T_STEP = 0.1
 T_STEP_MIN = 1e-6
 T_GROWTH = 1.5
+# equispaced rules without a node budget: nodes added past the dimension at most
+EQUISPACED_EXTRA = 8
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +201,6 @@ def _condition_integrals(space, nodes, closed, moments_vec):
     return z[n_eta:], z[:n_eta]
 
 
-def _ordered_with_margin(old_full, new_full, margin):
-    """Check that new gaps keep at least ``margin`` of the old gaps."""
-    old_gaps = np.diff(old_full)
-    new_gaps = np.diff(new_full)
-    return np.all(new_gaps >= margin * old_gaps)
-
-
 def newton_solve(
     space: FunctionSpace,
     x0,
@@ -215,13 +210,15 @@ def newton_solve(
     """Damped quasi-Newton iteration for the rule nodes.
 
     Each node moves by (integral of its sigma function) / (integral of
-    its eta function); a backtracking line search keeps the nodes
-    strictly ordered with a safety margin and never lets the residual
-    grow.  For closed rules, the endpoints stay fixed and only interior
-    nodes move.  ``moments_vec`` holds the integrals the rule must
-    reproduce, one per basis function (the space's moments, or a blend
-    of them during continuation).  Returns an uncertified rule with
-    positive weights.
+    its eta function); a backtracking line search over the damping
+    factors 1, 1/2, ..., 2**-DAMPING_LEVELS keeps the nodes strictly
+    ordered, every gap at least ORDERING_MARGIN of its previous length,
+    and never lets the residual grow.  At most MAX_ITERATIONS updates
+    are made.  For closed rules, the endpoints stay fixed and only
+    interior nodes move.  ``moments_vec`` holds the integrals the rule
+    must reproduce, one per basis function (the space's moments, or a
+    blend of them during continuation).  Returns an uncertified rule
+    with positive weights.
     """
     a, b = space.interval
     m = space.dim
@@ -247,53 +244,38 @@ def newton_solve(
         return vec if closed else np.concatenate([[a], vec, [b]])
 
     sigma, eta = _condition_integrals(space, nodes, closed, moments_vec)
+    res = float(np.max(np.abs(sigma), initial=0.0))     # finite: checked by the solve
     iterations = 0
-    for _ in range(MAX_ITERATIONS):
-        res = float(np.max(np.abs(sigma))) if sigma.size else 0.0
-        if res < RESIDUAL_TOL:
-            break
+    while res >= RESIDUAL_TOL:
+        if iterations == MAX_ITERATIONS:
+            raise SolverError(f"no convergence in {MAX_ITERATIONS} iterations (residual {res:.3e})")
         eta_upd = eta[upd]
         if np.any(np.abs(eta_upd) < 1e-300):
             raise SolverError("vanishing eta integral; degenerate node configuration")
         delta = np.zeros_like(nodes)
         delta[upd] = sigma / eta_upd
-
-        accepted = False
-        lam = 1.0
-        for _ in range(DAMPING_LEVELS + 1):
+        min_gaps = ORDERING_MARGIN * np.diff(extended(nodes))
+        for lam in 0.5 ** np.arange(DAMPING_LEVELS + 1):
             cand = nodes + lam * delta
-            full_old = extended(nodes)
-            full_new = extended(cand)
-            if np.all(np.diff(full_new) > 0) and _ordered_with_margin(
-                full_old, full_new, ORDERING_MARGIN
-            ):
-                try:
-                    sig_c, eta_c = _condition_integrals(space, cand, closed, moments_vec)
-                except SolverError:
-                    sig_c = None
-                if sig_c is not None:
-                    res_c = float(np.max(np.abs(sig_c))) if sig_c.size else 0.0
-                    if res_c <= res * (1.0 + 1e-12) + 1e-300:
-                        nodes, sigma, eta = cand, sig_c, eta_c
-                        accepted = True
-                        break
-            lam *= 0.5
-        if not accepted:
+            gaps = np.diff(extended(cand))
+            # gaps > 0 is what rejects a zero gap when an open x0 touches an endpoint
+            if not (np.all(gaps > 0) and np.all(gaps >= min_gaps)):
+                continue
+            try:
+                sig_c, eta_c = _condition_integrals(space, cand, closed, moments_vec)
+            except SolverError:
+                continue
+            res_c = float(np.max(np.abs(sig_c), initial=0.0))
+            if res_c <= res * (1.0 + 1e-12) + 1e-300:
+                break
+        else:
             raise SolverError(
                 f"backtracking failed at residual {res:.3e}; node ordering could not be rescued"
             )
+        nodes, sigma, eta, res = cand, sig_c, eta_c, res_c
         iterations += 1
-        step = float(np.max(np.abs(lam * delta)))
-        if step < STEP_TOL:
-            res_now = float(np.max(np.abs(sigma))) if sigma.size else 0.0
-            if res_now < RESIDUAL_TOL:
-                break
-            raise SolverError(f"stagnated with residual {res_now:.3e}")
-    else:
-        raise SolverError(
-            f"no convergence in {MAX_ITERATIONS} iterations "
-            f"(residual {np.max(np.abs(sigma)):.3e})"
-        )
+        if res >= RESIDUAL_TOL and np.max(np.abs(lam * delta)) < STEP_TOL:
+            raise SolverError(f"stagnated with residual {res:.3e}")
 
     weights = eta
     if np.min(weights) <= 0.0:
@@ -307,8 +289,7 @@ def newton_solve(
         weights=weights,
         closed=closed,
         interval=(a, b),
-        trace={"iterations": iterations,
-               "final_residual": float(np.max(np.abs(sigma))) if sigma.size else 0.0},
+        trace={"iterations": iterations, "final_residual": res},
     )
 
 
@@ -417,13 +398,10 @@ def continuation_solve(
         nodes = rule_ref.nodes
         trace["stages"].append({"size": k, "steps": stage_steps})
 
-    # map back to the user interval
+    # map back to the user interval (a closed rule snaps its endpoints)
     half = 0.5 * (b - a)
-    nodes = a + half * (nodes + 1.0)
-    if closed:
-        nodes[0], nodes[-1] = a, b
-    weights = half * rule_ref.weights
-    return QuadratureRule(nodes=nodes, weights=weights, closed=closed, interval=(a, b), trace=trace)
+    return QuadratureRule(nodes=a + half * (nodes + 1.0), weights=half * rule_ref.weights,
+                          closed=closed, interval=(a, b), trace=trace)
 
 
 def verify_exactness(
@@ -468,21 +446,18 @@ def verify_exactness(
 # ---------------------------------------------------------------------------
 # auxiliary rule constructions
 
-def equispaced_rule(
-    space: FunctionSpace,
-    n_nodes: int | None = None,
-    max_extra: int = 8,
-) -> QuadratureRule:
+def equispaced_rule(space: FunctionSpace, n_nodes: int | None = None) -> QuadratureRule:
     """Closed equispaced-node rule exact for the space, uncertified.
 
     ``space`` must be the output of ``spaces.orthonormalize`` (ValueError
-    otherwise), whose moments are closed-form.  Starting from ``n_nodes``
-    (default: the space dimension), weights are solved from the
-    exactness conditions, directly at dim nodes and by least squares
-    beyond; a count whose weights are not exact and positive moves on to
-    the next, up to ``max_extra`` more nodes (SolverError after that).
-    Exactness here is the moment residual of the solve; the caller
-    certifies the rule against the span it needs.
+    otherwise), whose moments are closed-form.  Weights are solved from
+    the exactness conditions, directly at dim nodes and by least squares
+    beyond.  A given ``n_nodes`` (at least the dimension, ValueError
+    otherwise) is the only count tried.  Without it the counts climb
+    from the dimension while the weights are not exact and positive, up
+    to ``EQUISPACED_EXTRA`` more nodes.  SolverError when no count
+    tried gives such weights.  Exactness here is the moment residual of
+    the solve; the caller certifies the rule against the span it needs.
     """
     if space.family_spec.get("derived") != "orthonormal":
         raise ValueError("the solvers need the basis of spaces.orthonormalize")
@@ -492,8 +467,9 @@ def equispaced_rule(
     start = space.dim if n_nodes is None else n_nodes
     if start < space.dim:
         raise ValueError(f"need at least dim={space.dim} nodes, got {start}")
+    stop = start + (EQUISPACED_EXTRA if n_nodes is None else 0)
     last_issue = "no candidate count tried"
-    for count in range(start, start + max_extra + 1):
+    for count in range(start, stop + 1):
         nodes = np.linspace(a, b, count)
         c = space.collocation(nodes)           # (count, dim)
         if count == space.dim:
@@ -511,7 +487,7 @@ def equispaced_rule(
         return QuadratureRule(nodes=nodes, weights=w, closed=True, interval=(a, b),
                               trace={"construction": "equispaced", "n_nodes": count})
     raise SolverError(
-        f"no positive exact equispaced rule with up to {start + max_extra} nodes ({last_issue})"
+        f"no positive exact equispaced rule with up to {stop} nodes ({last_issue})"
     )
 
 

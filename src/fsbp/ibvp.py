@@ -267,6 +267,16 @@ class MmsCase:
         )
 
     @classmethod
+    def zero_data(cls) -> "MmsCase":
+        """sin(pi x)^2 at t = 0, zero data and forcing: the energy tests' case."""
+        return cls(
+            exact=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
+            initial=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)) ** 2,
+            boundary_left=lambda t: 0.0,
+            boundary_right=lambda t: 0.0,
+        )
+
+    @classmethod
     def boundary_layer(cls, a: float, eps: float) -> "MmsCase":
         """Steep layer profile (exp(a x / eps) - 1) / (exp(a / eps) - 1) * exp(t/10).
 

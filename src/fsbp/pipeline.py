@@ -3,9 +3,10 @@
 A rule pipeline takes a family descriptor to a certified quadrature rule:
 the product-derivative spanning set, its orthonormal basis (the one rank
 decision), parity augmentation, the Tchebyshev screen, then node
-optimisation (or an equispaced fallback).
-An operator pipeline feeds the resulting closed rule into the SBP
-assembly and verification.  A convergence study builds an operator per
+optimisation.  Every operator is made here, on a node mode's rule
+(``build_study_operator``) or on a given one such as a rule file's
+(``build_rule_operator``): the rule is certified, then assembled and
+verified by one tail.  A convergence study builds an operator per
 configuration and distinct family spec and solves the model problem with
 it at every level.
 """
@@ -48,6 +49,7 @@ __all__ = [
     "RulePipelineResult",
     "solve_rule_pipeline",
     "build_study_operator",
+    "build_rule_operator",
     "convergence_study",
 ]
 
@@ -132,6 +134,9 @@ def build_study_operator(
         raise ValueError("open-rule mode 'ggq' cannot back an operator; use 'gglq'")
 
     space = make_family(family_spec)
+    if node_mode == "gglq":
+        rule = solve_rule_pipeline(family_spec, "closed", force, rng_seed, space.dim).rule
+        return _assembled(space, rule, rng_seed)
     if node_mode == "classical-gll":
         if family_spec.get("family") != "monomial":
             raise ValueError("classical-gll nodes apply to monomial families only")
@@ -140,21 +145,18 @@ def build_study_operator(
         # an operator needs exactness on the product span only, P_{2d-1}
         # of rank 2d, which the d + 1 Lobatto nodes give: no augmentation
         product = product_derivative_space(space)
-        rule.certificate = verify_exactness(rule, product, 2 * degree)
-    elif node_mode == "gglq":
-        rule = solve_rule_pipeline(family_spec, "closed", force, rng_seed, space.dim).rule
+        rank = 2 * degree
     else:  # equispaced
         product = product_derivative_space(space)
         ortho = orthonormalize(product)
-        rule = None
-        if n_nodes is None:
-            rule = equispaced_rule(ortho)
-        elif n_nodes >= ortho.dim:
-            try:
-                rule = equispaced_rule(ortho, n_nodes=n_nodes, max_extra=0)
-            except SolverError:
-                pass
-        if rule is None:
+        rank = ortho.dim
+        try:
+            if n_nodes is not None and n_nodes < rank:
+                raise SolverError(f"{n_nodes} nodes cannot be exact on a span of rank {rank}")
+            rule = equispaced_rule(ortho, n_nodes)
+        except SolverError:
+            if n_nodes is None:
+                raise
             # node budget too small for exactness: defect-minimising
             # construction with the structural identities kept exact
             a, b = space.interval
@@ -162,10 +164,31 @@ def build_study_operator(
             trace = {"construction": "equispaced-approximate", "n_nodes": n_nodes}
             rule = QuadratureRule(op.nodes, op.P, closed=True, interval=(a, b), trace=trace)
             return op, rule, verify_sbp(op, space, rng_seed=rng_seed)
-        rule.certificate = verify_exactness(rule, product, ortho.dim)
+    rule.certificate = verify_exactness(rule, product, rank)
+    return _assembled(space, rule, rng_seed)
+
+
+def build_rule_operator(space: FunctionSpace, rule: QuadratureRule,
+                        rng_seed: int = 0) -> tuple[FsbpOperator, QuadratureRule, SbpVerdict]:
+    """Operator of a family on a given closed rule, such as a rule file's.
+
+    A rule with fewer nodes than the family has functions raises
+    RankError before any span is built.  Otherwise the rule is certified
+    against every product-derivative pair, with the span's rank from
+    ``orthonormalize`` and no augmentation, and assembled and verified as
+    the node modes' rules are.
+    """
+    if rule.size < space.dim:
+        raise RankError(f"the rule has {rule.size} nodes, fewer than the {space.dim} required")
+    product = product_derivative_space(space)
+    rule.certificate = verify_exactness(rule, product, orthonormalize(product).dim)
+    return _assembled(space, rule, rng_seed)
+
+
+def _assembled(space: FunctionSpace, rule: QuadratureRule, rng_seed: int):
+    """The operator on a certified closed rule, with the rule and its verdict."""
     op = build_operator(space, rule)
-    verdict = verify_sbp(op, space, rng_seed=rng_seed)
-    return op, rule, verdict
+    return op, rule, verify_sbp(op, space, rng_seed=rng_seed)
 
 
 # failures recorded in a study row; anything else (a failed Tchebyshev

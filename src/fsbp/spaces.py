@@ -61,6 +61,7 @@ RANK_CUTOFF = 1e-12
 # Chebyshev series of orthonormal bases: coefficients of unit-maximum
 # samples below CHOP_TOL are rounding, and a series counts as resolved
 # once its last CHOP_TAIL coefficients are; at most MAX_SAMPLES samples
+# (RankError for a span unresolved there)
 CHOP_TOL = 1e-14
 CHOP_TAIL = 8
 MAX_SAMPLES = 2048
@@ -94,7 +95,9 @@ class FunctionSpace:
     times ``coeff_matrix.T``; every other space's jet comes from its
     ``evaluate`` callable, which returns the same (k + 1, len(xs), dim)
     stack.  ``moments``, when given, returns the basis's closed-form
-    integrals, which ``moments()`` reads.
+    integrals, which ``moments()`` reads.  The interval is taken as
+    given: ``make_family`` refuses a degenerate one, and every derived
+    space keeps its parent's interval or [-1, 1].
     """
 
     def __init__(
@@ -107,12 +110,9 @@ class FunctionSpace:
         coeff_matrix: np.ndarray | None = None,
         moments: Callable[[], np.ndarray] | None = None,
     ):
-        a, b = float(interval[0]), float(interval[1])
-        if not (a < b):
-            raise FamilyError(f"degenerate interval [{a}, {b}]")
         if len(labels) < 1:
             raise FamilyError("a function space needs at least one basis function")
-        self.interval = (a, b)
+        self.interval = (float(interval[0]), float(interval[1]))
         self.labels = tuple(labels)
         self.family_spec = family_spec
         self.parent = parent
@@ -512,10 +512,11 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
     each column scaled to unit maximum; identically vanishing columns are
     dropped (RankError if all vanish or a sample is not finite).  The
     Chebyshev coefficients come from one FFT (``_chebyshev_coefficients``),
-    and N doubles (up to ``MAX_SAMPLES``) until the last ``CHOP_TAIL``
-    coefficients of every column lie below ``CHOP_TOL``; the series keeps
-    the K leading coefficients, past which every column stays below it (a
-    simple form of Aurentz and Trefethen's chopping rule).
+    and N doubles until the last ``CHOP_TAIL`` coefficients of every
+    column lie below ``CHOP_TOL``; the series keeps the K leading
+    coefficients, past which every column stays below it (a simple form
+    of Aurentz and Trefethen's chopping rule).  A span still unresolved
+    at ``MAX_SAMPLES`` samples raises RankError.
 
     With M = L L^T the closed-form Gram of T_0 .. T_{K-1}
     (``_chebyshev_gram``) and C the kept coefficients, one column per
@@ -539,8 +540,11 @@ def orthonormalize(space: FunctionSpace) -> FunctionSpace:
         coeffs = _chebyshev_coefficients(vals[:, live] / mags[live])
         peaks = np.max(np.abs(coeffs), axis=1)
         length = int(np.sum(np.maximum.accumulate(peaks[::-1]) >= CHOP_TOL))
-        if length <= n - CHOP_TAIL or 2 * n > MAX_SAMPLES:
+        if length <= n - CHOP_TAIL:
             break
+        if 2 * n > MAX_SAMPLES:
+            raise RankError(f"span not resolved by {n} Chebyshev samples: "
+                            f"{length} of {n} coefficients reach {CHOP_TOL:g}")
         n *= 2
 
     lower = np.linalg.cholesky(_chebyshev_gram(a, b, length))

@@ -156,12 +156,7 @@ def test_criterion_5_exactness_certificates(fixture_matrix):
 def test_criterion_6_energy_stability():
     """Zero-data runs on 4 elements: non-increasing energy over >= 1e3 steps."""
     t0 = time.perf_counter()
-    zero_case = MmsCase(
-        exact=lambda x, t: np.zeros_like(np.asarray(x, float)),
-        initial=lambda x: np.sin(2 * np.pi * np.asarray(x, float)) ** 2,
-        boundary_left=lambda t: 0.0,
-        boundary_right=lambda t: 0.0,
-    )
+    zero_case = MmsCase.zero_data()
     results = {}
 
     op_a, _, _ = build_study_operator(

@@ -215,6 +215,9 @@ def test_validation_exit_codes(tmp_path):
     {"family": "bessel", "orders": [0, 1], "interval": [0, 1001]},
     {"family": "bessel", "orders": [0, 1], "interval": [-1001, 0]},
     {"family": "bessel", "orders": [-1001], "interval": [0, 25]},
+    # degenerate intervals, refused before a family divides by their length
+    {"family": "trig", "max_harmonic": 2, "interval": [1, 1]},
+    {"family": "exponential", "rates": [1.0], "interval": [1, 0]},
 ])
 def test_malformed_descriptor_exits_2(tmp_path, capsys, space):
     cfg = write_config(tmp_path / "bad.json", {"space": space})
@@ -265,6 +268,16 @@ TRIG_OPERATOR = {"space": {"family": "trig", "max_harmonic": 2, "interval": [0, 
     ("rule", {"space": {"family": "monomial", "degree": 2, "interval": [0, math.inf]}}),
     ("operator", {"space": {"family": "monomial", "degree": 2, "interval": [0, math.inf]},
                   "node_mode": "classical-gll"}),
+    # a rule entry that is not a path or names no file; missing entries;
+    # an unknown manufactured solution, PDE or study
+    ("operator", {"space": refcases.EXP3_SPEC, "rule": 5}),
+    ("operator", {"space": refcases.EXP3_SPEC, "rule": "missing_rule.json"}),
+    ("operator", {"node_mode": "gglq"}),
+    ("verify", {"space": refcases.EXP3_SPEC}),
+    ("solve", {"pde": "advection", "mms": "wave", "operator": TRIG_OPERATOR}),
+    ("solve", {"pde": "advection"}),
+    ("solve", {"pde": "heat", "operator": TRIG_OPERATOR}),
+    ("converge", {"study": "heat"}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     # an operator file without its weights, for the verify case
@@ -292,6 +305,9 @@ ADVECTION_SOLVE = {"pde": "advection", "operator": TRIG_OPERATOR}
     ("solve", {**ADVECTION_SOLVE, "params": {"a": math.nan}}),
     ("solve", {**ADVECTION_SOLVE, "cfl": math.inf}),
     ("solve", {**ADVECTION_SOLVE, "cfl": 0}),
+    ("solve", {**ADVECTION_SOLVE, "cfl": "fast"}),
+    ("solve", {**ADVECTION_SOLVE, "pde": "advection_diffusion", "mms": "boundary_layer",
+               "params": {"eps": 0}}),
 ])
 def test_bad_run_parameters_exit_2_before_any_operator_build(
         tmp_path, capsys, monkeypatch, command, config):
@@ -313,6 +329,18 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["rule", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "solver error: RankError: non-finite basis values" in capsys.readouterr().err
+
+
+def test_unresolved_span_exits_3(tmp_path, capsys):
+    # J_0, J_1, J_2 on [-1000, 1000]: the product span's Chebyshev series
+    # keeps all 2048 of its 2048 coefficients, so no rank can be decided
+    # (on [0, 1000] it resolves in 1087); the unresolved basis used to
+    # reach the screen and exit 4
+    cfg = write_config(tmp_path / "bessel.json", {"space": {
+        "family": "bessel", "orders": [0, 1, 2], "interval": [-1000, 1000]}})
+    assert main(["rule", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert ("RankError: span not resolved by 2048 Chebyshev samples"
+            in capsys.readouterr().err)
 
 
 def test_non_finite_endpoint_value_exits_3(tmp_path, capsys, monkeypatch):
@@ -462,6 +490,28 @@ def test_too_few_closed_nodes_fail_before_the_solve(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr(pipeline, "continuation_solve", no_solve)
     assert main(["operator", "--config", cfg, "--out", str(tmp_path / "op")]) == 3
+    err = capsys.readouterr().err
+    assert "RankError" in err and "23 nodes" in err and "25 required" in err
+
+
+def test_rule_file_with_too_few_nodes_fails_before_its_certificate(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the same closed trig-12 rule given back as a rule file: its 23 nodes
+    # are counted against the family's 25 functions before the product
+    # span is orthonormalised or the rule certified
+    space = {"family": "trig", "max_harmonic": 12, "freq_scale": 1.0, "interval": [0, 1]}
+    cfg = write_config(tmp_path / "trig.json", {"space": space})
+    assert main(["rule", "--config", cfg, "--out", str(tmp_path / "rule")]) == 0
+    capsys.readouterr()
+
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("the span was orthonormalised or the rule certified")
+
+    monkeypatch.setattr(pipeline, "orthonormalize", no_certificate)
+    monkeypatch.setattr(pipeline, "verify_exactness", no_certificate)
+    op_cfg = write_config(tmp_path / "op.json", {
+        "space": space, "rule": str(tmp_path / "rule" / "rule.json")})
+    assert main(["operator", "--config", op_cfg, "--out", str(tmp_path / "op")]) == 3
     err = capsys.readouterr().err
     assert "RankError" in err and "23 nodes" in err and "25 required" in err
 

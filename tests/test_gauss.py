@@ -14,7 +14,7 @@ from fsbp.gauss import (
 )
 from fsbp.integrate import moments
 from fsbp.spaces import make_family, orthonormalize, product_derivative_space
-from fsbp import cli, gauss, pipeline, refcases
+from fsbp import gauss, pipeline, refcases
 
 from oracles import (
     augmented_target,
@@ -357,7 +357,7 @@ def test_pipeline_certifies_each_rule_once(monkeypatch):
         calls.append(args)
         return verify_exactness(*args, **kwargs)
 
-    for module in (gauss, pipeline, cli):
+    for module in (gauss, pipeline):
         monkeypatch.setattr(module, "verify_exactness", counted)
     result = pipeline.solve_rule_pipeline(refcases.EXP3_SPEC, "closed")
     assert len(calls) == 1

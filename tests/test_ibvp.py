@@ -115,6 +115,24 @@ def test_grid_validation(trig_operator):
         MultiElementGrid([])
 
 
+@pytest.mark.parametrize("layout, message", [
+    ("interval", "does not match its element"),
+    ("open", "must be closed"),
+    ("gap", "without gaps or overlaps"),
+    ("sizes", "same node count"),
+])
+def test_grid_rejects_inconsistent_elements(trig_operator, exp_bl_operator, layout, message):
+    left = scale_to_element(trig_operator, 0.0, 0.5)
+    elements = {
+        "interval": [((0.0, 0.4), left)],
+        "open": [((0.0, 0.5), dataclasses.replace(left, nodes=left.nodes + 0.01))],
+        "gap": [((0.0, 0.5), left), ((0.6, 1.0), scale_to_element(trig_operator, 0.6, 1.0))],
+        "sizes": [((0.0, 0.5), left), ((0.5, 1.0), scale_to_element(exp_bl_operator, 0.5, 1.0))],
+    }[layout]
+    with pytest.raises(ValueError, match=message):
+        MultiElementGrid(elements)
+
+
 def test_mms_forcing_consistency_boundary_layer():
     # forcing must equal the PDE residual of the exact solution, checked by
     # finite differences at random points (1e-5 relative to unit scale)
@@ -391,6 +409,13 @@ def test_time_integrate_scalar_decay_fourth_order():
     assert order > 3.8
 
 
+@pytest.mark.parametrize("t_span, dt", [((0.0, 0.0), 0.1), ((1.0, 0.0), 0.1), ((0.0, 1.0), 0.0)])
+def test_time_integrate_rejects_empty_span_or_step(t_span, dt):
+    with pytest.raises(ValueError, match="need t1 > t0 and dt > 0"):
+        time_integrate(ElementBand([[[-1.0]]]), np.eye(1), lambda t: np.zeros((len(t), 1)),
+                       np.array([1.0]), t_span, dt)
+
+
 def test_time_integrate_blowup_detection():
     with pytest.raises(BlowUpError):
         time_integrate(ElementBand([[[10.0]]]), np.eye(1), lambda t: np.zeros((len(t), 1)),
@@ -578,12 +603,7 @@ def test_aux_dissipation_is_recorded_at_the_recorded_states(exp_bl_operator):
     # than one block: the states of the stagewise march, with phi from the
     # face-by-face gradient solve
     params = PdeParams(a=1.0, eps=0.1, final_time=0.2)
-    case = MmsCase(
-        exact=lambda x, t: np.zeros_like(np.asarray(x, float)),
-        initial=lambda x: np.sin(np.pi * np.asarray(x, float)) ** 2,
-        boundary_left=lambda t: 0.0,
-        boundary_right=lambda t: 0.0,
-    )
+    case = MmsCase.zero_data()
     result = run_case("advection_diffusion", exp_bl_operator, 4, params, case)
     grid, problem = result.grid, result.problem
 
