@@ -226,10 +226,16 @@ def cmd_rule(args) -> int:
         "interval": list(ortho.interval),
         "coefficients": ortho.coeff_matrix.tolist(),
     })
+    stages = result.rule.trace["stages"]
     runner.finish({
         "dims": result.dims,
         "screen": result.rule.trace["screen"],
         "certificate": result.rule.certificate.to_dict(),
+        "counters": {
+            "homotopy_steps": sum(len(s["steps"]) for s in stages),
+            "newton_iterations": sum(step["iterations"] for s in stages for step in s["steps"]),
+            "rejected_blend_steps": sum(s["rejected"] for s in stages),
+        },
     })
     if not result.rule.certificate.valid:
         raise VerificationFailure(
@@ -242,6 +248,10 @@ def cmd_operator(args) -> int:
     config = load_config(args)
     if "space" not in config:
         raise FamilyError("operator config needs a 'space' family descriptor")
+    if "rule" in config and (args.mode or "node_mode" in config):
+        given = f"--mode {args.mode}" if args.mode else f"'node_mode' {config['node_mode']!r}"
+        raise FamilyError(f"the config names a 'rule' file and {given}: "
+                          "an operator takes its nodes from one of them")
     runner = Runner("operator", args, {**config, "seed": args.seed})
     space = make_family(config["space"])
 

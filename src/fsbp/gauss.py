@@ -6,14 +6,19 @@ endpoints; either is exact for all of G with positive weights whenever G
 behaves as a Tchebyshev system.
 
 Nodes are found by a damped quasi-Newton iteration on a (quasi-)cardinal
-basis built from the Hermite-Vandermonde matrix, with initial guesses
-supplied by continuation in the integration measure: the unit weight
-is blended with a sum of point masses interlaced with the previously
-converged rule of one size smaller.  Both modes climb one ladder of
-sizes 1 .. n in their own formulation, open from the gap midpoints of
-the previous rule, closed from the endpoints around its midpoints; each
-stage has one initialisation, and a stage that fails raises SolverError
-naming its mode, its size and its last Newton error.
+basis built from the Hermite-Vandermonde matrix; below RESIDUAL_TOL it
+keeps taking undamped updates while each at least halves the residual,
+so a rule stops at its rounding floor, not wherever the path crossed
+the tolerance.  Initial guesses come from continuation in the
+integration measure: the unit weight is blended with a sum of point
+masses interlaced with the previously converged rule of one size
+smaller.  Both modes climb one ladder of sizes 1 .. n in their own
+formulation, open from the gap midpoints of the previous rule, closed
+from the endpoints around its midpoints.  Each stage first jumps
+straight to the target measure (t = 1) in one solve; only when that
+fails does the blend step halve, and grow again after two successes.
+Each stage has one initialisation, and a stage that fails raises
+SolverError naming its mode, its size and its last Newton error.
 
 ``continuation_solve`` and ``equispaced_rule`` take the orthonormal
 working basis that ``spaces.orthonormalize`` produces, a truncated
@@ -150,7 +155,8 @@ class QuadratureRule:
         )
 
 
-# Newton iteration: stop below RESIDUAL_TOL (the largest sigma integral)
+# Newton iteration: converged below RESIDUAL_TOL (the largest sigma
+# integral), then polished while each undamped update halves the residual
 RESIDUAL_TOL = 1e-11
 STEP_TOL = 1e-13
 MAX_ITERATIONS = 100
@@ -158,8 +164,8 @@ DAMPING_LEVELS = 10          # damping factor down to 2**-10
 ORDERING_MARGIN = 1e-3       # fraction of each node gap a step must keep
 # exactness certificates, relative to the largest moment (floored at one)
 CERTIFICATE_TOL = 1e-8
-# measure continuation: initial, smallest and growth of the blend step
-T_STEP = 0.1
+# measure continuation: each stage tries t = 1 in one step; a failed step
+# halves, down to T_STEP_MIN, and two successes in a row grow it by T_GROWTH
 T_STEP_MIN = 1e-6
 T_GROWTH = 1.5
 # equispaced rules without a node budget: nodes added past the dimension at most
@@ -213,9 +219,12 @@ def newton_solve(
     its eta function); a backtracking line search over the damping
     factors 1, 1/2, ..., 2**-DAMPING_LEVELS keeps the nodes strictly
     ordered, every gap at least ORDERING_MARGIN of its previous length,
-    and never lets the residual grow.  At most MAX_ITERATIONS updates
-    are made.  For closed rules, the endpoints stay fixed and only
-    interior nodes move.  ``moments_vec`` holds the integrals the rule
+    and never lets the residual grow.  Once the residual is below
+    RESIDUAL_TOL, undamped updates continue while each at least halves
+    it and keeps the nodes strictly ordered; the first that does not is
+    discarded and the iteration stops.  At most MAX_ITERATIONS updates,
+    polish included, are made.  For closed rules, the endpoints stay
+    fixed and only interior nodes move.  ``moments_vec`` holds the integrals the rule
     must reproduce, one per basis function (the space's moments, or a
     blend of them during continuation).  Returns an uncertified rule
     with positive weights.
@@ -277,6 +286,24 @@ def newton_solve(
         if res >= RESIDUAL_TOL and np.max(np.abs(lam * delta)) < STEP_TOL:
             raise SolverError(f"stagnated with residual {res:.3e}")
 
+    # polish to the rounding floor: a rule's certificate error tracks the
+    # final residual, so stopping just below RESIDUAL_TOL would let the
+    # continuation path decide the certificate
+    while res > 0.0 and iterations < MAX_ITERATIONS:
+        cand = nodes.copy()
+        cand[upd] += sigma / eta[upd]
+        if not np.all(np.diff(extended(cand)) > 0):
+            break
+        try:
+            sig_c, eta_c = _condition_integrals(space, cand, closed, moments_vec)
+        except SolverError:
+            break
+        res_c = float(np.max(np.abs(sig_c), initial=0.0))
+        if not res_c <= 0.5 * res:
+            break
+        nodes, sigma, eta, res = cand, sig_c, eta_c, res_c
+        iterations += 1
+
     weights = eta
     if np.min(weights) <= 0.0:
         raise SolverError(
@@ -312,11 +339,12 @@ def _stage_anchors(prev_nodes, closed):
 def _homotopy(space, m_target, anchors, closed, stage_trace):
     """Advance the blend parameter t from 0 to 1, solving at each step.
 
-    With no free node (the closed size-1 stage: the two endpoints) the
-    solve is linear in the moments, and one step goes straight to t = 1.
+    The first step jumps to t = 1; a failed step halves and is counted
+    in ``stage_trace["rejected"]``, and each solved one is appended to
+    ``stage_trace["steps"]``.
     """
     anchor_moments = space.collocation(anchors).sum(axis=0)
-    t, nodes, step = 0.0, anchors, 1.0 if closed and anchors.size == 2 else T_STEP
+    t, nodes, step = 0.0, anchors, 1.0
     streak = 0
     while t < 1.0:
         t_next = min(1.0, t + step)
@@ -326,6 +354,7 @@ def _homotopy(space, m_target, anchors, closed, stage_trace):
         except SolverError as exc:
             step *= 0.5
             streak = 0
+            stage_trace["rejected"] += 1
             if step < T_STEP_MIN:
                 raise SolverError(
                     f"measure continuation stalled at t={t:.6f} "
@@ -333,7 +362,7 @@ def _homotopy(space, m_target, anchors, closed, stage_trace):
                 ) from exc
             continue
         t, nodes = t_next, rule.nodes
-        stage_trace.append({"t": t_next, "iterations": rule.trace["iterations"]})
+        stage_trace["steps"].append({"t": t_next, "iterations": rule.trace["iterations"]})
         streak += 1
         if streak >= 2:
             step *= T_GROWTH
@@ -361,7 +390,9 @@ def continuation_solve(
 
     A Tchebyshev screen runs first and rejects the space on a "fail"
     verdict unless ``force`` is set.  The returned rule lives on the
-    space's interval and carries no certificate.
+    space's interval and carries no certificate.  Its trace lists each
+    stage's ``size``, its solved blend ``steps`` (``t`` and Newton
+    ``iterations``) and the number of ``rejected`` steps it halved.
     """
     if space.dim % 2 != 0:
         raise ValueError(
@@ -389,14 +420,14 @@ def continuation_solve(
     trace = {"mode": mode, "screen": asdict(report), "stages": []}
     nodes = np.array([])
     for k in range(1, n + 1):
-        stage_steps: list = []
+        stage = {"size": k, "steps": [], "rejected": 0}
         try:
             rule_ref = _homotopy(ref.prefix(2 * k), m_full[: 2 * k],
-                                 _stage_anchors(nodes, closed), closed, stage_steps)
+                                 _stage_anchors(nodes, closed), closed, stage)
         except SolverError as exc:
             raise SolverError(f"{mode} ladder failed at size {k}/{n}: {exc}") from exc
         nodes = rule_ref.nodes
-        trace["stages"].append({"size": k, "steps": stage_steps})
+        trace["stages"].append(stage)
 
     # map back to the user interval (a closed rule snaps its endpoints)
     half = 0.5 * (b - a)

@@ -417,6 +417,22 @@ def test_steep_pure_exponential_failures_name_their_stage(tmp_path, capsys):
     assert main(["rule", "--config", cfg, "--out", str(tmp_path / "c"), "--mode", "closed"]) == 4
 
 
+def test_failed_jump_is_rescued_and_counted(tmp_path):
+    # {e^{15x}} alone: the open size-1 jump to t = 1 fails and the halving
+    # schedule rescues it; the manifest sums the trace's counts
+    cfg = write_config(tmp_path / "exp.json", {"space": {
+        "family": "exponential", "rates": [15.0], "poly_degree": 0, "interval": [0, 1]}})
+    out = tmp_path / "o"
+    assert main(["rule", "--config", cfg, "--out", str(out), "--mode", "open"]) == 0
+    stages = json.loads((out / "rule.json").read_text())["trace"]["stages"]
+    assert stages[0]["rejected"] > 0
+    assert json.loads((out / "manifest.json").read_text())["counters"] == {
+        "homotopy_steps": sum(len(s["steps"]) for s in stages),
+        "newton_iterations": sum(step["iterations"] for s in stages for step in s["steps"]),
+        "rejected_blend_steps": sum(s["rejected"] for s in stages),
+    }
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -514,6 +530,22 @@ def test_rule_file_with_too_few_nodes_fails_before_its_certificate(tmp_path, cap
     assert main(["operator", "--config", op_cfg, "--out", str(tmp_path / "op")]) == 3
     err = capsys.readouterr().err
     assert "RankError" in err and "23 nodes" in err and "25 required" in err
+
+
+@pytest.mark.parametrize("flag, entry, named", [
+    (["--mode", "equispaced"], {}, "--mode equispaced"),
+    ([], {"node_mode": "gglq"}, "'node_mode' 'gglq'"),
+])
+def test_rule_file_with_a_node_mode_exits_2(tmp_path, capsys, exp3_rule_run, flag, entry,
+                                            named):
+    # the operator would take its nodes from the rule file and ignore the mode
+    cfg = write_config(tmp_path / "op.json", {
+        "space": refcases.EXP3_SPEC, "rule": str(exp3_rule_run / "rule.json"), **entry})
+    out = tmp_path / "op"
+    assert main(["operator", "--config", cfg, "--out", str(out), *flag]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and "'rule' file" in err and named in err
+    assert not out.exists()
 
 
 SOLVE_CONFIGS = {

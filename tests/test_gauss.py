@@ -252,7 +252,8 @@ def test_trace_records_solver_path(exp3_closed_rule):
         trace = pipeline.solve_rule_pipeline(spec, mode).rule.trace
         assert trace["mode"] == mode
         assert [s["size"] for s in trace["stages"]] == expected
-        assert all(set(s) == {"size", "steps"} and s["steps"] for s in trace["stages"])
+        assert all(set(s) == {"size", "steps", "rejected"} and s["steps"]
+                   for s in trace["stages"])
         assert all(set(step) == {"t", "iterations"} for s in trace["stages"] for step in s["steps"])
 
 
@@ -260,6 +261,29 @@ def test_closed_first_stage_is_one_step(exp3_closed_rule):
     # the two endpoints leave no node free: the size-1 solve is linear in
     # the moments and goes to t = 1 at once
     assert exp3_closed_rule.trace["stages"][0]["steps"] == [{"t": 1.0, "iterations": 0}]
+
+
+GRID_MONOMIALS = [{"family": "monomial", "degree": d, "interval": i}
+                  for d in range(2, 7) for i in ([-1, 1], [0, 1])]
+
+
+@pytest.mark.parametrize("mode", ["open", "closed"])
+@pytest.mark.parametrize("spec", [refcases.EXP3_SPEC, *GRID_MONOMIALS],
+                         ids=lambda s: f"{s['family']}{s.get('degree', '')}-{s['interval']}")
+def test_every_stage_jumps_to_the_target_in_one_step(spec, mode):
+    # each stage first solves at t = 1; on these spaces the jump never
+    # needs the halving schedule
+    stages = pipeline.solve_rule_pipeline(spec, mode).rule.trace["stages"]
+    assert all(s["rejected"] == 0 and [step["t"] for step in s["steps"]] == [1.0]
+               for s in stages)
+
+
+@pytest.mark.parametrize("mode", ["open", "closed"])
+def test_polished_trig_rule_certifies_to_the_rounding_floor(mode):
+    # the certificate error tracks the final Newton residual (thousands of
+    # times it here); stopping just below RESIDUAL_TOL left the closed rule at 3e-9
+    spec = {"family": "trig", "max_harmonic": 8, "freq_scale": 1.5, "interval": [0, 1]}
+    assert pipeline.solve_rule_pipeline(spec, mode).rule.certificate.max_abs_error <= 1e-11
 
 
 def test_residuals_and_weights_blended():
