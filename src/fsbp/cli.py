@@ -180,8 +180,11 @@ def _cfl(config: dict, default: float) -> float:
     return cfl
 
 
-def _n_nodes(config: dict) -> int | None:
+def _n_nodes(config: dict, node_mode: str) -> int | None:
+    """The node budget under ``n_nodes``, which node mode 'equispaced' alone reads."""
     n = config.get("n_nodes")
+    if n is not None and node_mode != "equispaced":
+        raise FamilyError(f"'n_nodes' is read by node mode 'equispaced' only, not {node_mode!r}")
     if n is not None and (type(n) is not int or n < 2):
         raise FamilyError(f"'n_nodes' must be an integer of at least 2, got {n!r}")
     return n
@@ -248,10 +251,13 @@ def cmd_operator(args) -> int:
     config = load_config(args)
     if "space" not in config:
         raise FamilyError("operator config needs a 'space' family descriptor")
-    if "rule" in config and (args.mode or "node_mode" in config):
-        given = f"--mode {args.mode}" if args.mode else f"'node_mode' {config['node_mode']!r}"
-        raise FamilyError(f"the config names a 'rule' file and {given}: "
+    given = [f"--mode {args.mode}"] if args.mode else []
+    given += [f"'{key}' {config[key]!r}" for key in ("node_mode", "n_nodes") if key in config]
+    if "rule" in config and given:
+        raise FamilyError(f"the config names a 'rule' file and {given[0]}: "
                           "an operator takes its nodes from one of them")
+    node_mode = args.mode or config.get("node_mode", "gglq")
+    n_nodes = _n_nodes(config, node_mode)
     runner = Runner("operator", args, {**config, "seed": args.seed})
     space = make_family(config["space"])
 
@@ -259,10 +265,9 @@ def cmd_operator(args) -> int:
         rule = load_input(runner, args, config, "rule", QuadratureRule.from_dict)
         op, rule, verdict = build_rule_operator(space, rule, rng_seed=args.seed)
     else:
-        node_mode = args.mode or config.get("node_mode", "gglq")
         op, rule, verdict = build_study_operator(
             config["space"], node_mode, force=args.force_tchebyshev, rng_seed=args.seed,
-            n_nodes=_n_nodes(config),
+            n_nodes=n_nodes,
         )
     operator_files(runner, "operator", op)
     rule_files(runner, "rule", rule)
@@ -331,13 +336,14 @@ def cmd_solve(args) -> int:
     if type(n_elements) is not int or n_elements < 1:
         raise FamilyError(f"'elements' must be an integer of at least 1, got {n_elements!r}")
     cfl = _cfl(config, 0.1)
+    node_mode = op_cfg.get("node_mode", "gglq")
+    n_nodes = _n_nodes(op_cfg, node_mode)
     runner = Runner("solve", args, {**config, "seed": args.seed,
                                     "elements": n_elements, "cfl": cfl})
 
     op, _, verdict = build_study_operator(
-        op_cfg["space"], op_cfg.get("node_mode", "gglq"),
-        force=args.force_tchebyshev, rng_seed=args.seed,
-        n_nodes=_n_nodes(op_cfg),
+        op_cfg["space"], node_mode, force=args.force_tchebyshev, rng_seed=args.seed,
+        n_nodes=n_nodes,
     )
     result = run_case(pde, op, n_elements, params, case, cfl)
     grid, y, trace = result.grid, result.y, result.trace

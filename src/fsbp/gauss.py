@@ -5,11 +5,11 @@ rule uses n interior nodes and the closed rule n+1 nodes including both
 endpoints; either is exact for all of G with positive weights whenever G
 behaves as a Tchebyshev system.
 
-Nodes are found by a damped quasi-Newton iteration on a (quasi-)cardinal
-basis built from the Hermite-Vandermonde matrix; below RESIDUAL_TOL it
-keeps taking undamped updates while each at least halves the residual,
-so a rule stops at its rounding floor, not wherever the path crossed
-the tolerance.  Initial guesses come from continuation in the
+Nodes are found by one damped quasi-Newton loop on a (quasi-)cardinal
+basis built from the Hermite-Vandermonde matrix; below RESIDUAL_TOL the
+same loop takes only undamped updates, each at least halving the
+residual, so a rule stops at its rounding floor, not wherever the path
+crossed the tolerance.  Initial guesses come from continuation in the
 integration measure: the unit weight is blended with a sum of point
 masses interlaced with the previously converged rule of one size
 smaller.  Both modes climb one ladder of sizes 1 .. n in their own
@@ -155,8 +155,8 @@ class QuadratureRule:
         )
 
 
-# Newton iteration: converged below RESIDUAL_TOL (the largest sigma
-# integral), then polished while each undamped update halves the residual
+# Newton iteration: damped at or above RESIDUAL_TOL (the largest sigma
+# integral), undamped below it while each update halves the residual
 RESIDUAL_TOL = 1e-11
 STEP_TOL = 1e-13
 MAX_ITERATIONS = 100
@@ -216,18 +216,20 @@ def newton_solve(
     """Damped quasi-Newton iteration for the rule nodes.
 
     Each node moves by (integral of its sigma function) / (integral of
-    its eta function); a backtracking line search over the damping
-    factors 1, 1/2, ..., 2**-DAMPING_LEVELS keeps the nodes strictly
-    ordered, every gap at least ORDERING_MARGIN of its previous length,
-    and never lets the residual grow.  Once the residual is below
-    RESIDUAL_TOL, undamped updates continue while each at least halves
-    it and keeps the nodes strictly ordered; the first that does not is
-    discarded and the iteration stops.  At most MAX_ITERATIONS updates,
-    polish included, are made.  For closed rules, the endpoints stay
-    fixed and only interior nodes move.  ``moments_vec`` holds the integrals the rule
-    must reproduce, one per basis function (the space's moments, or a
-    blend of them during continuation).  Returns an uncertified rule
-    with positive weights.
+    its eta function), in one loop of at most MAX_ITERATIONS updates.
+    Every accepted step keeps the nodes strictly ordered and every gap
+    at least ORDERING_MARGIN of its previous length.  While the residual
+    is at or above RESIDUAL_TOL, a backtracking line search over the
+    damping factors 1, 1/2, ..., 2**-DAMPING_LEVELS never lets it grow,
+    and a failed search, a vanishing eta integral, a step below STEP_TOL
+    or the iteration cap raises SolverError.  Below RESIDUAL_TOL only the
+    undamped step is tried and it must at least halve the residual; the
+    first that does not is discarded and the iteration stops, so the
+    rule ends at its rounding floor.  For closed rules, the endpoints
+    stay fixed and only interior nodes move.  ``moments_vec`` holds the
+    integrals the rule must reproduce, one per basis function (the
+    space's moments, or a blend of them during continuation).  Returns
+    an uncertified rule with positive weights.
     """
     a, b = space.interval
     m = space.dim
@@ -255,16 +257,23 @@ def newton_solve(
     sigma, eta = _condition_integrals(space, nodes, closed, moments_vec)
     res = float(np.max(np.abs(sigma), initial=0.0))     # finite: checked by the solve
     iterations = 0
-    while res >= RESIDUAL_TOL:
+    # below RESIDUAL_TOL the iteration polishes to the rounding floor: a
+    # rule's certificate error tracks the final residual, so stopping just
+    # below the tolerance would let the continuation path decide it
+    while res > 0.0:
+        polish = res < RESIDUAL_TOL
         if iterations == MAX_ITERATIONS:
+            if polish:
+                break
             raise SolverError(f"no convergence in {MAX_ITERATIONS} iterations (residual {res:.3e})")
         eta_upd = eta[upd]
-        if np.any(np.abs(eta_upd) < 1e-300):
+        if not polish and np.any(np.abs(eta_upd) < 1e-300):
             raise SolverError("vanishing eta integral; degenerate node configuration")
         delta = np.zeros_like(nodes)
         delta[upd] = sigma / eta_upd
         min_gaps = ORDERING_MARGIN * np.diff(extended(nodes))
-        for lam in 0.5 ** np.arange(DAMPING_LEVELS + 1):
+        accept = 0.5 * res if polish else res * (1.0 + 1e-12) + 1e-300
+        for lam in 0.5 ** np.arange(1 if polish else DAMPING_LEVELS + 1):
             cand = nodes + lam * delta
             gaps = np.diff(extended(cand))
             # gaps > 0 is what rejects a zero gap when an open x0 touches an endpoint
@@ -275,9 +284,11 @@ def newton_solve(
             except SolverError:
                 continue
             res_c = float(np.max(np.abs(sig_c), initial=0.0))
-            if res_c <= res * (1.0 + 1e-12) + 1e-300:
+            if res_c <= accept:
                 break
         else:
+            if polish:
+                break
             raise SolverError(
                 f"backtracking failed at residual {res:.3e}; node ordering could not be rescued"
             )
@@ -285,24 +296,6 @@ def newton_solve(
         iterations += 1
         if res >= RESIDUAL_TOL and np.max(np.abs(lam * delta)) < STEP_TOL:
             raise SolverError(f"stagnated with residual {res:.3e}")
-
-    # polish to the rounding floor: a rule's certificate error tracks the
-    # final residual, so stopping just below RESIDUAL_TOL would let the
-    # continuation path decide the certificate
-    while res > 0.0 and iterations < MAX_ITERATIONS:
-        cand = nodes.copy()
-        cand[upd] += sigma / eta[upd]
-        if not np.all(np.diff(extended(cand)) > 0):
-            break
-        try:
-            sig_c, eta_c = _condition_integrals(space, cand, closed, moments_vec)
-        except SolverError:
-            break
-        res_c = float(np.max(np.abs(sig_c), initial=0.0))
-        if not res_c <= 0.5 * res:
-            break
-        nodes, sigma, eta, res = cand, sig_c, eta_c, res_c
-        iterations += 1
 
     weights = eta
     if np.min(weights) <= 0.0:

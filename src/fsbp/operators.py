@@ -194,14 +194,25 @@ def _nnls(a: np.ndarray, b: np.ndarray, floor: float) -> np.ndarray:
     raise AssemblyError(f"weight fit did not converge in {3 * n} active-set passes")
 
 
+def _exactness(d: np.ndarray, f_vals: np.ndarray, f_ders: np.ndarray) -> tuple[float, bool]:
+    """Largest entry of D F - F_x, and whether it is within ``TOL_EXACT``
+    of the derivative magnitude (floored at one)."""
+    err = float(np.max(np.abs(d @ f_vals - f_ders)))
+    return err, err <= TOL_EXACT * max(1.0, float(np.max(np.abs(f_ders))))
+
+
 def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     """Assemble the operator from a closed positive rule.
 
     The skew part S of Q = B/2 + S is the closed-form minimum-norm
     solution of the exactness conditions S F = P F_x - B F / 2 (see
     ``_skew_solve``); its free part has dimension (n - m)(n - m - 1)/2.
-    A residual above ``TOL_EXACT`` (relative to the right side's
-    magnitude) signals an inconsistent rule/space pairing and raises.
+    Those conditions hold exactly when the rule is exact for the
+    product-derivative span.  As D F - F_x = P^{-1}(S F - P F_x + B F / 2),
+    one gate judges them: ``_exactness``, the derivative-exactness test
+    that ``verify_sbp`` reports, raises AssemblyError here when it fails.
+    So do an open rule, an invalid certificate, more functions than
+    nodes, and a rank-deficient collocation matrix.
     """
     if not rule.closed:
         raise AssemblyError("operator assembly needs a closed rule (both endpoints)")
@@ -219,23 +230,18 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     f_vals, f_ders = space.jet(nodes, 1)       # (n, m) each
     p = rule.weights
     b_diag = _boundary_diagonal(n)
-    r = p[:, None] * f_ders - 0.5 * b_diag[:, None] * f_vals
-
-    s_mat, rank = _skew_solve(f_vals, r)
+    s_mat, rank = _skew_solve(f_vals, p[:, None] * f_ders - 0.5 * b_diag[:, None] * f_vals)
     if rank < m:
         raise AssemblyError("collocation matrix is rank deficient at these nodes")
-    residual = float(np.max(np.abs(s_mat @ f_vals - r)))
-    scale = max(1.0, float(np.max(np.abs(r))))
-    if residual > TOL_EXACT * scale:
-        raise AssemblyError(
-            f"exactness system inconsistent (residual {residual:.3e}); "
-            "the rule is not exact for the product-derivative space"
-        )
-
     q = 0.5 * np.diag(b_diag) + s_mat
     d = q / p[:, None]
-
-    op = FsbpOperator(
+    exact_err, exact = _exactness(d, f_vals, f_ders)
+    if not exact:
+        raise AssemblyError(
+            f"derivative exactness defect {exact_err:.3e} above {TOL_EXACT:.1e} (scaled); "
+            "the rule is not exact for the product-derivative space"
+        )
+    return FsbpOperator(
         nodes=nodes.copy(),
         P=p.copy(),
         Q=q,
@@ -245,11 +251,6 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
         space_fingerprint=space_fingerprint(space),
         null_space_dim=(n - m) * (n - m - 1) // 2,
     )
-    exact_err = float(np.max(np.abs(d @ f_vals - f_ders)))
-    der_scale = max(1.0, float(np.max(np.abs(f_ders))))
-    if exact_err > TOL_EXACT * der_scale:
-        raise AssemblyError(f"derivative exactness defect {exact_err:.3e} above {TOL_EXACT:.1e} (scaled)")
-    return op
 
 
 def build_approximate_operator(space: FunctionSpace, nodes: np.ndarray) -> FsbpOperator:
@@ -311,12 +312,13 @@ def verify_sbp(
     weight positivity, and the discrete integration-by-parts identity
     u^T P (D v) + (D u)^T P v = u_n v_n - u_1 v_1 on 100 random pairs
     drawn from the span (normalised to unit max magnitude), seeded by
-    ``rng_seed``.  Reported defects are raw; the exactness pass
+    ``rng_seed``.  Reported defects are raw.  The exactness pass is
+    ``_exactness``, the gate ``build_operator`` raises on, whose
     tolerance is scaled by the derivative magnitude so huge-magnitude
     bases are judged relatively.
     """
     f_vals, f_ders = space.jet(op.nodes, 1)
-    exact_err = float(np.max(np.abs(op.D @ f_vals - f_ders)))
+    exact_err, exact = _exactness(op.D, f_vals, f_ders)
     skew = op.skew_defect()
     min_w = float(np.min(op.P))
 
@@ -328,13 +330,7 @@ def verify_sbp(
     lhs = np.sum(u * op.P * (v @ op.D.T) + (u @ op.D.T) * op.P * v, axis=-1)
     ibp = np.max(np.abs(lhs - (u[:, -1] * v[:, -1] - u[:, 0] * v[:, 0])), initial=0.0)
 
-    der_scale = max(1.0, float(np.max(np.abs(f_ders))))
-    passed = (
-        exact_err <= TOL_EXACT * der_scale
-        and skew <= TOL_SKEW
-        and min_w > 0
-        and ibp <= TOL_IBP
-    )
+    passed = exact and skew <= TOL_SKEW and min_w > 0 and ibp <= TOL_IBP
     return SbpVerdict(
         max_exactness_error=exact_err,
         max_skew_defect=skew,

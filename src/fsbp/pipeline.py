@@ -53,7 +53,7 @@ __all__ = [
     "convergence_study",
 ]
 
-NODE_MODES = ("gglq", "ggq", "equispaced", "classical-gll")
+NODE_MODES = ("gglq", "equispaced", "classical-gll")
 
 
 @dataclass
@@ -115,14 +115,15 @@ def build_study_operator(
 
     Modes: "gglq" (optimised closed nodes), "equispaced" (equispaced
     nodes), "classical-gll" (Gauss-Lobatto nodes; polynomial families
-    only).  The open mode "ggq" produces rules but no operator, since
-    assembly needs endpoint nodes.  An operator needs at least as many
-    nodes as the family has functions: in "gglq" a closed rule with fewer
-    raises RankError before the rule is solved.
+    only); any other raises ValueError.  Every mode's rule is closed,
+    since assembly needs endpoint nodes.  An operator needs at least as
+    many nodes as the family has functions: in "gglq" a closed rule with
+    fewer raises RankError before the rule is solved.
 
-    For "equispaced", ``n_nodes`` fixes the node budget.  When that
-    budget is below the product span's rank or carries no exact positive
-    rule, ``build_approximate_operator`` takes the weights (each at least
+    ``n_nodes`` is the "equispaced" node budget; no other mode reads it
+    (the command line refuses it there).  When that budget is below the
+    product span's rank or carries no exact positive rule,
+    ``build_approximate_operator`` takes the weights (each at least
     1e-3 (b - a)/n_nodes) and skew part minimising ||Q F - P F_x||_F: the
     P/Q structure (and hence the energy estimate) is kept, the
     differentiation is approximate, and the verdict reports the defect.
@@ -130,8 +131,6 @@ def build_study_operator(
     """
     if node_mode not in NODE_MODES:
         raise ValueError(f"node_mode must be one of {NODE_MODES}, got {node_mode!r}")
-    if node_mode == "ggq":
-        raise ValueError("open-rule mode 'ggq' cannot back an operator; use 'gglq'")
 
     space = make_family(family_spec)
     if node_mode == "gglq":

@@ -320,7 +320,9 @@ def make_family(spec: dict) -> FunctionSpace:
 
     A descriptor that is not a dict, and missing, ill-typed or non-finite
     entries, raise :class:`FamilyError`; so do fractional or boolean
-    values of the integer entries.
+    values of the integer entries.  No entry switches a family off: an
+    entry its family does not read is kept in the stored descriptor and
+    otherwise ignored.
     """
     if not isinstance(spec, dict):
         raise FamilyError(f"a family descriptor must be an object, got {spec!r}")
@@ -367,8 +369,6 @@ def make_family(spec: dict) -> FunctionSpace:
         labels += [f"exp({r}s)" for r in rates]
         evaluate = _exponential(a, b, p, rates)
     elif family == "bessel":
-        if not spec.get("enabled", True):
-            raise FamilyError("Bessel family requested but the feature is disabled")
         orders = _entry(spec, "orders", lambda v: [_integer(o) for o in v])
         if not orders:
             raise FamilyError("bessel family needs at least one order")

@@ -548,6 +548,24 @@ def test_rule_file_with_a_node_mode_exits_2(tmp_path, capsys, exp3_rule_run, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, mode", [
+    ("operator", {"space": refcases.EXP3_SPEC, "node_mode": "gglq", "n_nodes": 9}, "'gglq'"),
+    ("operator", {"space": {"family": "monomial", "degree": 3, "interval": [-1, 1]},
+                  "node_mode": "classical-gll", "n_nodes": 9}, "'classical-gll'"),
+    ("operator", {"space": refcases.EXP3_SPEC, "rule": "rule.json", "n_nodes": 9},
+     "'rule' file"),
+    ("solve", {"pde": "advection", "operator": {**TRIG_OPERATOR, "n_nodes": 9}}, "'gglq'"),
+])
+def test_n_nodes_outside_equispaced_exits_2(tmp_path, capsys, command, config, mode):
+    # only the equispaced mode reads a node budget; any other would ignore it
+    cfg = write_config(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and "'n_nodes'" in err and mode in err
+    assert not out.exists()
+
+
 SOLVE_CONFIGS = {
     "advdiff": {
         "pde": "advection_diffusion",

@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from fsbp.gauss import QuadratureRule
+from fsbp.gauss import ExactnessCertificate, QuadratureRule
 from fsbp.gauss import classical_lobatto_rule
 from fsbp.operators import (
     AssemblyError,
@@ -114,6 +114,34 @@ def test_inconsistent_pairing_rejected():
 def test_too_small_node_set_rejected():
     space = make_family({"family": "monomial", "degree": 3, "interval": [0, 1]})
     with pytest.raises(AssemblyError):
+        build_operator(space, trapezoid_rule())
+
+
+def composite_trapezoid5():
+    return QuadratureRule(nodes=np.linspace(0.0, 1.0, 5), weights=np.array([1, 2, 2, 2, 1]) / 8,
+                          closed=True, interval=(0.0, 1.0))
+
+
+def test_inexact_rule_fails_the_exactness_gate(exp3_space):
+    # the composite trapezoid rule is not exact for exp3's product span:
+    # the skew solve goes through, and D F = F_x is what refuses it
+    with pytest.raises(AssemblyError, match="derivative exactness defect .* not exact"):
+        build_operator(exp3_space, composite_trapezoid5())
+
+
+def test_invalid_certificate_rejected(exp3_space):
+    rule = composite_trapezoid5()
+    rule.certificate = ExactnessCertificate(target_dim=5, max_abs_error=1e-3,
+                                            per_function_errors=np.full(6, 1e-3), tol=1e-8)
+    with pytest.raises(AssemblyError, match="rule certificate invalid"):
+        build_operator(exp3_space, rule)
+
+
+def test_rank_deficient_collocation_rejected():
+    # two identical functions: two nodes for two functions, but rank one
+    pair = (np.sin, np.cos)
+    space = make_family({"family": "explicit", "functions": [pair, pair], "interval": [0, 1]})
+    with pytest.raises(AssemblyError, match="rank deficient"):
         build_operator(space, trapezoid_rule())
 
 

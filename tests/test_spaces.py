@@ -159,11 +159,6 @@ def test_no_bessel_call_after_orthonormalisation(monkeypatch):
     assert calls == []
 
 
-def test_bessel_feature_flag():
-    with pytest.raises(FamilyError):
-        make_family({"family": "bessel", "orders": [0], "interval": [0, 25], "enabled": False})
-
-
 @pytest.mark.parametrize("bad", [
     {"family": "unknown", "interval": [0, 1]},
     {"family": "monomial", "degree": 2, "interval": [1, 1]},
