@@ -26,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .spaces import FamilyError, RankError, make_family
-from .gauss import IntegrationError, QuadratureRule, ScreenFailure, SolverError
-from .operators import AssemblyError, operator_from_dict, operator_to_dict, verify_sbp
-from .ibvp import BlowUpError, MmsCase, PdeParams, run_case
-from .pipeline import (build_rule_operator, build_study_operator, convergence_study,
-                       solve_rule_pipeline)
+from .spaces import FamilyError, make_family
+from .gauss import QuadratureRule, ScreenFailure
+from .operators import operator_from_dict, operator_to_dict, verify_sbp
+from .ibvp import MmsCase, PdeParams, run_case
+from .pipeline import (SOLVER_ERRORS, build_rule_operator, build_study_operator,
+                       convergence_study, solve_rule_pipeline)
 from . import refcases
 
 EXIT_OK = 0
@@ -81,14 +81,14 @@ def _sha256(path: Path) -> str:
 
 
 class Runner:
-    """Collects outputs and writes the manifest at the end of a command."""
+    """Collects outputs and writes the manifest at the end of a command;
+    ``--out`` is made at the first write, so a refused run leaves none."""
 
     def __init__(self, command: str, args, config: dict):
         self.command = command
         self.args = args
         self.config = config
         self.out = Path(args.out)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.outputs: list[str] = []
         self.t0 = time.perf_counter()
         self.inputs = {}
@@ -96,6 +96,7 @@ class Runner:
             self.inputs[str(args.config)] = _sha256(Path(args.config))
 
     def path(self, name: str) -> Path:
+        self.out.mkdir(parents=True, exist_ok=True)
         p = self.out / name
         self.outputs.append(str(p))
         return p
@@ -112,6 +113,7 @@ class Runner:
         }
         if extra:
             manifest.update(extra)
+        self.out.mkdir(parents=True, exist_ok=True)
         write_json(self.out / "manifest.json", manifest)
 
 
@@ -180,16 +182,6 @@ def _cfl(config: dict, default: float) -> float:
     return cfl
 
 
-def _n_nodes(config: dict, node_mode: str) -> int | None:
-    """The node budget under ``n_nodes``, which node mode 'equispaced' alone reads."""
-    n = config.get("n_nodes")
-    if n is not None and node_mode != "equispaced":
-        raise FamilyError(f"'n_nodes' is read by node mode 'equispaced' only, not {node_mode!r}")
-    if n is not None and (type(n) is not int or n < 2):
-        raise FamilyError(f"'n_nodes' must be an integer of at least 2, got {n!r}")
-    return n
-
-
 def rule_files(runner: Runner, tag: str, rule: QuadratureRule) -> None:
     write_json(runner.path(f"{tag}.json"), rule.to_dict())
     write_csv(
@@ -256,18 +248,16 @@ def cmd_operator(args) -> int:
     if "rule" in config and given:
         raise FamilyError(f"the config names a 'rule' file and {given[0]}: "
                           "an operator takes its nodes from one of them")
-    node_mode = args.mode or config.get("node_mode", "gglq")
-    n_nodes = _n_nodes(config, node_mode)
     runner = Runner("operator", args, {**config, "seed": args.seed})
-    space = make_family(config["space"])
 
     if "rule" in config:
+        space = make_family(config["space"])
         rule = load_input(runner, args, config, "rule", QuadratureRule.from_dict)
         op, rule, verdict = build_rule_operator(space, rule, rng_seed=args.seed)
     else:
         op, rule, verdict = build_study_operator(
-            config["space"], node_mode, force=args.force_tchebyshev, rng_seed=args.seed,
-            n_nodes=n_nodes,
+            config["space"], args.mode or config.get("node_mode", "gglq"),
+            force=args.force_tchebyshev, rng_seed=args.seed, n_nodes=config.get("n_nodes"),
         )
     operator_files(runner, "operator", op)
     rule_files(runner, "rule", rule)
@@ -336,14 +326,12 @@ def cmd_solve(args) -> int:
     if type(n_elements) is not int or n_elements < 1:
         raise FamilyError(f"'elements' must be an integer of at least 1, got {n_elements!r}")
     cfl = _cfl(config, 0.1)
-    node_mode = op_cfg.get("node_mode", "gglq")
-    n_nodes = _n_nodes(op_cfg, node_mode)
     runner = Runner("solve", args, {**config, "seed": args.seed,
                                     "elements": n_elements, "cfl": cfl})
 
     op, _, verdict = build_study_operator(
-        op_cfg["space"], node_mode, force=args.force_tchebyshev, rng_seed=args.seed,
-        n_nodes=n_nodes,
+        op_cfg["space"], op_cfg.get("node_mode", "gglq"), force=args.force_tchebyshev,
+        rng_seed=args.seed, n_nodes=op_cfg.get("n_nodes"),
     )
     result = run_case(pde, op, n_elements, params, case, cfl)
     grid, y, trace = result.grid, result.y, result.trace
@@ -489,21 +477,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; map a solver failure (``pipeline.SOLVER_ERRORS``,
+    LinAlgError included) to exit 3, a failed screen or check to 4 and
+    any other ValueError to 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FamilyError, json.JSONDecodeError) as exc:
-        print(f"fsbp {args.command}: validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (SolverError, IntegrationError, AssemblyError, BlowUpError, RankError) as exc:
+    except SOLVER_ERRORS as exc:
         print(f"fsbp {args.command}: solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ScreenFailure, VerificationFailure) as exc:
         print(f"fsbp {args.command}: verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except np.linalg.LinAlgError as exc:   # a ValueError subclass: test it first
-        print(f"fsbp {args.command}: solver error: LinAlgError: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except ValueError as exc:
         print(f"fsbp {args.command}: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -6,7 +6,9 @@ decision), parity augmentation, the Tchebyshev screen, then node
 optimisation.  Every operator is made here, on a node mode's rule
 (``build_study_operator``) or on a given one such as a rule file's
 (``build_rule_operator``): the rule is certified, then assembled and
-verified by one tail.  A convergence study builds an operator per
+verified by one tail.  A malformed request is refused here, with
+ValueError, before any work; ``SOLVER_ERRORS`` names the failures of a
+well-formed one.  A convergence study builds an operator per
 configuration and distinct family spec and solves the model problem with
 it at every level.
 """
@@ -115,13 +117,14 @@ def build_study_operator(
 
     Modes: "gglq" (optimised closed nodes), "equispaced" (equispaced
     nodes), "classical-gll" (Gauss-Lobatto nodes; polynomial families
-    only); any other raises ValueError.  Every mode's rule is closed,
-    since assembly needs endpoint nodes.  An operator needs at least as
-    many nodes as the family has functions: in "gglq" a closed rule with
-    fewer raises RankError before the rule is solved.
+    only).  Every mode's rule is closed, since assembly needs endpoint
+    nodes.  The request is checked first, for every caller: ``n_nodes``
+    outside "equispaced", an ``n_nodes`` that is not an integer of at
+    least 2, or an unknown mode raises ValueError.  An operator needs at
+    least as many nodes as the family has functions: in "gglq" a closed
+    rule with fewer raises RankError before the rule is solved.
 
-    ``n_nodes`` is the "equispaced" node budget; no other mode reads it
-    (the command line refuses it there).  When that budget is below the
+    ``n_nodes`` is the "equispaced" node budget.  When it is below the
     product span's rank or carries no exact positive rule,
     ``build_approximate_operator`` takes the weights (each at least
     1e-3 (b - a)/n_nodes) and skew part minimising ||Q F - P F_x||_F: the
@@ -129,6 +132,10 @@ def build_study_operator(
     differentiation is approximate, and the verdict reports the defect.
     Without ``n_nodes`` the smallest exact equispaced rule is used.
     """
+    if n_nodes is not None and node_mode != "equispaced":
+        raise ValueError(f"'n_nodes' is read by node mode 'equispaced' only, not {node_mode!r}")
+    if n_nodes is not None and (type(n_nodes) is not int or n_nodes < 2):
+        raise ValueError(f"'n_nodes' must be an integer of at least 2, got {n_nodes!r}")
     if node_mode not in NODE_MODES:
         raise ValueError(f"node_mode must be one of {NODE_MODES}, got {node_mode!r}")
 
@@ -150,12 +157,12 @@ def build_study_operator(
         ortho = orthonormalize(product)
         rank = ortho.dim
         try:
-            if n_nodes is not None and n_nodes < rank:
-                raise SolverError(f"{n_nodes} nodes cannot be exact on a span of rank {rank}")
-            rule = equispaced_rule(ortho, n_nodes)
+            rule = equispaced_rule(ortho, n_nodes) if n_nodes is None or n_nodes >= rank else None
         except SolverError:
             if n_nodes is None:
                 raise
+            rule = None
+        if rule is None:
             # node budget too small for exactness: defect-minimising
             # construction with the structural identities kept exact
             a, b = space.interval
@@ -171,12 +178,14 @@ def build_rule_operator(space: FunctionSpace, rule: QuadratureRule,
                         rng_seed: int = 0) -> tuple[FsbpOperator, QuadratureRule, SbpVerdict]:
     """Operator of a family on a given closed rule, such as a rule file's.
 
-    A rule with fewer nodes than the family has functions raises
-    RankError before any span is built.  Otherwise the rule is certified
-    against every product-derivative pair, with the span's rank from
-    ``orthonormalize`` and no augmentation, and assembled and verified as
-    the node modes' rules are.
+    An open rule raises ValueError, and a rule with fewer nodes than the
+    family has functions RankError, before any span is built.  Otherwise
+    the rule is certified against every product-derivative pair, with the
+    span's rank from ``orthonormalize`` and no augmentation, and
+    assembled and verified as the node modes' rules are.
     """
+    if not rule.closed:
+        raise ValueError("operator assembly needs a closed rule, got an open one")
     if rule.size < space.dim:
         raise RankError(f"the rule has {rule.size} nodes, fewer than the {space.dim} required")
     product = product_derivative_space(space)
@@ -190,10 +199,12 @@ def _assembled(space: FunctionSpace, rule: QuadratureRule, rng_seed: int):
     return op, rule, verify_sbp(op, space, rng_seed=rng_seed)
 
 
+# a solver that failed on a valid request (the command line's exit 3)
+SOLVER_ERRORS = (SolverError, IntegrationError, AssemblyError, BlowUpError,
+                 RankError, np.linalg.LinAlgError)
 # failures recorded in a study row; anything else (a failed Tchebyshev
 # screen included) aborts the study
-STUDY_ERRORS = (SolverError, IntegrationError, AssemblyError, BlowUpError,
-                RankError, ValueError)
+STUDY_ERRORS = SOLVER_ERRORS + (ValueError,)
 
 
 def convergence_study(

@@ -839,3 +839,81 @@ def test_csv_uses_17_significant_digits(exp3_rule_run):
     assert float(node_str) == pytest.approx(refcases.EXP3_CLOSED_NODES[1], abs=1e-8)
     digits = node_str.replace(".", "").replace("-", "").lstrip("0")
     assert len(digits) >= 16
+
+
+PURE_RATE_20 = {"family": "exponential", "rates": [20.0], "poly_degree": 0, "interval": [0, 1]}
+FULL_PERIOD_TRIG = {"family": "trig", "max_harmonic": 1, "freq_scale": 2.0, "interval": [0, 1]}
+
+
+@pytest.mark.parametrize("command, config, flags, code", [
+    ("operator", {"space": refcases.EXP3_SPEC}, ["--mode", "ggq"], 2),
+    ("rule", {"space": refcases.EXP3_SPEC}, ["--mode", "sideways"], 2),
+    ("rule", {"space": {"family": "trig", "max_harmonic": 2, "interval": [1, 1]}}, [], 2),
+    ("operator", {**TRIG_OPERATOR, "node_mode": "classical-gll"}, [], 2),
+    ("rule", {"space": FULL_PERIOD_TRIG}, [], 4),
+    ("rule", {"space": PURE_RATE_20, "mode": "open"}, [], 3),
+], ids=["unknown-node-mode", "unknown-rule-mode", "degenerate-interval", "gll-on-trig",
+        "screen-failure", "failed-open-solve"])
+def test_run_refused_before_its_first_write_makes_no_directory(tmp_path, capsys, command,
+                                                               config, flags, code):
+    cfg = write_config(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out), *flags]) == code
+    assert capsys.readouterr().err.startswith(f"fsbp {command}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("node_mode, n_nodes", [
+    ("gglq", 9), ("equispaced", 4.0), ("equispaced", 1),
+])
+def test_pipeline_refuses_a_bad_node_budget(node_mode, n_nodes):
+    # every caller is refused, not the command line alone
+    with pytest.raises(ValueError, match="'n_nodes'"):
+        build_study_operator(refcases.EXP3_SPEC, node_mode, n_nodes=n_nodes)
+
+
+def test_study_records_a_node_budget_outside_equispaced_in_every_row():
+    cfg = {"label": "exp-gglq", "spec": lambda n_el: refcases.EXP3_SPEC, "node_mode": "gglq",
+           "n_nodes": 9, "nodes_per_element": 4, "elements": [2, 4]}
+    rows = pipeline.convergence_study("advection", [cfg], PdeParams(a=1.0, final_time=0.1),
+                                      MmsCase.zero_data())
+    assert len(rows) == 2
+    for row in rows:
+        assert row["error"].startswith("ValueError: 'n_nodes' is read by node mode 'equispaced'")
+        assert "error_norm" not in row
+
+
+def test_linalg_error_exits_3(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, yet it is a solver failure
+    def no_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(pipeline, "orthonormalize", no_svd)
+    cfg = write_config(tmp_path / "rule.json", {"space": refcases.EXP3_SPEC})
+    out = tmp_path / "out"
+    assert main(["rule", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "fsbp rule: solver error: LinAlgError: SVD did not converge\n"
+    assert not out.exists()
+
+
+def test_open_rule_file_exits_2_before_any_span(tmp_path, capsys, monkeypatch):
+    # the open trig-3 rule has 6 nodes, enough for trig 1's 3 functions,
+    # but an operator needs endpoint nodes
+    cfg = write_config(tmp_path / "rule.json", {
+        "space": {"family": "trig", "max_harmonic": 3, "interval": [0, 1]}, "mode": "open"})
+    assert main(["rule", "--config", cfg, "--out", str(tmp_path / "rule")]) == 0
+    assert len(json.loads((tmp_path / "rule" / "rule.json").read_text())["nodes"]) == 6
+    capsys.readouterr()
+
+    def no_span(*args, **kwargs):
+        raise AssertionError("a span was built for an open rule")
+
+    monkeypatch.setattr(pipeline, "product_derivative_space", no_span)
+    op_cfg = write_config(tmp_path / "op.json", {
+        "space": {"family": "trig", "max_harmonic": 1, "interval": [0, 1]},
+        "rule": str(tmp_path / "rule" / "rule.json")})
+    out = tmp_path / "op"
+    assert main(["operator", "--config", op_cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and "closed rule" in err
+    assert not out.exists()
