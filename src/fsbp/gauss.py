@@ -11,14 +11,17 @@ same loop takes only undamped updates, each at least halving the
 residual, so a rule stops at its rounding floor, not wherever the path
 crossed the tolerance.  Initial guesses come from continuation in the
 integration measure: the unit weight is blended with a sum of point
-masses interlaced with the previously converged rule of one size
-smaller.  Both modes climb one ladder of sizes 1 .. n in their own
-formulation, open from the gap midpoints of the previous rule, closed
-from the endpoints around its midpoints.  Each stage first jumps
-straight to the target measure (t = 1) in one solve; only when that
-fails does the blend step halve, and grow again after two successes.
-Each stage has one initialisation, and a stage that fails raises
-SolverError naming its mode, its size and its last Newton error.
+masses.  Every rule starts at its full size n from the classical rule
+for polynomials on [-1, 1], the n + 1 Gauss-Lobatto nodes (closed) or
+the n Gauss-Legendre nodes (open), which a near-polynomial space moves
+only slightly.  Only when that stage fails do both modes climb one
+ladder of sizes 1 .. n, each stage's point masses interlaced with the
+converged rule of one size smaller: open at the gap midpoints of the
+previous rule, closed at the endpoints around its midpoints.  Each
+stage first jumps straight to the target measure (t = 1) in one solve;
+only when that fails does the blend step halve, and grow again after
+two successes.  A ladder stage that fails raises SolverError naming its
+mode, its size and its last Newton error.
 
 ``continuation_solve`` and ``equispaced_rule`` take the orthonormal
 working basis that ``spaces.orthonormalize`` produces, a truncated
@@ -362,6 +365,24 @@ def _homotopy(space, m_target, anchors, closed, stage_trace):
     return rule
 
 
+def _ladder(ref, m_full, closed, stages):
+    """Rules of sizes 1 .. n on the basis prefixes, each stage anchored by
+    the one before (``_stage_anchors``); each stage is appended to ``stages``."""
+    n = ref.dim // 2
+    mode = "closed" if closed else "open"
+    nodes = np.array([])
+    for k in range(1, n + 1):
+        stage = {"size": k, "steps": [], "rejected": 0}
+        try:
+            rule_ref = _homotopy(ref.prefix(2 * k), m_full[: 2 * k],
+                                 _stage_anchors(nodes, closed), closed, stage)
+        except SolverError as exc:
+            raise SolverError(f"{mode} ladder failed at size {k}/{n}: {exc}") from exc
+        nodes = rule_ref.nodes
+        stages.append(stage)
+    return rule_ref
+
+
 def continuation_solve(
     space: FunctionSpace,
     closed: bool = False,
@@ -372,20 +393,25 @@ def continuation_solve(
 
     ``space`` must be the output of ``spaces.orthonormalize`` (checked
     from its descriptor; ValueError otherwise); it is pulled back to
-    [-1, 1] as it is, and its moments are the closed-form ones.  Rules
-    of sizes 1 .. n in the requested mode are built by measure
-    continuation on the basis prefixes, stage k starting from point
+    [-1, 1] as it is, and its moments are the closed-form ones.  The
+    first stage is one measure continuation of full size n on the whole
+    basis, from point masses at the classical Gauss-Lobatto (closed) or
+    Gauss-Legendre (open) nodes.  Only if it fails are rules of sizes
+    1 .. n built on the basis prefixes, stage k starting from point
     masses placed by the nodes of stage k-1: open at the gap midpoints
     of [-1, nodes, 1] (stage 1 at the midpoint), closed at the two
     endpoints around the midpoints of the nodes (stage 1 at the two
-    endpoints).  A stage that fails raises SolverError naming its mode
-    and size.
+    endpoints).  A ladder stage that fails raises SolverError naming its
+    mode and size; at n = 1 the classical nodes are stage 1's own, so a
+    failed first stage is reported as the ladder's.
 
     A Tchebyshev screen runs first and rejects the space on a "fail"
     verdict unless ``force`` is set.  The returned rule lives on the
     space's interval and carries no certificate.  Its trace lists each
     stage's ``size``, its solved blend ``steps`` (``t`` and Newton
-    ``iterations``) and the number of ``rejected`` steps it halved.
+    ``iterations``) and the number of ``rejected`` steps it halved; a
+    failed full-size stage comes first and carries its ``error``, the
+    ladder's stages follow it.
     """
     if space.dim % 2 != 0:
         raise ValueError(
@@ -411,20 +437,23 @@ def continuation_solve(
 
     mode = "closed" if closed else "open"
     trace = {"mode": mode, "screen": asdict(report), "stages": []}
-    nodes = np.array([])
-    for k in range(1, n + 1):
-        stage = {"size": k, "steps": [], "rejected": 0}
-        try:
-            rule_ref = _homotopy(ref.prefix(2 * k), m_full[: 2 * k],
-                                 _stage_anchors(nodes, closed), closed, stage)
-        except SolverError as exc:
-            raise SolverError(f"{mode} ladder failed at size {k}/{n}: {exc}") from exc
-        nodes = rule_ref.nodes
-        trace["stages"].append(stage)
+    anchors = (classical_lobatto_rule(n + 1).nodes if closed
+               else np.polynomial.legendre.leggauss(n)[0])
+    jump = {"size": n, "steps": [], "rejected": 0}
+    trace["stages"].append(jump)
+    try:
+        rule_ref = _homotopy(ref, m_full, anchors, closed, jump)
+    except SolverError as exc:
+        jump["error"] = str(exc)
+        # at n = 1 the classical nodes are the ladder's own: it would repeat this stage
+        if n == 1:
+            raise SolverError(f"{mode} ladder failed at size 1/1: {exc}") from exc
+        rule_ref = _ladder(ref, m_full, closed, trace["stages"])
 
     # map back to the user interval (a closed rule snaps its endpoints)
     half = 0.5 * (b - a)
-    return QuadratureRule(nodes=a + half * (nodes + 1.0), weights=half * rule_ref.weights,
+    return QuadratureRule(nodes=a + half * (rule_ref.nodes + 1.0),
+                          weights=half * rule_ref.weights,
                           closed=closed, interval=(a, b), trace=trace)
 
 

@@ -433,6 +433,27 @@ def test_failed_jump_is_rescued_and_counted(tmp_path):
     }
 
 
+def test_failed_full_size_stage_is_traced_and_counted(tmp_path):
+    # trig 18 at freq_scale 1.5, closed: the stage of full size from the
+    # Lobatto nodes stalls and the ladder solves the rule; the stalled
+    # stage leads the trace with its error, and the manifest counts its work
+    cfg = write_config(tmp_path / "trig.json", {"space": {
+        "family": "trig", "max_harmonic": 18, "freq_scale": 1.5, "interval": [0, 1]}})
+    out = tmp_path / "o"
+    assert main(["rule", "--config", cfg, "--out", str(out), "--mode", "closed"]) == 0
+    rule = json.loads((out / "rule.json").read_text())
+    jump, *ladder = rule["trace"]["stages"]
+    assert jump["size"] == len(rule["nodes"]) - 1 and jump["rejected"] > 0
+    assert "last Newton error" in jump["error"]
+    assert [s["size"] for s in ladder] == list(range(1, jump["size"] + 1))
+    stages = [jump, *ladder]
+    assert json.loads((out / "manifest.json").read_text())["counters"] == {
+        "homotopy_steps": sum(len(s["steps"]) for s in stages),
+        "newton_iterations": sum(step["iterations"] for s in stages for step in s["steps"]),
+        "rejected_blend_steps": sum(s["rejected"] for s in stages),
+    }
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from fsbp.gauss import (
     verify_exactness,
 )
 from fsbp.integrate import moments
-from fsbp.spaces import make_family, orthonormalize, product_derivative_space
+from fsbp.spaces import RankError, make_family, orthonormalize, product_derivative_space
 from fsbp import gauss, pipeline, refcases
 
 from oracles import (
@@ -240,14 +242,16 @@ def test_trace_records_solver_path(exp3_closed_rule):
     trace = exp3_closed_rule.trace
     assert trace["mode"] == "closed"
     assert trace["screen"]["verdict"] == "pass"
-    # one stage per size: both modes climb their own ladder 1 .. n
-    assert [s["size"] for s in trace["stages"]] == [1, 2, 3]
+    # one stage of full size from the Lobatto nodes, solved at t = 1 in one step
+    [stage] = trace["stages"]
+    assert stage["size"] == 3 and stage["rejected"] == 0
+    assert [step["t"] for step in stage["steps"]] == [1.0]
     exp1 = {"family": "exponential", "rates": [1.0], "poly_degree": 0, "interval": [0, 1]}
     for spec, mode, expected in [
         (exp1, "closed", [1]),
         (exp1, "open", [1]),
-        (refcases.EXP3_SPEC, "open", [1, 2, 3]),
-        (refcases.EXP3_SPEC, "closed", [1, 2, 3]),
+        (refcases.EXP3_SPEC, "open", [3]),
+        (refcases.EXP3_SPEC, "closed", [3]),
     ]:
         trace = pipeline.solve_rule_pipeline(spec, mode).rule.trace
         assert trace["mode"] == mode
@@ -257,10 +261,34 @@ def test_trace_records_solver_path(exp3_closed_rule):
         assert all(set(step) == {"t", "iterations"} for s in trace["stages"] for step in s["steps"])
 
 
-def test_closed_first_stage_is_one_step(exp3_closed_rule):
-    # the two endpoints leave no node free: the size-1 solve is linear in
-    # the moments and goes to t = 1 at once
-    assert exp3_closed_rule.trace["stages"][0]["steps"] == [{"t": 1.0, "iterations": 0}]
+@functools.cache
+def closed_trig_rule(harmonics, freq_scale):
+    spec = {"family": "trig", "max_harmonic": harmonics, "freq_scale": freq_scale,
+            "interval": [0, 1]}
+    return pipeline.solve_rule_pipeline(spec, "closed").rule
+
+
+def test_closed_first_stage_is_one_step():
+    # trig 18 at freq_scale 1.5 climbs the ladder after its full-size stage
+    # fails; the ladder's two endpoints leave no node free, so its size-1
+    # solve is linear in the moments and goes to t = 1 at once
+    ladder = closed_trig_rule(18, 1.5).trace["stages"][1:]
+    assert ladder[0] == {"size": 1, "steps": [{"t": 1.0, "iterations": 0}], "rejected": 0}
+
+
+@pytest.mark.parametrize("mode", ["open", "closed"])
+@pytest.mark.parametrize("degree", range(2, 9))
+def test_polynomial_rules_start_at_the_classical_rule(degree, mode):
+    # the product span of the degree-d monomials is P_{2d-1}, whose rules
+    # are the classical ones: the full-size stage starts at the answer
+    spec = {"family": "monomial", "degree": degree, "interval": [-1, 1]}
+    rule = pipeline.solve_rule_pipeline(spec, mode).rule
+    [stage] = rule.trace["stages"]
+    assert stage["rejected"] == 0 and len(stage["steps"]) == 1
+    assert stage["steps"][0]["iterations"] <= 2
+    classical = (classical_lobatto_rule(degree + 1).nodes if mode == "closed"
+                 else np.polynomial.legendre.leggauss(degree)[0])
+    assert np.max(np.abs(rule.nodes - classical)) <= 1e-13
 
 
 GRID_MONOMIALS = [{"family": "monomial", "degree": d, "interval": i}
@@ -423,14 +451,22 @@ def test_closed_monomial_rules_certify(degree, interval):
 
 @pytest.mark.parametrize("harmonics, freq_scale", [(22, 1.0), (18, 1.5), (8, 1.5)])
 def test_closed_ladder_certifies_high_harmonics(harmonics, freq_scale):
-    # each closed stage starts from the closed rule one size smaller, which
-    # carries these high-harmonic spans to their full size
-    spec = {"family": "trig", "max_harmonic": harmonics, "freq_scale": freq_scale,
-            "interval": [0, 1]}
-    rule = pipeline.solve_rule_pipeline(spec, "closed").rule
+    # the full-size stage from the Lobatto nodes solves trig 22 at 1.0 and
+    # 8 at 1.5; on 18 at 1.5 it stalls, and the closed ladder, each stage
+    # started from the closed rule one size smaller, carries the span to
+    # its full size
+    rule = closed_trig_rule(harmonics, freq_scale)
     assert rule.certificate.valid
     assert rule.size == rule.certificate.target_dim // 2 + 1
     assert rule.nodes[0] == 0.0 and rule.nodes[-1] == 1.0
+    n = rule.size - 1
+    stages = rule.trace["stages"]
+    if (harmonics, freq_scale) == (18, 1.5):
+        assert "measure continuation stalled" in stages[0]["error"]
+        assert [s["size"] for s in stages] == [n, *range(1, n + 1)]
+        assert all("error" not in s for s in stages[1:])
+    else:
+        assert [s["size"] for s in stages] == [n] and "error" not in stages[0]
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)
@@ -462,6 +498,37 @@ def test_closed_trig_draws_certify_or_fail_the_screen(harmonics, freq_scale):
         return
     assert rule.certificate.valid
     assert rule.size == rule.certificate.target_dim // 2 + 1
+
+
+GENERATED_SPACES = st.one_of(
+    st.builds(lambda rate, negative, poly_degree: {
+        "family": "exponential", "rates": [-rate if negative else rate],
+        "poly_degree": poly_degree, "interval": [0, 1]},
+        st.floats(0.3, 4.0), st.booleans(), st.integers(0, 2)),
+    st.builds(lambda harmonics, freq_scale: {
+        "family": "trig", "max_harmonic": harmonics, "freq_scale": freq_scale,
+        "interval": [0, 1]},
+        st.integers(1, 6), st.floats(0.25, 1.5)),
+    st.builds(lambda degree, start, length: {
+        "family": "monomial", "degree": degree, "interval": [start, start + length]},
+        st.integers(1, 8), st.floats(-5.0, 5.0), st.floats(0.1, 5.0)),
+)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(spec=GENERATED_SPACES)
+def test_generated_spaces_certify_or_raise_a_typed_error(spec):
+    # the full-size stage or the ladder behind it gives a certified rule;
+    # anything else is one of the typed refusals the command line maps to
+    # an exit code
+    for mode in ("open", "closed"):
+        try:
+            rule = pipeline.solve_rule_pipeline(spec, mode).rule
+        except (SolverError, ScreenFailure, RankError):
+            continue
+        assert rule.certificate.valid
+        assert rule.size == rule.certificate.target_dim // 2 + (mode == "closed")
+        assert np.all(rule.weights > 0)
 
 
 # ------------------------------------------------------------- other rules
