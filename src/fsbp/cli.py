@@ -211,9 +211,7 @@ def cmd_rule(args) -> int:
     mode = args.mode or config.get("mode", "closed")
     runner = Runner("rule", args, {**config, "mode": mode, "seed": args.seed})
 
-    result = solve_rule_pipeline(
-        config["space"], mode, force=args.force_tchebyshev, rng_seed=args.seed,
-    )
+    result = solve_rule_pipeline(config["space"], mode, rng_seed=args.seed)
     rule_files(runner, "rule", result.rule)
     ortho = result.orthonormal
     write_json(runner.path("basis.json"), {
@@ -224,7 +222,6 @@ def cmd_rule(args) -> int:
     stages = result.rule.trace["stages"]
     runner.finish({
         "dims": result.dims,
-        "screen": result.rule.trace["screen"],
         "certificate": result.rule.certificate.to_dict(),
         "counters": {
             "homotopy_steps": sum(len(s["steps"]) for s in stages),
@@ -257,7 +254,7 @@ def cmd_operator(args) -> int:
     else:
         op, rule, verdict = build_study_operator(
             config["space"], args.mode or config.get("node_mode", "gglq"),
-            force=args.force_tchebyshev, rng_seed=args.seed, n_nodes=config.get("n_nodes"),
+            rng_seed=args.seed, n_nodes=config.get("n_nodes"),
         )
     operator_files(runner, "operator", op)
     rule_files(runner, "rule", rule)
@@ -330,7 +327,7 @@ def cmd_solve(args) -> int:
                                     "elements": n_elements, "cfl": cfl})
 
     op, _, verdict = build_study_operator(
-        op_cfg["space"], op_cfg.get("node_mode", "gglq"), force=args.force_tchebyshev,
+        op_cfg["space"], op_cfg.get("node_mode", "gglq"),
         rng_seed=args.seed, n_nodes=op_cfg.get("n_nodes"),
     )
     result = run_case(pde, op, n_elements, params, case, cfl)
@@ -360,7 +357,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _study_rows(study_name: str, config: dict, seed, force) -> list[dict]:
+def _study_rows(study_name: str, config: dict, seed) -> list[dict]:
     frozen = (refcases.ADVECTION_STUDY if study_name == "advection"
               else refcases.ADVECTION_DIFFUSION_STUDY)
     params = _pde_params({**frozen["params"], **_table(config, "params")})
@@ -378,7 +375,7 @@ def _study_rows(study_name: str, config: dict, seed, force) -> list[dict]:
         cfgs = refcases.advection_diffusion_study_configs(totals, a=params.a, eps=params.eps)
     if any(n_el < 1 for cfg in cfgs for n_el in cfg["elements"]):
         raise FamilyError(f"totals {totals} leave a configuration without elements")
-    return convergence_study(frozen["pde"], cfgs, params, case, cfl, force, seed)
+    return convergence_study(frozen["pde"], cfgs, params, case, cfl, seed)
 
 
 def cmd_converge(args) -> int:
@@ -387,7 +384,7 @@ def cmd_converge(args) -> int:
     if study not in ("advection", "advection_diffusion"):
         raise FamilyError("converge config needs 'study': 'advection' or 'advection_diffusion'")
     runner = Runner("converge", args, {**config, "seed": args.seed})
-    rows = _study_rows(study, config, args.seed, args.force_tchebyshev)
+    rows = _study_rows(study, config, args.seed)
     header = ["operator", "elements", "nodes_per_element", "total_nodes",
               "error_norm", "observed_order"]
     write_csv(
@@ -468,9 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
         # each flag only on the commands that read it
         if name in ("rule", "operator"):
             p.add_argument("--mode", help="rule mode (open/closed) or operator node mode")
-        if name not in ("verify", "fixtures"):
-            p.add_argument("--force-tchebyshev", action="store_true",
-                           help="proceed past a failing Tchebyshev screen")
         p.add_argument("--seed", type=int, default=0, help="seed for screens and checks")
         p.set_defaults(fn=fn)
     return parser

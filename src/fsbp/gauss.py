@@ -21,7 +21,8 @@ previous rule, closed at the endpoints around its midpoints.  Each
 stage first jumps straight to the target measure (t = 1) in one solve;
 only when that fails does the blend step halve, and grow again after
 two successes.  A ladder stage that fails raises SolverError naming its
-mode, its size and its last Newton error.
+mode, its size and its last Newton error; only then does the Tchebyshev
+screen run, to explain the failure (``continuation_solve``).
 
 ``continuation_solve`` and ``equispaced_rule`` take the orthonormal
 working basis that ``spaces.orthonormalize`` produces, a truncated
@@ -38,7 +39,7 @@ solves are pure and reentrant; a single solve is sequential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +64,9 @@ class SolverError(RuntimeError):
 
 
 class ScreenFailure(RuntimeError):
-    """The Tchebyshev screen rejected the space and no force flag was set."""
+    """A solve failed and the Tchebyshev screen explains it: the space
+    gave certified node sets of both determinant signs.  Its ``__cause__``
+    is the SolverError."""
 
 
 class IntegrationError(RuntimeError):
@@ -383,10 +386,26 @@ def _ladder(ref, m_full, closed, stages):
     return rule_ref
 
 
+def _full_size_or_ladder(ref, m_full, closed, trace):
+    """The full-size stage from the classical nodes, then the ladder if it fails."""
+    n = ref.dim // 2
+    anchors = (classical_lobatto_rule(n + 1).nodes if closed
+               else np.polynomial.legendre.leggauss(n)[0])
+    jump = {"size": n, "steps": [], "rejected": 0}
+    trace["stages"].append(jump)
+    try:
+        return _homotopy(ref, m_full, anchors, closed, jump)
+    except SolverError as exc:
+        jump["error"] = str(exc)
+        # at n = 1 the classical nodes are the ladder's own: it would repeat this stage
+        if n == 1:
+            raise SolverError(f"{trace['mode']} ladder failed at size 1/1: {exc}") from exc
+    return _ladder(ref, m_full, closed, trace["stages"])
+
+
 def continuation_solve(
     space: FunctionSpace,
     closed: bool = False,
-    force: bool = False,
     rng_seed: int = 0,
 ) -> QuadratureRule:
     """Measure continuation from an orthonormal basis to a converged rule.
@@ -405,13 +424,15 @@ def continuation_solve(
     mode and size; at n = 1 the classical nodes are stage 1's own, so a
     failed first stage is reported as the ladder's.
 
-    A Tchebyshev screen runs first and rejects the space on a "fail"
-    verdict unless ``force`` is set.  The returned rule lives on the
-    space's interval and carries no certificate.  Its trace lists each
-    stage's ``size``, its solved blend ``steps`` (``t`` and Newton
-    ``iterations``) and the number of ``rejected`` steps it halved; a
-    failed full-size stage comes first and carries its ``error``, the
-    ladder's stages follow it.
+    A Tchebyshev system is sufficient for a rule, not necessary, so the
+    Tchebyshev screen (seeded by ``rng_seed``) runs only to explain a
+    failed solve: a "fail" verdict raises ScreenFailure chained from the
+    SolverError, any other verdict re-raises the SolverError.  The
+    returned rule lives on the space's interval and carries no
+    certificate.  Its trace lists each stage's ``size``, its solved
+    blend ``steps`` (``t`` and Newton ``iterations``) and the number of
+    ``rejected`` steps it halved; a failed full-size stage comes first
+    and carries its ``error``, the ladder's stages follow it.
     """
     if space.dim % 2 != 0:
         raise ValueError(
@@ -419,36 +440,24 @@ def continuation_solve(
         )
     if space.family_spec.get("derived") != "orthonormal":
         raise ValueError("the solvers need the basis of spaces.orthonormalize")
-    n = space.dim // 2
     a, b = space.interval
     # the pulled-back basis is scaled by sqrt(dx/ds) and integrated in ds
     m_full = space.moments() / np.sqrt(0.5 * (b - a))
     ref = pull_back(space)
-
-    report = tchebyshev_screen(ref, rng_seed=rng_seed)
-    if report.verdict == "fail" and not force:
+    trace = {"mode": "closed" if closed else "open", "stages": []}
+    try:
+        rule_ref = _full_size_or_ladder(ref, m_full, closed, trace)
+    except SolverError as exc:
+        report = tchebyshev_screen(ref, rng_seed=rng_seed)
+        if report.verdict != "fail":
+            raise
         # which sign is which depends on the basis orientation, a rounding
         # tie inside degenerate derivative-energy eigenspaces: name counts only
         more, fewer = sorted((report.certified_positive, report.certified_negative), reverse=True)
         raise ScreenFailure(
             f"Tchebyshev screen failed ({more} certified node sets with a determinant "
-            f"of one sign, {fewer} of the other); pass force=True to attempt the solve anyway"
-        )
-
-    mode = "closed" if closed else "open"
-    trace = {"mode": mode, "screen": asdict(report), "stages": []}
-    anchors = (classical_lobatto_rule(n + 1).nodes if closed
-               else np.polynomial.legendre.leggauss(n)[0])
-    jump = {"size": n, "steps": [], "rejected": 0}
-    trace["stages"].append(jump)
-    try:
-        rule_ref = _homotopy(ref, m_full, anchors, closed, jump)
-    except SolverError as exc:
-        jump["error"] = str(exc)
-        # at n = 1 the classical nodes are the ladder's own: it would repeat this stage
-        if n == 1:
-            raise SolverError(f"{mode} ladder failed at size 1/1: {exc}") from exc
-        rule_ref = _ladder(ref, m_full, closed, trace["stages"])
+            f"of one sign, {fewer} of the other) and the solve failed: {exc}"
+        ) from exc
 
     # map back to the user interval (a closed rule snaps its endpoints)
     half = 0.5 * (b - a)

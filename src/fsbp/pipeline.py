@@ -2,15 +2,15 @@
 
 A rule pipeline takes a family descriptor to a certified quadrature rule:
 the product-derivative spanning set, its orthonormal basis (the one rank
-decision), parity augmentation, the Tchebyshev screen, then node
-optimisation.  Every operator is made here, on a node mode's rule
-(``build_study_operator``) or on a given one such as a rule file's
-(``build_rule_operator``): the rule is certified, then assembled and
-verified by one tail.  A malformed request is refused here, with
-ValueError, before any work; ``SOLVER_ERRORS`` names the failures of a
-well-formed one.  A convergence study builds an operator per
-configuration and distinct family spec and solves the model problem with
-it at every level.
+decision), parity augmentation, then node optimisation; the Tchebyshev
+screen runs only to explain a failed solve.  Every operator is made
+here, on a node mode's rule (``build_study_operator``) or on a given one
+such as a rule file's (``build_rule_operator``): the rule is certified,
+then assembled and verified by one tail.  A malformed request is
+refused here, with ValueError, before any work; ``SOLVER_ERRORS`` names
+the failures of a well-formed one.  A convergence study builds an
+operator per configuration and distinct family spec and solves the
+model problem with it at every level.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ class RulePipelineResult:
 def solve_rule_pipeline(
     family_spec: dict,
     mode: str = "closed",
-    force: bool = False,
     rng_seed: int = 0,
     min_nodes: int = 0,
 ) -> RulePipelineResult:
@@ -83,7 +82,10 @@ def solve_rule_pipeline(
     (``augment_to_even``), so the basis always has even dimension.
     A rule on a basis of dimension m has m/2 + 1 nodes when closed and m/2
     when open; fewer than ``min_nodes`` raise RankError before any solve.
-    The rule is certified here, once, against every function of the target.
+    A failed solve raises SolverError, or ScreenFailure when the
+    Tchebyshev screen (seeded by ``rng_seed``) finds the basis no
+    Tchebyshev system.  The rule is certified here, once, against every
+    function of the target.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
@@ -95,7 +97,7 @@ def solve_rule_pipeline(
     if n_nodes < min_nodes:
         raise RankError(f"the {mode} rule on the {ortho.dim}-dimensional basis has {n_nodes} "
                         f"nodes, fewer than the {min_nodes} required")
-    rule = continuation_solve(ortho, closed=(mode == "closed"), force=force, rng_seed=rng_seed)
+    rule = continuation_solve(ortho, closed=(mode == "closed"), rng_seed=rng_seed)
     rule.certificate = verify_exactness(rule, target, ortho.dim)
     dims = {
         "family_dim": space.dim,
@@ -109,7 +111,6 @@ def solve_rule_pipeline(
 def build_study_operator(
     family_spec: dict,
     node_mode: str,
-    force: bool = False,
     rng_seed: int = 0,
     n_nodes: int | None = None,
 ) -> tuple[FsbpOperator, QuadratureRule, SbpVerdict]:
@@ -141,7 +142,7 @@ def build_study_operator(
 
     space = make_family(family_spec)
     if node_mode == "gglq":
-        rule = solve_rule_pipeline(family_spec, "closed", force, rng_seed, space.dim).rule
+        rule = solve_rule_pipeline(family_spec, "closed", rng_seed, space.dim).rule
         return _assembled(space, rule, rng_seed)
     if node_mode == "classical-gll":
         if family_spec.get("family") != "monomial":
@@ -213,7 +214,6 @@ def convergence_study(
     params: PdeParams,
     case: MmsCase,
     cfl: float = 0.1,
-    force: bool = False,
     rng_seed: int = 0,
 ) -> list[dict]:
     """Error-versus-resolution rows for several operator configurations.
@@ -244,8 +244,7 @@ def convergence_study(
                 key = (json.dumps(spec, sort_keys=True), cfg["node_mode"], cfg.get("n_nodes"))
                 if key not in built:
                     op, _, verdict = build_study_operator(
-                        spec, cfg["node_mode"], force=force,
-                        rng_seed=rng_seed, n_nodes=cfg.get("n_nodes"),
+                        spec, cfg["node_mode"], rng_seed=rng_seed, n_nodes=cfg.get("n_nodes"),
                     )
                     built[key] = op, verdict
                 op, verdict = built[key]

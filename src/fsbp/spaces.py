@@ -35,7 +35,6 @@ threads; every operation here is a pure function of its inputs.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -655,7 +654,6 @@ class TchebyshevReport:
     """Outcome of the Tchebyshev-system screen."""
 
     tested_grids: int
-    min_abs_det: float
     verdict: str  # "pass" | "fail" | "inconclusive"
     certified_positive: int
     certified_negative: int
@@ -668,33 +666,22 @@ SIGN_CUTOFF = 1e-8      # a sign counts when sigma_min(C) > SIGN_CUTOFF * max|C|
 def _determinant_signs(space: FunctionSpace, sets: np.ndarray):
     """Sign evidence for sorted node sets, one per row of ``sets``.
 
-    Returns the sign of det C, the scaled log-determinant and the smallest
-    singular value of the collocation matrix C_ij = f_j(x_i) of each row's
-    nodes, and max |C| over every entry of every set.  The scaled
-    log-determinant is log|det C| - sum_i log max_j |C_ij| -
-    sum_{k<l} log(x_l - x_k): the determinant of the row-equilibrated
-    matrix, normalised by the node-gap product so that coalescing nodes do
-    not mask genuine sign-degeneracies; an exactly singular matrix gives
-    -inf and sign 0.  All sets share one stacked jet, one batched
-    ``slogdet`` and one batched singular-value decomposition; a set with a
-    non-finite entry gets sign 0 and sigma_min 0.
+    Returns the sign of det C and the smallest singular value of the
+    collocation matrix C_ij = f_j(x_i) of each row's nodes, and max |C|
+    over every entry of every finite set.  All sets share one stacked jet,
+    one batched ``slogdet`` and one batched singular-value decomposition;
+    a set with a non-finite entry gets sign 0 and sigma_min 0.
     """
     t, m = sets.shape
     c = space.jet(sets.ravel(), 0)[0].reshape(t, m, m)
     finite = np.all(np.isfinite(c), axis=(1, 2))
+    sign = np.zeros(t)
     sigma_min = np.zeros(t)
     if np.any(finite):
+        sign[finite] = np.linalg.slogdet(c[finite])[0]
         sigma_min[finite] = np.linalg.svd(c[finite], compute_uv=False)[:, -1]
-    scale = np.max(np.abs(c), axis=2, keepdims=True)
-    c_max = float(np.max(scale[finite], initial=0.0))
-    scale[scale == 0.0] = 1.0            # a zero row stays zero: exactly singular
-    i, j = np.triu_indices(m, k=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sign, logdet = np.linalg.slogdet(c / scale)
-        sign = np.where(finite, sign, 0.0)
-        logs = np.where(sign == 0.0, -np.inf,
-                        logdet - np.sum(np.log(sets[:, j] - sets[:, i]), axis=1))
-    return sign, logs, sigma_min, c_max
+    c_max = float(np.max(np.abs(c[finite]), initial=0.0))
+    return sign, sigma_min, c_max
 
 
 def tchebyshev_screen(space: FunctionSpace, rng_seed: int = 0) -> TchebyshevReport:
@@ -714,9 +701,9 @@ def tchebyshev_screen(space: FunctionSpace, rng_seed: int = 0) -> TchebyshevRepo
 
     "fail" needs certified sets of both signs; "pass" needs at least one
     certified set and all certified sets of one sign; anything else is
-    "inconclusive".  ``tested_grids`` counts the sets evaluated, and
-    ``min_abs_det`` is the smallest scaled determinant among them, for
-    information only, saturated at the largest double.
+    "inconclusive".  ``tested_grids`` counts the sets evaluated.
+    ``gauss.continuation_solve`` runs the screen only to explain a failed
+    solve: a Tchebyshev system is sufficient for a rule, not necessary.
     """
     a, b = space.interval
     m = space.dim
@@ -742,7 +729,7 @@ def tchebyshev_screen(space: FunctionSpace, rng_seed: int = 0) -> TchebyshevRepo
             squeezed[k + 1] = squeezed[k] + gap_floor
             configs.append(np.sort(squeezed))
 
-    sign, logs, sigma_min, c_max = _determinant_signs(space, np.array(configs))
+    sign, sigma_min, c_max = _determinant_signs(space, np.array(configs))
     certified = sigma_min > SIGN_CUTOFF * c_max
     positive = int(np.sum(certified & (sign > 0)))
     negative = int(np.sum(certified & (sign < 0)))
@@ -752,10 +739,7 @@ def tchebyshev_screen(space: FunctionSpace, rng_seed: int = 0) -> TchebyshevRepo
         verdict = "pass"
     else:
         verdict = "inconclusive"
-    # reported saturated at the largest double: JSON has no Infinity
-    with np.errstate(over="ignore"):
-        min_det = min(float(np.exp(np.min(logs))), sys.float_info.max)
-    return TchebyshevReport(tested_grids=len(logs), min_abs_det=min_det, verdict=verdict,
+    return TchebyshevReport(tested_grids=len(configs), verdict=verdict,
                             certified_positive=positive, certified_negative=negative)
 
 

@@ -15,9 +15,9 @@ stage through the right side A u + q(t) of an assembled problem, one
 state and one time at a time, the reference for the blocked march.  The
 cardinal-basis section solves for the Hermite-Lagrange basis the Newton
 iteration only uses through its integrals, from the solver's own
-Hermite-Vandermonde rows.  ``augmented_target`` and ``certified_rule``
-are no oracles: they run the package's rule steps on a family and on a
-target spanning set with its basis, as the pipeline does.
+Hermite-Vandermonde rows.  ``augmented_target``, ``screened`` and
+``certified_rule`` are no oracles: they run the package's rule steps on a
+family and on a target spanning set with its basis, as the pipeline does.
 """
 
 import math
@@ -33,8 +33,10 @@ from fsbp.integrate import moments
 from fsbp.spaces import (
     FunctionSpace,
     augment_to_even,
+    make_family,
     orthonormalize,
     product_derivative_space,
+    pull_back,
 )
 
 
@@ -402,11 +404,16 @@ def augmented_target(space: FunctionSpace) -> tuple[FunctionSpace, FunctionSpace
     return augment_to_even(product, orthonormalize(product))
 
 
-def certified_rule(target: FunctionSpace, basis: FunctionSpace, closed: bool, **kw):
+def screened(spec: dict) -> FunctionSpace:
+    """The space a failed rule solve screens for a family descriptor: the
+    orthonormal basis of its augmented target, pulled back to [-1, 1]."""
+    return pull_back(augmented_target(make_family(spec))[1])
+
+
+def certified_rule(target: FunctionSpace, basis: FunctionSpace, closed: bool):
     """Rule for a target spanning set and its orthonormal basis: solve on
-    the basis by measure continuation (``kw`` goes to
-    ``continuation_solve``) and certify the rule once against every
-    function of ``target``, with the basis's rank."""
-    rule = continuation_solve(basis, closed=closed, **kw)
+    the basis by measure continuation and certify the rule once against
+    every function of ``target``, with the basis's rank."""
+    rule = continuation_solve(basis, closed=closed)
     rule.certificate = verify_exactness(rule, target, basis.dim)
     return rule

@@ -13,6 +13,8 @@ from fsbp import cli, pipeline, refcases
 from fsbp.cli import main
 from fsbp.ibvp import MmsCase, MultiElementGrid, PdeParams, assemble
 from fsbp.pipeline import build_study_operator
+from fsbp.spaces import tchebyshev_screen
+from oracles import screened
 
 
 def write_config(path, payload):
@@ -35,7 +37,9 @@ def test_rule_command_reproduces_reference(exp3_rule_run):
     assert np.allclose(rule["weights"], refcases.EXP3_CLOSED_WEIGHTS, atol=1e-8)
     assert rule["certificate"]["valid"] is True
     manifest = json.loads((exp3_rule_run / "manifest.json").read_text())
-    assert manifest["screen"]["verdict"] == "pass"
+    # the screen runs only to explain a failed solve
+    assert "screen" not in manifest and "screen" not in rule["trace"]
+    assert tchebyshev_screen(screened(refcases.EXP3_SPEC), rng_seed=0).verdict == "pass"
     for out in manifest["outputs"]:
         assert (exp3_rule_run / out.split("/")[-1]).exists()
 
@@ -70,8 +74,10 @@ def test_rule_screen_gate_exit_code(tmp_path, capsys):
     # first: which sign is which depends on the basis orientation
     code = main(["rule", "--config", cfg2, "--out", str(tmp_path / "o2")])
     assert code == 4
-    assert ("82 certified node sets with a determinant of one sign, 38 of the other"
-            in capsys.readouterr().err)
+    err = capsys.readouterr().err
+    assert "82 certified node sets with a determinant of one sign, 38 of the other" in err
+    # the screen runs after the solve has failed, and names its failure
+    assert "and the solve failed: closed ladder failed" in err
 
 
 def test_rule_operator_and_verify_load_no_scipy(tmp_path):
@@ -393,14 +399,39 @@ def test_exponential_rate_0599_rule_exits_0(tmp_path, mode):
 def test_steep_exponential_rule_passes_screen(tmp_path, rate, mode):
     # {1, x, e^{rx}} is a Haar system; it exited 4 while the screen
     # thresholded a rounding-level minimum determinant
-    cfg = write_config(tmp_path / "exp.json", {"space": {
-        "family": "exponential", "rates": [rate], "poly_degree": 1, "interval": [0, 1]}})
+    space = {"family": "exponential", "rates": [rate], "poly_degree": 1, "interval": [0, 1]}
+    cfg = write_config(tmp_path / "exp.json", {"space": space})
     out = tmp_path / "o"
     assert main(["rule", "--config", cfg, "--out", str(out), "--mode", mode]) == 0
     rule = json.loads((out / "rule.json").read_text())
     assert rule["certificate"]["valid"] is True
-    assert rule["trace"]["screen"]["verdict"] == "pass"
-    assert rule["trace"]["screen"]["certified_negative"] == 0
+    assert "screen" not in rule["trace"]
+    report = tchebyshev_screen(screened(space), rng_seed=0)
+    assert report.verdict == "pass"
+    assert report.certified_negative == 0
+
+
+TRIG3_15 = {"family": "trig", "max_harmonic": 3, "freq_scale": 1.5, "interval": [0, 1]}
+TRIG5_15 = {"family": "trig", "max_harmonic": 5, "freq_scale": 1.5, "interval": [0, 1]}
+BESSEL_0_TO_8 = {"family": "bessel", "orders": list(range(9)), "interval": [0, 25]}
+
+
+@pytest.mark.parametrize("space, mode", [
+    (TRIG3_15, "closed"), (TRIG3_15, "open"), (TRIG5_15, "closed"), (TRIG5_15, "open"),
+    (BESSEL_0_TO_8, "closed"),
+], ids=["trig3-closed", "trig3-open", "trig5-closed", "trig5-open", "bessel0to8-closed"])
+def test_rule_exits_0_whatever_the_screen_would_say(tmp_path, space, mode):
+    # the screen, once a gate before the solve, failed these spaces under
+    # some seeds (exit 4 under 0 and 31337); a Tchebyshev system is
+    # sufficient for a rule, not necessary, and each solves to a certified
+    # rule with positive weights under every seed
+    cfg = write_config(tmp_path / "space.json", {"space": space})
+    for seed in range(8):
+        out = tmp_path / f"seed{seed}"
+        assert main(["rule", "--config", cfg, "--out", str(out), "--mode", mode,
+                     "--seed", str(seed)]) == 0
+        rule = json.loads((out / "rule.json").read_text())
+        assert rule["certificate"]["valid"] is True and min(rule["weights"]) > 0
 
 
 def test_steep_pure_exponential_failures_name_their_stage(tmp_path, capsys):
@@ -460,19 +491,18 @@ def _reject_constant(name):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_high_harmonic_rule_writes_strict_json(tmp_path):
-    # the screen's scaled minimum here is beyond the largest double; it
-    # was written as Infinity, which is not JSON.  No drawn set's sign is
-    # certified at this dimension (62), so the verdict is inconclusive and
-    # the solve goes ahead
-    cfg = write_config(tmp_path / "trig.json", {"space": {
-        "family": "trig", "max_harmonic": 20, "interval": [0, 1]}})
+    # the screen's scaled minimum determinant here was beyond the largest
+    # double and was once written as Infinity, which is not JSON; no file
+    # records the screen now.  No drawn set's sign is certified at this
+    # dimension (62), so the verdict would be inconclusive
+    space = {"family": "trig", "max_harmonic": 20, "interval": [0, 1]}
+    cfg = write_config(tmp_path / "trig.json", {"space": space})
     out = tmp_path / "o"
     assert main(["rule", "--config", cfg, "--out", str(out)]) == 0
     for name in ("rule.json", "manifest.json"):
         data = json.loads((out / name).read_text(), parse_constant=_reject_constant)
-        screen = data["trace"]["screen"] if name == "rule.json" else data["screen"]
-        assert screen["verdict"] == "inconclusive"
-        assert math.isfinite(screen["min_abs_det"]) and screen["min_abs_det"] > 1e300
+        assert "screen" not in (data["trace"] if name == "rule.json" else data)
+    assert tchebyshev_screen(screened(space), rng_seed=0).verdict == "inconclusive"
 
 
 def test_bessel_operator_exits_0(tmp_path):
@@ -784,6 +814,9 @@ def test_solve_steep_boundary_layer(tmp_path):
 @pytest.mark.parametrize("command, flag", [
     ("verify", "--mode"), ("solve", "--mode"), ("converge", "--mode"), ("fixtures", "--mode"),
     ("verify", "--force-tchebyshev"), ("fixtures", "--force-tchebyshev"),
+    # the screen only explains a failed solve: nothing to force past
+    ("rule", "--force-tchebyshev"), ("operator", "--force-tchebyshev"),
+    ("solve", "--force-tchebyshev"), ("converge", "--force-tchebyshev"),
 ])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, command, flag):
     # each flag is registered only on the commands that read it

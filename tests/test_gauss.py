@@ -15,7 +15,14 @@ from fsbp.gauss import (
     verify_exactness,
 )
 from fsbp.integrate import moments
-from fsbp.spaces import RankError, make_family, orthonormalize, product_derivative_space
+from fsbp.spaces import (
+    RankError,
+    make_family,
+    orthonormalize,
+    product_derivative_space,
+    pull_back,
+    tchebyshev_screen,
+)
 from fsbp import gauss, pipeline, refcases
 
 from oracles import (
@@ -216,9 +223,9 @@ def test_continuation_needs_orthonormal_basis(trig_target):
         continuation_solve(raw, closed=True)
 
 
-def test_screen_gate_blocks_and_force_overrides():
+def test_screen_explains_failed_solve():
     # 1, x^2-style degeneracy on a symmetric interval: pair with an even
-    # function only; the screen must reject it
+    # function only; the solve fails and the screen explains it
     space = make_family({
         "family": "explicit", "interval": [-1, 1],
         "functions": [
@@ -231,17 +238,31 @@ def test_screen_gate_blocks_and_force_overrides():
         ],
     })
     basis = orthonormalize(space)
-    with pytest.raises(ScreenFailure):
+    with pytest.raises(ScreenFailure, match="and the solve failed: closed ladder failed") as exc:
         certified_rule(space, basis, closed=True)
-    # forcing proceeds to the solver, which reports the genuine failure
-    with pytest.raises(SolverError, match="closed ladder failed at size 1/1"):
-        certified_rule(space, basis, closed=True, force=True)
+    # the solver's own error, the genuine failure, is its cause
+    assert isinstance(exc.value.__cause__, SolverError)
+    assert "closed ladder failed at size 1/1" in str(exc.value.__cause__)
 
 
-def test_trace_records_solver_path(exp3_closed_rule):
+@pytest.mark.parametrize("seed", [0, 31337])
+def test_full_period_trig_failure_is_explained_by_the_screen(seed):
+    # translation-degenerate: the closed solve fails, then the screen
+    # finds certified node sets of both signs
+    spec = {"family": "trig", "max_harmonic": 1, "freq_scale": 2.0, "interval": [0, 1]}
+    with pytest.raises(ScreenFailure, match="Tchebyshev screen failed") as exc:
+        pipeline.solve_rule_pipeline(spec, "closed", rng_seed=seed)
+    assert isinstance(exc.value.__cause__, SolverError)
+    assert "ladder failed" in str(exc.value.__cause__)
+    assert str(exc.value).endswith(f"and the solve failed: {exc.value.__cause__}")
+
+
+def test_trace_records_solver_path(exp3_closed_rule, exp3_orthonormal):
     trace = exp3_closed_rule.trace
     assert trace["mode"] == "closed"
-    assert trace["screen"]["verdict"] == "pass"
+    # the screen runs only to explain a failed solve
+    assert "screen" not in trace
+    assert tchebyshev_screen(pull_back(exp3_orthonormal), rng_seed=0).verdict == "pass"
     # one stage of full size from the Lobatto nodes, solved at t = 1 in one step
     [stage] = trace["stages"]
     assert stage["size"] == 3 and stage["rejected"] == 0
@@ -529,6 +550,20 @@ def test_generated_spaces_certify_or_raise_a_typed_error(spec):
         assert rule.certificate.valid
         assert rule.size == rule.certificate.target_dim // 2 + (mode == "closed")
         assert np.all(rule.weights > 0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(spec=GENERATED_SPACES)
+def test_generated_spaces_give_a_verified_operator_or_a_typed_error(spec):
+    # each draw's closed rule backs an operator that passes verify_sbp, or
+    # the pipeline refuses it with a typed error the command line maps to
+    # an exit code
+    try:
+        _, rule, verdict = pipeline.build_study_operator(spec, "gglq")
+    except (SolverError, ScreenFailure, RankError):
+        return
+    assert rule.certificate.valid
+    assert verdict.passed
 
 
 # ------------------------------------------------------------- other rules
