@@ -29,7 +29,7 @@ from . import __version__
 from .spaces import FamilyError, make_family
 from .gauss import QuadratureRule, ScreenFailure
 from .operators import operator_from_dict, operator_to_dict, verify_sbp
-from .ibvp import MmsCase, PdeParams, run_case
+from .ibvp import MmsCase, PdeParams, StageTimer, run_case
 from .pipeline import (SOLVER_ERRORS, build_rule_operator, build_study_operator,
                        convergence_study, solve_rule_pipeline)
 from . import refcases
@@ -38,6 +38,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_VERIFICATION = 4
+
+# the stages whose wall seconds `solve` and `converge` record in the
+# manifest's "timings" (summed over the rows of a study)
+TIMED_STAGES = ("operator_build_s", "assembly_s", "march_s", "output_write_s")
 
 
 class VerificationFailure(RuntimeError):
@@ -326,24 +330,28 @@ def cmd_solve(args) -> int:
     runner = Runner("solve", args, {**config, "seed": args.seed,
                                     "elements": n_elements, "cfl": cfl})
 
-    op, _, verdict = build_study_operator(
-        op_cfg["space"], op_cfg.get("node_mode", "gglq"),
-        rng_seed=args.seed, n_nodes=op_cfg.get("n_nodes"),
-    )
-    result = run_case(pde, op, n_elements, params, case, cfl)
+    timings = dict.fromkeys(TIMED_STAGES, 0.0)
+    with StageTimer(timings, "operator_build_s"):
+        op, _, verdict = build_study_operator(
+            op_cfg["space"], op_cfg.get("node_mode", "gglq"),
+            rng_seed=args.seed, n_nodes=op_cfg.get("n_nodes"),
+        )
+    result = run_case(pde, op, n_elements, params, case, cfl, timings=timings)
     grid, y, trace = result.grid, result.y, result.trace
-    if trace.aux is not None:
-        write_csv(runner.path("energy.csv"), ["time", "energy", "aux_dissipation"],
-                  zip(trace.times.tolist(), trace.energy.tolist(), trace.aux.tolist()))
-    else:
-        write_csv(runner.path("energy.csv"), ["time", "energy"],
-                  zip(trace.times.tolist(), trace.energy.tolist()))
-    write_csv(
-        runner.path("solution.csv"), ["element", "x", "u"],
-        ((e, x, u) for e in range(grid.n_elements)
-         for x, u in zip(grid.nodes[e].tolist(), y[e].tolist())),
-    )
+    with StageTimer(timings, "output_write_s"):
+        if trace.aux is not None:
+            write_csv(runner.path("energy.csv"), ["time", "energy", "aux_dissipation"],
+                      zip(trace.times.tolist(), trace.energy.tolist(), trace.aux.tolist()))
+        else:
+            write_csv(runner.path("energy.csv"), ["time", "energy"],
+                      zip(trace.times.tolist(), trace.energy.tolist()))
+        write_csv(
+            runner.path("solution.csv"), ["element", "x", "u"],
+            ((e, x, u) for e in range(grid.n_elements)
+             for x, u in zip(grid.nodes[e].tolist(), y[e].tolist())),
+        )
     runner.finish({
+        "timings": timings,
         "verdict": verdict.to_dict(),
         "sat_coefficients": dict(result.problem.sats.__dict__),
         "final_error_norm": result.error,
@@ -357,7 +365,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _study_rows(study_name: str, config: dict, seed) -> list[dict]:
+def _study_rows(study_name: str, config: dict, seed, timings: dict) -> list[dict]:
     frozen = (refcases.ADVECTION_STUDY if study_name == "advection"
               else refcases.ADVECTION_DIFFUSION_STUDY)
     params = _pde_params({**frozen["params"], **_table(config, "params")})
@@ -375,7 +383,7 @@ def _study_rows(study_name: str, config: dict, seed) -> list[dict]:
         cfgs = refcases.advection_diffusion_study_configs(totals, a=params.a, eps=params.eps)
     if any(n_el < 1 for cfg in cfgs for n_el in cfg["elements"]):
         raise FamilyError(f"totals {totals} leave a configuration without elements")
-    return convergence_study(frozen["pde"], cfgs, params, case, cfl, seed)
+    return convergence_study(frozen["pde"], cfgs, params, case, cfl, seed, timings)
 
 
 def cmd_converge(args) -> int:
@@ -384,19 +392,22 @@ def cmd_converge(args) -> int:
     if study not in ("advection", "advection_diffusion"):
         raise FamilyError("converge config needs 'study': 'advection' or 'advection_diffusion'")
     runner = Runner("converge", args, {**config, "seed": args.seed})
-    rows = _study_rows(study, config, args.seed)
+    timings = dict.fromkeys(TIMED_STAGES, 0.0)
+    rows = _study_rows(study, config, args.seed, timings)
     header = ["operator", "elements", "nodes_per_element", "total_nodes",
               "error_norm", "observed_order"]
-    write_csv(
-        runner.path("convergence.csv"), header,
-        ((r["operator"], r["elements"], r["nodes_per_element"], r["total_nodes"],
-          float(r.get("error_norm", float("nan"))),
-          float(r.get("observed_order", float("nan"))))
-         for r in rows),
-    )
-    write_json(runner.path("convergence.json"), {"rows": rows})
+    with StageTimer(timings, "output_write_s"):
+        write_csv(
+            runner.path("convergence.csv"), header,
+            ((r["operator"], r["elements"], r["nodes_per_element"], r["total_nodes"],
+              float(r.get("error_norm", float("nan"))),
+              float(r.get("observed_order", float("nan"))))
+             for r in rows),
+        )
+        write_json(runner.path("convergence.json"), {"rows": rows})
     runner.finish({
         "n_rows": len(rows),
+        "timings": timings,
         "notes": "the polynomial baseline is the element Gauss-Lobatto operator "
                  "of degree 3 (fourth-order accurate)",
     })

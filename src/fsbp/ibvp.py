@@ -25,8 +25,14 @@ scheme with step h is, in closed form with B = hA and q = C g,
     R = I + B + B^2/2 + B^3/6 + B^4/24,
     M1 = I + B + B^2/2 + B^3/4,   M2 = 4I + 2B + B^2/2.
 
-``time_integrate`` builds R by band products and the forcing columns
-(h/6)[M1 C | M2 C | C] once per solve and marches with work and memory
+``time_integrate`` builds R and the forcing columns (h/6)[M1 C | M2 C |
+C] by band products once per solve, and R^S by squaring R.  It marches
+the recurrence u_{k+1} = R u_k + f_k in blocks of steps, each split into
+lanes of S steps that advance together: one band product moves every
+lane by a step.  A pass from zero gives each lane's data response, the
+lane starts follow in sequence by R^S, and a second pass marches every
+lane from its start (a blocked scan of a linear recurrence, Blelloch,
+"Prefix sums and their applications", 1990).  Work and memory are
 linear in the element count.
 
 ``run_case`` is the one solve: it tiles the unit domain with copies of a
@@ -36,12 +42,13 @@ number and marches to the final time.
 
 from __future__ import annotations
 
+import functools
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .operators import FsbpOperator, scale_to_element
 
@@ -62,6 +69,7 @@ __all__ = [
     "solution_error",
     "CaseResult",
     "run_case",
+    "StageTimer",
 ]
 
 # a run whose discrete energy exceeds this multiple of its initial value
@@ -70,6 +78,11 @@ BLOWUP_FACTOR = 10.0
 # steps marched per block: the block's data, forcing and energies are
 # computed together, and only the block's states are held
 BLOCK_STEPS = 64
+# a block is marched as LANES lanes of LANE_STEPS steps; LANE_STEPS is a
+# power of two, so R^LANE_STEPS is a few squarings of R.  16 lanes of 4
+# march as fast as 8 of 8, and R^4's band is the narrower
+LANE_STEPS = 4
+LANES = BLOCK_STEPS // LANE_STEPS
 
 
 class BlowUpError(RuntimeError):
@@ -344,10 +357,13 @@ class ElementBand:
         return ElementBand(c * self.blocks, self.lo, self.hi)
 
     def __add__(self, other: "ElementBand") -> "ElementBand":
-        lo, hi, p = max(self.lo, other.lo), max(self.hi, other.hi), self.blocks.shape[1]
-        widened = [np.pad(b.blocks, ((0, 0), (0, 0), ((lo - b.lo) * p, (hi - b.hi) * p)))
-                   for b in (self, other)]
-        return ElementBand(widened[0] + widened[1], lo, hi)
+        e_count, p, _ = self.blocks.shape
+        lo, hi = max(self.lo, other.lo), max(self.hi, other.hi)
+        out = np.zeros((e_count, p, (lo + hi + 1) * p))
+        for b in (self, other):
+            start = (lo - b.lo) * p
+            out[:, :, start:start + b.blocks.shape[2]] += b.blocks
+        return ElementBand(out, lo, hi)
 
     def __matmul__(self, other):
         e_count, p, _ = self.blocks.shape
@@ -356,13 +372,15 @@ class ElementBand:
         else:
             x, shift = np.asarray(other, dtype=float).reshape(e_count, p, -1), 0
         # block row e gains self's block (e, a) times block row e + a of
-        # x, whose block rows are padded so that every e + a exists; a
-        # band's columns shift with a
-        rows = np.pad(x, ((self.lo, self.hi), (0, 0), (0, 0)))
+        # x, for the rows e whose e + a is on the grid; a band's columns
+        # shift with a
         out = np.zeros((e_count, p, x.shape[2] + shift * (self.lo + self.hi)))
         for i in range(self.lo + self.hi + 1):
-            out[:, :, i * shift:i * shift + x.shape[2]] += (
-                self.blocks[:, :, i * p:(i + 1) * p] @ rows[i:i + e_count])
+            a = i - self.lo
+            first, stop = max(0, -a), min(e_count, e_count - a)
+            if first < stop:
+                out[first:stop, :, i * shift:i * shift + x.shape[2]] += (
+                    self.blocks[first:stop, :, i * p:(i + 1) * p] @ x[first + a:stop + a])
         if shift:
             return ElementBand(out, self.lo + other.lo, self.hi + other.hi)
         return out.reshape(np.shape(other))
@@ -515,6 +533,44 @@ def _step_matrices(A: ElementBand, C: np.ndarray, dt: float):
     return r, (dt / 6.0) * np.hstack([m1c, m2c, c])
 
 
+def _lane_power(r: ElementBand) -> ElementBand:
+    """R^LANE_STEPS by repeated squaring of the band R."""
+    for _ in range(LANE_STEPS.bit_length() - 1):
+        r = r @ r
+    return r
+
+
+def _windows(rows: np.ndarray, band: ElementBand, before: int) -> np.ndarray:
+    """The (E, width, K) values that ``band``'s block rows read from the K
+    contiguous ``rows`` of a state buffer, whose states follow ``before``
+    zero blocks: a strided view, not a copy."""
+    e_count, p, width = band.blocks.shape
+    item = rows.itemsize
+    return np.ndarray((e_count, width, len(rows)), buffer=rows,
+                      offset=(before - band.lo) * p * item,
+                      strides=(p * item, item, rows.strides[0]))
+
+
+def _lane_forcing(data: np.ndarray, forcing: np.ndarray, lane_f: np.ndarray) -> None:
+    """lane_f[l, j] = the forcing columns times ``data[l S + j]``, the
+    data of block step l S + j.  A part-filled last lane keeps its stale
+    forcing past the block's end: the states it gives are not recorded."""
+    full, rest = divmod(len(data), LANE_STEPS)
+    np.matmul(data[:full * LANE_STEPS].reshape(full, LANE_STEPS, data.shape[1]), forcing.T,
+              out=lane_f[:full])
+    if rest:
+        np.matmul(data[full * LANE_STEPS:], forcing.T, out=lane_f[full, :rest])
+
+
+def _march(blocks: np.ndarray, steps) -> None:
+    """u <- M u + f for each step in turn, M's blocks ``blocks``: a step
+    is (the windows of u that M reads, the product's blocks, the rows of
+    the result, the f added to them)."""
+    for windows, out, rows, f in steps:
+        np.matmul(blocks, windows, out=out)
+        rows += f
+
+
 def time_integrate(A: ElementBand, C: np.ndarray, g: Callable[[np.ndarray], np.ndarray],
                    y0: np.ndarray, t_span: tuple, dt: float,
                    energy_fn: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -526,11 +582,25 @@ def time_integrate(A: ElementBand, C: np.ndarray, g: Callable[[np.ndarray], np.n
     ``g(t)`` maps an array of times to the data there, one row of m
     values per time; the final state takes the shape of ``y0``.  The
     step count is fixed up front (dt rounded down so the final time is
-    hit exactly).  Per block of ``BLOCK_STEPS`` steps one call of g at
-    every stage time and one product with the forcing columns give each
-    step's f_k; each step is one batched product u <- R u + f_k over
-    windows of a state buffer that pads each state with R's lo zero
-    blocks before it and hi after.  Only one block of states is held.
+    hit exactly).
+
+    Each step is u <- R u + f_k.  Per block of ``BLOCK_STEPS`` steps one
+    call of g at every stage time and one product with the forcing
+    columns give the block's f_k.  The block is L = ``LANES`` lanes of
+    S = ``LANE_STEPS`` consecutive steps, marched in three passes; a lane
+    step is one batched product of R's band with the lanes' states and
+    one add of their forcing:
+
+    1. every lane but the last from zero under its own data, which
+       leaves the lane's data response d_l at its end;
+    2. the lane starts in sequence, s_{l+1} = R^S s_l + d_l, from the
+       block's start s_0;
+    3. every lane from its start, into the block's states.
+
+    That is 2S - 1 lane steps and L - 1 products with R^S per block
+    instead of one product per step.  States sit between zero blocks in
+    the buffer, so that R and R^S read past the grid's ends.  Only one
+    block of states is held.
 
     ``energy_fn`` and ``aux_fn`` map a (K, n) block of flattened states
     to their K values and are recorded at every recorded state.  Raises
@@ -549,37 +619,68 @@ def time_integrate(A: ElementBand, C: np.ndarray, g: Callable[[np.ndarray], np.n
         energy_fn = lambda ys: np.einsum("kn,kn->k", ys, ys)
 
     r, forcing = _step_matrices(A, C, dt)
-    e_count, p, width = r.blocks.shape
+    r_lane = _lane_power(r)
+    e_count, p, _ = r.blocks.shape
+    n = e_count * p
+    lo, hi = max(r.lo, r_lane.lo), max(r.hi, r_lane.hi)
     times = t0 + dt * np.arange(n_steps + 1)
     energy = np.empty(n_steps + 1)
     aux = np.empty(n_steps + 1) if aux_fn is not None else None
-    # ys[0]: the last state of the previous block; lo and hi zero blocks
-    # pad every state
-    ys = np.zeros((BLOCK_STEPS + 1, (r.lo + e_count + r.hi) * p))
-    states = ys[:, r.lo * p:(r.lo + e_count) * p]
-    # each step's output is a view of its buffer row: reshape raises
-    # rather than copy
-    outs = list(states.reshape(BLOCK_STEPS + 1, e_count, p, 1, copy=False))
-    # windows[j][e]: the values block row e of R reads from buffer row j
-    windows = list(sliding_window_view(ys, width, axis=1)[:, ::p, :, None])
-    states[0] = np.reshape(y0, -1)
-    energy[0] = energy_fn(states[:1])[0]
+    # starts[l]: lane l's start between the zero blocks that R and R^S
+    # read past the grid's ends; starts[0] is the block's start.
+    # buf[j, l]: the state j + 1 steps into lane l between R's zero
+    # blocks, and f[j, l] the forcing of the step to it, padded alike
+    starts = np.zeros((LANES, (lo + e_count + hi) * p))
+    buf = np.zeros((LANE_STEPS, LANES, (r.lo + e_count + r.hi) * p))
+    f = np.zeros_like(buf)
+    start_states = starts[:, lo * p:lo * p + n]
+    states = buf[:, :, r.lo * p:r.lo * p + n]
+    # f in the block's step order: lane_f[l, j] is block step l S + j
+    lane_f = f.transpose(1, 0, 2)[:, :, r.lo * p:r.lo * p + n]
+    # the marched states, flat in (j, l) order, and where each block
+    # step's state sits among them
+    marched = states.reshape(-1, n, copy=False)
+    in_time = np.arange(BLOCK_STEPS).reshape(LANE_STEPS, LANES).T.reshape(-1)
+
+    @functools.cache
+    def lane_steps(lanes: int) -> list:
+        """The steps of the first ``lanes`` lanes under R, for
+        :func:`_march`: step j leads from the starts (j = 0) or from
+        buf[j - 1] to buf[j]."""
+        sources = [_windows(starts[:lanes], r, lo)]
+        sources += [_windows(buf[j, :lanes], r, r.lo) for j in range(LANE_STEPS - 1)]
+        return [(windows, states[j, :lanes].reshape(lanes, e_count, p, copy=False)
+                 .transpose(1, 2, 0), buf[j, :lanes], f[j, :lanes])
+                for j, windows in enumerate(sources)]
+
+    # under R^S: lane l + 1 starts from R^S times lane l's start plus the
+    # data response that pass 1 leaves at lane l's end
+    lane_starts = [(_windows(starts[l:l + 1], r_lane, lo),
+                    start_states[l + 1].reshape(e_count, p, 1, copy=False),
+                    start_states[l + 1], states[-1, l]) for l in range(LANES - 1)]
+    stage_offsets = np.array([0.0, 0.5 * dt, dt])
+    start_states[0] = np.reshape(y0, -1)
+    energy[0] = energy_fn(start_states[:1])[0]
     if aux_fn is not None:
-        aux[0] = aux_fn(states[:1])[0]
+        aux[0] = aux_fn(start_states[:1])[0]
     limit = BLOWUP_FACTOR * max(energy[0], 1e-300)
 
     for k0 in range(0, n_steps, BLOCK_STEPS):
         k = min(BLOCK_STEPS, n_steps - k0)
-        start = times[k0:k0 + k]
-        stages = np.stack([start, start + 0.5 * dt, start + dt], axis=1)
-        f = (g(stages.reshape(-1)).reshape(k, -1) @ forcing.T).reshape(k, e_count, p, 1)
+        lanes = -(-k // LANE_STEPS)
+        _lane_forcing(g((times[k0:k0 + k, None] + stage_offsets).reshape(-1)).reshape(k, -1),
+                      forcing, lane_f)
         recorded = slice(k0 + 1, k0 + k + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(k):
-                out = outs[j + 1]
-                np.matmul(r.blocks, windows[j], out=out)
-                out += f[j]
-            energy[recorded] = energy_fn(states[1:k + 1])
+            if lanes > 1:
+                # 1. every lane but the last from zero under its own data
+                buf[0, :lanes - 1] = f[0, :lanes - 1]
+                _march(r.blocks, lane_steps(lanes - 1)[1:])
+                # 2. the lane starts in sequence
+                _march(r_lane.blocks, lane_starts[:lanes - 1])
+            # 3. every lane from its start
+            _march(r.blocks, lane_steps(lanes))
+            energy[recorded] = energy_fn(marched)[in_time[:k]]
         block = energy[recorded]
         bad = ~np.isfinite(block) | (block > limit)
         if bad.any():
@@ -588,10 +689,11 @@ def time_integrate(A: ElementBand, C: np.ndarray, g: Callable[[np.ndarray], np.n
                 f"energy {energy[i]:.3e} exceeded {BLOWUP_FACTOR} x initial at t={times[i]:.4f}"
             )
         if aux_fn is not None:
-            aux[recorded] = aux_fn(states[1:k + 1])
-        states[0] = states[k]
+            aux[recorded] = aux_fn(marched)[in_time[:k]]
+        start_states[0] = states[(k - 1) % LANE_STEPS, (k - 1) // LANE_STEPS]
 
-    return states[0].reshape(np.shape(y0)).copy(), EnergyTrace(times=times, energy=energy, aux=aux)
+    return (start_states[0].reshape(np.shape(y0)).copy(),
+            EnergyTrace(times=times, energy=energy, aux=aux))
 
 
 def solution_error(u: np.ndarray, grid: MultiElementGrid, exact, t: float):
@@ -607,6 +709,23 @@ def solution_error(u: np.ndarray, grid: MultiElementGrid, exact, t: float):
 
 # ---------------------------------------------------------------------------
 # one solve
+
+class StageTimer:
+    """``with StageTimer(timings, stage):`` adds the wall seconds of the
+    body to ``timings[stage]``, also when the body raises; with
+    ``timings`` None it only runs the body."""
+
+    def __init__(self, timings: dict | None, stage: str):
+        self.timings, self.stage = timings, stage
+
+    def __enter__(self) -> None:
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        if self.timings is not None:
+            elapsed = time.perf_counter() - self.start
+            self.timings[self.stage] = self.timings.get(self.stage, 0.0) + elapsed
+
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -630,22 +749,28 @@ def run_case(
     case: MmsCase,
     cfl: float = 0.1,
     dissipation: bool = True,
+    timings: dict | None = None,
 ) -> CaseResult:
     """Solve on ``n_elements`` equal elements of [0, 1] up to the final
     time.
 
     Advection-diffusion runs also record the gradient-variable
     dissipation in the trace's ``aux``, unless ``dissipation`` is False;
-    the march and the error do not depend on it.
+    the march and the error do not depend on it.  With ``timings``, the
+    wall seconds of the assembly and the march are added to its
+    ``assembly_s`` and ``march_s``.
     """
-    grid = MultiElementGrid.uniform(op, n_elements)
-    problem = assemble(problem_kind, grid, params, case)
+    with StageTimer(timings, "assembly_s"):
+        grid = MultiElementGrid.uniform(op, n_elements)
+        problem = assemble(problem_kind, grid, params, case)
     dt = cfl_timestep(grid, params, cfl)
-    y, trace = time_integrate(
-        problem.A, problem.C, problem.g, problem.initial(), (0.0, params.final_time), dt,
-        energy_fn=problem.energies,
-        aux_fn=problem.dissipations if dissipation and problem.gradient_map is not None else None,
-    )
+    with StageTimer(timings, "march_s"):
+        y, trace = time_integrate(
+            problem.A, problem.C, problem.g, problem.initial(), (0.0, params.final_time), dt,
+            energy_fn=problem.energies,
+            aux_fn=problem.dissipations if dissipation and problem.gradient_map is not None
+            else None,
+        )
     error_sq, error = solution_error(y, grid, case.exact, params.final_time)
     return CaseResult(grid=grid, problem=problem, dt=dt, y=y, trace=trace,
                       error_sq=error_sq, error=error)

@@ -45,7 +45,7 @@ from .operators import (
     build_operator,
     verify_sbp,
 )
-from .ibvp import BlowUpError, MmsCase, PdeParams, run_case
+from .ibvp import BlowUpError, MmsCase, PdeParams, StageTimer, run_case
 
 __all__ = [
     "RulePipelineResult",
@@ -215,6 +215,7 @@ def convergence_study(
     case: MmsCase,
     cfl: float = 0.1,
     rng_seed: int = 0,
+    timings: dict | None = None,
 ) -> list[dict]:
     """Error-versus-resolution rows for several operator configurations.
 
@@ -226,7 +227,10 @@ def convergence_study(
     element count is built once per study.  Rows report the error norm,
     whether the operator passed verification and the observed order
     against the previous level.  A failed level records its error and
-    leaves the next level without an order.
+    leaves the next level without an order.  With ``timings``, the wall
+    seconds of the operator builds, assemblies and marches are summed
+    into its ``operator_build_s``, ``assembly_s`` and ``march_s``; rows
+    carry no timings.
     """
     built = {}      # (spec, node mode, node budget) -> (operator, verdict)
     rows = []
@@ -243,12 +247,14 @@ def convergence_study(
                 spec = cfg["spec"](n_el)
                 key = (json.dumps(spec, sort_keys=True), cfg["node_mode"], cfg.get("n_nodes"))
                 if key not in built:
-                    op, _, verdict = build_study_operator(
-                        spec, cfg["node_mode"], rng_seed=rng_seed, n_nodes=cfg.get("n_nodes"),
-                    )
+                    with StageTimer(timings, "operator_build_s"):
+                        op, _, verdict = build_study_operator(
+                            spec, cfg["node_mode"], rng_seed=rng_seed, n_nodes=cfg.get("n_nodes"),
+                        )
                     built[key] = op, verdict
                 op, verdict = built[key]
-                err = run_case(pde, op, n_el, params, case, cfl, dissipation=False).error
+                err = run_case(pde, op, n_el, params, case, cfl, dissipation=False,
+                               timings=timings).error
                 row["error_norm"] = err
                 row["operator_exact"] = bool(verdict.passed)
                 if prev is not None and err > 0 and prev["error_norm"] > 0:

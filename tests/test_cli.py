@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -849,6 +850,28 @@ def test_converge_command_emits_table(tmp_path):
         assert errs[0] > errs[-1], label
     header = (out / "convergence.csv").read_text().splitlines()[0]
     assert header.startswith("operator,elements")
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_manifest_times_the_stages_and_only_the_manifest(tmp_path, command):
+    # wall seconds of the operator build, assembly, march and output
+    # writing (a study sums them over its rows) go in manifest.json only
+    payload = (SOLVE_CONFIGS["advdiff"] if command == "solve"
+               else {"study": "advection", "totals": [40, 80]})
+    cfg = write_config(tmp_path / f"{command}.json", payload)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    elapsed = time.perf_counter() - start
+    manifest = json.loads((out / "manifest.json").read_text())
+    timings = manifest["timings"]
+    assert sorted(timings) == sorted(cli.TIMED_STAGES)
+    assert all(0.0 < seconds for seconds in timings.values())
+    assert sum(timings.values()) <= min(manifest["wall_time_s"], elapsed)
+    for path in out.iterdir():
+        if path.name != "manifest.json":
+            text = path.read_text()
+            assert not any(word in text for word in ("timings", *cli.TIMED_STAGES)), path.name
 
 
 def test_csv_bytes_for_mixed_columns(tmp_path):

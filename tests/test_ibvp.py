@@ -10,6 +10,7 @@ from fsbp.gauss import ScreenFailure
 from fsbp.operators import AssemblyError, build_operator, scale_to_element
 from fsbp.ibvp import (
     BLOCK_STEPS,
+    LANE_STEPS,
     AdvectionDiffusionSats,
     AdvectionSats,
     BlowUpError,
@@ -596,6 +597,54 @@ def test_precomputed_step_blows_up_where_stagewise_rk4_does(data_problems, kind,
         rk4_loop(functools.partial(rhs, unstable), unstable.initial(), (0.0, 2.0), dt,
                  functools.partial(p_norm_squared, unstable.grid))
     assert str(marched.value) == str(stagewise.value)
+
+
+EDGE_STEPS = [1, LANE_STEPS - 1, LANE_STEPS, LANE_STEPS + 1,
+              BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 7]
+
+
+@pytest.mark.parametrize("data", ["zero_data", "boundary_layer"])
+@pytest.mark.parametrize("n_steps", EDGE_STEPS)
+def test_lane_and_block_edges_match_stagewise_rk4(data_problems, n_steps, data):
+    # runs that end inside, at and just past a lane and a block: a single
+    # part-filled lane, a last lane cut short, a last block whose later
+    # lanes are not marched.  The boundary-layer data has non-zero
+    # boundary data and forcing; zero data leaves every lane's data
+    # response zero
+    problem = data_problems["advection_diffusion"]
+    grid = problem.grid
+    if data == "zero_data":
+        problem = assemble("advection_diffusion", grid, problem.params, MmsCase.zero_data())
+    y0, dt = problem.initial(), cfl_timestep(grid, problem.params)
+    t_span = (0.0, n_steps * dt)
+    y, trace = time_integrate(problem.A, problem.C, problem.g, y0, t_span, dt,
+                              energy_fn=problem.energies)
+    y_ref, energy_ref = rk4_loop(functools.partial(rhs, problem), y0, t_span, dt,
+                                 lambda u: p_norm_squared(grid, u.reshape(grid.nodes.shape)))
+    assert len(trace.times) == n_steps + 1
+    assert np.any(problem.C @ problem.g(np.array([0.0]))[0] != 0.0) == (data != "zero_data")
+    assert np.linalg.norm(y - y_ref) <= 1e-13 * np.linalg.norm(y_ref)
+    assert np.max(np.abs(trace.energy - energy_ref)) <= 1e-13 * np.max(energy_ref)
+
+
+@pytest.mark.parametrize("first_bad", [2 * LANE_STEPS, BLOCK_STEPS + LANE_STEPS])
+def test_blow_up_at_a_lane_start_matches_stagewise_rk4(first_bad):
+    # u' = c u multiplies the energy u^2 by R(c dt)^2 a step; c is chosen
+    # so that R^(2 first_bad - 1) = 10, and the energy first exceeds ten
+    # times its start at step first_bad, where a lane starts
+    dt = 0.01
+    growth = 10.0 ** (1.0 / (2 * first_bad - 1))
+    z = next(root.real for root in np.roots([1 / 24, 1 / 6, 1 / 2, 1.0, 1.0 - growth])
+             if abs(root.imag) < 1e-12 and root.real > 0)
+    c = z / dt
+    t_span = (0.0, 2 * first_bad * dt)
+    with pytest.raises(BlowUpError) as marched:
+        time_integrate(ElementBand([[[c]]]), np.eye(1), lambda t: np.zeros((len(t), 1)),
+                       np.array([1.0]), t_span, dt)
+    with pytest.raises(BlowUpError) as stagewise:
+        rk4_loop(lambda t, y: c * y, np.array([1.0]), t_span, dt, lambda y: float(y @ y))
+    assert str(marched.value) == str(stagewise.value)
+    assert str(marched.value).endswith(f"at t={first_bad * dt:.4f}")
 
 
 def test_aux_dissipation_is_recorded_at_the_recorded_states(exp_bl_operator):
