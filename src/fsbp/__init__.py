@@ -1,10 +1,19 @@
 """Generalised Gauss / Gauss-Lobatto quadrature and function-space SBP operators."""
 
+from .errors import (
+    FamilyError,
+    RankError,
+    SolverError,
+    ScreenFailure,
+    IntegrationError,
+    AssemblyError,
+    BlowUpError,
+    VerificationFailure,
+    SOLVER_ERRORS,
+)
 from .spaces import (
     FunctionSpace,
     TchebyshevReport,
-    FamilyError,
-    RankError,
     make_family,
     product_derivative_space,
     orthonormalize,
@@ -14,9 +23,6 @@ from .spaces import (
 from .gauss import (
     QuadratureRule,
     ExactnessCertificate,
-    SolverError,
-    ScreenFailure,
-    IntegrationError,
     newton_solve,
     continuation_solve,
     verify_exactness,
@@ -26,7 +32,6 @@ from .gauss import (
 from .operators import (
     FsbpOperator,
     SbpVerdict,
-    AssemblyError,
     build_operator,
     verify_sbp,
     scale_to_element,

@@ -4,12 +4,13 @@ Subcommands: ``rule`` (compute a generalised quadrature rule for a
 function space), ``operator`` (assemble and verify a differentiation
 operator), ``verify`` (re-check a stored operator), ``solve`` (run one
 initial boundary value problem), ``converge`` (error-versus-resolution
-study), ``fixtures`` (regenerate the frozen reference data).
+study, run by ``convergence_study`` on the pipeline's operators and the
+PDE layer's solves), ``fixtures`` (regenerate the frozen reference data).
 
 Every command reads one JSON config, writes its outputs plus a run
 manifest under --out, and is deterministic for identical config and
-seed.  Exit codes: 0 success, 2 validation, 3 solver failure,
-4 verification failure.
+seed.  Exit codes, as ``fsbp.errors`` maps the failures: 0 success,
+2 validation, 3 solver failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .spaces import FamilyError, make_family
-from .gauss import QuadratureRule, ScreenFailure
+from .errors import SOLVER_ERRORS, FamilyError, ScreenFailure, VerificationFailure
+from .spaces import make_family
+from .gauss import QuadratureRule
 from .operators import operator_from_dict, operator_to_dict, verify_sbp
 from .ibvp import MmsCase, PdeParams, StageTimer, run_case
-from .pipeline import (SOLVER_ERRORS, build_rule_operator, build_study_operator,
-                       convergence_study, solve_rule_pipeline)
-from . import refcases
+from .pipeline import build_rule_operator, build_study_operator, solve_rule_pipeline
+from . import pipeline, refcases
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,10 +43,6 @@ EXIT_VERIFICATION = 4
 # the stages whose wall seconds `solve` and `converge` record in the
 # manifest's "timings" (summed over the rows of a study)
 TIMED_STAGES = ("operator_build_s", "assembly_s", "march_s", "output_write_s")
-
-
-class VerificationFailure(RuntimeError):
-    """A requested check did not pass."""
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -62,22 +59,8 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serialisable: {type(obj).__name__}")
-
-
 def write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-    )
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -365,6 +348,74 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+# The study runner uses both layers, so it sits above them, here; in
+# ibvp.py, the largest module, its compile would raise the import's peak.
+# Failures recorded in a study row; anything else (a failed Tchebyshev
+# screen included) aborts the study:
+STUDY_ERRORS = SOLVER_ERRORS + (ValueError,)
+
+
+def convergence_study(
+    pde: str,
+    configs: list[dict],
+    params: PdeParams,
+    case: MmsCase,
+    cfl: float = 0.1,
+    rng_seed: int = 0,
+    timings: dict | None = None,
+) -> list[dict]:
+    """Error-versus-resolution rows for several operator configurations.
+
+    Each config (see ``refcases.*_study_configs``) gives a label, a
+    family spec factory of the element count, a node mode, an optional
+    node budget, the nodes per element and the element counts.  Every
+    level gets its own solve; operators are built once per distinct
+    (spec, node mode, node budget), so a spec that does not depend on the
+    element count is built once per study.  Rows report the error norm,
+    whether the operator passed verification and the observed order
+    against the previous level.  A failed level records its error and
+    leaves the next level without an order.  With ``timings``, the wall
+    seconds of the operator builds, assemblies and marches are summed
+    into its ``operator_build_s``, ``assembly_s`` and ``march_s``; rows
+    carry no timings.
+    """
+    built = {}      # (spec, node mode, node budget) -> (operator, verdict)
+    rows = []
+    for cfg in configs:
+        prev = None
+        for n_el in cfg["elements"]:
+            row = {
+                "operator": cfg["label"],
+                "elements": int(n_el),
+                "nodes_per_element": cfg["nodes_per_element"],
+                "total_nodes": int(n_el * cfg["nodes_per_element"]),
+            }
+            try:
+                spec = cfg["spec"](n_el)
+                key = (json.dumps(spec, sort_keys=True), cfg["node_mode"], cfg.get("n_nodes"))
+                if key not in built:
+                    with StageTimer(timings, "operator_build_s"):
+                        op, _, verdict = pipeline.build_study_operator(
+                            spec, cfg["node_mode"], rng_seed=rng_seed, n_nodes=cfg.get("n_nodes"),
+                        )
+                    built[key] = op, verdict
+                op, verdict = built[key]
+                err = run_case(pde, op, n_el, params, case, cfl, dissipation=False,
+                               timings=timings).error
+                row["error_norm"] = err
+                row["operator_exact"] = bool(verdict.passed)
+                if prev is not None and err > 0 and prev["error_norm"] > 0:
+                    row["observed_order"] = float(
+                        np.log(prev["error_norm"] / err) / np.log(n_el / prev["elements"])
+                    )
+                prev = row
+            except STUDY_ERRORS as exc:
+                row["error"] = f"{type(exc).__name__}: {exc}"
+                prev = None
+            rows.append(row)
+    return rows
+
+
 def _study_rows(study_name: str, config: dict, seed, timings: dict) -> list[dict]:
     frozen = (refcases.ADVECTION_STUDY if study_name == "advection"
               else refcases.ADVECTION_DIFFUSION_STUDY)
@@ -482,9 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; map a solver failure (``pipeline.SOLVER_ERRORS``,
-    LinAlgError included) to exit 3, a failed screen or check to 4 and
-    any other ValueError to 2."""
+    """Run one command and return its exit code, as ``fsbp.errors`` maps
+    the failures: a solver failure (``SOLVER_ERRORS``, LinAlgError
+    included) exits 3, a failed screen or check (``ScreenFailure``,
+    ``VerificationFailure``) 4, and any other ValueError 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

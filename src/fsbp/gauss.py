@@ -43,34 +43,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import IntegrationError, ScreenFailure, SolverError
 from .spaces import FunctionSpace, pull_back, tchebyshev_screen
 
 __all__ = [
     "QuadratureRule",
     "ExactnessCertificate",
-    "SolverError",
-    "ScreenFailure",
-    "IntegrationError",
     "newton_solve",
     "continuation_solve",
     "verify_exactness",
     "equispaced_rule",
     "classical_lobatto_rule",
 ]
-
-
-class SolverError(RuntimeError):
-    """Newton or continuation failure (stall, singularity, bad weights)."""
-
-
-class ScreenFailure(RuntimeError):
-    """A solve failed and the Tchebyshev screen explains it: the space
-    gave certified node sets of both determinant signs.  Its ``__cause__``
-    is the SolverError."""
-
-
-class IntegrationError(RuntimeError):
-    """A non-finite moment or integrand value, or an integral that did not converge."""
 
 
 @dataclass(frozen=True)
@@ -142,6 +126,7 @@ class QuadratureRule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuadratureRule":
+        """The rule ``to_dict`` wrote; ValueError names a non-finite entry."""
         cert = None
         if d.get("certificate") is not None:
             c = d["certificate"]
@@ -151,14 +136,13 @@ class QuadratureRule:
                 per_function_errors=np.asarray(c["per_function_errors"], dtype=float),
                 tol=float(c["tol"]),
             )
-        return cls(
-            nodes=np.asarray(d["nodes"], dtype=float),
-            weights=np.asarray(d["weights"], dtype=float),
-            closed=bool(d["closed"]),
-            interval=(float(d["interval"][0]), float(d["interval"][1])),
-            certificate=cert,
-            trace=d.get("trace"),
-        )
+        nodes, weights = np.asarray(d["nodes"], dtype=float), np.asarray(d["weights"], dtype=float)
+        interval = (float(d["interval"][0]), float(d["interval"][1]))
+        for key, values in (("nodes", nodes), ("weights", weights), ("interval", interval)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"rule entry {key!r} holds a non-finite number")
+        return cls(nodes=nodes, weights=weights, closed=bool(d["closed"]), interval=interval,
+                   certificate=cert, trace=d.get("trace"))
 
 
 # Newton iteration: damped at or above RESIDUAL_TOL (the largest sigma

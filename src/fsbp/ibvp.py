@@ -50,6 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import BlowUpError
 from .operators import FsbpOperator, scale_to_element
 
 __all__ = [
@@ -60,7 +61,6 @@ __all__ = [
     "EnergyTrace",
     "SeparableForcing",
     "MmsCase",
-    "BlowUpError",
     "ElementBand",
     "AffineProblem",
     "assemble",
@@ -83,10 +83,6 @@ BLOCK_STEPS = 64
 # march as fast as 8 of 8, and R^4's band is the narrower
 LANE_STEPS = 4
 LANES = BLOCK_STEPS // LANE_STEPS
-
-
-class BlowUpError(RuntimeError):
-    """Discrete energy grew past the blow-up guard; the run is unstable."""
 
 
 @dataclass(frozen=True)

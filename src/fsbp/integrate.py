@@ -30,11 +30,10 @@ from typing import Callable
 
 import numpy as np
 
-from .gauss import IntegrationError
+from .errors import IntegrationError
 
 __all__ = [
     "IntegrationResult",
-    "IntegrationError",
     "Engine",
     "DEFAULT_ENGINE",
     "integrate_vector",

@@ -24,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import AssemblyError
 from .gauss import QuadratureRule
 from .spaces import FunctionSpace
 
 __all__ = [
     "FsbpOperator",
     "SbpVerdict",
-    "AssemblyError",
     "build_operator",
     "verify_sbp",
     "scale_to_element",
@@ -44,10 +44,6 @@ __all__ = [
 TOL_EXACT = 1e-8
 TOL_SKEW = 1e-12
 TOL_IBP = 1e-10
-
-
-class AssemblyError(RuntimeError):
-    """Operator construction failed (rank deficiency or inconsistency)."""
 
 
 def space_fingerprint(space: FunctionSpace) -> str:
@@ -376,15 +372,12 @@ def operator_to_dict(op: FsbpOperator) -> dict:
 
 
 def operator_from_dict(d: dict) -> FsbpOperator:
-    p = np.asarray(d["p"], dtype=float)
-    q = np.asarray(d["q"], dtype=float)
-    return FsbpOperator(
-        nodes=np.asarray(d["nodes"], dtype=float),
-        P=p,
-        Q=q,
-        B=np.asarray(d["b"], dtype=float),
-        D=q / p[:, None],
-        interval=(float(d["interval"][0]), float(d["interval"][1])),
-        space_fingerprint=d.get("space_fingerprint", ""),
-        null_space_dim=int(d.get("null_space_dim", 0)),
-    )
+    """The operator ``operator_to_dict`` wrote; ValueError names a non-finite entry."""
+    p, q, nodes, b = (np.asarray(d[key], dtype=float) for key in ("p", "q", "nodes", "b"))
+    interval = (float(d["interval"][0]), float(d["interval"][1]))
+    for key, values in (("p", p), ("q", q), ("nodes", nodes), ("b", b), ("interval", interval)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"operator entry {key!r} holds a non-finite number")
+    return FsbpOperator(nodes=nodes, P=p, Q=q, B=b, D=q / p[:, None], interval=interval,
+                        space_fingerprint=d.get("space_fingerprint", ""),
+                        null_space_dim=int(d.get("null_space_dim", 0)))

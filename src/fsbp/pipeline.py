@@ -1,4 +1,4 @@
-"""End-to-end construction pipelines and the convergence-study runner.
+"""Family descriptor to certified rule and SBP operator.
 
 A rule pipeline takes a family descriptor to a certified quadrature rule:
 the product-derivative spanning set, its orthonormal basis (the one rank
@@ -7,52 +7,47 @@ screen runs only to explain a failed solve.  Every operator is made
 here, on a node mode's rule (``build_study_operator``) or on a given one
 such as a rule file's (``build_rule_operator``): the rule is certified,
 then assembled and verified by one tail.  A malformed request is
-refused here, with ValueError, before any work; ``SOLVER_ERRORS`` names
-the failures of a well-formed one.  A convergence study builds an
-operator per configuration and distinct family spec and solves the
-model problem with it at every level.
+refused here, with ValueError, before any work; a well-formed one that
+fails raises one of ``fsbp.errors.SOLVER_ERRORS``, or ``ScreenFailure``
+when the screen explains a failed solve.  Nothing here imports the PDE
+layer (``fsbp.ibvp``); ``fsbp.cli`` runs the convergence study on these
+operators.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RankError, SolverError
 from .spaces import (
     FunctionSpace,
-    RankError,
     augment_to_even,
     make_family,
     orthonormalize,
     product_derivative_space,
 )
 from .gauss import (
-    IntegrationError,
     QuadratureRule,
-    SolverError,
     classical_lobatto_rule,
     continuation_solve,
     equispaced_rule,
     verify_exactness,
 )
 from .operators import (
-    AssemblyError,
     FsbpOperator,
     SbpVerdict,
     build_approximate_operator,
     build_operator,
     verify_sbp,
 )
-from .ibvp import BlowUpError, MmsCase, PdeParams, StageTimer, run_case
 
 __all__ = [
     "RulePipelineResult",
     "solve_rule_pipeline",
     "build_study_operator",
     "build_rule_operator",
-    "convergence_study",
 ]
 
 NODE_MODES = ("gglq", "equispaced", "classical-gll")
@@ -198,72 +193,3 @@ def _assembled(space: FunctionSpace, rule: QuadratureRule, rng_seed: int):
     """The operator on a certified closed rule, with the rule and its verdict."""
     op = build_operator(space, rule)
     return op, rule, verify_sbp(op, space, rng_seed=rng_seed)
-
-
-# a solver that failed on a valid request (the command line's exit 3)
-SOLVER_ERRORS = (SolverError, IntegrationError, AssemblyError, BlowUpError,
-                 RankError, np.linalg.LinAlgError)
-# failures recorded in a study row; anything else (a failed Tchebyshev
-# screen included) aborts the study
-STUDY_ERRORS = SOLVER_ERRORS + (ValueError,)
-
-
-def convergence_study(
-    pde: str,
-    configs: list[dict],
-    params: PdeParams,
-    case: MmsCase,
-    cfl: float = 0.1,
-    rng_seed: int = 0,
-    timings: dict | None = None,
-) -> list[dict]:
-    """Error-versus-resolution rows for several operator configurations.
-
-    Each config (see ``refcases.*_study_configs``) gives a label, a
-    family spec factory of the element count, a node mode, an optional
-    node budget, the nodes per element and the element counts.  Every
-    level gets its own solve; operators are built once per distinct
-    (spec, node mode, node budget), so a spec that does not depend on the
-    element count is built once per study.  Rows report the error norm,
-    whether the operator passed verification and the observed order
-    against the previous level.  A failed level records its error and
-    leaves the next level without an order.  With ``timings``, the wall
-    seconds of the operator builds, assemblies and marches are summed
-    into its ``operator_build_s``, ``assembly_s`` and ``march_s``; rows
-    carry no timings.
-    """
-    built = {}      # (spec, node mode, node budget) -> (operator, verdict)
-    rows = []
-    for cfg in configs:
-        prev = None
-        for n_el in cfg["elements"]:
-            row = {
-                "operator": cfg["label"],
-                "elements": int(n_el),
-                "nodes_per_element": cfg["nodes_per_element"],
-                "total_nodes": int(n_el * cfg["nodes_per_element"]),
-            }
-            try:
-                spec = cfg["spec"](n_el)
-                key = (json.dumps(spec, sort_keys=True), cfg["node_mode"], cfg.get("n_nodes"))
-                if key not in built:
-                    with StageTimer(timings, "operator_build_s"):
-                        op, _, verdict = build_study_operator(
-                            spec, cfg["node_mode"], rng_seed=rng_seed, n_nodes=cfg.get("n_nodes"),
-                        )
-                    built[key] = op, verdict
-                op, verdict = built[key]
-                err = run_case(pde, op, n_el, params, case, cfl, dissipation=False,
-                               timings=timings).error
-                row["error_norm"] = err
-                row["operator_exact"] = bool(verdict.passed)
-                if prev is not None and err > 0 and prev["error_norm"] > 0:
-                    row["observed_order"] = float(
-                        np.log(prev["error_norm"] / err) / np.log(n_el / prev["elements"])
-                    )
-                prev = row
-            except STUDY_ERRORS as exc:
-                row["error"] = f"{type(exc).__name__}: {exc}"
-                prev = None
-            rows.append(row)
-    return rows

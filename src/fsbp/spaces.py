@@ -40,11 +40,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import FamilyError, RankError
+
 __all__ = [
     "FunctionSpace",
     "TchebyshevReport",
-    "FamilyError",
-    "RankError",
     "make_family",
     "product_derivative_space",
     "orthonormalize",
@@ -70,14 +70,6 @@ MAX_SAMPLES = 2048
 # samples; each FFT block holds at most BESSEL_BLOCK complex entries (4 MB)
 BESSEL_BOUND = 1000
 BESSEL_BLOCK = 1 << 18
-
-
-class FamilyError(ValueError):
-    """Unsupported family descriptor or invalid family parameters."""
-
-
-class RankError(RuntimeError):
-    """A derived space collapsed below the requested rank."""
 
 
 # (abscissae, k) -> (k + 1, len(abscissae), dim) stack of derivatives 0..k

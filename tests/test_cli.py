@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -5,12 +6,13 @@ import subprocess
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fsbp
-from fsbp import cli, pipeline, refcases
+from fsbp import cli, errors, pipeline, refcases
 from fsbp.cli import main
 from fsbp.ibvp import MmsCase, MultiElementGrid, PdeParams, assemble
 from fsbp.pipeline import build_study_operator
@@ -191,6 +193,22 @@ def test_solve_loads_no_scipy(tmp_path):
     assert all("error_norm" in row for row in rows)
 
 
+def test_pipeline_loads_no_pde_layer():
+    # the rule-and-operator pipeline stands below the PDE layer: a fresh
+    # import loads the construction modules and the failures, no more
+    script = ("import json, sys, fsbp.pipeline; "
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('fsbp'))))")
+    src = os.path.dirname(os.path.dirname(fsbp.__file__))
+    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [
+        "fsbp", "fsbp.errors", "fsbp.gauss", "fsbp.operators", "fsbp.pipeline", "fsbp.spaces"]
+    # the integrator takes nothing from the package but its failures
+    tree = ast.parse(Path(fsbp.__file__).with_name("integrate.py").read_text())
+    assert [node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level] == ["errors"]
+
+
 def test_validation_exit_codes(tmp_path):
     assert main(["rule", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -235,6 +253,24 @@ def test_malformed_descriptor_exits_2(tmp_path, capsys, space):
 
 
 TRIG_OPERATOR = {"space": {"family": "trig", "max_harmonic": 2, "interval": [0, 1]}}
+# Simpson's rule and its operator on [0, 1], each with one non-finite entry
+SIMPSON = {"nodes": [0.0, 0.5, 1.0], "weights": [1 / 6, 2 / 3, 1 / 6], "closed": True,
+           "interval": [0.0, 1.0]}
+NON_FINITE_RULES = {
+    "nan_weight_rule.json": {**SIMPSON, "weights": [1 / 6, math.nan, 1 / 6]},
+    "inf_weight_rule.json": {**SIMPSON, "weights": [1 / 6, 2 / 3, math.inf]},
+    "nan_node_rule.json": {**SIMPSON, "nodes": [0.0, math.nan, 1.0]},
+    "nan_end_rule.json": {**SIMPSON, "interval": [0.0, math.nan]},
+}
+SIMPSON_OPERATOR = {"nodes": [0.0, 0.5, 1.0], "p": [1 / 6, 2 / 3, 1 / 6],
+                    "q": [[-0.5, 2 / 3, -1 / 6], [-2 / 3, 0.0, 2 / 3], [1 / 6, -2 / 3, 0.5]],
+                    "b": [-1.0, 0.0, 1.0], "interval": [0.0, 1.0]}
+NON_FINITE_OPERATORS = {
+    "nan_q_operator.json": {**SIMPSON_OPERATOR,
+                            "q": [[-0.5, math.nan, -1 / 6], [-2 / 3, 0.0, 2 / 3],
+                                  [1 / 6, -2 / 3, 0.5]]},
+    "inf_node_operator.json": {**SIMPSON_OPERATOR, "nodes": [0.0, 0.5, math.inf]},
+}
 
 
 @pytest.mark.parametrize("command, config", [
@@ -285,17 +321,25 @@ TRIG_OPERATOR = {"space": {"family": "trig", "max_harmonic": 2, "interval": [0, 
     ("solve", {"pde": "advection"}),
     ("solve", {"pde": "heat", "operator": TRIG_OPERATOR}),
     ("converge", {"study": "heat"}),
+    # rule and operator files with a non-finite entry
+    *[("operator", {"space": refcases.EXP3_SPEC, "rule": name}) for name in NON_FINITE_RULES],
+    *[("verify", {"operator": name, "space": refcases.EXP3_SPEC})
+      for name in NON_FINITE_OPERATORS],
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     # an operator file without its weights, for the verify case
     write_config(tmp_path / "no_p.json", {
         "nodes": [0.0, 1.0], "q": [[-0.5, 0.5], [-0.5, 0.5]], "b": [-1.0, 1.0],
         "interval": [0.0, 1.0]})
+    for name, payload in {**NON_FINITE_RULES, **NON_FINITE_OPERATORS}.items():
+        write_config(tmp_path / name, payload)
     cfg = write_config(tmp_path / "bad.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err
     assert "Traceback" not in err
+    # refused before the first write: no output directory
+    assert not (tmp_path / "o").exists()
 
 
 ADVECTION_SOLVE = {"pde": "advection", "operator": TRIG_OPERATOR}
@@ -952,8 +996,8 @@ def test_pipeline_refuses_a_bad_node_budget(node_mode, n_nodes):
 def test_study_records_a_node_budget_outside_equispaced_in_every_row():
     cfg = {"label": "exp-gglq", "spec": lambda n_el: refcases.EXP3_SPEC, "node_mode": "gglq",
            "n_nodes": 9, "nodes_per_element": 4, "elements": [2, 4]}
-    rows = pipeline.convergence_study("advection", [cfg], PdeParams(a=1.0, final_time=0.1),
-                                      MmsCase.zero_data())
+    rows = cli.convergence_study("advection", [cfg], PdeParams(a=1.0, final_time=0.1),
+                                 MmsCase.zero_data())
     assert len(rows) == 2
     for row in rows:
         assert row["error"].startswith("ValueError: 'n_nodes' is read by node mode 'equispaced'")
@@ -971,6 +1015,32 @@ def test_linalg_error_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["rule", "--config", cfg, "--out", str(out)]) == 3
     assert capsys.readouterr().err == "fsbp rule: solver error: LinAlgError: SVD did not converge\n"
     assert not out.exists()
+
+
+EXIT_CODES = {"FamilyError": 2, "RankError": 3, "SolverError": 3, "ScreenFailure": 4,
+              "IntegrationError": 3, "AssemblyError": 3, "BlowUpError": 3,
+              "VerificationFailure": 4, "LinAlgError": 3}
+FAILURES = [obj for obj in vars(errors).values()
+            if isinstance(obj, type) and issubclass(obj, Exception)] + [np.linalg.LinAlgError]
+
+
+@pytest.mark.parametrize("failure", FAILURES, ids=lambda cls: cls.__name__)
+def test_every_failure_exits_with_its_code(tmp_path, capsys, monkeypatch, failure):
+    # each failure raised from the rule pipeline, as the command line calls it
+    def failing(*args, **kwargs):
+        raise failure("boom")
+
+    monkeypatch.setattr(cli, "solve_rule_pipeline", failing)
+    cfg = write_config(tmp_path / "rule.json", {"space": refcases.EXP3_SPEC})
+    code = main(["rule", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == EXIT_CODES[failure.__name__]
+    assert (code == 3) == (failure in errors.SOLVER_ERRORS)
+    kind = {2: "validation error", 3: f"solver error: {failure.__name__}",
+            4: "verification failure"}[code]
+    err = capsys.readouterr().err
+    assert err == f"fsbp rule: {kind}: boom\n"
+    assert "Traceback" not in err
+    assert failure is np.linalg.LinAlgError or failure.__module__ == "fsbp.errors"
 
 
 def test_open_rule_file_exits_2_before_any_span(tmp_path, capsys, monkeypatch):

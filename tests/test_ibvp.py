@@ -26,7 +26,8 @@ from fsbp.ibvp import (
     solution_error,
     time_integrate,
 )
-from fsbp.pipeline import build_study_operator, convergence_study
+from fsbp.cli import convergence_study
+from fsbp.pipeline import build_study_operator
 from fsbp.refcases import (
     ADVECTION_DIFFUSION_STUDY,
     ADVECTION_STUDY,
