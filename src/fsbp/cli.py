@@ -272,6 +272,8 @@ def cmd_verify(args) -> int:
 def _mms_case(name: str, pde: str, params: PdeParams) -> MmsCase:
     solves = {"oscillatory_wave": "advection", "boundary_layer": "advection_diffusion",
               "zero_data": pde}
+    if not isinstance(name, str):
+        raise FamilyError(f"'mms' must be the name of a case, got {name!r}")
     if name not in solves:
         raise FamilyError(f"unknown mms case {name!r}")
     if solves[name] != pde:
@@ -336,7 +338,7 @@ def cmd_solve(args) -> int:
     runner.finish({
         "timings": timings,
         "verdict": verdict.to_dict(),
-        "sat_coefficients": dict(result.problem.sats.__dict__),
+        "sat_coefficients": result.problem.sats,
         "final_error_norm": result.error,
         "final_error_squared": result.error_sq,
         "steps": len(trace.times) - 1,

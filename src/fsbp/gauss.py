@@ -94,6 +94,10 @@ class QuadratureRule:
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
+        # every comparison below is False for NaN: refuse it first
+        for key in ("nodes", "weights", "interval"):
+            if not np.all(np.isfinite(getattr(self, key))):
+                raise ValueError(f"rule entry {key!r} holds a non-finite number")
         a, b = self.interval
         if self.nodes.size != self.weights.size:
             raise ValueError("nodes and weights length mismatch")
@@ -136,12 +140,8 @@ class QuadratureRule:
                 per_function_errors=np.asarray(c["per_function_errors"], dtype=float),
                 tol=float(c["tol"]),
             )
-        nodes, weights = np.asarray(d["nodes"], dtype=float), np.asarray(d["weights"], dtype=float)
-        interval = (float(d["interval"][0]), float(d["interval"][1]))
-        for key, values in (("nodes", nodes), ("weights", weights), ("interval", interval)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"rule entry {key!r} holds a non-finite number")
-        return cls(nodes=nodes, weights=weights, closed=bool(d["closed"]), interval=interval,
+        return cls(nodes=d["nodes"], weights=d["weights"], closed=bool(d["closed"]),
+                   interval=(float(d["interval"][0]), float(d["interval"][1])),
                    certificate=cert, trace=d.get("trace"))
 
 

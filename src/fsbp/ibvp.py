@@ -13,10 +13,12 @@ element's rows couple) as an :class:`AffineProblem`
     du/dt = A u + C g(t),
 
 with the data in factored form: the dense columns of C are the boundary
-lifts, then the profile of a separable forcing, and g(t) holds the
-boundary data, then the forcing's amplitude.  Advection-diffusion also
-keeps the gradient map phi = Phi u; its system, eps I plus one 2x2 block
-per interface, is inverted in closed form.
+lifts, then the profile of a separable source, and g(t) holds the
+boundary data, then the source's amplitude.  The penalty coefficients
+are the stable values of the energy analysis, kept by name in
+``AffineProblem.sats``.  Advection-diffusion also keeps the gradient map
+phi = Phi u; its system, eps I plus one 2x2 block per interface, is
+inverted in closed form.
 
 Because the system is affine, one step of the classical four-stage
 scheme with step h is, in closed form with B = hA and q = C g,
@@ -32,12 +34,16 @@ lanes of S steps that advance together: one band product moves every
 lane by a step.  A pass from zero gives each lane's data response, the
 lane starts follow in sequence by R^S, and a second pass marches every
 lane from its start (a blocked scan of a linear recurrence, Blelloch,
-"Prefix sums and their applications", 1990).  Work and memory are
-linear in the element count.
+"Prefix sums and their applications", 1990).  The march's work and
+memory are linear in the element count; ``energy_certificate`` is not,
+as it forms the dense n x n matrix and runs a dense eigensolve, cubic
+in n.
 
-``run_case`` is the one solve: it tiles the unit domain with copies of a
-reference operator, assembles the problem, picks the step from the CFL
-number and marches to the final time.
+A grid (:class:`MultiElementGrid`) is one closed reference operator
+mapped onto the elements of a tiling, given by its edges.  ``run_case``
+is the one solve: it tiles the unit domain with equal elements,
+assembles the problem, picks the step from the CFL number and marches
+to the final time.
 """
 
 from __future__ import annotations
@@ -46,20 +52,17 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import BlowUpError
-from .operators import FsbpOperator, scale_to_element
+from .operators import FsbpOperator
 
 __all__ = [
     "PdeParams",
-    "AdvectionSats",
-    "AdvectionDiffusionSats",
     "MultiElementGrid",
     "EnergyTrace",
-    "SeparableForcing",
     "MmsCase",
     "ElementBand",
     "AffineProblem",
@@ -104,110 +107,36 @@ class PdeParams:
             raise ValueError("final_time must be positive")
 
 
-@dataclass(frozen=True)
-class AdvectionSats:
-    """Penalty coefficients for the advection scheme.
-
-    Stability needs sigma_l <= a/2 with sigma_r = sigma_l - a and the
-    boundary penalty tau_l = -a (conservative, energy-dissipating);
-    ``stable`` takes the upwind choice sigma_l = 0.
-    """
-
-    sigma_l: float
-    sigma_r: float
-    tau_l: float
-
-    @classmethod
-    def stable(cls, a: float) -> "AdvectionSats":
-        return cls(sigma_l=0.0, sigma_r=-a, tau_l=-a)
-
-
-@dataclass(frozen=True)
-class AdvectionDiffusionSats:
-    """Penalty coefficients for the first-order-form advection-diffusion
-    scheme.
-
-    The right-face coefficients are tied to the left-face ones by the
-    stability relations
-        sigma1_r = -a + sigma1_l,   sigma2_r = eps + sigma2_l,
-        sigma2_l = -eps - sigma3_l, sigma3_r = eps + sigma3_l,
-        sigma4_r = sigma4_l,
-    with boundary penalties tau_l = tau_r = -1.
-    """
-
-    sigma1_l: float
-    sigma2_l: float
-    sigma3_l: float
-    sigma4_l: float
-    sigma1_r: float
-    sigma2_r: float
-    sigma3_r: float
-    sigma4_r: float
-    tau_l: float
-    tau_r: float
-
-    @classmethod
-    def stable(cls, a: float, eps: float) -> "AdvectionDiffusionSats":
-        # sigma1_l = 0, sigma4_l = -eps/2 and the symmetric choice
-        # sigma2_l = sigma4_l, which fixes sigma3_l = -eps - sigma2_l
-        sigma1_l = 0.0
-        sigma2_l = sigma4_l = -0.5 * eps
-        sigma3_l = -eps - sigma2_l
-        return cls(
-            sigma1_l=sigma1_l,
-            sigma2_l=sigma2_l,
-            sigma3_l=sigma3_l,
-            sigma4_l=sigma4_l,
-            sigma1_r=-a + sigma1_l,
-            sigma2_r=eps + sigma2_l,
-            sigma3_r=eps + sigma3_l,
-            sigma4_r=sigma4_l,
-            tau_l=-1.0,
-            tau_r=-1.0,
-        )
-
 class MultiElementGrid:
-    """A tiling of a domain by elements, each carrying a closed operator.
+    """One closed reference operator mapped onto each element [edges[e],
+    edges[e + 1]] of a tiling.
 
-    All elements must have the same node count; per-element matrices are
-    stacked (E, p, p) and (E, p) for the assembly.
+    Nodes map affinely, P scales with the element's length ratio and D
+    inversely, as ``operators.scale_to_element`` maps one element; the
+    elements' values are stacked (E, p, p) and (E, p) for the assembly.
     """
 
-    def __init__(self, elements: Sequence[tuple[tuple, FsbpOperator]]):
-        if not elements:
+    def __init__(self, op: FsbpOperator, edges):
+        edges = np.asarray(edges, dtype=float)
+        if edges.size < 2:
             raise ValueError("grid needs at least one element")
-        ivs = [iv for iv, _ in elements]
-        ops = [op for _, op in elements]
-        for (a, b), op in elements:
-            if not math.isclose(op.interval[0], a) or not math.isclose(op.interval[1], b):
-                raise ValueError("operator interval does not match its element")
-            if abs(op.nodes[0] - a) > 1e-12 or abs(op.nodes[-1] - b) > 1e-12:
-                raise ValueError("element operators must be closed (endpoint nodes)")
-        for (a0, b0), (a1, _) in zip(ivs[:-1], ivs[1:]):
-            if not math.isclose(b0, a1, rel_tol=0, abs_tol=1e-12):
-                raise ValueError("elements must tile the domain without gaps or overlaps")
-        sizes = {op.size for op in ops}
-        if len(sizes) != 1:
-            raise ValueError("all elements must use the same node count")
-
-        self.n_elements = len(elements)
-        self.nodes_per_element = ops[0].size
-        self.domain = (ivs[0][0], ivs[-1][1])
-        self.nodes = np.stack([op.nodes for op in ops])          # (E, p)
-        self.D = np.stack([op.D for op in ops])                  # (E, p, p)
-        self.P = np.stack([op.P for op in ops])                  # (E, p)
+        if not np.all(np.diff(edges) > 0):
+            raise ValueError("element edges must be strictly increasing")
+        a0, b0 = op.interval
+        if abs(op.nodes[0] - a0) > 1e-12 or abs(op.nodes[-1] - b0) > 1e-12:
+            raise ValueError("element operators must be closed (endpoint nodes)")
+        ratio = ((edges[1:] - edges[:-1]) / (b0 - a0))[:, None]
+        self.n_elements, self.nodes_per_element = len(edges) - 1, op.size
+        self.nodes = edges[:-1, None] + (op.nodes - a0) * ratio     # (E, p)
+        self.D = op.D / ratio[:, :, None]                           # (E, p, p)
+        self.P = op.P * ratio                                       # (E, p)
         self.Pinv = 1.0 / self.P
-        gaps = np.diff(self.nodes, axis=1)
-        self.h_min = float(np.min(gaps))
+        self.h_min = float(np.min(np.diff(self.nodes, axis=1)))
 
     @classmethod
     def uniform(cls, op: FsbpOperator, n_elements: int) -> "MultiElementGrid":
         """``n_elements`` equal elements tiling the unit interval."""
-        edges = np.linspace(0.0, 1.0, n_elements + 1)
-        return cls([
-            ((edges[e], edges[e + 1]), scale_to_element(op, edges[e], edges[e + 1]))
-            for e in range(n_elements)
-        ])
+        return cls(op, np.linspace(0.0, 1.0, n_elements + 1))
 
 
 @dataclass
@@ -226,48 +155,33 @@ class EnergyTrace:
     aux: np.ndarray | None = None
 
 
-def _time_axes(t, x) -> np.ndarray:
-    """The times ``t`` shaped to broadcast against ``x``, time axes first."""
-    t = np.asarray(t, dtype=float)
-    return t.reshape(t.shape + (1,) * np.ndim(x))
-
-
-@dataclass(frozen=True)
-class SeparableForcing:
-    """A forcing profile(x) * amplitude(t); called as ``forcing(x, t)``
-    it returns shape ``t.shape + x.shape``."""
-
-    profile: Callable[[np.ndarray], np.ndarray]
-    amplitude: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x, t) -> np.ndarray:
-        return np.multiply.outer(np.broadcast_to(self.amplitude(t), np.shape(t)), self.profile(x))
-
-
 @dataclass(frozen=True)
 class MmsCase:
     """A manufactured solution with consistent data.
 
-    ``forcing`` must equal the PDE residual of ``exact``, and the
-    boundary data its inflow (and, for advection-diffusion, outflow)
-    fluxes.  Every callable of time takes a time or an array of times:
-    ``exact(x, t)`` and ``forcing(x, t)`` return shape ``t.shape +
-    x.shape``, the boundary data values broadcastable to ``t.shape``.
+    ``exact(x, t)`` is the solution at the points ``x`` and one time
+    ``t``, and ``initial(x)`` its value at t = 0.  The boundary data
+    are its inflow (and, for advection-diffusion, outflow) fluxes; they
+    take a time or an array of times and return values broadcastable to
+    its shape.  A source is separable: ``forcing_profile(x) *
+    forcing_amplitude(t)`` must equal the PDE residual of ``exact``, and
+    the amplitude takes arrays of times like the boundary data.  Both
+    are None when there is no source.
     """
 
-    exact: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    exact: Callable[[np.ndarray, float], np.ndarray]
     initial: Callable[[np.ndarray], np.ndarray]
     boundary_left: Callable[[np.ndarray], np.ndarray]
     boundary_right: Callable[[np.ndarray], np.ndarray] | None = None
-    forcing: SeparableForcing | None = None
+    forcing_profile: Callable[[np.ndarray], np.ndarray] | None = None
+    forcing_amplitude: Callable[[np.ndarray], np.ndarray] | None = None
 
     @classmethod
     def advecting_wave(cls, a: float) -> "MmsCase":
         """exp(sin(2 pi (x - a t))): advects with speed a, zero forcing."""
 
         def exact(x, t):
-            x = np.asarray(x, dtype=float)
-            return np.exp(np.sin(2.0 * np.pi * (x - a * _time_axes(t, x))))
+            return np.exp(np.sin(2.0 * np.pi * (np.asarray(x, dtype=float) - a * t)))
 
         return cls(
             exact=exact,
@@ -290,7 +204,7 @@ class MmsCase:
         """Steep layer profile (exp(a x / eps) - 1) / (exp(a / eps) - 1) * exp(t/10).
 
         Satisfies the advection-diffusion equation up to the separable
-        forcing exact/10; the left datum is the inflow flux a*u - eps*u_x
+        source exact/10; the left datum is the inflow flux a*u - eps*u_x
         and the right datum the diffusive flux eps*u_x.  With r = a/eps
         the profile is evaluated as (exp(r (x - 1)) - exp(-r)) /
         (1 - exp(-r)), which does not overflow however steep the layer.
@@ -306,7 +220,7 @@ class MmsCase:
             return (np.exp(r * (np.asarray(x, dtype=float) - 1.0)) - floor) / scale
 
         def exact(x, t):
-            return profile(x) * growth(_time_axes(t, x))
+            return profile(x) * growth(t)
 
         def g_left(t):
             # a*u - eps*u_x at x = 0, where u vanishes
@@ -321,7 +235,8 @@ class MmsCase:
             initial=lambda x: exact(x, 0.0),
             boundary_left=g_left,
             boundary_right=g_right,
-            forcing=SeparableForcing(profile, lambda t: 0.1 * growth(t)),
+            forcing_profile=profile,
+            forcing_amplitude=lambda t: 0.1 * growth(t),
         )
 
 
@@ -394,16 +309,17 @@ class AffineProblem:
 
     States are stacked (E, p) like the grid's nodes; the band ``A`` and
     the dense n x m ``C`` act on them flattened element by element.
-    ``columns`` holds the functions of time that make up g, one per
-    column of ``C``: the boundary data, then the amplitude of a
-    separable forcing.  ``gradient_map`` (advection-diffusion only) maps
-    a state to its gradient variable phi.
+    ``sats`` names the penalty coefficients.  ``columns`` holds the
+    functions of time that make up g, one per column of ``C``: the
+    boundary data, then the amplitude of a separable source.
+    ``gradient_map`` (advection-diffusion only) maps a state to its
+    gradient variable phi.
     """
 
     grid: MultiElementGrid
     params: PdeParams
     case: MmsCase
-    sats: AdvectionSats | AdvectionDiffusionSats
+    sats: dict
     A: ElementBand
     C: np.ndarray
     columns: tuple
@@ -471,31 +387,43 @@ def assemble(
         return ElementBand(blocks, 1, 1)
 
     if problem_kind == "advection":
-        s = AdvectionSats.stable(a)
-        A, phi = band(-a * grid.D, s.sigma_l, s.sigma_r, left=s.tau_l), None
-        faces, lifts, columns = [0], [-s.tau_l * pinv[0, 0]], [case.boundary_left]
+        # stability needs sigma_l <= a/2 with sigma_r = sigma_l - a and the
+        # boundary penalty tau_l = -a; the upwind choice is sigma_l = 0
+        s = {"sigma_l": 0.0, "sigma_r": -a, "tau_l": -a}
+        A, phi = band(-a * grid.D, s["sigma_l"], s["sigma_r"], left=s["tau_l"]), None
+        faces, lifts, columns = [0], [-s["tau_l"] * pinv[0, 0]], [case.boundary_left]
     elif problem_kind == "advection_diffusion":
         if eps <= 0:
             raise ValueError("advection-diffusion needs eps > 0")
-        s = AdvectionDiffusionSats.stable(a, eps)
+        # the stability relations sigma1_r = -a + sigma1_l, sigma2_r = eps +
+        # sigma2_l, sigma2_l = -eps - sigma3_l, sigma3_r = eps + sigma3_l,
+        # sigma4_r = sigma4_l and tau_l = tau_r = -1, with sigma1_l = 0,
+        # sigma4_l = -eps/2 and the symmetric choice sigma2_l = sigma4_l
+        s2 = -0.5 * eps
+        s3 = -eps - s2
+        s = {"sigma1_l": 0.0, "sigma2_l": s2, "sigma3_l": s3, "sigma4_l": s2,
+             "sigma1_r": -a, "sigma2_r": eps + s2, "sigma3_r": eps + s3, "sigma4_r": s2,
+             "tau_l": -1.0, "tau_r": -1.0}
         # the gradient system eps I - L4 J couples only the two faces of
         # each interface, so J L4 is diagonal and the Woodbury identity
         # inverts it: (I + L4 W J) / eps with W = (eps - J L4)^-1
-        w = 1.0 / (eps - s.sigma4_l * t_lift - s.sigma4_r * l_lift)
-        m_inv = (1.0 / eps) * band(np.eye(p), w * s.sigma4_l, w * s.sigma4_r)
-        phi = m_inv @ band(eps * grid.D, s.sigma3_l, s.sigma3_r)
-        A = (band(-a * grid.D, s.sigma1_l, s.sigma1_r, left=s.tau_l * a)
-             + band(eps * grid.D, s.sigma2_l, s.sigma2_r, left=-s.tau_l * eps,
-                    right=s.tau_r * eps) @ phi)
-        faces, lifts = [0, e_count * p - 1], [-s.tau_l * pinv[0, 0], -s.tau_r * pinv[-1, -1]]
+        w = 1.0 / (eps - s["sigma4_l"] * t_lift - s["sigma4_r"] * l_lift)
+        m_inv = (1.0 / eps) * band(np.eye(p), w * s["sigma4_l"], w * s["sigma4_r"])
+        phi = m_inv @ band(eps * grid.D, s["sigma3_l"], s["sigma3_r"])
+        A = (band(-a * grid.D, s["sigma1_l"], s["sigma1_r"], left=s["tau_l"] * a)
+             + band(eps * grid.D, s["sigma2_l"], s["sigma2_r"], left=-s["tau_l"] * eps,
+                    right=s["tau_r"] * eps) @ phi)
+        faces = [0, e_count * p - 1]
+        lifts = [-s["tau_l"] * pinv[0, 0], -s["tau_r"] * pinv[-1, -1]]
         columns = [case.boundary_left, case.boundary_right or (lambda t: 0.0)]
     else:
         raise ValueError(f"unknown problem kind {problem_kind!r}")
-    C = np.zeros((e_count * p, len(faces) + (case.forcing is not None)))
+    source = case.forcing_profile is not None
+    C = np.zeros((e_count * p, len(faces) + source))
     C[faces, range(len(faces))] = lifts
-    if case.forcing is not None:
-        C[:, -1] = case.forcing.profile(grid.nodes).reshape(-1)
-        columns.append(case.forcing.amplitude)
+    if source:
+        C[:, -1] = case.forcing_profile(grid.nodes).reshape(-1)
+        columns.append(case.forcing_amplitude)
     return AffineProblem(grid, params, case, s, A, C, tuple(columns), phi)
 
 

@@ -372,10 +372,16 @@ def operator_to_dict(op: FsbpOperator) -> dict:
 
 
 def operator_from_dict(d: dict) -> FsbpOperator:
-    """The operator ``operator_to_dict`` wrote; ValueError names a non-finite entry."""
+    """The operator ``operator_to_dict`` wrote; ValueError names a
+    non-finite or misshapen entry."""
     p, q, nodes, b = (np.asarray(d[key], dtype=float) for key in ("p", "q", "nodes", "b"))
     interval = (float(d["interval"][0]), float(d["interval"][1]))
-    for key, values in (("p", p), ("q", q), ("nodes", nodes), ("b", b), ("interval", interval)):
+    n = nodes.size
+    for key, values, shape in (("nodes", nodes, (n,)), ("p", p, (n,)), ("q", q, (n, n)),
+                               ("b", b, (n,)), ("interval", interval, (2,))):
+        if np.shape(values) != shape:
+            raise ValueError(f"operator entry {key!r} has shape {np.shape(values)}, "
+                             f"expected {shape} for {n} nodes")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"operator entry {key!r} holds a non-finite number")
     return FsbpOperator(nodes=nodes, P=p, Q=q, B=b, D=q / p[:, None], interval=interval,

@@ -197,9 +197,9 @@ def advection_rhs(u, grid, params, sats, g_left: float, forcing=None):
     a = params.a
     du = -a * np.einsum("eij,ej->ei", grid.D, u)
     jumps = u[:-1, -1] - u[1:, 0]                      # trailing minus leading values
-    du[:-1, -1] += sats.sigma_l * grid.Pinv[:-1, -1] * jumps
-    du[1:, 0] += sats.sigma_r * grid.Pinv[1:, 0] * (-jumps)
-    du[0, 0] += sats.tau_l * grid.Pinv[0, 0] * (u[0, 0] - g_left)
+    du[:-1, -1] += sats["sigma_l"] * grid.Pinv[:-1, -1] * jumps
+    du[1:, 0] += sats["sigma_r"] * grid.Pinv[1:, 0] * (-jumps)
+    du[0, 0] += sats["tau_l"] * grid.Pinv[0, 0] * (u[0, 0] - g_left)
     if forcing is not None:
         du += forcing
     return du
@@ -216,10 +216,10 @@ def gradient_system(grid, params, sats):
         gi_first = (e + 1) * p
         pi_l = grid.Pinv[e, -1]
         pi_r = grid.Pinv[e + 1, 0]
-        a_mat[gi_last, gi_last] -= sats.sigma4_l * pi_l
-        a_mat[gi_last, gi_first] += sats.sigma4_l * pi_l
-        a_mat[gi_first, gi_first] -= sats.sigma4_r * pi_r
-        a_mat[gi_first, gi_last] += sats.sigma4_r * pi_r
+        a_mat[gi_last, gi_last] -= sats["sigma4_l"] * pi_l
+        a_mat[gi_last, gi_first] += sats["sigma4_l"] * pi_l
+        a_mat[gi_first, gi_first] -= sats["sigma4_r"] * pi_r
+        a_mat[gi_first, gi_last] += sats["sigma4_r"] * pi_r
     return a_mat
 
 
@@ -236,8 +236,8 @@ def advdiff_rhs(u, grid, params, sats, g_left: float, g_right: float, forcing=No
     du_x = np.einsum("eij,ej->ei", grid.D, u)
     rhs = eps * du_x
     jumps = u[:-1, -1] - u[1:, 0]
-    rhs[:-1, -1] += sats.sigma3_l * grid.Pinv[:-1, -1] * jumps
-    rhs[1:, 0] += sats.sigma3_r * grid.Pinv[1:, 0] * (-jumps)
+    rhs[:-1, -1] += sats["sigma3_l"] * grid.Pinv[:-1, -1] * jumps
+    rhs[1:, 0] += sats["sigma3_r"] * grid.Pinv[1:, 0] * (-jumps)
     a_mat = gradient_system(grid, params, sats)
     lu = scipy.linalg.lu_factor(a_mat)
     b = rhs.reshape(-1)
@@ -250,10 +250,12 @@ def advdiff_rhs(u, grid, params, sats, g_left: float, g_right: float, forcing=No
 
     du = -a * du_x + eps * np.einsum("eij,ej->ei", grid.D, phi)
     phi_jumps = phi[:-1, -1] - phi[1:, 0]
-    du[:-1, -1] += grid.Pinv[:-1, -1] * (sats.sigma1_l * jumps + sats.sigma2_l * phi_jumps)
-    du[1:, 0] += grid.Pinv[1:, 0] * (sats.sigma1_r * (-jumps) + sats.sigma2_r * (-phi_jumps))
-    du[0, 0] += sats.tau_l * grid.Pinv[0, 0] * (a * u[0, 0] - eps * phi[0, 0] - g_left)
-    du[-1, -1] += sats.tau_r * grid.Pinv[-1, -1] * (eps * phi[-1, -1] - g_right)
+    du[:-1, -1] += grid.Pinv[:-1, -1] * (sats["sigma1_l"] * jumps
+                                         + sats["sigma2_l"] * phi_jumps)
+    du[1:, 0] += grid.Pinv[1:, 0] * (sats["sigma1_r"] * (-jumps)
+                                     + sats["sigma2_r"] * (-phi_jumps))
+    du[0, 0] += sats["tau_l"] * grid.Pinv[0, 0] * (a * u[0, 0] - eps * phi[0, 0] - g_left)
+    du[-1, -1] += sats["tau_r"] * grid.Pinv[-1, -1] * (eps * phi[-1, -1] - g_right)
     if forcing is not None:
         du += forcing
     return du, phi

@@ -1,15 +1,19 @@
 import ast
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fsbp
 from fsbp import cli, errors, pipeline, refcases
@@ -325,11 +329,20 @@ NON_FINITE_OPERATORS = {
     *[("operator", {"space": refcases.EXP3_SPEC, "rule": name}) for name in NON_FINITE_RULES],
     *[("verify", {"operator": name, "space": refcases.EXP3_SPEC})
       for name in NON_FINITE_OPERATORS],
+    # a manufactured solution named by something other than a string
+    ("solve", {"pde": "advection", "mms": ["zero_data"], "operator": TRIG_OPERATOR}),
+    ("converge", {"study": "advection", "mms": {"x": 1}}),
+    # an operator file whose q is 1 x 2 for its two nodes
+    ("verify", {"operator": "wide_q.json", "space": refcases.EXP3_SPEC}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
-    # an operator file without its weights, for the verify case
+    # an operator file without its weights, and one whose q is not n x n,
+    # for the verify cases
     write_config(tmp_path / "no_p.json", {
         "nodes": [0.0, 1.0], "q": [[-0.5, 0.5], [-0.5, 0.5]], "b": [-1.0, 1.0],
+        "interval": [0.0, 1.0]})
+    write_config(tmp_path / "wide_q.json", {
+        "nodes": [0.0, 1.0], "p": [0.5, 0.5], "q": [[-0.5, 0.5]], "b": [-1.0, 1.0],
         "interval": [0.0, 1.0]})
     for name, payload in {**NON_FINITE_RULES, **NON_FINITE_OPERATORS}.items():
         write_config(tmp_path / name, payload)
@@ -370,6 +383,59 @@ def test_bad_run_parameters_exit_2_before_any_operator_build(
     cfg = write_config(tmp_path / "bad.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "validation error" in capsys.readouterr().err
+
+
+# solve settings drawn small, so that every march is at most a few
+# thousand steps: no tiny cfl, long final time or large eps
+VALID_SOLVE_FIELDS = {
+    "pde": st.sampled_from(["advection", "advection_diffusion"]),
+    "mms": st.sampled_from(["zero_data", "oscillatory_wave", "boundary_layer"]),
+    "elements": st.integers(1, 6),
+    "cfl": st.floats(0.05, 1.0),
+    "a": st.floats(0.5, 2.0),
+    "eps": st.one_of(st.just(0.0), st.floats(0.01, 0.2)),
+    "final_time": st.floats(0.001, 0.05),
+    "node_mode": st.sampled_from(["gglq", "equispaced", "classical-gll"]),
+}
+# wrong types, non-finite and non-positive numbers, unknown names
+MALFORMED_VALUES = st.one_of(
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["x", "a"]), st.integers(-2, 2), max_size=1),
+    st.sampled_from(["", "x", "fast", "zero_data"]),
+    st.booleans(),
+    st.none(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -0.5]),
+)
+
+
+@pytest.mark.parametrize("field", [None, *VALID_SOLVE_FIELDS])
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(data=st.data())
+def test_generated_solve_configs_exit_with_a_code_not_a_traceback(field, data):
+    # all fields well formed, or ``field`` malformed and perhaps one more
+    fields = {key: data.draw(values, label=key) for key, values in VALID_SOLVE_FIELDS.items()}
+    malformed = set()
+    if field is not None:
+        malformed = {field, data.draw(st.sampled_from([field, *VALID_SOLVE_FIELDS]))}
+    for key in sorted(malformed):
+        fields[key] = data.draw(MALFORMED_VALUES, label=key)
+    config = {
+        "pde": fields["pde"], "mms": fields["mms"], "elements": fields["elements"],
+        "cfl": fields["cfl"],
+        "params": {key: fields[key] for key in ("a", "eps", "final_time")},
+        "operator": {"space": {"family": "monomial", "degree": 3, "interval": [0, 1]},
+                     "node_mode": fields["node_mode"]},
+    }
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg = write_config(Path(tmp) / "solve.json", config)
+        code = main(["solve", "--config", cfg, "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if not malformed:
+        # a well-formed draw fails only by pairing a case with the other PDE
+        assert code in (0, 2)
+        assert code == 0 or "does not solve" in err.getvalue() or "eps > 0" in err.getvalue()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

@@ -611,6 +611,21 @@ def test_rule_validation():
                        closed=True, interval=(0.0, 1.0))
 
 
+@pytest.mark.parametrize("entry, value", [
+    ("weights", [1 / 6, np.nan, 1 / 6]),
+    ("weights", [1 / 6, 2 / 3, np.inf]),
+    ("nodes", [0.0, np.nan, 1.0]),
+    ("interval", (0.0, np.nan)),
+])
+def test_rule_built_in_code_refuses_non_finite_entries(entry, value):
+    # every ordering and sign check is False for NaN, so a NaN weight,
+    # node or interval end would pass them: it is refused at construction
+    simpson = {"nodes": [0.0, 0.5, 1.0], "weights": [1 / 6, 2 / 3, 1 / 6],
+               "closed": True, "interval": (0.0, 1.0)}
+    with pytest.raises(ValueError, match=f"rule entry '{entry}' holds a non-finite number"):
+        QuadratureRule(**{**simpson, entry: value})
+
+
 def test_rule_round_trip(exp3_closed_rule):
     d = exp3_closed_rule.to_dict()
     back = QuadratureRule.from_dict(d)

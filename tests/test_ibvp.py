@@ -11,14 +11,11 @@ from fsbp.operators import AssemblyError, build_operator, scale_to_element
 from fsbp.ibvp import (
     BLOCK_STEPS,
     LANE_STEPS,
-    AdvectionDiffusionSats,
-    AdvectionSats,
     BlowUpError,
     ElementBand,
     MmsCase,
     MultiElementGrid,
     PdeParams,
-    SeparableForcing,
     _step_matrices,
     assemble,
     cfl_timestep,
@@ -63,8 +60,13 @@ def data_case(g_left=0.0, g_right=0.0, forcing=None):
     exact solution."""
     return MmsCase(exact=None, initial=None, boundary_left=lambda t: g_left,
                    boundary_right=lambda t: g_right,
-                   forcing=None if forcing is None
-                   else SeparableForcing(lambda x: forcing, lambda t: 1.0))
+                   forcing_profile=None if forcing is None else lambda x: forcing,
+                   forcing_amplitude=None if forcing is None else lambda t: 1.0)
+
+
+def source(case, x, t: float):
+    """A case's separable source at the points ``x`` and one time."""
+    return case.forcing_profile(x) * case.forcing_amplitude(t)
 
 
 # ----------------------------------------------------------------- types
@@ -85,26 +87,26 @@ def test_params_reject_non_finite(field, value):
         PdeParams(**{"a": 1.0, field: value})
 
 
-def test_advection_sats_stability_window():
-    sats = AdvectionSats.stable(2.0)
-    assert sats.tau_l == -2.0
-    assert sats.sigma_r == sats.sigma_l - 2.0
+def test_advection_sats_stability_window(trig_grid):
+    sats = assemble("advection", trig_grid, PdeParams(a=2.0), data_case()).sats
+    assert sats == {"sigma_l": 0.0, "sigma_r": -2.0, "tau_l": -2.0}
 
 
-def test_advdiff_sats_relations():
+def test_advdiff_sats_relations(trig_grid):
     a, eps = 1.0, 0.1
-    sats = AdvectionDiffusionSats.stable(a, eps)
-    assert sats.sigma1_r == -a + sats.sigma1_l
-    assert sats.sigma2_r == eps + sats.sigma2_l
-    assert sats.sigma2_l == -eps - sats.sigma3_l
-    assert sats.sigma3_r == eps + sats.sigma3_l
-    assert sats.sigma4_r == sats.sigma4_l
-    assert sats.sigma1_l == 0.0
-    assert sats.sigma4_l == -eps / 2.0
-    assert sats.sigma2_l == -eps / 2.0           # symmetric default
-    assert sats.sigma3_l == -eps - sats.sigma2_l
-    assert sats.sigma1_r == -a
-    assert sats.tau_l == sats.tau_r == -1.0
+    sats = assemble("advection_diffusion", trig_grid, PdeParams(a=a, eps=eps), data_case()).sats
+    assert len(sats) == 10
+    assert sats["sigma1_r"] == -a + sats["sigma1_l"]
+    assert sats["sigma2_r"] == eps + sats["sigma2_l"]
+    assert sats["sigma2_l"] == -eps - sats["sigma3_l"]
+    assert sats["sigma3_r"] == eps + sats["sigma3_l"]
+    assert sats["sigma4_r"] == sats["sigma4_l"]
+    assert sats["sigma1_l"] == 0.0
+    assert sats["sigma4_l"] == -eps / 2.0
+    assert sats["sigma2_l"] == -eps / 2.0           # symmetric default
+    assert sats["sigma3_l"] == -eps - sats["sigma2_l"]
+    assert sats["sigma1_r"] == -a
+    assert sats["tau_l"] == sats["tau_r"] == -1.0
 
 
 def test_grid_validation(trig_operator):
@@ -113,26 +115,44 @@ def test_grid_validation(trig_operator):
     assert grid.nodes.size == 3 * trig_operator.size
     # interface duplication: last node of an element equals the first of the next
     assert grid.nodes[0, -1] == pytest.approx(grid.nodes[1, 0])
-    with pytest.raises(ValueError):
-        MultiElementGrid([])
+    with pytest.raises(ValueError, match="at least one element"):
+        MultiElementGrid(trig_operator, [0.0])
 
 
 @pytest.mark.parametrize("layout, message", [
-    ("interval", "does not match its element"),
     ("open", "must be closed"),
-    ("gap", "without gaps or overlaps"),
-    ("sizes", "same node count"),
+    ("unordered", "strictly increasing"),
+    ("repeated", "strictly increasing"),
+    ("nan", "strictly increasing"),
 ])
-def test_grid_rejects_inconsistent_elements(trig_operator, exp_bl_operator, layout, message):
-    left = scale_to_element(trig_operator, 0.0, 0.5)
-    elements = {
-        "interval": [((0.0, 0.4), left)],
-        "open": [((0.0, 0.5), dataclasses.replace(left, nodes=left.nodes + 0.01))],
-        "gap": [((0.0, 0.5), left), ((0.6, 1.0), scale_to_element(trig_operator, 0.6, 1.0))],
-        "sizes": [((0.0, 0.5), left), ((0.5, 1.0), scale_to_element(exp_bl_operator, 0.5, 1.0))],
-    }[layout]
+def test_grid_rejects_inconsistent_elements(trig_operator, layout, message):
+    op, edges = trig_operator, [0.0, 0.5, 1.0]
+    if layout == "open":
+        op = dataclasses.replace(op, nodes=op.nodes + 0.01)
+    else:
+        edges = {"unordered": [0.0, 0.6, 0.5, 1.0], "repeated": [0.0, 0.5, 0.5, 1.0],
+                 "nan": [0.0, math.nan, 1.0]}[layout]
     with pytest.raises(ValueError, match=message):
-        MultiElementGrid(elements)
+        MultiElementGrid(op, edges)
+
+
+@pytest.mark.parametrize("name", ["trig-gglq", "exp10-gglq", "gll24"])
+@pytest.mark.parametrize("tiling", ["uniform-32", "graded", "irregular"])
+def test_grid_maps_each_element_as_scale_to_element_does(name, tiling):
+    # the broadcast mapping gives, bit for bit, the nodes, D, P and P^-1
+    # of one scale_to_element copy per element
+    op = reference_operator(name)
+    edges = {"uniform-32": np.linspace(0.0, 1.0, 33),
+             "graded": np.linspace(0.0, 1.0, 8) ** 1.2,
+             "irregular": np.array([-0.3, 0.1, 0.15, 0.7, 2.0])}[tiling]
+    grid = MultiElementGrid(op, edges)
+    copies = [scale_to_element(op, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    assert grid.n_elements == len(copies) and grid.nodes_per_element == op.size
+    for e, copy in enumerate(copies):
+        assert np.array_equal(grid.nodes[e], copy.nodes)
+        assert np.array_equal(grid.D[e], copy.D)
+        assert np.array_equal(grid.P[e], copy.P)
+        assert np.array_equal(grid.Pinv[e], 1.0 / copy.P)
 
 
 def test_mms_forcing_consistency_boundary_layer():
@@ -151,28 +171,23 @@ def test_mms_forcing_consistency_boundary_layer():
         u_xx = (case.exact(np.array([x + h]), t) - 2 * case.exact(xa, t)
                 + case.exact(np.array([x - h]), t))[0] / h**2
         residual = u_t + a * u_x - eps * u_xx
-        forcing = case.forcing(xa, t)[0]
+        forcing = source(case, xa, t)[0]
         assert residual == pytest.approx(forcing, abs=1e-5)
 
 
 @pytest.mark.parametrize("case", [MmsCase.advecting_wave(1.3), MmsCase.boundary_layer(1.0, 0.1)],
                          ids=["advecting_wave", "boundary_layer"])
 def test_mms_callables_take_arrays_of_times(case):
-    # one call on an array of times gives, bitwise, the values of one call
-    # per time, stacked on a leading time axis
+    # the columns of the data factor g, the boundary data and a source's
+    # amplitude, take an array of times: one call gives, bitwise, the
+    # values of one call per time.  The solution takes one time and the
+    # shape of the points
     x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
     times = np.random.default_rng(4).uniform(0.0, 2.0, 9)
-    for name in ("exact", "forcing"):
-        fn = getattr(case, name)
-        if fn is None:
-            continue
-        batch = fn(x, times)
-        assert batch.shape == times.shape + x.shape
-        for t, values in zip(times, batch):
-            assert np.array_equal(values, fn(x, float(t))), name
-    for fn in (case.boundary_left, case.boundary_right):
+    for fn in (case.boundary_left, case.boundary_right, case.forcing_amplitude):
         if fn is not None:
             assert np.array_equal(fn(times), [fn(float(t)) for t in times])
+    assert case.exact(x, float(times[0])).shape == x.shape
 
 
 def test_mms_advecting_wave_is_exact_solution():
@@ -202,16 +217,16 @@ def test_interface_penalty_direction(trig_grid):
     params = PdeParams(a=1.0)
     problem = assemble("advection", trig_grid, params, data_case(g_left=1.0))
     sats = problem.sats
-    assert sats.sigma_l == 0.0 and sats.sigma_r == -1.0
+    assert sats["sigma_l"] == 0.0 and sats["sigma_r"] == -1.0
     u = np.zeros_like(trig_grid.nodes)
     u[0, :] = 1.0                      # element 0 above its neighbour
     du_hom = rhs(assemble("advection", trig_grid, params, data_case()), 0.0, np.zeros_like(u))
     du = rhs(problem, 0.0, u) - du_hom
     # derivative term vanishes for the constant, SAT acts at the neighbour face
     jump = u[0, -1] - u[1, 0]
-    expected = sats.sigma_r * trig_grid.Pinv[1, 0] * (u[1, 0] - u[0, -1])
+    expected = sats["sigma_r"] * trig_grid.Pinv[1, 0] * (u[1, 0] - u[0, -1])
     assert du[1, 0] == pytest.approx(expected, rel=1e-12)
-    assert abs(du[1, 0] + sats.sigma_r * trig_grid.Pinv[1, 0] * jump) < 1e-12
+    assert abs(du[1, 0] + sats["sigma_r"] * trig_grid.Pinv[1, 0] * jump) < 1e-12
 
 
 def test_single_element_rhs_matches_analytic_derivative(trig_space, trig_operator):
@@ -306,10 +321,7 @@ def element_grid(op, n_elements, uniform):
     edges = np.linspace(0.0, 1.0, n_elements + 1)
     if not uniform:
         edges = edges**1.2
-    return MultiElementGrid([
-        ((edges[e], edges[e + 1]), scale_to_element(op, edges[e], edges[e + 1]))
-        for e in range(n_elements)
-    ])
+    return MultiElementGrid(op, edges)
 
 
 def relative_error(got, ref):
@@ -372,7 +384,7 @@ def test_boundary_layer_matches_the_unscaled_profile():
     u = np.expm1(a * x / eps) / denom * math.exp(0.1 * t)
     u_x = (a / eps) * np.exp(a * x / eps) / denom * math.exp(0.1 * t)
     np.testing.assert_allclose(case.exact(x, t), u, rtol=3e-14, atol=0.0)
-    np.testing.assert_allclose(case.forcing(x, t), 0.1 * u, rtol=3e-14, atol=0.0)
+    np.testing.assert_allclose(source(case, x, t), 0.1 * u, rtol=3e-14, atol=0.0)
     assert case.boundary_left(t) == pytest.approx(a * u[0] - eps * u_x[0], rel=3e-14)
     assert case.boundary_right(t) == pytest.approx(eps * u_x[-1], rel=3e-14)
 
@@ -383,7 +395,7 @@ def test_steep_boundary_layer_is_finite():
     case = MmsCase.boundary_layer(a, eps)
     x = np.linspace(0.0, 1.0, 101)
     grow = math.exp(0.1 * t)
-    for values in (case.exact(x, t), case.forcing(x, t)):
+    for values in (case.exact(x, t), source(case, x, t)):
         assert np.all(np.isfinite(values))
     assert case.exact(np.array([0.0, 1.0]), t) == pytest.approx([0.0, grow], rel=1e-15, abs=0.0)
     # the inflow flux a u - eps u_x underflows to 0; eps u_x(1) = a exp(t/10) to rounding
@@ -464,8 +476,7 @@ def data_problems(trig_operator, trig_grid, exp_bl_operator):
     with more elements than the march's element band is wide, one of them
     non-uniform."""
     edges = [0.0, 0.1, 0.3, 0.45, 0.7, 0.8, 1.0]
-    nonuniform = MultiElementGrid([((a, b), scale_to_element(trig_operator, a, b))
-                                   for a, b in zip(edges[:-1], edges[1:])])
+    nonuniform = MultiElementGrid(trig_operator, edges)
     wave, layer = MmsCase.advecting_wave(1.0), MmsCase.boundary_layer(1.0, 0.1)
     adv, advdiff = PdeParams(a=1.0), PdeParams(a=1.0, eps=0.1)
     return {
@@ -743,13 +754,7 @@ def test_solution_error_constant_offset(exp3_space, exp3_closed_rule):
 
 def test_nonuniform_grid_energy_identity(trig_operator):
     # unequal element widths: the energy-rate identity still holds
-    from fsbp.operators import scale_to_element
-
-    edges = [0.0, 0.3, 0.55, 1.0]
-    grid = MultiElementGrid([
-        ((edges[i], edges[i + 1]), scale_to_element(trig_operator, edges[i], edges[i + 1]))
-        for i in range(3)
-    ])
+    grid = MultiElementGrid(trig_operator, [0.0, 0.3, 0.55, 1.0])
     a = 1.0
     params = PdeParams(a=a)
     rng = np.random.default_rng(9)

@@ -273,6 +273,24 @@ def test_round_trip_preserves_verdict(exp3_space, exp3_operator):
     assert v1 == v2
 
 
+@pytest.mark.parametrize("entry, value", [
+    ("nodes", [[0.0, 0.5, 1.0]]),
+    ("p", [1 / 6, 2 / 3]),
+    ("b", [-1.0, 0.0, 0.0, 1.0]),
+    ("q", [[-0.5, 0.5]]),
+    ("q", [-0.5, 0.0, 0.5]),
+])
+def test_operator_file_entries_must_fit_the_node_count(entry, value):
+    # a q of the wrong shape would broadcast against p into a D of a
+    # different shape, and a stacked node array would pass as n nodes
+    simpson = {"nodes": [0.0, 0.5, 1.0], "p": [1 / 6, 2 / 3, 1 / 6],
+               "q": [[-0.5, 2 / 3, -1 / 6], [-2 / 3, 0.0, 2 / 3], [1 / 6, -2 / 3, 0.5]],
+               "b": [-1.0, 0.0, 1.0], "interval": [0.0, 1.0]}
+    assert operator_from_dict(simpson).D.shape == (3, 3)
+    with pytest.raises(ValueError, match=f"operator entry '{entry}' has shape"):
+        operator_from_dict({**simpson, entry: value})
+
+
 def test_discrete_integration_by_parts_random_pairs(exp3_space, exp3_operator):
     rng = np.random.default_rng(5)
     f_vals = exp3_space.collocation(exp3_operator.nodes)
