@@ -34,7 +34,6 @@ from .operators import (
     SbpVerdict,
     build_operator,
     verify_sbp,
-    scale_to_element,
 )
 
 __version__ = "0.1.0"

@@ -9,8 +9,12 @@ PDE layer's solves), ``fixtures`` (regenerate the frozen reference data).
 
 Every command reads one JSON config, writes its outputs plus a run
 manifest under --out, and is deterministic for identical config and
-seed.  Exit codes, as ``fsbp.errors`` maps the failures: 0 success,
-2 validation, 3 solver failure, 4 verification failure.
+seed.  A command reads its config through its key table (``RULE``,
+``OPERATOR``, ``VERIFY``, ``SOLVE``, ``CONVERGE``, ``FIXTURES``; a family
+descriptor through its family's in ``spaces.FAMILIES``) with
+``spaces.check``, before any work: a key outside the table exits 2,
+naming its path.  Exit codes, as ``fsbp.errors`` maps the failures:
+0 success, 2 validation, 3 solver failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -27,8 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import SOLVER_ERRORS, FamilyError, ScreenFailure, VerificationFailure
-from .spaces import make_family
+from .errors import (REQUIRED, SOLVER_ERRORS, FamilyError, ScreenFailure, VerificationFailure,
+                     integer, items, number, string)
+from .spaces import FAMILIES, check, make_family
 from .gauss import QuadratureRule
 from .operators import operator_from_dict, operator_to_dict, verify_sbp
 from .ibvp import MmsCase, PdeParams, StageTimer, run_case
@@ -43,6 +47,35 @@ EXIT_VERIFICATION = 4
 # the stages whose wall seconds `solve` and `converge` record in the
 # manifest's "timings" (summed over the rows of a study)
 TIMED_STAGES = ("operator_build_s", "assembly_s", "march_s", "output_write_s")
+
+# the key tables, read by ``spaces.check``: a None parser (and float, in
+# params) leaves the range to the layer that reads the value; in CONVERGE
+# a None default, and a null "totals", stand for the study's own value
+PDE = string("advection", "advection_diffusion")
+MMS = string("zero_data", "oscillatory_wave", "boundary_layer")
+TOTALS = items(integer(strict=True))
+PARAMS = {"a": (float, 1.0), "eps": (float, 0.0), "final_time": (float, 1.0)}
+RULE = {"space": (FAMILIES, REQUIRED), "mode": (None, "closed")}
+OPERATOR = {"space": (FAMILIES, REQUIRED), "rule": (string(), None),
+            "node_mode": (None, "gglq"), "n_nodes": (None, None)}
+VERIFY = {"operator": (string(), REQUIRED), "space": (FAMILIES, REQUIRED)}
+SOLVE = {
+    "pde": (PDE, REQUIRED),
+    "mms": (MMS, "zero_data"),
+    "elements": (integer(1, strict=True), 4),
+    "cfl": (number(0.0), 0.1),
+    "params": (PARAMS, {}),
+    "operator": ({"space": (FAMILIES, REQUIRED), "node_mode": (None, "gglq"),
+                  "n_nodes": (None, None)}, REQUIRED),
+}
+CONVERGE = {
+    "study": (PDE, REQUIRED),
+    "mms": (MMS, None),
+    "cfl": (number(0.0), None),
+    "params": ({key: (float, None) for key in PARAMS}, {}),
+    "totals": (lambda value: value if value is None else TOTALS(value), None),
+}
+FIXTURES = {}
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -104,34 +137,28 @@ class Runner:
         write_json(self.out / "manifest.json", manifest)
 
 
-def load_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    p = Path(args.config)
-    if not p.exists():
-        raise FamilyError(f"config file not found: {p}")
-    try:
-        config = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise FamilyError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise FamilyError("config must be a JSON object")
-    for key in ("tolerances", "engine"):
-        if key in config:
-            raise FamilyError(f"'{key}' is not a config setting: the solver's tolerances are fixed")
-    return config
+def load_config(args, table: dict) -> tuple[dict, dict]:
+    """The config file's object ({} without one) and its values by ``table``."""
+    config = {}
+    if args.config:
+        p = Path(args.config)
+        if not p.exists():
+            raise FamilyError(f"config file not found: {p}")
+        try:
+            config = json.loads(p.read_text())
+        except json.JSONDecodeError as exc:
+            raise FamilyError(f"config is not valid JSON: {exc}") from exc
+    return config, check(config, table)
 
 
-def load_input(runner: Runner, args, config: dict, key: str, loader):
-    """``loader`` applied to the JSON file named by ``config[key]``.
+def load_input(runner: Runner, args, name: str, key: str, loader):
+    """``loader`` applied to the JSON file ``name``, the config's ``key``.
 
     A relative path is taken from the config's directory; the file is
     fingerprinted in the manifest, and a missing or malformed one is a
     validation error.
     """
-    if not isinstance(config[key], str):
-        raise FamilyError(f"'{key}' must be a file path, got {config[key]!r}")
-    path = Path(config[key])
+    path = Path(name)
     if not path.is_absolute() and args.config:
         path = Path(args.config).parent / path
     if not path.exists():
@@ -141,32 +168,6 @@ def load_input(runner: Runner, args, config: dict, key: str, loader):
         return loader(json.loads(path.read_text()))
     except (AttributeError, KeyError, TypeError, IndexError) as exc:
         raise FamilyError(f"malformed {key} file {path}: {exc!r}") from exc
-
-
-def _table(config: dict, key: str, default=None) -> dict:
-    """The JSON object under ``key``; anything else is a validation error."""
-    value = config.get(key, {} if default is None else default)
-    if not isinstance(value, dict):
-        raise FamilyError(f"'{key}' must be a JSON object, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """``float(value)``; a wrongly typed or non-finite value is a validation error."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FamilyError(f"'{what}' must be a number, got {value!r}") from exc
-    if not math.isfinite(number):
-        raise FamilyError(f"'{what}' must be finite, got {value!r}")
-    return number
-
-
-def _cfl(config: dict, default: float) -> float:
-    cfl = _number(config.get("cfl", default), "cfl")
-    if cfl <= 0:
-        raise FamilyError(f"'cfl' must be positive, got {cfl!r}")
-    return cfl
 
 
 def rule_files(runner: Runner, tag: str, rule: QuadratureRule) -> None:
@@ -192,13 +193,11 @@ def operator_files(runner: Runner, tag: str, op) -> None:
 # subcommands
 
 def cmd_rule(args) -> int:
-    config = load_config(args)
-    if "space" not in config:
-        raise FamilyError("rule config needs a 'space' family descriptor")
-    mode = args.mode or config.get("mode", "closed")
+    config, values = load_config(args, RULE)
+    mode = args.mode or values["mode"]
     runner = Runner("rule", args, {**config, "mode": mode, "seed": args.seed})
 
-    result = solve_rule_pipeline(config["space"], mode, rng_seed=args.seed)
+    result = solve_rule_pipeline(values["space"], mode, rng_seed=args.seed)
     rule_files(runner, "rule", result.rule)
     ortho = result.orthonormal
     write_json(runner.path("basis.json"), {
@@ -224,24 +223,22 @@ def cmd_rule(args) -> int:
 
 
 def cmd_operator(args) -> int:
-    config = load_config(args)
-    if "space" not in config:
-        raise FamilyError("operator config needs a 'space' family descriptor")
+    config, values = load_config(args, OPERATOR)
     given = [f"--mode {args.mode}"] if args.mode else []
     given += [f"'{key}' {config[key]!r}" for key in ("node_mode", "n_nodes") if key in config]
-    if "rule" in config and given:
+    if values["rule"] is not None and given:
         raise FamilyError(f"the config names a 'rule' file and {given[0]}: "
                           "an operator takes its nodes from one of them")
     runner = Runner("operator", args, {**config, "seed": args.seed})
 
-    if "rule" in config:
-        space = make_family(config["space"])
-        rule = load_input(runner, args, config, "rule", QuadratureRule.from_dict)
+    if values["rule"] is not None:
+        space = make_family(values["space"])
+        rule = load_input(runner, args, values["rule"], "rule", QuadratureRule.from_dict)
         op, rule, verdict = build_rule_operator(space, rule, rng_seed=args.seed)
     else:
         op, rule, verdict = build_study_operator(
-            config["space"], args.mode or config.get("node_mode", "gglq"),
-            rng_seed=args.seed, n_nodes=config.get("n_nodes"),
+            values["space"], args.mode or values["node_mode"],
+            rng_seed=args.seed, n_nodes=values["n_nodes"],
         )
     operator_files(runner, "operator", op)
     rule_files(runner, "rule", rule)
@@ -251,13 +248,10 @@ def cmd_operator(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config = load_config(args)
-    for key in ("operator", "space"):
-        if key not in config:
-            raise FamilyError(f"verify config needs an '{key}' entry")
+    config, values = load_config(args, VERIFY)
     runner = Runner("verify", args, {**config, "seed": args.seed})
-    op = load_input(runner, args, config, "operator", operator_from_dict)
-    space = make_family(config["space"])
+    op = load_input(runner, args, values["operator"], "operator", operator_from_dict)
+    space = make_family(values["space"])
     verdict = verify_sbp(op, space, rng_seed=args.seed)
     write_json(runner.path("verdict.json"), verdict.to_dict())
     runner.finish({"verdict": verdict.to_dict()})
@@ -270,56 +264,29 @@ def cmd_verify(args) -> int:
 
 
 def _mms_case(name: str, pde: str, params: PdeParams) -> MmsCase:
-    solves = {"oscillatory_wave": "advection", "boundary_layer": "advection_diffusion",
-              "zero_data": pde}
-    if not isinstance(name, str):
-        raise FamilyError(f"'mms' must be the name of a case, got {name!r}")
-    if name not in solves:
-        raise FamilyError(f"unknown mms case {name!r}")
-    if solves[name] != pde:
+    if name == "zero_data":
+        return MmsCase.zero_data()
+    if name != {"advection": "oscillatory_wave", "advection_diffusion": "boundary_layer"}[pde]:
         raise FamilyError(f"mms case {name!r} does not solve the {pde} equation")
     if name == "oscillatory_wave":
         return MmsCase.advecting_wave(params.a)
-    if name == "boundary_layer":
-        if params.eps <= 0:
-            raise FamilyError("boundary_layer case needs eps > 0")
-        return MmsCase.boundary_layer(params.a, params.eps)
-    return MmsCase.zero_data()
-
-
-def _pde_params(p: dict) -> PdeParams:
-    return PdeParams(
-        a=_number(p.get("a", 1.0), "a"),
-        eps=_number(p.get("eps", 0.0), "eps"),
-        final_time=_number(p.get("final_time", 1.0), "final_time"),
-    )
+    if params.eps <= 0:
+        raise FamilyError("boundary_layer case needs eps > 0")
+    return MmsCase.boundary_layer(params.a, params.eps)
 
 
 def cmd_solve(args) -> int:
-    config = load_config(args)
-    for key in ("pde", "operator"):
-        if key not in config:
-            raise FamilyError(f"solve config needs a '{key}' entry")
-    pde = config["pde"]
-    if pde not in ("advection", "advection_diffusion"):
-        raise FamilyError(f"unknown pde {pde!r}")
-    op_cfg = _table(config, "operator")
-    if "space" not in op_cfg:
-        raise FamilyError("solve 'operator' entry needs a 'space' family descriptor")
-    params = _pde_params(_table(config, "params"))
-    case = _mms_case(config.get("mms", "zero_data"), pde, params)
-    n_elements = config.get("elements", 4)
-    if type(n_elements) is not int or n_elements < 1:
-        raise FamilyError(f"'elements' must be an integer of at least 1, got {n_elements!r}")
-    cfl = _cfl(config, 0.1)
+    config, values = load_config(args, SOLVE)
+    pde, op_cfg, n_elements, cfl = (values[key] for key in ("pde", "operator", "elements", "cfl"))
+    params = PdeParams(**values["params"])
+    case = _mms_case(values["mms"], pde, params)
     runner = Runner("solve", args, {**config, "seed": args.seed,
                                     "elements": n_elements, "cfl": cfl})
 
     timings = dict.fromkeys(TIMED_STAGES, 0.0)
     with StageTimer(timings, "operator_build_s"):
         op, _, verdict = build_study_operator(
-            op_cfg["space"], op_cfg.get("node_mode", "gglq"),
-            rng_seed=args.seed, n_nodes=op_cfg.get("n_nodes"),
+            op_cfg["space"], op_cfg["node_mode"], rng_seed=args.seed, n_nodes=op_cfg["n_nodes"],
         )
     result = run_case(pde, op, n_elements, params, case, cfl, timings=timings)
     grid, y, trace = result.grid, result.y, result.trace
@@ -418,17 +385,15 @@ def convergence_study(
     return rows
 
 
-def _study_rows(study_name: str, config: dict, seed, timings: dict) -> list[dict]:
-    frozen = (refcases.ADVECTION_STUDY if study_name == "advection"
+def _study_rows(values: dict, seed, timings: dict) -> list[dict]:
+    frozen = (refcases.ADVECTION_STUDY if values["study"] == "advection"
               else refcases.ADVECTION_DIFFUSION_STUDY)
-    params = _pde_params({**frozen["params"], **_table(config, "params")})
-    case = _mms_case(config.get("mms", frozen["mms"]), frozen["pde"], params)
-    cfl = _cfl(config, frozen["cfl"])
-    totals = config.get("totals")
-    if totals is not None and not (
-            isinstance(totals, list) and all(type(n) is int for n in totals)):
-        raise FamilyError(f"'totals' must be a list of integers, got {totals!r}")
-    if study_name == "advection":
+    given = {key: value for key, value in values["params"].items() if value is not None}
+    params = PdeParams(**{**frozen["params"], **given})
+    case = _mms_case(values["mms"] or frozen["mms"], frozen["pde"], params)
+    cfl = values["cfl"] or frozen["cfl"]
+    totals = values["totals"]
+    if values["study"] == "advection":
         cfgs = refcases.advection_study_configs(totals)
     else:
         if params.eps <= 0:
@@ -440,13 +405,10 @@ def _study_rows(study_name: str, config: dict, seed, timings: dict) -> list[dict
 
 
 def cmd_converge(args) -> int:
-    config = load_config(args)
-    study = config.get("study")
-    if study not in ("advection", "advection_diffusion"):
-        raise FamilyError("converge config needs 'study': 'advection' or 'advection_diffusion'")
+    config, values = load_config(args, CONVERGE)
     runner = Runner("converge", args, {**config, "seed": args.seed})
     timings = dict.fromkeys(TIMED_STAGES, 0.0)
-    rows = _study_rows(study, config, args.seed, timings)
+    rows = _study_rows(values, args.seed, timings)
     header = ["operator", "elements", "nodes_per_element", "total_nodes",
               "error_norm", "observed_order"]
     with StageTimer(timings, "output_write_s"):
@@ -468,7 +430,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    config = load_config(args)
+    config, _ = load_config(args, FIXTURES)
     runner = Runner("fixtures", args, {**config, "seed": args.seed})
     report = {}
 

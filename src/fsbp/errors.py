@@ -7,7 +7,14 @@ malformed request, refused before any work.  It exits 3 on
 Tchebyshev screen explains, or a check that did not pass.  Each module
 imports from here the classes it raises, so no layer imports another
 for its failures.
+
+The parsers of the key tables (``REQUIRED``, ``number``, ``integer``,
+``string``, ``items``) sit here, below ``spaces`` and ``cli``, which
+both use them: the compile of ``spaces.py``, the largest module, sets
+every process's peak memory.
 """
+
+import math
 
 import numpy as np
 
@@ -50,3 +57,52 @@ class VerificationFailure(RuntimeError):
 # singular system's LinAlgError is a ValueError, yet a solver failure
 SOLVER_ERRORS = (SolverError, IntegrationError, AssemblyError, BlowUpError,
                  RankError, np.linalg.LinAlgError)
+
+
+# ---------------------------------------------------------------------------
+# parsers of the key tables that ``spaces.check`` reads a config or a
+# descriptor through: each raises TypeError or ValueError for a JSON value
+# outside its type or range
+
+REQUIRED = object()     # the default of a key that must be given
+
+
+def number(above=-math.inf):
+    """Parser of finite numbers greater than ``above``."""
+    def parse(value) -> float:
+        x = float(value)
+        if not above < x < math.inf:
+            raise ValueError(f"not above {above}" if math.isfinite(x) else "not finite")
+        return x
+    return parse
+
+
+def integer(low=-math.inf, strict=False):
+    """Parser of integers from ``low``: numbers equal to one unless ``strict``; no booleans."""
+    def parse(value) -> int:
+        if isinstance(value, bool) or (type(value) is not int if strict
+                                       else float(value) != int(value)):
+            raise TypeError("not an integer")
+        if int(value) < low:
+            raise ValueError(f"below {low}")
+        return int(value)
+    return parse
+
+
+def string(*choices):
+    """Parser of strings, one of ``choices`` when any are given."""
+    def parse(value) -> str:
+        if not isinstance(value, str) or choices and value not in choices:
+            raise ValueError(f"not one of {', '.join(choices)}" if choices else "not a string")
+        return value
+    return parse
+
+
+def items(parse, least=0, most=math.inf):
+    """Parser of lists of ``least`` to ``most`` values, each read by ``parse``."""
+    def parse_items(value) -> list:
+        out = [parse(v) for v in value]
+        if not least <= len(out) <= most:
+            raise ValueError(f"has {len(out)} entries, outside [{least}, {most}]")
+        return out
+    return parse_items

@@ -86,6 +86,9 @@ BLOCK_STEPS = 64
 # march as fast as 8 of 8, and R^4's band is the narrower
 LANE_STEPS = 4
 LANES = BLOCK_STEPS // LANE_STEPS
+# the most steps a march takes (ValueError beyond, before any array is
+# made): 50 times the longest march in the tests and benchmarks (20 000)
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -112,8 +115,7 @@ class MultiElementGrid:
     edges[e + 1]] of a tiling.
 
     Nodes map affinely, P scales with the element's length ratio and D
-    inversely, as ``operators.scale_to_element`` maps one element; the
-    elements' values are stacked (E, p, p) and (E, p) for the assembly.
+    inversely; the elements' values are stacked (E, p, p) and (E, p).
     """
 
     def __init__(self, op: FsbpOperator, edges):
@@ -506,7 +508,8 @@ def time_integrate(A: ElementBand, C: np.ndarray, g: Callable[[np.ndarray], np.n
     ``g(t)`` maps an array of times to the data there, one row of m
     values per time; the final state takes the shape of ``y0``.  The
     step count is fixed up front (dt rounded down so the final time is
-    hit exactly).
+    hit exactly); more than ``MAX_STEPS`` raise ValueError before any
+    array is made.
 
     Each step is u <- R u + f_k.  Per block of ``BLOCK_STEPS`` steps one
     call of g at every stage time and one product with the forcing
@@ -536,7 +539,11 @@ def time_integrate(A: ElementBand, C: np.ndarray, g: Callable[[np.ndarray], np.n
     t0, t1 = t_span
     if not (t1 > t0) or dt <= 0:
         raise ValueError("need t1 > t0 and dt > 0")
-    n_steps = max(1, math.ceil((t1 - t0) / dt - 1e-12))
+    steps = (t1 - t0) / dt - 1e-12
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"the march needs {steps:.4g} steps of {dt:.4g}, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
+    n_steps = max(1, math.ceil(steps))
     dt = (t1 - t0) / n_steps
 
     if energy_fn is None:

@@ -33,7 +33,6 @@ __all__ = [
     "SbpVerdict",
     "build_operator",
     "verify_sbp",
-    "scale_to_element",
     "operator_to_dict",
     "operator_from_dict",
 ]
@@ -334,28 +333,6 @@ def verify_sbp(
         max_ibp_defect=float(ibp),
         null_space_dim=int(op.null_space_dim),
         passed=bool(passed),
-    )
-
-
-def scale_to_element(op: FsbpOperator, a: float, b: float) -> FsbpOperator:
-    """Affinely map the operator to an element [a, b].
-
-    Nodes map affinely, P scales with the length ratio, D inversely;
-    Q and B are invariant, so all structural identities carry over.
-    """
-    a0, b0 = op.interval
-    if not (a < b):
-        raise ValueError(f"degenerate target interval [{a}, {b}]")
-    ratio = (b - a) / (b0 - a0)
-    return FsbpOperator(
-        nodes=a + (op.nodes - a0) * ratio,
-        P=op.P * ratio,
-        Q=op.Q.copy(),
-        B=op.B.copy(),
-        D=op.D / ratio,
-        interval=(float(a), float(b)),
-        space_fingerprint=op.space_fingerprint,
-        null_space_dim=op.null_space_dim,
     )
 
 

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import FamilyError, RankError
+from .errors import REQUIRED, FamilyError, RankError, integer, items, number, string
 
 __all__ = [
     "FunctionSpace",
@@ -261,121 +261,116 @@ def _explicit(funcs: list) -> Evaluator:
     return evaluate
 
 
-def _entry(spec: dict, key: str, convert, default=None):
-    """``convert(spec[key])``, or ``default`` when given and the key is
-    absent; FamilyError for a missing required or an ill-typed entry."""
-    if key not in spec:
-        if default is None:
-            raise FamilyError(f"{spec.get('family', 'family')} descriptor lacks a {key!r} entry")
-        return default
-    try:
-        return convert(spec[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FamilyError(f"invalid {key!r} entry {spec[key]!r}") from exc
+# ---------------------------------------------------------------------------
+# key tables: key -> (parser, default), read by ``check``, with the
+# parsers of ``fsbp.errors``
 
-
-def _finite(value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{value!r} is not finite")
-    return x
-
-
-def _integer(value) -> int:
-    if isinstance(value, bool) or float(value) != int(value):
-        raise ValueError(f"{value!r} is not an integer")
-    return int(value)
-
-
-def _function_tuples(items) -> list:
-    funcs = [tuple(item) for item in items]
-    if any(not 2 <= len(f) <= 3 or not all(map(callable, f)) for f in funcs):
+def _function(item) -> tuple:
+    f = tuple(item)
+    if not 2 <= len(f) <= 3 or not all(map(callable, f)):
         raise ValueError("each function must be a (value, deriv[, deriv2]) tuple of callables")
-    return funcs
+    return f
+
+
+# one table per family, chosen by a descriptor's "family", after the
+# entries every descriptor holds
+FAMILIES = {
+    "monomial": {"degree": (integer(0), REQUIRED)},
+    "trig": {"max_harmonic": (integer(1), REQUIRED), "freq_scale": (number(0.0), 1.0)},
+    "exponential": {"rates": (items(number()), ()), "poly_degree": (integer(0), 0)},
+    "bessel": {"orders": (items(integer(), 1), REQUIRED)},
+    "explicit": {"functions": (items(_function, 1), REQUIRED)},
+}
+DESCRIPTOR = {"family": (string(*FAMILIES), REQUIRED),
+              "interval": (items(number(), 2, 2), REQUIRED)}
+
+
+def check(value, table: dict, path: str = "") -> dict:
+    """Every key of ``table``: the object ``value``'s entry, parsed, or
+    the key's default.  A parser may also be None (the value as given,
+    for the layer that reads it to check), a nested table, or
+    ``FAMILIES``: a descriptor, checked against its family's table and
+    kept as given.  A key outside the table, a missing ``REQUIRED`` key
+    and a refused entry raise FamilyError naming the key's path, such as
+    ``params.final_time``."""
+    if not isinstance(value, dict):
+        raise FamilyError(f"expected a JSON object at {path or 'the top level'!r}, got {value!r}")
+    prefix = f"{path}." if path else ""
+    if table is FAMILIES:       # a descriptor: its family chooses the table
+        table = {**DESCRIPTOR, **FAMILIES[_read(value, "family", *DESCRIPTOR["family"], prefix)]}
+    unknown = [key for key in value if key not in table]
+    if unknown:
+        raise FamilyError(f"unknown key '{prefix}{unknown[0]}' (known: {list(table)})")
+    return {key: _read(value, key, *entry, prefix) for key, entry in table.items()}
+
+
+def _read(value: dict, key: str, parse, default, prefix: str):
+    raw = value.get(key, default)
+    if raw is REQUIRED:
+        raise FamilyError(f"missing key '{prefix}{key}'")
+    if isinstance(parse, dict):
+        nested = check(raw, parse, prefix + key)
+        return raw if parse is FAMILIES else nested
+    if parse is None or key not in value:
+        return raw
+    try:
+        return parse(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FamilyError(f"invalid '{prefix}{key}' {raw!r}: {exc}") from exc
 
 
 def make_family(spec: dict) -> FunctionSpace:
     """Build a FunctionSpace from a family descriptor.
 
-    Supported descriptors (all need an ``interval`` entry):
-
-    - ``{"family": "monomial", "degree": d}`` -- 1, x, ..., x^d
-    - ``{"family": "trig", "max_harmonic": k}`` -- 1 plus sin/cos of the
-      first k half-harmonics of the local coordinate (2k+1 functions)
-    - ``{"family": "exponential", "rates": [...], "poly_degree": p}`` --
-      local monomials up to degree p plus exp(rate * s) for each rate
-    - ``{"family": "bessel", "orders": [...]}`` -- Bessel J_v of the
-      physical coordinate, integer orders; the interval's endpoints and
-      the orders are at most ``BESSEL_BOUND`` in magnitude
-    - ``{"family": "explicit", "functions": [(value, deriv[, deriv2]), ...]}``
-
-    A descriptor that is not a dict, and missing, ill-typed or non-finite
-    entries, raise :class:`FamilyError`; so do fractional or boolean
-    values of the integer entries.  No entry switches a family off: an
-    entry its family does not read is kept in the stored descriptor and
-    otherwise ignored.
+    Families, each on its ``interval``: ``monomial`` 1, x, ..., x^degree;
+    ``trig`` 1 plus sin/cos of the first max_harmonic half-harmonics of
+    the local coordinate s; ``exponential`` s^0 .. s^poly_degree plus
+    exp(rate * s) for each rate; ``bessel`` J_v of the physical
+    coordinate for integer orders v, the interval's endpoints and the
+    orders at most ``BESSEL_BOUND`` in magnitude; ``explicit``
+    (value, deriv[, deriv2]) callables.  The descriptor is read through
+    its family's table in ``FAMILIES``: an entry the family does not
+    read, and a missing, ill-typed (fractional or boolean integers
+    included), non-finite or out-of-range one, raise
+    :class:`FamilyError` naming the entry.
     """
-    if not isinstance(spec, dict):
-        raise FamilyError(f"a family descriptor must be an object, got {spec!r}")
-    if "family" not in spec:
-        raise FamilyError("descriptor lacks a 'family' entry")
-    if "interval" not in spec:
-        raise FamilyError("descriptor lacks an 'interval' entry")
-    family = spec["family"]
-    interval = _entry(spec, "interval", lambda v: [_finite(e) for e in v])
-    if len(interval) != 2:
-        raise FamilyError(f"interval needs two entries, got {spec['interval']!r}")
-    a, b = interval
+    entries = check(spec, FAMILIES)
+    family = entries["family"]
+    a, b = entries["interval"]
     if not (a < b):
         raise FamilyError(f"degenerate interval [{a}, {b}]")
 
     moments = None          # closed-form integrals: the monomial family's only
     if family == "monomial":
-        d = _entry(spec, "degree", _integer)
-        if d < 0:
-            raise FamilyError("monomial degree must be >= 0")
+        d = entries["degree"]
         labels = [f"x^{j}" for j in range(d + 1)]
         evaluate = lambda x, k: _powers(x, range(d + 1), k)  # noqa: E731
         powers = np.arange(1, d + 2)
         moments = lambda: (b ** powers - a ** powers) / powers  # noqa: E731
     elif family == "trig":
-        k = _entry(spec, "max_harmonic", _integer)
-        if k < 1:
-            raise FamilyError("trig family needs max_harmonic >= 1")
-        freq_scale = _entry(spec, "freq_scale", _finite, 1.0)
-        if freq_scale <= 0:
-            raise FamilyError("freq_scale must be positive")
+        k = entries["max_harmonic"]
         labels = ["x^0"]
         for j in range(1, k + 1):
             labels += [f"sin({j}pi*s)", f"cos({j}pi*s)"]
-        evaluate = _trig(a, b, k, freq_scale)
+        evaluate = _trig(a, b, k, entries["freq_scale"])
     elif family == "exponential":
-        rates = _entry(spec, "rates", lambda v: [_finite(r) for r in v], [])
-        p = _entry(spec, "poly_degree", _integer, 0)
-        if p < 0:
-            raise FamilyError("exponential family needs poly_degree >= 0")
+        rates, p = entries["rates"], entries["poly_degree"]
         if 0.0 in rates:
             raise FamilyError("exponential rate 0 duplicates the constant")
         labels = [("1", "s")[j] if j < 2 else f"s^{j}" for j in range(p + 1)]
         labels += [f"exp({r}s)" for r in rates]
         evaluate = _exponential(a, b, p, rates)
     elif family == "bessel":
-        orders = _entry(spec, "orders", lambda v: [_integer(o) for o in v])
-        if not orders:
-            raise FamilyError("bessel family needs at least one order")
+        orders = entries["orders"]
         if max(-a, b, *map(abs, orders)) > BESSEL_BOUND:
             raise FamilyError(f"bessel family needs an interval and orders within "
                               f"[-{BESSEL_BOUND}, {BESSEL_BOUND}]")
         labels = [f"J{v}" for v in orders]
         evaluate = _bessel(orders)
-    elif family == "explicit":
-        funcs = _entry(spec, "functions", _function_tuples)
-        if not funcs:
-            raise FamilyError("explicit family needs at least one function")
+    else:
+        funcs = entries["functions"]
         labels = [f"f{i}" for i in range(len(funcs))]
         evaluate = _explicit(funcs)
-    else:
-        raise FamilyError(f"unsupported family {family!r}")
 
     stored = {k: v for k, v in spec.items() if k != "functions"}
     stored["interval"] = [a, b]

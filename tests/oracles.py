@@ -7,17 +7,19 @@ composite panel quadrature for integrals.  The skew solves assemble
 the dense Kronecker least-squares system over the strictly lower
 triangle, the reference for the operators' closed-form solve, and the
 Lagrange differentiation matrix is built from barycentric weights in
-long double.  The right-side section writes both IBVP schemes face by
-face on a stacked state, with a dense LU solve for the gradient
-variable, as the reference for the assembled element-band operators.  The
-time-marching section takes the classical four-stage scheme stage by
-stage through the right side A u + q(t) of an assembled problem, one
-state and one time at a time, the reference for the blocked march.  The
-cardinal-basis section solves for the Hermite-Lagrange basis the Newton
-iteration only uses through its integrals, from the solver's own
-Hermite-Vandermonde rows.  ``augmented_target``, ``screened`` and
-``certified_rule`` are no oracles: they run the package's rule steps on a
-family and on a target spanning set with its basis, as the pipeline does.
+long double.  ``scale_to_element`` maps one operator onto one element,
+the reference for the grid's broadcast mapping.  The right-side section
+writes both IBVP schemes face by face on a stacked state, with a dense
+LU solve for the gradient variable, as the reference for the assembled
+element-band operators.  The time-marching section takes the classical
+four-stage scheme stage by stage through the right side A u + q(t) of
+an assembled problem, one state and one time at a time, the reference
+for the blocked march.  The cardinal-basis section solves for the
+Hermite-Lagrange basis the Newton iteration only uses through its
+integrals, from the solver's own Hermite-Vandermonde rows.
+``augmented_target``, ``screened`` and ``certified_rule`` are no
+oracles: they run the package's rule steps on a family and on a target
+spanning set with its basis, as the pipeline does.
 """
 
 import math
@@ -29,6 +31,7 @@ import scipy.optimize
 
 from fsbp.gauss import SolverError, _hermite_rows, continuation_solve, verify_exactness
 from fsbp.ibvp import BLOWUP_FACTOR, BlowUpError
+from fsbp.operators import FsbpOperator
 from fsbp.integrate import moments
 from fsbp.spaces import (
     FunctionSpace,
@@ -182,6 +185,28 @@ def lagrange_diff_matrix(nodes):
     np.fill_diagonal(d, 0)
     np.fill_diagonal(d, -np.sum(d, axis=1))
     return d
+
+
+def scale_to_element(op: FsbpOperator, a: float, b: float) -> FsbpOperator:
+    """Affinely map the operator to an element [a, b].
+
+    Nodes map affinely, P scales with the length ratio, D inversely;
+    Q and B are invariant, so all structural identities carry over.
+    """
+    a0, b0 = op.interval
+    if not (a < b):
+        raise ValueError(f"degenerate target interval [{a}, {b}]")
+    ratio = (b - a) / (b0 - a0)
+    return FsbpOperator(
+        nodes=a + (op.nodes - a0) * ratio,
+        P=op.P * ratio,
+        Q=op.Q.copy(),
+        B=op.B.copy(),
+        D=op.D / ratio,
+        interval=(float(a), float(b)),
+        space_fingerprint=op.space_fingerprint,
+        null_space_dim=op.null_space_dim,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import copy
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import sys
 import tempfile
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +259,7 @@ def test_malformed_descriptor_exits_2(tmp_path, capsys, space):
 
 
 TRIG_OPERATOR = {"space": {"family": "trig", "max_harmonic": 2, "interval": [0, 1]}}
+ADVECTION_SOLVE = {"pde": "advection", "operator": TRIG_OPERATOR}
 # Simpson's rule and its operator on [0, 1], each with one non-finite entry
 SIMPSON = {"nodes": [0.0, 0.5, 1.0], "weights": [1 / 6, 2 / 3, 1 / 6], "closed": True,
            "interval": [0.0, 1.0]}
@@ -334,6 +337,9 @@ NON_FINITE_OPERATORS = {
     ("converge", {"study": "advection", "mms": {"x": 1}}),
     # an operator file whose q is 1 x 2 for its two nodes
     ("verify", {"operator": "wide_q.json", "space": refcases.EXP3_SPEC}),
+    # no command reads tolerances or an engine
+    ("verify", {"operator": "no_p.json", "space": refcases.EXP3_SPEC, "tolerances": {}}),
+    ("verify", {"operator": "no_p.json", "space": refcases.EXP3_SPEC, "engine": {}}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     # an operator file without its weights, and one whose q is not n x n,
@@ -351,11 +357,99 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     err = capsys.readouterr().err
     assert "validation error" in err
     assert "Traceback" not in err
+    # the entry at fault in a rule or operator file is named
+    file = str(config.get("rule", config.get("operator"))) if isinstance(config, dict) else ""
+    assert {"nan_weight_rule.json": "'weights'", "wide_q.json": "'q'"}.get(file, "") in err
     # refused before the first write: no output directory
     assert not (tmp_path / "o").exists()
 
 
-ADVECTION_SOLVE = {"pde": "advection", "operator": TRIG_OPERATOR}
+@pytest.mark.parametrize("command, config, named", [
+    ("solve", {"pde": "advection", "elemnts": 8, "params": {"final_tme": 0.01},
+               "operator": {"space": {"family": "exponential", "rates": [-1.0, 1.0, 2.0],
+                                      "interval": [0, 1]}, "nnodes": 3}}, "'elemnts'"),
+    ("solve", {**ADVECTION_SOLVE, "params": {"final_tme": 0.01}}, "'params.final_tme'"),
+    ("solve", {"pde": "advection", "operator": {**TRIG_OPERATOR, "nnodes": 3}},
+     "'operator.nnodes'"),
+    ("solve", {"pde": "advection", "operator": {"space": {
+        **TRIG_OPERATOR["space"], "degree": 4}}}, "'operator.space.degree'"),
+    ("rule", {"space": {"family": "monomial", "interval": [0, 1], "degre": 4}}, "'space.degre'"),
+    ("rule", {"space": refcases.EXP3_SPEC, "seed": 3}, "'seed'"),
+    ("operator", {"space": {**refcases.EXP3_SPEC, "freq_scale": 2.0}}, "'space.freq_scale'"),
+    ("converge", {"study": "advection", "total": [40]}, "'total'"),
+    ("fixtures", {"space": refcases.EXP3_SPEC}, "'space'"),
+])
+def test_unknown_key_exits_2_naming_its_path(tmp_path, capsys, command, config, named):
+    # a misspelled key used to run with its default and exit 0
+    cfg = write_config(tmp_path / "cfg.json", config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"validation error: unknown key {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a valid config per command, with every object a command reads, and every
+# key that any command or family reads
+VALID_CONFIGS = {
+    "rule": {"space": refcases.EXP3_SPEC, "mode": "closed"},
+    "operator": {"space": {"family": "trig", "max_harmonic": 1, "freq_scale": 0.5,
+                           "interval": [0, 1]}, "node_mode": "equispaced", "n_nodes": 5},
+    "verify": {"operator": "operator.json",
+               "space": {"family": "bessel", "orders": [0, 1], "interval": [0, 25]}},
+    "solve": {"pde": "advection_diffusion", "mms": "boundary_layer", "elements": 2, "cfl": 0.5,
+              "params": {"a": 1.0, "eps": 0.1, "final_time": 0.01},
+              "operator": {"space": {"family": "monomial", "degree": 3, "interval": [0, 1]},
+                           "node_mode": "classical-gll"}},
+    "converge": {"study": "advection", "mms": "zero_data", "cfl": 0.1, "totals": [40],
+                 "params": {"a": 1.0, "eps": 0.0, "final_time": 0.01}},
+    "fixtures": {},
+}
+KNOWN_KEYS = {"space", "mode", "rule", "node_mode", "n_nodes", "operator", "pde", "mms",
+              "elements", "cfl", "params", "a", "eps", "final_time", "study", "totals",
+              "family", "interval", "degree", "max_harmonic", "freq_scale", "rates",
+              "poly_degree", "orders", "functions"}
+UNKNOWN_KEYS = st.one_of(
+    st.sampled_from(["elemnts", "final_tme", "degre", "nnodes", "tolerances", "engine", "seed",
+                     "Mode", "space ", "labels"]),
+    st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=12),
+).filter(lambda key: key not in KNOWN_KEYS)
+
+
+def objects(config: dict, path: str = ""):
+    """(path, object) for the config and every object in it."""
+    yield path, config
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from objects(value, f"{path}.{key}" if path else key)
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_generated_unknown_keys_exit_2_before_any_work(command, data):
+    # one drawn unknown key at any level of a valid config: exit 2 naming
+    # its path, no output directory and no operator built
+    config = copy.deepcopy(VALID_CONFIGS[command])
+    path, where = data.draw(st.sampled_from(list(objects(config))), label="level")
+    key = data.draw(UNKNOWN_KEYS, label="key")
+    where[key] = data.draw(st.one_of(st.none(), st.integers(), st.text(max_size=3), st.just({})))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an operator was built for a config with an unknown key")
+
+    err = io.StringIO()
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err),
+          pytest.MonkeyPatch.context() as patch):
+        for owner in (cli, pipeline):
+            for name in ("build_study_operator", "build_rule_operator", "solve_rule_pipeline",
+                         "verify_sbp"):
+                patch.setattr(owner, name, no_work)
+        out = Path(tmp) / "out"
+        code = main([command, "--config", write_config(Path(tmp) / "cfg.json", config),
+                     "--out", str(out)])
+        assert not out.exists()
+    assert code == 2, err.getvalue()
+    assert f"unknown key '{path + '.' if path else ''}{key}'" in err.getvalue()
 
 
 @pytest.mark.parametrize("command, config", [
@@ -386,7 +480,7 @@ def test_bad_run_parameters_exit_2_before_any_operator_build(
 
 
 # solve settings drawn small, so that every march is at most a few
-# thousand steps: no tiny cfl, long final time or large eps
+# hundred steps
 VALID_SOLVE_FIELDS = {
     "pde": st.sampled_from(["advection", "advection_diffusion"]),
     "mms": st.sampled_from(["zero_data", "oscillatory_wave", "boundary_layer"]),
@@ -397,6 +491,17 @@ VALID_SOLVE_FIELDS = {
     "final_time": st.floats(0.001, 0.05),
     "node_mode": st.sampled_from(["gglq", "equispaced", "classical-gll"]),
 }
+# or a march past MAX_STEPS, refused before it starts: a tiny cfl or a long
+# final time (on [0, 1], h_min < 0.33 and a >= 0.5 make either more than
+# 1.2 million steps), with any eps up to 1e6.  No draw lies between, where
+# a march would be long and slow
+ANY_EPS = st.one_of(st.just(0.0), st.floats(0.01, 1e6))
+PAST_THE_BOUND = st.one_of(
+    st.fixed_dictionaries({"cfl": st.floats(1e-9, 1.2e-9), "final_time": st.floats(0.001, 1e6),
+                           "eps": ANY_EPS}),
+    st.fixed_dictionaries({"cfl": st.floats(1e-9, 1.0), "final_time": st.floats(7e5, 1e6),
+                           "eps": ANY_EPS}),
+)
 # wrong types, non-finite and non-positive numbers, unknown names
 MALFORMED_VALUES = st.one_of(
     st.lists(st.integers(-2, 2), max_size=2),
@@ -414,6 +519,9 @@ MALFORMED_VALUES = st.one_of(
 def test_generated_solve_configs_exit_with_a_code_not_a_traceback(field, data):
     # all fields well formed, or ``field`` malformed and perhaps one more
     fields = {key: data.draw(values, label=key) for key, values in VALID_SOLVE_FIELDS.items()}
+    past_the_bound = data.draw(st.booleans(), label="past the bound")
+    if past_the_bound:
+        fields.update(data.draw(PAST_THE_BOUND, label="march"))
     malformed = set()
     if field is not None:
         malformed = {field, data.draw(st.sampled_from([field, *VALID_SOLVE_FIELDS]))}
@@ -433,9 +541,11 @@ def test_generated_solve_configs_exit_with_a_code_not_a_traceback(field, data):
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
     if not malformed:
-        # a well-formed draw fails only by pairing a case with the other PDE
-        assert code in (0, 2)
-        assert code == 0 or "does not solve" in err.getvalue() or "eps > 0" in err.getvalue()
+        # a well-formed draw fails only by pairing a case with the other PDE,
+        # or by a march past the step bound
+        reasons = ["does not solve", "eps > 0"] + ["MAX_STEPS"] * past_the_bound
+        assert code == 2 if past_the_bound else code in (0, 2)
+        assert code == 0 or any(reason in err.getvalue() for reason in reasons), err.getvalue()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
@@ -1046,7 +1156,10 @@ def test_run_refused_before_its_first_write_makes_no_directory(tmp_path, capsys,
     cfg = write_config(tmp_path / "cfg.json", config)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out), *flags]) == code
-    assert capsys.readouterr().err.startswith(f"fsbp {command}: ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"fsbp {command}: ")
+    # an unknown mode is named
+    assert all(repr(value) in err for value in flags[1::2])
     assert not out.exists()
 
 
@@ -1057,6 +1170,35 @@ def test_pipeline_refuses_a_bad_node_budget(node_mode, n_nodes):
     # every caller is refused, not the command line alone
     with pytest.raises(ValueError, match="'n_nodes'"):
         build_study_operator(refcases.EXP3_SPEC, node_mode, n_nodes=n_nodes)
+
+
+def test_march_past_the_step_bound_exits_2_before_it_allocates(tmp_path, capsys):
+    # the gglq operator for {1, e^-s, e^s, e^2s} on 4 elements, advection to
+    # t = 1 at cfl 1e-6: 16.5 million steps, 264 MB of step arrays were
+    # they allocated
+    cfg = write_config(tmp_path / "solve.json", {"pde": "advection", "cfl": 1e-6, "operator": {
+        "space": {"family": "exponential", "rates": [-1.0, 1.0, 2.0], "interval": [0, 1]}}})
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = main(["solve", "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "the march needs 1.65e+07 steps" in err and "MAX_STEPS = 1000000" in err
+    assert peak < 8e6
+    assert not out.exists()
+
+
+def test_study_records_a_march_past_the_step_bound_as_a_row_error():
+    cfg = {"label": "gll", "spec": lambda n_el: {"family": "monomial", "degree": 3,
+                                                 "interval": [0, 1]},
+           "node_mode": "classical-gll", "nodes_per_element": 4, "elements": [2, 4]}
+    rows = cli.convergence_study("advection", [cfg], PdeParams(a=1.0, final_time=1.0),
+                                 MmsCase.zero_data(), cfl=1e-7)
+    assert [row["error"].startswith("ValueError: the march needs") for row in rows] == [True] * 2
 
 
 def test_study_records_a_node_budget_outside_equispaced_in_every_row():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fsbp.gauss import ScreenFailure
-from fsbp.operators import AssemblyError, build_operator, scale_to_element
+from fsbp.operators import AssemblyError, build_operator
 from fsbp.ibvp import (
     BLOCK_STEPS,
     LANE_STEPS,
@@ -32,7 +32,8 @@ from fsbp.refcases import (
     advection_study_configs,
 )
 
-from oracles import advdiff_rhs, advection_rhs, certified_rule, p_norm_squared, rhs, rk4_loop
+from oracles import (advdiff_rhs, advection_rhs, certified_rule, p_norm_squared, rhs,
+                     rk4_loop, scale_to_element)
 
 
 @pytest.fixture(scope="module")

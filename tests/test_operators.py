@@ -13,7 +13,6 @@ from fsbp.operators import (
     build_operator,
     operator_from_dict,
     operator_to_dict,
-    scale_to_element,
     verify_sbp,
 )
 from fsbp.spaces import make_family
@@ -25,6 +24,7 @@ from oracles import (
     ibp_defect_loop,
     joint_defect_bvls,
     lagrange_diff_matrix,
+    scale_to_element,
     skew_lstsq,
 )
 
