@@ -45,16 +45,18 @@ EXIT_SOLVER = 3
 EXIT_VERIFICATION = 4
 
 # the stages whose wall seconds `solve` and `converge` record in the
-# manifest's "timings" (summed over the rows of a study)
+# manifest's "timings" (summed over the rows of a study); `rule`,
+# `operator` and `verify` record their own two
 TIMED_STAGES = ("operator_build_s", "assembly_s", "march_s", "output_write_s")
 
-# the key tables, read by ``spaces.check``: a None parser (and float, in
-# params) leaves the range to the layer that reads the value; in CONVERGE
-# a None default, and a null "totals", stand for the study's own value
+# the key tables, read by ``spaces.check``: a None parser leaves the value
+# to the layer that reads it, and params' ranges are PdeParams'; in
+# CONVERGE a None default, and a null "totals", stand for the study's own
+# value
 PDE = string("advection", "advection_diffusion")
 MMS = string("zero_data", "oscillatory_wave", "boundary_layer")
-TOTALS = items(integer(strict=True))
-PARAMS = {"a": (float, 1.0), "eps": (float, 0.0), "final_time": (float, 1.0)}
+TOTALS = items(integer(strict=True), 1)
+PARAMS = {"a": (number(), 1.0), "eps": (number(), 0.0), "final_time": (number(), 1.0)}
 RULE = {"space": (FAMILIES, REQUIRED), "mode": (None, "closed")}
 OPERATOR = {"space": (FAMILIES, REQUIRED), "rule": (string(), None),
             "node_mode": (None, "gglq"), "n_nodes": (None, None)}
@@ -72,7 +74,7 @@ CONVERGE = {
     "study": (PDE, REQUIRED),
     "mms": (MMS, None),
     "cfl": (number(0.0), None),
-    "params": ({key: (float, None) for key in PARAMS}, {}),
+    "params": ({key: (number(), None) for key in PARAMS}, {}),
     "totals": (lambda value: value if value is None else TOTALS(value), None),
 }
 FIXTURES = {}
@@ -142,7 +144,7 @@ def load_config(args, table: dict) -> tuple[dict, dict]:
     config = {}
     if args.config:
         p = Path(args.config)
-        if not p.exists():
+        if not p.is_file():
             raise FamilyError(f"config file not found: {p}")
         try:
             config = json.loads(p.read_text())
@@ -161,7 +163,7 @@ def load_input(runner: Runner, args, name: str, key: str, loader):
     path = Path(name)
     if not path.is_absolute() and args.config:
         path = Path(args.config).parent / path
-    if not path.exists():
+    if not path.is_file():
         raise FamilyError(f"{key} file not found: {path}")
     runner.inputs[str(path)] = _sha256(path)
     try:
@@ -197,16 +199,20 @@ def cmd_rule(args) -> int:
     mode = args.mode or values["mode"]
     runner = Runner("rule", args, {**config, "mode": mode, "seed": args.seed})
 
-    result = solve_rule_pipeline(values["space"], mode, rng_seed=args.seed)
-    rule_files(runner, "rule", result.rule)
-    ortho = result.orthonormal
-    write_json(runner.path("basis.json"), {
-        "parent_family": ortho.parent.family_spec,
-        "interval": list(ortho.interval),
-        "coefficients": ortho.coeff_matrix.tolist(),
-    })
+    timings = {}
+    with StageTimer(timings, "rule_solve_s"):
+        result = solve_rule_pipeline(values["space"], mode, rng_seed=args.seed)
+    with StageTimer(timings, "output_write_s"):
+        rule_files(runner, "rule", result.rule)
+        ortho = result.orthonormal
+        write_json(runner.path("basis.json"), {
+            "parent_family": ortho.parent.family_spec,
+            "interval": list(ortho.interval),
+            "coefficients": ortho.coeff_matrix.tolist(),
+        })
     stages = result.rule.trace["stages"]
     runner.finish({
+        "timings": timings,
         "dims": result.dims,
         "certificate": result.rule.certificate.to_dict(),
         "counters": {
@@ -231,19 +237,22 @@ def cmd_operator(args) -> int:
                           "an operator takes its nodes from one of them")
     runner = Runner("operator", args, {**config, "seed": args.seed})
 
-    if values["rule"] is not None:
-        space = make_family(values["space"])
-        rule = load_input(runner, args, values["rule"], "rule", QuadratureRule.from_dict)
-        op, rule, verdict = build_rule_operator(space, rule, rng_seed=args.seed)
-    else:
-        op, rule, verdict = build_study_operator(
-            values["space"], args.mode or values["node_mode"],
-            rng_seed=args.seed, n_nodes=values["n_nodes"],
-        )
-    operator_files(runner, "operator", op)
-    rule_files(runner, "rule", rule)
-    write_json(runner.path("verdict.json"), verdict.to_dict())
-    runner.finish({"verdict": verdict.to_dict()})
+    timings = {}
+    with StageTimer(timings, "operator_build_s"):
+        if values["rule"] is not None:
+            space = make_family(values["space"])
+            rule = load_input(runner, args, values["rule"], "rule", QuadratureRule.from_dict)
+            op, rule, verdict = build_rule_operator(space, rule, rng_seed=args.seed)
+        else:
+            op, rule, verdict = build_study_operator(
+                values["space"], args.mode or values["node_mode"],
+                rng_seed=args.seed, n_nodes=values["n_nodes"],
+            )
+    with StageTimer(timings, "output_write_s"):
+        operator_files(runner, "operator", op)
+        rule_files(runner, "rule", rule)
+        write_json(runner.path("verdict.json"), verdict.to_dict())
+    runner.finish({"timings": timings, "verdict": verdict.to_dict()})
     return EXIT_OK
 
 
@@ -252,9 +261,12 @@ def cmd_verify(args) -> int:
     runner = Runner("verify", args, {**config, "seed": args.seed})
     op = load_input(runner, args, values["operator"], "operator", operator_from_dict)
     space = make_family(values["space"])
-    verdict = verify_sbp(op, space, rng_seed=args.seed)
-    write_json(runner.path("verdict.json"), verdict.to_dict())
-    runner.finish({"verdict": verdict.to_dict()})
+    timings = {}
+    with StageTimer(timings, "verify_s"):
+        verdict = verify_sbp(op, space, rng_seed=args.seed)
+    with StageTimer(timings, "output_write_s"):
+        write_json(runner.path("verdict.json"), verdict.to_dict())
+    runner.finish({"timings": timings, "verdict": verdict.to_dict()})
     if not verdict.passed:
         raise VerificationFailure(
             f"operator failed verification (exactness defect "

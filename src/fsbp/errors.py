@@ -15,6 +15,7 @@ every process's peak memory.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -62,7 +63,8 @@ SOLVER_ERRORS = (SolverError, IntegrationError, AssemblyError, BlowUpError,
 # ---------------------------------------------------------------------------
 # parsers of the key tables that ``spaces.check`` reads a config or a
 # descriptor through: each raises TypeError or ValueError for a JSON value
-# outside its type or range
+# outside its type or range (a boolean or a string is not a number, a
+# string or an object not a list)
 
 REQUIRED = object()     # the default of a key that must be given
 
@@ -70,6 +72,8 @@ REQUIRED = object()     # the default of a key that must be given
 def number(above=-math.inf):
     """Parser of finite numbers greater than ``above``."""
     def parse(value) -> float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError("not a number")
         x = float(value)
         if not above < x < math.inf:
             raise ValueError(f"not above {above}" if math.isfinite(x) else "not finite")
@@ -80,8 +84,8 @@ def number(above=-math.inf):
 def integer(low=-math.inf, strict=False):
     """Parser of integers from ``low``: numbers equal to one unless ``strict``; no booleans."""
     def parse(value) -> int:
-        if isinstance(value, bool) or (type(value) is not int if strict
-                                       else float(value) != int(value)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+                type(value) is not int if strict else float(value) != int(value)):
             raise TypeError("not an integer")
         if int(value) < low:
             raise ValueError(f"below {low}")
@@ -101,6 +105,8 @@ def string(*choices):
 def items(parse, least=0, most=math.inf):
     """Parser of lists of ``least`` to ``most`` values, each read by ``parse``."""
     def parse_items(value) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError("not a list")
         out = [parse(v) for v in value]
         if not least <= len(out) <= most:
             raise ValueError(f"has {len(out)} entries, outside [{least}, {most}]")

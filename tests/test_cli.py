@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fsbp
-from fsbp import cli, errors, pipeline, refcases
+from fsbp import cli, errors, pipeline, refcases, spaces
 from fsbp.cli import main
 from fsbp.ibvp import MmsCase, MultiElementGrid, PdeParams, assemble
 from fsbp.pipeline import build_study_operator
@@ -29,6 +29,21 @@ from oracles import screened
 def write_config(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def read_json(path):
+    """A JSON file read strictly: NaN and Infinity, which are not JSON, raise."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def read_every_json(root):
+    """Every JSON file under root, each read strictly, by its relative path."""
+    return {path.relative_to(root).as_posix(): read_json(path)
+            for path in sorted(root.rglob("*.json"))}
 
 
 @pytest.fixture()
@@ -149,10 +164,19 @@ def test_bessel_rule_and_operator_without_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out.splitlines()[-1]) == [0, 0]
+    files = read_every_json(tmp_path)
     for run in ("rule", "op"):
-        cert = json.loads((tmp_path / run / "rule.json").read_text())["certificate"]
-        assert cert["valid"] and cert["max_abs_error"] <= cert["tol"]
-    assert json.loads((tmp_path / "op" / "verdict.json").read_text())["pass"]
+        rule = files[f"{run}/rule.json"]
+        # one stage of full size 14 from the Lobatto nodes: a fall back to
+        # the ladder shows here; the screen runs only to explain a failed
+        # solve, so a solved rule's trace records none
+        assert [(s["size"], "error" in s) for s in rule["trace"]["stages"]] == [(14, False)]
+        assert "screen" not in rule["trace"]
+        # moments from the family's endpoint values: a ratio of about
+        # 1.4e-8 to the tolerance
+        cert = rule["certificate"]
+        assert cert["valid"] and cert["max_abs_error"] <= 1e-5 * cert["tol"]
+    assert files["op/verdict.json"]["pass"]
 
 
 def test_solve_loads_no_scipy(tmp_path):
@@ -340,6 +364,15 @@ NON_FINITE_OPERATORS = {
     # no command reads tolerances or an engine
     ("verify", {"operator": "no_p.json", "space": refcases.EXP3_SPEC, "tolerances": {}}),
     ("verify", {"operator": "no_p.json", "space": refcases.EXP3_SPEC, "engine": {}}),
+    # a study of no level
+    ("converge", {"study": "advection", "totals": []}),
+    # an empty path names the config's directory, not a file
+    ("operator", {"space": refcases.EXP3_SPEC, "rule": ""}),
+    ("verify", {"operator": "", "space": refcases.EXP3_SPEC}),
+    # a boolean or a string where a number is read
+    ("solve", {**ADVECTION_SOLVE, "params": {"a": True}}),
+    ("solve", {**ADVECTION_SOLVE, "cfl": "0.5"}),
+    ("rule", {"space": {"family": "exponential", "rates": "12", "interval": [0, 1]}}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     # an operator file without its weights, and one whose q is not n x n,
@@ -423,19 +456,11 @@ def objects(config: dict, path: str = ""):
             yield from objects(value, f"{path}.{key}" if path else key)
 
 
-@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
-@settings(derandomize=True, max_examples=12, deadline=None)
-@given(data=st.data())
-def test_generated_unknown_keys_exit_2_before_any_work(command, data):
-    # one drawn unknown key at any level of a valid config: exit 2 naming
-    # its path, no output directory and no operator built
-    config = copy.deepcopy(VALID_CONFIGS[command])
-    path, where = data.draw(st.sampled_from(list(objects(config))), label="level")
-    key = data.draw(UNKNOWN_KEYS, label="key")
-    where[key] = data.draw(st.one_of(st.none(), st.integers(), st.text(max_size=3), st.just({})))
-
+def run_refused(command: str, config) -> str:
+    """stderr of ``command`` on ``config``, which must exit 2 before any
+    operator, rule or verdict is computed and make no output directory."""
     def no_work(*args, **kwargs):
-        raise AssertionError("an operator was built for a config with an unknown key")
+        raise AssertionError("a refused config reached the work")
 
     err = io.StringIO()
     with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err),
@@ -449,7 +474,125 @@ def test_generated_unknown_keys_exit_2_before_any_work(command, data):
                      "--out", str(out)])
         assert not out.exists()
     assert code == 2, err.getvalue()
-    assert f"unknown key '{path + '.' if path else ''}{key}'" in err.getvalue()
+    return err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_generated_unknown_keys_exit_2_before_any_work(command, data):
+    # one drawn unknown key at any level of a valid config: exit 2 naming
+    # its path, no output directory and no operator built
+    config = copy.deepcopy(VALID_CONFIGS[command])
+    path, where = data.draw(st.sampled_from(list(objects(config))), label="level")
+    key = data.draw(UNKNOWN_KEYS, label="key")
+    where[key] = data.draw(st.one_of(st.none(), st.integers(), st.text(max_size=3), st.just({})))
+    assert f"unknown key '{path + '.' if path else ''}{key}'" in run_refused(command, config)
+
+
+# values that the parsers of the key tables (fsbp.errors) refuse
+NOT_A_NUMBER = st.sampled_from([None, True, "2", "x", [], [1.0], {}])
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NOT_A_STRING = st.sampled_from([None, False, 2, 0.5, [], ["advection"], {}])
+NOT_A_LIST = st.sampled_from([True, 2, 0.5, "12", "x", {}, {"a": 1}])
+NOT_AN_OBJECT = st.sampled_from([None, 5, "monomial", [], ["family", "interval"]])
+FRACTIONAL = st.integers(-50, 50).map(lambda k: k + 0.5)
+
+
+def refused_numbers(above=None):
+    """What ``number(above)`` refuses: no number, not finite, or not above ``above``."""
+    return st.one_of(NOT_A_NUMBER, NON_FINITE,
+                     *([st.floats(-1e6, above)] if above is not None else []))
+
+
+def refused_integers(low=None):
+    """What ``integer(low)`` refuses: no number, not finite, fractional, or below ``low``."""
+    return st.one_of(NOT_A_NUMBER, NON_FINITE, FRACTIONAL,
+                     *([st.integers(low - 50, low - 1)] if low is not None else []))
+
+
+def refused_lists(entries, least=0, most=None):
+    """What ``items`` refuses: no list, entries that ``entries`` draws, or
+    fewer than ``least`` or more than ``most`` entries."""
+    counts = [st.lists(st.floats(0, 1), max_size=least - 1)] if least else []
+    if most is not None:
+        counts.append(st.lists(st.floats(0, 1), min_size=most + 1, max_size=most + 2))
+    return st.one_of(NOT_A_LIST, st.lists(entries, min_size=1, max_size=3), *counts)
+
+
+# the values refused for each key that RULE, OPERATOR, VERIFY and CONVERGE
+# parse, and for each entry of a family's table
+REFUSED = {
+    "space": NOT_AN_OBJECT,
+    "params": NOT_AN_OBJECT,
+    "rule": NOT_A_STRING,
+    "operator": NOT_A_STRING,
+    "study": st.one_of(NOT_A_STRING, st.sampled_from(["heat", "", "Advection"])),
+    "mms": st.one_of(NOT_A_STRING, st.sampled_from(["wave", "", "Zero_data"])),
+    "cfl": refused_numbers(0.0),
+    **{f"params.{key}": refused_numbers() for key in cli.PARAMS},
+    # a null "totals" is the study's own, and [] a study of no level
+    "totals": st.one_of(st.just([]), refused_lists(
+        st.one_of(refused_integers(), st.integers(1, 200).map(float)), least=1)),
+}
+REFUSED_ENTRIES = {
+    "family": st.one_of(NOT_A_STRING, st.sampled_from(["cosine_pair", "", "Monomial"])),
+    "interval": st.one_of(st.none(), refused_lists(st.one_of(NOT_A_NUMBER, NON_FINITE), 2, 2)),
+    "degree": refused_integers(0),
+    "max_harmonic": refused_integers(1),
+    "freq_scale": refused_numbers(0.0),
+    "rates": st.one_of(st.none(), refused_lists(st.one_of(NOT_A_NUMBER, NON_FINITE))),
+    "poly_degree": refused_integers(0),
+    "orders": st.one_of(st.none(), refused_lists(refused_integers(), least=1)),
+    "functions": st.one_of(st.none(), refused_lists(st.one_of(NOT_A_NUMBER, NOT_A_STRING),
+                                                    least=1)),
+}
+# a valid descriptor of each family; JSON holds no explicit functions, so
+# only that family's "functions" is drawn
+DESCRIPTORS = {
+    "monomial": {"family": "monomial", "degree": 3, "interval": [0, 1]},
+    "trig": {"family": "trig", "max_harmonic": 1, "freq_scale": 0.5, "interval": [0, 1]},
+    "exponential": {"family": "exponential", "rates": [1.0], "poly_degree": 1,
+                    "interval": [0, 1]},
+    "bessel": {"family": "bessel", "orders": [0, 1], "interval": [0, 25]},
+    "explicit": {"family": "explicit", "interval": [0, 1]},
+}
+FAMILY_ENTRIES = [(family, key) for family, table in spaces.FAMILIES.items()
+                  for key in (*(spaces.DESCRIPTOR if family != "explicit" else ()), *table)]
+TABLES = {"rule": cli.RULE, "operator": cli.OPERATOR, "verify": cli.VERIFY,
+          "converge": cli.CONVERGE}
+
+
+def parsed_keys(table: dict, prefix: str = ""):
+    """Paths of the keys ``table`` parses; a None parser leaves its value to
+    the layer that reads it, and a descriptor's entries are its family's."""
+    for key, (parse, _) in table.items():
+        if parse is not None:
+            yield prefix + key
+        if isinstance(parse, dict) and parse is not spaces.FAMILIES:
+            yield from parsed_keys(parse, f"{prefix}{key}.")
+
+
+@pytest.mark.parametrize("command", sorted(TABLES))
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(data=st.data())
+def test_generated_malformed_values_exit_2_naming_their_key(command, data):
+    # one key of a valid config, or one entry of its family descriptor,
+    # given a value its parser refuses: exit 2 naming the key's path, no
+    # output directory and no operator built
+    config = copy.deepcopy(VALID_CONFIGS[command])
+    paths = [*parsed_keys(TABLES[command]), *(FAMILY_ENTRIES if "space" in config else [])]
+    path = data.draw(st.sampled_from(paths), label="key")
+    if isinstance(path, tuple):
+        family, key = path
+        config["space"] = copy.deepcopy(DESCRIPTORS[family])
+        config["space"][key] = data.draw(REFUSED_ENTRIES[key], label="value")
+        path = f"space.{key}"
+    else:
+        *outer, key = path.split(".")
+        where = config[outer[0]] if outer else config
+        where[key] = data.draw(REFUSED[path], label="value")
+    assert f"'{path}'" in run_refused(command, config)
 
 
 @pytest.mark.parametrize("command, config", [
@@ -647,7 +790,7 @@ def test_rule_exits_0_whatever_the_screen_would_say(tmp_path, space, mode):
     # sufficient for a rule, not necessary, and each solves to a certified
     # rule with positive weights under every seed
     cfg = write_config(tmp_path / "space.json", {"space": space})
-    for seed in range(8):
+    for seed in (*range(8), 31337):
         out = tmp_path / f"seed{seed}"
         assert main(["rule", "--config", cfg, "--out", str(out), "--mode", mode,
                      "--seed", str(seed)]) == 0
@@ -706,10 +849,6 @@ def test_failed_full_size_stage_is_traced_and_counted(tmp_path):
     }
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-finite JSON constant {name}")
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_high_harmonic_rule_writes_strict_json(tmp_path):
     # the screen's scaled minimum determinant here was beyond the largest
@@ -721,7 +860,7 @@ def test_high_harmonic_rule_writes_strict_json(tmp_path):
     out = tmp_path / "o"
     assert main(["rule", "--config", cfg, "--out", str(out)]) == 0
     for name in ("rule.json", "manifest.json"):
-        data = json.loads((out / name).read_text(), parse_constant=_reject_constant)
+        data = read_json(out / name)
         assert "screen" not in (data["trace"] if name == "rule.json" else data)
     assert tchebyshev_screen(screened(space), rng_seed=0).verdict == "inconclusive"
 
@@ -749,6 +888,26 @@ def test_odd_rank_target_gains_one_direction(tmp_path):
     rule = json.loads((out / "rule.json").read_text())
     assert len(rule["nodes"]) == 10
     assert rule["certificate"]["valid"] is True
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(degree=st.integers(1, 24), centre=st.floats(-5.0, 5.0), half=st.floats(0.1, 5.0))
+@example(degree=24, centre=2.0, half=3.0)
+def test_generated_monomial_rules_are_solved_on_an_even_basis(degree, centre, half):
+    # every monomial degree up to 24 on an affine image of [-1, 1] gives a
+    # certified rule in both modes, solved on an even basis of target_dim
+    # functions with target_dim/2 nodes (one more when closed)
+    space = {"family": "monomial", "degree": degree, "interval": [centre - half, centre + half]}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "rule.json", {"space": space})
+        for mode in ("open", "closed"):
+            out = Path(tmp) / mode
+            assert main(["rule", "--config", cfg, "--out", str(out), "--mode", mode]) == 0
+            rule = json.loads((out / "rule.json").read_text())
+            cert = rule["certificate"]
+            assert cert["valid"] and cert["max_abs_error"] <= cert["tol"]
+            assert cert["target_dim"] % 2 == 0
+            assert len(rule["nodes"]) == cert["target_dim"] // 2 + (mode == "closed")
 
 
 @pytest.mark.parametrize("mode", ["closed", "open"])
@@ -876,6 +1035,7 @@ def test_determinism_byte_identical(tmp_path):
         assert main(["solve", "--config", cfg, "--out", str(out2), "--seed", "3"]) == 0
         for name in ("energy.csv", "solution.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (label, name)
+    assert "advection1/manifest.json" in read_every_json(tmp_path)
 
 
 def test_operator_command_from_rule_file(tmp_path, exp3_rule_run):
@@ -900,6 +1060,7 @@ def test_operator_command_from_rule_file(tmp_path, exp3_rule_run):
     assert rule.certificate.target_dim == orthonormalize(product).dim == 5
     assert np.array_equal(rule.certificate.per_function_errors,
                           verify_exactness(rule, product, 5).per_function_errors)
+    assert "out/manifest.json" in read_every_json(tmp_path)
 
 
 def test_operator_command_equispaced_mode(tmp_path):
@@ -933,29 +1094,46 @@ def test_verify_command_pass_and_fail(tmp_path):
         "operator": str(tmp_path / "uniform4.json"), "space": refcases.EXP3_SPEC,
     })
     assert main(["verify", "--config", vcfg2, "--out", str(tmp_path / "v2")]) == 4
-    verdict = json.loads((tmp_path / "v2" / "verdict.json").read_text())
-    assert 1e-4 <= verdict["max_exactness_error"] <= 2e-4
+    files = read_every_json(tmp_path)
+    assert 1e-4 <= files["v2/verdict.json"]["max_exactness_error"] <= 2e-4
+    assert files["v1/verdict.json"]["pass"] is True
 
 
 def test_solve_zero_data_monotone_energy(tmp_path):
-    cfg = write_config(tmp_path / "solve.json", {
-        "pde": "advection",
-        "params": {"a": 1.0, "final_time": 0.5},
-        "mms": "zero_data",
-        "operator": {"space": {"family": "trig", "max_harmonic": 2, "interval": [0, 1]},
-                     "node_mode": "gglq"},
-        "elements": 4,
-        "cfl": 0.1,
-    })
-    out = tmp_path / "out"
-    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-    lines = (out / "energy.csv").read_text().strip().splitlines()
-    assert lines[0] == "time,energy"
-    energy = np.array([float(l.split(",")[1]) for l in lines[1:]])
-    assert np.max(np.diff(energy)) <= 1e-10 * energy[0]
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["steps"] >= 10
-    assert (out / "solution.csv").exists()
+    # advection on 4 trig elements, and advection-diffusion on 24 classical
+    # Gauss-Lobatto elements of 4 nodes: a march of more than 1000 steps
+    # whose element band is narrower than the grid
+    for label, payload, header, min_steps in (
+        ("advection", {
+            "pde": "advection",
+            "params": {"a": 1.0, "final_time": 0.5},
+            "mms": "zero_data",
+            "operator": {"space": {"family": "trig", "max_harmonic": 2, "interval": [0, 1]},
+                         "node_mode": "gglq"},
+            "elements": 4,
+            "cfl": 0.1,
+        }, "time,energy", 10),
+        ("advection_diffusion", {
+            "pde": "advection_diffusion",
+            "params": {"a": 1.0, "eps": 0.1, "final_time": 1.0},
+            "mms": "zero_data",
+            "operator": {"space": {"family": "monomial", "degree": 3, "interval": [0, 1]},
+                         "node_mode": "classical-gll"},
+            "elements": 24,
+            "cfl": 0.1,
+        }, "time,energy,aux_dissipation", 1000),
+    ):
+        cfg = write_config(tmp_path / f"{label}.json", payload)
+        out = tmp_path / label
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "energy.csv").read_text().strip().splitlines()
+        assert lines[0] == header
+        energy = np.array([float(l.split(",")[1]) for l in lines[1:]])
+        assert np.max(np.diff(energy)) <= 1e-10 * energy[0], label
+        manifest = read_json(out / "manifest.json")
+        assert manifest["steps"] >= min_steps
+        assert manifest["max_energy_increase"] <= 1e-10 * energy[0], label
+        assert (out / "solution.csv").exists()
 
 
 ZERO_DATA_ADVECTION = {
@@ -1056,28 +1234,45 @@ def test_operator_rejects_open_node_mode(tmp_path):
 
 
 def test_converge_command_emits_table(tmp_path):
-    cfg = write_config(tmp_path / "conv.json", {"study": "advection",
-                                                "totals": [40, 80]})
-    out = tmp_path / "out"
-    assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
-    rows = json.loads((out / "convergence.json").read_text())["rows"]
-    assert len(rows) == 6
-    by_label = {}
-    for r in rows:
-        by_label.setdefault(r["operator"], []).append(r)
-    for label, rs in by_label.items():
-        errs = [r["error_norm"] for r in rs]
-        assert errs[0] > errs[-1], label
-    header = (out / "convergence.csv").read_text().splitlines()[0]
-    assert header.startswith("operator,elements")
+    # both studies at their three default levels: no failed row, and from
+    # the second level on each operator's observed order, in strict JSON
+    for study, labels in (("advection", 3), ("advection_diffusion", 4)):
+        cfg = write_config(tmp_path / f"{study}.json", {"study": study})
+        out = tmp_path / study
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_every_json(out)["convergence.json"]["rows"]
+        assert len(rows) == 3 * labels
+        assert all("error" not in r for r in rows)
+        by_label = {}
+        for r in rows:
+            by_label.setdefault(r["operator"], []).append(r)
+        for label, rs in by_label.items():
+            errs = [r["error_norm"] for r in rs]
+            assert errs[0] > errs[-1], label
+            assert ["observed_order" in r for r in rs] == [False, True, True], label
+        header = (out / "convergence.csv").read_text().splitlines()[0]
+        assert header.startswith("operator,elements")
 
 
-@pytest.mark.parametrize("command", ["solve", "converge"])
+# the stages each command times, and a config it runs
+TIMED_RUNS = {
+    "rule": (("rule_solve_s", "output_write_s"), {"space": refcases.EXP3_SPEC}),
+    "operator": (("operator_build_s", "output_write_s"), {"space": refcases.EXP3_SPEC}),
+    "verify": (("verify_s", "output_write_s"),
+               {"operator": "op/operator.json", "space": refcases.EXP3_SPEC}),
+    "solve": (cli.TIMED_STAGES, SOLVE_CONFIGS["advdiff"]),
+    "converge": (cli.TIMED_STAGES, {"study": "advection", "totals": [40, 80]}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TIMED_RUNS))
 def test_manifest_times_the_stages_and_only_the_manifest(tmp_path, command):
-    # wall seconds of the operator build, assembly, march and output
-    # writing (a study sums them over its rows) go in manifest.json only
-    payload = (SOLVE_CONFIGS["advdiff"] if command == "solve"
-               else {"study": "advection", "totals": [40, 80]})
+    # wall seconds of each stage (a study sums them over its rows) go in
+    # manifest.json only
+    stages, payload = TIMED_RUNS[command]
+    if command == "verify":
+        op_cfg = write_config(tmp_path / "op.json", {"space": refcases.EXP3_SPEC})
+        assert main(["operator", "--config", op_cfg, "--out", str(tmp_path / "op")]) == 0
     cfg = write_config(tmp_path / f"{command}.json", payload)
     out = tmp_path / "out"
     start = time.perf_counter()
@@ -1085,13 +1280,13 @@ def test_manifest_times_the_stages_and_only_the_manifest(tmp_path, command):
     elapsed = time.perf_counter() - start
     manifest = json.loads((out / "manifest.json").read_text())
     timings = manifest["timings"]
-    assert sorted(timings) == sorted(cli.TIMED_STAGES)
+    assert sorted(timings) == sorted(stages)
     assert all(0.0 < seconds for seconds in timings.values())
     assert sum(timings.values()) <= min(manifest["wall_time_s"], elapsed)
     for path in out.iterdir():
         if path.name != "manifest.json":
             text = path.read_text()
-            assert not any(word in text for word in ("timings", *cli.TIMED_STAGES)), path.name
+            assert not any(word in text for word in ("timings", *stages)), path.name
 
 
 def test_csv_bytes_for_mixed_columns(tmp_path):
@@ -1123,7 +1318,7 @@ def test_converge_fills_missing_params_from_the_frozen_study(tmp_path):
 def test_fixtures_command(tmp_path):
     out = tmp_path / "fix"
     assert main(["fixtures", "--out", str(out)]) == 0
-    report = json.loads((out / "fixtures_report.json").read_text())
+    report = read_every_json(out)["fixtures_report.json"]
     assert report["exp3_closed_nodes_delta"] <= 1e-8
     assert report["exp3_closed_d_delta"] <= 1e-6
     assert 1e-4 <= report["uniform4_exactness_defect"] <= 2e-4

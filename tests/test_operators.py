@@ -193,15 +193,25 @@ def test_structural_invariants_across_fixture_matrix():
 
 def test_classical_gll_operators_of_high_degree():
     # degrees 19 and 22 on [-1, 1] failed while the certificate's span was
-    # decided by three rank decisions that could disagree
+    # decided by three rank decisions that could disagree; each operator,
+    # stored as the operator command writes it (strict JSON) and read
+    # back, passes verify
+    import json
+
     from fsbp.pipeline import build_study_operator
 
     for degree in range(17, 25):
         spec = {"family": "monomial", "degree": degree, "interval": [-1, 1]}
-        _, rule, verdict = build_study_operator(spec, "classical-gll")
+        op, rule, verdict = build_study_operator(spec, "classical-gll")
         assert rule.size == degree + 1, degree
         assert rule.certificate.valid, degree
         assert verdict.passed, degree
+        json.dumps([rule.to_dict(), verdict.to_dict()], allow_nan=False)
+        stored = json.loads(json.dumps(operator_to_dict(op), allow_nan=False))
+        assert verify_sbp(operator_from_dict(stored), make_family(spec), rng_seed=0).passed, degree
+    # moments from the monomials' endpoint values: a ratio of about 1.4e-6
+    # to the tolerance at degree 24
+    assert rule.certificate.max_abs_error <= 1e-5 * rule.certificate.tol
 
 
 @pytest.mark.parametrize("degree, interval", [(24, [-1, 1]), (12, [0, 1])])
