@@ -276,14 +276,16 @@ def cmd_verify(args) -> int:
 
 
 def _mms_case(name: str, pde: str, params: PdeParams) -> MmsCase:
+    """The manufactured case ``name`` of ``pde``, checked before any build."""
+    if name not in ("zero_data", {"advection": "oscillatory_wave",
+                                  "advection_diffusion": "boundary_layer"}[pde]):
+        raise FamilyError(f"mms case {name!r} does not solve the {pde} equation")
+    if pde == "advection_diffusion" and params.eps <= 0:
+        raise FamilyError("the advection_diffusion equation needs eps > 0")
     if name == "zero_data":
         return MmsCase.zero_data()
-    if name != {"advection": "oscillatory_wave", "advection_diffusion": "boundary_layer"}[pde]:
-        raise FamilyError(f"mms case {name!r} does not solve the {pde} equation")
     if name == "oscillatory_wave":
         return MmsCase.advecting_wave(params.a)
-    if params.eps <= 0:
-        raise FamilyError("boundary_layer case needs eps > 0")
     return MmsCase.boundary_layer(params.a, params.eps)
 
 
@@ -337,42 +339,48 @@ STUDY_ERRORS = SOLVER_ERRORS + (ValueError,)
 
 
 def convergence_study(
-    pde: str,
-    configs: list[dict],
+    study: dict,
     params: PdeParams,
     case: MmsCase,
-    cfl: float = 0.1,
+    cfl: float,
+    totals: list[int],
     rng_seed: int = 0,
     timings: dict | None = None,
 ) -> list[dict]:
-    """Error-versus-resolution rows for several operator configurations.
+    """Error-versus-resolution rows of one study, an entry of
+    ``refcases.STUDIES``: one row per operator and total node count.
 
-    Each config (see ``refcases.*_study_configs``) gives a label, a
-    family spec factory of the element count, a node mode, an optional
-    node budget, the nodes per element and the element counts.  Every
-    level gets its own solve; operators are built once per distinct
-    (spec, node mode, node budget), so a spec that does not depend on the
-    element count is built once per study.  Rows report the error norm,
-    whether the operator passed verification and the observed order
-    against the previous level.  A failed level records its error and
-    leaves the next level without an order.  With ``timings``, the wall
-    seconds of the operator builds, assemblies and marches are summed
-    into its ``operator_build_s``, ``assembly_s`` and ``march_s``; rows
-    carry no timings.
+    An operator's element count at a level is the total // its nodes per
+    element; a total that leaves any operator without elements is refused
+    before any build.  Operators are built once per distinct (spec, node
+    mode, node budget), so a spec that does not depend on the element
+    count is built once per study.  Rows report the nodes per element and
+    total nodes of the operator solved with (the declared ones when the
+    level failed before its build), the error norm, whether the operator
+    passed verification and the observed order against the previous
+    level.  A failed level records its error and leaves the next level
+    without an order.  With ``timings``, the wall seconds of the operator
+    builds, assemblies and marches are summed into its
+    ``operator_build_s``, ``assembly_s`` and ``march_s``; rows carry no
+    timings.
     """
+    levels = [[total // cfg["nodes_per_element"] for total in totals]
+              for cfg in study["operators"]]
+    if any(n_el < 1 for elements in levels for n_el in elements):
+        raise FamilyError(f"totals {totals} leave a configuration without elements")
     built = {}      # (spec, node mode, node budget) -> (operator, verdict)
     rows = []
-    for cfg in configs:
+    for cfg, elements in zip(study["operators"], levels):
         prev = None
-        for n_el in cfg["elements"]:
+        for n_el in elements:
             row = {
                 "operator": cfg["label"],
-                "elements": int(n_el),
+                "elements": n_el,
                 "nodes_per_element": cfg["nodes_per_element"],
-                "total_nodes": int(n_el * cfg["nodes_per_element"]),
+                "total_nodes": n_el * cfg["nodes_per_element"],
             }
             try:
-                spec = cfg["spec"](n_el)
+                spec = cfg["spec"](n_el, params)
                 key = (json.dumps(spec, sort_keys=True), cfg["node_mode"], cfg.get("n_nodes"))
                 if key not in built:
                     with StageTimer(timings, "operator_build_s"):
@@ -381,7 +389,8 @@ def convergence_study(
                         )
                     built[key] = op, verdict
                 op, verdict = built[key]
-                err = run_case(pde, op, n_el, params, case, cfl, dissipation=False,
+                row["nodes_per_element"], row["total_nodes"] = op.size, n_el * op.size
+                err = run_case(study["pde"], op, n_el, params, case, cfl, dissipation=False,
                                timings=timings).error
                 row["error_norm"] = err
                 row["operator_exact"] = bool(verdict.passed)
@@ -397,30 +406,16 @@ def convergence_study(
     return rows
 
 
-def _study_rows(values: dict, seed, timings: dict) -> list[dict]:
-    frozen = (refcases.ADVECTION_STUDY if values["study"] == "advection"
-              else refcases.ADVECTION_DIFFUSION_STUDY)
-    given = {key: value for key, value in values["params"].items() if value is not None}
-    params = PdeParams(**{**frozen["params"], **given})
-    case = _mms_case(values["mms"] or frozen["mms"], frozen["pde"], params)
-    cfl = values["cfl"] or frozen["cfl"]
-    totals = values["totals"]
-    if values["study"] == "advection":
-        cfgs = refcases.advection_study_configs(totals)
-    else:
-        if params.eps <= 0:
-            raise FamilyError("the advection_diffusion study needs eps > 0")
-        cfgs = refcases.advection_diffusion_study_configs(totals, a=params.a, eps=params.eps)
-    if any(n_el < 1 for cfg in cfgs for n_el in cfg["elements"]):
-        raise FamilyError(f"totals {totals} leave a configuration without elements")
-    return convergence_study(frozen["pde"], cfgs, params, case, cfl, seed, timings)
-
-
 def cmd_converge(args) -> int:
     config, values = load_config(args, CONVERGE)
+    study = refcases.STUDIES[values["study"]]
+    given = {key: value for key, value in values["params"].items() if value is not None}
+    params = PdeParams(**{**study["params"], **given})
+    case = _mms_case(values["mms"] or study["mms"], study["pde"], params)
     runner = Runner("converge", args, {**config, "seed": args.seed})
     timings = dict.fromkeys(TIMED_STAGES, 0.0)
-    rows = _study_rows(values, args.seed, timings)
+    rows = convergence_study(study, params, case, values["cfl"] or study["cfl"],
+                             values["totals"] or study["matched_totals"], args.seed, timings)
     header = ["operator", "elements", "nodes_per_element", "total_nodes",
               "error_norm", "observed_order"]
     with StageTimer(timings, "output_write_s"):

@@ -114,9 +114,9 @@ def build_study_operator(
     Modes: "gglq" (optimised closed nodes), "equispaced" (equispaced
     nodes), "classical-gll" (Gauss-Lobatto nodes; polynomial families
     only).  Every mode's rule is closed, since assembly needs endpoint
-    nodes.  The request is checked first, for every caller: ``n_nodes``
-    outside "equispaced", an ``n_nodes`` that is not an integer of at
-    least 2, or an unknown mode raises ValueError.  An operator needs at
+    nodes.  The request is checked first, for every caller: an unknown
+    mode, then ``n_nodes`` outside "equispaced" or an ``n_nodes`` that is
+    not an integer of at least 2, raises ValueError.  An operator needs at
     least as many nodes as the family has functions: in "gglq" a closed
     rule with fewer raises RankError before the rule is solved.
 
@@ -128,12 +128,12 @@ def build_study_operator(
     differentiation is approximate, and the verdict reports the defect.
     Without ``n_nodes`` the smallest exact equispaced rule is used.
     """
+    if node_mode not in NODE_MODES:
+        raise ValueError(f"node_mode must be one of {NODE_MODES}, got {node_mode!r}")
     if n_nodes is not None and node_mode != "equispaced":
         raise ValueError(f"'n_nodes' is read by node mode 'equispaced' only, not {node_mode!r}")
     if n_nodes is not None and (type(n_nodes) is not int or n_nodes < 2):
         raise ValueError(f"'n_nodes' must be an integer of at least 2, got {n_nodes!r}")
-    if node_mode not in NODE_MODES:
-        raise ValueError(f"node_mode must be one of {NODE_MODES}, got {node_mode!r}")
 
     space = make_family(family_spec)
     if node_mode == "gglq":

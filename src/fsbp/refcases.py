@@ -3,8 +3,8 @@
 Holds the regression targets for the exponential-space rules and
 operators, a known uniform-grid operator that keeps the structural
 identities but differentiates inexactly (negative control), a 25-point
-Bessel-space rule, and the frozen configurations behind the two
-convergence studies.
+Bessel-space rule, and the two convergence studies, one table entry each
+(``STUDIES``).
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ __all__ = [
     "BESSEL_25_WEIGHTS",
     "uniform4_operator",
     "bessel_reference_rule",
-    "advection_study_configs",
-    "advection_diffusion_study_configs",
-    "ADVECTION_STUDY",
-    "ADVECTION_DIFFUSION_STUDY",
+    "STUDIES",
 ]
 
 # the three-function exponential space 1, x, e^x on [0, 1]
@@ -131,77 +128,65 @@ def bessel_reference_rule() -> QuadratureRule:
 
 
 # ---------------------------------------------------------------------------
-# frozen study configurations (element counts chosen so total node counts
-# match across configurations at every level)
+# the two convergence studies, one entry each: the PDE, its parameters, the
+# manufactured case, the CFL number, the total node counts at which the
+# operators are compared (an operator's element count is the total // its
+# nodes per element), and per operator its label, family spec (a function
+# of the element count and the PDE parameters), node mode, nodes per
+# element and optional "equispaced" node budget
 
-ADVECTION_STUDY = {
-    "pde": "advection",
-    "params": {"a": 1.0, "final_time": 1.0},
-    "mms": "oscillatory_wave",
-    "cfl": 0.1,
-    "matched_totals": [40, 80, 160],
+
+def _trig(n_el, params):
+    # full-period harmonics of the unit domain restricted to each element,
+    # so every element span contains the first two harmonics of the solution
+    return {"family": "trig", "max_harmonic": 2, "freq_scale": 2.0 / n_el, "interval": [0, 1]}
+
+
+def _exponential(n_el, params):
+    # the rate scales with the element width, so every element span
+    # contains the boundary-layer profile
+    return {"family": "exponential", "rates": [params.a / params.eps / n_el], "poly_degree": 1,
+            "interval": [0, 1]}
+
+
+def _cubic(n_el, params):
+    return {"family": "monomial", "degree": 3, "interval": [0, 1]}
+
+
+STUDIES = {
+    "advection": {
+        "pde": "advection",
+        "params": {"a": 1.0, "final_time": 1.0},
+        "mms": "oscillatory_wave",
+        "cfl": 0.1,
+        "matched_totals": [40, 80, 160],
+        "operators": [
+            {"label": "trig-optimal", "spec": _trig, "node_mode": "gglq",
+             "nodes_per_element": 5},
+            {"label": "trig-equispaced", "spec": _trig, "node_mode": "equispaced",
+             "nodes_per_element": 8},
+            {"label": "poly-gll", "spec": _cubic, "node_mode": "classical-gll",
+             "nodes_per_element": 4},
+        ],
+    },
+    # the equispaced exponential operator runs on the optimal one's
+    # four-node budget, where no exact rule exists, so it is the
+    # defect-minimising one
+    "advection_diffusion": {
+        "pde": "advection_diffusion",
+        "params": {"a": 1.0, "eps": 0.1, "final_time": 1.0},
+        "mms": "boundary_layer",
+        "cfl": 0.1,
+        "matched_totals": [24, 48, 96],
+        "operators": [
+            {"label": "exp-optimal", "spec": _exponential, "node_mode": "gglq",
+             "nodes_per_element": 4},
+            {"label": "exp-equispaced", "spec": _exponential, "node_mode": "equispaced",
+             "n_nodes": 4, "nodes_per_element": 4},
+            {"label": "poly-gll", "spec": _cubic, "node_mode": "classical-gll",
+             "nodes_per_element": 4},
+            {"label": "poly-equispaced", "spec": _cubic, "node_mode": "equispaced",
+             "nodes_per_element": 6},
+        ],
+    },
 }
-
-ADVECTION_DIFFUSION_STUDY = {
-    "pde": "advection_diffusion",
-    "params": {"a": 1.0, "eps": 0.1, "final_time": 1.0},
-    "mms": "boundary_layer",
-    "cfl": 0.1,
-    "matched_totals": [24, 48, 96],
-}
-
-
-def advection_study_configs(totals=None):
-    """(label, family spec factory, node mode, nodes/element) rows for the
-    oscillatory advection study.
-
-    The trigonometric family uses full-period harmonics of the unit
-    domain restricted to each element (frequency scale 2/elements), so
-    every element span contains the first two harmonics of the solution.
-    """
-    if totals is None:
-        totals = ADVECTION_STUDY["matched_totals"]
-
-    def trig_spec(n_el):
-        return {"family": "trig", "max_harmonic": 2, "freq_scale": 2.0 / n_el,
-                "interval": [0, 1]}
-
-    poly_spec = {"family": "monomial", "degree": 3, "interval": [0, 1]}
-    return [
-        {"label": "trig-optimal", "spec": trig_spec, "node_mode": "gglq",
-         "nodes_per_element": 5, "elements": [n // 5 for n in totals]},
-        {"label": "trig-equispaced", "spec": trig_spec, "node_mode": "equispaced",
-         "nodes_per_element": 8, "elements": [n // 8 for n in totals]},
-        {"label": "poly-gll", "spec": lambda n_el: poly_spec, "node_mode": "classical-gll",
-         "nodes_per_element": 4, "elements": [n // 4 for n in totals]},
-    ]
-
-
-def advection_diffusion_study_configs(totals=None, a=1.0, eps=0.1):
-    """(label, family spec factory, node mode, nodes/element) rows for the
-    boundary-layer study.
-
-    The exponential family rate scales with the element width so every
-    element span contains the layer profile; the equispaced exponential
-    configuration runs on the same four-node budget (where no exact rule
-    exists, so its operator is the defect-minimising one), and the
-    polynomial baselines use Gauss-Lobatto and exact equispaced nodes.
-    """
-    if totals is None:
-        totals = ADVECTION_DIFFUSION_STUDY["matched_totals"]
-
-    def exp_spec(n_el):
-        return {"family": "exponential", "rates": [a / eps / n_el], "poly_degree": 1,
-                "interval": [0, 1]}
-
-    poly_spec = {"family": "monomial", "degree": 3, "interval": [0, 1]}
-    return [
-        {"label": "exp-optimal", "spec": exp_spec, "node_mode": "gglq",
-         "nodes_per_element": 4, "elements": [n // 4 for n in totals]},
-        {"label": "exp-equispaced", "spec": exp_spec, "node_mode": "equispaced",
-         "n_nodes": 4, "nodes_per_element": 4, "elements": [n // 4 for n in totals]},
-        {"label": "poly-gll", "spec": lambda n_el: poly_spec, "node_mode": "classical-gll",
-         "nodes_per_element": 4, "elements": [n // 4 for n in totals]},
-        {"label": "poly-equispaced", "spec": lambda n_el: poly_spec, "node_mode": "equispaced",
-         "nodes_per_element": 6, "elements": [n // 6 for n in totals]},
-    ]

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from fsbp.cli import main
 from fsbp.spaces import make_family
 from oracles import augmented_target, certified_rule
 from fsbp import refcases
@@ -50,3 +52,18 @@ def trig_augmented(trig_space):
 @pytest.fixture(scope="session")
 def trig_target(trig_augmented):
     return trig_augmented[0]
+
+
+@pytest.fixture(scope="session")
+def converge_runs(tmp_path_factory):
+    """The output directory of one in-process ``fsbp converge`` run of each
+    default study, by study name: every test of a default study reads the
+    files these runs wrote."""
+    configs = tmp_path_factory.mktemp("converge-configs")
+    runs = {}
+    for study in refcases.STUDIES:
+        cfg = configs / f"{study}.json"
+        cfg.write_text(json.dumps({"study": study}))
+        runs[study] = tmp_path_factory.mktemp(study)
+        assert main(["converge", "--config", str(cfg), "--out", str(runs[study])]) == 0
+    return runs

@@ -19,7 +19,8 @@ Hermite-Lagrange basis the Newton iteration only uses through its
 integrals, from the solver's own Hermite-Vandermonde rows.
 ``augmented_target``, ``screened`` and ``certified_rule`` are no
 oracles: they run the package's rule steps on a family and on a target
-spanning set with its basis, as the pipeline does.
+spanning set with its basis, as the pipeline does; nor is
+``cubic_gll_study``, a study entry for ``fsbp.cli.convergence_study``.
 """
 
 import math
@@ -444,3 +445,12 @@ def certified_rule(target: FunctionSpace, basis: FunctionSpace, closed: bool):
     rule = continuation_solve(basis, closed=closed)
     rule.certificate = verify_exactness(rule, target, basis.dim)
     return rule
+
+
+def cubic_gll_study(**operator) -> dict:
+    """A one-operator advection study in the form of ``refcases.STUDIES``'
+    entries: the cubic on Gauss-Lobatto nodes, with ``operator``'s changes."""
+    return {"pde": "advection", "operators": [{
+        "label": "poly-gll", "node_mode": "classical-gll", "nodes_per_element": 4,
+        "spec": lambda n_el, params: {"family": "monomial", "degree": 3, "interval": [0, 1]},
+        **operator}]}

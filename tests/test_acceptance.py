@@ -180,26 +180,25 @@ def test_criterion_6_energy_stability():
                             for k, (s, r) in results.items()) + f", {elapsed:.1f}s")
 
 
-def test_criterion_7_advection_ordering():
+def study_errors(converge_runs, study):
+    """Each operator's errors by level, from the rows ``fsbp converge``
+    wrote for ``study`` (a failed row, without an error norm, raises), and
+    the run's wall seconds.  Every row's total node count is its level's
+    matched total, so the operators are compared at equal node counts."""
+    totals, out = refcases.STUDIES[study]["matched_totals"], converge_runs[study]
+    rows = json.loads((out / "convergence.json").read_text())["rows"]
+    errors = {}
+    for row in rows:
+        errors.setdefault(row["operator"], []).append(row["error_norm"])
+    assert [row["total_nodes"] for row in rows] == totals * len(errors)
+    wall_time = json.loads((out / "manifest.json").read_text())["wall_time_s"]
+    return totals, errors, wall_time
+
+
+def test_criterion_7_advection_ordering(converge_runs):
     """Oscillatory advection: trig-optimal < trig-equispaced < poly at every
     matched total node count, each sequence monotone decreasing."""
-    t0 = time.perf_counter()
-    totals = refcases.ADVECTION_STUDY["matched_totals"]
-    params = PdeParams(a=1.0, final_time=1.0)
-    case = MmsCase.advecting_wave(1.0)
-    errors = {}
-    for cfg in refcases.advection_study_configs(totals):
-        errs = []
-        for n_el in cfg["elements"]:
-            op, _, _ = build_study_operator(cfg["spec"](n_el), cfg["node_mode"],
-                                            n_nodes=cfg.get("n_nodes"))
-            assert op.size == cfg["nodes_per_element"]
-            err = run_case("advection", op, n_el, params, case,
-                           refcases.ADVECTION_STUDY["cfl"]).error
-            errs.append(err)
-        errors[cfg["label"]] = errs
-    elapsed = time.perf_counter() - t0
-
+    totals, errors, elapsed = study_errors(converge_runs, "advection")
     ordered = all(
         errors["trig-optimal"][i] < errors["trig-equispaced"][i] < errors["poly-gll"][i]
         for i in range(len(totals))
@@ -213,27 +212,11 @@ def test_criterion_7_advection_ordering():
     report(7, ok, detail + f"; {elapsed:.0f}s")
 
 
-def test_criterion_8_boundary_layer_ordering():
+def test_criterion_8_boundary_layer_ordering(converge_runs):
     """Boundary-layer problem: the adapted-basis optimised-node operator is
     the most accurate configuration at every matched total node count and
     beats the equispaced polynomial baseline by at least 10x at the finest."""
-    t0 = time.perf_counter()
-    totals = refcases.ADVECTION_DIFFUSION_STUDY["matched_totals"]
-    p = refcases.ADVECTION_DIFFUSION_STUDY["params"]
-    params = PdeParams(a=p["a"], eps=p["eps"], final_time=p["final_time"])
-    case = MmsCase.boundary_layer(params.a, params.eps)
-    errors = {}
-    for cfg in refcases.advection_diffusion_study_configs(totals, a=params.a, eps=params.eps):
-        errs = []
-        for n_el in cfg["elements"]:
-            op, _, _ = build_study_operator(cfg["spec"](n_el), cfg["node_mode"],
-                                            n_nodes=cfg.get("n_nodes"))
-            err = run_case("advection_diffusion", op, n_el, params, case,
-                           refcases.ADVECTION_DIFFUSION_STUDY["cfl"]).error
-            errs.append(err)
-        errors[cfg["label"]] = errs
-    elapsed = time.perf_counter() - t0
-
+    totals, errors, elapsed = study_errors(converge_runs, "advection_diffusion")
     smallest = all(
         errors["exp-optimal"][i] < min(errors[k][i] for k in errors if k != "exp-optimal")
         for i in range(len(totals))

@@ -23,7 +23,7 @@ from fsbp.cli import main
 from fsbp.ibvp import MmsCase, MultiElementGrid, PdeParams, assemble
 from fsbp.pipeline import build_study_operator
 from fsbp.spaces import tchebyshev_screen
-from oracles import screened
+from oracles import cubic_gll_study, screened
 
 
 def write_config(path, payload):
@@ -373,6 +373,8 @@ NON_FINITE_OPERATORS = {
     ("solve", {**ADVECTION_SOLVE, "params": {"a": True}}),
     ("solve", {**ADVECTION_SOLVE, "cfl": "0.5"}),
     ("rule", {"space": {"family": "exponential", "rates": "12", "interval": [0, 1]}}),
+    # an unknown node mode, named as one whatever node budget comes with it
+    ("operator", {"space": refcases.EXP3_SPEC, "node_mode": "x", "n_nodes": 5}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     # an operator file without its weights, and one whose q is not n x n,
@@ -393,6 +395,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     # the entry at fault in a rule or operator file is named
     file = str(config.get("rule", config.get("operator"))) if isinstance(config, dict) else ""
     assert {"nan_weight_rule.json": "'weights'", "wide_q.json": "'q'"}.get(file, "") in err
+    if isinstance(config, dict) and config.get("node_mode", "gglq") not in pipeline.NODE_MODES:
+        assert "node_mode must be one of" in err
     # refused before the first write: no output directory
     assert not (tmp_path / "o").exists()
 
@@ -609,6 +613,10 @@ def test_generated_malformed_values_exit_2_naming_their_key(command, data):
     ("solve", {**ADVECTION_SOLVE, "cfl": "fast"}),
     ("solve", {**ADVECTION_SOLVE, "pde": "advection_diffusion", "mms": "boundary_layer",
                "params": {"eps": 0}}),
+    ("solve", {**ADVECTION_SOLVE, "pde": "advection_diffusion", "mms": "zero_data",
+               "params": {"eps": 0}}),
+    ("converge", {"study": "advection", "totals": [40, 3]}),
+    ("converge", {"study": "advection_diffusion", "params": {"eps": 0}}),
 ])
 def test_bad_run_parameters_exit_2_before_any_operator_build(
         tmp_path, capsys, monkeypatch, command, config):
@@ -623,33 +631,37 @@ def test_bad_run_parameters_exit_2_before_any_operator_build(
 
 
 # solve settings drawn small, so that every march is at most a few
-# hundred steps
+# hundred steps: each PDE with its own manufactured solutions ("own" is the
+# PDE's non-zero one, OWN_CASE), and eps > 0
 VALID_SOLVE_FIELDS = {
     "pde": st.sampled_from(["advection", "advection_diffusion"]),
-    "mms": st.sampled_from(["zero_data", "oscillatory_wave", "boundary_layer"]),
+    "mms": st.sampled_from(["zero_data", "own"]),
     "elements": st.integers(1, 6),
     "cfl": st.floats(0.05, 1.0),
     "a": st.floats(0.5, 2.0),
-    "eps": st.one_of(st.just(0.0), st.floats(0.01, 0.2)),
+    "eps": st.floats(0.01, 0.2),
     "final_time": st.floats(0.001, 0.05),
     "node_mode": st.sampled_from(["gglq", "equispaced", "classical-gll"]),
 }
+OWN_CASE = {"advection": "oscillatory_wave", "advection_diffusion": "boundary_layer"}
 # or a march past MAX_STEPS, refused before it starts: a tiny cfl or a long
 # final time (on [0, 1], h_min < 0.33 and a >= 0.5 make either more than
 # 1.2 million steps), with any eps up to 1e6.  No draw lies between, where
 # a march would be long and slow
-ANY_EPS = st.one_of(st.just(0.0), st.floats(0.01, 1e6))
 PAST_THE_BOUND = st.one_of(
     st.fixed_dictionaries({"cfl": st.floats(1e-9, 1.2e-9), "final_time": st.floats(0.001, 1e6),
-                           "eps": ANY_EPS}),
+                           "eps": st.floats(0.01, 1e6)}),
     st.fixed_dictionaries({"cfl": st.floats(1e-9, 1.0), "final_time": st.floats(7e5, 1e6),
-                           "eps": ANY_EPS}),
+                           "eps": st.floats(0.01, 1e6)}),
 )
-# wrong types, non-finite and non-positive numbers, unknown names
+# wrong types, non-finite and non-positive numbers, unknown names: malformed
+# in every field.  A malformed mms may also be the other PDE's case, and a
+# malformed eps (0 among its values) comes with advection-diffusion, the
+# PDE that needs eps > 0
 MALFORMED_VALUES = st.one_of(
     st.lists(st.integers(-2, 2), max_size=2),
     st.dictionaries(st.sampled_from(["x", "a"]), st.integers(-2, 2), max_size=1),
-    st.sampled_from(["", "x", "fast", "zero_data"]),
+    st.sampled_from(["", "x", "fast"]),
     st.booleans(),
     st.none(),
     st.sampled_from([math.nan, math.inf, -math.inf, 0, 0.0, -1, -0.5]),
@@ -662,14 +674,23 @@ MALFORMED_VALUES = st.one_of(
 def test_generated_solve_configs_exit_with_a_code_not_a_traceback(field, data):
     # all fields well formed, or ``field`` malformed and perhaps one more
     fields = {key: data.draw(values, label=key) for key, values in VALID_SOLVE_FIELDS.items()}
-    past_the_bound = data.draw(st.booleans(), label="past the bound")
+    # one draw in three past the step bound, so that most well-formed ones march
+    past_the_bound = data.draw(st.sampled_from([False, False, True]), label="past the bound")
     if past_the_bound:
         fields.update(data.draw(PAST_THE_BOUND, label="march"))
     malformed = set()
     if field is not None:
         malformed = {field, data.draw(st.sampled_from([field, *VALID_SOLVE_FIELDS]))}
+    if "eps" in malformed:
+        fields["pde"] = "advection_diffusion"
+    pde = fields["pde"]
+    if fields["mms"] == "own":
+        fields["mms"] = OWN_CASE[pde]
     for key in sorted(malformed):
-        fields[key] = data.draw(MALFORMED_VALUES, label=key)
+        other_case = [case for other, case in OWN_CASE.items() if other != pde]
+        values = st.one_of(MALFORMED_VALUES, st.sampled_from(other_case)) if key == "mms" \
+            else MALFORMED_VALUES
+        fields[key] = data.draw(values, label=key)
     config = {
         "pde": fields["pde"], "mms": fields["mms"], "elements": fields["elements"],
         "cfl": fields["cfl"],
@@ -681,14 +702,22 @@ def test_generated_solve_configs_exit_with_a_code_not_a_traceback(field, data):
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
         cfg = write_config(Path(tmp) / "solve.json", config)
         code = main(["solve", "--config", cfg, "--out", str(Path(tmp) / "out")])
-    assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
-    if not malformed:
-        # a well-formed draw fails only by pairing a case with the other PDE,
-        # or by a march past the step bound
-        reasons = ["does not solve", "eps > 0"] + ["MAX_STEPS"] * past_the_bound
-        assert code == 2 if past_the_bound else code in (0, 2)
-        assert code == 0 or any(reason in err.getvalue() for reason in reasons), err.getvalue()
+    if not (malformed or past_the_bound):
+        assert code == 0, err.getvalue()
+    else:
+        # refused before the march, by a malformed field or the step bound;
+        # a case paired with the other PDE, or eps = 0 in advection-diffusion,
+        # is named when it is the one malformed field
+        assert code == 2, err.getvalue()
+        assert "validation error" in err.getvalue()
+        eps = fields["eps"]
+        if not malformed:
+            assert "MAX_STEPS" in err.getvalue()
+        elif malformed == {"mms"} and fields["mms"] in OWN_CASE.values():
+            assert "does not solve" in err.getvalue()
+        elif malformed == {"eps"} and eps == 0 and not isinstance(eps, bool):
+            assert "eps > 0" in err.getvalue()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
@@ -1233,13 +1262,11 @@ def test_operator_rejects_open_node_mode(tmp_path):
     assert main(["operator", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_converge_command_emits_table(tmp_path):
+def test_converge_command_emits_table(converge_runs):
     # both studies at their three default levels: no failed row, and from
     # the second level on each operator's observed order, in strict JSON
     for study, labels in (("advection", 3), ("advection_diffusion", 4)):
-        cfg = write_config(tmp_path / f"{study}.json", {"study": study})
-        out = tmp_path / study
-        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+        out = converge_runs[study]
         rows = read_every_json(out)["convergence.json"]["rows"]
         assert len(rows) == 3 * labels
         assert all("error" not in r for r in rows)
@@ -1252,6 +1279,23 @@ def test_converge_command_emits_table(tmp_path):
             assert ["observed_order" in r for r in rs] == [False, True, True], label
         header = (out / "convergence.csv").read_text().splitlines()[0]
         assert header.startswith("operator,elements")
+
+
+def test_study_rows_report_the_nodes_of_the_operator_solved_with(tmp_path):
+    # at eps = 100 the exp-optimal rate a/eps/n_el = 1/600 drops the product
+    # span's rank to 4, so its gglq operator has 3 nodes, not the declared 4.
+    # The count does not depend on the final time, cut here from 1 to 0.01
+    # so that the march, of steps dt ~ h^2/eps, is a hundredth as long
+    cfg = write_config(tmp_path / "study.json", {
+        "study": "advection_diffusion", "params": {"eps": 100, "final_time": 0.01},
+        "totals": [24]})
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+    rows = {row["operator"]: row for row in read_json(out / "convergence.json")["rows"]}
+    assert [rows["exp-optimal"][key]
+            for key in ("elements", "nodes_per_element", "total_nodes")] == [6, 3, 18]
+    assert all(row["total_nodes"] == 24 for label, row in rows.items() if label != "exp-optimal")
+    assert "exp-optimal,6,3,18," in (out / "convergence.csv").read_text()
 
 
 # the stages each command times, and a config it runs
@@ -1388,23 +1432,24 @@ def test_march_past_the_step_bound_exits_2_before_it_allocates(tmp_path, capsys)
 
 
 def test_study_records_a_march_past_the_step_bound_as_a_row_error():
-    cfg = {"label": "gll", "spec": lambda n_el: {"family": "monomial", "degree": 3,
-                                                 "interval": [0, 1]},
-           "node_mode": "classical-gll", "nodes_per_element": 4, "elements": [2, 4]}
-    rows = cli.convergence_study("advection", [cfg], PdeParams(a=1.0, final_time=1.0),
-                                 MmsCase.zero_data(), cfl=1e-7)
+    rows = cli.convergence_study(cubic_gll_study(), PdeParams(a=1.0, final_time=1.0),
+                                 MmsCase.zero_data(), 1e-7, [8, 16])
     assert [row["error"].startswith("ValueError: the march needs") for row in rows] == [True] * 2
+    # built, so each row reports the operator's nodes
+    assert [(row["nodes_per_element"], row["total_nodes"]) for row in rows] == [(4, 8), (4, 16)]
 
 
 def test_study_records_a_node_budget_outside_equispaced_in_every_row():
-    cfg = {"label": "exp-gglq", "spec": lambda n_el: refcases.EXP3_SPEC, "node_mode": "gglq",
-           "n_nodes": 9, "nodes_per_element": 4, "elements": [2, 4]}
-    rows = cli.convergence_study("advection", [cfg], PdeParams(a=1.0, final_time=0.1),
-                                 MmsCase.zero_data())
+    study = cubic_gll_study(label="exp-gglq", spec=lambda n_el, params: refcases.EXP3_SPEC,
+                      node_mode="gglq", n_nodes=9, nodes_per_element=5)
+    rows = cli.convergence_study(study, PdeParams(a=1.0, final_time=0.1), MmsCase.zero_data(),
+                                 0.1, [10, 20])
     assert len(rows) == 2
     for row in rows:
         assert row["error"].startswith("ValueError: 'n_nodes' is read by node mode 'equispaced'")
         assert "error_norm" not in row
+    # failed before the build: the declared nodes
+    assert [(row["nodes_per_element"], row["total_nodes"]) for row in rows] == [(5, 10), (5, 20)]
 
 
 def test_linalg_error_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import json
 import math
 import tracemalloc
 
@@ -25,15 +26,10 @@ from fsbp.ibvp import (
 )
 from fsbp.cli import convergence_study
 from fsbp.pipeline import build_study_operator
-from fsbp.refcases import (
-    ADVECTION_DIFFUSION_STUDY,
-    ADVECTION_STUDY,
-    advection_diffusion_study_configs,
-    advection_study_configs,
-)
+from fsbp.refcases import STUDIES
 
-from oracles import (advdiff_rhs, advection_rhs, certified_rule, p_norm_squared, rhs,
-                     rk4_loop, scale_to_element)
+from oracles import (advdiff_rhs, advection_rhs, certified_rule, cubic_gll_study, p_norm_squared,
+                     rhs, rk4_loop, scale_to_element)
 
 
 @pytest.fixture(scope="module")
@@ -506,30 +502,28 @@ def block_bandwidths(problem) -> tuple[int, int]:
 
 
 @pytest.mark.parametrize("study", ["advection", "advection_diffusion"])
-def test_step_band_widths_stay_narrow(study):
-    # R's element band on every grid of the frozen studies is as narrow as
-    # the reach of (I + |A|)^4: two blocks below the diagonal for upwind
-    # advection, whose offset -1 blocks hold one face-to-face entry, and
-    # four on each side for advection-diffusion, capped at E - 1.  Band
-    # products that kept their exactly zero outer blocks would give (4, 0)
-    # and (8, 8), doubling the march's work without losing accuracy
-    if study == "advection":
-        frozen, configs = ADVECTION_STUDY, advection_study_configs()
-        case = MmsCase.advecting_wave(1.0)
-    else:
-        frozen, configs = ADVECTION_DIFFUSION_STUDY, advection_diffusion_study_configs()
-        case = MmsCase.boundary_layer(1.0, 0.1)
-    params = PdeParams(**frozen["params"])
+def test_step_band_widths_stay_narrow(converge_runs, study):
+    # R's element band on every grid of the frozen studies, one per row of
+    # their `fsbp converge` runs, is as narrow as the reach of (I + |A|)^4:
+    # two blocks below the diagonal for upwind advection, whose offset -1
+    # blocks hold one face-to-face entry, and four on each side for
+    # advection-diffusion, capped at E - 1.  Band products that kept their
+    # exactly zero outer blocks would give (4, 0) and (8, 8), doubling the
+    # march's work without losing accuracy.  A does not depend on the data
+    entry = STUDIES[study]
+    params = PdeParams(**entry["params"])
+    operators = {cfg["label"]: cfg for cfg in entry["operators"]}
     widths = {}
-    for cfg in configs:
-        for n_el in cfg["elements"]:
-            op = build_study_operator(cfg["spec"](n_el), cfg["node_mode"],
-                                      n_nodes=cfg.get("n_nodes"))[0]
-            grid = MultiElementGrid.uniform(op, n_el)
-            problem = assemble(frozen["pde"], grid, params, case)
-            r, _ = _step_matrices(problem.A, problem.C, cfl_timestep(grid, params, frozen["cfl"]))
-            widths[cfg["label"], n_el] = r.lo, r.hi
-            assert (r.lo, r.hi) == block_bandwidths(problem)
+    for row in json.loads((converge_runs[study] / "convergence.json").read_text())["rows"]:
+        cfg, n_el = operators[row["operator"]], row["elements"]
+        op = build_study_operator(cfg["spec"](n_el, params), cfg["node_mode"],
+                                  n_nodes=cfg.get("n_nodes"))[0]
+        assert op.size == row["nodes_per_element"]
+        grid = MultiElementGrid.uniform(op, n_el)
+        problem = assemble(entry["pde"], grid, params, MmsCase.zero_data())
+        r, _ = _step_matrices(problem.A, problem.C, cfl_timestep(grid, params, entry["cfl"]))
+        widths[row["operator"], n_el] = r.lo, r.hi
+        assert (r.lo, r.hi) == block_bandwidths(problem)
     if study == "advection":
         assert len(widths) == 9
         expected = dict.fromkeys(widths, (2, 0))
@@ -799,12 +793,10 @@ def test_temporal_error_below_spatial():
 
 
 def test_poly_gll_advection_order():
-    config = {"label": "poly-gll", "node_mode": "classical-gll", "nodes_per_element": 4,
-              "spec": lambda n_el: {"family": "monomial", "degree": 3, "interval": [0, 1]},
-              "elements": [10, 20, 40]}
     params = PdeParams(a=1.0, final_time=1.0)
     case = MmsCase.advecting_wave(1.0)
-    rows = convergence_study("advection", [config], params, case)
+    rows = convergence_study(cubic_gll_study(), params, case, 0.1, [40, 80, 160])
+    assert [r["elements"] for r in rows] == [10, 20, 40]
     orders = [r["observed_order"] for r in rows if "observed_order" in r]
     assert len(orders) == 2
     # design order 4 within +-0.5 at the finest pair
@@ -814,29 +806,29 @@ def test_poly_gll_advection_order():
 
 
 def test_convergence_study_records_failures():
-    config = {"label": "x", "node_mode": "gglq", "nodes_per_element": 5,
-              "spec": lambda n_el: {"family": "trig", "max_harmonic": 2, "interval": [0, 1]},
-              "elements": [2]}
+    trig = {"family": "trig", "max_harmonic": 2, "interval": [0, 1]}
+    study = cubic_gll_study(label="x", spec=lambda n_el, params: trig, node_mode="gglq",
+                            nodes_per_element=5)
     bad = MmsCase(
         exact=lambda x, t: np.zeros_like(np.asarray(x, float)),
         initial=lambda x: np.full_like(np.asarray(x, float), 1e200),
         boundary_left=lambda t: 0.0,
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = convergence_study("advection", [config],
-                                 PdeParams(a=1.0, final_time=0.2), bad)
+        rows = convergence_study(study, PdeParams(a=1.0, final_time=0.2), bad, 0.1, [10])
+    assert rows[0]["elements"] == 2
     assert "error" in rows[0]
 
 
-POLY_GLL_CONFIG = {"label": "poly-gll", "node_mode": "classical-gll", "nodes_per_element": 4,
-                   "spec": lambda n_el: {"family": "monomial", "degree": 3, "interval": [0, 1]},
-                   "elements": [2, 4, 8]}
+# the cubic on 2, 4 and 8 elements
+POLY_GLL_TOTALS = [8, 16, 32]
 
 
 def test_convergence_study_failed_level_breaks_order(monkeypatch):
     import fsbp.pipeline
 
-    built = build_study_operator(POLY_GLL_CONFIG["spec"](2), "classical-gll")
+    built = build_study_operator(cubic_gll_study()["operators"][0]["spec"](2, None),
+                                 "classical-gll")
     calls = []
 
     def flaky(*args, **kwargs):
@@ -846,11 +838,11 @@ def test_convergence_study_failed_level_breaks_order(monkeypatch):
         return built
 
     # a spec that changes with the element count, so every level builds
-    config = dict(POLY_GLL_CONFIG, spec=lambda n_el: {
+    study = cubic_gll_study(spec=lambda n_el, params: {
         "family": "monomial", "degree": 3, "interval": [0, 1 / n_el]})
     monkeypatch.setattr(fsbp.pipeline, "build_study_operator", flaky)
-    rows = convergence_study("advection", [config], PdeParams(a=1.0, final_time=0.2),
-                             MmsCase.advecting_wave(1.0))
+    rows = convergence_study(study, PdeParams(a=1.0, final_time=0.2),
+                             MmsCase.advecting_wave(1.0), 0.1, POLY_GLL_TOTALS)
     assert [r["elements"] for r in rows] == [2, 4, 8]
     assert rows[1]["error"] == "AssemblyError: rank deficient"
     assert "error_norm" not in rows[1]
@@ -869,10 +861,12 @@ def test_convergence_study_builds_each_distinct_operator_once(monkeypatch):
 
     monkeypatch.setattr(fsbp.pipeline, "build_study_operator", counted)
     params, case = PdeParams(a=1.0, final_time=0.2), MmsCase.advecting_wave(1.0)
-    rows = convergence_study("advection", [POLY_GLL_CONFIG], params, case)
+    study = cubic_gll_study()
+    rows = convergence_study(study, params, case, 0.1, POLY_GLL_TOTALS)
     assert len(calls) == 1
+    spec = study["operators"][0]["spec"]
     for row in rows:
-        op, _, _ = build_study_operator(POLY_GLL_CONFIG["spec"](row["elements"]), "classical-gll")
+        op, _, _ = build_study_operator(spec(row["elements"], params), "classical-gll")
         assert row["error_norm"] == run_case("advection", op, row["elements"], params,
                                              case, 0.1).error
 
@@ -885,5 +879,5 @@ def test_convergence_study_screen_failure_propagates(monkeypatch):
 
     monkeypatch.setattr(fsbp.pipeline, "build_study_operator", screened)
     with pytest.raises(ScreenFailure):
-        convergence_study("advection", [POLY_GLL_CONFIG], PdeParams(a=1.0, final_time=0.2),
-                          MmsCase.advecting_wave(1.0))
+        convergence_study(cubic_gll_study(), PdeParams(a=1.0, final_time=0.2),
+                          MmsCase.advecting_wave(1.0), 0.1, POLY_GLL_TOTALS)
