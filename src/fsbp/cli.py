@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import sys
 import time
@@ -30,12 +31,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (REQUIRED, SOLVER_ERRORS, FamilyError, ScreenFailure, VerificationFailure,
-                     integer, items, number, string)
+from .errors import (REQUIRED, SOLVER_ERRORS, AssemblyError, FamilyError, ScreenFailure,
+                     StageTimer, VerificationFailure, integer, items, number, string)
 from .spaces import FAMILIES, check, make_family
 from .gauss import QuadratureRule
 from .operators import operator_from_dict, operator_to_dict, verify_sbp
-from .ibvp import MmsCase, PdeParams, StageTimer, run_case
+from .ibvp import BLOCK_STEPS, MmsCase, PdeParams, run_case
 from .pipeline import build_rule_operator, build_study_operator, solve_rule_pipeline
 from . import pipeline, refcases
 
@@ -50,13 +51,13 @@ EXIT_VERIFICATION = 4
 TIMED_STAGES = ("operator_build_s", "assembly_s", "march_s", "output_write_s")
 
 # the key tables, read by ``spaces.check``: a None parser leaves the value
-# to the layer that reads it, and params' ranges are PdeParams'; in
-# CONVERGE a None default, and a null "totals", stand for the study's own
-# value
+# to the layer that reads it; in CONVERGE a None default, and a null
+# "totals", stand for the study's own value
 PDE = string("advection", "advection_diffusion")
 MMS = string("zero_data", "oscillatory_wave", "boundary_layer")
 TOTALS = items(integer(strict=True), 1)
-PARAMS = {"a": (number(), 1.0), "eps": (number(), 0.0), "final_time": (number(), 1.0)}
+PARAMS = {"a": (number(0.0), 1.0), "eps": (number(0.0, inclusive=True), 0.0),
+          "final_time": (number(0.0), 1.0)}
 RULE = {"space": (FAMILIES, REQUIRED), "mode": (None, "closed")}
 OPERATOR = {"space": (FAMILIES, REQUIRED), "rule": (string(), None),
             "node_mode": (None, "gglq"), "n_nodes": (None, None)}
@@ -74,24 +75,31 @@ CONVERGE = {
     "study": (PDE, REQUIRED),
     "mms": (MMS, None),
     "cfl": (number(0.0), None),
-    "params": ({key: (number(), None) for key in PARAMS}, {}),
+    "params": ({key: (parse, None) for key, (parse, _) in PARAMS.items()}, {}),
     "totals": (lambda value: value if value is None else TOTALS(value), None),
 }
 FIXTURES = {}
 
 
+# rows that ``write_csv`` formats and writes at once
+CSV_CHUNK = 512
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     """CSV file of ``rows`` under ``header``: floats in 17 significant
     digits, every other value as ``str``.  The first row fixes each
-    column's format, so the file takes one %-format string."""
+    column's format, one %-format string per row; the rows are streamed
+    in chunks of ``CSV_CHUNK``, so the file's text is never held whole."""
     rows = map(tuple, rows)
     first = next(rows, None)
-    lines = [",".join(header)]
-    if first is not None:
-        fmt = ",".join(["%.17g" if isinstance(v, float) else "%s" for v in first])
-        lines.append(fmt % first)
-        lines.extend(map(fmt.__mod__, rows))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        if first is None:
+            return
+        fmt = ",".join(["%.17g" if isinstance(v, float) else "%s" for v in first]) + "\n"
+        out.write(fmt % first)
+        while text := "".join(map(fmt.__mod__, itertools.islice(rows, CSV_CHUNK))):
+            out.write(text)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -316,13 +324,17 @@ def cmd_solve(args) -> int:
             ((e, x, u) for e in range(grid.n_elements)
              for x, u in zip(grid.nodes[e].tolist(), y[e].tolist())),
         )
+    steps = len(trace.times) - 1
     runner.finish({
         "timings": timings,
+        # which march ran: no data columns is the march of u <- R u alone
+        "counters": {"data_columns": result.problem.C.shape[1],
+                     "march_blocks": -(-steps // BLOCK_STEPS)},
         "verdict": verdict.to_dict(),
         "sat_coefficients": result.problem.sats,
         "final_error_norm": result.error,
         "final_error_squared": result.error_sq,
-        "steps": len(trace.times) - 1,
+        "steps": steps,
         "dt": result.dt,
         "max_energy_increase": float(np.max(np.diff(trace.energy)))
         if len(trace.energy) > 1 else 0.0,
@@ -355,11 +367,13 @@ def convergence_study(
     before any build.  Operators are built once per distinct (spec, node
     mode, node budget), so a spec that does not depend on the element
     count is built once per study.  Rows report the nodes per element and
-    total nodes of the operator solved with (the declared ones when the
-    level failed before its build), the error norm, whether the operator
+    total nodes of the operator built (the declared ones when the level
+    failed before its build), the error norm, whether the operator
     passed verification and the observed order against the previous
-    level.  A failed level records its error and leaves the next level
-    without an order.  With ``timings``, the wall seconds of the operator
+    level.  A level whose operator has other than its declared nodes per
+    element is not solved, so that every error compares matched totals.
+    A failed level records its error and leaves the next level without
+    an order.  With ``timings``, the wall seconds of the operator
     builds, assemblies and marches are summed into its
     ``operator_build_s``, ``assembly_s`` and ``march_s``; rows carry no
     timings.
@@ -390,6 +404,9 @@ def convergence_study(
                     built[key] = op, verdict
                 op, verdict = built[key]
                 row["nodes_per_element"], row["total_nodes"] = op.size, n_el * op.size
+                if op.size != cfg["nodes_per_element"]:
+                    raise AssemblyError(f"operator has {op.size} nodes per element, "
+                                        f"not {cfg['nodes_per_element']}")
                 err = run_case(study["pde"], op, n_el, params, case, cfl, dissipation=False,
                                timings=timings).error
                 row["error_norm"] = err

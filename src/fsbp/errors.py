@@ -11,11 +11,14 @@ for its failures.
 The parsers of the key tables (``REQUIRED``, ``number``, ``integer``,
 ``string``, ``items``) sit here, below ``spaces`` and ``cli``, which
 both use them: the compile of ``spaces.py``, the largest module, sets
-every process's peak memory.
+every process's peak memory.  So does ``StageTimer``, which ``cli`` and
+``ibvp.run_case`` both use: every command imports ``ibvp``, and its
+compile is the import's peak.
 """
 
 import math
 import numbers
+import time
 
 import numpy as np
 
@@ -69,14 +72,17 @@ SOLVER_ERRORS = (SolverError, IntegrationError, AssemblyError, BlowUpError,
 REQUIRED = object()     # the default of a key that must be given
 
 
-def number(above=-math.inf):
-    """Parser of finite numbers greater than ``above``."""
+def number(above=-math.inf, inclusive=False):
+    """Parser of finite numbers greater than ``above``, or equal to it
+    when ``inclusive``."""
     def parse(value) -> float:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise TypeError("not a number")
         x = float(value)
-        if not above < x < math.inf:
-            raise ValueError(f"not above {above}" if math.isfinite(x) else "not finite")
+        if not math.isfinite(x):
+            raise ValueError("not finite")
+        if x < above or x == above and not inclusive:
+            raise ValueError(f"below {above}" if inclusive else f"not above {above}")
         return x
     return parse
 
@@ -112,3 +118,23 @@ def items(parse, least=0, most=math.inf):
             raise ValueError(f"has {len(out)} entries, outside [{least}, {most}]")
         return out
     return parse_items
+
+
+# ---------------------------------------------------------------------------
+# stage timings
+
+class StageTimer:
+    """``with StageTimer(timings, stage):`` adds the wall seconds of the
+    body to ``timings[stage]``, also when the body raises; with
+    ``timings`` None it only runs the body."""
+
+    def __init__(self, timings: dict | None, stage: str):
+        self.timings, self.stage = timings, stage
+
+    def __enter__(self) -> None:
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc) -> None:
+        if self.timings is not None:
+            elapsed = time.perf_counter() - self.start
+            self.timings[self.stage] = self.timings.get(self.stage, 0.0) + elapsed

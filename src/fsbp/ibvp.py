@@ -12,13 +12,14 @@ element's rows couple) as an :class:`AffineProblem`
 
     du/dt = A u + C g(t),
 
-with the data in factored form: the dense columns of C are the boundary
-lifts, then the profile of a separable source, and g(t) holds the
-boundary data, then the source's amplitude.  The penalty coefficients
-are the stable values of the energy analysis, kept by name in
-``AffineProblem.sats``.  Advection-diffusion also keeps the gradient map
-phi = Phi u; its system, eps I plus one 2x2 block per interface, is
-inverted in closed form.
+with the data in factored form: the dense columns of C are the lifts
+of the boundary faces whose data are given, then the profile of a
+separable source, and g(t) holds those data, then the source's
+amplitude.  Zero data are no data, so C may have no columns.  The
+penalty coefficients are the stable values of the energy analysis,
+kept by name in ``AffineProblem.sats``.  Advection-diffusion also
+keeps the gradient map phi = Phi u; its system, eps I plus one 2x2
+block per interface, is inverted in closed form.
 
 Because the system is affine, one step of the classical four-stage
 scheme with step h is, in closed form with B = hA and q = C g,
@@ -34,10 +35,11 @@ lanes of S steps that advance together: one band product moves every
 lane by a step.  A pass from zero gives each lane's data response, the
 lane starts follow in sequence by R^S, and a second pass marches every
 lane from its start (a blocked scan of a linear recurrence, Blelloch,
-"Prefix sums and their applications", 1990).  The march's work and
-memory are linear in the element count; ``energy_certificate`` is not,
-as it forms the dense n x n matrix and runs a dense eigensolve, cubic
-in n.
+"Prefix sums and their applications", 1990).  When C has no columns
+the march is u <- R u alone: the lane starts and the second pass, by
+band products with no adds.  The march's work and memory are linear in
+the element count; ``energy_certificate`` is not, as it forms the dense
+n x n matrix and runs a dense eigensolve, cubic in n.
 
 A grid (:class:`MultiElementGrid`) is one closed reference operator
 mapped onto the elements of a tiling, given by its edges.  ``run_case``
@@ -50,13 +52,12 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import BlowUpError
+from .errors import BlowUpError, StageTimer
 from .operators import FsbpOperator
 
 __all__ = [
@@ -72,7 +73,6 @@ __all__ = [
     "solution_error",
     "CaseResult",
     "run_case",
-    "StageTimer",
 ]
 
 # a run whose discrete energy exceeds this multiple of its initial value
@@ -165,7 +165,8 @@ class MmsCase:
     ``t``, and ``initial(x)`` its value at t = 0.  The boundary data
     are its inflow (and, for advection-diffusion, outflow) fluxes; they
     take a time or an array of times and return values broadcastable to
-    its shape.  A source is separable: ``forcing_profile(x) *
+    its shape.  A datum that is None is zero, and its face gets no
+    column of data.  A source is separable: ``forcing_profile(x) *
     forcing_amplitude(t)`` must equal the PDE residual of ``exact``, and
     the amplitude takes arrays of times like the boundary data.  Both
     are None when there is no source.
@@ -173,7 +174,7 @@ class MmsCase:
 
     exact: Callable[[np.ndarray, float], np.ndarray]
     initial: Callable[[np.ndarray], np.ndarray]
-    boundary_left: Callable[[np.ndarray], np.ndarray]
+    boundary_left: Callable[[np.ndarray], np.ndarray] | None = None
     boundary_right: Callable[[np.ndarray], np.ndarray] | None = None
     forcing_profile: Callable[[np.ndarray], np.ndarray] | None = None
     forcing_amplitude: Callable[[np.ndarray], np.ndarray] | None = None
@@ -193,12 +194,10 @@ class MmsCase:
 
     @classmethod
     def zero_data(cls) -> "MmsCase":
-        """sin(pi x)^2 at t = 0, zero data and forcing: the energy tests' case."""
+        """sin(pi x)^2 at t = 0, no data and no forcing: the energy tests' case."""
         return cls(
             exact=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),
             initial=lambda x: np.sin(np.pi * np.asarray(x, dtype=float)) ** 2,
-            boundary_left=lambda t: 0.0,
-            boundary_right=lambda t: 0.0,
         )
 
     @classmethod
@@ -313,7 +312,8 @@ class AffineProblem:
     the dense n x m ``C`` act on them flattened element by element.
     ``sats`` names the penalty coefficients.  ``columns`` holds the
     functions of time that make up g, one per column of ``C``: the
-    boundary data, then the amplitude of a separable source.
+    given boundary data, then the amplitude of a separable source; with
+    none, ``C`` is (n, 0).
     ``gradient_map`` (advection-diffusion only) maps a state to its
     gradient variable phi.
     """
@@ -369,7 +369,8 @@ def assemble(
     across every interface.  A penalty pair (s_l, s_r) on a jump adds
     s_l P^-1 times it at the trailing face and -s_r P^-1 times it at the
     leading face; the inflow condition is imposed weakly at the global
-    left boundary, the diffusive flux at the right one.
+    left boundary, the diffusive flux at the right one.  A face's datum
+    gets a lift column only when the case gives it.
     """
     e_count, p = grid.n_elements, grid.nodes_per_element
     a, eps, pinv = params.a, params.eps, grid.Pinv
@@ -417,9 +418,13 @@ def assemble(
                     right=s["tau_r"] * eps) @ phi)
         faces = [0, e_count * p - 1]
         lifts = [-s["tau_l"] * pinv[0, 0], -s["tau_r"] * pinv[-1, -1]]
-        columns = [case.boundary_left, case.boundary_right or (lambda t: 0.0)]
+        columns = [case.boundary_left, case.boundary_right]
     else:
         raise ValueError(f"unknown problem kind {problem_kind!r}")
+    # a lift column for each face whose datum is given, then the source's
+    # profile: zero data give C no column
+    faces, lifts, columns = [[x for x, fn in zip(seq, columns) if fn is not None]
+                             for seq in (faces, lifts, columns)]
     source = case.forcing_profile is not None
     C = np.zeros((e_count * p, len(faces) + source))
     C[faces, range(len(faces))] = lifts
@@ -448,12 +453,15 @@ def _horner(b: ElementBand, coeffs, x):
 
 def _step_matrices(A: ElementBand, C: np.ndarray, dt: float):
     """(R, forcing columns (h/6)[M1 C | M2 C | C]) for the step h = ``dt``,
-    by Horner's rule in B = hA; R is an :class:`ElementBand`."""
+    by Horner's rule in B = hA; R is an :class:`ElementBand`.  A ``C``
+    without columns gives none."""
     b = dt * A
     e_count, p, _ = b.blocks.shape
     r = _horner(b, (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0),
                 ElementBand(np.broadcast_to(np.eye(p), (e_count, p, p))))
     c = np.asarray(C, dtype=float)
+    if not c.shape[1]:
+        return r, c
     m1c = _horner(b, (1.0, 1.0, 1.0 / 2.0, 1.0 / 4.0), c)
     m2c = _horner(b, (4.0, 2.0, 1.0 / 2.0), c)
     return r, (dt / 6.0) * np.hstack([m1c, m2c, c])
@@ -497,6 +505,13 @@ def _march(blocks: np.ndarray, steps) -> None:
         rows += f
 
 
+def _products(blocks: np.ndarray, steps) -> None:
+    """The band products of :func:`_march`'s steps without their adds:
+    u <- M u, the march of zero data."""
+    for windows, out, _, _ in steps:
+        np.matmul(blocks, windows, out=out)
+
+
 def time_integrate(A: ElementBand, C: np.ndarray, g: Callable[[np.ndarray], np.ndarray],
                    y0: np.ndarray, t_span: tuple, dt: float,
                    energy_fn: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -525,7 +540,10 @@ def time_integrate(A: ElementBand, C: np.ndarray, g: Callable[[np.ndarray], np.n
     3. every lane from its start, into the block's states.
 
     That is 2S - 1 lane steps and L - 1 products with R^S per block
-    instead of one product per step.  States sit between zero blocks in
+    instead of one product per step.  A ``C`` without columns is decided
+    once per march: g is never called, no forcing is held, and a block
+    is passes 2 and 3 as band products without adds (d_l and f_k are
+    zero), S + L - 1 products.  States sit between zero blocks in
     the buffer, so that R and R^S read past the grid's ends.  Only one
     block of states is held.
 
@@ -550,6 +568,9 @@ def time_integrate(A: ElementBand, C: np.ndarray, g: Callable[[np.ndarray], np.n
         energy_fn = lambda ys: np.einsum("kn,kn->k", ys, ys)
 
     r, forcing = _step_matrices(A, C, dt)
+    # without data the march is u <- R u alone: steps without their adds
+    free = not forcing.shape[1]
+    advance = _products if free else _march
     r_lane = _lane_power(r)
     e_count, p, _ = r.blocks.shape
     n = e_count * p
@@ -561,9 +582,10 @@ def time_integrate(A: ElementBand, C: np.ndarray, g: Callable[[np.ndarray], np.n
     # read past the grid's ends; starts[0] is the block's start.
     # buf[j, l]: the state j + 1 steps into lane l between R's zero
     # blocks, and f[j, l] the forcing of the step to it, padded alike
+    # (none without data)
     starts = np.zeros((LANES, (lo + e_count + hi) * p))
     buf = np.zeros((LANE_STEPS, LANES, (r.lo + e_count + r.hi) * p))
-    f = np.zeros_like(buf)
+    f = buf[:, :, :0] if free else np.zeros_like(buf)
     start_states = starts[:, lo * p:lo * p + n]
     states = buf[:, :, r.lo * p:r.lo * p + n]
     # f in the block's step order: lane_f[l, j] is block step l S + j
@@ -599,18 +621,19 @@ def time_integrate(A: ElementBand, C: np.ndarray, g: Callable[[np.ndarray], np.n
     for k0 in range(0, n_steps, BLOCK_STEPS):
         k = min(BLOCK_STEPS, n_steps - k0)
         lanes = -(-k // LANE_STEPS)
-        _lane_forcing(g((times[k0:k0 + k, None] + stage_offsets).reshape(-1)).reshape(k, -1),
-                      forcing, lane_f)
+        if not free:
+            _lane_forcing(g((times[k0:k0 + k, None] + stage_offsets).reshape(-1))
+                          .reshape(k, -1), forcing, lane_f)
         recorded = slice(k0 + 1, k0 + k + 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            if lanes > 1:
+            if lanes > 1 and not free:
                 # 1. every lane but the last from zero under its own data
                 buf[0, :lanes - 1] = f[0, :lanes - 1]
                 _march(r.blocks, lane_steps(lanes - 1)[1:])
-                # 2. the lane starts in sequence
-                _march(r_lane.blocks, lane_starts[:lanes - 1])
+            # 2. the lane starts in sequence
+            advance(r_lane.blocks, lane_starts[:lanes - 1])
             # 3. every lane from its start
-            _march(r.blocks, lane_steps(lanes))
+            advance(r.blocks, lane_steps(lanes))
             energy[recorded] = energy_fn(marched)[in_time[:k]]
         block = energy[recorded]
         bad = ~np.isfinite(block) | (block > limit)
@@ -640,23 +663,6 @@ def solution_error(u: np.ndarray, grid: MultiElementGrid, exact, t: float):
 
 # ---------------------------------------------------------------------------
 # one solve
-
-class StageTimer:
-    """``with StageTimer(timings, stage):`` adds the wall seconds of the
-    body to ``timings[stage]``, also when the body raises; with
-    ``timings`` None it only runs the body."""
-
-    def __init__(self, timings: dict | None, stage: str):
-        self.timings, self.stage = timings, stage
-
-    def __enter__(self) -> None:
-        self.start = time.perf_counter()
-
-    def __exit__(self, *exc) -> None:
-        if self.timings is not None:
-            elapsed = time.perf_counter() - self.start
-            self.timings[self.stage] = self.timings.get(self.stage, 0.0) + elapsed
-
 
 @dataclass(frozen=True)
 class CaseResult:

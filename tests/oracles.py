@@ -16,11 +16,13 @@ four-stage scheme stage by stage through the right side A u + q(t) of
 an assembled problem, one state and one time at a time, the reference
 for the blocked march.  The cardinal-basis section solves for the
 Hermite-Lagrange basis the Newton iteration only uses through its
-integrals, from the solver's own Hermite-Vandermonde rows.
-``augmented_target``, ``screened`` and ``certified_rule`` are no
-oracles: they run the package's rule steps on a family and on a target
-spanning set with its basis, as the pipeline does; nor is
-``cubic_gll_study``, a study entry for ``fsbp.cli.convergence_study``.
+integrals, from the solver's own Hermite-Vandermonde rows.  ``csv_text``
+formats a CSV file row by row and value by value, the reference for
+the command line's chunked writer.  ``augmented_target``, ``screened``
+and ``certified_rule`` are no oracles: they run the package's rule
+steps on a family and on a target spanning set with its basis, as the
+pipeline does; nor is ``cubic_gll_study``, a study entry for
+``fsbp.cli.convergence_study``.
 """
 
 import math
@@ -326,6 +328,18 @@ def rk4_loop(rhs, y0, t_span, dt: float, energy_fn):
                 f"energy {energy[-1]:.3e} exceeded {BLOWUP_FACTOR} x initial at t={t:.4f}"
             )
     return y, np.array(energy)
+
+
+# ---------------------------------------------------------------------------
+# output files
+
+def csv_text(header, rows) -> str:
+    """The CSV file of ``rows`` under ``header``, one row and one value at
+    a time: floats by "%.17g", every other value by ``str``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from hypothesis import example, given, settings, strategies as st
 import fsbp
 from fsbp import cli, errors, pipeline, refcases, spaces
 from fsbp.cli import main
-from fsbp.ibvp import MmsCase, MultiElementGrid, PdeParams, assemble
+from fsbp.ibvp import BLOCK_STEPS, MmsCase, MultiElementGrid, PdeParams, assemble
 from fsbp.pipeline import build_study_operator
 from fsbp.spaces import tchebyshev_screen
-from oracles import cubic_gll_study, screened
+from oracles import csv_text, cubic_gll_study, screened
 
 
 def write_config(path, payload):
@@ -503,10 +503,11 @@ NOT_AN_OBJECT = st.sampled_from([None, 5, "monomial", [], ["family", "interval"]
 FRACTIONAL = st.integers(-50, 50).map(lambda k: k + 0.5)
 
 
-def refused_numbers(above=None):
-    """What ``number(above)`` refuses: no number, not finite, or not above ``above``."""
-    return st.one_of(NOT_A_NUMBER, NON_FINITE,
-                     *([st.floats(-1e6, above)] if above is not None else []))
+def refused_numbers(above=None, inclusive=False):
+    """What ``number(above, inclusive)`` refuses: no number, not finite, or
+    not above ``above`` (below it when ``inclusive``)."""
+    return st.one_of(NOT_A_NUMBER, NON_FINITE, *(
+        [st.floats(-1e6, above, exclude_max=inclusive)] if above is not None else []))
 
 
 def refused_integers(low=None):
@@ -534,7 +535,10 @@ REFUSED = {
     "study": st.one_of(NOT_A_STRING, st.sampled_from(["heat", "", "Advection"])),
     "mms": st.one_of(NOT_A_STRING, st.sampled_from(["wave", "", "Zero_data"])),
     "cfl": refused_numbers(0.0),
-    **{f"params.{key}": refused_numbers() for key in cli.PARAMS},
+    # out of range too: a > 0, eps >= 0 and final_time > 0
+    "params.a": refused_numbers(0.0),
+    "params.eps": refused_numbers(0.0, inclusive=True),
+    "params.final_time": refused_numbers(0.0),
     # a null "totals" is the study's own, and [] a study of no level
     "totals": st.one_of(st.just([]), refused_lists(
         st.one_of(refused_integers(), st.integers(1, 200).map(float)), least=1)),
@@ -1220,6 +1224,8 @@ def test_solve_advection_diffusion_records_aux_and_sats(tmp_path):
     assert sats["sigma1_r"] == -1.0 + sats["sigma1_l"]
     assert sats["sigma4_l"] == -0.05
     assert manifest["final_error_norm"] < 1.0
+    # two boundary data and the source's amplitude
+    assert manifest["counters"]["data_columns"] == 3
 
 
 def test_solve_steep_boundary_layer(tmp_path):
@@ -1284,8 +1290,10 @@ def test_converge_command_emits_table(converge_runs):
 def test_study_rows_report_the_nodes_of_the_operator_solved_with(tmp_path):
     # at eps = 100 the exp-optimal rate a/eps/n_el = 1/600 drops the product
     # span's rank to 4, so its gglq operator has 3 nodes, not the declared 4.
-    # The count does not depend on the final time, cut here from 1 to 0.01
-    # so that the march, of steps dt ~ h^2/eps, is a hundredth as long
+    # Its row reports the operator's nodes and is refused: 18 nodes are no
+    # level of the matched total 24.  The count does not depend on the
+    # final time, cut here from 1 to 0.01 so that the march, of steps
+    # dt ~ h^2/eps, is a hundredth as long
     cfg = write_config(tmp_path / "study.json", {
         "study": "advection_diffusion", "params": {"eps": 100, "final_time": 0.01},
         "totals": [24]})
@@ -1294,8 +1302,26 @@ def test_study_rows_report_the_nodes_of_the_operator_solved_with(tmp_path):
     rows = {row["operator"]: row for row in read_json(out / "convergence.json")["rows"]}
     assert [rows["exp-optimal"][key]
             for key in ("elements", "nodes_per_element", "total_nodes")] == [6, 3, 18]
-    assert all(row["total_nodes"] == 24 for label, row in rows.items() if label != "exp-optimal")
-    assert "exp-optimal,6,3,18," in (out / "convergence.csv").read_text()
+    assert rows["exp-optimal"]["error"] == "AssemblyError: operator has 3 nodes per element, not 4"
+    assert "error_norm" not in rows["exp-optimal"]
+    for label, row in rows.items():
+        if label != "exp-optimal":
+            assert row["total_nodes"] == 24 and row["error_norm"] > 0 and "error" not in row
+    assert "exp-optimal,6,3,18,nan,nan\n" in (out / "convergence.csv").read_text()
+
+
+def test_study_level_of_other_nodes_per_element_breaks_the_order():
+    # the cubic's Gauss-Lobatto operator, but the quadratic's (3 nodes) on
+    # 2 elements: that level is refused, the next one has no order
+    study = cubic_gll_study(spec=lambda n_el, params: {
+        "family": "monomial", "degree": 2 if n_el == 2 else 3, "interval": [0, 1]})
+    rows = cli.convergence_study(study, PdeParams(a=1.0, final_time=0.1),
+                                 MmsCase.advecting_wave(1.0), 0.1, [8, 16, 32])
+    assert [(row["elements"], row["nodes_per_element"]) for row in rows] == [(2, 3), (4, 4),
+                                                                            (8, 4)]
+    assert rows[0]["error"] == "AssemblyError: operator has 3 nodes per element, not 4"
+    assert "error_norm" not in rows[0] and "observed_order" not in rows[1]
+    assert rows[1]["error_norm"] > rows[2]["error_norm"] > 0 and rows[2]["observed_order"] > 3
 
 
 # the stages each command times, and a config it runs
@@ -1327,10 +1353,18 @@ def test_manifest_times_the_stages_and_only_the_manifest(tmp_path, command):
     assert sorted(timings) == sorted(stages)
     assert all(0.0 < seconds for seconds in timings.values())
     assert sum(timings.values()) <= min(manifest["wall_time_s"], elapsed)
+    counters = {}
+    if command == "solve":
+        # the zero-data solve took the march without data columns
+        counters = manifest["counters"]
+        assert counters == {"data_columns": 0,
+                            "march_blocks": -(-manifest["steps"] // BLOCK_STEPS)}
+        assert counters["march_blocks"] > 1
     for path in out.iterdir():
         if path.name != "manifest.json":
             text = path.read_text()
-            assert not any(word in text for word in ("timings", *stages)), path.name
+            assert not any(word in text for word in ("timings", *stages, "counters", *counters)), \
+                path.name
 
 
 def test_csv_bytes_for_mixed_columns(tmp_path):
@@ -1344,6 +1378,39 @@ def test_csv_bytes_for_mixed_columns(tmp_path):
                                  b"gll-4,16,0.33333333333333331,2\n")
     cli.write_csv(path, ["element", "x", "u"], [])
     assert path.read_bytes() == b"element,x,u\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, cli.CSV_CHUNK - 1, cli.CSV_CHUNK, cli.CSV_CHUNK + 1,
+                                   cli.CSV_CHUNK + 2, 3 * cli.CSV_CHUNK + 5])
+def test_csv_chunks_match_the_row_by_row_oracle(tmp_path, count):
+    # the columns of convergence.csv, streamed from a generator of tuples
+    # and lists, against one value at a time: floats of every scale and
+    # sign, signed zeros, NaN and infinities; at and around a chunk's end
+    rng = np.random.default_rng(count)
+    specials = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300]
+    values = rng.standard_normal((count, 2)) * 10.0 ** rng.integers(-300, 300, (count, 2))
+    rows = [(f"op-{i % 3}", i + 1, 4, 4 * (i + 1), float(u),
+             specials[i % 7] if i % 2 else float(v)) for i, (u, v) in enumerate(values)]
+    header = ["operator", "elements", "nodes_per_element", "total_nodes", "error_norm",
+              "observed_order"]
+    path = tmp_path / "rows.csv"
+    cli.write_csv(path, header, (list(row) if i % 3 else row for i, row in enumerate(rows)))
+    assert path.read_text() == csv_text(header, rows)
+    assert len(path.read_bytes().splitlines()) == count + 1
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+@pytest.mark.parametrize("key, value", [("a", 0), ("a", -1.5), ("eps", -0.1), ("eps", -1e-300),
+                                        ("final_time", 0), ("final_time", -2)])
+def test_out_of_range_params_exit_2_naming_their_key(tmp_path, capsys, command, key, value):
+    # a > 0, eps >= 0 and final_time > 0 are read by the key table, before
+    # PdeParams sees them
+    config = ({**ADVECTION_SOLVE, "params": {key: value}} if command == "solve"
+              else {"study": "advection", "params": {key: value}})
+    cfg = write_config(tmp_path / "bad.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"validation error: invalid 'params.{key}' {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_converge_fills_missing_params_from_the_frozen_study(tmp_path):

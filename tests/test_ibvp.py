@@ -634,6 +634,43 @@ def test_lane_and_block_edges_match_stagewise_rk4(data_problems, n_steps, data):
     assert np.max(np.abs(trace.energy - energy_ref)) <= 1e-13 * np.max(energy_ref)
 
 
+@pytest.mark.parametrize("kind", ["advection", "advection_diffusion"])
+@pytest.mark.parametrize("n_steps", EDGE_STEPS)
+def test_data_free_march_is_the_zero_data_march_bit_for_bit(data_problems, n_steps, kind):
+    # zero data give C no column, and the march passes 2 and 3 without
+    # adds; the same problem with lift columns of zero-valued data marches
+    # the data's passes and adds zeros.  States, their signs and energies
+    # are bitwise equal
+    grid, params = data_problems[kind].grid, data_problems[kind].params
+    free = assemble(kind, grid, params, MmsCase.zero_data())
+    lifted = assemble(kind, grid, params, data_case())
+    assert free.C.shape == (grid.nodes.size, 0)
+    assert lifted.C.shape == (grid.nodes.size, 1 if kind == "advection" else 2)
+    assert np.array_equal(free.A.blocks, lifted.A.blocks)
+    dt = cfl_timestep(grid, params)
+    runs = [time_integrate(p.A, p.C, p.g, free.initial(), (0.0, n_steps * dt), dt,
+                           energy_fn=p.energies) for p in (free, lifted)]
+    (y, trace), (y_lifted, trace_lifted) = runs
+    assert np.array_equal(y, y_lifted)
+    assert np.array_equal(np.signbit(y), np.signbit(y_lifted))
+    assert np.array_equal(trace.energy, trace_lifted.energy)
+    assert len(trace.times) == n_steps + 1
+
+
+def test_data_free_march_never_calls_g():
+    # over more than one block, with a part-filled last lane
+    def g(t):
+        raise AssertionError("the data of a march without data columns were asked for")
+
+    A = ElementBand((np.eye(6, k=-1) - 2.0 * np.eye(6) + np.eye(6, k=1))[None])
+    y0 = np.sin(np.linspace(0.0, np.pi, 6))
+    y, trace = time_integrate(A, np.zeros((6, 0)), g, y0, (0.0, 0.1), 0.1 / (BLOCK_STEPS + 3))
+    y_ref, energy_ref = rk4_loop(lambda t, u: A @ u, y0, (0.0, 0.1), 0.1 / (BLOCK_STEPS + 3),
+                                 lambda u: float(u @ u))
+    assert np.linalg.norm(y - y_ref) <= 1e-14 * np.linalg.norm(y_ref)
+    assert np.max(np.abs(trace.energy - energy_ref)) <= 1e-14 * energy_ref[0]
+
+
 @pytest.mark.parametrize("first_bad", [2 * LANE_STEPS, BLOCK_STEPS + LANE_STEPS])
 def test_blow_up_at_a_lane_start_matches_stagewise_rk4(first_bad):
     # u' = c u multiplies the energy u^2 by R(c dt)^2 a step; c is chosen
