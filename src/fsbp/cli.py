@@ -106,27 +106,29 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _read_json(path: Path) -> tuple[object, str]:
+    """The JSON value in ``path`` and the SHA-256 of the bytes parsed, read once."""
+    raw = path.read_bytes()
+    return json.loads(raw.decode()), hashlib.sha256(raw).hexdigest()
 
 
 class Runner:
     """Collects outputs and writes the manifest at the end of a command;
-    ``--out`` is made at the first write, so a refused run leaves none."""
+    ``--out`` is made at the first write, so a refused run leaves none.
+    ``inputs`` maps each file read to its fingerprint (``_read_json``)."""
 
-    def __init__(self, command: str, args, config: dict):
+    def __init__(self, command: str, args, config: dict, inputs: dict):
         self.command = command
         self.args = args
         self.config = config
         self.out = Path(args.out)
         self.outputs: list[str] = []
         self.t0 = time.perf_counter()
-        self.inputs = {}
-        if getattr(args, "config", None):
-            self.inputs[str(args.config)] = _sha256(Path(args.config))
+        self.inputs = dict(inputs)
 
     def path(self, name: str) -> Path:
-        self.out.mkdir(parents=True, exist_ok=True)
+        if not self.outputs:
+            self.out.mkdir(parents=True, exist_ok=True)
         p = self.out / name
         self.outputs.append(str(p))
         return p
@@ -143,22 +145,24 @@ class Runner:
         }
         if extra:
             manifest.update(extra)
-        self.out.mkdir(parents=True, exist_ok=True)
+        if not self.outputs:
+            self.out.mkdir(parents=True, exist_ok=True)
         write_json(self.out / "manifest.json", manifest)
 
 
-def load_config(args, table: dict) -> tuple[dict, dict]:
-    """The config file's object ({} without one) and its values by ``table``."""
-    config = {}
+def load_config(args, table: dict) -> tuple[dict, dict, dict]:
+    """The config file's object ({} without one), its values by ``table``
+    and the ``Runner``'s inputs: the file's fingerprint, if there is one."""
+    config, inputs = {}, {}
     if args.config:
         p = Path(args.config)
         if not p.is_file():
             raise FamilyError(f"config file not found: {p}")
         try:
-            config = json.loads(p.read_text())
+            config, inputs[str(args.config)] = _read_json(p)
         except json.JSONDecodeError as exc:
             raise FamilyError(f"config is not valid JSON: {exc}") from exc
-    return config, check(config, table)
+    return config, check(config, table), inputs
 
 
 def load_input(runner: Runner, args, name: str, key: str, loader):
@@ -173,9 +177,9 @@ def load_input(runner: Runner, args, name: str, key: str, loader):
         path = Path(args.config).parent / path
     if not path.is_file():
         raise FamilyError(f"{key} file not found: {path}")
-    runner.inputs[str(path)] = _sha256(path)
+    value, runner.inputs[str(path)] = _read_json(path)
     try:
-        return loader(json.loads(path.read_text()))
+        return loader(value)
     except (AttributeError, KeyError, TypeError, IndexError) as exc:
         raise FamilyError(f"malformed {key} file {path}: {exc!r}") from exc
 
@@ -203,9 +207,9 @@ def operator_files(runner: Runner, tag: str, op) -> None:
 # subcommands
 
 def cmd_rule(args) -> int:
-    config, values = load_config(args, RULE)
+    config, values, inputs = load_config(args, RULE)
     mode = args.mode or values["mode"]
-    runner = Runner("rule", args, {**config, "mode": mode, "seed": args.seed})
+    runner = Runner("rule", args, {**config, "mode": mode, "seed": args.seed}, inputs)
 
     timings = {}
     with StageTimer(timings, "rule_solve_s"):
@@ -237,13 +241,13 @@ def cmd_rule(args) -> int:
 
 
 def cmd_operator(args) -> int:
-    config, values = load_config(args, OPERATOR)
+    config, values, inputs = load_config(args, OPERATOR)
     given = [f"--mode {args.mode}"] if args.mode else []
     given += [f"'{key}' {config[key]!r}" for key in ("node_mode", "n_nodes") if key in config]
     if values["rule"] is not None and given:
         raise FamilyError(f"the config names a 'rule' file and {given[0]}: "
                           "an operator takes its nodes from one of them")
-    runner = Runner("operator", args, {**config, "seed": args.seed})
+    runner = Runner("operator", args, {**config, "seed": args.seed}, inputs)
 
     timings = {}
     with StageTimer(timings, "operator_build_s"):
@@ -265,8 +269,8 @@ def cmd_operator(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    config, values = load_config(args, VERIFY)
-    runner = Runner("verify", args, {**config, "seed": args.seed})
+    config, values, inputs = load_config(args, VERIFY)
+    runner = Runner("verify", args, {**config, "seed": args.seed}, inputs)
     op = load_input(runner, args, values["operator"], "operator", operator_from_dict)
     space = make_family(values["space"])
     timings = {}
@@ -298,12 +302,12 @@ def _mms_case(name: str, pde: str, params: PdeParams) -> MmsCase:
 
 
 def cmd_solve(args) -> int:
-    config, values = load_config(args, SOLVE)
+    config, values, inputs = load_config(args, SOLVE)
     pde, op_cfg, n_elements, cfl = (values[key] for key in ("pde", "operator", "elements", "cfl"))
     params = PdeParams(**values["params"])
     case = _mms_case(values["mms"], pde, params)
     runner = Runner("solve", args, {**config, "seed": args.seed,
-                                    "elements": n_elements, "cfl": cfl})
+                                    "elements": n_elements, "cfl": cfl}, inputs)
 
     timings = dict.fromkeys(TIMED_STAGES, 0.0)
     with StageTimer(timings, "operator_build_s"):
@@ -424,12 +428,12 @@ def convergence_study(
 
 
 def cmd_converge(args) -> int:
-    config, values = load_config(args, CONVERGE)
+    config, values, inputs = load_config(args, CONVERGE)
     study = refcases.STUDIES[values["study"]]
     given = {key: value for key, value in values["params"].items() if value is not None}
     params = PdeParams(**{**study["params"], **given})
     case = _mms_case(values["mms"] or study["mms"], study["pde"], params)
-    runner = Runner("converge", args, {**config, "seed": args.seed})
+    runner = Runner("converge", args, {**config, "seed": args.seed}, inputs)
     timings = dict.fromkeys(TIMED_STAGES, 0.0)
     rows = convergence_study(study, params, case, values["cfl"] or study["cfl"],
                              values["totals"] or study["matched_totals"], args.seed, timings)
@@ -454,8 +458,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    config, _ = load_config(args, FIXTURES)
-    runner = Runner("fixtures", args, {**config, "seed": args.seed})
+    config, _, inputs = load_config(args, FIXTURES)
+    runner = Runner("fixtures", args, {**config, "seed": args.seed}, inputs)
     report = {}
 
     op, rule, _ = build_study_operator(refcases.EXP3_SPEC, "gglq", rng_seed=args.seed)

@@ -27,9 +27,10 @@ screen run, to explain the failure (``continuation_solve``).
 ``continuation_solve`` and ``equispaced_rule`` take the orthonormal
 working basis that ``spaces.orthonormalize`` produces, a truncated
 Chebyshev series.  Every solver returns an uncertified rule
-(``certificate`` None): ``verify_exactness`` is the one exactness check,
-and ``fsbp.pipeline``, which makes every rule a command writes, certifies
-it once against the span it needs.  Nothing here integrates numerically:
+(``certificate`` None): ``verify_exactness`` is the exactness check on a
+spanning set, ``legendre_certificate`` the closed-form one on P_{2d-1}
+for the classical Gauss-Lobatto rule, and ``fsbp.pipeline``, which makes
+every rule a command writes, certifies it once against the span it needs.  Nothing here integrates numerically:
 every moment is a space's own closed form (``FunctionSpace.moments``).
 
 The solver's tolerances and schedule are the module constants below;
@@ -54,6 +55,7 @@ __all__ = [
     "verify_exactness",
     "equispaced_rule",
     "classical_lobatto_rule",
+    "legendre_certificate",
 ]
 
 
@@ -458,12 +460,11 @@ def verify_exactness(
 ) -> ExactnessCertificate:
     """Exactness certificate of a rule against a spanning set.
 
-    The one place a certificate is made: the solvers return uncertified
-    rules, and each caller that writes a rule certifies it here, once,
-    against the span it needs.  ``space`` is a spanning set of that span,
-    one error per function; its rank ``dim`` (from ``spaces.orthonormalize``,
-    or 2d for the degree-d classical Gauss-Lobatto span P_{2d-1}) becomes
-    ``target_dim``.  The certificate tolerance is ``tol`` scaled by
+    The solvers return uncertified rules, and each caller that writes a
+    rule certifies it here, once, against the span it needs (the classical
+    Gauss-Lobatto rule in ``legendre_certificate``).  ``space`` is a spanning set of that span,
+    one error per function; its rank ``dim`` (from ``spaces.orthonormalize``)
+    becomes ``target_dim``.  The certificate tolerance is ``tol`` scaled by
     the largest moment magnitude (floored at one); stored errors are raw
     absolute errors.
 
@@ -479,13 +480,18 @@ def verify_exactness(
     m = space.moments()
     if not np.all(np.isfinite(m)):
         raise IntegrationError("non-finite moment: a basis function is not finite at an endpoint")
-    approx = rule.weights @ space.collocation(rule.nodes)
-    errors = np.abs(approx - m)
+    return _certificate(rule.weights @ space.collocation(rule.nodes), m, dim, tol)
+
+
+def _certificate(approx, moments, dim, tol) -> ExactnessCertificate:
+    """The certificate of quadratures ``approx`` of a span of rank ``dim``
+    against its ``moments``, ``tol`` scaled by the largest moment (floored at one)."""
+    errors = np.abs(approx - moments)
     return ExactnessCertificate(
         target_dim=int(dim),
         max_abs_error=float(np.max(errors)),
         per_function_errors=errors,
-        tol=tol * max(1.0, float(np.max(np.abs(m)))),
+        tol=tol * max(1.0, float(np.max(np.abs(moments)))),
     )
 
 
@@ -540,20 +546,45 @@ def equispaced_rule(space: FunctionSpace, n_nodes: int | None = None) -> Quadrat
 def classical_lobatto_rule(n_nodes: int, interval=(-1.0, 1.0)) -> QuadratureRule:
     """Classical Gauss-Lobatto rule with ``n_nodes`` points on an interval.
 
-    Interior nodes are the roots of P'_{m-1}; the weights are
-    2 / (m (m-1) P_{m-1}(x)^2) on [-1, 1].
+    The m - 2 interior nodes are the zeros of P'_{m-1}, the eigenvalues of
+    the symmetric tridiagonal Jacobi matrix of the weight 1 - s^2, whose
+    off-diagonal is sqrt(k (k + 2) / ((2k + 1)(2k + 3))), k = 1 .. m - 3
+    (Golub and Welsch, Math. Comp. 23, 1969).  That spectrum is symmetric
+    about 0, so each node is averaged with its mirror image: the rule is
+    exactly symmetric.  The weights are 2 / (m (m-1) P_{m-1}(s)^2) on
+    [-1, 1], with P_{m-1} from its three-term recurrence.
     """
     m = n_nodes
     if m < 2:
         raise ValueError("a Lobatto rule needs at least two nodes")
-    coeffs = np.zeros(m)
-    coeffs[m - 1] = 1.0
-    leg = np.polynomial.legendre.Legendre(coeffs)
-    interior = np.sort(leg.deriv().roots().real) if m > 2 else np.array([])
-    s = np.concatenate([[-1.0], interior, [1.0]])
-    w = 2.0 / (m * (m - 1) * leg(s) ** 2)
+    k = np.arange(1, m - 2)
+    jacobi = np.zeros((m - 2, m - 2))
+    jacobi[k - 1, k] = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))
+    interior = np.linalg.eigvalsh(jacobi, UPLO="U")
+    s = np.concatenate([[-1.0], 0.5 * (interior - interior[::-1]), [1.0]])
+    p_prev, p = np.ones_like(s), s
+    for j in range(1, m - 1):
+        p_prev, p = p, ((2 * j + 1) * s * p - j * p_prev) / (j + 1)
+    w = 2.0 / (m * (m - 1) * p ** 2)
     a, b = interval
     half = 0.5 * (b - a)
-    return QuadratureRule(
-        nodes=a + half * (s + 1.0), weights=half * w, closed=True, interval=(float(a), float(b))
-    )
+    return QuadratureRule(nodes=0.5 * (a + b) + half * s, weights=half * w, closed=True,
+                          interval=(float(a), float(b)))
+
+
+def legendre_certificate(rule: QuadratureRule, dim: int) -> ExactnessCertificate:
+    """Exactness certificate of a rule against P_0 .. P_{dim-1} of the local
+    coordinate s = (2x - a - b) / (b - a) of its interval [a, b].
+
+    The span is P_{dim-1} itself, so ``target_dim`` is ``dim``, and its
+    moments are closed forms, (b - a, 0, ..., 0); the Legendre basis is
+    bounded by one, so the errors stay at rounding level on any interval.
+    The tolerance is ``CERTIFICATE_TOL`` (b - a), floored at
+    ``CERTIFICATE_TOL``, as ``verify_exactness`` scales it.
+    """
+    a, b = rule.interval
+    s = (2.0 * rule.nodes - (a + b)) / (b - a)
+    moments = np.zeros(dim)
+    moments[0] = b - a
+    return _certificate(rule.weights @ np.polynomial.legendre.legvander(s, dim - 1),
+                        moments, dim, CERTIFICATE_TOL)

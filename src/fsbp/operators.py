@@ -11,6 +11,8 @@ S F = P F_x - B F / 2 (``_skew_solve``); the fallback for node sets
 without an exact rule eliminates S the same way and fits the weights
 above a floor of 1e-3 (b - a) / n by Lawson and Hanson's active-set
 non-negative least squares on w - floor (``_nnls``), in numpy alone.
+On a classical Gauss-Lobatto rule the operator has a closed form, the
+collocation derivative (``collocation_operator``), and needs no solve.
 
 Operators are immutable after construction; builds are pure functions
 of (space, rule) and safe for concurrent use.
@@ -32,6 +34,7 @@ __all__ = [
     "FsbpOperator",
     "SbpVerdict",
     "build_operator",
+    "collocation_operator",
     "verify_sbp",
     "operator_to_dict",
     "operator_from_dict",
@@ -196,6 +199,17 @@ def _exactness(d: np.ndarray, f_vals: np.ndarray, f_ders: np.ndarray) -> tuple[f
     return err, err <= TOL_EXACT * max(1.0, float(np.max(np.abs(f_ders))))
 
 
+def _check_rule(rule: QuadratureRule) -> None:
+    """AssemblyError for an open rule or an invalid certificate."""
+    if not rule.closed:
+        raise AssemblyError("operator assembly needs a closed rule (both endpoints)")
+    if rule.certificate is not None and not rule.certificate.valid:
+        raise AssemblyError(
+            f"rule certificate invalid (max error {rule.certificate.max_abs_error:.3e} "
+            f"> tol {rule.certificate.tol:.3e})"
+        )
+
+
 def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     """Assemble the operator from a closed positive rule.
 
@@ -209,13 +223,7 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
     So do an open rule, an invalid certificate, more functions than
     nodes, and a rank-deficient collocation matrix.
     """
-    if not rule.closed:
-        raise AssemblyError("operator assembly needs a closed rule (both endpoints)")
-    if rule.certificate is not None and not rule.certificate.valid:
-        raise AssemblyError(
-            f"rule certificate invalid (max error {rule.certificate.max_abs_error:.3e} "
-            f"> tol {rule.certificate.tol:.3e})"
-        )
+    _check_rule(rule)
     nodes = rule.nodes
     n = nodes.size
     m = space.dim
@@ -245,6 +253,49 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
         interval=rule.interval,
         space_fingerprint=space_fingerprint(space),
         null_space_dim=(n - m) * (n - m - 1) // 2,
+    )
+
+
+def collocation_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
+    """The collocation derivative on a closed Gauss-Lobatto rule, as an SBP operator.
+
+    On n Lobatto nodes, a rule exact for P_{2n-3}, the derivative of the
+    polynomial interpolant is exact for P_{n-1}, the span of ``space``,
+    and summation by parts holds with the rule's weights as P.  D_ref is
+    the barycentric differentiation matrix (Berrut and Trefethen, SIAM
+    Rev. 46, 2004) on the nodes' local coordinate s in [-1, 1], its
+    diagonal the negative sum of the rest of its row; on s, the products
+    of node differences behind the barycentric weights stay of order one
+    whatever the interval's length.  With
+    D_0 = 2 D_ref / (b - a), Q = B/2 + S, S the skew part of
+    P D_0 - B/2, so Q + Q^T = B holds bit for bit, and D = P^{-1} Q.
+    An open rule or an invalid certificate raises AssemblyError, as in
+    ``build_operator``; the rule's exactness is its certificate's to
+    judge and the operator's ``verify_sbp``'s.
+    """
+    _check_rule(rule)
+    a, b = rule.interval
+    n = rule.size
+    s = (2.0 * rule.nodes - (a + b)) / (b - a)
+    diff = s[:, None] - s
+    np.fill_diagonal(diff, 1.0)
+    bary = 1.0 / np.prod(diff, axis=1)                 # barycentric weights
+    d_ref = bary / bary[:, None] / diff
+    np.fill_diagonal(d_ref, 0.0)
+    np.fill_diagonal(d_ref, -d_ref.sum(axis=1))
+    p = rule.weights
+    b_diag = _boundary_diagonal(n)
+    m = p[:, None] * ((2.0 / (b - a)) * d_ref) - 0.5 * np.diag(b_diag)
+    q = 0.5 * np.diag(b_diag) + 0.5 * (m - m.T)
+    return FsbpOperator(
+        nodes=rule.nodes.copy(),
+        P=p.copy(),
+        Q=q,
+        B=b_diag,
+        D=q / p[:, None],
+        interval=rule.interval,
+        space_fingerprint=space_fingerprint(space),
+        null_space_dim=0,
     )
 
 

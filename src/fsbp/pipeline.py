@@ -6,7 +6,8 @@ decision), parity augmentation, then node optimisation; the Tchebyshev
 screen runs only to explain a failed solve.  Every operator is made
 here, on a node mode's rule (``build_study_operator``) or on a given one
 such as a rule file's (``build_rule_operator``): the rule is certified,
-then assembled and verified by one tail.  A malformed request is
+then assembled and verified by one tail; only the classical Gauss-Lobatto
+rule, whose operator is the collocation derivative, has its own.  A malformed request is
 refused here, with ValueError, before any work; a well-formed one that
 fails raises one of ``fsbp.errors.SOLVER_ERRORS``, or ``ScreenFailure``
 when the screen explains a failed solve.  Nothing here imports the PDE
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankError, SolverError
+from .errors import AssemblyError, RankError, SolverError
 from .spaces import (
     FunctionSpace,
     augment_to_even,
@@ -33,6 +34,7 @@ from .gauss import (
     classical_lobatto_rule,
     continuation_solve,
     equispaced_rule,
+    legendre_certificate,
     verify_exactness,
 )
 from .operators import (
@@ -40,6 +42,7 @@ from .operators import (
     SbpVerdict,
     build_approximate_operator,
     build_operator,
+    collocation_operator,
     verify_sbp,
 )
 
@@ -127,6 +130,11 @@ def build_study_operator(
     P/Q structure (and hence the energy estimate) is kept, the
     differentiation is approximate, and the verdict reports the defect.
     Without ``n_nodes`` the smallest exact equispaced rule is used.
+
+    In "classical-gll" every part is a closed form: the d + 1 Lobatto
+    nodes of degree d, certified on the Legendre basis of P_{2d-1}
+    (``legendre_certificate``), and their collocation derivative
+    (``collocation_operator``); a failed verdict raises AssemblyError.
     """
     if node_mode not in NODE_MODES:
         raise ValueError(f"node_mode must be one of {NODE_MODES}, got {node_mode!r}")
@@ -146,27 +154,33 @@ def build_study_operator(
         rule = classical_lobatto_rule(degree + 1, space.interval)
         # an operator needs exactness on the product span only, P_{2d-1}
         # of rank 2d, which the d + 1 Lobatto nodes give: no augmentation
-        product = product_derivative_space(space)
-        rank = 2 * degree
-    else:  # equispaced
-        product = product_derivative_space(space)
-        ortho = orthonormalize(product)
-        rank = ortho.dim
-        try:
-            rule = equispaced_rule(ortho, n_nodes) if n_nodes is None or n_nodes >= rank else None
-        except SolverError:
-            if n_nodes is None:
-                raise
-            rule = None
-        if rule is None:
-            # node budget too small for exactness: defect-minimising
-            # construction with the structural identities kept exact
-            a, b = space.interval
-            op = build_approximate_operator(space, np.linspace(a, b, n_nodes))
-            trace = {"construction": "equispaced-approximate", "n_nodes": n_nodes}
-            rule = QuadratureRule(op.nodes, op.P, closed=True, interval=(a, b), trace=trace)
-            return op, rule, verify_sbp(op, space, rng_seed=rng_seed)
-    rule.certificate = verify_exactness(rule, product, rank)
+        rule.certificate = legendre_certificate(rule, 2 * degree)
+        op = collocation_operator(space, rule)
+        verdict = verify_sbp(op, space, rng_seed=rng_seed)
+        # the closed form has no exactness gate of its own: a failed check
+        # is a failed build, as ``build_operator``'s gate makes it
+        if not verdict.passed:
+            raise AssemblyError(f"the collocation operator failed verification "
+                                f"(exactness defect {verdict.max_exactness_error:.3e})")
+        return op, rule, verdict
+    # equispaced
+    product = product_derivative_space(space)
+    ortho = orthonormalize(product)
+    try:
+        rule = equispaced_rule(ortho, n_nodes) if n_nodes is None or n_nodes >= ortho.dim else None
+    except SolverError:
+        if n_nodes is None:
+            raise
+        rule = None
+    if rule is None:
+        # node budget too small for exactness: defect-minimising
+        # construction with the structural identities kept exact
+        a, b = space.interval
+        op = build_approximate_operator(space, np.linspace(a, b, n_nodes))
+        trace = {"construction": "equispaced-approximate", "n_nodes": n_nodes}
+        rule = QuadratureRule(op.nodes, op.P, closed=True, interval=(a, b), trace=trace)
+        return op, rule, verify_sbp(op, space, rng_seed=rng_seed)
+    rule.certificate = verify_exactness(rule, product, ortho.dim)
     return _assembled(space, rule, rng_seed)
 
 

@@ -163,13 +163,12 @@ class FunctionSpace:
 # built-in families
 
 def _powers(s: np.ndarray, degrees, k: int) -> np.ndarray:
-    """Jet of order k of s**j, one column per degree j."""
-    pw = {i: s ** i for i in {j - d for j in degrees for d in range(min(j, k) + 1)}}
-    out = np.zeros((k + 1, s.size, len(degrees)))
-    for col, j in enumerate(degrees):
-        for d in range(min(j, k) + 1):
-            out[d, :, col] = math.perm(j, d) * pw[j - d]
-    return out
+    """Jet of order k of s**j, one column per degree j: perm(j, d) s**(j - d),
+    gathered from one table of powers whose last column, read for d > j, is zero."""
+    j, d = np.asarray(degrees), np.arange(k + 1)[:, None]
+    table = np.stack([s ** i for i in range(j.max() + 1)] + [np.zeros_like(s)], axis=1)
+    factors = np.array([[math.perm(int(i), order) for i in j] for order in range(k + 1)], float)
+    return np.swapaxes(table[:, np.maximum(j - d, -1)] * factors, 0, 1)
 
 
 def _trig(a: float, b: float, max_harmonic: int, freq_scale: float) -> Evaluator:

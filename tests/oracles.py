@@ -2,8 +2,10 @@
 
 Everything here except the cardinal-basis section is deliberately
 written without the package's solver or integration paths: Legendre
-recurrences plus Newton root finding for the classical rules, and plain
-composite panel quadrature for integrals.  The skew solves assemble
+recurrences plus Newton root finding for the classical rules (also in
+50-digit mpmath, with the Gauss-Lobatto differentiation matrix), and
+plain composite panel quadrature for integrals.  ``powers_loop`` fills
+the monomial jet entry by entry, the reference for the family's gather.  The skew solves assemble
 the dense Kronecker least-squares system over the strictly lower
 triangle, the reference for the operators' closed-form solve, and the
 Lagrange differentiation matrix is built from barycentric weights in
@@ -28,6 +30,7 @@ pipeline does; nor is ``cubic_gll_study``, a study entry for
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import scipy.linalg
 import scipy.optimize
@@ -104,6 +107,43 @@ def lobatto_nodes_weights(m: int):
     return x, w
 
 
+def lobatto_reference(m: int, dps: int = 50):
+    """Classical m-point Gauss-Lobatto nodes, weights and differentiation
+    matrix on [-1, 1], computed in mpmath at ``dps`` digits and rounded.
+
+    Interior nodes by Newton on P'_{m-1} from the Chebyshev-Lobatto
+    points, P_{m-1} by its recurrence; weights 2 / (m (m-1) P_{m-1}^2);
+    the matrix from the barycentric weights, its diagonal the negative
+    sum of the rest of its row.
+    """
+    n = m - 1
+    with mpmath.workdps(dps):
+        def legendre(x):
+            p_prev, p = mpmath.mpf(1), x
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            return p, p_prev
+
+        x = [-mpmath.cos(mpmath.pi * j / n) for j in range(m)]
+        for j in range(1, n):
+            for _ in range(100):
+                p, p_prev = legendre(x[j])
+                dp = n * (x[j] * p - p_prev) / (x[j] ** 2 - 1)
+                dx = dp / ((2 * x[j] * dp - n * (n + 1) * p) / (1 - x[j] ** 2))
+                x[j] -= dx
+                if abs(dx) < mpmath.mpf(10) ** (5 - dps):
+                    break
+        x[0], x[-1] = mpmath.mpf(-1), mpmath.mpf(1)
+        w = [2 / (m * n * legendre(xj)[0] ** 2) for xj in x]
+        bary = [1 / mpmath.fprod(x[j] - x[k] for k in range(m) if k != j) for j in range(m)]
+        d = [[bary[j] / bary[i] / (x[i] - x[j]) if i != j else 0 for j in range(m)]
+             for i in range(m)]
+        for i in range(m):
+            d[i][i] = -mpmath.fsum(d[i])
+        return (np.array(x, dtype=float), np.array(w, dtype=float),
+                np.array([[float(v) for v in row] for row in d]))
+
+
 # 5-point Gauss nodes/weights for the panel integrator, computed by the
 # Newton routine above at import time
 _G5_X, _G5_W = gauss_nodes_weights(5)
@@ -175,6 +215,17 @@ def ibp_defect_loop(op, f_vals, n_pairs: int, rng_seed: int) -> float:
         lhs = u @ (op.P * (op.D @ v)) + (op.D @ u) @ (op.P * v)
         worst = max(worst, abs(lhs - (u[-1] * v[-1] - u[0] * v[0])))
     return float(worst)
+
+
+def powers_loop(s, degrees, k: int) -> np.ndarray:
+    """Jet of order k of s**j, one column per degree j, filled column by
+    column and order by order: the reference for the one-gather jet."""
+    pw = {i: s ** i for i in {j - d for j in degrees for d in range(min(j, k) + 1)}}
+    out = np.zeros((k + 1, s.size, len(degrees)))
+    for col, j in enumerate(degrees):
+        for d in range(min(j, k) + 1):
+            out[d, :, col] = math.perm(j, d) * pw[j - d]
+    return out
 
 
 def lagrange_diff_matrix(nodes):

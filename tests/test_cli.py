@@ -110,12 +110,19 @@ def test_rule_operator_and_verify_load_no_scipy(tmp_path):
     # climbs from 5 to 9 equispaced nodes on direct and least-squares
     # weights alone, and on 4 nodes its weights come from the numpy
     # non-negative least-squares fit of the approximate operator; every
-    # moment is closed-form, so the adaptive integrator stays unloaded
+    # moment is closed-form, so the adaptive integrator stays unloaded.
+    # Classical Gauss-Lobatto operators of degree 20 and 24 on [0, 1],
+    # where raw monomials are rank deficient, build and verify too
     mono6 = {"family": "monomial", "degree": 6, "interval": [-1, 1]}
     write_config(tmp_path / "rule.json", {"space": refcases.EXP3_SPEC, "mode": "closed"})
     write_config(tmp_path / "bessel.json", {"space": refcases.BESSEL_SPEC})
     write_config(tmp_path / "gll.json", {"space": mono6})
     write_config(tmp_path / "verify.json", {"operator": "op/operator.json", "space": mono6})
+    for degree in (20, 24):
+        mono = {"family": "monomial", "degree": degree, "interval": [0, 1]}
+        write_config(tmp_path / f"gll{degree}.json", {"space": mono})
+        write_config(tmp_path / f"verify{degree}.json",
+                     {"operator": f"op{degree}/operator.json", "space": mono})
     write_config(tmp_path / "equi.json", {"space": {
         "family": "exponential", "rates": [10.0], "poly_degree": 1, "interval": [0, 1]}})
     write_config(tmp_path / "approx.json", {"n_nodes": 4, "space": {
@@ -132,6 +139,11 @@ def test_rule_operator_and_verify_load_no_scipy(tmp_path):
                        "--out", "equi"]),
                  main(["operator", "--config", "approx.json", "--mode", "equispaced",
                        "--out", "approx"])]
+        for degree in (20, 24):
+            codes += [main(["operator", "--config", f"gll{degree}.json",
+                            "--mode", "classical-gll", "--out", f"op{degree}"]),
+                      main(["verify", "--config", f"verify{degree}.json",
+                            "--out", f"verify{degree}"])]
         print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy")),
                           "fsbp.integrate" in sys.modules]))
     """)
@@ -140,7 +152,9 @@ def test_rule_operator_and_verify_load_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout
     codes, loaded, integrator = json.loads(out.splitlines()[-1])
-    assert codes == [0, 0, 0, 0, 0, 0]
+    assert codes == [0] * 10
+    for name in ("op20", "verify20", "op24", "verify24"):
+        assert json.loads((tmp_path / name / "verdict.json").read_text())["pass"], name
     assert loaded == []
     assert not integrator
     assert len(json.loads((tmp_path / "equi" / "operator.json").read_text())["nodes"]) == 9

@@ -32,6 +32,7 @@ from oracles import (
     hermite_lagrange,
     hermite_vandermonde,
     lobatto_nodes_weights,
+    lobatto_reference,
     residuals_and_weights,
 )
 
@@ -597,6 +598,20 @@ def test_classical_rule_constructors():
     x_ref, w_ref = lobatto_nodes_weights(4)
     assert np.allclose(lob.nodes, x_ref, atol=1e-13)
     assert np.allclose(lob.weights, w_ref, atol=1e-13)
+
+
+def test_classical_lobatto_rule_against_mpmath():
+    # Golub-Welsch nodes and recurrence weights, n = 2 .. 25, within a few
+    # ulp of a 50-digit reference, and exactly symmetric; the companion
+    # matrix roots of P'_{n-1} were 2.7e-15 off at n = 25
+    eps = np.finfo(float).eps
+    for n in range(2, 26):
+        x_ref, w_ref, _ = lobatto_reference(n)
+        rule = classical_lobatto_rule(n)
+        assert np.max(np.abs(rule.nodes - x_ref)) <= 4 * eps, n
+        assert np.max(np.abs(rule.weights - w_ref)) <= 4 * eps, n
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1]), n
+        assert np.array_equal(rule.weights, rule.weights[::-1]), n
 
 
 def test_rule_validation():

@@ -24,6 +24,7 @@ from oracles import (
     ibp_defect_loop,
     joint_defect_bvls,
     lagrange_diff_matrix,
+    lobatto_reference,
     scale_to_element,
     skew_lstsq,
 )
@@ -209,8 +210,8 @@ def test_classical_gll_operators_of_high_degree():
         json.dumps([rule.to_dict(), verdict.to_dict()], allow_nan=False)
         stored = json.loads(json.dumps(operator_to_dict(op), allow_nan=False))
         assert verify_sbp(operator_from_dict(stored), make_family(spec), rng_seed=0).passed, degree
-    # moments from the monomials' endpoint values: a ratio of about 1.4e-6
-    # to the tolerance at degree 24
+    # the Legendre basis's moments in closed form, (2, 0, ..., 0): a ratio
+    # of about 7.6e-8 to the tolerance at degree 24
     assert rule.certificate.max_abs_error <= 1e-5 * rule.certificate.tol
 
 
@@ -218,12 +219,65 @@ def test_classical_gll_operators_of_high_degree():
 def test_classical_gll_certificate_rank_is_twice_the_degree(degree, interval):
     # the product span of x^0 .. x^d is P_{2d-1}, of rank 2d, which a
     # numerical rank of the monomial pairs underestimates above degree 16
-    # on [-1, 1] and above degree 8 on [0, 1]
+    # on [-1, 1] and above degree 8 on [0, 1]; the certificate holds one
+    # error per Legendre polynomial P_0 .. P_{2d-1}
     from fsbp.pipeline import build_study_operator
 
     spec = {"family": "monomial", "degree": degree, "interval": interval}
     _, rule, verdict = build_study_operator(spec, "classical-gll")
     assert rule.certificate.target_dim == 2 * degree
+    assert len(rule.certificate.per_function_errors) == 2 * degree
+    assert rule.certificate.valid and verdict.passed
+
+
+def test_classical_gll_certifies_off_the_origin():
+    # on [2, 5] the monomial pairs' largest moment, and the tolerance scaled
+    # by it, reached 3.6e25 at degree 24, and from degree 11 the monomial
+    # collocation matrix was rank deficient; the Legendre certificate's
+    # tolerance is 1e-8 (b - a)
+    from fsbp.pipeline import build_study_operator
+
+    for degree in range(12, 25):
+        spec = {"family": "monomial", "degree": degree, "interval": [2, 5]}
+        _, rule, verdict = build_study_operator(spec, "classical-gll")
+        assert rule.certificate.tol == pytest.approx(3e-8, rel=1e-12), degree
+        assert rule.certificate.valid and verdict.passed, degree
+
+
+@pytest.mark.parametrize("degree", [12, 24])
+def test_classical_gll_operator_against_mpmath(degree):
+    # the collocation derivative is at rounding level: the skew solve on
+    # raw monomials was 1.6e-8 off at degree 24, where max|D| is 203
+    from fsbp.pipeline import build_study_operator
+
+    spec = {"family": "monomial", "degree": degree, "interval": [-1, 1]}
+    op, _, _ = build_study_operator(spec, "classical-gll")
+    _, _, d_ref = lobatto_reference(degree + 1)
+    assert np.max(np.abs(op.D - d_ref)) <= 1e-13 * np.max(np.abs(d_ref))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(degree=st.integers(1, 24), length=st.floats(1e-2, 1e2), data=st.data())
+def test_classical_gll_operator_is_affine_covariant(degree, length, data):
+    # the operator on [a, a + L] is the affine image of the one on [-1, 1],
+    # exactly skew, with a valid certificate and a passing verdict.  Narrow
+    # intervals far from the origin are not drawn: there the raw monomials
+    # of verify_sbp's exactness check lose every digit
+    from fsbp.pipeline import build_study_operator
+
+    a = data.draw(st.floats(-1.5 * length, 0.5 * length))
+    b = a + length
+    ref, _, _ = build_study_operator(
+        {"family": "monomial", "degree": degree, "interval": [-1, 1]}, "classical-gll")
+    op, rule, verdict = build_study_operator(
+        {"family": "monomial", "degree": degree, "interval": [a, b]}, "classical-gll")
+    half = 0.5 * (b - a)
+    assert np.all(np.abs(op.nodes - (a + half * (ref.nodes + 1.0)))
+                  <= 1e-14 * max(abs(a), abs(b)))
+    assert np.all(np.abs(op.P - half * ref.P) <= 1e-14 * half * ref.P)
+    d_image = ref.D / half
+    assert np.max(np.abs(op.D - d_image)) <= 1e-12 * np.max(np.abs(d_image))
+    assert op.skew_defect() == 0.0
     assert rule.certificate.valid and verdict.passed
 
 

@@ -12,6 +12,7 @@ from fsbp.spaces import (
     _chebyshev_coefficients,
     _chebyshev_gram,
     _determinant_signs,
+    _powers,
     augment_to_even,
     make_family,
     orthonormalize,
@@ -21,7 +22,7 @@ from fsbp.spaces import (
 )
 
 from fsbp import pipeline, refcases
-from oracles import augmented_target, panel_integrate, screened
+from oracles import augmented_target, panel_integrate, powers_loop, screened
 
 
 # ---------------------------------------------------------------------- families
@@ -313,6 +314,19 @@ def test_closed_form_moments_match_adaptive_integration(family, centre, half):
         closed, adaptive = space.moments(), moments(space)
         assert closed.shape == (space.dim,)
         assert np.all(np.abs(closed - adaptive) <= 1e-12 * np.maximum(1.0, np.abs(adaptive))), spec
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(degree=st.integers(0, 25), k=st.integers(0, 2),
+       s=st.lists(st.floats(-4.0, 4.0), max_size=30))
+def test_monomial_jet_matches_the_entrywise_loop(degree, k, s):
+    # one gather from one table of powers: the loop's values bit for bit,
+    # the signs of zeros included
+    s = np.array(s, dtype=float)
+    got, want = _powers(s, range(degree + 1), k), powers_loop(s, range(degree + 1), k)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # ----------------------------------------------------------- orthonormalize
