@@ -145,8 +145,7 @@ class Runner:
         }
         if extra:
             manifest.update(extra)
-        if not self.outputs:
-            self.out.mkdir(parents=True, exist_ok=True)
+        self.out.mkdir(parents=True, exist_ok=True)
         write_json(self.out / "manifest.json", manifest)
 
 

@@ -550,9 +550,12 @@ def classical_lobatto_rule(n_nodes: int, interval=(-1.0, 1.0)) -> QuadratureRule
     the symmetric tridiagonal Jacobi matrix of the weight 1 - s^2, whose
     off-diagonal is sqrt(k (k + 2) / ((2k + 1)(2k + 3))), k = 1 .. m - 3
     (Golub and Welsch, Math. Comp. 23, 1969).  That spectrum is symmetric
-    about 0, so each node is averaged with its mirror image: the rule is
-    exactly symmetric.  The weights are 2 / (m (m-1) P_{m-1}(s)^2) on
-    [-1, 1], with P_{m-1} from its three-term recurrence.
+    about 0, so each node is averaged with its mirror image: the nodes s
+    and the weights are exactly symmetric.  The weights are
+    2 / (m (m-1) P_{m-1}(s)^2) on [-1, 1], with P_{m-1} from its
+    three-term recurrence.  The map a + (b - a)(s + 1) / 2, that of
+    ``continuation_solve``, hits a exactly, and b too whenever b - a is
+    exact, so narrow intervals far from the origin keep their endpoints.
     """
     m = n_nodes
     if m < 2:
@@ -568,7 +571,7 @@ def classical_lobatto_rule(n_nodes: int, interval=(-1.0, 1.0)) -> QuadratureRule
     w = 2.0 / (m * (m - 1) * p ** 2)
     a, b = interval
     half = 0.5 * (b - a)
-    return QuadratureRule(nodes=0.5 * (a + b) + half * s, weights=half * w, closed=True,
+    return QuadratureRule(nodes=a + half * (s + 1.0), weights=half * w, closed=True,
                           interval=(float(a), float(b)))
 
 

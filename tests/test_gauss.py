@@ -602,16 +602,33 @@ def test_classical_rule_constructors():
 
 def test_classical_lobatto_rule_against_mpmath():
     # Golub-Welsch nodes and recurrence weights, n = 2 .. 25, within a few
-    # ulp of a 50-digit reference, and exactly symmetric; the companion
-    # matrix roots of P'_{n-1} were 2.7e-15 off at n = 25
+    # ulp of a 50-digit reference, the weights exactly symmetric; the
+    # companion matrix roots of P'_{n-1} were 2.7e-15 off at n = 25
     eps = np.finfo(float).eps
     for n in range(2, 26):
         x_ref, w_ref, _ = lobatto_reference(n)
         rule = classical_lobatto_rule(n)
         assert np.max(np.abs(rule.nodes - x_ref)) <= 4 * eps, n
         assert np.max(np.abs(rule.weights - w_ref)) <= 4 * eps, n
-        assert np.array_equal(rule.nodes, -rule.nodes[::-1]), n
         assert np.array_equal(rule.weights, rule.weights[::-1]), n
+
+
+@pytest.mark.parametrize("interval", [(1e4, 1e4 + 0.01), (-1e4 - 0.01, -1e4),
+                                      (1e6, 1e6 + 1e-3)])
+def test_classical_lobatto_rule_on_narrow_intervals_far_from_the_origin(interval):
+    # the end nodes must land within 1e-12 (b - a) of the ends, 1e-14 on
+    # [1e4, 1e4 + 0.01]: a map through the rounded midpoint (a + b) / 2
+    # missed that by about 1e-12 and refused every n as an open rule
+    from fsbp.pipeline import build_study_operator
+
+    a, b = interval
+    for n in range(2, 26):
+        rule = classical_lobatto_rule(n, interval)
+        assert (rule.nodes[0], rule.nodes[-1]) == (a, b), n
+        assert np.all(np.diff(rule.nodes) > 0), n
+    _, rule, verdict = build_study_operator(
+        {"family": "monomial", "degree": 1, "interval": [a, b]}, "classical-gll")
+    assert rule.certificate.valid and verdict.passed
 
 
 def test_rule_validation():
