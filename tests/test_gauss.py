@@ -616,9 +616,9 @@ def test_classical_lobatto_rule_against_mpmath():
 @pytest.mark.parametrize("interval", [(1e4, 1e4 + 0.01), (-1e4 - 0.01, -1e4),
                                       (1e6, 1e6 + 1e-3)])
 def test_classical_lobatto_rule_on_narrow_intervals_far_from_the_origin(interval):
-    # the end nodes must land within 1e-12 (b - a) of the ends, 1e-14 on
-    # [1e4, 1e4 + 0.01]: a map through the rounded midpoint (a + b) / 2
-    # missed that by about 1e-12 and refused every n as an open rule
+    # a closed rule's end nodes must lie within 1e-12 (b - a) of the ends,
+    # 1e-14 on [1e4, 1e4 + 0.01], which a map through the rounded midpoint
+    # (a + b) / 2 misses by about 1e-12 for every n
     from fsbp.pipeline import build_study_operator
 
     a, b = interval
