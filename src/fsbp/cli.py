@@ -8,13 +8,14 @@ study, run by ``convergence_study`` on the pipeline's operators and the
 PDE layer's solves), ``fixtures`` (regenerate the frozen reference data).
 
 Every command reads one JSON config, writes its outputs plus a run
-manifest under --out, and is deterministic for identical config and
-seed.  A command reads its config through its key table (``RULE``,
-``OPERATOR``, ``VERIFY``, ``SOLVE``, ``CONVERGE``, ``FIXTURES``; a family
-descriptor through its family's in ``spaces.FAMILIES``) with
-``spaces.check``, before any work: a key outside the table exits 2,
-naming its path.  Exit codes, as ``fsbp.errors`` maps the failures:
-0 success, 2 validation, 3 solver failure, 4 verification failure.
+manifest under --out, and is deterministic: its outputs are a function
+of the config (and the files it names) alone.  A command reads its
+config through its key table (``RULE``, ``OPERATOR``, ``VERIFY``,
+``SOLVE``, ``CONVERGE``, ``FIXTURES``; a family descriptor through its
+family's in ``spaces.FAMILIES``) with ``spaces.check``, before any work:
+a key outside the table exits 2, naming its path.  Exit codes, as
+``fsbp.errors`` maps the failures: 0 success, 2 validation, 3 solver
+failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -137,7 +138,6 @@ class Runner:
         manifest = {
             "command": self.command,
             "tool_version": __version__,
-            "seed": int(getattr(self.args, "seed", 0)),
             "resolved_config": self.config,
             "input_fingerprints": self.inputs,
             "outputs": sorted(self.outputs),
@@ -208,11 +208,11 @@ def operator_files(runner: Runner, tag: str, op) -> None:
 def cmd_rule(args) -> int:
     config, values, inputs = load_config(args, RULE)
     mode = args.mode or values["mode"]
-    runner = Runner("rule", args, {**config, "mode": mode, "seed": args.seed}, inputs)
+    runner = Runner("rule", args, {**config, "mode": mode}, inputs)
 
     timings = {}
     with StageTimer(timings, "rule_solve_s"):
-        result = solve_rule_pipeline(values["space"], mode, rng_seed=args.seed)
+        result = solve_rule_pipeline(values["space"], mode)
     with StageTimer(timings, "output_write_s"):
         rule_files(runner, "rule", result.rule)
         ortho = result.orthonormal
@@ -246,18 +246,17 @@ def cmd_operator(args) -> int:
     if values["rule"] is not None and given:
         raise FamilyError(f"the config names a 'rule' file and {given[0]}: "
                           "an operator takes its nodes from one of them")
-    runner = Runner("operator", args, {**config, "seed": args.seed}, inputs)
+    runner = Runner("operator", args, config, inputs)
 
     timings = {}
     with StageTimer(timings, "operator_build_s"):
         if values["rule"] is not None:
             space = make_family(values["space"])
             rule = load_input(runner, args, values["rule"], "rule", QuadratureRule.from_dict)
-            op, rule, verdict = build_rule_operator(space, rule, rng_seed=args.seed)
+            op, rule, verdict = build_rule_operator(space, rule)
         else:
             op, rule, verdict = build_study_operator(
-                values["space"], args.mode or values["node_mode"],
-                rng_seed=args.seed, n_nodes=values["n_nodes"],
+                values["space"], args.mode or values["node_mode"], n_nodes=values["n_nodes"],
             )
     with StageTimer(timings, "output_write_s"):
         operator_files(runner, "operator", op)
@@ -269,12 +268,12 @@ def cmd_operator(args) -> int:
 
 def cmd_verify(args) -> int:
     config, values, inputs = load_config(args, VERIFY)
-    runner = Runner("verify", args, {**config, "seed": args.seed}, inputs)
+    runner = Runner("verify", args, config, inputs)
     op = load_input(runner, args, values["operator"], "operator", operator_from_dict)
     space = make_family(values["space"])
     timings = {}
     with StageTimer(timings, "verify_s"):
-        verdict = verify_sbp(op, space, rng_seed=args.seed)
+        verdict = verify_sbp(op, space)
     with StageTimer(timings, "output_write_s"):
         write_json(runner.path("verdict.json"), verdict.to_dict())
     runner.finish({"timings": timings, "verdict": verdict.to_dict()})
@@ -305,13 +304,12 @@ def cmd_solve(args) -> int:
     pde, op_cfg, n_elements, cfl = (values[key] for key in ("pde", "operator", "elements", "cfl"))
     params = PdeParams(**values["params"])
     case = _mms_case(values["mms"], pde, params)
-    runner = Runner("solve", args, {**config, "seed": args.seed,
-                                    "elements": n_elements, "cfl": cfl}, inputs)
+    runner = Runner("solve", args, {**config, "elements": n_elements, "cfl": cfl}, inputs)
 
     timings = dict.fromkeys(TIMED_STAGES, 0.0)
     with StageTimer(timings, "operator_build_s"):
         op, _, verdict = build_study_operator(
-            op_cfg["space"], op_cfg["node_mode"], rng_seed=args.seed, n_nodes=op_cfg["n_nodes"],
+            op_cfg["space"], op_cfg["node_mode"], n_nodes=op_cfg["n_nodes"],
         )
     result = run_case(pde, op, n_elements, params, case, cfl, timings=timings)
     grid, y, trace = result.grid, result.y, result.trace
@@ -359,7 +357,6 @@ def convergence_study(
     case: MmsCase,
     cfl: float,
     totals: list[int],
-    rng_seed: int = 0,
     timings: dict | None = None,
 ) -> list[dict]:
     """Error-versus-resolution rows of one study, an entry of
@@ -402,7 +399,7 @@ def convergence_study(
                 if key not in built:
                     with StageTimer(timings, "operator_build_s"):
                         op, _, verdict = pipeline.build_study_operator(
-                            spec, cfg["node_mode"], rng_seed=rng_seed, n_nodes=cfg.get("n_nodes"),
+                            spec, cfg["node_mode"], n_nodes=cfg.get("n_nodes"),
                         )
                     built[key] = op, verdict
                 op, verdict = built[key]
@@ -432,10 +429,10 @@ def cmd_converge(args) -> int:
     given = {key: value for key, value in values["params"].items() if value is not None}
     params = PdeParams(**{**study["params"], **given})
     case = _mms_case(values["mms"] or study["mms"], study["pde"], params)
-    runner = Runner("converge", args, {**config, "seed": args.seed}, inputs)
+    runner = Runner("converge", args, config, inputs)
     timings = dict.fromkeys(TIMED_STAGES, 0.0)
     rows = convergence_study(study, params, case, values["cfl"] or study["cfl"],
-                             values["totals"] or study["matched_totals"], args.seed, timings)
+                             values["totals"] or study["matched_totals"], timings)
     header = ["operator", "elements", "nodes_per_element", "total_nodes",
               "error_norm", "observed_order"]
     with StageTimer(timings, "output_write_s"):
@@ -458,10 +455,10 @@ def cmd_converge(args) -> int:
 
 def cmd_fixtures(args) -> int:
     config, _, inputs = load_config(args, FIXTURES)
-    runner = Runner("fixtures", args, {**config, "seed": args.seed}, inputs)
+    runner = Runner("fixtures", args, config, inputs)
     report = {}
 
-    op, rule, _ = build_study_operator(refcases.EXP3_SPEC, "gglq", rng_seed=args.seed)
+    op, rule, _ = build_study_operator(refcases.EXP3_SPEC, "gglq")
     rule_files(runner, "exp3_closed_rule", rule)
     report["exp3_closed_nodes_delta"] = float(
         np.max(np.abs(rule.nodes - refcases.EXP3_CLOSED_NODES)))
@@ -470,7 +467,7 @@ def cmd_fixtures(args) -> int:
     operator_files(runner, "exp3_closed_operator", op)
     report["exp3_closed_d_delta"] = float(np.max(np.abs(op.D - refcases.EXP3_CLOSED_D)))
 
-    op5, rule5, _ = build_study_operator(refcases.EXP3_SPEC, "equispaced", rng_seed=args.seed)
+    op5, rule5, _ = build_study_operator(refcases.EXP3_SPEC, "equispaced")
     rule_files(runner, "exp3_equi5_rule", rule5)
     operator_files(runner, "exp3_equi5_operator", op5)
     report["exp3_equi5_weights_delta"] = float(
@@ -478,7 +475,7 @@ def cmd_fixtures(args) -> int:
 
     uni = refcases.uniform4_operator()
     operator_files(runner, "exp3_uniform4_operator", uni)
-    verdict = verify_sbp(uni, make_family(refcases.EXP3_SPEC), rng_seed=args.seed)
+    verdict = verify_sbp(uni, make_family(refcases.EXP3_SPEC))
     write_json(runner.path("exp3_uniform4_verdict.json"), verdict.to_dict())
     report["uniform4_exactness_defect"] = verdict.max_exactness_error
 
@@ -518,7 +515,10 @@ def build_parser() -> argparse.ArgumentParser:
         # each flag only on the commands that read it
         if name in ("rule", "operator"):
             p.add_argument("--mode", help="rule mode (open/closed) or operator node mode")
-        p.add_argument("--seed", type=int, default=0, help="seed for screens and checks")
+        # parsed and never read: no output depends on a seed.  The
+        # benchmark still passes --seed on every call; ROADMAP item 1, its
+        # revision, removes this line, and --seed then exits 2
+        p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
         p.set_defaults(fn=fn)
     return parser
 

@@ -30,12 +30,14 @@ Chebyshev series.  Every solver returns an uncertified rule
 (``certificate`` None): ``verify_exactness`` is the exactness check on a
 spanning set, ``legendre_certificate`` the closed-form one on P_{2d-1}
 for the classical Gauss-Lobatto rule, and ``fsbp.pipeline``, which makes
-every rule a command writes, certifies it once against the span it needs.  Nothing here integrates numerically:
-every moment is a space's own closed form (``FunctionSpace.moments``).
+every rule a command writes, certifies it once against the span it
+needs.  Nothing here integrates numerically: every moment is a space's
+own closed form (``FunctionSpace.moments``).
 
 The solver's tolerances and schedule are the module constants below;
-every rule is computed against the unit weight on its interval.  All
-solves are pure and reentrant; a single solve is sequential.
+every rule is computed against the unit weight on its interval and is a
+function of its space alone.  All solves are pure and reentrant; a
+single solve is sequential.
 """
 
 from __future__ import annotations
@@ -132,7 +134,11 @@ class QuadratureRule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QuadratureRule":
-        """The rule ``to_dict`` wrote; ValueError names a non-finite entry."""
+        """The rule ``to_dict`` wrote; ValueError names a non-finite or
+        misshapen entry."""
+        interval = np.asarray(d["interval"], dtype=float)
+        if interval.shape != (2,):
+            raise ValueError(f"rule entry 'interval' has shape {interval.shape}, expected (2,)")
         cert = None
         if d.get("certificate") is not None:
             c = d["certificate"]
@@ -143,7 +149,7 @@ class QuadratureRule:
                 tol=float(c["tol"]),
             )
         return cls(nodes=d["nodes"], weights=d["weights"], closed=bool(d["closed"]),
-                   interval=(float(d["interval"][0]), float(d["interval"][1])),
+                   interval=(float(interval[0]), float(interval[1])),
                    certificate=cert, trace=d.get("trace"))
 
 
@@ -389,11 +395,7 @@ def _full_size_or_ladder(ref, m_full, closed, trace):
     return _ladder(ref, m_full, closed, trace["stages"])
 
 
-def continuation_solve(
-    space: FunctionSpace,
-    closed: bool = False,
-    rng_seed: int = 0,
-) -> QuadratureRule:
+def continuation_solve(space: FunctionSpace, closed: bool = False) -> QuadratureRule:
     """Measure continuation from an orthonormal basis to a converged rule.
 
     ``space`` must be the output of ``spaces.orthonormalize`` (checked
@@ -411,14 +413,14 @@ def continuation_solve(
     failed first stage is reported as the ladder's.
 
     A Tchebyshev system is sufficient for a rule, not necessary, so the
-    Tchebyshev screen (seeded by ``rng_seed``) runs only to explain a
-    failed solve: a "fail" verdict raises ScreenFailure chained from the
-    SolverError, any other verdict re-raises the SolverError.  The
-    returned rule lives on the space's interval and carries no
-    certificate.  Its trace lists each stage's ``size``, its solved
-    blend ``steps`` (``t`` and Newton ``iterations``) and the number of
-    ``rejected`` steps it halved; a failed full-size stage comes first
-    and carries its ``error``, the ladder's stages follow it.
+    Tchebyshev screen runs only to explain a failed solve: a "fail"
+    verdict raises ScreenFailure chained from the SolverError, any other
+    verdict re-raises the SolverError.  The returned rule lives on the
+    space's interval and carries no certificate.  Its trace lists each
+    stage's ``size``, its solved blend ``steps`` (``t`` and Newton
+    ``iterations``) and the number of ``rejected`` steps it halved; a
+    failed full-size stage comes first and carries its ``error``, the
+    ladder's stages follow it.
     """
     if space.dim % 2 != 0:
         raise ValueError(
@@ -434,7 +436,7 @@ def continuation_solve(
     try:
         rule_ref = _full_size_or_ladder(ref, m_full, closed, trace)
     except SolverError as exc:
-        report = tchebyshev_screen(ref, rng_seed=rng_seed)
+        report = tchebyshev_screen(ref)
         if report.verdict != "fail":
             raise
         # which sign is which depends on the basis orientation, a rounding
@@ -462,11 +464,11 @@ def verify_exactness(
 
     The solvers return uncertified rules, and each caller that writes a
     rule certifies it here, once, against the span it needs (the classical
-    Gauss-Lobatto rule in ``legendre_certificate``).  ``space`` is a spanning set of that span,
-    one error per function; its rank ``dim`` (from ``spaces.orthonormalize``)
-    becomes ``target_dim``.  The certificate tolerance is ``tol`` scaled by
-    the largest moment magnitude (floored at one); stored errors are raw
-    absolute errors.
+    Gauss-Lobatto rule in ``legendre_certificate``).  ``space`` is a
+    spanning set of that span, one error per function; its rank ``dim``
+    (from ``spaces.orthonormalize``) becomes ``target_dim``.  The
+    certificate tolerance is ``tol`` scaled by the largest moment
+    magnitude (floored at one); stored errors are raw absolute errors.
 
     The moments are the span's closed forms (ValueError for a space
     without them); for the product-derivative pairs and their parity

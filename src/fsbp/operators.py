@@ -347,19 +347,16 @@ def build_approximate_operator(space: FunctionSpace, nodes: np.ndarray) -> FsbpO
     )
 
 
-def verify_sbp(
-    op: FsbpOperator,
-    space: FunctionSpace,
-    rng_seed: int = 0,
-) -> SbpVerdict:
+def verify_sbp(op: FsbpOperator, space: FunctionSpace) -> SbpVerdict:
     """Measure the operator's defects against a space.
 
     Checks derivative exactness on the basis, the skew structure of Q,
     weight positivity, and the discrete integration-by-parts identity
-    u^T P (D v) + (D u)^T P v = u_n v_n - u_1 v_1 on 100 random pairs
-    drawn from the span (normalised to unit max magnitude), seeded by
-    ``rng_seed``.  Reported defects are raw.  The exactness pass is
-    ``_exactness``, the gate ``build_operator`` raises on, whose
+    u^T P (D v) + (D u)^T P v = u_n v_n - u_1 v_1 on every pair of basis
+    functions, each divided by max(1, its max magnitude at the nodes): the
+    largest entry of F^T (P D + D^T P - B) F over those columns F, with B
+    = diag(-1, 0, ..., 0, 1).  Reported defects are raw.  The exactness
+    pass is ``_exactness``, the gate ``build_operator`` raises on, whose
     tolerance is scaled by the derivative magnitude so huge-magnitude
     bases are judged relatively.
     """
@@ -368,13 +365,14 @@ def verify_sbp(
     skew = op.skew_defect()
     min_w = float(np.min(op.P))
 
-    # pair k is (u, v) = (uv[k, 0], uv[k, 1]), each a row of nodal values
-    coeffs = np.random.default_rng(rng_seed).standard_normal((100, 2, space.dim))
-    uv = coeffs @ f_vals.T
-    uv /= np.maximum(1.0, np.max(np.abs(uv), axis=-1, keepdims=True))
-    u, v = uv[:, 0], uv[:, 1]
-    lhs = np.sum(u * op.P * (v @ op.D.T) + (u @ op.D.T) * op.P * v, axis=-1)
-    ibp = np.max(np.abs(lhs - (u[:, -1] * v[:, -1] - u[:, 0] * v[:, 0])), initial=0.0)
+    f_hat = f_vals / np.maximum(1.0, np.max(np.abs(f_vals), axis=0))
+    # P D + D^T P - B with the true B, not the stored one, which an
+    # operator file could have wrong
+    pd = op.P[:, None] * op.D
+    form = pd + pd.T
+    form[0, 0] += 1.0
+    form[-1, -1] -= 1.0
+    ibp = np.max(np.abs(f_hat.T @ form @ f_hat), initial=0.0)
 
     passed = exact and skew <= TOL_SKEW and min_w > 0 and ibp <= TOL_IBP
     return SbpVerdict(
@@ -402,8 +400,8 @@ def operator_to_dict(op: FsbpOperator) -> dict:
 def operator_from_dict(d: dict) -> FsbpOperator:
     """The operator ``operator_to_dict`` wrote; ValueError names a
     non-finite or misshapen entry."""
-    p, q, nodes, b = (np.asarray(d[key], dtype=float) for key in ("p", "q", "nodes", "b"))
-    interval = (float(d["interval"][0]), float(d["interval"][1]))
+    p, q, nodes, b, interval = (np.asarray(d[key], dtype=float)
+                                for key in ("p", "q", "nodes", "b", "interval"))
     n = nodes.size
     for key, values, shape in (("nodes", nodes, (n,)), ("p", p, (n,)), ("q", q, (n, n)),
                                ("b", b, (n,)), ("interval", interval, (2,))):
@@ -412,6 +410,7 @@ def operator_from_dict(d: dict) -> FsbpOperator:
                              f"expected {shape} for {n} nodes")
         if not np.all(np.isfinite(values)):
             raise ValueError(f"operator entry {key!r} holds a non-finite number")
-    return FsbpOperator(nodes=nodes, P=p, Q=q, B=b, D=q / p[:, None], interval=interval,
+    return FsbpOperator(nodes=nodes, P=p, Q=q, B=b, D=q / p[:, None],
+                        interval=(float(interval[0]), float(interval[1])),
                         space_fingerprint=d.get("space_fingerprint", ""),
                         null_space_dim=int(d.get("null_space_dim", 0)))

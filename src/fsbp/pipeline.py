@@ -7,7 +7,8 @@ screen runs only to explain a failed solve.  Every operator is made
 here, on a node mode's rule (``build_study_operator``) or on a given one
 such as a rule file's (``build_rule_operator``): the rule is certified,
 then assembled and verified by one tail; only the classical Gauss-Lobatto
-rule, whose operator is the collocation derivative, has its own.  A malformed request is
+rule, whose operator is the collocation derivative, has its own.  Every
+result is a function of the request alone.  A malformed request is
 refused here, with ValueError, before any work; a well-formed one that
 fails raises one of ``fsbp.errors.SOLVER_ERRORS``, or ``ScreenFailure``
 when the screen explains a failed solve.  Nothing here imports the PDE
@@ -65,12 +66,8 @@ class RulePipelineResult:
     dims: dict
 
 
-def solve_rule_pipeline(
-    family_spec: dict,
-    mode: str = "closed",
-    rng_seed: int = 0,
-    min_nodes: int = 0,
-) -> RulePipelineResult:
+def solve_rule_pipeline(family_spec: dict, mode: str = "closed",
+                        min_nodes: int = 0) -> RulePipelineResult:
     """Family descriptor to a certified generalised rule.
 
     ``mode`` is "closed" (endpoint nodes, for operator assembly) or
@@ -81,9 +78,8 @@ def solve_rule_pipeline(
     A rule on a basis of dimension m has m/2 + 1 nodes when closed and m/2
     when open; fewer than ``min_nodes`` raise RankError before any solve.
     A failed solve raises SolverError, or ScreenFailure when the
-    Tchebyshev screen (seeded by ``rng_seed``) finds the basis no
-    Tchebyshev system.  The rule is certified here, once, against every
-    function of the target.
+    Tchebyshev screen finds the basis no Tchebyshev system.  The rule is
+    certified here, once, against every function of the target.
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"mode must be 'open' or 'closed', got {mode!r}")
@@ -95,7 +91,7 @@ def solve_rule_pipeline(
     if n_nodes < min_nodes:
         raise RankError(f"the {mode} rule on the {ortho.dim}-dimensional basis has {n_nodes} "
                         f"nodes, fewer than the {min_nodes} required")
-    rule = continuation_solve(ortho, closed=(mode == "closed"), rng_seed=rng_seed)
+    rule = continuation_solve(ortho, closed=(mode == "closed"))
     rule.certificate = verify_exactness(rule, target, ortho.dim)
     dims = {
         "family_dim": space.dim,
@@ -109,7 +105,6 @@ def solve_rule_pipeline(
 def build_study_operator(
     family_spec: dict,
     node_mode: str,
-    rng_seed: int = 0,
     n_nodes: int | None = None,
 ) -> tuple[FsbpOperator, QuadratureRule, SbpVerdict]:
     """Reference operator for a family under a node-selection mode.
@@ -145,8 +140,8 @@ def build_study_operator(
 
     space = make_family(family_spec)
     if node_mode == "gglq":
-        rule = solve_rule_pipeline(family_spec, "closed", rng_seed, space.dim).rule
-        return _assembled(space, rule, rng_seed)
+        rule = solve_rule_pipeline(family_spec, "closed", space.dim).rule
+        return _assembled(space, rule)
     if node_mode == "classical-gll":
         if family_spec.get("family") != "monomial":
             raise ValueError("classical-gll nodes apply to monomial families only")
@@ -156,7 +151,7 @@ def build_study_operator(
         # of rank 2d, which the d + 1 Lobatto nodes give: no augmentation
         rule.certificate = legendre_certificate(rule, 2 * degree)
         op = collocation_operator(space, rule)
-        verdict = verify_sbp(op, space, rng_seed=rng_seed)
+        verdict = verify_sbp(op, space)
         # the closed form has no exactness gate of its own: a failed check
         # is a failed build, as ``build_operator``'s gate makes it
         if not verdict.passed:
@@ -179,13 +174,13 @@ def build_study_operator(
         op = build_approximate_operator(space, np.linspace(a, b, n_nodes))
         trace = {"construction": "equispaced-approximate", "n_nodes": n_nodes}
         rule = QuadratureRule(op.nodes, op.P, closed=True, interval=(a, b), trace=trace)
-        return op, rule, verify_sbp(op, space, rng_seed=rng_seed)
+        return op, rule, verify_sbp(op, space)
     rule.certificate = verify_exactness(rule, product, ortho.dim)
-    return _assembled(space, rule, rng_seed)
+    return _assembled(space, rule)
 
 
-def build_rule_operator(space: FunctionSpace, rule: QuadratureRule,
-                        rng_seed: int = 0) -> tuple[FsbpOperator, QuadratureRule, SbpVerdict]:
+def build_rule_operator(space: FunctionSpace,
+                        rule: QuadratureRule) -> tuple[FsbpOperator, QuadratureRule, SbpVerdict]:
     """Operator of a family on a given closed rule, such as a rule file's.
 
     An open rule raises ValueError, and a rule with fewer nodes than the
@@ -200,10 +195,10 @@ def build_rule_operator(space: FunctionSpace, rule: QuadratureRule,
         raise RankError(f"the rule has {rule.size} nodes, fewer than the {space.dim} required")
     product = product_derivative_space(space)
     rule.certificate = verify_exactness(rule, product, orthonormalize(product).dim)
-    return _assembled(space, rule, rng_seed)
+    return _assembled(space, rule)
 
 
-def _assembled(space: FunctionSpace, rule: QuadratureRule, rng_seed: int):
+def _assembled(space: FunctionSpace, rule: QuadratureRule):
     """The operator on a certified closed rule, with the rule and its verdict."""
     op = build_operator(space, rule)
-    return op, rule, verify_sbp(op, space, rng_seed=rng_seed)
+    return op, rule, verify_sbp(op, space)

@@ -12,7 +12,7 @@ jet; explicit families stack the user's callables.  Derived spaces map their par
   jet of one order more, by Leibniz' rule on (f_i f_j)' = f_i' f_j + f_i f_j';
 - orthonormal spaces: the jet of their Chebyshev parent times
   ``coeff_matrix.T``;
-- prefixes: a slice of the coefficient rows, or of the last axis;
+- prefixes of a coefficient space: a slice of its coefficient rows;
 - parity augmentation: one Chebyshev column appended along the last axis
   of the target, and its residual as one more row of the basis series;
 - pull-back: the same series on the reference interval.
@@ -143,16 +143,14 @@ class FunctionSpace:
         return self._moments()
 
     def prefix(self, k: int) -> "FunctionSpace":
-        """Subspace spanned by the first k basis functions."""
+        """Subspace spanned by the first k basis functions of a coefficient
+        space: the first k rows of its ``coeff_matrix`` on the same parent."""
         if not (1 <= k <= self.dim):
             raise ValueError(f"prefix size {k} out of range 1..{self.dim}")
         spec = {"derived": "prefix", "parent": self.family_spec, "dim": k,
                 "interval": list(self.interval)}
-        if self.coeff_matrix is not None:
-            return FunctionSpace(self.interval, self.labels[:k], spec, parent=self.parent,
-                                 coeff_matrix=self.coeff_matrix[:k])
-        return FunctionSpace(self.interval, self.labels[:k], spec,
-                             lambda xs, d: self.jet(xs, d)[..., :k])
+        return FunctionSpace(self.interval, self.labels[:k], spec, parent=self.parent,
+                             coeff_matrix=self.coeff_matrix[:k])
 
     def __repr__(self):
         fam = self.family_spec.get("family", self.family_spec.get("derived", "?"))
@@ -645,7 +643,7 @@ class TchebyshevReport:
     certified_negative: int
 
 
-SCREEN_TRIALS = 100     # random node sets drawn; the probes add a fifth of this
+SCREEN_TRIALS = 100     # node sets drawn; the probes add a fifth of this
 SIGN_CUTOFF = 1e-8      # a sign counts when sigma_min(C) > SIGN_CUTOFF * max|C|
 
 
@@ -670,20 +668,22 @@ def _determinant_signs(space: FunctionSpace, sets: np.ndarray):
     return sign, sigma_min, c_max
 
 
-def tchebyshev_screen(space: FunctionSpace, rng_seed: int = 0) -> TchebyshevReport:
+def tchebyshev_screen(space: FunctionSpace) -> TchebyshevReport:
     """Decide from determinant signs whether ``space`` looks like a
     Tchebyshev (Haar) system.
 
     A Haar system's collocation determinant keeps one non-zero sign over
-    all ordered node sets.  The screen draws SCREEN_TRIALS random ordered
-    sets plus midpoint-mirrored sets and sets with a squeezed pair, and
-    evaluates them together (``_determinant_signs``).  A set's sign is
-    *certified* when the smallest singular value of its unscaled
-    collocation matrix exceeds SIGN_CUTOFF times the largest entry of all
-    the sets' matrices.  The cutoff is absolute, not relative per set: a
-    steep exponential's basis functions sit below their own rounding error
-    over most of the interval, and rows of pure noise look well
-    conditioned to any relative test.
+    all ordered node sets.  The screen draws SCREEN_TRIALS ordered sets
+    plus midpoint-mirrored sets and sets with a squeezed pair from one
+    fixed stream, ``np.random.default_rng(0)``, so its verdict is a
+    function of the space, and evaluates them together
+    (``_determinant_signs``).  A set's sign is *certified* when the
+    smallest singular value of its unscaled collocation matrix exceeds
+    SIGN_CUTOFF times the largest entry of all the sets' matrices.  The
+    cutoff is absolute, not relative per set: a steep exponential's basis
+    functions sit below their own rounding error over most of the
+    interval, and rows of pure noise look well conditioned to any
+    relative test.
 
     "fail" needs certified sets of both signs; "pass" needs at least one
     certified set and all certified sets of one sign; anything else is
@@ -693,7 +693,7 @@ def tchebyshev_screen(space: FunctionSpace, rng_seed: int = 0) -> TchebyshevRepo
     """
     a, b = space.interval
     m = space.dim
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     gap_floor = 1e-4 * (b - a)
 
     def draw_sorted():

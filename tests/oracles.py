@@ -202,18 +202,16 @@ def joint_defect_bvls(f_vals, f_ders, w_floor: float) -> float:
     return float(np.linalg.norm(a_mat @ res.x - rhs))
 
 
-def ibp_defect_loop(op, f_vals, n_pairs: int, rng_seed: int) -> float:
-    """Largest |u^T P D v + (D u)^T P v - (u_n v_n - u_1 v_1)| over random
-    pairs from the span, one pair at a time, each scaled to unit max."""
-    rng = np.random.default_rng(rng_seed)
+def ibp_defect_loop(op, f_vals) -> float:
+    """Largest |u^T P D v + (D u)^T P v - (u_n v_n - u_1 v_1)| over every
+    pair of basis columns, one pair at a time, each divided by max(1, its
+    max magnitude)."""
+    columns = [f / max(1.0, np.max(np.abs(f))) for f in f_vals.T]
     worst = 0.0
-    for _ in range(n_pairs):
-        u = f_vals @ rng.standard_normal(f_vals.shape[1])
-        v = f_vals @ rng.standard_normal(f_vals.shape[1])
-        u = u / max(1.0, np.max(np.abs(u)))
-        v = v / max(1.0, np.max(np.abs(v)))
-        lhs = u @ (op.P * (op.D @ v)) + (op.D @ u) @ (op.P * v)
-        worst = max(worst, abs(lhs - (u[-1] * v[-1] - u[0] * v[0])))
+    for u in columns:
+        for v in columns:
+            lhs = u @ (op.P * (op.D @ v)) + (op.D @ u) @ (op.P * v)
+            worst = max(worst, abs(lhs - (u[-1] * v[-1] - u[0] * v[0])))
     return float(worst)
 
 

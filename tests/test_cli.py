@@ -63,7 +63,7 @@ def test_rule_command_reproduces_reference(exp3_rule_run):
     manifest = json.loads((exp3_rule_run / "manifest.json").read_text())
     # the screen runs only to explain a failed solve
     assert "screen" not in manifest and "screen" not in rule["trace"]
-    assert tchebyshev_screen(screened(refcases.EXP3_SPEC), rng_seed=0).verdict == "pass"
+    assert tchebyshev_screen(screened(refcases.EXP3_SPEC)).verdict == "pass"
     for out in manifest["outputs"]:
         assert (exp3_rule_run / out.split("/")[-1]).exists()
 
@@ -316,6 +316,13 @@ NON_FINITE_OPERATORS = {
                                   [1 / 6, -2 / 3, 0.5]]},
     "inf_node_operator.json": {**SIMPSON_OPERATOR, "nodes": [0.0, 0.5, math.inf]},
 }
+# files that are right but for an interval of three entries, on a space
+# they are exact for: both loaders once read the first two and exited 0
+QUADRATICS = {"family": "monomial", "degree": 2, "interval": [0, 1]}
+LONG_INTERVALS = {
+    "long_interval_rule.json": {**SIMPSON, "interval": [0.0, 1.0, 99.0]},
+    "long_interval_operator.json": {**SIMPSON_OPERATOR, "interval": [0.0, 1.0, 99.0]},
+}
 
 
 @pytest.mark.parametrize("command, config", [
@@ -389,6 +396,9 @@ NON_FINITE_OPERATORS = {
     ("rule", {"space": {"family": "exponential", "rates": "12", "interval": [0, 1]}}),
     # an unknown node mode, named as one whatever node budget comes with it
     ("operator", {"space": refcases.EXP3_SPEC, "node_mode": "x", "n_nodes": 5}),
+    # rule and operator files whose interval has three entries
+    ("operator", {"space": QUADRATICS, "rule": "long_interval_rule.json"}),
+    ("verify", {"operator": "long_interval_operator.json", "space": QUADRATICS}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     # an operator file without its weights, and one whose q is not n x n,
@@ -399,7 +409,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     write_config(tmp_path / "wide_q.json", {
         "nodes": [0.0, 1.0], "p": [0.5, 0.5], "q": [[-0.5, 0.5]], "b": [-1.0, 1.0],
         "interval": [0.0, 1.0]})
-    for name, payload in {**NON_FINITE_RULES, **NON_FINITE_OPERATORS}.items():
+    for name, payload in {**NON_FINITE_RULES, **NON_FINITE_OPERATORS, **LONG_INTERVALS}.items():
         write_config(tmp_path / name, payload)
     cfg = write_config(tmp_path / "bad.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -408,7 +418,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     assert "Traceback" not in err
     # the entry at fault in a rule or operator file is named
     file = str(config.get("rule", config.get("operator"))) if isinstance(config, dict) else ""
-    assert {"nan_weight_rule.json": "'weights'", "wide_q.json": "'q'"}.get(file, "") in err
+    assert {"nan_weight_rule.json": "'weights'", "wide_q.json": "'q'",
+            **dict.fromkeys(LONG_INTERVALS, "'interval'")}.get(file, "") in err
     if isinstance(config, dict) and config.get("node_mode", "gglq") not in pipeline.NODE_MODES:
         assert "node_mode must be one of" in err
     # refused before the first write: no output directory
@@ -474,19 +485,26 @@ def objects(config: dict, path: str = ""):
             yield from objects(value, f"{path}.{key}" if path else key)
 
 
-def run_refused(command: str, config) -> str:
+# what a config refused by its key table must not reach: every entry to
+# the work; and what one refused by the pipeline's own checks must not
+# reach: the first step of ``solve_rule_pipeline`` and ``build_study_operator``
+COMMAND_WORK = [(owner, name) for owner in (cli, pipeline)
+                for name in ("build_study_operator", "build_rule_operator", "solve_rule_pipeline",
+                             "verify_sbp")]
+PIPELINE_WORK = [(pipeline, "make_family")]
+
+
+def run_refused(command: str, config, work=COMMAND_WORK) -> str:
     """stderr of ``command`` on ``config``, which must exit 2 before any
-    operator, rule or verdict is computed and make no output directory."""
+    of ``work`` runs and make no output directory."""
     def no_work(*args, **kwargs):
         raise AssertionError("a refused config reached the work")
 
     err = io.StringIO()
     with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err),
           pytest.MonkeyPatch.context() as patch):
-        for owner in (cli, pipeline):
-            for name in ("build_study_operator", "build_rule_operator", "solve_rule_pipeline",
-                         "verify_sbp"):
-                patch.setattr(owner, name, no_work)
+        for owner, name in work:
+            patch.setattr(owner, name, no_work)
         out = Path(tmp) / "out"
         code = main([command, "--config", write_config(Path(tmp) / "cfg.json", config),
                      "--out", str(out)])
@@ -615,6 +633,32 @@ def test_generated_malformed_values_exit_2_naming_their_key(command, data):
         where = config[outer[0]] if outer else config
         where[key] = data.draw(REFUSED[path], label="value")
     assert f"'{path}'" in run_refused(command, config)
+
+
+# the keys whose table leaves the value to the pipeline (a None parser),
+# each with its command, the values the pipeline refuses, and the words
+# its refusal names the key in
+PIPELINE_KEYS = {
+    "mode": ("rule", st.one_of(NOT_A_STRING, st.sampled_from(["", "Closed", "gglq"])),
+             "mode must be"),
+    "node_mode": ("operator", st.one_of(NOT_A_STRING, st.sampled_from(["", "GGLQ", "closed"])),
+                  "node_mode must be one of"),
+    # a null "n_nodes" is the smallest exact rule's
+    "n_nodes": ("operator", st.one_of(st.sampled_from([True, False, "5", 5.0, [], {}]),
+                                      NON_FINITE, FRACTIONAL, st.integers(-50, 1)), "'n_nodes'"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PIPELINE_KEYS))
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_generated_pipeline_values_exit_2_in_its_words(key, data):
+    # a key the pipeline checks, given a value it refuses: exit 2 in the
+    # pipeline's words, before its first step and with no output directory
+    command, refused, words = PIPELINE_KEYS[key]
+    config = copy.deepcopy(VALID_CONFIGS[command])
+    config[key] = data.draw(refused, label="value")
+    assert words in run_refused(command, config, PIPELINE_WORK)
 
 
 @pytest.mark.parametrize("command, config", [
@@ -817,7 +861,7 @@ def test_steep_exponential_rule_passes_screen(tmp_path, rate, mode):
     rule = json.loads((out / "rule.json").read_text())
     assert rule["certificate"]["valid"] is True
     assert "screen" not in rule["trace"]
-    report = tchebyshev_screen(screened(space), rng_seed=0)
+    report = tchebyshev_screen(screened(space))
     assert report.verdict == "pass"
     assert report.certified_negative == 0
 
@@ -832,17 +876,15 @@ BESSEL_0_TO_8 = {"family": "bessel", "orders": list(range(9)), "interval": [0, 2
     (BESSEL_0_TO_8, "closed"),
 ], ids=["trig3-closed", "trig3-open", "trig5-closed", "trig5-open", "bessel0to8-closed"])
 def test_rule_exits_0_whatever_the_screen_would_say(tmp_path, space, mode):
-    # the screen, once a gate before the solve, failed these spaces under
-    # some seeds (exit 4 under 0 and 31337); a Tchebyshev system is
-    # sufficient for a rule, not necessary, and each solves to a certified
-    # rule with positive weights under every seed
+    # the screen, once a gate before the solve, failed these spaces for
+    # some of its random draws; a Tchebyshev system is sufficient for a
+    # rule, not necessary, and each solves to a certified rule with
+    # positive weights
     cfg = write_config(tmp_path / "space.json", {"space": space})
-    for seed in (*range(8), 31337):
-        out = tmp_path / f"seed{seed}"
-        assert main(["rule", "--config", cfg, "--out", str(out), "--mode", mode,
-                     "--seed", str(seed)]) == 0
-        rule = json.loads((out / "rule.json").read_text())
-        assert rule["certificate"]["valid"] is True and min(rule["weights"]) > 0
+    out = tmp_path / "o"
+    assert main(["rule", "--config", cfg, "--out", str(out), "--mode", mode]) == 0
+    rule = json.loads((out / "rule.json").read_text())
+    assert rule["certificate"]["valid"] is True and min(rule["weights"]) > 0
 
 
 def test_steep_pure_exponential_failures_name_their_stage(tmp_path, capsys):
@@ -909,7 +951,7 @@ def test_high_harmonic_rule_writes_strict_json(tmp_path):
     for name in ("rule.json", "manifest.json"):
         data = read_json(out / name)
         assert "screen" not in (data["trace"] if name == "rule.json" else data)
-    assert tchebyshev_screen(screened(space), rng_seed=0).verdict == "inconclusive"
+    assert tchebyshev_screen(screened(space)).verdict == "inconclusive"
 
 
 def test_bessel_operator_exits_0(tmp_path):
@@ -1070,19 +1112,51 @@ SOLVE_CONFIGS = {
 def test_determinism_byte_identical(tmp_path):
     cfg = write_config(tmp_path / "rule.json", {"space": refcases.EXP3_SPEC})
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert main(["rule", "--config", cfg, "--out", str(out1), "--seed", "3"]) == 0
-    assert main(["rule", "--config", cfg, "--out", str(out2), "--seed", "3"]) == 0
+    assert main(["rule", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["rule", "--config", cfg, "--out", str(out2)]) == 0
     for name in ("rule.json", "rule.csv", "basis.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     for label, payload in SOLVE_CONFIGS.items():
         cfg = write_config(tmp_path / f"{label}.json", payload)
         out1, out2 = tmp_path / f"{label}1", tmp_path / f"{label}2"
-        assert main(["solve", "--config", cfg, "--out", str(out1), "--seed", "3"]) == 0
-        assert main(["solve", "--config", cfg, "--out", str(out2), "--seed", "3"]) == 0
+        assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
         for name in ("energy.csv", "solution.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (label, name)
     assert "advection1/manifest.json" in read_every_json(tmp_path)
+
+
+# one call of every command; "verify" reads the operator that "operator"
+# writes in the same run
+SEED_FREE_CALLS = [
+    ("rule", {"space": refcases.EXP3_SPEC}),
+    ("operator", {"space": refcases.EXP3_SPEC}),
+    ("verify", {"operator": "operator/operator.json", "space": refcases.EXP3_SPEC}),
+    ("solve", SOLVE_CONFIGS["advection"]),
+    ("converge", {"study": "advection", "totals": [40, 80]}),
+    ("fixtures", {}),
+]
+
+
+def test_outputs_do_not_depend_on_a_seed(tmp_path):
+    # --seed is still parsed and read by nothing: every output but the
+    # manifest, which records wall times, is byte-identical with and
+    # without it, and no manifest records a seed
+    runs = {}
+    for flags in ([], ["--seed", "31337"]):
+        root = tmp_path / ("seeded" if flags else "plain")
+        root.mkdir()
+        for command, payload in SEED_FREE_CALLS:
+            cfg = write_config(root / f"{command}.json", payload)
+            assert main([command, "--config", cfg, "--out", str(root / command), *flags]) == 0
+            manifest = read_json(root / command / "manifest.json")
+            assert "seed" not in manifest and "seed" not in manifest["resolved_config"]
+        runs[bool(flags)] = {path.relative_to(root).as_posix(): path.read_bytes()
+                             for path in sorted(root.glob("*/*"))
+                             if path.name != "manifest.json"}
+    assert {name.split("/")[0] for name in runs[False]} == {c for c, _ in SEED_FREE_CALLS}
+    assert runs[True] == runs[False]
 
 
 def test_operator_command_from_rule_file(tmp_path, exp3_rule_run):

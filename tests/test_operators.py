@@ -165,13 +165,13 @@ def test_verify_uniform_grid_negative_control(exp3_space):
     assert verdict.min_weight > 0
 
 
-@pytest.mark.parametrize("degree, rng_seed", [(1, 0), (6, 7), (24, 3)])
-def test_verify_ibp_defect_matches_pairwise_loop(degree, rng_seed):
+@pytest.mark.parametrize("degree", [1, 6, 24])
+def test_verify_ibp_defect_matches_pairwise_loop(degree):
     space = make_family({"family": "monomial", "degree": degree, "interval": [-1, 1]})
     op = build_operator(space, classical_lobatto_rule(degree + 1, space.interval))
-    got = verify_sbp(op, space, rng_seed=rng_seed).max_ibp_defect
+    got = verify_sbp(op, space).max_ibp_defect
     # summation order differs; the pass tolerance TOL_IBP is 1e-10
-    assert abs(got - ibp_defect_loop(op, space.collocation(op.nodes), 100, rng_seed)) <= 1e-14
+    assert abs(got - ibp_defect_loop(op, space.collocation(op.nodes))) <= 1e-14
 
 
 def test_structural_invariants_across_fixture_matrix():
@@ -180,12 +180,11 @@ def test_structural_invariants_across_fixture_matrix():
         + [{"family": "trig", "max_harmonic": k, "interval": [0, 1]} for k in (1, 2)]
         + [refcases.EXP3_SPEC]
     )
-    rng = np.random.default_rng(0)
     for spec in specs:
         space = make_family(spec)
         rule = certified_rule(*augmented_target(space), closed=True)
         op = build_operator(space, rule)
-        verdict = verify_sbp(op, space, rng_seed=int(rng.integers(1 << 30)))
+        verdict = verify_sbp(op, space)
         assert verdict.max_skew_defect <= 1e-12, spec
         assert verdict.min_weight > 0, spec
         assert verdict.max_exactness_error <= 1e-8, spec
@@ -209,7 +208,7 @@ def test_classical_gll_operators_of_high_degree():
         assert verdict.passed, degree
         json.dumps([rule.to_dict(), verdict.to_dict()], allow_nan=False)
         stored = json.loads(json.dumps(operator_to_dict(op), allow_nan=False))
-        assert verify_sbp(operator_from_dict(stored), make_family(spec), rng_seed=0).passed, degree
+        assert verify_sbp(operator_from_dict(stored), make_family(spec)).passed, degree
     # the Legendre basis's moments in closed form, (2, 0, ..., 0): a ratio
     # of about 7.6e-8 to the tolerance at degree 24
     assert rule.certificate.max_abs_error <= 1e-5 * rule.certificate.tol
