@@ -1139,10 +1139,14 @@ SEED_FREE_CALLS = [
 ]
 
 
-def test_outputs_do_not_depend_on_a_seed(tmp_path):
-    # --seed is still parsed and read by nothing: every output but the
-    # manifest, which records wall times, is byte-identical with and
-    # without it, and no manifest records a seed
+def test_outputs_do_not_depend_on_a_seed(tmp_path, capsys):
+    # --seed is still parsed and read by nothing: no --help lists it,
+    # every output but the manifest, which records wall times, is
+    # byte-identical with and without it, and no manifest records a seed
+    for command, _ in SEED_FREE_CALLS:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "seed" not in capsys.readouterr().out
     runs = {}
     for flags in ([], ["--seed", "31337"]):
         root = tmp_path / ("seeded" if flags else "plain")
