@@ -12,10 +12,11 @@ manifest under --out, and is deterministic: its outputs are a function
 of the config (and the files it names) alone.  A command reads its
 config through its key table (``RULE``, ``OPERATOR``, ``VERIFY``,
 ``SOLVE``, ``CONVERGE``, ``FIXTURES``; a family descriptor through its
-family's in ``spaces.FAMILIES``) with ``spaces.check``, before any work:
-a key outside the table exits 2, naming its path.  Exit codes, as
-``fsbp.errors`` maps the failures: 0 success, 2 validation, 3 solver
-failure, 4 verification failure.
+family's in ``spaces.FAMILIES``; a rule or operator file through
+``gauss.RULE_FILE`` or ``operators.OPERATOR_FILE``) with
+``spaces.check``, before any work: a key outside the table exits 2,
+naming its path.  Exit codes, as ``fsbp.errors`` maps the failures:
+0 success, 2 validation, 3 solver failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -107,22 +108,33 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _read_json(path: Path) -> tuple[object, str]:
-    """The JSON value in ``path`` and the SHA-256 of the bytes parsed, read once."""
+def _read_json(path: Path, what: str) -> tuple[object, str]:
+    """The JSON value in the ``what`` file ``path`` and the SHA-256 of the
+    bytes parsed, read once; a missing file, or one that is not JSON, is a
+    validation error."""
+    if not path.is_file():
+        raise FamilyError(f"{what} file not found: {path}")
     raw = path.read_bytes()
-    return json.loads(raw.decode()), hashlib.sha256(raw).hexdigest()
+    try:
+        return json.loads(raw.decode()), hashlib.sha256(raw).hexdigest()
+    except json.JSONDecodeError as exc:
+        raise FamilyError(f"{what} file {path} is not valid JSON: {exc}") from exc
 
 
 class Runner:
     """Collects outputs and writes the manifest at the end of a command;
     ``--out`` is made at the first write, so a refused run leaves none.
-    ``inputs`` maps each file read to its fingerprint (``_read_json``)."""
+    An ``--out`` that is a file, or lies under one, is refused here,
+    before any work.  ``inputs`` maps each file read to its fingerprint
+    (``_read_json``)."""
 
     def __init__(self, command: str, args, config: dict, inputs: dict):
         self.command = command
-        self.args = args
         self.config = config
         self.out = Path(args.out)
+        file = next((p for p in (self.out, *self.out.parents) if p.is_file()), None)
+        if file is not None:
+            raise FamilyError(f"--out {args.out}: {file} is a file, not a directory")
         self.outputs: list[str] = []
         self.t0 = time.perf_counter()
         self.inputs = dict(inputs)
@@ -154,13 +166,7 @@ def load_config(args, table: dict) -> tuple[dict, dict, dict]:
     and the ``Runner``'s inputs: the file's fingerprint, if there is one."""
     config, inputs = {}, {}
     if args.config:
-        p = Path(args.config)
-        if not p.is_file():
-            raise FamilyError(f"config file not found: {p}")
-        try:
-            config, inputs[str(args.config)] = _read_json(p)
-        except json.JSONDecodeError as exc:
-            raise FamilyError(f"config is not valid JSON: {exc}") from exc
+        config, inputs[str(args.config)] = _read_json(Path(args.config), "config")
     return config, check(config, table), inputs
 
 
@@ -168,19 +174,15 @@ def load_input(runner: Runner, args, name: str, key: str, loader):
     """``loader`` applied to the JSON file ``name``, the config's ``key``.
 
     A relative path is taken from the config's directory; the file is
-    fingerprinted in the manifest, and a missing or malformed one is a
-    validation error.
+    fingerprinted in the manifest.  A missing file or one that is not
+    JSON is a validation error, and so is a malformed one: ``loader``
+    reads it through its key table.
     """
     path = Path(name)
     if not path.is_absolute() and args.config:
         path = Path(args.config).parent / path
-    if not path.is_file():
-        raise FamilyError(f"{key} file not found: {path}")
-    value, runner.inputs[str(path)] = _read_json(path)
-    try:
-        return loader(value)
-    except (AttributeError, KeyError, TypeError, IndexError) as exc:
-        raise FamilyError(f"malformed {key} file {path}: {exc!r}") from exc
+    value, runner.inputs[str(path)] = _read_json(path, key)
+    return loader(value)
 
 
 def rule_files(runner: Runner, tag: str, rule: QuadratureRule) -> None:

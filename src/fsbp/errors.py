@@ -9,11 +9,11 @@ imports from here the classes it raises, so no layer imports another
 for its failures.
 
 The parsers of the key tables (``REQUIRED``, ``number``, ``integer``,
-``string``, ``items``) sit here, below ``spaces`` and ``cli``, which
-both use them: the compile of ``spaces.py``, the largest module, sets
-every process's peak memory.  So does ``StageTimer``, which ``cli`` and
-``ibvp.run_case`` both use: every command imports ``ibvp``, and its
-compile is the import's peak.
+``string``, ``boolean``, ``mapping``, ``items``) sit here, below the
+modules that use them: the compile of ``spaces.py``, the largest
+module, sets every process's peak memory.  So does ``StageTimer``,
+which ``cli`` and ``ibvp.run_case`` both use: every command imports
+``ibvp``, and its compile is the import's peak.
 """
 
 import math
@@ -64,10 +64,10 @@ SOLVER_ERRORS = (SolverError, IntegrationError, AssemblyError, BlowUpError,
 
 
 # ---------------------------------------------------------------------------
-# parsers of the key tables that ``spaces.check`` reads a config or a
-# descriptor through: each raises TypeError or ValueError for a JSON value
-# outside its type or range (a boolean or a string is not a number, a
-# string or an object not a list)
+# parsers of the key tables that ``spaces.check`` reads every JSON input
+# through: each raises TypeError or ValueError for a JSON value outside
+# its type or range (a boolean or a string is not a number, a number not
+# a boolean, a string or an object not a list)
 
 REQUIRED = object()     # the default of a key that must be given
 
@@ -106,6 +106,18 @@ def string(*choices):
             raise ValueError(f"not one of {', '.join(choices)}" if choices else "not a string")
         return value
     return parse
+
+
+def _instance(kind: type, name: str):
+    """Parser of the values of type ``kind``, ``name`` in JSON, kept as given."""
+    def parse(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"not {name}")
+        return value
+    return parse
+
+
+boolean, mapping = _instance(bool, "a boolean"), _instance(dict, "an object")
 
 
 def items(parse, least=0, most=math.inf):

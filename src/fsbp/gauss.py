@@ -46,8 +46,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError, ScreenFailure, SolverError
-from .spaces import FunctionSpace, pull_back, tchebyshev_screen
+from .errors import (REQUIRED, IntegrationError, ScreenFailure, SolverError, boolean, integer,
+                     items, mapping, number)
+from .spaces import DESCRIPTOR, FunctionSpace, check, pull_back, tchebyshev_screen
 
 __all__ = [
     "QuadratureRule",
@@ -84,6 +85,23 @@ class ExactnessCertificate:
         }
 
 
+# the key table of a rule file, what ``QuadratureRule.to_dict`` writes,
+# read by ``spaces.check``; a certificate is checked and dropped, since
+# every command certifies a rule it reads again
+RULE_FILE = {
+    "nodes": (items(number(), 1), REQUIRED),
+    "weights": (items(number(), 1), REQUIRED),
+    "closed": (boolean, REQUIRED),
+    "interval": (DESCRIPTOR["interval"][0], REQUIRED),
+    "certificate": ({"target_dim": (integer(1), REQUIRED),
+                     "max_abs_error": (number(0.0, inclusive=True), REQUIRED),
+                     "per_function_errors": (items(number(0.0, inclusive=True)), REQUIRED),
+                     "tol": (number(0.0), REQUIRED),
+                     "valid": (boolean, REQUIRED)}, None),
+    "trace": (mapping, None),
+}
+
+
 @dataclass
 class QuadratureRule:
     """Nodes and positive weights, optionally certified against a space."""
@@ -104,7 +122,7 @@ class QuadratureRule:
                 raise ValueError(f"rule entry {key!r} holds a non-finite number")
         a, b = self.interval
         if self.nodes.size != self.weights.size:
-            raise ValueError("nodes and weights length mismatch")
+            raise ValueError(f"rule entry 'weights' does not fit {self.nodes.size} nodes")
         if self.nodes.size > 1 and np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if np.any(self.weights <= 0):
@@ -133,24 +151,14 @@ class QuadratureRule:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "QuadratureRule":
-        """The rule ``to_dict`` wrote; ValueError names a non-finite or
-        misshapen entry."""
-        interval = np.asarray(d["interval"], dtype=float)
-        if interval.shape != (2,):
-            raise ValueError(f"rule entry 'interval' has shape {interval.shape}, expected (2,)")
-        cert = None
-        if d.get("certificate") is not None:
-            c = d["certificate"]
-            cert = ExactnessCertificate(
-                target_dim=int(c["target_dim"]),
-                max_abs_error=float(c["max_abs_error"]),
-                per_function_errors=np.asarray(c["per_function_errors"], dtype=float),
-                tol=float(c["tol"]),
-            )
-        return cls(nodes=d["nodes"], weights=d["weights"], closed=bool(d["closed"]),
-                   interval=(float(interval[0]), float(interval[1])),
-                   certificate=cert, trace=d.get("trace"))
+    def from_dict(cls, d) -> "QuadratureRule":
+        """The rule ``to_dict`` wrote, read through ``RULE_FILE``, without
+        its certificate; ValueError names an entry outside the table or
+        refused by it."""
+        entries = check(d, RULE_FILE)
+        return cls(nodes=entries["nodes"], weights=entries["weights"],
+                   closed=entries["closed"], interval=tuple(entries["interval"]),
+                   trace=entries["trace"])
 
 
 # Newton iteration: damped at or above RESIDUAL_TOL (the largest sigma
@@ -454,12 +462,7 @@ def continuation_solve(space: FunctionSpace, closed: bool = False) -> Quadrature
                           closed=closed, interval=(a, b), trace=trace)
 
 
-def verify_exactness(
-    rule: QuadratureRule,
-    space: FunctionSpace,
-    dim: int,
-    tol: float = CERTIFICATE_TOL,
-) -> ExactnessCertificate:
+def verify_exactness(rule: QuadratureRule, space: FunctionSpace, dim: int) -> ExactnessCertificate:
     """Exactness certificate of a rule against a spanning set.
 
     The solvers return uncertified rules, and each caller that writes a
@@ -467,7 +470,7 @@ def verify_exactness(
     Gauss-Lobatto rule in ``legendre_certificate``).  ``space`` is a
     spanning set of that span, one error per function; its rank ``dim``
     (from ``spaces.orthonormalize``) becomes ``target_dim``.  The
-    certificate tolerance is ``tol`` scaled by the largest moment
+    tolerance is ``CERTIFICATE_TOL`` scaled by the largest moment
     magnitude (floored at one); stored errors are raw absolute errors.
 
     The moments are the span's closed forms (ValueError for a space
@@ -482,18 +485,18 @@ def verify_exactness(
     m = space.moments()
     if not np.all(np.isfinite(m)):
         raise IntegrationError("non-finite moment: a basis function is not finite at an endpoint")
-    return _certificate(rule.weights @ space.collocation(rule.nodes), m, dim, tol)
+    return _certificate(rule.weights @ space.collocation(rule.nodes), m, dim)
 
 
-def _certificate(approx, moments, dim, tol) -> ExactnessCertificate:
+def _certificate(approx, moments, dim) -> ExactnessCertificate:
     """The certificate of quadratures ``approx`` of a span of rank ``dim``
-    against its ``moments``, ``tol`` scaled by the largest moment (floored at one)."""
+    against its ``moments``, at ``verify_exactness``'s tolerance."""
     errors = np.abs(approx - moments)
     return ExactnessCertificate(
         target_dim=int(dim),
         max_abs_error=float(np.max(errors)),
         per_function_errors=errors,
-        tol=tol * max(1.0, float(np.max(np.abs(moments)))),
+        tol=CERTIFICATE_TOL * max(1.0, float(np.max(np.abs(moments)))),
     )
 
 
@@ -508,17 +511,18 @@ def equispaced_rule(space: FunctionSpace, n_nodes: int | None = None) -> Quadrat
     the exactness conditions, directly at dim nodes and by least squares
     beyond.  A given ``n_nodes`` (at least the dimension, ValueError
     otherwise) is the only count tried.  Without it the counts climb
-    from the dimension while the weights are not exact and positive, up
-    to ``EQUISPACED_EXTRA`` more nodes.  SolverError when no count
-    tried gives such weights.  Exactness here is the moment residual of
-    the solve; the caller certifies the rule against the span it needs.
+    from the dimension (at least 2, a closed rule's fewest) while the
+    weights are not exact and positive, up to ``EQUISPACED_EXTRA`` more
+    nodes.  SolverError when no count tried gives such weights.
+    Exactness here is the moment residual of the solve; the caller
+    certifies the rule against the span it needs.
     """
     if space.family_spec.get("derived") != "orthonormal":
         raise ValueError("the solvers need the basis of spaces.orthonormalize")
     a, b = space.interval
     m_vec = space.moments()
     scale = max(1.0, float(np.max(np.abs(m_vec))))
-    start = space.dim if n_nodes is None else n_nodes
+    start = max(2, space.dim) if n_nodes is None else n_nodes
     if start < space.dim:
         raise ValueError(f"need at least dim={space.dim} nodes, got {start}")
     stop = start + (EQUISPACED_EXTRA if n_nodes is None else 0)
@@ -592,4 +596,4 @@ def legendre_certificate(rule: QuadratureRule, dim: int) -> ExactnessCertificate
     moments = np.zeros(dim)
     moments[0] = b - a
     return _certificate(rule.weights @ np.polynomial.legendre.legvander(s, dim - 1),
-                        moments, dim, CERTIFICATE_TOL)
+                        moments, dim)

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssemblyError
+from .errors import REQUIRED, AssemblyError, integer, items, number, string
 from .gauss import QuadratureRule
-from .spaces import FunctionSpace
+from .spaces import DESCRIPTOR, FunctionSpace, check
 
 __all__ = [
     "FsbpOperator",
@@ -61,14 +61,14 @@ def space_fingerprint(space: FunctionSpace) -> str:
 class FsbpOperator:
     """Nodes, diagonal norm P, almost-skew Q and differentiation matrix D.
 
-    ``P`` and ``B`` store the diagonals only; ``D = P^{-1} Q`` holds
-    exactly by construction.
+    ``P`` stores the diagonal only; ``D = P^{-1} Q`` holds exactly by
+    construction.  B = diag(-1, 0, ..., 0, 1) is fixed by the node count
+    and not stored.
     """
 
     nodes: np.ndarray
     P: np.ndarray            # diagonal entries, all positive
     Q: np.ndarray
-    B: np.ndarray            # diagonal entries: -1, 0, ..., 0, 1
     D: np.ndarray
     interval: tuple
     space_fingerprint: str = ""
@@ -79,7 +79,7 @@ class FsbpOperator:
         return self.nodes.size
 
     def skew_defect(self) -> float:
-        return float(np.max(np.abs(self.Q + self.Q.T - np.diag(self.B))))
+        return float(np.max(np.abs(self.Q + self.Q.T - np.diag(_boundary_diagonal(self.size)))))
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,6 @@ def build_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOperator:
         nodes=nodes.copy(),
         P=p.copy(),
         Q=q,
-        B=b_diag,
         D=d,
         interval=rule.interval,
         space_fingerprint=space_fingerprint(space),
@@ -291,7 +290,6 @@ def collocation_operator(space: FunctionSpace, rule: QuadratureRule) -> FsbpOper
         nodes=rule.nodes.copy(),
         P=p.copy(),
         Q=q,
-        B=b_diag,
         D=q / p[:, None],
         interval=rule.interval,
         space_fingerprint=space_fingerprint(space),
@@ -339,7 +337,6 @@ def build_approximate_operator(space: FunctionSpace, nodes: np.ndarray) -> FsbpO
         nodes=nodes.copy(),
         P=w,
         Q=q,
-        B=b_diag,
         D=d,
         interval=(a, b),
         space_fingerprint=space_fingerprint(space),
@@ -366,12 +363,8 @@ def verify_sbp(op: FsbpOperator, space: FunctionSpace) -> SbpVerdict:
     min_w = float(np.min(op.P))
 
     f_hat = f_vals / np.maximum(1.0, np.max(np.abs(f_vals), axis=0))
-    # P D + D^T P - B with the true B, not the stored one, which an
-    # operator file could have wrong
     pd = op.P[:, None] * op.D
-    form = pd + pd.T
-    form[0, 0] += 1.0
-    form[-1, -1] -= 1.0
+    form = pd + pd.T - np.diag(_boundary_diagonal(op.size))
     ibp = np.max(np.abs(f_hat.T @ form @ f_hat), initial=0.0)
 
     passed = exact and skew <= TOL_SKEW and min_w > 0 and ibp <= TOL_IBP
@@ -390,27 +383,40 @@ def operator_to_dict(op: FsbpOperator) -> dict:
         "nodes": [float(x) for x in op.nodes],
         "p": [float(x) for x in op.P],
         "q": [[float(x) for x in row] for row in op.Q],
-        "b": [float(x) for x in op.B],
+        "b": _boundary_diagonal(op.size).tolist(),
         "interval": [float(op.interval[0]), float(op.interval[1])],
         "space_fingerprint": op.space_fingerprint,
         "null_space_dim": op.null_space_dim,
     }
 
 
-def operator_from_dict(d: dict) -> FsbpOperator:
-    """The operator ``operator_to_dict`` wrote; ValueError names a
-    non-finite or misshapen entry."""
-    p, q, nodes, b, interval = (np.asarray(d[key], dtype=float)
-                                for key in ("p", "q", "nodes", "b", "interval"))
-    n = nodes.size
-    for key, values, shape in (("nodes", nodes, (n,)), ("p", p, (n,)), ("q", q, (n, n)),
-                               ("b", b, (n,)), ("interval", interval, (2,))):
-        if np.shape(values) != shape:
-            raise ValueError(f"operator entry {key!r} has shape {np.shape(values)}, "
-                             f"expected {shape} for {n} nodes")
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"operator entry {key!r} holds a non-finite number")
-    return FsbpOperator(nodes=nodes, P=p, Q=q, B=b, D=q / p[:, None],
-                        interval=(float(interval[0]), float(interval[1])),
-                        space_fingerprint=d.get("space_fingerprint", ""),
-                        null_space_dim=int(d.get("null_space_dim", 0)))
+# the key table of an operator file, what ``operator_to_dict`` writes,
+# read by ``spaces.check``
+OPERATOR_FILE = {
+    "nodes": (items(number(), 2), REQUIRED),
+    "p": (items(number()), REQUIRED),
+    "q": (items(items(number())), REQUIRED),
+    "b": (items(number()), REQUIRED),
+    "interval": (DESCRIPTOR["interval"][0], REQUIRED),
+    "space_fingerprint": (string(), ""),
+    "null_space_dim": (integer(0), 0),
+}
+
+
+def operator_from_dict(d) -> FsbpOperator:
+    """The operator ``operator_to_dict`` wrote, read through
+    ``OPERATOR_FILE``; ValueError names an entry outside the table,
+    refused by it, or that does not fit the n nodes: ``p`` of n entries,
+    ``b`` the diagonal -1, 0, ..., 0, 1 of B and ``q`` n x n."""
+    entries = check(d, OPERATOR_FILE)
+    n = len(entries["nodes"])
+    for key, fits in (("p", len(entries["p"]) == n),
+                      ("b", entries["b"] == _boundary_diagonal(n).tolist()),
+                      ("q", [len(row) for row in entries["q"]] == [n] * n)):
+        if not fits:
+            raise ValueError(f"operator entry {key!r} does not fit {n} nodes")
+    p, q = np.array(entries["p"]), np.array(entries["q"])
+    return FsbpOperator(nodes=np.array(entries["nodes"]), P=p, Q=q, D=q / p[:, None],
+                        interval=tuple(entries["interval"]),
+                        space_fingerprint=entries["space_fingerprint"],
+                        null_space_dim=entries["null_space_dim"])

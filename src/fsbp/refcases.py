@@ -104,13 +104,10 @@ BESSEL_25_WEIGHTS = np.array([
 def uniform4_operator() -> FsbpOperator:
     """The frozen uniform-grid operator as an ingestable object."""
     w = EXP3_UNIFORM4_WEIGHTS
-    b = np.zeros(4)
-    b[0], b[-1] = -1.0, 1.0
     return FsbpOperator(
         nodes=EXP3_UNIFORM4_NODES.copy(),
         P=w.copy(),
         Q=w[:, None] * EXP3_UNIFORM4_D,
-        B=b,
         D=EXP3_UNIFORM4_D.copy(),
         interval=(0.0, 1.0),
         space_fingerprint="frozen-uniform4",

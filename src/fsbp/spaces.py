@@ -285,11 +285,11 @@ DESCRIPTOR = {"family": (string(*FAMILIES), REQUIRED),
 def check(value, table: dict, path: str = "") -> dict:
     """Every key of ``table``: the object ``value``'s entry, parsed, or
     the key's default.  A parser may also be None (the value as given,
-    for the layer that reads it to check), a nested table, or
-    ``FAMILIES``: a descriptor, checked against its family's table and
-    kept as given.  A key outside the table, a missing ``REQUIRED`` key
-    and a refused entry raise FamilyError naming the key's path, such as
-    ``params.final_time``."""
+    for the layer that reads it to check), a nested table (an absent key
+    of a None default reads as None), or ``FAMILIES``: a descriptor,
+    checked against its family's table and kept as given.  A key outside
+    the table, a missing ``REQUIRED`` key and a refused entry raise
+    FamilyError naming the key's path, such as ``params.final_time``."""
     if not isinstance(value, dict):
         raise FamilyError(f"expected a JSON object at {path or 'the top level'!r}, got {value!r}")
     prefix = f"{path}." if path else ""
@@ -305,7 +305,7 @@ def _read(value: dict, key: str, parse, default, prefix: str):
     raw = value.get(key, default)
     if raw is REQUIRED:
         raise FamilyError(f"missing key '{prefix}{key}'")
-    if isinstance(parse, dict):
+    if isinstance(parse, dict) and (key in value or default is not None):
         nested = check(raw, parse, prefix + key)
         return raw if parse is FAMILIES else nested
     if parse is None or key not in value:

@@ -253,7 +253,6 @@ def scale_to_element(op: FsbpOperator, a: float, b: float) -> FsbpOperator:
         nodes=a + (op.nodes - a0) * ratio,
         P=op.P * ratio,
         Q=op.Q.copy(),
-        B=op.B.copy(),
         D=op.D / ratio,
         interval=(float(a), float(b)),
         space_fingerprint=op.space_fingerprint,

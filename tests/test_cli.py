@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fsbp
-from fsbp import cli, errors, pipeline, refcases, spaces
+from fsbp import cli, errors, gauss, operators, pipeline, refcases, spaces
 from fsbp.cli import main
 from fsbp.ibvp import BLOCK_STEPS, MmsCase, MultiElementGrid, PdeParams, assemble
 from fsbp.pipeline import build_study_operator
@@ -323,6 +323,18 @@ LONG_INTERVALS = {
     "long_interval_rule.json": {**SIMPSON, "interval": [0.0, 1.0, 99.0]},
     "long_interval_operator.json": {**SIMPSON_OPERATOR, "interval": [0.0, 1.0, 99.0]},
 }
+# files that the key tables refuse, and the words that name the entry;
+# each once ran: the wrong b and the boolean p exited 4, the boolean
+# weight 3 and the others 0
+REFUSED_FILES = {
+    "closed_false_rule.json": ({**SIMPSON, "closed": "false"}, "'closed'"),
+    "unknown_key_rule.json": ({**SIMPSON, "weight": [1.0]}, "unknown key 'weight'"),
+    "unknown_key_operator.json": ({**SIMPSON_OPERATOR, "D": [[0.0]]}, "unknown key 'D'"),
+    "wrong_b_operator.json": ({**SIMPSON_OPERATOR, "b": [1.0, 0.0, -1.0]}, "'b'"),
+    "true_p_operator.json": ({**SIMPSON_OPERATOR, "p": [True, 2 / 3, 1 / 6]}, "'p'"),
+    "string_node_rule.json": ({**SIMPSON, "nodes": [0.0, "0.5", 1.0]}, "'nodes'"),
+    "true_weight_rule.json": ({**SIMPSON, "weights": [True, 2 / 3, 1 / 6]}, "'weights'"),
+}
 
 
 @pytest.mark.parametrize("command, config", [
@@ -399,6 +411,9 @@ LONG_INTERVALS = {
     # rule and operator files whose interval has three entries
     ("operator", {"space": QUADRATICS, "rule": "long_interval_rule.json"}),
     ("verify", {"operator": "long_interval_operator.json", "space": QUADRATICS}),
+    # rule and operator files that their key tables refuse
+    *[("operator", {"space": QUADRATICS, "rule": name}) if name.endswith("_rule.json")
+      else ("verify", {"operator": name, "space": QUADRATICS}) for name in REFUSED_FILES],
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     # an operator file without its weights, and one whose q is not n x n,
@@ -409,7 +424,9 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     write_config(tmp_path / "wide_q.json", {
         "nodes": [0.0, 1.0], "p": [0.5, 0.5], "q": [[-0.5, 0.5]], "b": [-1.0, 1.0],
         "interval": [0.0, 1.0]})
-    for name, payload in {**NON_FINITE_RULES, **NON_FINITE_OPERATORS, **LONG_INTERVALS}.items():
+    refused = {name: payload for name, (payload, _) in REFUSED_FILES.items()}
+    for name, payload in {**NON_FINITE_RULES, **NON_FINITE_OPERATORS, **LONG_INTERVALS,
+                          **refused}.items():
         write_config(tmp_path / name, payload)
     cfg = write_config(tmp_path / "bad.json", config)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -419,7 +436,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, config):
     # the entry at fault in a rule or operator file is named
     file = str(config.get("rule", config.get("operator"))) if isinstance(config, dict) else ""
     assert {"nan_weight_rule.json": "'weights'", "wide_q.json": "'q'",
-            **dict.fromkeys(LONG_INTERVALS, "'interval'")}.get(file, "") in err
+            **dict.fromkeys(LONG_INTERVALS, "'interval'"),
+            **{name: named for name, (_, named) in REFUSED_FILES.items()}}.get(file, "") in err
     if isinstance(config, dict) and config.get("node_mode", "gglq") not in pipeline.NODE_MODES:
         assert "node_mode must be one of" in err
     # refused before the first write: no output directory
@@ -494,9 +512,10 @@ COMMAND_WORK = [(owner, name) for owner in (cli, pipeline)
 PIPELINE_WORK = [(pipeline, "make_family")]
 
 
-def run_refused(command: str, config, work=COMMAND_WORK) -> str:
-    """stderr of ``command`` on ``config``, which must exit 2 before any
-    of ``work`` runs and make no output directory."""
+def run_refused(command: str, config, work=COMMAND_WORK, files: dict | None = None) -> str:
+    """stderr of ``command`` on ``config``, beside the JSON ``files`` by
+    name, which must exit 2 before any of ``work`` runs and make no
+    output directory."""
     def no_work(*args, **kwargs):
         raise AssertionError("a refused config reached the work")
 
@@ -505,6 +524,8 @@ def run_refused(command: str, config, work=COMMAND_WORK) -> str:
           pytest.MonkeyPatch.context() as patch):
         for owner, name in work:
             patch.setattr(owner, name, no_work)
+        for name, payload in (files or {}).items():
+            write_config(Path(tmp) / name, payload)
         out = Path(tmp) / "out"
         code = main([command, "--config", write_config(Path(tmp) / "cfg.json", config),
                      "--out", str(out)])
@@ -528,6 +549,7 @@ def test_generated_unknown_keys_exit_2_before_any_work(command, data):
 
 # values that the parsers of the key tables (fsbp.errors) refuse
 NOT_A_NUMBER = st.sampled_from([None, True, "2", "x", [], [1.0], {}])
+NOT_A_BOOLEAN = st.sampled_from([None, 0, 1, 0.0, "false", "true", "", [], [True], {}])
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NOT_A_STRING = st.sampled_from([None, False, 2, 0.5, [], ["advection"], {}])
 NOT_A_LIST = st.sampled_from([True, 2, 0.5, "12", "x", {}, {"a": 1}])
@@ -587,6 +609,29 @@ REFUSED_ENTRIES = {
     "functions": st.one_of(st.none(), refused_lists(st.one_of(NOT_A_NUMBER, NOT_A_STRING),
                                                     least=1)),
 }
+# the values refused for each entry of a rule or an operator file
+REFUSED_FILE_ENTRIES = {
+    "nodes": refused_lists(st.one_of(NOT_A_NUMBER, NON_FINITE), least=1),
+    "weights": refused_lists(st.one_of(NOT_A_NUMBER, NON_FINITE), least=1),
+    "closed": NOT_A_BOOLEAN,
+    "interval": REFUSED_ENTRIES["interval"],
+    "certificate": NOT_AN_OBJECT,
+    "certificate.target_dim": refused_integers(1),
+    "certificate.max_abs_error": refused_numbers(0.0, inclusive=True),
+    "certificate.per_function_errors": refused_lists(refused_numbers(0.0, inclusive=True)),
+    "certificate.tol": refused_numbers(0.0),
+    "certificate.valid": NOT_A_BOOLEAN,
+    "trace": NOT_AN_OBJECT,
+    "p": refused_lists(st.one_of(NOT_A_NUMBER, NON_FINITE)),
+    "q": refused_lists(st.one_of(NOT_A_LIST, st.lists(st.one_of(NOT_A_NUMBER, NON_FINITE),
+                                                      min_size=1, max_size=3))),
+    # B's diagonal is -1, 0, ..., 0, 1 and nothing else
+    "b": st.one_of(refused_lists(st.one_of(NOT_A_NUMBER, NON_FINITE), least=2),
+                   st.sampled_from([[1.0, -1.0], [-1.0, 0.5, 1.0], [-1.0, 0.0, 0.0],
+                                    [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0, 1.0]])),
+    "space_fingerprint": NOT_A_STRING,
+    "null_space_dim": refused_integers(0),
+}
 # a valid descriptor of each family; JSON holds no explicit functions, so
 # only that family's "functions" is drawn
 DESCRIPTORS = {
@@ -601,6 +646,17 @@ FAMILY_ENTRIES = [(family, key) for family, table in spaces.FAMILIES.items()
                   for key in (*(spaces.DESCRIPTOR if family != "explicit" else ()), *table)]
 TABLES = {"rule": cli.RULE, "operator": cli.OPERATOR, "verify": cli.VERIFY,
           "converge": cli.CONVERGE}
+# the two file formats: each with the command that reads it, a config that
+# names the file "file.json", its key table and a valid file of every entry
+FILE_TABLES = {
+    "rule_file": ("operator", {"space": QUADRATICS, "rule": "file.json"}, gauss.RULE_FILE,
+                  {**SIMPSON, "trace": {"construction": "simpson"}, "certificate": {
+                      "target_dim": 3, "max_abs_error": 0.0, "per_function_errors": [0.0] * 3,
+                      "tol": 1e-8, "valid": True}}),
+    "operator_file": ("verify", {"operator": "file.json", "space": QUADRATICS},
+                      operators.OPERATOR_FILE,
+                      {**SIMPSON_OPERATOR, "space_fingerprint": "simpson", "null_space_dim": 0}),
+}
 
 
 def parsed_keys(table: dict, prefix: str = ""):
@@ -613,15 +669,22 @@ def parsed_keys(table: dict, prefix: str = ""):
             yield from parsed_keys(parse, f"{prefix}{key}.")
 
 
-@pytest.mark.parametrize("command", sorted(TABLES))
+@pytest.mark.parametrize("command", sorted([*TABLES, *FILE_TABLES]))
 @settings(derandomize=True, max_examples=16, deadline=None)
 @given(data=st.data())
 def test_generated_malformed_values_exit_2_naming_their_key(command, data):
-    # one key of a valid config, or one entry of its family descriptor,
-    # given a value its parser refuses: exit 2 naming the key's path, no
-    # output directory and no operator built
-    config = copy.deepcopy(VALID_CONFIGS[command])
-    paths = [*parsed_keys(TABLES[command]), *(FAMILY_ENTRIES if "space" in config else [])]
+    # one key of a valid config, one entry of its family descriptor, or
+    # one entry of a valid rule or operator file, given a value its parser
+    # refuses: exit 2 naming the key's path, no output directory and no
+    # operator built
+    if command in FILE_TABLES:
+        command, config, table, valid = FILE_TABLES[command]
+        files = {"file.json": copy.deepcopy(valid)}
+        where, paths, refused = files["file.json"], list(parsed_keys(table)), REFUSED_FILE_ENTRIES
+    else:
+        config, files = copy.deepcopy(VALID_CONFIGS[command]), {}
+        paths = [*parsed_keys(TABLES[command]), *(FAMILY_ENTRIES if "space" in config else [])]
+        where, refused = config, REFUSED
     path = data.draw(st.sampled_from(paths), label="key")
     if isinstance(path, tuple):
         family, key = path
@@ -630,9 +693,9 @@ def test_generated_malformed_values_exit_2_naming_their_key(command, data):
         path = f"space.{key}"
     else:
         *outer, key = path.split(".")
-        where = config[outer[0]] if outer else config
-        where[key] = data.draw(REFUSED[path], label="value")
-    assert f"'{path}'" in run_refused(command, config)
+        where = where[outer[0]] if outer else where
+        where[key] = data.draw(refused[path], label="value")
+    assert f"'{path}'" in run_refused(command, config, files=files)
 
 
 # the keys whose table leaves the value to the pipeline (a None parser),
@@ -1181,9 +1244,10 @@ def test_operator_command_from_rule_file(tmp_path, exp3_rule_run):
     from fsbp.spaces import make_family, orthonormalize, product_derivative_space
 
     product = product_derivative_space(make_family(refcases.EXP3_SPEC))
-    rule = QuadratureRule.from_dict(json.loads((out / "rule.json").read_text()))
-    assert rule.certificate.target_dim == orthonormalize(product).dim == 5
-    assert np.array_equal(rule.certificate.per_function_errors,
+    stored = json.loads((out / "rule.json").read_text())
+    rule = QuadratureRule.from_dict(stored)
+    assert stored["certificate"]["target_dim"] == orthonormalize(product).dim == 5
+    assert np.array_equal(stored["certificate"]["per_function_errors"],
                           verify_exactness(rule, product, 5).per_function_errors)
     assert "out/manifest.json" in read_every_json(tmp_path)
 
@@ -1197,6 +1261,24 @@ def test_operator_command_equispaced_mode(tmp_path):
     assert main(["operator", "--config", cfg, "--out", str(out)]) == 0
     rule = json.loads((out / "rule.json").read_text())
     assert np.allclose(rule["weights"], refcases.EXP3_EQUI5_WEIGHTS, atol=1e-8)
+
+
+@pytest.mark.parametrize("interval, failure", [([0, 25], "SolverError"),
+                                               ([0, 1], "AssemblyError")])
+def test_equispaced_operator_of_one_function_starts_at_two_nodes(tmp_path, capsys, interval,
+                                                                 failure):
+    # {J_0} has one function, and a closed rule at least two nodes: the
+    # counts once started at one node, which the rule refused (exit 2).
+    # On [0, 25] no count up to 10 has positive weights; on [0, 1] the
+    # 2-node rule is exact and positive, but its weight at 0 is 1.9e-15
+    # and the operator fails its exactness gate
+    cfg = write_config(tmp_path / "op.json", {
+        "space": {"family": "bessel", "orders": [0], "interval": interval},
+        "node_mode": "equispaced"})
+    out = tmp_path / "out"
+    assert main(["operator", "--config", cfg, "--out", str(out)]) == 3
+    assert f"solver error: {failure}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_command_pass_and_fail(tmp_path):
@@ -1559,6 +1641,27 @@ def test_run_refused_before_its_first_write_makes_no_directory(tmp_path, capsys,
     # an unknown mode is named
     assert all(repr(value) in err for value in flags[1::2])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+def test_out_that_is_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                    under):
+    # the first write once raised FileExistsError or NotADirectoryError,
+    # after the whole run
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for owner, name in COMMAND_WORK:
+        monkeypatch.setattr(owner, name, no_work)
+    (tmp_path / "afile").write_text("kept\n")
+    out = tmp_path / "afile" / "run" if under else tmp_path / "afile"
+    cfg = write_config(tmp_path / "cfg.json", VALID_CONFIGS[command])
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"fsbp {command}: validation error: --out {out}: {tmp_path / 'afile'} " \
+                  "is a file, not a directory\n"
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("node_mode, n_nodes", [

@@ -663,4 +663,8 @@ def test_rule_round_trip(exp3_closed_rule):
     back = QuadratureRule.from_dict(d)
     assert np.array_equal(back.nodes, exp3_closed_rule.nodes)
     assert np.array_equal(back.weights, exp3_closed_rule.weights)
-    assert back.certificate.valid == exp3_closed_rule.certificate.valid
+    assert back.trace == exp3_closed_rule.trace
+    # the certificate is read from the JSON only, never rebuilt: whoever
+    # uses a rule certifies it again
+    assert back.certificate is None
+    assert d["certificate"]["valid"] == exp3_closed_rule.certificate.valid
